@@ -3,7 +3,7 @@
 
 PYTEST = PYTHONPATH=src python -m pytest
 
-.PHONY: test test-net test-chaos test-all bench bench-smoke check serve
+.PHONY: test test-net test-chaos test-all bench bench-smoke check examples serve
 
 # Tier-1 verification: everything except @pytest.mark.slow benchmarks.
 test:
@@ -27,6 +27,14 @@ test-chaos:
 # The full suite including slow-marked benchmark cases.
 test-all:
 	$(PYTEST) -x -q -o addopts="--durations=10"
+
+# Every example script end to end, each under its own timeout: a change
+# to the public surface that breaks an example fails here.
+examples:
+	@set -e; for script in examples/*.py; do \
+		echo "== $$script"; \
+		PYTHONPATH=src timeout 120 python $$script > /dev/null; \
+	done
 
 # Host a synthetic archive on localhost TCP; connect from another
 # process with Archive.connect("archive://127.0.0.1:7744").

@@ -2,7 +2,8 @@
 
 The first end-to-end multi-layer path of the scaled archive: parser ->
 optimizer -> :func:`~repro.query.optimizer.split_plan` -> per-server
-shard QETs -> coordinator merge stream.  See
+shard QETs -> coordinator merge stream (the trees themselves are built
+by :mod:`repro.query.physical`).  See
 :class:`DistributedQueryEngine` for the entry point and
 :mod:`repro.distributed.routing` for HTM-cover shard pruning.
 """
@@ -10,8 +11,6 @@ shard QETs -> coordinator merge stream.  See
 from repro.distributed.engine import (
     DistributedQueryEngine,
     DistributedQueryResult,
-    build_merge_tree,
-    build_shard_tree,
 )
 from repro.distributed.routing import (
     ShardFanoutReport,
@@ -24,8 +23,6 @@ __all__ = [
     "DistributedQueryEngine",
     "DistributedQueryResult",
     "ProcessShardCluster",
-    "build_shard_tree",
-    "build_merge_tree",
     "ShardFanoutReport",
     "admit_scan_jobs",
     "assign_sweep_servers",

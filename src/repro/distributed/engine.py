@@ -14,7 +14,14 @@ the paper's multi-threaded QET locally; the coordinator's merge nodes
 ASAP-push contract — the user sees the first batch while the slowest
 shard is still scanning.
 
-Nothing about the server set is cached between queries: each ``execute``
+The trees are built by :mod:`repro.query.physical` — the same
+``shard_tree`` / ``merge_tree`` a remote cluster uses; this engine
+contributes only the in-process fan-out (:func:`~repro.distributed.
+routing.route_plan` plus a shard tree over each touched server's store)
+and is itself the :class:`~repro.query.physical.Executor` a session
+drives.
+
+Nothing about the server set is cached between queries: each ``prepare``
 reads the archive's current partition map and container placement, so
 execution stays correct across ``add_servers`` repartitioning.
 """
@@ -22,150 +29,18 @@ execution stays correct across ``add_servers`` repartitioning.
 from __future__ import annotations
 
 from repro.distributed.routing import admit_scan_jobs, route_plan
-from repro.query.ast_nodes import Select, SetOp
 from repro.query.engine import QueryResult, start_tree
-from repro.query.errors import PlanError
-from repro.query.optimizer import (
-    fused_top_k,
-    output_schema_for,
-    plan_query,
-    shard_candidates,
-    split_plan,
-)
+from repro.query.optimizer import split_plan
 from repro.query.parser import parse_query
-from repro.query.qet import (
-    AggregateNode,
-    DifferenceNode,
-    ExchangeNode,
-    FilterNode,
-    IntersectNode,
-    LimitNode,
-    MergeSortNode,
-    ProjectNode,
-    ScanNode,
-    SortNode,
-    TopKNode,
-    UnionNode,
+from repro.query.physical import (
+    Executor,
+    plan_selects,
+    prepare_query,
+    scatter_gather_tree,
+    shard_tree,
 )
 
-__all__ = [
-    "DistributedQueryEngine",
-    "DistributedQueryResult",
-    "build_shard_tree",
-    "build_merge_tree",
-]
-
-
-def build_shard_tree(
-    store,
-    sharded,
-    coverage,
-    batch_rows=4096,
-    workers=1,
-    restrict=None,
-    track_delivery=False,
-):
-    """One server's sub-QET: the pushed-down shard half of a split plan.
-
-    Shared by the in-process engine (scan trees built directly over each
-    touched :class:`~repro.storage.cluster.ServerNode` store) and the
-    network layer's :class:`~repro.net.server.ShardExecutor` (the same
-    tree built server-side for a ``mode="shard"`` submission).
-    ``workers`` applies morsel parallelism *within* the shard — on a
-    process-backed shard each server multiplies cores this way.
-
-    ``restrict`` (a :class:`~repro.htm.ranges.RangeSet`) limits the scan
-    to the coordinator's disjoint container assignment on a replicated
-    cluster, and ``track_delivery`` makes every emitted batch carry the
-    cumulative delivered-container annotation the failover bookkeeping
-    needs (forcing the serial scan path — see
-    :class:`~repro.query.qet.ScanNode`).
-    """
-    shard = sharded.shard
-    node = ScanNode(
-        store,
-        shard,
-        batch_rows=batch_rows,
-        coverage=coverage,
-        workers=workers,
-        restrict=restrict,
-        track_delivery=track_delivery,
-    )
-    if shard.is_aggregate:
-        return AggregateNode(
-            node,
-            shard.group_specs,
-            shard.aggregate_specs,
-            shard.output_order,
-            workers=workers,
-        )
-    top_k = fused_top_k(shard)
-    if top_k is not None:
-        # Each shard needs at most the global top-k: the fused node
-        # keeps the shard's candidate set bounded too.
-        node = TopKNode(
-            node,
-            shard.order_key_fns,
-            shard.order_descending,
-            top_k,
-            workers=workers,
-        )
-    else:
-        if shard.order_key_fns:
-            node = SortNode(node, shard.order_key_fns, shard.order_descending)
-        if shard.limit is not None:
-            node = LimitNode(node, shard.limit)
-    if shard.projection:
-        node = ProjectNode(node, shard.projection)
-    return node
-
-
-def build_merge_tree(shard_roots, sharded, batch_rows=4096):
-    """The coordinator half: recombine shard streams per the merge spec.
-
-    ``shard_roots`` may be local sub-trees *or* remote nodes streaming a
-    far server's shard half (:class:`~repro.net.client.RemoteRootNode`)
-    — the merge logic is identical, which is exactly why scatter-gather
-    survives the move across process boundaries unchanged.
-    """
-    merge = sharded.merge
-    if merge.kind == "aggregate":
-        node = ExchangeNode(shard_roots)
-        node = AggregateNode(
-            node,
-            merge.group_specs,
-            merge.reaggregate_specs,
-            merge.reaggregate_order,
-        )
-        node = ProjectNode(node, merge.final_projection)
-        if merge.having_fn is not None:
-            node = FilterNode(node, merge.having_fn)
-        top_k = fused_top_k(merge)  # MergeSpec quacks like a plan here
-        if top_k is not None:
-            node = TopKNode(
-                node, merge.order_key_fns, merge.order_descending, top_k
-            )
-        elif merge.order_key_fns:
-            node = SortNode(node, merge.order_key_fns, merge.order_descending)
-        elif merge.limit is not None:
-            node = LimitNode(node, merge.limit)
-        return node
-    if merge.kind == "ordered":
-        node = MergeSortNode(
-            shard_roots,
-            merge.order_key_fns,
-            merge.order_descending,
-            batch_rows=batch_rows,
-        )
-        if merge.limit is not None:
-            node = LimitNode(node, merge.limit)
-        if merge.projection:
-            node = ProjectNode(node, merge.projection)
-        return node
-    node = ExchangeNode(shard_roots)
-    if merge.limit is not None:
-        node = LimitNode(node, merge.limit)
-    return node
+__all__ = ["DistributedQueryEngine", "DistributedQueryResult"]
 
 
 class DistributedQueryResult(QueryResult):
@@ -192,7 +67,7 @@ class DistributedQueryResult(QueryResult):
         return self.reports[0]
 
 
-class DistributedQueryEngine:
+class DistributedQueryEngine(Executor):
     """Query façade over a :class:`~repro.storage.cluster.DistributedArchive`.
 
     Same surface as the single-store engine — ``execute`` /
@@ -227,6 +102,11 @@ class DistributedQueryEngine:
     physical I/O by the number of in-flight queries.
     """
 
+    kind = "distributed"
+    parse = staticmethod(parse_query)
+    #: per-user store overlays do not partition across shards (yet)
+    supports_mydb = False
+
     def __init__(
         self,
         archive,
@@ -256,108 +136,70 @@ class DistributedQueryEngine:
 
     def explain(self, text, allow_tag_route=True):
         """Sharded plans for each SELECT, for inspection and tests."""
-        ast = parse_query(text)
-        sharded = []
+        plans = plan_selects(
+            parse_query(text), self.schemas, self.density_maps, allow_tag_route
+        )
+        return [split_plan(plan) for plan in plans]
 
-        def collect(node):
-            if isinstance(node, SetOp):
-                collect(node.left)
-                collect(node.right)
-            else:
-                plan = plan_query(
-                    node,
-                    self.schemas,
-                    density_maps=self.density_maps,
-                    allow_tag_route=allow_tag_route,
+    def _select_root(self, plan, _select_index):
+        """One SELECT fanned out over the archive's current servers."""
+
+        def fan_out(sharded, coverage, candidates):
+            touched, report = route_plan(
+                self.archive, plan.routed_source, candidates
+            )
+            shard_roots = []
+            for server in touched:
+                shard_root = shard_tree(
+                    server.stores()[plan.routed_source],
+                    sharded,
+                    coverage,
+                    batch_rows=self.batch_rows,
+                    workers=self.workers,
                 )
-                sharded.append(split_plan(plan))
+                # Annotation consumed by the session layer's structured
+                # explain: which server this sub-tree runs on.
+                shard_root.server_id = server.server_id
+                shard_roots.append(shard_root)
+            return shard_roots, report
 
-        collect(ast)
-        return sharded
+        return scatter_gather_tree(
+            plan, self.archive.depth, fan_out, batch_rows=self.batch_rows
+        )
 
-    def build_tree(self, ast, allow_tag_route=True, reports=None):
-        """Build (but do not start) the distributed QET for a parsed query.
-
-        Returns ``(root, empty_schema)``; fan-out reports are appended to
-        ``reports`` when a list is given.
+    def prepare(self, text, allow_tag_route=True, ast=None):
+        """Plan, split and route without starting: a
+        :class:`~repro.query.physical.PreparedQuery` holding the
+        unstarted coordinator tree, the static output schema, and one
+        :class:`~repro.distributed.routing.ShardFanoutReport` per SELECT.
+        The session layer builds on this to control the job lifecycle.
         """
-        if reports is None:
-            reports = []
-        if isinstance(ast, SetOp):
-            left, left_schema = self.build_tree(ast.left, allow_tag_route, reports)
-            right, _right_schema = self.build_tree(ast.right, allow_tag_route, reports)
-            if ast.op == "UNION":
-                return UnionNode(left, right), left_schema
-            if ast.op == "INTERSECT":
-                return IntersectNode(left, right), left_schema
-            if ast.op == "EXCEPT":
-                return DifferenceNode(left, right), left_schema
-            raise PlanError(f"unknown set operator {ast.op}")
-        if not isinstance(ast, Select):
-            raise PlanError(f"cannot execute {type(ast).__name__}")
-        return self._build_select(ast, allow_tag_route, reports)
-
-    def _build_select(self, select, allow_tag_route, reports):
-        plan = plan_query(
-            select,
+        return prepare_query(
+            text,
             self.schemas,
+            self._select_root,
+            ast=ast,
             density_maps=self.density_maps,
             allow_tag_route=allow_tag_route,
         )
-        sharded = split_plan(plan)
-        coverage, candidates = shard_candidates(plan, self.archive.depth)
-        touched, report = route_plan(
-            self.archive, plan.routed_source, candidates
-        )
-        reports.append(report)
 
-        shard_roots = []
-        for server in touched:
-            shard_root = self._shard_tree(
-                server.stores()[plan.routed_source], sharded, coverage
-            )
-            # Annotation consumed by the session layer's structured
-            # explain: which server this sub-tree runs on.
-            shard_root.server_id = server.server_id
-            shard_roots.append(shard_root)
-        root = self._merge_tree(shard_roots, sharded)
-        root.fanout_report = report
-        return root, output_schema_for(plan, self.schemas)
-
-    def _shard_tree(self, store, sharded, coverage):
-        """One server's sub-QET (see :func:`build_shard_tree`)."""
-        return build_shard_tree(
-            store,
-            sharded,
-            coverage,
-            batch_rows=self.batch_rows,
-            workers=self.workers,
-        )
-
-    def _merge_tree(self, shard_roots, sharded):
-        """The coordinator half (see :func:`build_merge_tree`)."""
-        return build_merge_tree(
-            shard_roots, sharded, batch_rows=self.batch_rows
-        )
+    def generations_for(self, sources, extra_stores=None):
+        """Per-source tuples of every shard's ``(store_uid, generation)``
+        — a mutation on *any* partition server invalidates."""
+        generations = {}
+        for source in sources:
+            pairs = []
+            for server in self.archive.servers:
+                store = server.stores().get(source)
+                if store is None:
+                    return None
+                pairs.append((store.store_uid, store.generation))
+            generations[source] = tuple(pairs)
+        return generations
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-
-    def prepare(self, text, allow_tag_route=True):
-        """Parse, plan, split and route without starting.
-
-        Returns ``(root, empty_schema, reports)`` — the unstarted
-        coordinator tree, the static output schema, and one
-        :class:`~repro.distributed.routing.ShardFanoutReport` per SELECT.
-        The session layer builds on this to control the job lifecycle.
-        """
-        ast = parse_query(text)
-        reports = []
-        root, empty_schema = self.build_tree(
-            ast, allow_tag_route=allow_tag_route, reports=reports
-        )
-        return root, empty_schema, reports
 
     def execute(self, text, allow_tag_route=True):
         """Parse, plan, split, fan out, and start a query.
@@ -371,15 +213,15 @@ class DistributedQueryEngine:
            returns a :class:`~repro.session.Cursor` with the uniform
            result model; this entry point remains as a thin shim.
         """
-        root, empty_schema, reports = self.prepare(
-            text, allow_tag_route=allow_tag_route
-        )
+        prepared = self.prepare(text, allow_tag_route=allow_tag_route)
         if self.scheduler is not None:
             label = " ".join(text.split())[:40]
-            for report in reports:
+            for report in prepared.reports:
                 admit_scan_jobs(self.scheduler, label, report)
-        started_at = start_tree(root)
-        return DistributedQueryResult(root, started_at, reports, empty_schema)
+        started_at = start_tree(prepared.root)
+        return DistributedQueryResult(
+            prepared.root, started_at, prepared.reports, prepared.schema
+        )
 
     def query_table(self, text, allow_tag_route=True):
         """Convenience: execute and materialize.

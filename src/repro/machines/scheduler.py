@@ -13,16 +13,14 @@ Sweep machines exist per store: the session layer admits each
 interactive query as a job on ``sweep:<store>`` (single store) or one
 job per touched partition server on ``sweep:<server_id>`` — one shared
 sweep machine per store, piggybacking every concurrent predicate, not N
-per-query scan machines.  The legacy names ``scan``/``scan:<k>`` stay
-recognized as the same interactive class.  All sweep machines share the
-interactive policy — jobs overlap freely — because the sweep piggybacks
-every concurrent predicate.
+per-query scan machines.  All sweep machines share the interactive
+policy — jobs overlap freely — because the sweep piggybacks every
+concurrent predicate.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -34,9 +32,9 @@ __all__ = ["Job", "MachineScheduler", "DeficitRoundRobin"]
 class Job:
     """One submitted job.
 
-    ``machine`` is 'sweep', 'sweep:<store>', 'hash', 'river' (or the
-    deprecated 'scan'/'scan:<server_id>' names); ``duration`` is the
-    job's simulated run time (for sweep jobs: one full sweep).
+    ``machine`` is 'sweep', 'sweep:<store>', 'hash', 'river' or
+    'batch'; ``duration`` is the job's simulated run time (for sweep
+    jobs: one full sweep).
     ``user`` is the submitting tenant (multi-tenant batch accounting).
     """
 
@@ -59,11 +57,11 @@ class MachineScheduler:
     """Simulated-time admission control for the machine classes.
 
     Machines come in two policies: the *sweep* class (``'sweep'`` /
-    ``'sweep:<store>'``, plus the legacy ``'scan'``/``'scan:<k>'``
-    names) is interactively scheduled — jobs overlap freely on the
-    store's one shared sweep — while the *batch* class (``'hash'``,
-    ``'river'``, and the session layer's ``'batch'`` query machine)
-    serializes FIFO per machine.
+    ``'sweep:<store>'``) is interactively scheduled — jobs overlap
+    freely on the store's one shared sweep — while the *batch* class
+    (``'hash'``, ``'river'``, and the session layer's ``'batch'`` query
+    machine) serializes FIFO per machine.  Any other name is refused
+    with :class:`ValueError`.
     """
 
     BATCH_MACHINES = ("hash", "river", "batch")
@@ -71,19 +69,7 @@ class MachineScheduler:
     @staticmethod
     def is_scan_machine(machine):
         """True for the interactive sweep class: ``'sweep'`` /
-        ``'sweep:<store>'``.
-
-        The pre-sweep ``'scan'``/``'scan:<k>'`` aliases still classify
-        identically but are deprecated; use the sweep names.
-        """
-        if machine == "scan" or machine.startswith("scan:"):
-            warnings.warn(
-                "the 'scan'/'scan:<id>' machine names are deprecated; "
-                "use 'sweep'/'sweep:<id>'",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return True
+        ``'sweep:<store>'``."""
         return machine == "sweep" or machine.startswith("sweep:")
 
     def __init__(self):

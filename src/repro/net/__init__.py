@@ -63,15 +63,14 @@ def __getattr__(name):
     # The server symbols load lazily so `python -m repro.net.server`
     # does not import repro.net.server twice (once via this package,
     # once as __main__) — runpy would warn about the double life.
-    if name in ("ArchiveServer", "ShardExecutor"):
-        from repro.net import server
+    if name == "ArchiveServer":
+        from repro.net.server import ArchiveServer
 
-        return getattr(server, name)
+        return ArchiveServer
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ArchiveServer",
-    "ShardExecutor",
     "RemoteExecutor",
     "RemoteRootNode",
     "RetryPolicy",

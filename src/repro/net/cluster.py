@@ -15,7 +15,7 @@ behind a real :class:`~repro.net.server.ArchiveServer`:
   deterministic :func:`~repro.query.optimizer.split_plan` from the
   text, so no plan closures ever cross the wire;
 * the ordinary coordinator merge tree
-  (:func:`~repro.distributed.engine.build_merge_tree`: streaming
+  (:func:`~repro.query.physical.merge_tree`: streaming
   exchange, ordered k-way merge, partial-aggregate recombination) runs
   over :class:`~repro.net.client.RemoteRootNode` leaves instead of
   local scans — scatter-gather genuinely spanning processes.
@@ -26,10 +26,10 @@ one of these and returns an ordinary :class:`~repro.session.Session`.
 
 from __future__ import annotations
 
+import functools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.distributed.engine import build_merge_tree
 from repro.distributed.routing import ShardFanoutReport
 from repro.htm.ranges import RangeSet
 from repro.net.client import (
@@ -40,17 +40,9 @@ from repro.net.client import (
     parse_archive_url,
 )
 from repro.net.protocol import ProtocolError, RemoteArchiveError, schema_from_wire
-from repro.query.ast_nodes import Select, SetOp
-from repro.query.errors import PlanError, UnrecoverableShardError
-from repro.query.optimizer import (
-    output_schema_for,
-    plan_query,
-    shard_candidates,
-    split_plan,
-)
+from repro.query.errors import UnrecoverableShardError
 from repro.query.parser import parse_query
-from repro.query.qet import DifferenceNode, IntersectNode, UnionNode
-from repro.session.executor import Executor, PreparedQuery
+from repro.query.physical import Executor, prepare_query, scatter_gather_tree
 
 __all__ = [
     "RemotePartitionedExecutor",
@@ -190,7 +182,7 @@ class ShardFailoverPlanner:
 
 
 class RemotePartitionedExecutor(Executor):
-    """Executor protocol adapter: scatter-gather over remote shards.
+    """Executor: scatter-gather over remote shards.
 
     ``prepare`` plans locally (against the shard-advertised schemas),
     prunes endpoints by HTM cover, and returns an unstarted coordinator
@@ -200,6 +192,7 @@ class RemotePartitionedExecutor(Executor):
     """
 
     kind = "remote-cluster"
+    parse = staticmethod(parse_query)
 
     def __init__(
         self,
@@ -308,51 +301,25 @@ class RemotePartitionedExecutor(Executor):
 
     # -- planning -------------------------------------------------------
 
-    def prepare(self, text, allow_tag_route=True):
-        ast = parse_query(text)
-        reports = []
-        select_counter = [0]
-        root, schema = self._build(
-            ast, text, allow_tag_route, reports, select_counter
-        )
-        return PreparedQuery(
-            text=text,
-            root=root,
-            schema=schema,
-            reports=reports,
-            sources=[report.source for report in reports],
-        )
-
-    def _build(self, ast, text, allow_tag_route, reports, select_counter):
-        if isinstance(ast, SetOp):
-            left, left_schema = self._build(
-                ast.left, text, allow_tag_route, reports, select_counter
+    def prepare(self, text, allow_tag_route=True, ast=None):
+        def select_root(plan, select_index):
+            fan_out = functools.partial(
+                self._fan_out, text, select_index, allow_tag_route
             )
-            right, _right_schema = self._build(
-                ast.right, text, allow_tag_route, reports, select_counter
+            return scatter_gather_tree(
+                plan, self.depth, fan_out, batch_rows=self.batch_rows
             )
-            if ast.op == "UNION":
-                return UnionNode(left, right), left_schema
-            if ast.op == "INTERSECT":
-                return IntersectNode(left, right), left_schema
-            if ast.op == "EXCEPT":
-                return DifferenceNode(left, right), left_schema
-            raise PlanError(f"unknown set operator {ast.op}")
-        if not isinstance(ast, Select):
-            raise PlanError(f"cannot execute {type(ast).__name__}")
-        select_index = select_counter[0]
-        select_counter[0] += 1
-        return self._build_select(
-            ast, text, select_index, allow_tag_route, reports
+
+        return prepare_query(
+            text, self.schemas, select_root, ast=ast, allow_tag_route=allow_tag_route
         )
 
-    def _build_select(self, select, text, select_index, allow_tag_route, reports):
-        plan = plan_query(
-            select, self.schemas, allow_tag_route=allow_tag_route
-        )
-        sharded = split_plan(plan)
-        _coverage, candidates = shard_candidates(plan, self.depth)
-
+    def _fan_out(
+        self, text, select_index, allow_tag_route, sharded, _coverage, candidates
+    ):
+        """Prune endpoints by their hello ranges and submit the shard
+        half of SELECT ``select_index`` to the rest: ``(leaves, report)``."""
+        plan = sharded.base
         report = ShardFanoutReport(
             source=plan.routed_source, servers_total=len(self.shards)
         )
@@ -391,8 +358,6 @@ class RemotePartitionedExecutor(Executor):
                 assignments[shard.shard_id] = assigned
                 touched.append(shard)
                 report.touched_server_ids.append(shard.shard_id)
-        reports.append(report)
-
         shard_roots = []
         for shard in touched:
             assigned = assignments.get(shard.shard_id)
@@ -414,9 +379,7 @@ class RemotePartitionedExecutor(Executor):
                     strategy=strategy,
                 )
             )
-        root = build_merge_tree(shard_roots, sharded, batch_rows=self.batch_rows)
-        root.fanout_report = report
-        return root, output_schema_for(plan, self.schemas)
+        return shard_roots, report
 
     def stats(self):
         """Per-endpoint server stats: one ``stats`` snapshot per shard,

@@ -21,10 +21,14 @@ clients serialize FIFO through the server's one batch machine.
 
 ``mode="shard"`` submissions (from the remote scatter-gather
 coordinator, :class:`~repro.net.cluster.RemotePartitionedExecutor`) run
-only the pushed-down shard half of one SELECT: the server derives the
-identical :func:`~repro.query.optimizer.split_plan` from the query text
-— both ends of the wire split deterministically, so no plan closures
-ever need to travel.
+only the pushed-down shard half of one SELECT
+(:meth:`~repro.query.engine.QueryEngine.prepare_shard`): the server
+derives the identical :func:`~repro.query.optimizer.split_plan` from
+the query text — both ends of the wire split, and number the SELECTs of
+a set operation, deterministically through
+:mod:`repro.query.physical`, so no plan closures ever need to travel.
+The server adds no planning of its own: its session's executor is the
+hosted backend behind a full/shard mode dispatch.
 
 Run one from the shell::
 
@@ -41,7 +45,7 @@ import threading
 import time
 from collections import deque
 
-from repro.distributed.engine import build_shard_tree
+from repro.distributed.engine import DistributedQueryEngine
 from repro.htm.ranges import RangeSet
 from repro.net.faults import CrashServer, DropConnection
 from repro.net.protocol import (
@@ -62,133 +66,31 @@ from repro.net.protocol import (
 )
 from repro.obs.metrics import registry as obs_registry
 from repro.obs.trace import assemble_job_trace
-from repro.query.ast_nodes import Select, SetOp
-from repro.query.errors import ExecutionError, PlanError, QueryError
-from repro.query.optimizer import (
-    output_schema_for,
-    plan_query,
-    shard_candidates,
-    split_plan,
-)
-from repro.query.parser import parse_query
+from repro.query.engine import QueryEngine
+from repro.query.errors import ExecutionError, QueryError
 from repro.service import ServiceTier
 from repro.service.errors import AuthenticationError
 from repro.session.core import Archive, SessionError
-from repro.session.executor import (
-    DistributedExecutor,
-    Executor,
-    LocalExecutor,
-    PreparedQuery,
-)
 from repro.session.plan import analyzed_plan_tree, plan_tree
 
-__all__ = ["ArchiveServer", "ShardExecutor"]
+__all__ = ["ArchiveServer"]
 
 
-def _collect_selects(ast):
-    """Every SELECT of a parsed query, in deterministic execution order.
+class _ServerExecutor:
+    """The server session's executor: the submission-mode dispatch.
 
-    The same left-to-right depth-first order
-    :meth:`~repro.query.engine.QueryEngine.prepare_tree` and the
-    distributed executor use — the coordinator and the shard servers
-    number SELECTs identically, so ``select_index`` means the same
-    subquery on both ends of the wire.
-    """
-    if isinstance(ast, SetOp):
-        return _collect_selects(ast.left) + _collect_selects(ast.right)
-    if isinstance(ast, Select):
-        return [ast]
-    raise PlanError(f"cannot execute {type(ast).__name__}")
-
-
-class ShardExecutor(Executor):
-    """Executor running only the pushed-down shard half of one SELECT.
-
-    The server side of remote scatter-gather: ``prepare(text,
-    select_index=i)`` parses, plans and splits the query exactly like a
-    coordinator would, then builds the QET for ``sharded.shard`` over
-    this server's own containers.  Partial aggregates, per-shard sort
-    and LIMIT copies stream back; the coordinator's merge tree finishes
-    the job.
+    Full-mode queries go to the hosted backend's ``prepare``; shard-mode
+    queries to its ``prepare_shard`` (a single-store engine — the shape
+    a partition server has).  Everything else the session probes for
+    (``kind``, ``parse``, ``supports_mydb``, ``generations_for``) is the
+    hosted backend's own.
     """
 
-    kind = "shard"
-
-    def __init__(self, engine, batch_rows=4096):
-        self.engine = engine
-        self.batch_rows = int(batch_rows)
-        #: morsel-parallel width inside this shard — inherited from the
-        #: hosted engine so one knob configures both submission modes
-        self.workers = getattr(engine, "workers", 1)
-
-    def prepare(self, text, allow_tag_route=True, select_index=0, ranges=None):
-        ast = parse_query(text)
-        selects = _collect_selects(ast)
-        index = int(select_index)
-        if not 0 <= index < len(selects):
-            raise PlanError(
-                f"select_index {index} out of range: query has "
-                f"{len(selects)} SELECTs"
-            )
-        plan = plan_query(
-            selects[index],
-            self.engine.schemas,
-            density_maps=self.engine.density_maps,
-            allow_tag_route=allow_tag_route,
-        )
-        sharded = split_plan(plan)
-        store = self.engine.stores[plan.routed_source]
-        coverage, _candidates = shard_candidates(plan, store.depth)
-        restrict = None
-        track = False
-        if ranges is not None:
-            # A replicated-cluster submission: scan only the coordinator's
-            # disjoint container assignment, and stamp every batch with
-            # the cumulative delivered ranges so a failover can resume
-            # exactly where this stream died.  Tracking needs the serial
-            # scan, so the morsel pool is not spun up.
-            restrict = RangeSet(tuple((int(lo), int(hi)) for lo, hi in ranges))
-            track = True
-        root = build_shard_tree(
-            store,
-            sharded,
-            coverage,
-            batch_rows=self.batch_rows,
-            workers=1 if track else self.workers,
-            restrict=restrict,
-            track_delivery=track,
-        )
-        return PreparedQuery(
-            text=text,
-            root=root,
-            schema=output_schema_for(sharded.shard, self.engine.schemas),
-            sources=[plan.routed_source],
-        )
-
-
-class _ServerExecutor(Executor):
-    """The server session's executor: full-mode queries go to the hosted
-    backend, shard-mode queries to the :class:`ShardExecutor` (when the
-    backend is a single-store engine — the shape a partition server
-    has)."""
-
-    def __init__(self, base, shard=None):
+    def __init__(self, base):
         self.base = base
-        self.shard = shard
-        self.kind = getattr(base, "kind", "unknown")
 
-    @property
-    def supports_mydb(self):
-        """MyDB overlays reach only backends that can host them."""
-        return getattr(self.base, "supports_mydb", False)
-
-    def generations_for(self, sources, extra_stores=None):
-        """Proxy cache-validation snapshots to the hosted backend
-        (``None`` — never cacheable — when it has no notion of them)."""
-        snapshot = getattr(self.base, "generations_for", None)
-        if snapshot is None:
-            return None
-        return snapshot(sources, extra_stores=extra_stores)
+    def __getattr__(self, name):
+        return getattr(self.base, name)
 
     def prepare(
         self,
@@ -196,27 +98,22 @@ class _ServerExecutor(Executor):
         allow_tag_route=True,
         mode="full",
         select_index=0,
-        extra_stores=None,
         ranges=None,
+        **kwargs,
     ):
         if mode == "full":
-            kwargs = {}
-            if extra_stores is not None:
-                kwargs["extra_stores"] = extra_stores
             return self.base.prepare(text, allow_tag_route=allow_tag_route, **kwargs)
         if mode != "shard":
             raise SessionError(f"unknown submission mode {mode!r}")
-        if self.shard is None:
+        prepare_shard = getattr(self.base, "prepare_shard", None)
+        if prepare_shard is None:
             raise SessionError(
                 "this archive server hosts a "
                 f"{self.kind!r} backend and cannot run shard-mode queries "
                 "(shard mode needs a single-store engine)"
             )
-        return self.shard.prepare(
-            text,
-            allow_tag_route=allow_tag_route,
-            select_index=select_index,
-            ranges=ranges,
+        return prepare_shard(
+            text, select_index, ranges, allow_tag_route=allow_tag_route, **kwargs
         )
 
 
@@ -334,12 +231,7 @@ class ArchiveServer:
             workers=workers,
             service=service,
         )
-        base = self.session.executor
-        shard = None
-        if isinstance(base, LocalExecutor):
-            shard = ShardExecutor(base.engine, batch_rows=batch_rows)
-        self._base_executor = base
-        self.session.executor = _ServerExecutor(base, shard)
+        self.session.executor = _ServerExecutor(self.session.executor)
         self.host = host
         self.port = int(port)
         self._listener = None
@@ -688,48 +580,32 @@ class ArchiveServer:
     # -- op handlers ----------------------------------------------------
 
     def _hello(self):
+        base = self.session.executor.base
+        if isinstance(base, DistributedQueryEngine):
+            servers = [server.stores() for server in base.archive.servers]
+        elif isinstance(base, QueryEngine):
+            servers = [base.stores]
+        else:
+            servers = [{}]
         sources = {}
         depth = None
-        n_servers = 1
-        base = self._base_executor
-        engine = getattr(base, "engine", None)
-        if isinstance(base, LocalExecutor):
-            for name, store in engine.stores.items():
-                depth = store.depth
-                sources[name] = {
-                    "schema": schema_to_wire(store.schema),
-                    "ranges": [list(iv) for iv in RangeSet.from_ids(
-                        store.occupied_ids()
-                    ).intervals],
-                    "objects": store.total_objects(),
-                    "bytes": store.total_bytes(),
-                }
-        elif isinstance(base, DistributedExecutor):
-            archive = engine.archive
-            depth = archive.depth
-            n_servers = len(archive.servers)
-            for name in archive.source_schemas():
-                ids = []
-                objects = 0
-                nbytes = 0
-                for server in archive.servers:
-                    store = server.stores()[name]
-                    ids.extend(store.occupied_ids())
-                    objects += store.total_objects()
-                    nbytes += store.total_bytes()
-                sources[name] = {
-                    "schema": schema_to_wire(archive.source_schemas()[name]),
-                    "ranges": [list(iv) for iv in RangeSet.from_ids(ids).intervals],
-                    "objects": objects,
-                    "bytes": nbytes,
-                }
+        for name in servers[0]:
+            stores = [hosted[name] for hosted in servers]
+            depth = stores[0].depth
+            ids = [htm_id for store in stores for htm_id in store.occupied_ids()]
+            sources[name] = {
+                "schema": schema_to_wire(stores[0].schema),
+                "ranges": [list(iv) for iv in RangeSet.from_ids(ids).intervals],
+                "objects": sum(store.total_objects() for store in stores),
+                "bytes": sum(store.total_bytes() for store in stores),
+            }
         return {
             "op": "hello",
             "version": PROTOCOL_VERSION,
             "kind": getattr(base, "kind", "unknown"),
-            "shard_capable": isinstance(base, LocalExecutor),
+            "shard_capable": hasattr(base, "prepare_shard"),
             "depth": depth,
-            "n_servers": n_servers,
+            "n_servers": len(servers),
             "sources": sources,
             # codecs this server can apply to result table frames; a
             # client requests one per submission via accept_compression

@@ -14,8 +14,9 @@ time-to-first-row — the measurable form of the ASAP claim.
 .. note::
    ``QueryEngine`` remains fully supported as the single-store execution
    backend, but the preferred *user-facing* entry point is now the
-   session facade: ``repro.session.Archive.connect(engine)`` wraps this
-   engine (or a distributed one) behind the uniform
+   session facade: ``repro.session.Archive.connect(engine)`` drives this
+   engine (or a distributed one) through its
+   :class:`~repro.query.physical.Executor` ``prepare`` behind the uniform
    :class:`~repro.session.Session` / :class:`~repro.session.Job` /
    :class:`~repro.session.Cursor` surface.
 """
@@ -25,21 +26,23 @@ from __future__ import annotations
 import time
 
 from repro.catalog.table import ObjectTable
-from repro.query.ast_nodes import Select, SetOp
+from repro.htm.ranges import RangeSet
 from repro.query.errors import PlanError
-from repro.query.optimizer import fused_top_k, output_schema_for, plan_query
+from repro.query.optimizer import (
+    output_schema_for,
+    plan_query,
+    shard_candidates,
+    split_plan,
+)
 from repro.query.parser import parse_query
-from repro.query.qet import (
-    AggregateNode,
-    DifferenceNode,
-    FilterNode,
-    IntersectNode,
-    LimitNode,
-    ProjectNode,
-    ScanNode,
-    SortNode,
-    TopKNode,
-    UnionNode,
+from repro.query.physical import (
+    Executor,
+    PreparedQuery,
+    plan_selects,
+    prepare_query,
+    query_selects,
+    select_tree,
+    shard_tree,
 )
 
 __all__ = ["QueryEngine", "QueryResult", "start_tree"]
@@ -148,7 +151,7 @@ class QueryResult:
         return self._root.output.pending()
 
 
-class QueryEngine:
+class QueryEngine(Executor):
     """Query façade over the archive's physical stores.
 
     Parameters
@@ -174,6 +177,11 @@ class QueryEngine:
         :mod:`repro.machines.workers`).
     """
 
+    kind = "local"
+    parse = staticmethod(parse_query)
+    #: this backend can overlay per-user MyDB stores and run INTO
+    supports_mydb = True
+
     def __init__(self, stores, density_maps=None, batch_rows=4096, workers=None):
         if not stores:
             raise ValueError("QueryEngine needs at least one store")
@@ -189,104 +197,77 @@ class QueryEngine:
     # planning and tree construction
     # ------------------------------------------------------------------
 
-    def build_tree(self, ast, allow_tag_route=True):
-        """Build (but do not start) the QET for a parsed query."""
-        root, _schema, _plans = self.prepare_tree(ast, allow_tag_route)
-        return root
+    def prepare(self, text, allow_tag_route=True, ast=None, extra_stores=None):
+        """Plan and build without starting: a :class:`PreparedQuery`.
 
-    def prepare_tree(self, ast, allow_tag_route=True, extra_stores=None):
-        """Build an unstarted QET plus its static output metadata.
-
-        Returns ``(root, empty_schema, plans)``: the tree, the
-        statically-derived output schema (a set operation reports its
-        left branch's schema), and the :class:`QueryPlan` of every
-        SELECT in execution order.  ``extra_stores`` overlays additional
-        sources (e.g. a user's ``mydb.*`` workspace tables) for this
-        query only, without mutating the engine's catalog.
+        ``extra_stores`` overlays additional sources (e.g. a user's
+        ``mydb.*`` workspace tables) for this query only, without
+        mutating the engine's catalog.
         """
+        stores = self.stores
+        schemas = self.schemas
         if extra_stores:
-            stores = {**self.stores, **extra_stores}
+            stores = {**stores, **extra_stores}
             schemas = {name: store.schema for name, store in stores.items()}
-        else:
-            stores = self.stores
-            schemas = self.schemas
-        return self._prepare_tree(ast, allow_tag_route, stores, schemas)
-
-    def _prepare_tree(self, ast, allow_tag_route, stores, schemas):
-        if isinstance(ast, SetOp):
-            left, left_schema, left_plans = self._prepare_tree(
-                ast.left, allow_tag_route, stores, schemas
-            )
-            right, _right_schema, right_plans = self._prepare_tree(
-                ast.right, allow_tag_route, stores, schemas
-            )
-            plans = left_plans + right_plans
-            if ast.op == "UNION":
-                return UnionNode(left, right), left_schema, plans
-            if ast.op == "INTERSECT":
-                return IntersectNode(left, right), left_schema, plans
-            if ast.op == "EXCEPT":
-                return DifferenceNode(left, right), left_schema, plans
-            raise PlanError(f"unknown set operator {ast.op}")
-        if not isinstance(ast, Select):
-            raise PlanError(f"cannot execute {type(ast).__name__}")
-
-        plan = plan_query(
-            ast,
+        return prepare_query(
+            text,
             schemas,
+            lambda plan, _select_index: select_tree(
+                stores[plan.routed_source],
+                plan,
+                batch_rows=self.batch_rows,
+                workers=self.workers,
+            ),
+            ast=ast,
             density_maps=self.density_maps,
             allow_tag_route=allow_tag_route,
         )
-        root = self._select_tree(plan, stores)
-        return root, output_schema_for(plan, schemas), [plan]
 
-    def _select_tree(self, plan, stores=None):
-        """The single-store QET for one planned SELECT.
+    def prepare_shard(
+        self, text, select_index=0, ranges=None, allow_tag_route=True, ast=None
+    ):
+        """Only the pushed-down shard half of SELECT ``select_index``.
 
-        ``ORDER BY ... LIMIT k`` fuses into a streaming
-        :class:`TopKNode` (bounded candidate buffer) instead of the
-        full-materialize ``SortNode -> LimitNode`` pair.
+        The server side of remote scatter-gather: both ends derive the
+        same :func:`~repro.query.optimizer.split_plan` from the text, so
+        this builds ``sharded.shard`` over the engine's own containers
+        and the coordinator's merge tree finishes the job.
+
+        ``ranges`` marks a replicated-cluster submission: scan only the
+        coordinator's disjoint container assignment, and stamp every
+        batch with the cumulative delivered ranges so a failover can
+        resume exactly where this stream died.  Tracking needs the
+        serial scan, so the morsel pool is not spun up.
         """
-        store = (stores if stores is not None else self.stores)[plan.routed_source]
-        workers = self.workers
-        node = ScanNode(
-            store, plan, batch_rows=self.batch_rows, workers=workers
+        selects = query_selects(ast if ast is not None else parse_query(text))
+        index = int(select_index)
+        if not 0 <= index < len(selects):
+            raise PlanError(
+                f"select_index {index} out of range: query has "
+                f"{len(selects)} SELECTs"
+            )
+        sharded = split_plan(
+            plan_query(selects[index], self.schemas, self.density_maps, allow_tag_route)
         )
-        top_k = fused_top_k(plan)
-        if plan.is_aggregate:
-            node = AggregateNode(
-                node,
-                plan.group_specs,
-                plan.aggregate_specs,
-                plan.output_order,
-                workers=workers,
-            )
-            if plan.having_fn is not None:
-                node = FilterNode(node, plan.having_fn)
-            if top_k is not None:
-                node = TopKNode(
-                    node, plan.order_key_fns, plan.order_descending, top_k
-                )
-            elif plan.order_key_fns:
-                node = SortNode(node, plan.order_key_fns, plan.order_descending)
-            elif plan.limit is not None:
-                node = LimitNode(node, plan.limit)
-            return node
-        if top_k is not None:
-            node = TopKNode(
-                node,
-                plan.order_key_fns,
-                plan.order_descending,
-                top_k,
-                workers=workers,
-            )
-        elif plan.order_key_fns:
-            node = SortNode(node, plan.order_key_fns, plan.order_descending)
-        elif plan.limit is not None:
-            node = LimitNode(node, plan.limit)
-        if plan.projection:
-            node = ProjectNode(node, plan.projection)
-        return node
+        store = self.stores[sharded.base.routed_source]
+        coverage, _candidates = shard_candidates(sharded.base, store.depth)
+        restrict = None
+        if ranges is not None:
+            restrict = RangeSet(tuple((int(lo), int(hi)) for lo, hi in ranges))
+        return PreparedQuery(
+            text=text,
+            root=shard_tree(
+                store,
+                sharded,
+                coverage,
+                batch_rows=self.batch_rows,
+                workers=1 if ranges is not None else self.workers,
+                restrict=restrict,
+                track_delivery=ranges is not None,
+            ),
+            schema=output_schema_for(sharded.shard, self.schemas),
+            sources=[sharded.base.routed_source],
+        )
 
     def explain(self, text, allow_tag_route=True):
         """Plans for each SELECT in the query, for inspection/benchmarks.
@@ -296,36 +277,27 @@ class QueryEngine:
            local and distributed execution), prefer
            ``Archive.connect(engine).explain(text)``.
         """
-        ast = parse_query(text)
-        plans = []
+        return plan_selects(
+            parse_query(text), self.schemas, self.density_maps, allow_tag_route
+        )
 
-        def collect(node):
-            if isinstance(node, SetOp):
-                collect(node.left)
-                collect(node.right)
-            else:
-                plans.append(
-                    plan_query(
-                        node,
-                        self.schemas,
-                        density_maps=self.density_maps,
-                        allow_tag_route=allow_tag_route,
-                    )
-                )
-
-        collect(ast)
-        return plans
+    def generations_for(self, sources, extra_stores=None):
+        """``{source: (store_uid, generation)}`` snapshot for cache
+        validation, or ``None`` when a source does not resolve."""
+        stores = self.stores
+        if extra_stores:
+            stores = {**stores, **extra_stores}
+        generations = {}
+        for source in sources:
+            store = stores.get(source)
+            if store is None:
+                return None
+            generations[source] = (store.store_uid, store.generation)
+        return generations
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-
-    def prepare(self, text, allow_tag_route=True, extra_stores=None):
-        """Parse and plan without starting: ``(root, empty_schema, plans)``."""
-        ast = parse_query(text)
-        return self.prepare_tree(
-            ast, allow_tag_route=allow_tag_route, extra_stores=extra_stores
-        )
 
     def execute(self, text, allow_tag_route=True):
         """Parse, plan, and start a query; returns a :class:`QueryResult`.
@@ -335,11 +307,9 @@ class QueryEngine:
            returns a :class:`~repro.session.Cursor` with the uniform
            result model; this entry point remains as a thin shim.
         """
-        root, empty_schema, _plans = self.prepare(
-            text, allow_tag_route=allow_tag_route
-        )
-        started_at = start_tree(root)
-        return QueryResult(root, started_at, empty_schema=empty_schema)
+        prepared = self.prepare(text, allow_tag_route=allow_tag_route)
+        started_at = start_tree(prepared.root)
+        return QueryResult(prepared.root, started_at, empty_schema=prepared.schema)
 
     def query_table(self, text, allow_tag_route=True):
         """Convenience: execute and materialize.

@@ -1,0 +1,332 @@
+"""The physical planner: one AST -> Query Execution Tree builder.
+
+*"Each query received from the User Interface is parsed into a Query
+Execution Tree (QET) ... Each node of the QET is either a query or a
+set-operation node"* — and the same tree runs whether the data sits on
+one server or is split among many.  This module alone decides which QET
+nodes a planned SELECT or a set operation becomes:
+
+* :func:`build_query_tree` is the only walker of
+  :class:`~repro.query.ast_nodes.SetOp`; it numbers the SELECTs — the
+  ``select_index`` a coordinator sends and a shard server resolves.
+* :func:`select_tree` (one store), :func:`shard_tree` and
+  :func:`merge_tree` (the two halves of a split plan) build one SELECT
+  and share :func:`order_limit_tail`; :func:`scatter_gather_tree` is
+  plan -> split -> candidates -> fan-out -> merge, the fan-out passed in.
+* :func:`prepare_query` runs the pipeline for a backend and returns the
+  :class:`PreparedQuery` — an **unstarted** tree — that the session
+  layer admits, starts, streams and cancels.
+
+A backend is an :class:`Executor`; the engines implement it themselves,
+so a rewriting optimizer or a join operator has this one seam to extend.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass, field
+
+from repro.query.ast_nodes import Select, SetOp
+from repro.query.errors import PlanError
+from repro.query.optimizer import (
+    fused_top_k,
+    output_schema_for,
+    plan_query,
+    shard_candidates,
+    split_plan,
+)
+from repro.query.parser import extract_into, parse_query
+from repro.query.qet import (
+    AggregateNode,
+    DifferenceNode,
+    ExchangeNode,
+    FilterNode,
+    IntersectNode,
+    LimitNode,
+    MergeSortNode,
+    ProjectNode,
+    QETNode,
+    ScanNode,
+    SortNode,
+    TopKNode,
+    UnionNode,
+)
+
+__all__ = [
+    "PreparedQuery",
+    "Executor",
+    "build_query_tree",
+    "query_selects",
+    "plan_selects",
+    "order_limit_tail",
+    "select_tree",
+    "shard_tree",
+    "merge_tree",
+    "scatter_gather_tree",
+    "prepare_query",
+]
+
+
+@dataclass
+class PreparedQuery:
+    """Everything the session needs to run one query.
+
+    Attributes
+    ----------
+    text:
+        The original query text.
+    root:
+        The unstarted QET root; starting its threads begins execution.
+    schema:
+        Statically-derived output schema (``None`` only when unknowable
+        without data).
+    reports:
+        One :class:`~repro.distributed.routing.ShardFanoutReport` per
+        SELECT for distributed backends; empty for single-store ones.
+    sources:
+        The routed physical source of every SELECT (e.g. ``['tag']``
+        after tag routing) — the stores whose shared sweeps this query
+        rides; the session admits one ``sweep:<source>`` machine job per
+        distinct source for single-store backends.
+    into:
+        The ``SELECT ... INTO mydb.x`` destination, or ``None`` for
+        ordinary queries.  The session layer materializes the drained
+        result into the submitting user's MyDB workspace.
+    """
+
+    text: str
+    root: object
+    schema: object = None
+    reports: list = field(default_factory=list)
+    sources: list = field(default_factory=list)
+    into: str | None = None
+
+    def simulated_seconds(self):
+        """Total simulated scan seconds across the fan-out (0.0 when the
+        backend does not model per-server cost)."""
+        return sum(report.simulated_seconds for report in self.reports)
+
+
+class Executor:
+    """Protocol base class (subclassing is optional; duck-typing with a
+    ``prepare`` method and a ``kind`` attribute is enough)."""
+
+    #: short backend label (``"local"``, ``"distributed"``, ...)
+    kind = "abstract"
+    #: ``parse(text) -> AST`` of a backend that plans from the parsed
+    #: query: the session calls it once, inside its ``parse`` span, and
+    #: hands the result to ``prepare(..., ast=ast)``.  ``None`` means
+    #: the text is opaque here (a far server parses it) and ``prepare``
+    #: receives no ``ast``.
+    parse = None
+
+    def prepare(self, text, allow_tag_route=True, ast=None):
+        raise NotImplementedError
+
+
+# ----------------------------------------------------------------------
+# set operations: the one SetOp walker
+# ----------------------------------------------------------------------
+
+_SET_NODES = {
+    "UNION": UnionNode,
+    "INTERSECT": IntersectNode,
+    "EXCEPT": DifferenceNode,
+}
+
+
+def build_query_tree(ast, build_select):
+    """Build (but do not start) the QET of a parsed query.
+
+    ``build_select(select, select_index)`` returns the root of one
+    SELECT's sub-tree; set operations combine them.  SELECTs are
+    numbered left-to-right depth-first, so ``select_index`` names the
+    same subquery on both ends of the wire.
+    """
+    numbering = itertools.count()
+
+    def build(node):
+        if isinstance(node, SetOp):
+            left = build(node.left)
+            right = build(node.right)
+            if node.op not in _SET_NODES:
+                raise PlanError(f"unknown set operator {node.op}")
+            return _SET_NODES[node.op](left, right)
+        if not isinstance(node, Select):
+            raise PlanError(f"cannot execute {type(node).__name__}")
+        return build_select(node, next(numbering))
+
+    return build(ast)
+
+
+def query_selects(ast):
+    """Every SELECT of a parsed query, in ``select_index`` order."""
+    selects = []
+
+    def note(select, _select_index):
+        selects.append(select)
+        return QETNode()  # never started: only the numbering matters
+
+    build_query_tree(ast, note)
+    return selects
+
+
+def plan_selects(ast, schemas, density_maps=None, allow_tag_route=True):
+    """The :class:`~repro.query.optimizer.QueryPlan` of every SELECT, in
+    ``select_index`` order — what the engines' ``explain`` reports."""
+    return [
+        plan_query(select, schemas, density_maps, allow_tag_route)
+        for select in query_selects(ast)
+    ]
+
+
+# ----------------------------------------------------------------------
+# one SELECT
+# ----------------------------------------------------------------------
+
+
+def order_limit_tail(node, spec, workers=1):
+    """``ORDER BY`` / ``LIMIT`` over ``node``: a fused streaming
+    :class:`TopKNode` (bounded candidate buffer) when both are present,
+    else a sort, else a limit.  ``spec`` is a plan or a merge spec."""
+    top_k = fused_top_k(spec)
+    if top_k is not None:
+        return TopKNode(
+            node, spec.order_key_fns, spec.order_descending, top_k, workers=workers
+        )
+    if spec.order_key_fns:
+        return SortNode(node, spec.order_key_fns, spec.order_descending)
+    if spec.limit is not None:
+        return LimitNode(node, spec.limit)
+    return node
+
+
+def select_tree(store, plan, batch_rows=4096, workers=1, **scan_options):
+    """The QET of one planned SELECT over one store (``scan_options`` go
+    to the :class:`~repro.query.qet.ScanNode`)."""
+    node = ScanNode(
+        store, plan, batch_rows=batch_rows, workers=workers, **scan_options
+    )
+    if plan.is_aggregate:
+        node = AggregateNode(
+            node,
+            plan.group_specs,
+            plan.aggregate_specs,
+            plan.output_order,
+            workers=workers,
+        )
+        if plan.having_fn is not None:
+            node = FilterNode(node, plan.having_fn)
+        return order_limit_tail(node, plan)
+    node = order_limit_tail(node, plan, workers=workers)
+    if plan.projection:
+        node = ProjectNode(node, plan.projection)
+    return node
+
+
+def shard_tree(store, sharded, coverage, **options):
+    """One server's sub-QET: the pushed-down shard half of a split plan.
+
+    The shard plan is an ordinary plan — a partial aggregate keeps no
+    HAVING, ORDER BY or LIMIT, and a LIMIT copy fuses into a shard-local
+    top-k, so each shard's candidate set stays bounded too — built over
+    a partition server's store by the in-process engine, and by a shard
+    server for a ``mode="shard"`` submission.  ``workers`` applies
+    morsel parallelism *within* the shard.  ``restrict`` (a
+    :class:`~repro.htm.ranges.RangeSet`) limits the scan to the
+    coordinator's disjoint container assignment on a replicated
+    cluster, and ``track_delivery`` makes every emitted batch carry the
+    cumulative delivered-container annotation the failover bookkeeping
+    needs (forcing the serial scan path — see
+    :class:`~repro.query.qet.ScanNode`).
+    """
+    return select_tree(store, sharded.shard, coverage=coverage, **options)
+
+
+def merge_tree(shard_roots, sharded, batch_rows=4096):
+    """The coordinator half: recombine shard streams per the merge spec.
+
+    ``shard_roots`` may be local sub-trees *or* remote nodes streaming a
+    far server's shard half (:class:`~repro.net.client.RemoteRootNode`)
+    — the merge logic is identical, which is exactly why scatter-gather
+    survives the move across process boundaries unchanged.
+    """
+    merge = sharded.merge
+    if merge.kind == "aggregate":
+        node = AggregateNode(
+            ExchangeNode(shard_roots),
+            merge.group_specs,
+            merge.reaggregate_specs,
+            merge.reaggregate_order,
+        )
+        node = ProjectNode(node, merge.final_projection)
+        if merge.having_fn is not None:
+            node = FilterNode(node, merge.having_fn)
+        return order_limit_tail(node, merge)
+    if merge.kind == "ordered":
+        # The k-way merge already orders; only the global LIMIT remains.
+        node = MergeSortNode(
+            shard_roots,
+            merge.order_key_fns,
+            merge.order_descending,
+            batch_rows=batch_rows,
+        )
+        if merge.limit is not None:
+            node = LimitNode(node, merge.limit)
+        if merge.projection:
+            node = ProjectNode(node, merge.projection)
+        return node
+    return order_limit_tail(ExchangeNode(shard_roots), merge)
+
+
+def scatter_gather_tree(plan, depth, fan_out, batch_rows=4096):
+    """One SELECT split across partition servers.
+
+    ``fan_out(sharded, coverage, candidates)`` returns ``(shard_roots,
+    report)``: the sub-tree (or remote leaf) of every touched server and
+    the :class:`~repro.distributed.routing.ShardFanoutReport`; servers
+    whose holdings miss ``candidates`` are pruned there.  The report
+    rides on the merge root as ``fanout_report``.
+    """
+    sharded = split_plan(plan)
+    coverage, candidates = shard_candidates(plan, depth)
+    shard_roots, report = fan_out(sharded, coverage, candidates)
+    root = merge_tree(shard_roots, sharded, batch_rows=batch_rows)
+    root.fanout_report = report
+    return root
+
+
+# ----------------------------------------------------------------------
+# the whole query
+# ----------------------------------------------------------------------
+
+
+def prepare_query(
+    text, schemas, select_root, ast=None, density_maps=None, allow_tag_route=True
+):
+    """Parse (unless ``ast`` is given), plan and build, without starting.
+
+    ``select_root(plan, select_index)`` builds one planned SELECT's
+    sub-tree — the only thing that differs between backends.  A set
+    operation reports its leftmost SELECT's schema.
+    """
+    if ast is None:
+        ast = parse_query(text)
+    plans = []
+    roots = []
+
+    def build_select(select, select_index):
+        plan = plan_query(select, schemas, density_maps, allow_tag_route)
+        plans.append(plan)
+        roots.append(select_root(plan, select_index))
+        return roots[-1]
+
+    root = build_query_tree(ast, build_select)
+    return PreparedQuery(
+        text=text,
+        root=root,
+        schema=output_schema_for(plans[0], schemas),
+        reports=[r.fanout_report for r in roots if hasattr(r, "fanout_report")],
+        sources=[plan.routed_source for plan in plans],
+        into=extract_into(ast),
+    )

@@ -4,12 +4,13 @@ The paper's archive serves every user through one *query agent*: a
 query arrives, is classified (interactive vs. batch), scheduled against
 the archive's machines, and its results stream back as soon as possible.
 This package is that layer for the reproduction.  One facade —
-:meth:`Archive.connect` — wraps **any** execution backend (a
+:meth:`Archive.connect` — drives **any** execution backend (a
 single-store :class:`~repro.query.engine.QueryEngine`, a scatter-gather
 :class:`~repro.distributed.engine.DistributedQueryEngine`, a raw
-:class:`~repro.storage.cluster.DistributedArchive`, a plain mapping of
-container stores, or anything implementing the small
-:class:`~repro.session.executor.Executor` protocol) behind one
+:class:`~repro.storage.cluster.DistributedArchive` or a plain mapping of
+container stores — an engine is built over either — or anything else
+implementing the small :class:`~repro.session.executor.Executor`
+protocol, which the engines implement themselves) behind one
 :class:`Session` / :class:`Job` / :class:`Cursor` surface.
 
 Quickstart
@@ -71,8 +72,10 @@ Use ``with`` for deterministic teardown (cancels outstanding jobs)::
     >>> with Archive.connect(archive=archive) as session:
     ...     session.query_table("SELECT COUNT(objid) AS n FROM photo")
 
-The legacy entry points (``QueryEngine.execute`` and friends) keep
-working as thin shims, but new code should go through the session API.
+The engines' own ``execute`` / ``query_table`` / ``explain`` stay — a
+few lines each over the same ``prepare`` the session calls, and the test
+suites' differential reference — but new code should go through the
+session API.
 """
 
 from repro.session.core import (
@@ -85,12 +88,7 @@ from repro.session.core import (
     connect,
 )
 from repro.session.cursor import Cursor
-from repro.session.executor import (
-    DistributedExecutor,
-    Executor,
-    LocalExecutor,
-    PreparedQuery,
-)
+from repro.session.executor import Executor, PreparedQuery
 from repro.session.plan import PlanTree, plan_tree
 
 __all__ = [
@@ -103,8 +101,6 @@ __all__ = [
     "JobCancelledError",
     "connect",
     "Executor",
-    "LocalExecutor",
-    "DistributedExecutor",
     "PreparedQuery",
     "PlanTree",
     "plan_tree",

@@ -27,13 +27,9 @@ from repro.obs.metrics import registry as obs_registry
 from repro.obs.report import legacy_io_report
 from repro.obs.trace import Trace, assemble_job_trace
 from repro.query.engine import QueryResult, start_tree
+from repro.query.parser import extract_into, query_sources
 from repro.session.cursor import Cursor
-from repro.session.executor import (
-    DistributedExecutor,
-    Executor,
-    LocalExecutor,
-    PreparedQuery,
-)
+from repro.session.executor import PreparedQuery
 from repro.session.plan import analyzed_plan_tree, plan_tree
 
 __all__ = [
@@ -630,21 +626,22 @@ class Session:
             attrs={"query_class": query_class, "user": user},
         )
 
-        # Service-tier preamble: parse once up front to learn the INTO
-        # target and referenced sources (cache scope, MyDB overlay)
-        # before paying for a full prepare.
-        into = None
+        # The one parse of this submission: a backend that plans from
+        # the AST gets it handed down; one that ships the text elsewhere
+        # (``parse`` is None) leaves the span empty.
+        parse = getattr(self.executor, "parse", None)
+        with trace.span("parse", parent=query_span):
+            ast = parse(text) if parse is not None else None
+        if ast is not None:
+            prepare_kwargs["ast"] = ast
+
+        # Service-tier preamble: the referenced sources (cache scope,
+        # MyDB overlay) are known before paying for a full prepare.
         extra_stores = None
         cache = None
         cache_key = None
         cacheable = False
-        if service is not None and mode == "full":
-            from repro.query.parser import extract_into, parse_query, query_sources
-
-            with trace.span("parse", parent=query_span):
-                ast = parse_query(text)
-                into = extract_into(ast)
-                ast_sources = query_sources(ast)
+        if service is not None and mode == "full" and ast is not None:
             if supports_mydb:
                 overlay = service.mydb.stores_for(user)
                 if overlay:
@@ -653,7 +650,7 @@ class Session:
             cache = service.cache
             cacheable = (
                 cache is not None
-                and into is None
+                and extract_into(ast) is None
                 and hasattr(self.executor, "generations_for")
             )
             if cacheable:
@@ -661,25 +658,12 @@ class Session:
                 # to that user; catalog-only queries share one entry.
                 scope = (
                     user
-                    if any(s.startswith("mydb.") for s in ast_sources)
+                    if any(s.startswith("mydb.") for s in query_sources(ast))
                     else None
                 )
                 cache_key = cache.key(
                     text, scope=scope, allow_tag_route=allow_tag_route
                 )
-
-        if trace.first("parse") is None:
-            # Plain sessions (no service tier) parse inside prepare();
-            # a dedicated parse-only pass keeps the trace's phase
-            # breakdown uniform across session flavors.  Parse errors
-            # still surface through prepare below, unchanged.
-            from repro.query.parser import parse_query
-
-            try:
-                with trace.span("parse", parent=query_span):
-                    parse_query(text)
-            except Exception:
-                pass
 
         prepared = None
         cache_hit = False
@@ -707,8 +691,8 @@ class Session:
             prepared = self.executor.prepare(
                 text, allow_tag_route=allow_tag_route, **prepare_kwargs
             )
-            into = into or getattr(prepared, "into", None)
         trace.end(plan_span)
+        into = prepared.into
         if cache_hit:
             plan_span.attrs["cache_hit"] = True
         if into is not None:
@@ -1085,7 +1069,6 @@ class Archive:
                 "or archive="
             )
         target = given[0]
-        owned = []
 
         def _open_session(executor, scheduler):
             tier = service
@@ -1137,7 +1120,6 @@ class Archive:
             from repro.net.cluster import RemotePartitionedExecutor
 
             cluster = ProcessShardCluster.from_archive(target, workers=workers)
-            owned.append(cluster)
             try:
                 executor = RemotePartitionedExecutor(
                     cluster.urls, batch_rows=batch_rows
@@ -1146,8 +1128,7 @@ class Archive:
                 cluster.close()
                 raise
             session = _open_session(executor, scheduler)
-            for resource in owned:
-                session.adopt(resource)
+            session.adopt(cluster)
             return session
 
         if isinstance(target, str):
@@ -1167,36 +1148,23 @@ class Archive:
             executor = RemotePartitionedExecutor(
                 target, batch_rows=batch_rows
             )
-        elif isinstance(target, Executor) or (
-            not isinstance(
-                target, (QueryEngine, DistributedQueryEngine, DistributedArchive, dict)
-            )
-            and hasattr(target, "prepare")
-            and hasattr(target, "kind")
-        ):
-            executor = target
-        elif isinstance(target, QueryEngine):
-            executor = LocalExecutor(target)
-        elif isinstance(target, DistributedQueryEngine):
-            executor = DistributedExecutor(target)
         elif isinstance(target, DistributedArchive):
-            executor = DistributedExecutor(
-                DistributedQueryEngine(
-                    target,
-                    density_maps=density_maps,
-                    batch_rows=batch_rows,
-                    workers=workers,
-                )
+            executor = DistributedQueryEngine(
+                target,
+                density_maps=density_maps,
+                batch_rows=batch_rows,
+                workers=workers,
             )
         elif isinstance(target, dict):
-            executor = LocalExecutor(
-                QueryEngine(
-                    target,
-                    density_maps=density_maps,
-                    batch_rows=batch_rows,
-                    workers=workers,
-                )
+            executor = QueryEngine(
+                target,
+                density_maps=density_maps,
+                batch_rows=batch_rows,
+                workers=workers,
             )
+        elif hasattr(target, "prepare") and hasattr(target, "kind"):
+            # An engine, or anything else speaking the Executor protocol.
+            executor = target
         else:
             raise TypeError(
                 f"cannot connect to {type(target).__name__}: expected an "
@@ -1204,12 +1172,10 @@ class Archive:
                 "Executor"
             )
         if scheduler is None:
-            # Inherit a scheduler the wrapped engine was already
-            # configured with, so session admissions land in the same
-            # accounting as the legacy execute() path.
-            scheduler = getattr(
-                getattr(executor, "engine", None), "scheduler", None
-            )
+            # Inherit a scheduler the engine was already configured
+            # with, so session admissions land in the same accounting
+            # as the legacy execute() path.
+            scheduler = getattr(executor, "scheduler", None)
         return _open_session(executor, scheduler)
 
 

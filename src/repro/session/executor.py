@@ -1,168 +1,25 @@
 """The Executor protocol: how the session facade talks to any backend.
 
-A backend is anything that can turn query text into an *unstarted*
-Query Execution Tree plus static output metadata.  The protocol is
-deliberately tiny — one method, one return type — so the optimizer and
-QET internals stop leaking into callers, and a future remote executor
-(a network client preparing trees against a far archive) slots in
-without touching the session layer:
+The protocol lives with the physical planner in
+:mod:`repro.query.physical` — the engines implement it directly, there
+is no adapter layer — and is re-exported here under the name the
+session layer has always used:
 
-``prepare(text, allow_tag_route=True) -> PreparedQuery``
-    Parse, plan, (for distributed backends) split and route, and build
-    the execution tree **without starting any thread**.  The session
-    layer owns the lifecycle from there: admission through the machine
-    scheduler, thread start, streaming, cancellation.
-
+``prepare(text, allow_tag_route=True, ast=None) -> PreparedQuery``
+    Plan, (for distributed backends) split and route, and build the
+    execution tree **without starting any thread**; the session owns
+    admission, thread start, streaming and cancellation from there.
+``parse``
+    ``parse(text) -> AST`` when the backend plans from the parsed query
+    (the session parses once and passes ``ast=``); ``None`` when the
+    text is opaque to it (a remote archive parses server-side).
 ``kind``
-    A short backend label (``"local"``, ``"distributed"``, ...) used in
-    reporting.
+    A short backend label (``"local"``, ``"distributed"``, ...).
 
-:class:`LocalExecutor` and :class:`DistributedExecutor` adapt the two
-existing engines; both delegate planning to the engines' ``prepare``
-methods, so session execution is byte-identical to the legacy entry
-points.
+The session also probes for ``supports_mydb``, ``generations_for``
+(result-cache validation), ``stats`` and ``mydb_op``.
 """
 
-from __future__ import annotations
+from repro.query.physical import Executor, PreparedQuery
 
-from dataclasses import dataclass, field
-
-from repro.query.parser import extract_into, parse_query
-
-__all__ = [
-    "PreparedQuery",
-    "Executor",
-    "LocalExecutor",
-    "DistributedExecutor",
-]
-
-
-@dataclass
-class PreparedQuery:
-    """Everything the session needs to run one query.
-
-    Attributes
-    ----------
-    text:
-        The original query text.
-    root:
-        The unstarted QET root; starting its threads begins execution.
-    schema:
-        Statically-derived output schema (``None`` only when unknowable
-        without data).
-    reports:
-        One :class:`~repro.distributed.routing.ShardFanoutReport` per
-        SELECT for distributed backends; empty for single-store ones.
-    sources:
-        The routed physical source of every SELECT (e.g. ``['tag']``
-        after tag routing) — the stores whose shared sweeps this query
-        rides; the session admits one ``sweep:<source>`` machine job per
-        distinct source for single-store backends.
-    into:
-        The ``SELECT ... INTO mydb.x`` destination, or ``None`` for
-        ordinary queries.  The session layer materializes the drained
-        result into the submitting user's MyDB workspace.
-    """
-
-    text: str
-    root: object
-    schema: object = None
-    reports: list = field(default_factory=list)
-    sources: list = field(default_factory=list)
-    into: str | None = None
-
-    def simulated_seconds(self):
-        """Total simulated scan seconds across the fan-out (0.0 when the
-        backend does not model per-server cost)."""
-        return sum(report.simulated_seconds for report in self.reports)
-
-
-class Executor:
-    """Protocol base class (subclassing is optional; duck-typing with a
-    ``prepare`` method and a ``kind`` attribute is enough)."""
-
-    kind = "abstract"
-
-    def prepare(self, text, allow_tag_route=True):
-        raise NotImplementedError
-
-
-class LocalExecutor(Executor):
-    """Adapter: a single-store :class:`~repro.query.engine.QueryEngine`."""
-
-    kind = "local"
-    #: this backend can overlay per-user MyDB stores and run INTO
-    supports_mydb = True
-
-    def __init__(self, engine):
-        self.engine = engine
-
-    def prepare(self, text, allow_tag_route=True, extra_stores=None):
-        ast = parse_query(text)
-        root, schema, plans = self.engine.prepare_tree(
-            ast, allow_tag_route=allow_tag_route, extra_stores=extra_stores
-        )
-        return PreparedQuery(
-            text=text,
-            root=root,
-            schema=schema,
-            sources=[plan.routed_source for plan in plans],
-            into=extract_into(ast),
-        )
-
-    def generations_for(self, sources, extra_stores=None):
-        """``{source: (store_uid, generation)}`` snapshot for cache
-        validation, or ``None`` when a source does not resolve."""
-        stores = self.engine.stores
-        if extra_stores:
-            stores = {**stores, **extra_stores}
-        generations = {}
-        for source in sources:
-            store = stores.get(source)
-            if store is None:
-                return None
-            generations[source] = (store.store_uid, store.generation)
-        return generations
-
-
-class DistributedExecutor(Executor):
-    """Adapter: a scatter-gather
-    :class:`~repro.distributed.engine.DistributedQueryEngine`."""
-
-    kind = "distributed"
-    #: per-user store overlays do not partition across shards (yet)
-    supports_mydb = False
-
-    def __init__(self, engine):
-        self.engine = engine
-
-    def prepare(self, text, allow_tag_route=True):
-        ast = parse_query(text)
-        root, schema, reports = self.engine.prepare(
-            text, allow_tag_route=allow_tag_route
-        )
-        return PreparedQuery(
-            text=text,
-            root=root,
-            schema=schema,
-            reports=reports,
-            sources=[report.source for report in reports],
-            into=extract_into(ast),
-        )
-
-    def generations_for(self, sources, extra_stores=None):
-        """Per-source tuples of every shard's ``(store_uid, generation)``
-        — a mutation on *any* partition server invalidates."""
-        archive = getattr(self.engine, "archive", None)
-        if archive is None:
-            return None
-        generations = {}
-        for source in sources:
-            pairs = []
-            for server in archive.servers:
-                store = server.stores().get(source)
-                if store is None:
-                    return None
-                pairs.append((store.store_uid, store.generation))
-            generations[source] = tuple(pairs)
-        return generations
+__all__ = ["PreparedQuery", "Executor"]

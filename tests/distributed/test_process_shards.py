@@ -72,6 +72,14 @@ class TestDifferential:
         assert report["utilization"] > 0.0
 
 
+def test_into_is_refused_not_silently_dropped(process_session):
+    from repro.session import SessionError
+
+    session, _cluster = process_session
+    with pytest.raises(SessionError, match="needs a MyDB-enabled service tier"):
+        session.submit("SELECT objid INTO mydb.bright FROM photo WHERE mag_r < 18")
+
+
 class TestLifecycle:
     def test_cluster_spawned_one_process_per_shard(self, process_session):
         _session, cluster = process_session

@@ -21,13 +21,11 @@ class TestScanMachineNaming:
         assert not MachineScheduler.is_scan_machine("hash")
         assert not MachineScheduler.is_scan_machine("river")
 
-    def test_legacy_scan_names_deprecated_but_recognized(self):
-        # The pre-sweep names still classify as the interactive class —
-        # existing callers keep working — but warn so they migrate.
-        with pytest.warns(DeprecationWarning):
-            assert MachineScheduler.is_scan_machine("scan")
-        with pytest.warns(DeprecationWarning):
-            assert MachineScheduler.is_scan_machine("scan:17")
+    @pytest.mark.parametrize("machine", ["scan", "scan:17"])
+    def test_removed_scan_aliases_fail_like_any_unknown_machine(self, machine):
+        assert not MachineScheduler.is_scan_machine(machine)
+        with pytest.raises(ValueError, match="unknown machine"):
+            MachineScheduler().admit(Job("q", machine, duration=1.0))
 
     def test_per_server_sweep_jobs_overlap(self):
         scheduler = MachineScheduler()

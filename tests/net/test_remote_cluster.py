@@ -148,3 +148,16 @@ def test_cluster_survives_scale_mismatch_probe(shard_servers):
     assert len(executor.shards) == 3
     assert executor.depth == 5
     assert set(executor.schemas) == {"photo", "tag"}
+
+
+def test_into_is_refused_like_every_other_mydb_less_backend(cluster_session):
+    """``SELECT ... INTO`` through a remote cluster used to drop the
+    INTO silently and stream the rows; it must raise the same
+    ``SessionError`` a ``stores=``/``archive=`` session without a MyDB
+    tier raises."""
+    from repro.session import SessionError
+
+    with pytest.raises(SessionError, match="needs a MyDB-enabled service tier"):
+        cluster_session.submit(
+            "SELECT objid INTO mydb.bright FROM photo WHERE mag_r < 18"
+        )

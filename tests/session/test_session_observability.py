@@ -88,6 +88,39 @@ class TestJobTrace:
         assert total_read == job.io_counters()["containers_read"]
 
 
+class TestParseOnce:
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        """Counts every run of the query parser, whoever calls it."""
+        from repro.query import parser
+
+        calls = []
+        real = parser._Parser.parse_query
+
+        def counting(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(parser._Parser, "parse_query", counting)
+        return calls
+
+    @pytest.mark.parametrize("fixture", ["local_session", "dist_session"])
+    def test_a_submission_parses_its_text_once(self, request, parses, fixture):
+        session = request.getfixturevalue(fixture)
+        job = session.submit(QUERY)
+        job.cursor.fetchall()
+        assert len(parses) == 1
+        parse_span = job.trace().first("parse")
+        assert parse_span.duration() > 0.0
+
+    def test_syntax_error_surfaces_from_submit(self, local_session, parses):
+        from repro.query.errors import ParseError
+
+        with pytest.raises(ParseError, match="at position"):
+            local_session.submit("SELEKT objid FROM photo")
+        assert len(parses) == 1
+
+
 class TestExplainAnalyze:
     def test_measured_detail_on_every_executed_node(self, local_session):
         tree = local_session.explain_analyze(QUERY)
