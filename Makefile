@@ -3,7 +3,7 @@
 
 PYTEST = PYTHONPATH=src python -m pytest
 
-.PHONY: test test-net test-chaos test-all bench bench-smoke check examples serve
+.PHONY: test test-net test-chaos test-all bench bench-smoke check examples serve loc
 
 # Tier-1 verification: everything except @pytest.mark.slow benchmarks.
 test:
@@ -35,6 +35,15 @@ examples:
 		echo "== $$script"; \
 		PYTHONPATH=src timeout 120 python $$script > /dev/null; \
 	done
+
+# Lines of src/repro per package, total last: the number ROADMAP's
+# "less code, same surface" targets are judged by.
+loc:
+	@for package in src/repro/*/; do \
+		printf "%7d %s\n" \
+			$$(find $$package -name '*.py' | xargs cat | wc -l) $$package; \
+	done
+	@printf "%7d %s\n" $$(find src/repro -name '*.py' | xargs cat | wc -l) src/repro
 
 # Host a synthetic archive on localhost TCP; connect from another
 # process with Archive.connect("archive://127.0.0.1:7744").

@@ -6,8 +6,8 @@ multiple servers enables parallel, scalable I/O".  This package is that
 boundary made real, with nothing caller-visible changing:
 
 * :mod:`repro.net.protocol` — length-prefixed JSON + binary frames
-  (``prepare`` / ``submit`` / ``fetch_batch`` / ``cancel`` /
-  ``job_stats`` / ``io_report``), schema-carrying table serialization,
+  (``hello`` / ``prepare`` / ``submit`` / ``fetch_batch`` / ``cancel`` /
+  ``mydb`` / ``job_stats`` / ``stats``), schema-carrying table serialization,
   and structured error frames that re-raise the original exception
   class client-side.
 * :mod:`repro.net.server` — :class:`ArchiveServer`: any backend
@@ -19,7 +19,8 @@ boundary made real, with nothing caller-visible changing:
   :class:`RemoteRootNode`: ``Archive.connect("archive://host:port")``
   returns an ordinary Session whose queries execute remotely; cancel
   propagates over the wire, a dead server is a FAILED job, never a
-  hang.
+  hang.  Every wire call goes through one :class:`ServerLink` (address,
+  identity, timeouts, telemetry, retry policy).
 * :mod:`repro.net.cluster` — :class:`RemotePartitionedExecutor`:
   ``Archive.connect(["archive://...", ...])`` scatter-gathers the
   deterministic shard/merge plan split across partition servers in
@@ -36,6 +37,7 @@ from repro.net.client import (
     RemoteExecutor,
     RemoteRootNode,
     RetryPolicy,
+    ServerLink,
     WireTelemetry,
     parse_archive_options,
     parse_archive_url,
@@ -74,6 +76,7 @@ __all__ = [
     "RemoteExecutor",
     "RemoteRootNode",
     "RetryPolicy",
+    "ServerLink",
     "RemotePartitionedExecutor",
     "RemoteShard",
     "ShardFailoverPlanner",

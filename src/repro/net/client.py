@@ -16,6 +16,14 @@ network hop for free), folds the server's per-node
 :class:`~repro.query.qet.NodeStats` and shared-scan I/O counters back
 into the client job, and propagates :meth:`Job.cancel` over the wire.
 
+Every wire call goes through one :class:`ServerLink` — one server's
+address, identity, timeouts, round-trip telemetry and retry policy.
+Connections are one-shot.  A query is ``prepare`` on one connection,
+then ``submit`` + ``fetch_batch``... on a second; the frame that says
+``done`` brings the server's statistics with it.  A link with
+credentials opens each connection with a credentialed ``hello`` (the
+server would take them on any first frame: ROADMAP item 3a).
+
 Failure contract: a dead or crashed server surfaces as a *FAILED* job
 with the connection error as its cause — never a hang.  Cancellation is
 out-of-band (a side connection carrying ``cancel`` plus a shutdown of
@@ -41,6 +49,8 @@ import socket
 import threading
 import time
 from collections import deque
+from dataclasses import dataclass, field, replace
+from typing import ClassVar, Optional
 
 from repro.htm.ranges import RangeSet
 from repro.obs.metrics import registry as metrics_registry
@@ -58,13 +68,14 @@ from repro.net.protocol import (
     send_frame,
     table_from_wire,
 )
-from repro.query.errors import ExecutionError
-from repro.query.qet import QETNode, Stream
+from repro.query.errors import ExecutionError, UnrecoverableShardError
+from repro.query.qet import QETNode, Stream, add_worker_items
 from repro.session.executor import Executor, PreparedQuery
 
 __all__ = [
     "WireTelemetry",
     "RetryPolicy",
+    "ServerLink",
     "RemoteExecutor",
     "RemoteRootNode",
     "parse_archive_url",
@@ -231,22 +242,71 @@ def _request(sock, header, telemetry=None):
 
 
 def authenticate_connection(sock, user, token, telemetry=None):
-    """Identify on a fresh connection via a credentialed ``hello``.
+    """Identify a connection with an explicit credentialed ``hello``.
 
-    Authentication is per-connection (the server keeps no cross-
-    connection client state), so every socket a credentialed client
-    opens — control plane, result stream, even the side-channel cancel
-    — leads with this exchange.  A no-op without credentials; a server
-    with a user registry answers any later op on an unauthenticated
-    connection with a structured
-    :class:`~repro.service.errors.AuthenticationError`.
+    To the server a hello that carries credentials is just one more
+    frame that does.  A no-op without credentials.
     """
     if user is None and token is None:
         return None
-    header, _ = _request(
-        sock, {"op": "hello", "user": user, "token": token}, telemetry=telemetry
-    )
-    return header
+    hello = {"op": "hello", "user": user, "token": token}
+    return _request(sock, hello, telemetry=telemetry)[0]
+
+
+@dataclass
+class ServerLink:
+    """How to reach, identify to, and retry against one archive server.
+
+    Connections are one-shot.  :meth:`call` is a whole idempotent
+    exchange (connect, identify, one frame, one reply, close) under the
+    retry policy; :meth:`open` + :meth:`request` serve a stream, whose
+    caller owns the socket and marks its first frame ``identify=True``.
+    :meth:`at` is the same link pointed at another endpoint (failover
+    segments).
+    """
+
+    #: recv bound on one-shot exchanges.  Their replies cost the server a
+    #: parse+plan at most, so a wedged server must fail the call, not
+    #: hang ``Session.submit`` with no job to cancel.  Streams stay
+    #: unbounded by default (long queries legitimately pause between
+    #: batches) and are interruptible through the cancel hook instead.
+    CONTROL_TIMEOUT: ClassVar[float] = 30.0
+
+    endpoint: tuple
+    user: Optional[str] = None
+    token: Optional[str] = None
+    connect_timeout: float = 5.0
+    timeout: Optional[float] = None
+    telemetry: WireTelemetry = field(default_factory=WireTelemetry)
+    retry: RetryPolicy = field(default_factory=RetryPolicy)
+
+    def at(self, endpoint):
+        return replace(self, endpoint=tuple(endpoint))
+
+    def open(self, timeout):
+        """A fresh connection; ``timeout`` bounds each recv (None blocks)."""
+        return open_connection(self.endpoint, self.connect_timeout, timeout)
+
+    def request(self, sock, header, identify=False):
+        """One exchange on ``sock``.  ``identify`` marks a connection's
+        first: credentials go ahead of it in a ``hello`` (a ``hello``
+        carries them itself).  The server would take them on ``header``;
+        why the client does not do that yet is ROADMAP item 3a."""
+        if identify and header.get("op") != "hello":
+            authenticate_connection(sock, self.user, self.token, self.telemetry)
+        elif identify and (self.user is not None or self.token is not None):
+            header = {**header, "user": self.user, "token": self.token}
+        return _request(sock, header, telemetry=self.telemetry)
+
+    def once(self, header):
+        """One exchange on a connection of its own; the reply header."""
+        timeout = self.timeout if self.timeout is not None else self.CONTROL_TIMEOUT
+        with self.open(timeout) as sock:
+            return self.request(sock, header, identify=True)[0]
+
+    def call(self, header):
+        """:meth:`once` under the retry policy — idempotent ops only."""
+        return self.retry.call(lambda: self.once(header))
 
 
 class _CancelSignallingStream(Stream):
@@ -254,23 +314,19 @@ class _CancelSignallingStream(Stream):
 
     ``Job.cancel`` cancels every node's output stream; for a remote node
     that must *interrupt a blocked recv* and reach the server, so the
-    stream runs registered hooks (side-channel cancel + socket shutdown)
+    stream runs the node's hook (side-channel cancel + socket shutdown)
     after the normal cancel."""
 
-    def __init__(self, maxsize=8):
+    def __init__(self, on_cancel, maxsize=8):
         super().__init__(maxsize=maxsize)
-        self._hooks = []
-
-    def add_cancel_hook(self, hook):
-        self._hooks.append(hook)
+        self._on_cancel = on_cancel
 
     def cancel(self):
         super().cancel()
-        for hook in self._hooks:
-            try:
-                hook()
-            except OSError:
-                pass
+        try:
+            self._on_cancel()
+        except OSError:
+            pass
 
 
 class RemoteRootNode(QETNode):
@@ -312,44 +368,34 @@ class RemoteRootNode(QETNode):
 
     def __init__(
         self,
-        endpoint,
+        link,
         text,
         allow_tag_route=True,
         mode="full",
         select_index=0,
         remote_plan=None,
-        telemetry=None,
-        connect_timeout=5.0,
-        timeout=None,
         fetch_batches=8,
         server_id=None,
         compression=None,
-        user=None,
-        token=None,
         ranges=None,
         failover=None,
         strategy="split",
     ):
         super().__init__(())
-        self.output = _CancelSignallingStream()
-        self.output.add_cancel_hook(self._on_cancelled)
-        self.endpoint = tuple(endpoint)
+        self.output = _CancelSignallingStream(self._on_cancelled)
+        #: the :class:`ServerLink` of the first segment's server; every
+        #: connection this node opens is ``link`` or ``link.at(...)``
+        self.link = link
         self.text = text
         self.allow_tag_route = allow_tag_route
         self.mode = mode
         self.select_index = int(select_index)
-        #: tenant identity carried on every connection this node opens
-        self.user = user
-        self.token = token
         #: table-frame codec to request from the server (None = raw);
         #: the server's choice comes back in the ``accepted`` frame and
         #: decompression is transparent in ``table_from_wire``
         self.compression = compression
         #: the server-rendered PlanTree (``session.explain`` passthrough)
         self.remote_plan = remote_plan
-        self.telemetry = telemetry
-        self.connect_timeout = connect_timeout
-        self.timeout = timeout
         self.fetch_batches = max(1, int(fetch_batches))
         #: annotation consumed by the structured explain (shard index)
         self.server_id = server_id
@@ -359,10 +405,10 @@ class RemoteRootNode(QETNode):
         #: client trace id forwarded on the submit frame so the server
         #: records its spans under the same trace (bound by the Job)
         self.trace_id = None
-        #: client-side wire round-trip spans (submit / stream / stats),
+        #: client-side wire round-trip spans (submit / stream),
         #: consumed by the job's trace assembly
         self.wire_spans = []
-        #: offset-encoded server-side spans from the ``job_stats`` reply
+        #: offset-encoded server-side spans from the ``done`` frame
         #: (grafted under this node's span at trace assembly)
         self.remote_spans = None
         #: server-executed analyzed plan tree (EXPLAIN ANALYZE passthrough)
@@ -390,14 +436,19 @@ class RemoteRootNode(QETNode):
         self.remote_job_id = None
         #: serialized per-node NodeStats from the server (after drain)
         self.remote_node_stats = None
-        #: server-side Job.io_report dict (after drain)
-        self.remote_io = None
         #: raw ``{"sweep": [swept, deliveries], "pool": [accesses, hits]}``
         #: counters the client Job.io_report folds in
         self.remote_io_raw = None
+        #: the current segment's link and socket (guarded by the lock)
+        self._segment_link = link
         self._sock = None
         self._sock_lock = threading.Lock()
         self._cancel_sent = False
+
+    @property
+    def endpoint(self):
+        """The first segment's server (what explain and traces name)."""
+        return self.link.endpoint
 
     # -- session integration --------------------------------------------
 
@@ -450,42 +501,29 @@ class RemoteRootNode(QETNode):
                 return
             self._cancel_sent = True
             job_id = self.remote_job_id
+            link = self._segment_link
         try:
-            side = open_connection(
-                self.endpoint, self.connect_timeout, timeout=self.connect_timeout
-            )
-            try:
-                # The side channel is a fresh connection: it must carry
-                # the same identity, or an authenticating server would
-                # refuse the cancel (cancel rights are owner-scoped).
-                authenticate_connection(
-                    side, self.user, self.token, telemetry=self.telemetry
-                )
-                _request(
-                    side,
-                    {"op": "cancel", "job_id": job_id},
-                    telemetry=self.telemetry,
-                )
-            finally:
-                side.close()
+            # Cancel rights are owner-scoped, and the side channel is a
+            # fresh connection: it says who asks before it cancels.
+            link.once({"op": "cancel", "job_id": job_id})
         except (OSError, ProtocolError, RemoteArchiveError):
             pass
 
     # -- execution ------------------------------------------------------
 
     def run(self):
-        # One entry per pending submission: (endpoint, ranges).  A clean
+        # One entry per pending submission: (link, ranges).  A clean
         # run is the single initial segment; each failover replaces a
         # dead segment with re-routed ones covering its remainder.
-        segments = deque([(self.endpoint, self.ranges)])
+        segments = deque([(self.link, self.ranges)])
         while segments:
-            endpoint, ranges = segments.popleft()
+            link, ranges = segments.popleft()
             try:
-                self._run_segment(endpoint, ranges)
+                self._run_segment(link, ranges)
             except (OSError, ConnectionClosed) as exc:
                 if self.output.cancelled():
                     return  # interrupted by our own cancellation
-                segments.extend(self._plan_failover(endpoint, ranges, exc))
+                segments.extend(self._plan_failover(link, ranges, exc))
             except Exception:
                 # A structured error frame that merely reflects our own
                 # cancellation (e.g. the server-side job reporting
@@ -494,10 +532,10 @@ class RemoteRootNode(QETNode):
                     return
                 raise
 
-    def _run_segment(self, endpoint, ranges):
+    def _run_segment(self, link, ranges):
         self.attempts += 1
         self._segment_delivered = None
-        sock = open_connection(endpoint, self.connect_timeout, self.timeout)
+        sock = link.open(link.timeout)
         with self._sock_lock:
             if self.output.cancelled():
                 sock.close()
@@ -506,10 +544,11 @@ class RemoteRootNode(QETNode):
             # Per-segment wire state: a replacement submission is a new
             # server-side job (on a new server), so the side-channel
             # cancel must target it, not the dead one.
+            self._segment_link = link
             self.remote_job_id = None
             self._cancel_sent = False
         try:
-            self._stream(sock, endpoint, ranges)
+            self._stream(sock, link, ranges)
         finally:
             with self._sock_lock:
                 self._sock = None
@@ -518,16 +557,17 @@ class RemoteRootNode(QETNode):
             except OSError:
                 pass
 
-    def _plan_failover(self, endpoint, ranges, exc):
-        """Replacement segments after ``endpoint`` died mid-stream.
+    def _plan_failover(self, link, ranges, exc):
+        """Replacement segments after ``link``'s server died mid-stream.
 
-        Returns ``[(endpoint, intervals), ...]`` covering the dead
+        Returns ``[(link, intervals), ...]`` covering the dead
         segment's still-undelivered ranges; empty when everything was
         already delivered.  Raises (failing the job) when no failover
         plan exists — the legacy contract — or when no surviving
         replica covers the remainder
         (:class:`~repro.query.errors.UnrecoverableShardError`).
         """
+        endpoint = link.endpoint
         host, port = endpoint
         died = ConnectionClosed(
             f"archive server at {host}:{port} died mid-stream: {exc}"
@@ -546,8 +586,6 @@ class RemoteRootNode(QETNode):
             metrics_registry().counter("net.failovers").inc()
             return []
         if self.strategy == "fresh" and self.stats.rows_out > 0:
-            from repro.query.errors import UnrecoverableShardError
-
             raise UnrecoverableShardError(
                 f"archive server at {host}:{port} died mid-stream with "
                 f"{self.stats.rows_out} rows already emitted from a "
@@ -562,10 +600,9 @@ class RemoteRootNode(QETNode):
         )
         self.failovers += 1
         metrics_registry().counter("net.failovers").inc()
-        return [(ep, rs.intervals) for ep, rs in replacements]
+        return [(link.at(ep), rs.intervals) for ep, rs in replacements]
 
-    def _stream(self, sock, endpoint, ranges):
-        authenticate_connection(sock, self.user, self.token, telemetry=self.telemetry)
+    def _stream(self, sock, link, ranges):
         submit = {
             "op": "submit",
             "text": self.text,
@@ -585,7 +622,7 @@ class RemoteRootNode(QETNode):
             submit["accept_compression"] = [self.compression]
         submit_span = Span("wire:submit", started_at=time.perf_counter())
         self.wire_spans.append(submit_span)
-        accepted, _ = _request(sock, submit, telemetry=self.telemetry)
+        accepted, _ = link.request(sock, submit, identify=True)
         submit_span.ended_at = time.perf_counter()
         #: what the server actually chose (None when it spoke no
         #: requested codec — older servers simply ignore the field)
@@ -599,14 +636,13 @@ class RemoteRootNode(QETNode):
             if self.output.cancelled():
                 self._send_side_cancel()
                 return
-            response, _ = _request(
+            response, _ = link.request(
                 sock,
                 {
                     "op": "fetch_batch",
                     "job_id": self.remote_job_id,
                     "max_batches": self.fetch_batches,
                 },
-                telemetry=self.telemetry,
             )
             stream_span.attrs["round_trips"] = (
                 stream_span.attrs.get("round_trips", 0) + 1
@@ -644,28 +680,14 @@ class RemoteRootNode(QETNode):
                         (int(lo), int(hi)) for lo, hi in delivered
                     )
         stream_span.ended_at = time.perf_counter()
-        self._collect_stats(sock)
+        # Only now, with every batch frame of the last round received:
+        # a stream that dies after its done header is still a failover.
+        self._collect_stats(response)
 
-    def _collect_stats(self, sock):
-        """After a clean drain: pull NodeStats, server spans, the
-        analyzed plan, and the I/O report so the client job's telemetry
-        is real, not empty."""
-        stats_span = Span("wire:stats", started_at=time.perf_counter())
-        try:
-            stats, _ = _request(
-                sock,
-                {"op": "job_stats", "job_id": self.remote_job_id},
-                telemetry=self.telemetry,
-            )
-            io, _ = _request(
-                sock,
-                {"op": "io_report", "job_id": self.remote_job_id},
-                telemetry=self.telemetry,
-            )
-        except (OSError, ProtocolError, RemoteArchiveError):
-            return  # telemetry is best-effort; the rows already arrived
-        stats_span.ended_at = time.perf_counter()
-        self.wire_spans.append(stats_span)
+    def _collect_stats(self, stats):
+        """Fold what the ``done`` frame carries — NodeStats, server
+        spans, the analyzed plan, the raw I/O counters — into this node,
+        so the client job's telemetry is real, not empty."""
         self.remote_spans = stats.get("spans")
         self.remote_analyzed_plan = plan_from_wire(stats.get("analyzed_plan"))
         nodes = stats.get("nodes", [])
@@ -683,17 +705,9 @@ class RemoteRootNode(QETNode):
             # Fold the server-side worker-pool counters so utilization
             # telemetry survives the wire: widest pool wins, per-slot
             # item counts accumulate elementwise.
-            remote_workers = int(node.get("workers", 0))
-            if remote_workers:
-                self.stats.workers = max(self.stats.workers, remote_workers)
-                items = self.stats.worker_items
-                for slot, count in enumerate(node.get("worker_items", [])):
-                    if slot < len(items):
-                        items[slot] += int(count)
-                    else:
-                        items.append(int(count))
-        self.remote_io = io.get("report")
-        self.remote_io_raw = io.get("raw")
+            self.stats.workers = max(self.stats.workers, int(node.get("workers", 0)))
+            add_worker_items(self.stats.worker_items, node.get("worker_items", []))
+        self.remote_io_raw = stats.get("raw")
 
 
 class RemoteExecutor(Executor):
@@ -708,14 +722,6 @@ class RemoteExecutor(Executor):
 
     kind = "remote"
 
-    #: recv bound on control-plane exchanges (hello / prepare) — those
-    #: responses only cost the server a parse+plan, so a wedged server
-    #: must fail the call, not hang ``Session.submit`` with no job to
-    #: cancel.  Data-plane streaming stays unbounded by default (long
-    #: queries legitimately pause between batches) and is interruptible
-    #: through the cancel hook instead.
-    CONTROL_TIMEOUT = 30.0
-
     def __init__(
         self,
         host,
@@ -729,23 +735,27 @@ class RemoteExecutor(Executor):
         token=None,
         retry=None,
     ):
-        self.endpoint = (host, int(port))
-        self.connect_timeout = connect_timeout
-        self.timeout = timeout
+        #: address, tenant identity, timeouts, telemetry and the
+        #: RetryPolicy of the idempotent ops (hello, prepare, stats,
+        #: mydb).  Submissions are never retried — they stop being
+        #: idempotent the moment the first byte streams.
+        self.link = ServerLink(
+            (host, int(port)),
+            user=user,
+            token=token,
+            connect_timeout=connect_timeout,
+            timeout=timeout,
+            retry=retry if retry is not None else RetryPolicy(),
+        )
         self.fetch_batches = fetch_batches
-        #: RetryPolicy for the idempotent control-plane ops (hello,
-        #: prepare, stats, mydb).  Submissions are never retried here —
-        #: they stop being idempotent the moment the first byte streams.
-        self.retry = retry if retry is not None else RetryPolicy()
         #: table-frame codec to request for result streams (e.g.
         #: ``"zlib"``); servers that do not speak it fall back to raw
         #: frames, so this is always safe to set
         self.compression = compression
-        #: tenant identity presented on every connection; a server with
-        #: a user registry refuses all other ops until it checks out
-        self.user = user
-        self.token = token
-        self.telemetry = WireTelemetry()
+
+    @property
+    def telemetry(self):
+        return self.link.telemetry
 
     @classmethod
     def from_url(cls, url, **kwargs):
@@ -767,52 +777,23 @@ class RemoteExecutor(Executor):
 
     @property
     def url(self):
-        host, port = self.endpoint
+        host, port = self.link.endpoint
         return f"archive://{host}:{port}"
 
     def hello(self):
         """Server metadata: kind, sources, schemas, depth, shard ranges.
 
-        With credentials set, the one hello doubles as the
-        authentication exchange — an invalid token raises the server's
-        structured :class:`~repro.service.errors.AuthenticationError`.
+        Not part of a query, but the cheapest way to ask a server what
+        it hosts — or whether it takes these credentials (a structured
+        :class:`~repro.service.errors.AuthenticationError` if not).
         """
-
-        def attempt():
-            sock = open_connection(
-                self.endpoint, self.connect_timeout, timeout=self.connect_timeout
-            )
-            try:
-                request = {"op": "hello"}
-                if self.user is not None or self.token is not None:
-                    request["user"] = self.user
-                    request["token"] = self.token
-                header, _ = _request(sock, request, telemetry=self.telemetry)
-            finally:
-                sock.close()
-            return header
-
-        return self.retry.call(attempt)
+        return self.link.call({"op": "hello"})
 
     def stats(self):
         """The server's ``stats`` snapshot: metrics registry contents
         (cache hit rate, pool/sweep counters, admission queue depth)
         plus server vitals (uptime, per-user job counts)."""
-
-        def attempt():
-            sock = open_connection(
-                self.endpoint, self.connect_timeout, timeout=self.CONTROL_TIMEOUT
-            )
-            try:
-                authenticate_connection(
-                    sock, self.user, self.token, telemetry=self.telemetry
-                )
-                header, _ = _request(sock, {"op": "stats"}, telemetry=self.telemetry)
-            finally:
-                sock.close()
-            return header
-
-        return self.retry.call(attempt)
+        return self.link.call({"op": "stats"})
 
     def mydb_op(self, action, name=None):
         """Control-plane MyDB operation against the server-side
@@ -823,64 +804,22 @@ class RemoteExecutor(Executor):
         too (dropping an already-dropped table is a structured error,
         not a retried side effect), so all three ride the retry policy.
         """
-
-        def attempt():
-            sock = open_connection(
-                self.endpoint, self.connect_timeout, timeout=self.CONTROL_TIMEOUT
-            )
-            try:
-                authenticate_connection(
-                    sock, self.user, self.token, telemetry=self.telemetry
-                )
-                request = {"op": "mydb", "action": action}
-                if name is not None:
-                    request["name"] = name
-                header, _ = _request(sock, request, telemetry=self.telemetry)
-            finally:
-                sock.close()
-            return header
-
-        return self.retry.call(attempt)
+        request = {"op": "mydb", "action": action}
+        if name is not None:
+            request["name"] = name
+        return self.link.call(request)
 
     def prepare(self, text, allow_tag_route=True):
-        control_timeout = (
-            self.timeout if self.timeout is not None else self.CONTROL_TIMEOUT
+        header = self.link.call(
+            {"op": "prepare", "text": text, "allow_tag_route": allow_tag_route}
         )
-
-        def attempt():
-            sock = open_connection(
-                self.endpoint, self.connect_timeout, timeout=control_timeout
-            )
-            try:
-                authenticate_connection(
-                    sock, self.user, self.token, telemetry=self.telemetry
-                )
-                response, _ = _request(
-                    sock,
-                    {
-                        "op": "prepare",
-                        "text": text,
-                        "allow_tag_route": allow_tag_route,
-                    },
-                    telemetry=self.telemetry,
-                )
-            finally:
-                sock.close()
-            return response
-
-        header = self.retry.call(attempt)
         root = RemoteRootNode(
-            self.endpoint,
+            self.link,
             text,
             allow_tag_route=allow_tag_route,
             remote_plan=plan_from_wire(header.get("plan")),
-            telemetry=self.telemetry,
-            connect_timeout=self.connect_timeout,
-            timeout=self.timeout,
             fetch_batches=self.fetch_batches,
             compression=self.compression,
-            user=self.user,
-            token=self.token,
         )
         return PreparedQuery(
             text=text,

@@ -33,8 +33,8 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.distributed.routing import ShardFanoutReport
 from repro.htm.ranges import RangeSet
 from repro.net.client import (
-    RemoteExecutor,
     RemoteRootNode,
+    ServerLink,
     WireTelemetry,
     parse_archive_options,
     parse_archive_url,
@@ -54,9 +54,11 @@ __all__ = [
 class RemoteShard:
     """One partition-server endpoint plus its advertised metadata."""
 
-    def __init__(self, shard_id, host, port, hello):
+    def __init__(self, shard_id, link, hello):
         self.shard_id = int(shard_id)
-        self.endpoint = (host, int(port))
+        #: the ServerLink every call to this endpoint goes through
+        self.link = link
+        self.endpoint = link.endpoint
         self.kind = hello.get("kind", "unknown")
         self.depth = hello.get("depth")
         self.shard_capable = bool(hello.get("shard_capable"))
@@ -207,8 +209,6 @@ class RemotePartitionedExecutor(Executor):
         urls = list(urls)
         if not urls:
             raise ValueError("remote cluster needs at least one endpoint")
-        self.connect_timeout = connect_timeout
-        self.timeout = timeout
         self.fetch_batches = fetch_batches
         self.batch_rows = int(batch_rows)
         if compression is None:
@@ -221,35 +221,32 @@ class RemotePartitionedExecutor(Executor):
                     break
         #: table-frame codec requested on every shard submission
         self.compression = compression
+        #: one round-trip count for the whole cluster (the links share it)
         self.telemetry = WireTelemetry()
-
-        def probe(entry):
-            shard_id, _url, host, port = entry
-            executor = RemoteExecutor(
-                host, port, connect_timeout=connect_timeout, timeout=timeout
+        links = [
+            ServerLink(
+                parse_archive_url(url),
+                connect_timeout=connect_timeout,
+                timeout=timeout,
+                telemetry=self.telemetry,
             )
-            executor.telemetry = self.telemetry
-            return RemoteShard(shard_id, host, port, executor.hello())
+            for url in urls
+        ]
 
         # Concurrent hello probes: one dead endpoint used to serialize
         # startup by connect_timeout *each*; probing in parallel bounds
         # startup by the slowest single endpoint and reports every
         # unreachable one in a single error instead of the first.
-        parsed = [
-            (shard_id, url, *parse_archive_url(url))
-            for shard_id, url in enumerate(urls)
-        ]
         with ThreadPoolExecutor(
-            max_workers=min(len(parsed), 16),
+            max_workers=min(len(links), 16),
             thread_name_prefix="archive-probe",
         ) as pool:
-            futures = [pool.submit(probe, entry) for entry in parsed]
+            futures = [pool.submit(link.call, {"op": "hello"}) for link in links]
         self.shards = []
         unreachable = []
-        for entry, future in zip(parsed, futures):
-            _shard_id, url, _host, _port = entry
+        for shard_id, (url, link, future) in enumerate(zip(urls, links, futures)):
             try:
-                shard = future.result()
+                shard = RemoteShard(shard_id, link, future.result())
             except (OSError, ProtocolError, RemoteArchiveError) as exc:
                 unreachable.append(f"{url} ({exc})")
                 continue
@@ -261,7 +258,7 @@ class RemotePartitionedExecutor(Executor):
             self.shards.append(shard)
         if unreachable:
             raise ConnectionError(
-                f"{len(unreachable)} of {len(parsed)} cluster endpoint(s) "
+                f"{len(unreachable)} of {len(urls)} cluster endpoint(s) "
                 f"unreachable: {'; '.join(unreachable)}"
             )
         self.depth = self.shards[0].depth
@@ -363,14 +360,11 @@ class RemotePartitionedExecutor(Executor):
             assigned = assignments.get(shard.shard_id)
             shard_roots.append(
                 RemoteRootNode(
-                    shard.endpoint,
+                    shard.link,
                     text,
                     allow_tag_route=allow_tag_route,
                     mode="shard",
                     select_index=select_index,
-                    telemetry=self.telemetry,
-                    connect_timeout=self.connect_timeout,
-                    timeout=self.timeout,
                     fetch_batches=self.fetch_batches,
                     server_id=shard.shard_id,
                     compression=self.compression,
@@ -393,14 +387,7 @@ class RemotePartitionedExecutor(Executor):
         snapshots = []
         for shard in self.shards:
             host, port = shard.endpoint
-            remote = RemoteExecutor(
-                host,
-                port,
-                connect_timeout=self.connect_timeout,
-                timeout=self.timeout,
-            )
-            remote.telemetry = self.telemetry
-            snapshot = remote.stats()
+            snapshot = shard.link.call({"op": "stats"})
             snapshot["endpoint"] = f"{host}:{port}"
             snapshot["shard_id"] = shard.shard_id
             snapshots.append(snapshot)

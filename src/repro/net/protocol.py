@@ -20,16 +20,21 @@ through JSON.
 
 Operations
 ----------
+Identity is a header field, not an exchange: a request frame that
+carries ``user``/``token`` identifies its connection, whatever its op
+(the client library's first frame is still a ``hello`` carrying them).
+A server with a user registry validates them — structured error on
+mismatch, connection left as it was — and refuses every op but
+``hello`` from a connection not yet identified.  Authentication is per
+connection; the server keeps no client state across connections.
+
 ``hello``
     Server metadata: backend kind, hosted sources with their schemas,
     container depth, each source's occupied container-id ranges (the
     coordinator's basis for remote shard pruning), and the table-frame
     compression codecs the server speaks (the client's basis for
-    negotiating compressed result streams).  With ``user``/``token``
-    fields, hello doubles as the per-connection authentication
-    exchange: a server with a user registry validates them (structured
-    error on mismatch) and refuses every other op from connections
-    that have not authenticated.
+    negotiating compressed result streams).  Not part of a query: a
+    cluster coordinator asks once per endpoint at connect.
 ``prepare``
     Parse + plan a query server-side without starting it; returns the
     static output schema, fan-out reports, routed sources, and the
@@ -41,7 +46,7 @@ Operations
     shard half of the plan's ``select_index``-th SELECT — the op the
     remote scatter-gather executor fans out.  An optional ``trace_id``
     rides the frame so the server-side job records its spans under the
-    *client's* trace — ``job_stats`` ships them back and the client
+    *client's* trace — the ``done`` frame ships them back and the client
     grafts them into one merged span tree per query.  Shard submissions
     on a replicated cluster also carry ``ranges`` — a list of closed
     ``[lo, hi]`` container-id intervals restricting the shard scan to
@@ -54,6 +59,10 @@ Operations
     binary table frame per batch, ``done`` marking exhaustion).  Empty
     results are simply ``done`` with zero batches — the client already
     holds the static output schema, so they stay well-formed tables.
+    The ``batches`` frame that says ``done`` also carries the job's
+    statistics — everything ``job_stats`` answers with (below) — so a
+    drained query needs no further exchange; the client folds them in
+    once the round's last table frame has arrived.
     On a range-restricted shard stream, each table frame's header also
     carries ``delivered`` — the cumulative closed container-id
     intervals fully accounted for up to and including that batch — the
@@ -64,24 +73,22 @@ Operations
     connection authenticates, fetch/cancel/stats on another tenant's
     job id is refused with a structured authentication error.
 ``job_stats``
-    Per-QET-node execution counters of a job, serialized
+    A job's statistics on request (the ``done`` frame carries the same
+    payload unasked): per-QET-node execution counters, serialized
     :class:`~repro.query.qet.NodeStats` (including the node timestamps,
-    ``None`` for events that never happened) — so remote jobs aggregate
-    real telemetry instead of returning empty stats client-side.  The
-    reply also carries the job's offset-encoded server-side ``spans``
-    (see :meth:`repro.obs.trace.Trace.to_wire`) and, once the job is
-    terminal, its ``analyzed_plan`` — the server-executed plan tree
-    annotated with measured rows/time/I-O for EXPLAIN ANALYZE.
+    ``None`` for events that never happened), the job's offset-encoded
+    server-side ``spans`` (see :meth:`repro.obs.trace.Trace.to_wire`),
+    once the job is terminal its ``analyzed_plan`` — the server-executed
+    plan tree annotated with measured rows/time/I-O for EXPLAIN ANALYZE
+    — and the ``raw`` shared-scan sweep/pool counters the client folds
+    into :meth:`~repro.session.core.Job.io_report` (on cache-enabled
+    servers also the result-cache counters with a per-job ``hit`` flag,
+    so cache telemetry survives the wire).
 ``stats``
     Snapshot of the server's process-wide metrics registry plus server
     vitals: uptime, live/retired job counts, per-user job counts,
     admission queue depth, and (on cache-enabled servers) the cache
     counters with their derived hit rate.
-``io_report``
-    The job's shared-scan I/O report plus the raw sweep/pool counters
-    the client folds into :meth:`~repro.session.core.Job.io_report` —
-    and, on cache-enabled servers, the result-cache counters (with a
-    per-job ``hit`` flag), so cache telemetry survives the wire.
 ``mydb``
     Control-plane MyDB workspace operations for the connection's user:
     ``list`` (bare table names), ``usage`` (tables/bytes/quota), and
@@ -131,7 +138,10 @@ __all__ = [
 ]
 
 #: Bumped on incompatible frame/op changes; exchanged in ``hello``.
-PROTOCOL_VERSION = 1
+#: 2: credentials identify a connection on any frame, not only on
+#: ``hello``; the ``done`` frame carries the job statistics and raw I/O
+#: counters; the ``io_report`` op is gone.
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one frame (header + body).  Result batches are at most
 #: a few thousand ~1.3 kB records, far below this; the bound exists so a

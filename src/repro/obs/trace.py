@@ -10,7 +10,7 @@ on its own thread, so tracing adds no per-batch cost to the hot path).
 
 Remote execution keeps the tree whole: the trace id rides the ``submit``
 frame, the archive server records its own spans under the same id, and
-the ``job_stats`` reply ships them back as offset-encoded wire spans
+the stream's ``done`` frame ships them back as offset-encoded wire spans
 (:meth:`Trace.to_wire`).  The client grafts them under the remote leaf's
 span (:meth:`Trace.graft_wire`), re-based onto its own clock at the
 moment the submit round-trip started — so one merged tree covers client

@@ -230,6 +230,15 @@ class NodeStats:
         self.batches_out += 1
 
 
+def add_worker_items(total, items):
+    """Accumulate per-worker item counts slot by slot, widening ``total``."""
+    for slot, count in enumerate(items):
+        if slot < len(total):
+            total[slot] += int(count)
+        else:
+            total.append(int(count))
+
+
 class QETNode:
     """Base class: a node with children, an output stream, and a thread."""
 

@@ -213,8 +213,8 @@ def analyzed_plan_tree(root):
     measurements appended (rows/batches out, wall ``time_ms``,
     ``first_row_ms``, container and predicate counters) — the EXPLAIN
     ANALYZE shape.  A remote leaf that received its server-executed
-    subtree over the wire (``remote_analyzed_plan`` in the ``job_stats``
-    reply) carries it as a child, so the analyzed tree covers the
+    subtree over the wire (``remote_analyzed_plan``, from the ``done``
+    frame) carries it as a child, so the analyzed tree covers the
     server-side scans too.
     """
     detail = dict(_detail_for(root))

@@ -7,8 +7,10 @@ Tests that need mutation or special parameters build their own.
 
 from __future__ import annotations
 
+import os
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -49,6 +51,58 @@ def _suite_test_timeout():
     finally:
         signal.setitimer(signal.ITIMER_REAL, *previous_timer)
         signal.signal(signal.SIGALRM, previous)
+
+
+#: directories whose tests open sockets and start servers
+LEAVE_NOTHING_BEHIND = ("net", "chaos", "service")
+
+
+def _open_sockets():
+    """How many of this process's file descriptors are sockets."""
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}").startswith("socket:")
+        except OSError:
+            pass  # the listing's own descriptor, or one closed meanwhile
+    return count
+
+
+def _archive_threads():
+    return sorted(
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith("archive-")
+    )
+
+
+@pytest.fixture(autouse=True)
+def _leave_nothing_behind(request):
+    """A network test ends with the open sockets and the ``archive-*``
+    threads (server accept loops, cluster probes) it began with.
+
+    Server-side connection threads close their socket a moment after
+    the client hangs up, so the check polls briefly before it fails.
+    """
+    path = request.node.path
+    watched = (
+        path.parent.name in LEAVE_NOTHING_BEHIND
+        and path.parent.parent.name == "tests"
+        and os.path.isdir("/proc/self/fd")
+    )
+    if not watched:
+        yield
+        return
+    before = (_open_sockets(), _archive_threads())
+    yield
+    deadline = time.monotonic() + 5.0
+    while (after := (_open_sockets(), _archive_threads())) != before:
+        if time.monotonic() > deadline:
+            pytest.fail(
+                "test left something behind: (open sockets, archive-* "
+                f"threads) {before} -> {after}"
+            )
+        time.sleep(0.02)
 
 
 @pytest.fixture(scope="session")

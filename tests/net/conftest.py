@@ -21,6 +21,7 @@ import pytest
 
 from repro.net import ArchiveServer
 from repro.session import Archive
+from repro.storage import ContainerStore
 
 #: Per-test wall-clock bound (seconds).  Generous: the slowest tests
 #: (throttled shared-sweep scenarios) finish in a few seconds.
@@ -64,6 +65,16 @@ def remote_session(archive_server):
     """An ``archive://`` session against the in-process server."""
     with Archive.connect(archive_server.url) as session:
         yield session
+
+
+@pytest.fixture()
+def fresh_stores(photo, tags):
+    """Privately-owned stores over the shared catalog: cold pools, and
+    counters that see only this test's traffic."""
+    return {
+        "photo": ContainerStore.from_table(photo, depth=5),
+        "tag": ContainerStore.from_table(tags, depth=5),
+    }
 
 
 @pytest.fixture(scope="session")
