@@ -123,9 +123,8 @@ def _bench_session(session):
 
 
 #: Batch-size sweep: how the morsel target trades per-container overhead
-#: against time-to-first-row.  0 = per-container evaluation (the
-#: pre-morsel execution model, kept as the comparison baseline).
-SWEEP_BATCH_ROWS = (0, 4096, 65536)
+#: against time-to-first-row.
+SWEEP_BATCH_ROWS = (4096, 65536)
 SWEEP_QUERIES = ("full_scan_stream", "grouped_aggregate", "order_limit_topk")
 
 
@@ -142,13 +141,12 @@ def _bench_batch_size_sweep(photo, tags):
         warmup.query_table(corpus["full_scan_stream"])
     sweep = {}
     for batch_rows in SWEEP_BATCH_ROWS:
-        label = "per_container" if batch_rows <= 0 else str(batch_rows)
         with Archive.connect(stores=stores, batch_rows=batch_rows) as session:
             entries = {}
             for name in SWEEP_QUERIES:
                 cursor = session.execute(corpus[name])
                 entries[name] = _query_stats(cursor, cursor.to_table())
-            sweep[label] = entries
+            sweep[str(batch_rows)] = entries
     return sweep
 
 

@@ -10,9 +10,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from types import SimpleNamespace
+
 from repro.catalog import SkySimulator, SurveyParameters, make_tag_table
+from repro.htm.cover import cover_region
 from repro.htm.depthmap import DensityMap
 from repro.query import QueryEngine
+from repro.session import Archive
 from repro.storage import ContainerStore
 
 
@@ -58,8 +62,42 @@ def bench_engine(bench_photo_store, bench_tag_store):
 
 
 @pytest.fixture(scope="session")
+def bench_session(bench_engine):
+    """The one way to run a query: a session over the benchmark engine."""
+    with Archive.connect(bench_engine) as session:
+        yield session
+
+
+@pytest.fixture(scope="session")
 def bench_density(bench_photo):
     return DensityMap.from_positions(bench_photo["ra"], bench_photo["dec"], 6)
+
+
+def container_split(store, region):
+    """The paper's three-way split of a store's occupied containers under
+    ``region``: a property of the region's cover at the store's depth
+    and of which containers are occupied, so it is computed from those
+    (a session query reads exactly the accepted + bisected ones).
+
+    Returns counts of accepted / bisected / rejected containers, the
+    objects accepted wholesale vs point-tested, and the bytes touched.
+    """
+    coverage = cover_region(region, store.depth)
+    split = SimpleNamespace(
+        accepted=0, bisected=0, rejected=0, wholesale=0, point_tested=0, nbytes=0
+    )
+    for htm_id, container in store.containers.items():
+        if coverage.inside.contains(htm_id):
+            split.accepted += 1
+            split.wholesale += len(container)
+        elif coverage.partial.contains(htm_id):
+            split.bisected += 1
+            split.point_tested += len(container)
+        else:
+            split.rejected += 1
+            continue
+        split.nbytes += container.nbytes()
+    return split
 
 
 def print_table(title, headers, rows):

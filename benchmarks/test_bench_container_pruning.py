@@ -8,31 +8,48 @@ volume."*
 
 Measured: per-query container classification fractions at several query
 radii, the objects-scanned savings vs a full sweep, and the density-map
-prediction against the true result count.
+prediction against the true result count.  Queries run through a
+session; the classification comes from the cover (``container_split``).
 """
 
 import numpy as np
 import pytest
 
-from conftest import print_table
+from conftest import container_split, print_table
 from repro.geometry.shapes import circle_region
+from repro.session import Archive
 
 
-def test_bench_container_classification(benchmark, bench_photo, bench_photo_store):
-    benchmark(bench_photo_store.query_region, circle_region(185.0, 30.0, 2.0))
+def cone_query(radius):
+    return f"SELECT * FROM photo WHERE CIRCLE(185, 30, {radius})"
+
+
+def test_bench_container_classification(
+    benchmark, bench_photo, bench_photo_store, bench_session
+):
+    benchmark(bench_session.query_table, cone_query(2.0))
     rows = []
     for radius in (0.5, 2.0, 8.0, 30.0):
         region = circle_region(185.0, 30.0, radius)
-        result, stats = bench_photo_store.query_region(region)
+        cursor = bench_session.execute(cone_query(radius))
+        result = cursor.to_table()
+        split = container_split(bench_photo_store, region)
         truth = int(region.contains(bench_photo.positions_xyz()).sum())
         assert len(result) == truth  # exactness regardless of pruning
-        scanned_fraction = stats.objects_scanned() / max(len(bench_photo), 1)
+        # The session read the accepted and bisected containers, no more.
+        report = cursor.io_report()
+        assert (
+            report["containers_read"] + report["containers_from_pool"]
+            == split.accepted + split.bisected
+        )
+        scanned = split.wholesale + split.point_tested
+        scanned_fraction = scanned / max(len(bench_photo), 1)
         rows.append(
             (
                 f"{radius:.1f} deg",
-                stats.containers_accepted,
-                stats.containers_bisected,
-                stats.containers_rejected,
+                split.accepted,
+                split.bisected,
+                split.rejected,
                 f"{scanned_fraction:.2%}",
                 truth,
             )
@@ -47,18 +64,19 @@ def test_bench_container_classification(benchmark, bench_photo, bench_photo_stor
     assert float(rows[0][4].rstrip("%")) < 2.0
 
 
-def test_bench_pruning_savings(benchmark, bench_photo, bench_photo_store):
+def test_bench_pruning_savings(
+    benchmark, bench_photo, bench_photo_store, bench_session
+):
     region = circle_region(185.0, 30.0, 3.0)
 
-    result, stats = benchmark(bench_photo_store.query_region, region)
-    full_result, full_stats = bench_photo_store.scan_all(
-        lambda t: region.contains(t.positions_xyz())
-    )
-    assert len(result) == len(full_result)
+    result = benchmark(bench_session.query_table, cone_query(3.0))
+    assert len(result) == int(region.contains(bench_photo.positions_xyz()).sum())
 
-    savings = full_stats.bytes_touched / max(stats.bytes_touched, 1)
-    print(f"\nindexed query touches {stats.bytes_touched / 1e6:.2f} MB vs "
-          f"full sweep {full_stats.bytes_touched / 1e6:.1f} MB "
+    touched = container_split(bench_photo_store, region).nbytes
+    full_sweep = bench_photo_store.total_bytes()
+    savings = full_sweep / max(touched, 1)
+    print(f"\nindexed query touches {touched / 1e6:.2f} MB vs "
+          f"full sweep {full_sweep / 1e6:.1f} MB "
           f"({savings:.0f}x less I/O)")
     assert savings > 20.0
 
@@ -105,17 +123,13 @@ def test_bench_depth_ablation(benchmark, bench_photo):
         ContainerStore.from_table, args=(bench_photo, 5), rounds=2, iterations=1
     )
     rows = []
+    truth = int(region.contains(bench_photo.positions_xyz()).sum())
     for depth in (3, 5, 7):
         store = ContainerStore.from_table(bench_photo, depth)
-        _result, stats = store.query_region(region)
-        rows.append(
-            (
-                depth,
-                len(store),
-                stats.objects_point_tested,
-                stats.objects_accepted_wholesale,
-            )
-        )
+        with Archive.connect(stores={"photo": store}) as session:
+            assert len(session.query_table(cone_query(3.0))) == truth
+        split = container_split(store, region)
+        rows.append((depth, len(store), split.point_tested, split.wholesale))
     print_table(
         "Ablation: container depth vs fine-filter work",
         ("depth", "containers", "point-tested objects", "wholesale objects"),

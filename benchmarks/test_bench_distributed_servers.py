@@ -13,22 +13,31 @@ import numpy as np
 import pytest
 
 from conftest import print_table
-from repro.geometry.shapes import circle_region, latitude_band
+from repro.session import Archive
 from repro.storage.cluster import DistributedArchive
+
+
+def fan_out(session, query):
+    """Run ``query``; returns its rows and the job's fan-out report."""
+    job = session.submit(query)
+    result = job.cursor.to_table()
+    return result, job.reports[0]
 
 
 @pytest.mark.slow
 def test_bench_parallel_scaling(benchmark, bench_photo):
-    region = latitude_band(-90.0, 90.0)  # touches every server
+    query = "SELECT * FROM photo WHERE LATBAND(-90, 90)"  # touches every server
     rows = []
     times = {}
     last_archive = DistributedArchive.from_table(bench_photo, 5, 16)
-    benchmark.pedantic(
-        last_archive.query_region, args=(region,), rounds=2, iterations=1
-    )
+    with Archive.connect(archive=last_archive) as session:
+        benchmark.pedantic(
+            session.query_table, args=(query,), rounds=2, iterations=1
+        )
     for n_servers in (1, 2, 4, 8, 16):
         archive = DistributedArchive.from_table(bench_photo, 5, n_servers)
-        result, report = archive.query_region(region)
+        with Archive.connect(archive=archive) as session:
+            result, report = fan_out(session, query)
         assert len(result) == len(bench_photo)
         times[n_servers] = report.simulated_seconds
         rows.append(
@@ -50,12 +59,13 @@ def test_bench_parallel_scaling(benchmark, bench_photo):
 
 def test_bench_query_locality(benchmark, bench_photo):
     archive = DistributedArchive.from_table(bench_photo, 5, 16)
-    benchmark(archive.query_region, circle_region(185.0, 30.0, 2.0))
+    query = "SELECT * FROM photo WHERE CIRCLE(185, 30, {})"
     rows = []
-    for radius in (0.5, 2.0, 10.0, 45.0):
-        region = circle_region(185.0, 30.0, radius)
-        _result, report = archive.query_region(region)
-        rows.append((f"{radius:.1f} deg", report.servers_touched, 16))
+    with Archive.connect(archive=archive) as session:
+        benchmark(session.query_table, query.format(2.0))
+        for radius in (0.5, 2.0, 10.0, 45.0):
+            _result, report = fan_out(session, query.format(radius))
+            rows.append((f"{radius:.1f} deg", report.servers_touched, 16))
     print_table(
         "Claim D1: servers touched vs query radius",
         ("cone radius", "servers touched", "servers total"),

@@ -18,8 +18,8 @@ import pytest
 from conftest import print_table
 
 
-def run_and_time(engine, query):
-    result = engine.execute(query)
+def run_and_time(session, query):
+    result = session.execute(query)
     rows = 0
     for batch in result:
         rows += len(batch)
@@ -27,16 +27,17 @@ def run_and_time(engine, query):
 
 
 @contextmanager
-def paced(engine):
-    """Pace every sweeper of ``engine`` so a full lap takes ~1s.
+def paced(session):
+    """Pace every sweeper of ``session``'s engine so a full lap takes ~1s.
 
     An unthrottled in-memory lap finishes in tens of milliseconds —
     scheduling-noise territory for ratio assertions; the paper's
     streaming claims are about *long* scans, so the claims are measured
     on a paced sweep.  Every store is paced because queries tag-route.
     """
-    sweepers = [store.sweeper() for store in engine.stores.values()]
-    n_containers = max(len(s.containers) for s in engine.stores.values())
+    stores = session.executor.stores.values()
+    sweepers = [store.sweeper() for store in stores]
+    n_containers = max(len(s.containers) for s in stores)
     saved = [sweeper.throttle for sweeper in sweepers]
     for sweeper in sweepers:
         sweeper.throttle = max(0.5 / max(n_containers, 1), 0.00005)
@@ -47,9 +48,9 @@ def paced(engine):
             sweeper.throttle = throttle
 
 
-def test_bench_asap_push(benchmark, bench_engine):
+def test_bench_asap_push(benchmark, bench_session):
     benchmark.pedantic(
-        run_and_time, args=(bench_engine, "SELECT objid FROM photo"),
+        run_and_time, args=(bench_session, "SELECT objid FROM photo"),
         rounds=2, iterations=1,
     )
     rows = []
@@ -65,7 +66,7 @@ def test_bench_asap_push(benchmark, bench_engine):
     ]
     measured = {}
     for name, query in cases:
-        ttfr, ttc, n_rows = run_and_time(bench_engine, query)
+        ttfr, ttc, n_rows = run_and_time(bench_session, query)
         measured[name] = (ttfr, ttc)
         rows.append(
             (name, f"{(ttfr or 0) * 1e3:.1f} ms", f"{ttc * 1e3:.1f} ms",
@@ -80,9 +81,9 @@ def test_bench_asap_push(benchmark, bench_engine):
     # The ASAP claim proper, on a genuinely long (paced) scan: the
     # ramp-up morsel must deliver first rows while the lap is still
     # almost entirely pending.
-    with paced(bench_engine):
+    with paced(bench_session):
         sweep_ttfr, sweep_ttc, _rows = run_and_time(
-            bench_engine, "SELECT objid FROM photo"
+            bench_session, "SELECT objid FROM photo"
         )
     print(
         f"paced sweep: first row {sweep_ttfr * 1e3:.1f} ms of "
@@ -94,15 +95,15 @@ def test_bench_asap_push(benchmark, bench_engine):
     assert sort_ttfr > 0.5 * sort_ttc
 
 
-def test_bench_limit_cancels_early(benchmark, bench_engine):
+def test_bench_limit_cancels_early(benchmark, bench_session):
     # A LIMIT near the root should finish long before a full drain would.
     def run_limited():
-        handle = bench_engine.execute("SELECT objid FROM photo LIMIT 50")
+        handle = bench_session.execute("SELECT objid FROM photo LIMIT 50")
         return handle, sum(len(b) for b in handle)
 
     limited, n = benchmark.pedantic(run_limited, rounds=2, iterations=1)
     assert n == 50
-    full = bench_engine.execute("SELECT objid FROM photo")
+    full = bench_session.execute("SELECT objid FROM photo")
     total = sum(len(b) for b in full)
     print(f"\nLIMIT 50: {limited.time_to_completion * 1e3:.1f} ms vs full "
           f"{total}-row drain {full.time_to_completion * 1e3:.1f} ms")
@@ -110,17 +111,17 @@ def test_bench_limit_cancels_early(benchmark, bench_engine):
     # The assertion proper runs on a paced sweep — unthrottled, the
     # whole lap fits inside scheduling noise.  Paced, LIMIT 50 ends at
     # the first ramp morsel: a small fraction of the lap.
-    with paced(bench_engine):
-        paced_limited = bench_engine.execute("SELECT objid FROM photo LIMIT 50")
+    with paced(bench_session):
+        paced_limited = bench_session.execute("SELECT objid FROM photo LIMIT 50")
         assert sum(len(b) for b in paced_limited) == 50
-        paced_full = bench_engine.execute("SELECT objid FROM photo")
+        paced_full = bench_session.execute("SELECT objid FROM photo")
         sum(len(b) for b in paced_full)
     print(f"paced: LIMIT 50 {paced_limited.time_to_completion * 1e3:.1f} ms "
           f"vs full drain {paced_full.time_to_completion * 1e3:.1f} ms")
     assert paced_limited.time_to_completion < 0.5 * paced_full.time_to_completion
 
 
-def test_bench_intersect_waits_for_right_child(benchmark, bench_engine):
+def test_bench_intersect_waits_for_right_child(benchmark, bench_session):
     # "at least one of the child nodes must be complete before results
     # can be sent further up the tree."
     query = (
@@ -128,7 +129,7 @@ def test_bench_intersect_waits_for_right_child(benchmark, bench_engine):
         "(SELECT objid FROM photo WHERE objtype = GALAXY)"
     )
     ttfr, ttc, _rows = benchmark.pedantic(
-        run_and_time, args=(bench_engine, query), rounds=2, iterations=1
+        run_and_time, args=(bench_session, query), rounds=2, iterations=1
     )
     print(f"\nintersect: first row {ttfr * 1e3:.1f} ms of {ttc * 1e3:.1f} ms total")
     # First output can only appear after the right child drained, but the
@@ -136,9 +137,9 @@ def test_bench_intersect_waits_for_right_child(benchmark, bench_engine):
     assert ttfr is not None
 
 
-def test_bench_engine_throughput(benchmark, bench_engine, bench_photo):
+def test_bench_engine_throughput(benchmark, bench_session, bench_photo):
     def drain():
-        result = bench_engine.execute("SELECT objid FROM photo WHERE mag_r < 99")
+        result = bench_session.execute("SELECT objid FROM photo WHERE mag_r < 99")
         return sum(len(b) for b in result)
 
     total = benchmark.pedantic(drain, rounds=3, iterations=1)

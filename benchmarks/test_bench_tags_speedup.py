@@ -48,19 +48,19 @@ def test_bench_tag_byte_ratio(benchmark, bench_photo, bench_tags):
 
 
 @pytest.mark.slow
-def test_bench_tag_query_wall_clock(benchmark, bench_engine):
+def test_bench_tag_query_wall_clock(benchmark, bench_session):
     # Warm both paths once, then measure.
-    tag_result = bench_engine.query_table(QUERY, allow_tag_route=True)
-    full_result = bench_engine.query_table(QUERY, allow_tag_route=False)
-    tag_ids = set() if tag_result is None else set(np.asarray(tag_result["objid"]).tolist())
-    full_ids = set() if full_result is None else set(np.asarray(full_result["objid"]).tolist())
+    tag_result = bench_session.query_table(QUERY, allow_tag_route=True)
+    full_result = bench_session.query_table(QUERY, allow_tag_route=False)
+    tag_ids = set(np.asarray(tag_result["objid"]).tolist())
+    full_ids = set(np.asarray(full_result["objid"]).tolist())
     assert tag_ids == full_ids  # identical answers on both routes
 
     def run_tag():
-        return bench_engine.query_table(QUERY, allow_tag_route=True)
+        return bench_session.query_table(QUERY, allow_tag_route=True)
 
     def run_full():
-        return bench_engine.query_table(QUERY, allow_tag_route=False)
+        return bench_session.query_table(QUERY, allow_tag_route=False)
 
     start = time.perf_counter()
     for _ in range(3):
@@ -77,5 +77,4 @@ def test_bench_tag_query_wall_clock(benchmark, bench_engine):
     # clearly.  (On the paper's disk-bound servers the byte ratio governs.)
     assert speedup > 1.5
 
-    plans = bench_engine.explain(QUERY)
-    assert plans[0].used_tag_route
+    assert bench_session.explain(QUERY).find("scan")[0].detail["tag_route"]

@@ -4,27 +4,21 @@ The first end-to-end multi-layer path of the scaled archive: parser ->
 optimizer -> :func:`~repro.query.optimizer.split_plan` -> per-server
 shard QETs -> coordinator merge stream (the trees themselves are built
 by :mod:`repro.query.physical`).  See
-:class:`DistributedQueryEngine` for the entry point and
+:class:`DistributedQueryEngine` for the executor a session drives and
 :mod:`repro.distributed.routing` for HTM-cover shard pruning.
 """
 
-from repro.distributed.engine import (
-    DistributedQueryEngine,
-    DistributedQueryResult,
-)
+from repro.distributed.engine import DistributedQueryEngine
 from repro.distributed.routing import (
     ShardFanoutReport,
-    admit_scan_jobs,
     assign_sweep_servers,
     route_plan,
 )
 
 __all__ = [
     "DistributedQueryEngine",
-    "DistributedQueryResult",
     "ProcessShardCluster",
     "ShardFanoutReport",
-    "admit_scan_jobs",
     "assign_sweep_servers",
     "route_plan",
 ]

@@ -28,56 +28,32 @@ execution stays correct across ``add_servers`` repartitioning.
 
 from __future__ import annotations
 
-from repro.distributed.routing import admit_scan_jobs, route_plan
-from repro.query.engine import QueryResult, start_tree
-from repro.query.optimizer import split_plan
+from repro.distributed.routing import route_plan
 from repro.query.parser import parse_query
 from repro.query.physical import (
     Executor,
-    plan_selects,
     prepare_query,
     scatter_gather_tree,
     shard_tree,
 )
 
-__all__ = ["DistributedQueryEngine", "DistributedQueryResult"]
-
-
-class DistributedQueryResult(QueryResult):
-    """Streaming result of a scatter-gather query.
-
-    Behaves exactly like :class:`~repro.query.engine.QueryResult`, plus
-    ``reports`` — one :class:`ShardFanoutReport` per SELECT in the query
-    (set operations contribute one per side).  Empty results materialize
-    as an empty, correctly-schemed table rather than ``None`` whenever
-    the output schema is statically known (e.g. every shard pruned).
-    """
-
-    def __init__(self, root, started_at, reports, empty_schema=None):
-        super().__init__(root, started_at, empty_schema=empty_schema)
-        self.reports = list(reports)
-
-    @property
-    def report(self):
-        """The sole fan-out report of a single-SELECT query."""
-        if len(self.reports) != 1:
-            raise ValueError(
-                f"query has {len(self.reports)} SELECTs; use .reports"
-            )
-        return self.reports[0]
+__all__ = ["DistributedQueryEngine"]
 
 
 class DistributedQueryEngine(Executor):
-    """Query façade over a :class:`~repro.storage.cluster.DistributedArchive`.
+    """The executor over a :class:`~repro.storage.cluster.DistributedArchive`.
 
-    Same surface as the single-store engine — ``execute`` /
-    ``query_table`` / ``explain`` on the same query language, with tag
-    routing and cost estimation — but each SELECT fans out to the
-    partition servers: shard sub-QETs run in parallel against each
-    touched server's container stores and a coordinator merge tree
-    recombines the streams (union, ordered k-way merge, or partial
-    aggregate re-combination).  Servers outside the plan's HTM cover are
-    pruned and never read.
+    Same protocol as the single-store engine — ``prepare`` on the same
+    query language, with tag routing and cost estimation; a session
+    (``Archive.connect(archive=...)``) runs what it prepares — but each
+    SELECT fans out to the partition servers: shard sub-QETs run in
+    parallel against each touched server's container stores and a
+    coordinator merge tree recombines the streams (union, ordered k-way
+    merge, or partial aggregate re-combination).  Servers outside the
+    plan's HTM cover are pruned and never read; the session admits one
+    interactive job per touched server on that server's shared sweep
+    machine (``sweep:<server_id>``, replica-adjusted when the archive has
+    a :class:`~repro.storage.replication.ReplicationManager`).
 
     Parameters
     ----------
@@ -86,12 +62,9 @@ class DistributedQueryEngine(Executor):
         must have been attached with ``attach_source`` for tag routing.
     density_maps:
         Optional per-source :class:`DensityMap` for cost estimates.
-    scheduler:
-        Optional :class:`~repro.machines.scheduler.MachineScheduler`;
-        when given, every execute admits one interactive job per touched
-        server on that server's shared sweep machine
-        (``sweep:<server_id>``, replica-adjusted when the archive has a
-        :class:`~repro.storage.replication.ReplicationManager`).
+    batch_rows, workers:
+        As for :class:`~repro.query.engine.QueryEngine`, applied inside
+        every shard's scan.
 
     Physically, each partition server runs *one* shared sweep per
     hosted store: every shard :class:`~repro.query.qet.ScanNode`
@@ -111,7 +84,6 @@ class DistributedQueryEngine(Executor):
         self,
         archive,
         density_maps=None,
-        scheduler=None,
         batch_rows=4096,
         workers=None,
     ):
@@ -121,8 +93,9 @@ class DistributedQueryEngine(Executor):
 
         self.archive = archive
         self.density_maps = dict(density_maps or {})
-        self.scheduler = scheduler
         self.batch_rows = int(batch_rows)
+        if self.batch_rows <= 0:
+            raise ValueError(f"batch_rows must be positive, not {batch_rows!r}")
         self.workers = resolve_workers(workers)
 
     @property
@@ -133,13 +106,6 @@ class DistributedQueryEngine(Executor):
     # ------------------------------------------------------------------
     # planning and tree construction
     # ------------------------------------------------------------------
-
-    def explain(self, text, allow_tag_route=True):
-        """Sharded plans for each SELECT, for inspection and tests."""
-        plans = plan_selects(
-            parse_query(text), self.schemas, self.density_maps, allow_tag_route
-        )
-        return [split_plan(plan) for plan in plans]
 
     def _select_root(self, plan, _select_index):
         """One SELECT fanned out over the archive's current servers."""
@@ -196,38 +162,3 @@ class DistributedQueryEngine(Executor):
                 pairs.append((store.store_uid, store.generation))
             generations[source] = tuple(pairs)
         return generations
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-
-    def execute(self, text, allow_tag_route=True):
-        """Parse, plan, split, fan out, and start a query.
-
-        Returns a :class:`DistributedQueryResult` streaming merged
-        batches; shard sub-trees for all touched servers run in parallel
-        threads, exactly like the single-store engine's QET.
-
-        .. deprecated::
-           Prefer the session facade (``Archive.connect(engine)``), which
-           returns a :class:`~repro.session.Cursor` with the uniform
-           result model; this entry point remains as a thin shim.
-        """
-        prepared = self.prepare(text, allow_tag_route=allow_tag_route)
-        if self.scheduler is not None:
-            label = " ".join(text.split())[:40]
-            for report in prepared.reports:
-                admit_scan_jobs(self.scheduler, label, report)
-        started_at = start_tree(prepared.root)
-        return DistributedQueryResult(
-            prepared.root, started_at, prepared.reports, prepared.schema
-        )
-
-    def query_table(self, text, allow_tag_route=True):
-        """Convenience: execute and materialize.
-
-        A fully empty result returns an *empty table with the right
-        schema* whenever that schema is statically known (``None``
-        otherwise) — the same contract as the single-store engine.
-        """
-        return self.execute(text, allow_tag_route=allow_tag_route).table()

@@ -36,7 +36,6 @@ __all__ = [
     "route_plan",
     "assign_sweep_servers",
     "scan_jobs_for",
-    "admit_scan_jobs",
 ]
 
 
@@ -170,9 +169,11 @@ def scan_jobs_for(label, report, arrival_time=0.0):
     """One (unscheduled) interactive sweep job per touched shard.
 
     The single source of the ``sweep:<server_id>`` machine-name and
-    per-server duration convention; both the legacy batch admission
-    (:func:`admit_scan_jobs`) and the session layer's stateful
-    admission build their jobs here.  The machine is the *executing*
+    per-server duration convention: the session layer's admission
+    (``Session._admit``) builds its jobs here and admits them
+    interactively — every per-server job starts at its arrival time and
+    overlaps freely with other queries riding the same sweep, per the
+    paper's policy for the sweep machines.  The machine is the *executing*
     server's shared sweep (the replica assignment), while the duration
     prices the shard's resident bytes.
     """
@@ -185,14 +186,3 @@ def scan_jobs_for(label, report, arrival_time=0.0):
         )
         for server_id in report.touched_server_ids
     ]
-
-
-def admit_scan_jobs(scheduler, label, report, arrival_time=0.0):
-    """Admit one interactive sweep job per touched shard.
-
-    Per the paper's policy the sweep machines are *interactively*
-    scheduled — every per-server job starts at its arrival time and
-    overlaps freely with other queries riding the same sweep.  Returns
-    the scheduled jobs (with times filled in by the scheduler).
-    """
-    return scheduler.run(scan_jobs_for(label, report, arrival_time))

@@ -21,10 +21,10 @@ scans ever were:
   outside it are counted as skipped (they still advance the
   subscription toward completion) and, when *no* active subscriber
   wants a container, it is never read at all;
-* **reads go through the buffer pool** — the sweep reads containers via
-  :meth:`ContainerStore.read_container`, so a lap over recently-swept
-  data is served from the :class:`~repro.storage.buffer.BufferPool`
-  without physical I/O;
+* **reads go through the buffer pool** — the sweep reads each run of
+  containers via :meth:`BufferPool.fetch_many
+  <repro.storage.buffer.BufferPool.fetch_many>`, so a lap over
+  recently-swept data is served from the pool without physical I/O;
 * **the sweep never stalls on a slow astronomer** — deliveries are
   references to resident container tables pushed on unbounded
   subscription streams, so one blocked consumer cannot wedge the sweep

@@ -6,26 +6,21 @@ as soon as they are generated. ... even in the case of a query that takes
 a very long time to complete, the user starts seeing results almost
 immediately."*
 
-:class:`QueryEngine` owns the physical sources (container stores), builds
-a QET from parsed query text, starts every node's thread, and returns a
-:class:`QueryResult` that streams batches to the caller while recording
-time-to-first-row — the measurable form of the ASAP claim.
-
-.. note::
-   ``QueryEngine`` remains fully supported as the single-store execution
-   backend, but the preferred *user-facing* entry point is now the
-   session facade: ``repro.session.Archive.connect(engine)`` drives this
-   engine (or a distributed one) through its
-   :class:`~repro.query.physical.Executor` ``prepare`` behind the uniform
-   :class:`~repro.session.Session` / :class:`~repro.session.Job` /
-   :class:`~repro.session.Cursor` surface.
+:class:`QueryEngine` owns the physical sources (container stores) and is
+the single-store :class:`~repro.query.physical.Executor`: ``prepare``
+builds an unstarted QET from query text.  It does not run queries.  The
+one way to run one is a session — ``repro.session.Archive.connect(engine)``
+admits the prepared tree, starts every node's thread
+(:func:`start_tree`) and holds the running tree as a
+:class:`QueryResult`, which streams batches to the job's
+:class:`~repro.session.Cursor` while recording time-to-first-row — the
+measurable form of the ASAP claim.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.catalog.table import ObjectTable
 from repro.htm.ranges import RangeSet
 from repro.query.errors import PlanError
 from repro.query.optimizer import (
@@ -38,7 +33,6 @@ from repro.query.parser import parse_query
 from repro.query.physical import (
     Executor,
     PreparedQuery,
-    plan_selects,
     prepare_query,
     query_selects,
     select_tree,
@@ -61,31 +55,19 @@ def start_tree(root):
 
 
 class QueryResult:
-    """Streaming result handle.
+    """Handle on a running tree: what a job holds once it has started.
 
-    Iterate for batches; ``table()`` drains into one
-    :class:`~repro.catalog.table.ObjectTable`.  ``time_to_first_row`` and
-    ``time_to_completion`` (seconds) are populated as the stream is
-    consumed.  ``empty_schema`` names the statically-derived output
-    schema, so a query that produced no batches still materializes as a
-    well-formed *empty* table — the same contract for local and
-    distributed execution.
+    Iterate for batches; ``time_to_first_row`` and ``time_to_completion``
+    (seconds) are populated as the stream is consumed.  Materializing
+    (and the empty-result schema) is the cursor's job.
     """
 
-    def __init__(self, root, started_at, empty_schema=None):
+    def __init__(self, root, started_at):
         self._root = root
         self._started_at = started_at
-        self._empty_schema = empty_schema
         self.time_to_first_row = None
         self.time_to_completion = None
         self.rows = 0
-
-    @property
-    def schema(self):
-        """Static output schema, or ``None`` in the rare case it cannot
-        be derived without data (e.g. a projection that fails on a
-        zero-row table)."""
-        return self._empty_schema
 
     def __iter__(self):
         for batch in self._root.output:
@@ -98,20 +80,6 @@ class QueryResult:
         if self.time_to_completion is None:
             self.time_to_completion = time.perf_counter() - self._started_at
         self._root.join()
-
-    def table(self):
-        """Materialize the full result.
-
-        An empty bag returns an empty table of the statically-derived
-        output schema; only when that schema is unknowable (no
-        ``empty_schema``) does this fall back to ``None``.
-        """
-        batches = list(self)
-        if not batches:
-            if self._empty_schema is not None:
-                return ObjectTable(self._empty_schema)
-            return None
-        return ObjectTable.concat_all(batches)
 
     def cancel(self):
         """Stop the query early.
@@ -152,7 +120,7 @@ class QueryResult:
 
 
 class QueryEngine(Executor):
-    """Query façade over the archive's physical stores.
+    """The executor over the archive's physical stores.
 
     Parameters
     ----------
@@ -166,8 +134,7 @@ class QueryEngine(Executor):
         Target rows per execution morsel: scans coalesce delivered
         containers into batches of roughly this size before each
         vectorized predicate pass (and emit batches of at most this
-        size).  Non-positive disables coalescing — one evaluation per
-        container, the pre-morsel behavior kept for benchmarks.
+        size).  Must be positive.
     workers:
         Morsel-parallel worker threads per scan/aggregate/top-k node.
         ``None`` resolves from the ``REPRO_WORKERS`` environment
@@ -190,6 +157,8 @@ class QueryEngine(Executor):
         self.stores = dict(stores)
         self.density_maps = dict(density_maps or {})
         self.batch_rows = int(batch_rows)
+        if self.batch_rows <= 0:
+            raise ValueError(f"batch_rows must be positive, not {batch_rows!r}")
         self.workers = resolve_workers(workers)
         self.schemas = {name: store.schema for name, store in self.stores.items()}
 
@@ -269,18 +238,6 @@ class QueryEngine(Executor):
             sources=[sharded.base.routed_source],
         )
 
-    def explain(self, text, allow_tag_route=True):
-        """Plans for each SELECT in the query, for inspection/benchmarks.
-
-        .. deprecated::
-           For a uniform, structured plan *tree* (the same shape for
-           local and distributed execution), prefer
-           ``Archive.connect(engine).explain(text)``.
-        """
-        return plan_selects(
-            parse_query(text), self.schemas, self.density_maps, allow_tag_route
-        )
-
     def generations_for(self, sources, extra_stores=None):
         """``{source: (store_uid, generation)}`` snapshot for cache
         validation, or ``None`` when a source does not resolve."""
@@ -294,27 +251,3 @@ class QueryEngine(Executor):
                 return None
             generations[source] = (store.store_uid, store.generation)
         return generations
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-
-    def execute(self, text, allow_tag_route=True):
-        """Parse, plan, and start a query; returns a :class:`QueryResult`.
-
-        .. deprecated::
-           Prefer the session facade (``Archive.connect(engine)``), which
-           returns a :class:`~repro.session.Cursor` with the uniform
-           result model; this entry point remains as a thin shim.
-        """
-        prepared = self.prepare(text, allow_tag_route=allow_tag_route)
-        started_at = start_tree(prepared.root)
-        return QueryResult(prepared.root, started_at, empty_schema=prepared.schema)
-
-    def query_table(self, text, allow_tag_route=True):
-        """Convenience: execute and materialize.
-
-        Empty bags come back as empty, correctly-schemed tables (see
-        :meth:`QueryResult.table`).
-        """
-        return self.execute(text, allow_tag_route=allow_tag_route).table()

@@ -173,7 +173,8 @@ def query_selects(ast):
 
 def plan_selects(ast, schemas, density_maps=None, allow_tag_route=True):
     """The :class:`~repro.query.optimizer.QueryPlan` of every SELECT, in
-    ``select_index`` order — what the engines' ``explain`` reports."""
+    ``select_index`` order — the optimizer's view of a query, for tests
+    and benchmarks that inspect plans without building a tree."""
     return [
         plan_query(select, schemas, density_maps, allow_tag_route)
         for select in query_selects(ast)

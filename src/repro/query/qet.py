@@ -317,9 +317,8 @@ class ScanNode(QETNode):
     turns tens of thousands of tiny numpy calls per query into a few
     dozen large ones, while answers stay exact — containers are
     classified against the HTM cover per delivery, and row order is the
-    sweep's delivery order regardless of the morsel size.  A
-    non-positive ``batch_rows`` disables coalescing (one evaluation per
-    container — the pre-morsel behavior, kept for benchmarks).
+    sweep's delivery order regardless of the morsel size
+    (``batch_rows`` is positive; the engines check it).
 
     The morsel target *ramps up* (``RAMP_ROWS`` rows for the first
     flush, growing 4x per flush until it reaches ``batch_rows``), so the
@@ -327,14 +326,12 @@ class ScanNode(QETNode):
     arrive after a few hundred buffered rows, not after a full morsel,
     while the steady-state amortization is untouched.
 
-    With ``workers > 1`` (and coalescing enabled) the node becomes
-    morsel-parallel: K pool workers each pull contiguous delivery runs
-    off the *same* subscription (see
-    :class:`~repro.machines.workers.RunSource`), filter their morsel
-    concurrently, and feed a sequence-restoring emitter — so emission
-    order (and therefore every downstream tie) is byte-identical to the
-    serial scan.  Per-container mode stays serial: its whole point is
-    the pre-morsel baseline.
+    With ``workers > 1`` the node becomes morsel-parallel: K pool
+    workers each pull contiguous delivery runs off the *same*
+    subscription (see :class:`~repro.machines.workers.RunSource`),
+    filter their morsel concurrently, and feed a sequence-restoring
+    emitter — so emission order (and therefore every downstream tie) is
+    byte-identical to the serial scan.
     """
 
     name = "scan"
@@ -420,12 +417,10 @@ class ScanNode(QETNode):
             # them after a failover would yield zero rows anyway.
             selected.delivered = RangeSet.from_ids(self._delivered_ids).intervals
             return self._emit(selected)
-        if self.batch_rows > 0:
-            for piece in selected.iter_chunks(self.batch_rows):
-                if not self._emit(piece):
-                    return False
-            return True
-        return self._emit(selected)
+        for piece in selected.iter_chunks(self.batch_rows):
+            if not self._emit(piece):
+                return False
+        return True
 
     def _classify(self, htm_id, region, inside, partial):
         """Region classification of one delivered container.
@@ -469,7 +464,7 @@ class ScanNode(QETNode):
         subscription = self.store.sweeper().subscribe(candidates=candidates)
         self.subscription = subscription
         try:
-            if self.workers > 1 and self.batch_rows > 0 and not self.track_delivery:
+            if self.workers > 1 and not self.track_delivery:
                 self._run_parallel(subscription, region, inside, partial)
             else:
                 self._run_serial(subscription, region, inside, partial)
@@ -484,7 +479,7 @@ class ScanNode(QETNode):
 
     def _run_serial(self, subscription, region, inside, partial):
         target = self.batch_rows
-        ramp = min(self.RAMP_ROWS, target) if target > 0 else 0
+        ramp = min(self.RAMP_ROWS, target)
         morsel_tables = []
         partial_spans = []
         buffered = 0
@@ -507,12 +502,7 @@ class ScanNode(QETNode):
                 morsel_tables.append(table)
                 buffered += len(table)
                 self.stats.note_buffered(buffered)
-                if target <= 0:
-                    # per-container mode: evaluate immediately
-                    if not self._flush(morsel_tables, partial_spans):
-                        return
-                    morsel_tables, partial_spans, buffered = [], [], 0
-            if buffered >= ramp and morsel_tables and target > 0:
+            if buffered >= ramp and morsel_tables:
                 if not self._flush(morsel_tables, partial_spans):
                     return
                 morsel_tables, partial_spans, buffered = [], [], 0

@@ -72,10 +72,9 @@ Use ``with`` for deterministic teardown (cancels outstanding jobs)::
     >>> with Archive.connect(archive=archive) as session:
     ...     session.query_table("SELECT COUNT(objid) AS n FROM photo")
 
-The engines' own ``execute`` / ``query_table`` / ``explain`` stay — a
-few lines each over the same ``prepare`` the session calls, and the test
-suites' differential reference — but new code should go through the
-session API.
+A session is the only way to run a query: the engines are executors
+(``prepare`` builds the tree, the session admits, starts, streams and
+cancels it) and the stores answer nothing on their own.
 """
 
 from repro.session.core import (

@@ -316,9 +316,7 @@ class Job:
                 parent=self._trace.first("query"),
                 started_at=started_at,
             )
-        result = QueryResult(
-            self._prepared.root, started_at, empty_schema=self._prepared.schema
-        )
+        result = QueryResult(self._prepared.root, started_at)
         with self._lock:
             self._result = result
             cancelled = self._state is JobState.CANCELLED
@@ -606,8 +604,6 @@ class Session:
                 f"expected one of {self.QUERY_CLASSES}"
             )
         user = user or self.user
-        prepare_kwargs = dict(prepare_kwargs or {})
-        mode = prepare_kwargs.get("mode", "full")
         service = self.service
         supports_mydb = getattr(self.executor, "supports_mydb", False)
 
@@ -621,76 +617,10 @@ class Session:
             started_at=time.perf_counter(),
             attrs={"query_class": query_class, "user": user},
         )
-
-        # The one parse of this submission: a backend that plans from
-        # the AST gets it handed down; one that ships the text elsewhere
-        # (``parse`` is None) leaves the span empty.
-        parse = getattr(self.executor, "parse", None)
-        with trace.span("parse", parent=query_span):
-            ast = parse(text) if parse is not None else None
-        if ast is not None:
-            prepare_kwargs["ast"] = ast
-
-        # Service-tier preamble: the referenced sources (cache scope,
-        # MyDB overlay) are known before paying for a full prepare.
-        extra_stores = None
-        cache = None
-        cache_key = None
-        cacheable = False
-        if service is not None and mode == "full" and ast is not None:
-            if supports_mydb:
-                overlay = service.mydb.stores_for(user)
-                if overlay:
-                    extra_stores = overlay
-                    prepare_kwargs["extra_stores"] = overlay
-            cache = service.cache
-            cacheable = (
-                cache is not None
-                and extract_into(ast) is None
-                and hasattr(self.executor, "generations_for")
-            )
-            if cacheable:
-                # Queries over a user's private mydb tables are scoped
-                # to that user; catalog-only queries share one entry.
-                scope = (
-                    user
-                    if any(s.startswith("mydb.") for s in query_sources(ast))
-                    else None
-                )
-                cache_key = cache.key(
-                    text, scope=scope, allow_tag_route=allow_tag_route
-                )
-
-        prepared = None
-        cache_hit = False
-        plan_span = trace.new_span(
-            "plan", parent=query_span, started_at=time.perf_counter()
+        prepared, cache_hit, cache_fill = self._prepare(
+            text, user, allow_tag_route, dict(prepare_kwargs or {}), trace
         )
-        if cacheable:
-            entry = cache.lookup(
-                cache_key,
-                lambda sources: self.executor.generations_for(
-                    sources, extra_stores=extra_stores
-                ),
-            )
-            if entry is not None:
-                from repro.service.cache import CachedResultNode
-
-                prepared = PreparedQuery(
-                    text=text,
-                    root=CachedResultNode(entry.batches),
-                    schema=entry.schema,
-                    sources=list(entry.sources),
-                )
-                cache_hit = True
-        if prepared is None:
-            prepared = self.executor.prepare(
-                text, allow_tag_route=allow_tag_route, **prepare_kwargs
-            )
-        trace.end(plan_span)
         into = prepared.into
-        if cache_hit:
-            plan_span.attrs["cache_hit"] = True
         if into is not None:
             if service is None or not supports_mydb:
                 raise SessionError(
@@ -723,7 +653,8 @@ class Session:
             # pop the job the instant it lands in the queue.
             if into is not None:
                 job._sinks.append(self._into_sink(job, into))
-            elif cacheable and not cache_hit:
+            elif cache_fill is not None:
+                cache_key, extra_stores = cache_fill
                 generations = self.executor.generations_for(
                     prepared.sources, extra_stores=extra_stores
                 )
@@ -761,6 +692,90 @@ class Session:
             else:
                 job._start()
         return job
+
+    def _prepare(self, text, user, allow_tag_route, prepare_kwargs, trace, lookup=True):
+        """The one route to ``executor.prepare``, shared by :meth:`submit`
+        and :meth:`explain`: parse once, overlay the user's MyDB, answer
+        from the result cache (``lookup``) or plan.
+
+        Records the ``parse`` and ``plan`` spans under the trace's
+        ``query`` span.  Returns ``(prepared, cache_hit, cache_fill)``;
+        ``cache_fill`` is ``(cache_key, extra_stores)`` when the drained
+        result should fill the cache, else ``None``.
+        """
+        query_span = trace.first("query")
+        mode = prepare_kwargs.get("mode", "full")
+        service = self.service
+
+        # The one parse of this submission: a backend that plans from
+        # the AST gets it handed down; one that ships the text elsewhere
+        # (``parse`` is None) leaves the span empty.
+        parse = getattr(self.executor, "parse", None)
+        with trace.span("parse", parent=query_span):
+            ast = parse(text) if parse is not None else None
+        if ast is not None:
+            prepare_kwargs["ast"] = ast
+
+        # Service-tier preamble: the referenced sources (cache scope,
+        # MyDB overlay) are known before paying for a full prepare.
+        extra_stores = None
+        cache = None
+        cache_key = None
+        cacheable = False
+        if service is not None and mode == "full" and ast is not None:
+            if getattr(self.executor, "supports_mydb", False):
+                overlay = service.mydb.stores_for(user)
+                if overlay:
+                    extra_stores = overlay
+                    prepare_kwargs["extra_stores"] = overlay
+            cache = service.cache
+            cacheable = (
+                lookup
+                and cache is not None
+                and extract_into(ast) is None
+                and hasattr(self.executor, "generations_for")
+            )
+            if cacheable:
+                # Queries over a user's private mydb tables are scoped
+                # to that user; catalog-only queries share one entry.
+                scope = (
+                    user
+                    if any(s.startswith("mydb.") for s in query_sources(ast))
+                    else None
+                )
+                cache_key = cache.key(
+                    text, scope=scope, allow_tag_route=allow_tag_route
+                )
+
+        prepared = None
+        plan_span = trace.new_span(
+            "plan", parent=query_span, started_at=time.perf_counter()
+        )
+        if cacheable:
+            entry = cache.lookup(
+                cache_key,
+                lambda sources: self.executor.generations_for(
+                    sources, extra_stores=extra_stores
+                ),
+            )
+            if entry is not None:
+                from repro.service.cache import CachedResultNode
+
+                prepared = PreparedQuery(
+                    text=text,
+                    root=CachedResultNode(entry.batches),
+                    schema=entry.schema,
+                    sources=list(entry.sources),
+                )
+                plan_span.attrs["cache_hit"] = True
+        cache_hit = prepared is not None
+        if prepared is None:
+            prepared = self.executor.prepare(
+                text, allow_tag_route=allow_tag_route, **prepare_kwargs
+            )
+        trace.end(plan_span)
+        fill = (cache_key, extra_stores) if cacheable and not cache_hit else None
+        return prepared, cache_hit, fill
 
     def _into_sink(self, job, into):
         """Completion sink materializing a drained result into MyDB."""
@@ -814,8 +829,11 @@ class Session:
     def explain(self, text, allow_tag_route=True):
         """Structured plan tree of what execution would do — without
         running anything.  The same :class:`PlanTree` representation for
-        every backend."""
-        prepared = self.executor.prepare(text, allow_tag_route=allow_tag_route)
+        every backend (a ``mydb.*`` source resolves as it does under
+        :meth:`submit`; the result cache is not consulted)."""
+        prepared, _hit, _fill = self._prepare(
+            text, self.user, allow_tag_route, {}, Trace(), lookup=False
+        )
         return plan_tree(prepared.root)
 
     def explain_analyze(self, text, allow_tag_route=True, query_class="interactive"):
@@ -848,9 +866,8 @@ class Session:
         interactive (jobs overlap freely), not N per-query scan
         machines.  Batch queries admit one job on the exclusive FIFO
         ``batch`` machine — the paper's priority split.  All times stay
-        in the scheduler's *simulated* clock (arrival 0.0, like the
-        legacy admission paths), so turnaround statistics keep coherent
-        units.
+        in the scheduler's *simulated* clock (arrival 0.0), so
+        turnaround statistics keep coherent units.
         """
         if job.query_class == "batch":
             # Batch accounting happens at *dispatch* time (see
@@ -1021,8 +1038,8 @@ class Archive:
         (one is created otherwise).  ``batch_rows`` sizes the execution
         morsels of an engine built here (over a store mapping or a raw
         ``DistributedArchive``): scans coalesce delivered containers to
-        roughly this many rows per vectorized pass (non-positive =
-        per-container evaluation).  It has no effect on backend shapes
+        roughly this many rows per vectorized pass (it must be
+        positive).  It has no effect on backend shapes
         that arrive with their batching already configured (a
         pre-built engine, an ``archive://`` URL).
 
@@ -1182,11 +1199,6 @@ class Archive:
                 "engine, a DistributedArchive, a store mapping, or an "
                 "Executor"
             )
-        if scheduler is None:
-            # Inherit a scheduler the engine was already configured
-            # with, so session admissions land in the same accounting
-            # as the legacy execute() path.
-            scheduler = getattr(executor, "scheduler", None)
         return _open_session(executor, scheduler)
 
 

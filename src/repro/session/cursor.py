@@ -1,9 +1,8 @@
 """The uniform result handle: one cursor for every backend and query class.
 
-Replaces the three inconsistent result surfaces (local
-:class:`~repro.query.engine.QueryResult` whose ``table()`` could return
-``None``, distributed results with extra report fields, scheduler jobs
-with no results at all) with a single :class:`Cursor` that
+The one result surface — the engines hand back no results of their own;
+:class:`~repro.query.engine.QueryResult` is the running tree a job
+holds, and this :class:`Cursor` over it
 
 * always knows its output :class:`~repro.catalog.schema.Schema` (empty
   results are well-formed empty tables),

@@ -8,7 +8,8 @@ session layer has always used:
 ``prepare(text, allow_tag_route=True, ast=None) -> PreparedQuery``
     Plan, (for distributed backends) split and route, and build the
     execution tree **without starting any thread**; the session owns
-    admission, thread start, streaming and cancellation from there.
+    admission, thread start, streaming and cancellation from there —
+    an executor has no way to run what it prepares.
 ``parse``
     ``parse(text) -> AST`` when the backend plans from the parsed query
     (the session parses once and passes ``ast=``); ``None`` when the

@@ -11,7 +11,7 @@ reports (150 MB/s per node, 3 GB/s aggregate, 2-minute full scans).
 """
 
 from repro.storage.buffer import BufferPool, BufferPoolStats
-from repro.storage.containers import Container, ContainerStore, QueryStats
+from repro.storage.containers import Container, ContainerStore
 from repro.storage.database import Database
 from repro.storage.partition import Partitioner, PartitionMap
 from repro.storage.replication import ReplicationManager
@@ -23,18 +23,13 @@ from repro.storage.diskmodel import (
     PAPER_CLUSTER,
 )
 from repro.storage.loader import ChunkLoader, LoadReport
-from repro.storage.cluster import (
-    DistributedArchive,
-    DistributedQueryReport,
-    ServerNode,
-)
+from repro.storage.cluster import DistributedArchive, ServerNode
 
 __all__ = [
     "BufferPool",
     "BufferPoolStats",
     "Container",
     "ContainerStore",
-    "QueryStats",
     "Database",
     "Partitioner",
     "PartitionMap",
@@ -47,6 +42,5 @@ __all__ = [
     "ChunkLoader",
     "LoadReport",
     "DistributedArchive",
-    "DistributedQueryReport",
     "ServerNode",
 ]

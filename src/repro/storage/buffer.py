@@ -4,11 +4,10 @@
 the dataset"* — and the follow-up systems (the Grid and SkyServer papers)
 make the complementary point: a multi-terabyte archive serves heavy
 interactive traffic only when hot containers stay cached and concurrent
-scans share physical reads.  :class:`BufferPool` is the single sanctioned
-read path for containers: a byte-budgeted LRU over container tables with
-hit/miss/eviction accounting, so every layer above it (sweep scanner,
-query nodes, region queries) shares one notion of "physically read" vs.
-"served from memory".
+scans share physical reads.  :class:`BufferPool` is the read path under
+the shared sweep: a byte-budgeted LRU over container tables with
+hit/miss/eviction accounting, so every query riding a sweep shares one
+notion of "physically read" vs. "served from memory".
 
 The pool caches *references* to the container tables (the reproduction
 keeps its dataset in process memory), so the LRU budget models a disk
@@ -73,7 +72,7 @@ class BufferPool:
     Keys are ``(store_token, htm_id)`` so one pool may be shared by
     several stores (e.g. every source hosted on one partition server)
     without id collisions.  All methods are thread-safe: the pool sits
-    under concurrent sweep threads and direct query paths.
+    under the concurrent sweep threads of every store that shares it.
     """
 
     def __init__(self, byte_budget: Optional[int] = None):
@@ -95,32 +94,23 @@ class BufferPool:
     # the read path
     # ------------------------------------------------------------------
 
-    def fetch(self, store, container):
-        """Read one container through the pool.
-
-        Returns ``(table, from_pool)``: the container's table and whether
-        it was served from the pool (hit) or physically read (miss).
-        """
-        with self._lock:
-            return self._fetch_locked(store, container)
-
     def fetch_many(self, store, containers):
         """Read a run of containers under one lock acquisition.
 
         The sweep scanner's batched read path; returns a list of
-        ``(table, from_pool)`` in input order.  The budget check runs
-        once per run, not once per container — transiently holding one
-        run over budget is the cost of not re-walking the LRU for every
-        tiny container in a coalesced read.  The overshoot is *bounded*
+        ``(table, from_pool)`` in input order: each container's table and
+        whether it was served from the pool (hit) or physically read
+        (miss).  The budget check runs once per run, not once per
+        container — transiently holding one run over budget is the cost
+        of not re-walking the LRU for every tiny container in a
+        coalesced read.  The overshoot is *bounded*
         (at most the run's own bytes, recorded in
         ``stats.peak_overshoot_bytes``) and the end-of-run eviction
         restores ``resident <= budget`` before the lock is released, so
         no other reader can ever observe an over-budget pool.
         """
         with self._lock:
-            results = [
-                self._fetch_locked(store, c, evict=False) for c in containers
-            ]
+            results = [self._fetch_locked(store, c) for c in containers]
             self._evict_over_budget()
             if self.byte_budget is not None:
                 assert self._resident_bytes <= self.byte_budget, (
@@ -129,7 +119,7 @@ class BufferPool:
                 )
             return results
 
-    def _fetch_locked(self, store, container, evict=True):
+    def _fetch_locked(self, store, container):
         key = (id(store), container.htm_id)
         table = container.table
         entry = self._entries.get(key)
@@ -149,11 +139,9 @@ class BufferPool:
         self.stats.bytes_read += nbytes
         self._entries[key] = (table, nbytes)
         self._resident_bytes += nbytes
-        if evict:
-            self._evict_over_budget()
-        elif self.byte_budget is not None:
-            # Deferred-eviction path (fetch_many): track how far the
-            # run transiently overshoots the budget.
+        if self.byte_budget is not None:
+            # Eviction is deferred to the end of the run: track how far
+            # the run transiently overshoots the budget.
             overshoot = self._resident_bytes - self.byte_budget
             if overshoot > self.stats.peak_overshoot_bytes:
                 self.stats.peak_overshoot_bytes = overshoot

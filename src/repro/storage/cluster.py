@@ -7,12 +7,15 @@ among multiple servers enables parallel, scalable I/O."*
 
 :class:`DistributedArchive` owns N :class:`ServerNode` instances, each
 holding the containers of one contiguous HTM id range (built by the
-:class:`~repro.storage.partition.Partitioner`).  Spatial queries are
-fanned out to exactly the servers whose ranges intersect the query's
-cover — small queries touch one server, all-sky scans parallelize over
-all of them — and per-query simulated time is the *maximum* over touched
-servers (shared-nothing parallelism).  ``add_servers`` repartitions,
-physically moving containers and reporting the movement.
+:class:`~repro.storage.partition.Partitioner`).  The archive places
+and moves data; it does not answer queries.  A session over it
+(``Archive.connect(archive=...)``) fans each query out to exactly the
+servers whose ranges intersect the query's cover — small queries touch
+one server, all-sky scans parallelize over all of them — and prices the
+fan-out in a :class:`~repro.distributed.routing.ShardFanoutReport`
+(simulated time is the *maximum* over touched servers: shared-nothing
+parallelism).  ``add_servers`` repartitions, physically moving
+containers and reporting the movement.
 
 Each server can host several co-partitioned *sources* (the primary
 catalog plus e.g. its tag table, attached with ``attach_source``), all
@@ -20,45 +23,17 @@ sliced by the same :class:`PartitionMap` so a query routed to any source
 prunes servers identically.  The distributed executor
 (:class:`~repro.distributed.DistributedQueryEngine`) ships each query's
 shard sub-plan to every touched server by building scan trees directly
-over ``ServerNode.stores()``; :meth:`ServerNode.query_engine` additionally
-exposes one server's stores as a standalone single-store
-:class:`~repro.query.engine.QueryEngine` for local/ad-hoc use.
+over ``ServerNode.stores()``; ``Archive.connect(stores=server.stores())``
+queries one server on its own.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from repro.catalog.table import ObjectTable
-from repro.htm.cover import cover_region
-from repro.storage.containers import ContainerStore, QueryStats
+from repro.storage.containers import ContainerStore
 from repro.storage.diskmodel import PAPER_NODE, NodeModel
 from repro.storage.partition import Partitioner
 
-__all__ = ["ServerNode", "DistributedArchive", "DistributedQueryReport"]
-
-
-@dataclass
-class DistributedQueryReport:
-    """Fan-out accounting for one distributed query."""
-
-    servers_total: int = 0
-    servers_touched: int = 0
-    rows_returned: int = 0
-    bytes_touched_per_server: dict = field(default_factory=dict)
-    #: simulated seconds: slowest touched server (parallel I/O)
-    simulated_seconds: float = 0.0
-    #: simulated seconds a single server holding everything would need
-    simulated_seconds_single_server: float = 0.0
-
-    def parallel_speedup(self):
-        """Single-server time over parallel time."""
-        if self.simulated_seconds == 0:
-            return 1.0
-        return self.simulated_seconds_single_server / self.simulated_seconds
+__all__ = ["ServerNode", "DistributedArchive"]
 
 
 class ServerNode:
@@ -73,7 +48,6 @@ class ServerNode:
         self.server_id = int(server_id)
         self.store = ContainerStore(schema, depth)
         self.node_model = node_model
-        self.queries_served = 0
         self.source = source
         self.extra_stores = {}
 
@@ -87,18 +61,6 @@ class ServerNode:
             raise ValueError(f"{name!r} is the primary source")
         self.extra_stores[name] = store
 
-    def query_engine(self, density_maps=None):
-        """Standalone single-store query engine over this server's sources.
-
-        A convenience for local/ad-hoc querying of one server (the
-        distributed executor builds its shard scans directly on
-        ``stores()``).  Built fresh on every call so it always sees the
-        current container placement — safe across repartitions.
-        """
-        from repro.query.engine import QueryEngine
-
-        return QueryEngine(self.stores(), density_maps=density_maps)
-
     def total_objects(self):
         """Objects of the primary source resident on this server."""
         return self.store.total_objects()
@@ -106,13 +68,6 @@ class ServerNode:
     def total_bytes(self):
         """Bytes of the primary source resident on this server."""
         return self.store.total_bytes()
-
-    def query_region(self, region, extra_mask_fn=None):
-        """Run the local part of a query; returns (table, stats, sim_s)."""
-        self.queries_served += 1
-        result, stats = self.store.query_region(region, extra_mask_fn)
-        simulated = self.node_model.scan_seconds(stats.bytes_touched)
-        return result, stats, simulated
 
     def __repr__(self):
         return (
@@ -272,7 +227,7 @@ class DistributedArchive:
         return self._replace_misplaced()
 
     # ------------------------------------------------------------------
-    # querying
+    # inspection
     # ------------------------------------------------------------------
 
     def total_objects(self):
@@ -282,80 +237,6 @@ class DistributedArchive:
     def server_loads(self):
         """Objects per server (balance inspection)."""
         return {s.server_id: s.total_objects() for s in self.servers}
-
-    def query_region(self, region, extra_mask_fn=None, workers=None):
-        """Distributed spatial query; returns ``(table, report)``.
-
-        Only servers whose id ranges intersect the query's cover are
-        contacted; their local queries run concurrently in threads;
-        simulated time is the slowest touched server.
-        """
-        coverage = cover_region(region, self.depth)
-        candidates = coverage.candidates()
-        touched = [
-            server
-            for server in self.servers
-            if not self.partition_map.ranges_for(server.server_id)
-            .intersect(candidates)
-            .is_empty()
-        ]
-        report = DistributedQueryReport(
-            servers_total=len(self.servers), servers_touched=len(touched)
-        )
-        if not touched:
-            return ObjectTable(self.schema), report
-
-        def run(server):
-            return server, server.query_region(region, extra_mask_fn)
-
-        pieces = []
-        slowest = 0.0
-        total_bytes = 0
-        with ThreadPoolExecutor(max_workers=workers or len(touched)) as pool:
-            for server, (result, stats, simulated) in pool.map(run, touched):
-                if len(result):
-                    pieces.append(result)
-                report.bytes_touched_per_server[server.server_id] = stats.bytes_touched
-                total_bytes += stats.bytes_touched
-                slowest = max(slowest, simulated)
-
-        merged = ObjectTable.concat_all(pieces) if pieces else ObjectTable(self.schema)
-        report.rows_returned = len(merged)
-        report.simulated_seconds = slowest
-        report.simulated_seconds_single_server = self.node_model.scan_seconds(
-            total_bytes
-        )
-        return merged, report
-
-    def scan_all(self, mask_fn=None, workers=None):
-        """Distributed full sweep; returns ``(table, report)``."""
-        report = DistributedQueryReport(
-            servers_total=len(self.servers), servers_touched=len(self.servers)
-        )
-
-        def run(server):
-            result, stats = server.store.scan_all(mask_fn)
-            simulated = server.node_model.scan_seconds(stats.bytes_touched)
-            return server, result, stats, simulated
-
-        pieces = []
-        slowest = 0.0
-        total_bytes = 0
-        with ThreadPoolExecutor(max_workers=workers or len(self.servers)) as pool:
-            for server, result, stats, simulated in pool.map(run, self.servers):
-                if len(result):
-                    pieces.append(result)
-                report.bytes_touched_per_server[server.server_id] = stats.bytes_touched
-                total_bytes += stats.bytes_touched
-                slowest = max(slowest, simulated)
-
-        merged = ObjectTable.concat_all(pieces) if pieces else ObjectTable(self.schema)
-        report.rows_returned = len(merged)
-        report.simulated_seconds = slowest
-        report.simulated_seconds_single_server = self.node_model.scan_seconds(
-            total_bytes
-        )
-        return merged, report
 
     def __repr__(self):
         return (

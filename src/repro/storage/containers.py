@@ -7,46 +7,26 @@ object satisfies a query, it is likely that some of the object's 'friends'
 will as well."*
 
 A :class:`ContainerStore` groups an object table into one container per
-occupied HTM trixel at a chosen depth.  Spatial queries run exactly the
-paper's way: the cover algorithm classifies containers as fully inside
-(accepted wholesale — no per-object geometry test), fully outside
-(skipped), or bisected (point-filtered), and :class:`QueryStats` records
-how much work each category caused.
+occupied HTM trixel at a chosen depth.  The store holds and places the
+data; it does not answer queries.  Rows leave it one way only — the
+store's shared :class:`~repro.machines.sweep.SweepScanner`
+(:meth:`ContainerStore.sweeper`), which every scan node subscribes to
+with the cover's candidate ranges: containers fully inside the region
+are accepted wholesale (no per-object geometry test), fully outside ones
+are skipped, bisected ones are point-filtered.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.catalog.table import ObjectTable
-from repro.htm.cover import cover_region
 from repro.htm.mesh import depth_id_bounds, lookup_ids_from_vectors
 from repro.storage.buffer import BufferPool
 
-__all__ = ["Container", "ContainerStore", "QueryStats"]
-
-
-@dataclass
-class QueryStats:
-    """Work accounting for one spatial query against the store."""
-
-    containers_total: int = 0
-    containers_accepted: int = 0
-    containers_bisected: int = 0
-    containers_rejected: int = 0
-    #: containers whose bytes came out of the buffer pool, not off disk
-    containers_from_pool: int = 0
-    objects_accepted_wholesale: int = 0
-    objects_point_tested: int = 0
-    objects_returned: int = 0
-    bytes_touched: int = 0
-
-    def objects_scanned(self):
-        """All objects read from storage."""
-        return self.objects_accepted_wholesale + self.objects_point_tested
+__all__ = ["Container", "ContainerStore"]
 
 
 class Container:
@@ -83,13 +63,12 @@ _STORE_UIDS = itertools.count(1)
 class ContainerStore:
     """All containers of one catalog at a fixed container depth.
 
-    Every read of a container's rows goes through the store's
-    :class:`~repro.storage.buffer.BufferPool` (:meth:`read_container`),
-    and every full scan goes through the store's shared
-    :class:`~repro.machines.sweep.SweepScanner` (:meth:`sweeper`) — the
-    two halves of the shared-scan I/O layer.  A pool may be shared
-    between stores (e.g. all sources of one partition server) by passing
-    ``buffer_pool``.
+    Every query's rows come off the store's shared
+    :class:`~repro.machines.sweep.SweepScanner` (:meth:`sweeper`), which
+    reads runs of containers through the store's
+    :class:`~repro.storage.buffer.BufferPool` — the two halves of the
+    shared-scan I/O layer.  A pool may be shared between stores (e.g.
+    all sources of one partition server) by passing ``buffer_pool``.
 
     Mutations (chunk loads) must call :meth:`note_mutation`: it bumps
     the store's monotone ``generation`` — the validity token of any
@@ -175,11 +154,13 @@ class ContainerStore:
     def read_container(self, htm_id):
         """Read one container's rows through the buffer pool.
 
-        The *only* sanctioned way to get at a container's table: returns
+        The one-container form of the sweep's
+        :meth:`~repro.storage.buffer.BufferPool.fetch_many` — queries do
+        not call it, they subscribe to :meth:`sweeper`.  Returns
         ``(table, from_pool)`` where ``from_pool`` says whether the bytes
         were already resident (hit) or physically read (miss).
         """
-        return self.buffer_pool.fetch(self, self.containers[int(htm_id)])
+        return self.buffer_pool.fetch_many(self, [self.containers[int(htm_id)]])[0]
 
     def sweeper(self):
         """The store's shared sweep scanner (created lazily).
@@ -195,82 +176,6 @@ class ContainerStore:
 
             self._sweeper = SweepScanner(self)
         return self._sweeper
-
-    # ------------------------------------------------------------------
-    # querying
-    # ------------------------------------------------------------------
-
-    def query_region(self, region, extra_mask_fn=None):
-        """All objects inside ``region`` (exact), with work statistics.
-
-        Implements the paper's three-way container classification.  Fully
-        inside containers contribute every row without a geometry test;
-        bisected containers are point-filtered with the region's
-        ``contains``.  ``extra_mask_fn(table) -> bool mask`` optionally
-        applies an attribute predicate during the same pass.
-
-        Returns ``(ObjectTable, QueryStats)``.
-        """
-        coverage = cover_region(region, self.depth)
-        stats = QueryStats(containers_total=len(self.containers))
-        pieces = []
-
-        for htm_id, container in self.containers.items():
-            if coverage.inside.contains(htm_id):
-                table, from_pool = self.read_container(htm_id)
-                stats.containers_accepted += 1
-                stats.containers_from_pool += int(from_pool)
-                stats.objects_accepted_wholesale += len(container)
-                stats.bytes_touched += container.nbytes()
-                selected = table
-                if extra_mask_fn is not None:
-                    mask = np.asarray(extra_mask_fn(selected), dtype=bool)
-                    selected = selected.select(mask)
-                if len(selected):
-                    pieces.append(selected)
-            elif coverage.partial.contains(htm_id):
-                table, from_pool = self.read_container(htm_id)
-                stats.containers_bisected += 1
-                stats.containers_from_pool += int(from_pool)
-                stats.objects_point_tested += len(container)
-                stats.bytes_touched += container.nbytes()
-                mask = region.contains(table.positions_xyz())
-                if extra_mask_fn is not None:
-                    mask &= np.asarray(extra_mask_fn(table), dtype=bool)
-                selected = table.select(mask)
-                if len(selected):
-                    pieces.append(selected)
-            else:
-                stats.containers_rejected += 1
-
-        if pieces:
-            result = ObjectTable.concat_all(pieces)
-        else:
-            result = ObjectTable(self.schema)
-        stats.objects_returned = len(result)
-        return result, stats
-
-    def scan_all(self, mask_fn=None):
-        """Full sweep over every container (the no-index baseline).
-
-        Returns ``(ObjectTable, QueryStats)`` with every container counted
-        as touched.
-        """
-        stats = QueryStats(containers_total=len(self.containers))
-        pieces = []
-        for container in self.containers.values():
-            table, from_pool = self.read_container(container.htm_id)
-            stats.containers_bisected += 1
-            stats.containers_from_pool += int(from_pool)
-            stats.objects_point_tested += len(container)
-            stats.bytes_touched += container.nbytes()
-            if mask_fn is not None:
-                table = table.select(np.asarray(mask_fn(table), dtype=bool))
-            if len(table):
-                pieces.append(table)
-        result = ObjectTable.concat_all(pieces) if pieces else ObjectTable(self.schema)
-        stats.objects_returned = len(result)
-        return result, stats
 
     def __len__(self):
         return len(self.containers)

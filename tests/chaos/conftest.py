@@ -51,6 +51,13 @@ def _chaos_test_timeout():
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.fixture()
+def local(session):
+    """The fault-free reference: the root single-store session, under a
+    name the tests' own ``with ... as session`` blocks do not shadow."""
+    return session
+
+
 @pytest.fixture(scope="module")
 def replicated_archive(photo, tags):
     """A 3-server partitioning with 2-way container replication.

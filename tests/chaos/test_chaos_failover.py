@@ -69,7 +69,7 @@ def _urls(servers):
 
 @pytest.mark.parametrize("query,mode,after", CHAOS_CORPUS)
 def test_seeded_mid_stream_kill_is_row_exact(
-    engine, chaos_cluster, same_rows, query, mode, after
+    local, chaos_cluster, same_rows, query, mode, after
 ):
     """Kill server 1 while it streams; answers stay row-identical.
 
@@ -80,7 +80,7 @@ def test_seeded_mid_stream_kill_is_row_exact(
     """
     faults = _kill_at_batch(after)
     servers = chaos_cluster({1: faults})
-    expected = engine.query_table(query)
+    expected = local.query_table(query)
     with Archive.connect(_urls(servers)) as session:
         job = session.submit(query)
         got = job.cursor.to_table()
@@ -95,7 +95,7 @@ def test_seeded_mid_stream_kill_is_row_exact(
 
 
 def test_replicated_cluster_without_faults_is_exact(
-    engine, chaos_cluster, same_rows
+    local, chaos_cluster, same_rows
 ):
     """Replication alone must not change any answer: the disjoint range
     assignment scans every container exactly once despite overlapping
@@ -120,7 +120,7 @@ def test_replicated_cluster_without_faults_is_exact(
             job = session.submit(query)
             got = job.cursor.to_table()
             assert job.wait(timeout=JOIN_TIMEOUT).value == "done"
-            same_rows(engine.query_table(query), got, ordered=(mode == "ordered"))
+            same_rows(local.query_table(query), got, ordered=(mode == "ordered"))
             assert job.io_report()["failovers"] == 0
         # Bare LIMIT has no row-exact differential, but the count and
         # the fresh-restart failover strategy still hold fault-free.
@@ -171,7 +171,7 @@ def test_ordered_kill_without_single_covering_survivor_fails_structured(
 
 
 def test_failover_telemetry_reaches_report_log_and_metrics(
-    engine, chaos_cluster, same_rows
+    local, chaos_cluster, same_rows
 ):
     """Satellite: attempts/failovers surface in Job.io_report(), the
     job metric snapshot, and the query-log record."""
@@ -183,7 +183,7 @@ def test_failover_telemetry_reaches_report_log_and_metrics(
         job = session.submit(query)
         got = job.cursor.to_table()
         assert job.wait(timeout=JOIN_TIMEOUT).value == "done"
-    same_rows(engine.query_table(query), got)
+    same_rows(local.query_table(query), got)
     report = job.io_report()
     assert report["failovers"] >= 1
     assert report["attempts"] >= report["failovers"] + 2

@@ -17,6 +17,7 @@ import pytest
 
 from repro.catalog import SkySimulator, SurveyParameters, make_tag_table
 from repro.query import QueryEngine
+from repro.session import Archive
 from repro.storage import ContainerStore
 
 #: Suite-wide per-test wall-clock bound (seconds).  Generous — the point
@@ -149,6 +150,14 @@ def tag_store(tags):
 def engine(photo_store, tag_store):
     """Query engine over the session stores."""
     return QueryEngine({"photo": photo_store, "tag": tag_store})
+
+
+@pytest.fixture()
+def session(engine):
+    """A fresh session over the shared engine: the one way to run a
+    query (the engine itself only prepares trees)."""
+    with Archive.connect(engine) as session:
+        yield session
 
 
 @pytest.fixture()

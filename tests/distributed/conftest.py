@@ -2,8 +2,9 @@
 
 The same session catalog (see tests/conftest.py) is partitioned across
 1, 2, and 5 simulated servers, each hosting the photo store plus the
-co-partitioned tag store so tag routing works distributed.  The
-single-store ``engine`` fixture is the differential oracle.
+co-partitioned tag store so tag routing works distributed.  Queries run
+through sessions (``dsessions`` here, the root ``session`` fixture over
+the single-store engine as the differential reference).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.distributed import DistributedQueryEngine
+from repro.session import Archive
 from repro.storage import DistributedArchive
 
 SERVER_COUNTS = (1, 2, 5)
@@ -41,6 +43,15 @@ def archives(make_archive):
 def dengines(archives):
     """Distributed engines over the shared archives."""
     return {n: DistributedQueryEngine(a) for n, a in archives.items()}
+
+
+@pytest.fixture(scope="module")
+def dsessions(dengines):
+    """One session per distributed engine, keyed by server count."""
+    sessions = {n: Archive.connect(e) for n, e in dengines.items()}
+    yield sessions
+    for session in sessions.values():
+        session.close()
 
 
 def _field_tolerances(dtype):

@@ -1,17 +1,20 @@
 """Differential tests: distributed == single-store, across partitionings.
 
 A corpus of representative queries (spatial, tag-routed, GROUP BY /
-HAVING, ORDER BY + LIMIT, set operations) runs through both the
-single-store :class:`QueryEngine` and the scatter-gather
-:class:`DistributedQueryEngine` over 1-, 2-, and 5-server partitions —
-and again after ``add_servers`` repartitioning — asserting row-for-row
-equality.
+HAVING, ORDER BY + LIMIT, set operations) runs through a session over
+the single-store :class:`QueryEngine` and sessions over the
+scatter-gather :class:`DistributedQueryEngine` with 1-, 2-, and 5-server
+partitions — and again after ``add_servers`` repartitioning — asserting
+row-for-row equality.
 """
 
 import numpy as np
 import pytest
 
-from repro.distributed import DistributedQueryEngine
+from repro.query.optimizer import split_plan
+from repro.query.parser import parse_query
+from repro.query.physical import plan_selects
+from repro.session import Archive
 
 SERVER_COUNTS = (1, 2, 5)
 
@@ -83,9 +86,9 @@ CORPUS = [
 ]
 
 
-def _check(engine, dengine, query, mode, assert_same_rows):
-    expected = engine.query_table(query)
-    got = dengine.query_table(query)
+def _check(session, dsession, query, mode, assert_same_rows):
+    expected = session.query_table(query)
+    got = dsession.query_table(query)
     if mode == "count":
         n_expected = 0 if expected is None else len(expected)
         n_got = 0 if got is None else len(got)
@@ -97,9 +100,9 @@ def _check(engine, dengine, query, mode, assert_same_rows):
 @pytest.mark.parametrize("n_servers", SERVER_COUNTS)
 @pytest.mark.parametrize("query,mode", CORPUS)
 def test_distributed_matches_single_store(
-    engine, dengines, assert_same_rows, n_servers, query, mode
+    session, dsessions, assert_same_rows, n_servers, query, mode
 ):
-    _check(engine, dengines[n_servers], query, mode, assert_same_rows)
+    _check(session, dsessions[n_servers], query, mode, assert_same_rows)
 
 
 class TestRepartitioning:
@@ -109,16 +112,17 @@ class TestRepartitioning:
         archive = make_archive(2)
         moved = archive.add_servers(3)
         assert moved > 0
-        return DistributedQueryEngine(archive)
+        with Archive.connect(archive=archive) as session:
+            yield session
 
     @pytest.mark.parametrize("query,mode", CORPUS)
     def test_corpus_after_scale_out(
-        self, engine, scaled, assert_same_rows, query, mode
+        self, session, scaled, assert_same_rows, query, mode
     ):
-        _check(engine, scaled, query, mode, assert_same_rows)
+        _check(session, scaled, query, mode, assert_same_rows)
 
     def test_tag_containers_moved_with_photo(self, scaled):
-        archive = scaled.archive
+        archive = scaled.executor.archive
         for server in archive.servers:
             for store in server.stores().values():
                 for htm_id in store.containers:
@@ -130,59 +134,63 @@ class TestRepartitioning:
     def test_reattaching_a_source_is_rejected(self, scaled, tags):
         # A silent second attach would duplicate every tag row.
         with pytest.raises(ValueError):
-            scaled.archive.attach_source("tag", tags)
+            scaled.executor.archive.attach_source("tag", tags)
+
+
+def sharded_plans(dengine, text):
+    """The split plan of every SELECT, without building a tree."""
+    plans = plan_selects(parse_query(text), dengine.schemas, dengine.density_maps)
+    return [split_plan(plan) for plan in plans]
 
 
 class TestDistributedPlanning:
     def test_tag_routing_still_applies(self, dengines):
-        sharded = dengines[5].explain(
-            "SELECT objid, mag_r FROM photo WHERE mag_r < 18"
+        sharded = sharded_plans(
+            dengines[5], "SELECT objid, mag_r FROM photo WHERE mag_r < 18"
         )
         assert sharded[0].base.used_tag_route
         assert sharded[0].shard.routed_source == "tag"
 
     def test_spatial_split_keeps_region_on_shard(self, dengines):
-        sharded = dengines[5].explain(
-            "SELECT objid FROM photo WHERE CIRCLE(40, 30, 5)"
+        sharded = sharded_plans(
+            dengines[5], "SELECT objid FROM photo WHERE CIRCLE(40, 30, 5)"
         )
         assert sharded[0].shard.region is not None
         assert sharded[0].merge.kind == "stream"
 
 
 class TestStreaming:
-    def test_first_batch_before_completion(self, dengines):
-        result = dengines[5].execute("SELECT objid FROM photo")
+    def test_first_batch_before_completion(self, dsessions):
+        result = dsessions[5].execute("SELECT objid FROM photo")
         batches = list(result)
         assert len(batches) > 1
         assert result.time_to_first_row < result.time_to_completion
 
-    def test_cancel_does_not_deadlock(self, dengines):
-        result = dengines[5].execute("SELECT objid FROM photo")
+    def test_cancel_does_not_deadlock(self, dsessions):
+        result = dsessions[5].execute("SELECT objid FROM photo")
         iterator = iter(result)
         next(iterator)
         result.cancel()
 
-    def test_report_counts_servers(self, dengines):
-        result = dengines[5].execute(
-            "SELECT objid FROM photo WHERE CIRCLE(40, 30, 1)"
-        )
-        result.table()
-        assert result.report.servers_total == 5
-        assert 1 <= result.report.servers_touched <= 5
-        touched = set(result.report.touched_server_ids)
-        pruned = set(result.report.pruned_server_ids)
+    def test_report_counts_servers(self, dsessions):
+        job = dsessions[5].submit("SELECT objid FROM photo WHERE CIRCLE(40, 30, 1)")
+        job.cursor.to_table()
+        (report,) = job.reports
+        assert report.servers_total == 5
+        assert 1 <= report.servers_touched <= 5
+        touched = set(report.touched_server_ids)
+        pruned = set(report.pruned_server_ids)
         assert touched.isdisjoint(pruned)
         assert len(touched) + len(pruned) == 5
 
-    def test_per_server_engine_hosting(self, archives, engine, assert_same_rows):
-        # Each server's local engine answers its shard; the union of the
-        # locally-hosted answers is the global answer.
+    def test_per_server_hosting(self, archives, session):
+        # A session over one server's stores answers its shard; the
+        # union of the locally-hosted answers is the global answer.
         query = "SELECT objid FROM photo WHERE mag_r < 16"
         pieces = []
         for server in archives[5].servers:
-            local = server.query_engine().query_table(query)
-            if local is not None:
-                pieces.append(np.asarray(local["objid"]))
+            with Archive.connect(stores=server.stores()) as local:
+                pieces.append(np.asarray(local.query_table(query)["objid"]))
         got = sorted(np.concatenate(pieces).tolist())
-        expected = sorted(np.asarray(engine.query_table(query)["objid"]).tolist())
+        expected = sorted(np.asarray(session.query_table(query)["objid"]).tolist())
         assert got == expected

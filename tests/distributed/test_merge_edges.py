@@ -11,25 +11,25 @@ import numpy as np
 import pytest
 
 from repro.catalog.table import ObjectTable
-from repro.distributed import DistributedQueryEngine
 from repro.geometry.shapes import circle_region
 from repro.query.optimizer import plan_query, split_plan
 from repro.query.parser import parse_query
+from repro.session import Archive
 from repro.storage import DistributedArchive
 
 
 class TestEmptyShards:
-    def test_tiny_region_with_order(self, engine, dengines, assert_same_rows):
+    def test_tiny_region_with_order(self, session, dsessions, assert_same_rows):
         query = (
             "SELECT objid FROM photo WHERE CIRCLE(40, 30, 0.5) ORDER BY objid"
         )
         assert_same_rows(
-            engine.query_table(query),
-            dengines[5].query_table(query),
+            session.query_table(query),
+            dsessions[5].query_table(query),
             ordered=True,
         )
 
-    def test_selective_aggregate(self, engine, dengines, assert_same_rows):
+    def test_selective_aggregate(self, session, dsessions, assert_same_rows):
         # Only a few shards hold rows this bright; the rest contribute no
         # partials at all.
         query = (
@@ -37,8 +37,8 @@ class TestEmptyShards:
             "WHERE mag_r < 14.5 GROUP BY objtype"
         )
         assert_same_rows(
-            engine.query_table(query),
-            dengines[5].query_table(query),
+            session.query_table(query),
+            dsessions[5].query_table(query),
             ordered=True,
         )
 
@@ -46,12 +46,13 @@ class TestEmptyShards:
 class TestSmallLimits:
     @pytest.fixture(scope="class")
     def tiny_batches(self, archives):
-        """Engine forced to many small batches so LIMIT < one batch."""
-        return DistributedQueryEngine(archives[5], batch_rows=8)
+        """Session forced to many small batches so LIMIT < one batch."""
+        with Archive.connect(archive=archives[5], batch_rows=8) as session:
+            yield session
 
-    def test_ordered_limit_below_batch(self, engine, tiny_batches):
+    def test_ordered_limit_below_batch(self, session, tiny_batches):
         query = "SELECT objid, mag_r FROM photo ORDER BY mag_r, objid LIMIT 3"
-        expected = engine.query_table(query)
+        expected = session.query_table(query)
         got = tiny_batches.query_table(query)
         assert len(got) == 3
         np.testing.assert_array_equal(expected["objid"], got["objid"])
@@ -97,11 +98,11 @@ class TestAvgRecombination:
 
     def test_avg_is_weighted_by_shard_counts(self, skewed):
         table, archive = skewed
-        dengine = DistributedQueryEngine(archive)
-        result = dengine.query_table(
-            "SELECT objtype, AVG(mag_r) AS m, COUNT(objid) AS n FROM photo "
-            "GROUP BY objtype ORDER BY objtype"
-        )
+        with Archive.connect(archive=archive) as dsession:
+            result = dsession.query_table(
+                "SELECT objtype, AVG(mag_r) AS m, COUNT(objid) AS n FROM photo "
+                "GROUP BY objtype ORDER BY objtype"
+            )
         np.testing.assert_array_equal(result["objtype"], [1, 2])
         np.testing.assert_array_equal(result["n"], [500, 500])
         np.testing.assert_allclose(result["m"], [12.0, 38.0], rtol=1e-6)
@@ -128,27 +129,27 @@ class TestAvgRecombination:
 class TestOrderedMergeTies:
     TIE_QUERY = "SELECT objid, objtype FROM photo ORDER BY objtype"
 
-    def test_tied_output_is_sorted_and_complete(self, engine, dengines):
-        expected = engine.query_table(self.TIE_QUERY)
-        got = dengines[5].query_table(self.TIE_QUERY)
+    def test_tied_output_is_sorted_and_complete(self, session, dsessions):
+        expected = session.query_table(self.TIE_QUERY)
+        got = dsessions[5].query_table(self.TIE_QUERY)
         values = np.asarray(got["objtype"])
         assert bool(np.all(values[1:] >= values[:-1]))
         assert sorted(np.asarray(got["objid"]).tolist()) == sorted(
             np.asarray(expected["objid"]).tolist()
         )
 
-    def test_ties_deterministic_across_runs(self, dengines):
-        first = dengines[5].query_table(self.TIE_QUERY)
-        second = dengines[5].query_table(self.TIE_QUERY)
+    def test_ties_deterministic_across_runs(self, dsessions):
+        first = dsessions[5].query_table(self.TIE_QUERY)
+        second = dsessions[5].query_table(self.TIE_QUERY)
         np.testing.assert_array_equal(first["objid"], second["objid"])
 
-    def test_single_shard_merge_is_stable(self, engine, dengines, assert_same_rows):
+    def test_single_shard_merge_is_stable(self, session, dsessions, assert_same_rows):
         # With one server the k-way merge must preserve the shard's
         # stable sort order exactly — positional equality with the
         # single-store engine.
         assert_same_rows(
-            engine.query_table(self.TIE_QUERY),
-            dengines[1].query_table(self.TIE_QUERY),
+            session.query_table(self.TIE_QUERY),
+            dsessions[1].query_table(self.TIE_QUERY),
             ordered=True,
         )
 
@@ -158,39 +159,38 @@ class TestAllShardsPruned:
     # trixel classifies OUTSIDE, and no server range intersects the cover.
     EMPTY_WHERE = "CIRCLE(0, 0, 1) AND CIRCLE(180, 0, 1)"
 
-    def test_projection_schema_survives(self, dengines):
-        result = dengines[5].execute(
-            f"SELECT objid FROM photo WHERE {self.EMPTY_WHERE}"
-        )
-        table = result.table()
+    def test_projection_schema_survives(self, dsessions):
+        job = dsessions[5].submit(f"SELECT objid FROM photo WHERE {self.EMPTY_WHERE}")
+        table = job.cursor.to_table()
         assert table is not None and len(table) == 0
         assert table.schema.field_names() == ["objid"]
-        assert result.report.servers_touched == 0
-        assert len(result.report.pruned_server_ids) == 5
+        (report,) = job.reports
+        assert report.servers_touched == 0
+        assert len(report.pruned_server_ids) == 5
 
-    def test_select_star_schema_survives(self, dengines, photo):
-        table = dengines[5].query_table(
+    def test_select_star_schema_survives(self, dsessions, photo):
+        table = dsessions[5].query_table(
             f"SELECT * FROM photo WHERE {self.EMPTY_WHERE}"
         )
         assert len(table) == 0
         assert table.schema.field_names() == photo.schema.field_names()
 
-    def test_aggregate_schema_survives(self, dengines):
-        table = dengines[5].query_table(
+    def test_aggregate_schema_survives(self, dsessions):
+        table = dsessions[5].query_table(
             f"SELECT COUNT(objid) AS n FROM photo WHERE {self.EMPTY_WHERE}"
         )
         assert len(table) == 0
         assert table.schema.field_names() == ["n"]
 
-    def test_ordered_projection_schema_survives(self, dengines):
-        table = dengines[5].query_table(
+    def test_ordered_projection_schema_survives(self, dsessions):
+        table = dsessions[5].query_table(
             "SELECT objid, mag_g - mag_r AS gr FROM photo "
             f"WHERE {self.EMPTY_WHERE} ORDER BY gr LIMIT 5"
         )
         assert len(table) == 0
         assert table.schema.field_names() == ["objid", "gr"]
 
-    def test_empty_dtypes_match_nonempty(self, dengines):
+    def test_empty_dtypes_match_nonempty(self, dsessions):
         # A consumer must be able to concat an empty and a non-empty
         # result of the same query; that needs identical dtypes.
         for query in (
@@ -198,8 +198,8 @@ class TestAllShardsPruned:
             "SUM(mag_g) AS s FROM photo {where} GROUP BY objtype",
             "SELECT objid, mag_g - mag_r AS gr FROM photo {where}",
         ):
-            full = dengines[5].query_table(query.format(where=""))
-            empty = dengines[5].query_table(
+            full = dsessions[5].query_table(query.format(where=""))
+            empty = dsessions[5].query_table(
                 query.format(where=f"WHERE {self.EMPTY_WHERE}")
             )
             assert len(empty) == 0
@@ -225,7 +225,8 @@ class TestShardFailurePropagation:
         store = archive.servers[2].store
         first_id = next(iter(store.containers))
         store.containers[first_id].table = self._PoisonTable()
-        return DistributedQueryEngine(archive)
+        with Archive.connect(archive=archive) as session:
+            yield session
 
     def test_stream_merge_raises(self, degraded):
         from repro.query.errors import ExecutionError
@@ -258,7 +259,7 @@ class TestShardFailurePropagation:
         with pytest.raises(ExecutionError):
             list(result)
         with pytest.raises(ExecutionError):
-            result.table()
+            result.to_table()
 
 
 class TestSplitPlanUnits:

@@ -52,11 +52,11 @@ DIFFERENTIAL = [
 class TestDifferential:
     @pytest.mark.parametrize("query,ordered", DIFFERENTIAL)
     def test_matches_single_store_oracle(
-        self, process_session, engine, assert_same_rows, query, ordered
+        self, process_session, session, assert_same_rows, query, ordered
     ):
-        session, _cluster = process_session
-        expected = engine.execute(query).table()
-        got = _table(session, query)
+        shards, _cluster = process_session
+        expected = session.query_table(query)
+        got = _table(shards, query)
         assert_same_rows(expected, got, ordered=ordered)
 
     def test_worker_telemetry_crosses_the_process_boundary(

@@ -13,10 +13,10 @@ container reads on servers outside its cover.
 import numpy as np
 import pytest
 
-from repro.distributed import DistributedQueryEngine
 from repro.geometry.shapes import circle_region
 from repro.htm.cover import cover_region
 from repro.htm.mesh import lookup_ids_from_vectors
+from repro.session import Archive
 from repro.storage import DistributedArchive
 
 N_TRIALS = 12
@@ -95,14 +95,14 @@ class TestPrunedServersNeverRead:
                 store.containers = _CountingContainers(store.containers)
         return archive
 
-    def test_zero_container_reads_outside_cover(self, spied, engine, assert_same_rows):
-        dengine = DistributedQueryEngine(spied)
+    def test_zero_container_reads_outside_cover(self, spied, session, assert_same_rows):
         query = "SELECT objid FROM photo WHERE CIRCLE(40, 30, 2)"
-        result = dengine.execute(query)
-        table = result.table()
-        assert_same_rows(engine.query_table(query), table)
+        with Archive.connect(archive=spied) as dsession:
+            job = dsession.submit(query)
+            table = job.cursor.to_table()
+        assert_same_rows(session.query_table(query), table)
 
-        report = result.report
+        (report,) = job.reports
         assert report.pruned_server_ids, "query too broad to prune anything"
         for server in spied.servers:
             reads = sum(
@@ -117,13 +117,15 @@ class TestPrunedServersNeverRead:
                 assert reads > 0
 
     def test_aggregate_also_prunes(self, spied):
-        dengine = DistributedQueryEngine(spied)
-        result = dengine.execute(
-            "SELECT COUNT(objid) AS n FROM photo WHERE CIRCLE(40, 30, 2)"
-        )
-        result.table()
+        with Archive.connect(archive=spied) as dsession:
+            job = dsession.submit(
+                "SELECT COUNT(objid) AS n FROM photo WHERE CIRCLE(40, 30, 2)"
+            )
+            job.cursor.to_table()
+        (report,) = job.reports
+        assert report.pruned_server_ids
         for server in spied.servers:
-            if server.server_id in result.report.pruned_server_ids:
+            if server.server_id in report.pruned_server_ids:
                 assert (
                     sum(s.containers.reads for s in server.stores().values())
                     == 0

@@ -10,8 +10,9 @@ falls back to round-robin over the (single-copy) set — the primary.
 
 import pytest
 
-from repro.distributed import DistributedQueryEngine, assign_sweep_servers
+from repro.distributed import assign_sweep_servers
 from repro.distributed.routing import route_plan, scan_jobs_for
+from repro.session import Archive
 from repro.storage import DistributedArchive
 
 
@@ -82,11 +83,12 @@ class TestRoutedReports:
 
     def test_results_are_identical_with_replication_enabled(self, photo, archive):
         query = "SELECT objid, mag_r FROM photo WHERE mag_r < 17"
-        plain = DistributedQueryEngine(archive).query_table(query)
-        replication = archive.enable_replication()
-        for cid in list(archive.servers[0].store.containers)[:10]:
-            replication.replicas[cid].add(2)
-        routed = DistributedQueryEngine(archive).query_table(query)
+        with Archive.connect(archive=archive) as session:
+            plain = session.query_table(query)
+            replication = archive.enable_replication()
+            for cid in list(archive.servers[0].store.containers)[:10]:
+                replication.replicas[cid].add(2)
+            routed = session.query_table(query)
         assert len(plain) == len(routed)
         assert set(plain["objid"].tolist()) == set(routed["objid"].tolist())
 

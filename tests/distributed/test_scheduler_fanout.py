@@ -9,8 +9,8 @@ freely while hash/river batch jobs still serialize.
 
 import pytest
 
-from repro.distributed import DistributedQueryEngine
 from repro.machines.scheduler import Job, MachineScheduler
+from repro.session import Archive
 
 
 class TestScanMachineNaming:
@@ -52,38 +52,39 @@ class TestScanMachineNaming:
 
 class TestDistributedAdmission:
     @pytest.fixture()
-    def scheduled_engine(self, archives):
+    def scheduled_session(self, archives):
         scheduler = MachineScheduler()
-        return DistributedQueryEngine(archives[5], scheduler=scheduler), scheduler
+        with Archive.connect(archive=archives[5], scheduler=scheduler) as session:
+            yield session, scheduler
 
-    def test_one_job_per_touched_server(self, scheduled_engine):
-        engine, scheduler = scheduled_engine
-        result = engine.execute("SELECT objid FROM photo WHERE CIRCLE(40, 30, 2)")
-        result.table()
-        report = result.report
-        machines = sorted(job.machine for job in scheduler.completed)
+    def test_one_job_per_touched_server(self, scheduled_session):
+        session, scheduler = scheduled_session
+        job = session.submit("SELECT objid FROM photo WHERE CIRCLE(40, 30, 2)")
+        job.cursor.to_table()
+        (report,) = job.reports
+        machines = sorted(admitted.machine for admitted in scheduler.completed)
         assert machines == sorted(
             f"sweep:{server_id}" for server_id in report.touched_server_ids
         )
-        for job in scheduler.completed:
-            assert job.completed_at is not None
+        for machine_job in scheduler.completed:
+            assert machine_job.completed_at is not None
 
-    def test_full_scan_admits_every_server(self, scheduled_engine):
-        engine, scheduler = scheduled_engine
-        engine.execute("SELECT objid FROM photo").table()
-        assert len(scheduler.completed) == len(engine.archive.servers)
+    def test_full_scan_admits_every_server(self, scheduled_session):
+        session, scheduler = scheduled_session
+        session.query_table("SELECT objid FROM photo")
+        assert len(scheduler.completed) == len(session.executor.archive.servers)
 
-    def test_durations_follow_resident_bytes(self, scheduled_engine):
-        engine, scheduler = scheduled_engine
-        result = engine.execute("SELECT objid FROM photo")
-        result.table()
-        report = result.report
-        for job in scheduler.completed:
-            server_id = int(job.machine.split(":", 1)[1])
+    def test_durations_follow_resident_bytes(self, scheduled_session):
+        session, scheduler = scheduled_session
+        job = session.submit("SELECT objid FROM photo")
+        job.cursor.to_table()
+        (report,) = job.reports
+        for machine_job in scheduler.completed:
+            server_id = int(machine_job.machine.split(":", 1)[1])
             expected = report.simulated_seconds_per_server[server_id]
-            assert job.duration == expected
+            assert machine_job.duration == expected
         assert report.simulated_seconds == max(
-            job.duration for job in scheduler.completed
+            machine_job.duration for machine_job in scheduler.completed
         )
         # Shared-nothing parallelism: the fan-out beats one big server.
         assert report.parallel_speedup() > 1.0

@@ -220,6 +220,18 @@ def parallel_engine(photo_store, tag_store):
     )
 
 
+@pytest.fixture()
+def serial_session(serial_engine):
+    with Archive.connect(serial_engine) as session:
+        yield session
+
+
+@pytest.fixture()
+def parallel_session(parallel_engine):
+    with Archive.connect(parallel_engine) as session:
+        yield session
+
+
 def _positionally_equal(expected, got, float_tol=False):
     assert len(expected) == len(got)
     assert expected.data.dtype == got.data.dtype
@@ -248,32 +260,32 @@ DIFFERENTIAL_QUERIES = [
 
 @pytest.mark.parametrize("query", DIFFERENTIAL_QUERIES)
 def test_parallel_rows_match_serial_row_for_row(
-    serial_engine, parallel_engine, query
+    serial_session, parallel_session, query
 ):
-    expected = serial_engine.execute(query).table()
-    got = parallel_engine.execute(query).table()
+    expected = serial_session.query_table(query)
+    got = parallel_session.query_table(query)
     _positionally_equal(expected, got)
 
 
-def test_parallel_aggregate_matches_serial(serial_engine, parallel_engine):
+def test_parallel_aggregate_matches_serial(serial_session, parallel_session):
     query = (
         "SELECT objtype, COUNT(objid) AS n, AVG(mag_r) AS m, MIN(mag_g) AS lo,"
         " MAX(mag_g) AS hi FROM photo GROUP BY objtype ORDER BY objtype"
     )
-    expected = serial_engine.execute(query).table()
-    got = parallel_engine.execute(query).table()
+    expected = serial_session.query_table(query)
+    got = parallel_session.query_table(query)
     # Partial-aggregate merge changes the float summation order only.
     _positionally_equal(expected, got, float_tol=True)
 
 
 def test_parallel_scan_batches_stream_in_sweep_order(
-    serial_engine, parallel_engine
+    serial_session, parallel_session
 ):
     """Not just the final table: the *stream* of batches concatenates to
     the identical row order (the SequencedEmitter contract)."""
     query = "SELECT objid FROM photo WHERE mag_r < 21"
-    serial = [b for b in serial_engine.execute(query) if len(b)]
-    parallel = [b for b in parallel_engine.execute(query) if len(b)]
+    serial = [b for b in serial_session.execute(query) if len(b)]
+    parallel = [b for b in parallel_session.execute(query) if len(b)]
     a = np.concatenate([b["objid"] for b in serial])
     b = np.concatenate([b["objid"] for b in parallel])
     np.testing.assert_array_equal(a, b)

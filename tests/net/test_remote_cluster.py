@@ -75,9 +75,9 @@ def cluster_session(shard_servers):
 
 @pytest.mark.parametrize("query,mode", CLUSTER_CORPUS)
 def test_cluster_agrees_with_local(
-    engine, cluster_session, same_rows, query, mode
+    session, cluster_session, same_rows, query, mode
 ):
-    expected = engine.query_table(query)
+    expected = session.query_table(query)
     got = cluster_session.query_table(query)
     same_rows(expected, got, ordered=(mode == "ordered"))
 
@@ -88,7 +88,7 @@ def test_cluster_agrees_with_local(
 
 
 def test_cluster_prunes_endpoints_conservatively(
-    cluster_session, partitioned_archive, engine
+    cluster_session, partitioned_archive, engine, session
 ):
     """A spatially-selective query skips endpoints whose advertised
     container ranges miss the cover — and never one the in-process
@@ -115,7 +115,7 @@ def test_cluster_prunes_endpoints_conservatively(
     }
     # Correctness despite pruning: the cone's rows are complete.
     assert len(cluster_session.query_table(query)) == len(
-        engine.query_table(query)
+        session.query_table(query)
     )
 
 

@@ -83,10 +83,10 @@ def _compare(expected, got, mode, same_rows):
 
 @pytest.mark.parametrize("query,mode", CORPUS)
 def test_remote_agrees_with_local(
-    engine, remote_session, same_rows, query, mode
+    session, remote_session, same_rows, query, mode
 ):
     """archive:// == single-store engine, both query classes."""
-    expected = engine.query_table(query)
+    expected = session.query_table(query)
 
     # Interactive class: streams over the wire ASAP.
     _compare(expected, remote_session.query_table(query), mode, same_rows)

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from repro.query.errors import PlanError
+from repro.query.parser import parse_query
+from repro.query.physical import plan_selects
 
 
 class TestGlobalAggregates:
-    def test_count(self, engine, photo):
-        result = engine.query_table("SELECT COUNT(objid) AS n FROM photo")
+    def test_count(self, session, photo):
+        result = session.query_table("SELECT COUNT(objid) AS n FROM photo")
         assert int(result["n"][0]) == len(photo)
 
-    def test_min_max_avg_sum(self, engine, photo):
-        result = engine.query_table(
+    def test_min_max_avg_sum(self, session, photo):
+        result = session.query_table(
             "SELECT MIN(mag_r) AS lo, MAX(mag_r) AS hi, "
             "AVG(mag_r) AS mean, SUM(mag_r) AS total FROM photo"
         )
@@ -22,8 +24,8 @@ class TestGlobalAggregates:
         assert float(result["mean"][0]) == pytest.approx(r.mean(), rel=1e-5)
         assert float(result["total"][0]) == pytest.approx(r.sum(), rel=1e-5)
 
-    def test_aggregate_over_expression(self, engine, photo):
-        result = engine.query_table(
+    def test_aggregate_over_expression(self, session, photo):
+        result = session.query_table(
             "SELECT AVG(mag_g - mag_r) AS mean_gr FROM photo"
         )
         expected = float(
@@ -32,16 +34,16 @@ class TestGlobalAggregates:
         )
         assert float(result["mean_gr"][0]) == pytest.approx(expected, rel=1e-5)
 
-    def test_aggregate_respects_where(self, engine, photo):
-        result = engine.query_table(
+    def test_aggregate_respects_where(self, session, photo):
+        result = session.query_table(
             "SELECT COUNT(objid) AS n FROM photo WHERE objtype = QUASAR"
         )
         assert int(result["n"][0]) == int((photo["objtype"] == 3).sum())
 
-    def test_aggregate_with_spatial_filter(self, engine, photo):
+    def test_aggregate_with_spatial_filter(self, session, photo):
         from repro.geometry.shapes import circle_region
 
-        result = engine.query_table(
+        result = session.query_table(
             "SELECT COUNT(objid) AS n FROM photo WHERE CIRCLE(40, 30, 10)"
         )
         expected = int(circle_region(40, 30, 10).contains(photo.positions_xyz()).sum())
@@ -49,16 +51,16 @@ class TestGlobalAggregates:
 
 
 class TestGroupBy:
-    def test_group_counts(self, engine, photo):
-        result = engine.query_table(
+    def test_group_counts(self, session, photo):
+        result = session.query_table(
             "SELECT objtype, COUNT(objid) AS n FROM photo GROUP BY objtype"
         )
         got = {int(t): int(n) for t, n in zip(result["objtype"], result["n"])}
         for code in np.unique(photo["objtype"]):
             assert got[int(code)] == int((photo["objtype"] == code).sum())
 
-    def test_group_stats(self, engine, photo):
-        result = engine.query_table(
+    def test_group_stats(self, session, photo):
+        result = session.query_table(
             "SELECT objtype, AVG(petro_r50) AS size FROM photo GROUP BY objtype"
         )
         for objtype, size in zip(result["objtype"], result["size"]):
@@ -66,15 +68,15 @@ class TestGroupBy:
             expected = float(np.asarray(photo["petro_r50"], dtype=np.float64)[mask].mean())
             assert float(size) == pytest.approx(expected, rel=1e-5)
 
-    def test_group_key_not_selected(self, engine, photo):
-        result = engine.query_table(
+    def test_group_key_not_selected(self, session, photo):
+        result = session.query_table(
             "SELECT COUNT(objid) AS n FROM photo GROUP BY objtype"
         )
         assert len(result) == len(np.unique(photo["objtype"]))
         assert result.schema.field_names() == ["n"]
 
-    def test_group_by_expression(self, engine, photo):
-        result = engine.query_table(
+    def test_group_by_expression(self, session, photo):
+        result = session.query_table(
             "SELECT FLOOR(mag_r) AS bin, COUNT(objid) AS n "
             "FROM photo GROUP BY FLOOR(mag_r) ORDER BY bin"
         )
@@ -84,16 +86,16 @@ class TestGroupBy:
         total = int(np.asarray(result["n"]).sum())
         assert total == len(photo)
 
-    def test_order_by_aggregate_output(self, engine):
-        result = engine.query_table(
+    def test_order_by_aggregate_output(self, session):
+        result = session.query_table(
             "SELECT objtype, COUNT(objid) AS n FROM photo "
             "GROUP BY objtype ORDER BY n DESC"
         )
         counts = np.asarray(result["n"])
         assert bool(np.all(np.diff(counts) <= 0))
 
-    def test_limit_on_groups(self, engine):
-        result = engine.query_table(
+    def test_limit_on_groups(self, session):
+        result = session.query_table(
             "SELECT objtype, COUNT(objid) AS n FROM photo "
             "GROUP BY objtype ORDER BY n DESC LIMIT 1"
         )
@@ -101,68 +103,69 @@ class TestGroupBy:
 
 
 class TestHaving:
-    def test_having_filters_groups(self, engine, photo):
+    def test_having_filters_groups(self, session, photo):
         counts = {
             int(c): int((photo["objtype"] == c).sum())
             for c in np.unique(photo["objtype"])
         }
         threshold = sorted(counts.values())[1]  # keep the largest two
-        result = engine.query_table(
+        result = session.query_table(
             f"SELECT objtype, COUNT(objid) AS n FROM photo "
             f"GROUP BY objtype HAVING n >= {threshold}"
         )
         assert len(result) == sum(1 for v in counts.values() if v >= threshold)
 
-    def test_having_all_filtered(self, engine):
+    def test_having_all_filtered(self, session):
         # An empty bag is a well-formed empty table, never None.
-        result = engine.query_table(
+        result = session.query_table(
             "SELECT objtype, COUNT(objid) AS n FROM photo "
             "GROUP BY objtype HAVING n > 99999999"
         )
         assert len(result) == 0
         assert result.schema.field_names() == ["objtype", "n"]
 
-    def test_having_without_group_rejected(self, engine):
+    def test_having_without_group_rejected(self, session):
         with pytest.raises(PlanError):
-            engine.query_table("SELECT objid FROM photo HAVING objid > 1")
+            session.query_table("SELECT objid FROM photo HAVING objid > 1")
 
 
 class TestAggregatePlanning:
-    def test_bare_column_with_aggregate_rejected(self, engine):
+    def test_bare_column_with_aggregate_rejected(self, session):
         with pytest.raises(PlanError):
-            engine.query_table("SELECT mag_r, COUNT(objid) AS n FROM photo")
+            session.query_table("SELECT mag_r, COUNT(objid) AS n FROM photo")
 
-    def test_aggregate_in_arithmetic_rejected(self, engine):
+    def test_aggregate_in_arithmetic_rejected(self, session):
         with pytest.raises(PlanError):
-            engine.query_table("SELECT MAX(mag_r) - MIN(mag_r) AS range FROM photo")
+            session.query_table("SELECT MAX(mag_r) - MIN(mag_r) AS range FROM photo")
 
-    def test_nested_aggregate_rejected(self, engine):
+    def test_nested_aggregate_rejected(self, session):
         with pytest.raises(PlanError):
-            engine.query_table("SELECT MAX(COUNT(objid)) AS m FROM photo")
+            session.query_table("SELECT MAX(COUNT(objid)) AS m FROM photo")
 
-    def test_select_star_group_rejected(self, engine):
+    def test_select_star_group_rejected(self, session):
         with pytest.raises(PlanError):
-            engine.query_table("SELECT * FROM photo GROUP BY objtype")
+            session.query_table("SELECT * FROM photo GROUP BY objtype")
 
-    def test_count_arity(self, engine):
+    def test_count_arity(self, session):
         with pytest.raises(PlanError):
-            engine.query_table("SELECT COUNT(objid, mag_r) AS n FROM photo")
+            session.query_table("SELECT COUNT(objid, mag_r) AS n FROM photo")
 
     def test_aggregates_tag_route(self, engine):
-        plans = engine.explain(
-            "SELECT objtype, COUNT(objid) AS n FROM photo GROUP BY objtype"
+        plans = plan_selects(
+            parse_query("SELECT objtype, COUNT(objid) AS n FROM photo GROUP BY objtype"),
+            engine.schemas,
         )
         assert plans[0].used_tag_route
         assert plans[0].is_aggregate
 
-    def test_aggregate_set_op(self, engine, photo):
+    def test_aggregate_set_op(self, session, photo):
         # Aggregates compose with set operations through the objid bag...
         # but aggregation output has no objid pointer, so the engine must
         # reject it cleanly rather than crash.
         from repro.query.errors import ExecutionError
 
         with pytest.raises(ExecutionError):
-            engine.query_table(
+            session.query_table(
                 "(SELECT COUNT(objid) AS n FROM photo) UNION "
                 "(SELECT COUNT(objid) AS n FROM photo)"
             )

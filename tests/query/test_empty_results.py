@@ -17,29 +17,29 @@ EMPTY_WHERE = "WHERE mag_r < -100"
 
 
 class TestEmptyProjection:
-    def test_simple_projection(self, engine):
-        table = engine.query_table(f"SELECT objid, mag_r FROM photo {EMPTY_WHERE}")
+    def test_simple_projection(self, session):
+        table = session.query_table(f"SELECT objid, mag_r FROM photo {EMPTY_WHERE}")
         assert len(table) == 0
         assert table.schema.field_names() == ["objid", "mag_r"]
 
-    def test_expression_projection_dtypes_match_nonempty(self, engine):
-        empty = engine.query_table(
+    def test_expression_projection_dtypes_match_nonempty(self, session):
+        empty = session.query_table(
             f"SELECT objid, mag_g - mag_r AS gr FROM photo {EMPTY_WHERE}"
         )
-        full = engine.query_table(
+        full = session.query_table(
             "SELECT objid, mag_g - mag_r AS gr FROM photo WHERE mag_r < 99"
         )
         assert len(empty) == 0 and len(full) > 0
         assert empty.data.dtype == full.data.dtype
 
-    def test_select_star_carries_source_schema(self, engine, photo):
-        table = engine.query_table(f"SELECT * FROM photo {EMPTY_WHERE}")
+    def test_select_star_carries_source_schema(self, session, photo):
+        table = session.query_table(f"SELECT * FROM photo {EMPTY_WHERE}")
         assert len(table) == 0
         assert table.schema.field_names() == photo.schema.field_names()
         assert table.data.dtype == photo.data.dtype
 
-    def test_order_and_limit(self, engine):
-        table = engine.query_table(
+    def test_order_and_limit(self, session):
+        table = session.query_table(
             f"SELECT objid, mag_r FROM photo {EMPTY_WHERE} ORDER BY mag_r LIMIT 5"
         )
         assert len(table) == 0
@@ -47,33 +47,33 @@ class TestEmptyProjection:
 
 
 class TestEmptyAggregation:
-    def test_grouped_aggregate(self, engine):
-        empty = engine.query_table(
+    def test_grouped_aggregate(self, session):
+        empty = session.query_table(
             f"SELECT objtype, COUNT(objid) AS n FROM photo {EMPTY_WHERE} "
             "GROUP BY objtype"
         )
-        full = engine.query_table(
+        full = session.query_table(
             "SELECT objtype, COUNT(objid) AS n FROM photo GROUP BY objtype"
         )
         assert len(empty) == 0 and len(full) > 0
         assert empty.schema.field_names() == ["objtype", "n"]
         assert empty.data.dtype == full.data.dtype
 
-    def test_avg_widens_like_runtime(self, engine):
+    def test_avg_widens_like_runtime(self, session):
         # AVG over an integer column widens to float64 at runtime; the
         # static empty schema must agree.
-        empty = engine.query_table(
+        empty = session.query_table(
             f"SELECT objtype, AVG(objid) AS a FROM photo {EMPTY_WHERE} "
             "GROUP BY objtype"
         )
-        full = engine.query_table(
+        full = session.query_table(
             "SELECT objtype, AVG(objid) AS a FROM photo GROUP BY objtype"
         )
         assert empty.data.dtype == full.data.dtype
         assert np.issubdtype(empty.data.dtype["a"], np.floating)
 
-    def test_having_filters_everything(self, engine):
-        table = engine.query_table(
+    def test_having_filters_everything(self, session):
+        table = session.query_table(
             "SELECT objtype, COUNT(objid) AS n FROM photo "
             "GROUP BY objtype HAVING n > 999999999"
         )
@@ -82,16 +82,16 @@ class TestEmptyAggregation:
 
 
 class TestEmptySetOperations:
-    def test_empty_intersection(self, engine):
-        table = engine.query_table(
+    def test_empty_intersection(self, session):
+        table = session.query_table(
             "(SELECT objid FROM photo WHERE mag_r < 16) INTERSECT "
             f"(SELECT objid FROM photo {EMPTY_WHERE})"
         )
         assert len(table) == 0
         assert table.schema.field_names() == ["objid"]
 
-    def test_empty_both_sides(self, engine):
-        table = engine.query_table(
+    def test_empty_both_sides(self, session):
+        table = session.query_table(
             f"(SELECT objid FROM photo {EMPTY_WHERE}) UNION "
             f"(SELECT objid FROM photo {EMPTY_WHERE})"
         )
@@ -100,7 +100,7 @@ class TestEmptySetOperations:
 
 
 class TestLocalDistributedParity:
-    def test_same_empty_schema(self, engine, photo, tags):
+    def test_same_empty_schema(self, engine, session, photo, tags):
         # The shared helper gives both engines identical static schemas.
         from repro.query.parser import parse_query
         from repro.query.optimizer import plan_query
@@ -113,6 +113,6 @@ class TestLocalDistributedParity:
             plan = plan_query(parse_query(query), engine.schemas)
             schema = output_schema_for(plan, engine.schemas)
             assert schema is not None
-            local = engine.query_table(query)
+            local = session.query_table(query)
             assert local.schema.field_names() == schema.field_names()
             assert local.data.dtype == schema.numpy_dtype()

@@ -1,7 +1,8 @@
 """End-to-end tests for repro.query.engine, .optimizer, and .qet.
 
-Each query runs through parse -> plan -> QET -> threads, and the result
-is compared against a direct numpy evaluation on the source table.
+Each query runs through a session — parse -> plan -> QET -> threads —
+and the result is compared against a direct numpy evaluation on the
+source table.
 """
 
 import numpy as np
@@ -10,10 +11,19 @@ import pytest
 from repro.geometry.shapes import circle_region
 from repro.query.engine import QueryEngine
 from repro.query.errors import ExecutionError, PlanError, QueryError
+from repro.query.parser import parse_query
+from repro.query.physical import plan_selects
 
 
 def brute(photo, mask):
     return set(np.asarray(photo["objid"])[mask].tolist())
+
+
+def explain(engine, text, allow_tag_route=True):
+    """The optimizer's plan of every SELECT, without building a tree."""
+    return plan_selects(
+        parse_query(text), engine.schemas, engine.density_maps, allow_tag_route
+    )
 
 
 def result_ids(table):
@@ -23,19 +33,19 @@ def result_ids(table):
 
 
 class TestSimpleSelects:
-    def test_attribute_filter(self, engine, photo):
-        result = engine.query_table("SELECT objid FROM photo WHERE mag_r < 16")
+    def test_attribute_filter(self, session, photo):
+        result = session.query_table("SELECT objid FROM photo WHERE mag_r < 16")
         assert result_ids(result) == brute(photo, np.asarray(photo["mag_r"]) < 16)
 
-    def test_spatial_filter(self, engine, photo):
-        result = engine.query_table(
+    def test_spatial_filter(self, session, photo):
+        result = session.query_table(
             "SELECT objid FROM photo WHERE CIRCLE(40, 30, 5)"
         )
         mask = circle_region(40, 30, 5).contains(photo.positions_xyz())
         assert result_ids(result) == brute(photo, mask)
 
-    def test_combined_filter(self, engine, photo):
-        result = engine.query_table(
+    def test_combined_filter(self, session, photo):
+        result = session.query_table(
             "SELECT objid FROM photo WHERE CIRCLE(40, 30, 10) AND objtype = GALAXY"
         )
         mask = circle_region(40, 30, 10).contains(photo.positions_xyz()) & (
@@ -43,13 +53,13 @@ class TestSimpleSelects:
         )
         assert result_ids(result) == brute(photo, mask)
 
-    def test_select_star_keeps_schema(self, engine, photo):
-        result = engine.query_table("SELECT * FROM photo WHERE mag_r < 15")
+    def test_select_star_keeps_schema(self, session, photo):
+        result = session.query_table("SELECT * FROM photo WHERE mag_r < 15")
         if result is not None:
             assert result.schema.field_names() == photo.schema.field_names()
 
-    def test_computed_columns(self, engine, photo):
-        result = engine.query_table(
+    def test_computed_columns(self, session, photo):
+        result = session.query_table(
             "SELECT objid, mag_g - mag_r AS gr FROM photo WHERE mag_r < 16"
         )
         assert result is not None
@@ -62,56 +72,56 @@ class TestSimpleSelects:
             )
             assert float(row["gr"]) == pytest.approx(expected, rel=1e-6)
 
-    def test_empty_result(self, engine):
+    def test_empty_result(self, session):
         # Empty bags are well-formed empty tables with the plan's output
         # schema, never None.
-        result = engine.query_table("SELECT objid FROM photo WHERE mag_r < 0")
+        result = session.query_table("SELECT objid FROM photo WHERE mag_r < 0")
         assert len(result) == 0
         assert result.schema.field_names() == ["objid"]
 
 
 class TestOrderLimit:
-    def test_order_by(self, engine, photo):
-        result = engine.query_table(
+    def test_order_by(self, session, photo):
+        result = session.query_table(
             "SELECT objid, mag_r FROM photo WHERE mag_r < 17 ORDER BY mag_r"
         )
         values = np.asarray(result["mag_r"])
         assert bool(np.all(np.diff(values) >= 0))
 
-    def test_order_desc(self, engine):
-        result = engine.query_table(
+    def test_order_desc(self, session):
+        result = session.query_table(
             "SELECT objid, mag_r FROM photo WHERE mag_r < 17 ORDER BY mag_r DESC"
         )
         values = np.asarray(result["mag_r"])
         assert bool(np.all(np.diff(values) <= 0))
 
-    def test_order_by_alias(self, engine):
-        result = engine.query_table(
+    def test_order_by_alias(self, session):
+        result = session.query_table(
             "SELECT objid, mag_g - mag_r AS gr FROM photo WHERE mag_r < 17 ORDER BY gr"
         )
         values = np.asarray(result["gr"])
         assert bool(np.all(np.diff(values) >= -1e-6))
 
-    def test_limit(self, engine, photo):
-        result = engine.query_table("SELECT objid FROM photo LIMIT 7")
+    def test_limit(self, session, photo):
+        result = session.query_table("SELECT objid FROM photo LIMIT 7")
         assert len(result) == 7
 
-    def test_order_limit_gives_global_top(self, engine, photo):
-        result = engine.query_table(
+    def test_order_limit_gives_global_top(self, session, photo):
+        result = session.query_table(
             "SELECT objid, mag_r FROM photo ORDER BY mag_r LIMIT 3"
         )
         top3 = np.sort(np.asarray(photo["mag_r"]))[:3]
         np.testing.assert_allclose(np.sort(result["mag_r"]), top3, rtol=1e-6)
 
-    def test_limit_zero(self, engine):
-        result = engine.query_table("SELECT objid FROM photo LIMIT 0")
+    def test_limit_zero(self, session):
+        result = session.query_table("SELECT objid FROM photo LIMIT 0")
         assert len(result) == 0
         assert result.schema.field_names() == ["objid"]
 
 
 class TestSetOperations:
-    def test_union_dedups(self, engine, photo):
-        result = engine.query_table(
+    def test_union_dedups(self, session, photo):
+        result = session.query_table(
             "(SELECT objid FROM photo WHERE mag_r < 16) UNION "
             "(SELECT objid FROM photo WHERE mag_r < 17)"
         )
@@ -120,8 +130,8 @@ class TestSetOperations:
         ids = np.asarray(result["objid"])
         assert len(ids) == len(np.unique(ids))
 
-    def test_intersect(self, engine, photo):
-        result = engine.query_table(
+    def test_intersect(self, session, photo):
+        result = session.query_table(
             "(SELECT objid FROM photo WHERE mag_r < 18) INTERSECT "
             "(SELECT objid FROM photo WHERE objtype = QUASAR)"
         )
@@ -131,8 +141,8 @@ class TestSetOperations:
         )
         assert result_ids(result) == expected
 
-    def test_except(self, engine, photo):
-        result = engine.query_table(
+    def test_except(self, session, photo):
+        result = session.query_table(
             "(SELECT objid FROM photo WHERE mag_r < 16) EXCEPT "
             "(SELECT objid FROM photo WHERE objtype = STAR)"
         )
@@ -142,8 +152,8 @@ class TestSetOperations:
         )
         assert result_ids(result) == expected
 
-    def test_three_way_chain(self, engine, photo):
-        result = engine.query_table(
+    def test_three_way_chain(self, session, photo):
+        result = session.query_table(
             "((SELECT objid FROM photo WHERE mag_r < 16) UNION "
             "(SELECT objid FROM photo WHERE mag_u < 17)) EXCEPT "
             "(SELECT objid FROM photo WHERE objtype = GALAXY)"
@@ -157,84 +167,82 @@ class TestSetOperations:
 
 class TestTagRouting:
     def test_popular_query_routes_to_tag(self, engine):
-        plans = engine.explain("SELECT objid, mag_r FROM photo WHERE mag_r < 18")
+        plans = explain(engine, "SELECT objid, mag_r FROM photo WHERE mag_r < 18")
         assert plans[0].used_tag_route
         assert plans[0].routed_source == "tag"
 
     def test_unpopular_column_stays_on_photo(self, engine):
-        plans = engine.explain(
-            "SELECT objid FROM photo WHERE mag_err_r < 0.1"
-        )
+        plans = explain(engine, "SELECT objid FROM photo WHERE mag_err_r < 0.1")
         assert not plans[0].used_tag_route
         assert plans[0].routed_source == "photo"
 
     def test_routing_can_be_disabled(self, engine):
-        plans = engine.explain(
-            "SELECT objid FROM photo WHERE mag_r < 18", allow_tag_route=False
+        plans = explain(
+            engine, "SELECT objid FROM photo WHERE mag_r < 18", allow_tag_route=False
         )
         assert not plans[0].used_tag_route
 
-    def test_routed_and_unrouted_agree(self, engine):
+    def test_routed_and_unrouted_agree(self, session):
         query = "SELECT objid FROM photo WHERE mag_r < 17 AND CIRCLE(40, 30, 20)"
-        via_tag = engine.query_table(query, allow_tag_route=True)
-        via_full = engine.query_table(query, allow_tag_route=False)
+        via_tag = session.query_table(query, allow_tag_route=True)
+        via_full = session.query_table(query, allow_tag_route=False)
         assert result_ids(via_tag) == result_ids(via_full)
 
     def test_spatial_flag(self, engine):
-        plans = engine.explain("SELECT objid FROM photo WHERE CIRCLE(1, 2, 3)")
+        plans = explain(engine, "SELECT objid FROM photo WHERE CIRCLE(1, 2, 3)")
         assert plans[0].used_spatial_index
-        plans = engine.explain("SELECT objid FROM photo WHERE mag_r < 1")
+        plans = explain(engine, "SELECT objid FROM photo WHERE mag_r < 1")
         assert not plans[0].used_spatial_index
 
 
 class TestStreaming:
-    def test_first_row_before_completion(self, engine):
-        result = engine.execute("SELECT objid FROM photo")
+    def test_first_row_before_completion(self, session):
+        result = session.execute("SELECT objid FROM photo")
         batches = list(result)
         assert len(batches) > 1
         assert result.time_to_first_row < result.time_to_completion
 
-    def test_cancel_stops_early(self, engine):
-        result = engine.execute("SELECT objid FROM photo")
+    def test_cancel_stops_early(self, session):
+        result = session.execute("SELECT objid FROM photo")
         iterator = iter(result)
         next(iterator)
         result.cancel()  # must not deadlock or raise
 
-    def test_node_stats_populated(self, engine):
-        result = engine.execute("SELECT objid FROM photo WHERE mag_r < 18")
-        result.table()
+    def test_node_stats_populated(self, session):
+        result = session.execute("SELECT objid FROM photo WHERE mag_r < 18")
+        result.to_table()
         stats = result.node_stats()
         assert any(s.rows_out > 0 for s in stats.values())
 
 
 class TestErrors:
-    def test_unknown_source(self, engine):
+    def test_unknown_source(self, session):
         with pytest.raises(PlanError):
-            engine.query_table("SELECT objid FROM nonexistent")
+            session.query_table("SELECT objid FROM nonexistent")
 
-    def test_unknown_column(self, engine):
+    def test_unknown_column(self, session):
         with pytest.raises(PlanError):
-            engine.query_table("SELECT bogus FROM photo")
+            session.query_table("SELECT bogus FROM photo")
 
-    def test_tag_cannot_serve_full_columns(self, engine):
+    def test_tag_cannot_serve_full_columns(self, session):
         # Explicit tag source + full-only column must fail to plan.
         with pytest.raises(PlanError):
-            engine.query_table("SELECT mag_err_r FROM tag")
+            session.query_table("SELECT mag_err_r FROM tag")
 
-    def test_execution_error_propagates(self, engine):
+    def test_execution_error_propagates(self, session):
         # Division by a zero-valued column type error path: use an
         # unknown function to trigger a plan-time error instead (runtime
         # errors need an engine-level fault; covered by qet tests).
         with pytest.raises(QueryError):
-            engine.query_table("SELECT FROB(objid) FROM photo")
+            session.query_table("SELECT FROB(objid) FROM photo")
 
     def test_engine_requires_stores(self):
         with pytest.raises(ValueError):
             QueryEngine({})
 
-    def test_set_op_needs_objid(self, engine):
+    def test_set_op_needs_objid(self, session):
         with pytest.raises(ExecutionError):
-            engine.query_table(
+            session.query_table(
                 "(SELECT mag_r FROM photo WHERE mag_r < 15) UNION "
                 "(SELECT mag_r FROM photo WHERE mag_r < 15)"
             )

@@ -10,7 +10,10 @@ Three checks that the AST -> QET decision lives in one module:
   the SELECTs of a nested set operation is the order a shard server
   resolves a ``select_index`` in;
 * structure — the set-operation and order/limit nodes are constructed
-  nowhere in ``src/repro`` but ``query/physical.py`` (and ``qet.py``).
+  nowhere in ``src/repro`` but ``query/physical.py`` (and ``qet.py``);
+  trees are started by ``session/core.py`` only, containers are read
+  out of a pool by the sweep only, and neither the engines nor the
+  stores define a way to run a query of their own.
 """
 
 from __future__ import annotations
@@ -212,12 +215,10 @@ PLANNER_ONLY_NODES = {
 }
 
 
-def test_set_and_tail_nodes_are_built_only_by_the_physical_planner():
-    offenders = []
+def _calls():
+    """``(relative path, line, callee name)`` of every call in src/repro."""
     for path in sorted(SRC.rglob("*.py")):
         relative = path.relative_to(SRC).as_posix()
-        if relative in ("query/physical.py", "query/qet.py"):
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
@@ -225,6 +226,64 @@ def test_set_and_tail_nodes_are_built_only_by_the_physical_planner():
             name = callee.attr if isinstance(callee, ast.Attribute) else getattr(
                 callee, "id", None
             )
-            if name in PLANNER_ONLY_NODES:
-                offenders.append(f"{relative}:{node.lineno} {name}")
+            yield relative, node.lineno, name
+
+
+def test_set_and_tail_nodes_are_built_only_by_the_physical_planner():
+    offenders = [
+        f"{relative}:{line} {name}"
+        for relative, line, name in _calls()
+        if name in PLANNER_ONLY_NODES
+        and relative not in ("query/physical.py", "query/qet.py")
+    ]
     assert offenders == []
+
+
+# ----------------------------------------------------------------------
+# (d) one way in, one way down, structurally
+# ----------------------------------------------------------------------
+
+#: callee -> the only places in src/repro that may call it: a session
+#: starts trees, the sweep (and the store under it) reads containers
+ONLY_CALLED_FROM = {
+    "start_tree": ("session/core.py",),
+    "fetch_many": ("machines/sweep.py", "storage/"),
+    "fetch": ("machines/sweep.py", "storage/"),
+    "read_container": ("machines/sweep.py", "storage/"),
+}
+
+
+def _defined_names(relative):
+    tree = ast.parse((SRC / relative).read_text())
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+def test_a_session_is_the_only_way_to_run_a_query():
+    offenders = [
+        f"{relative}:{line} {name}"
+        for relative, line, name in _calls()
+        if name in ONLY_CALLED_FROM
+        and not relative.startswith(ONLY_CALLED_FROM[name])
+    ]
+    assert offenders == []
+    # The engines are executors: they prepare trees and run nothing.
+    for relative in ("query/engine.py", "distributed/engine.py"):
+        assert not _defined_names(relative) & {"execute", "query_table", "explain"}
+    # The stores place data and answer nothing on their own.
+    for path in sorted((SRC / "storage").glob("*.py")):
+        defined = _defined_names(path.relative_to(SRC).as_posix())
+        assert not defined & {"query_region", "scan_all", "query_engine"}, path.name
+    import repro.distributed
+    import repro.storage
+
+    for module, name in (
+        (repro.storage, "QueryStats"),
+        (repro.storage, "DistributedQueryReport"),
+        (repro.distributed, "DistributedQueryResult"),
+        (repro.distributed, "admit_scan_jobs"),
+    ):
+        assert not hasattr(module, name), name

@@ -236,31 +236,31 @@ class TestTopKBoundedMemory:
 
 
 class TestEngineFusion:
-    def test_fused_query_matches_unfused_prefix(self, engine):
+    def test_fused_query_matches_unfused_prefix(self, session):
         """ORDER BY ... LIMIT k == first k rows of the same ORDER BY."""
-        full = engine.query_table(
+        full = session.query_table(
             "SELECT objid, mag_r FROM photo ORDER BY mag_r, objid"
         )
-        topk = engine.query_table(
+        topk = session.query_table(
             "SELECT objid, mag_r FROM photo ORDER BY mag_r, objid LIMIT 40"
         )
         assert topk.data.tolist() == full.data[:40].tolist()
 
-    def test_fused_query_desc_ties(self, engine):
-        full = engine.query_table(
+    def test_fused_query_desc_ties(self, session):
+        full = session.query_table(
             "SELECT objid, objtype FROM photo ORDER BY objtype DESC, objid"
         )
-        topk = engine.query_table(
+        topk = session.query_table(
             "SELECT objid, objtype FROM photo ORDER BY objtype DESC, objid "
             "LIMIT 25"
         )
         assert topk.data.tolist() == full.data[:25].tolist()
 
-    def test_fused_node_peak_stays_bounded(self, engine):
-        result = engine.execute(
+    def test_fused_node_peak_stays_bounded(self, session):
+        result = session.execute(
             "SELECT objid, mag_r FROM photo ORDER BY mag_r, objid LIMIT 10"
         )
-        table = result.table()
+        table = result.to_table()
         assert len(table) == 10
         stats = result.node_stats()
         topk_stats = [

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.query.errors import PlanError
 from repro.service import MyDBManager, ServiceTier
 from repro.service.errors import MyDBError, QuotaExceededError
 from repro.session import Archive, SessionError
@@ -129,6 +130,24 @@ class TestLocalWorkspace:
         with pytest.raises(SessionError):
             plain_session.execute(SAVE)
 
+    def test_explain_sees_the_workspace_like_execute_does(self, fresh_engine):
+        # explain used to call executor.prepare directly and skip the
+        # MyDB overlay submit applies: "unknown source 'mydb.bright'"
+        # for a table execute and explain_analyze could read.
+        read = "SELECT objid FROM mydb.bright"
+        tier = ServiceTier()
+        with Archive.connect(fresh_engine, service=tier, user="ann") as session:
+            session.execute(SAVE)
+            tree = session.explain(read)
+            assert tree.find("scan")[0].detail["source"] == "mydb.bright"
+            rows = len(session.query_table(read))
+            assert rows > 0
+            assert session.explain_analyze(read).detail["rows"] == rows
+        # ... and stays per-user: another tenant has no such table.
+        with Archive.connect(fresh_engine, service=tier, user="bob") as session:
+            with pytest.raises(PlanError):
+                session.explain(read)
+
     def test_quota_error_surfaces_to_reader(self, fresh_engine):
         tier = ServiceTier(mydb_quota_bytes=64)
         with Archive.connect(fresh_engine, service=tier) as session:
@@ -152,6 +171,8 @@ class TestRemoteWorkspace:
                 direct = session.query_table(DIRECT)
                 assert len(direct) > 0
                 same_rows(direct, back)
+                tree = session.explain("SELECT objid FROM mydb.bright")
+                assert "mydb.bright" in tree.render()
                 session.drop_my_table("bright")
                 assert session.my_tables() == []
 

@@ -34,36 +34,38 @@ def _assert_no_orphans(result):
     assert elapsed < JOIN_TIMEOUT, "join hit its timeout — cancel was not prompt"
 
 
-class TestEngineLevelCancel:
-    """The legacy entry points get the same guarantee."""
+class TestCursorLevelCancel:
+    """Cancelling through the cursor gives the same guarantee — also
+    when it lands before a single batch was read (the cancel that races
+    the tree's thread start)."""
 
     @pytest.mark.parametrize("query", CANCEL_QUERIES)
-    def test_local_cancel_mid_stream(self, engine, query):
-        result = engine.execute(query)
-        iterator = iter(result)
+    def test_local_cancel_mid_stream(self, local_session, query):
+        job = local_session.submit(query)
+        iterator = iter(job.cursor)
         next(iterator, None)  # consume at most one batch, then abandon
-        result.cancel()
-        _assert_no_orphans(result)
+        job.cursor.cancel()
+        _assert_no_orphans(job)
 
     @pytest.mark.parametrize("query", CANCEL_QUERIES)
-    def test_local_cancel_immediately(self, engine, query):
-        result = engine.execute(query)
-        result.cancel()
-        _assert_no_orphans(result)
+    def test_local_cancel_immediately(self, local_session, query):
+        job = local_session.submit(query)
+        job.cursor.cancel()
+        _assert_no_orphans(job)
 
     @pytest.mark.parametrize("query", CANCEL_QUERIES)
-    def test_distributed_cancel_mid_stream(self, dengine, query):
-        result = dengine.execute(query)
-        iterator = iter(result)
+    def test_distributed_cancel_mid_stream(self, dist_session, query):
+        job = dist_session.submit(query)
+        iterator = iter(job.cursor)
         next(iterator, None)
-        result.cancel()
-        _assert_no_orphans(result)
+        job.cursor.cancel()
+        _assert_no_orphans(job)
 
     @pytest.mark.parametrize("query", CANCEL_QUERIES)
-    def test_distributed_cancel_immediately(self, dengine, query):
-        result = dengine.execute(query)
-        result.cancel()
-        _assert_no_orphans(result)
+    def test_distributed_cancel_immediately(self, dist_session, query):
+        job = dist_session.submit(query)
+        job.cursor.cancel()
+        _assert_no_orphans(job)
 
 
 class TestJobLevelCancel:

@@ -64,11 +64,11 @@ class TestDistributedPlans:
         }
         assert servers == set(root.detail["servers"])
 
-    def test_spatial_pruning_recorded(self, dist_session, dengine):
+    def test_spatial_pruning_recorded(self, dist_session):
         query = "SELECT objid FROM photo WHERE CIRCLE(40, 30, 2)"
-        result = dengine.execute(query)
-        result.table()  # drain so no background threads linger
-        report = result.report
+        job = dist_session.submit(query)
+        job.cursor.to_table()  # drain so no background threads linger
+        (report,) = job.reports
         tree = dist_session.explain(query)
         (annotated,) = [n for n in tree.walk() if "servers" in n.detail]
         assert annotated.detail["servers"] == report.touched_server_ids

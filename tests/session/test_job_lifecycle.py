@@ -165,11 +165,11 @@ class TestBatchQueueing:
             assert len(table) == 90
             assert job.state is JobState.DONE
 
-    def test_batch_results_delivered_on_completion(self, local_session, engine):
+    def test_batch_results_delivered_on_completion(self, local_session):
         query = "SELECT objtype, COUNT(objid) AS n FROM photo GROUP BY objtype"
         job = local_session.submit(query, query_class="batch")
         assert job.wait(timeout=10) is JobState.DONE
-        expected = engine.query_table(query)
+        expected = local_session.query_table(query)
         got = job.cursor.to_table()
         assert got.data.tolist() == expected.data.tolist()
 

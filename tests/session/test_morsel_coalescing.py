@@ -2,10 +2,11 @@
 
 The tentpole contract:
 
-* answers are **batch-size invariant** — the same corpus row-for-row at
-  per-container evaluation (``batch_rows<=0``) and at any coalescing
+* answers are **batch-size invariant** — the same corpus, checked
+  against a numpy evaluation over the catalog, at every coalescing
   target, including region queries whose partial trixels need the exact
-  geometric test;
+  geometric test (a non-positive ``batch_rows`` is refused where the
+  engine is built: there is no per-container mode);
 * the coalescing win is **deterministically measurable** — a full scan
   performs at most ``ceil(rows / batch_rows) + 1`` vectorized predicate
   evaluations instead of one per container (no wall clocks involved, so
@@ -20,39 +21,85 @@ import threading
 import numpy as np
 import pytest
 
+from repro.distributed import DistributedQueryEngine
+from repro.geometry.shapes import circle_region
 from repro.machines.workers import resolve_workers
+from repro.query import QueryEngine
 from repro.session import Archive
+from repro.storage import DistributedArchive
 
-#: every plan shape whose rows flow through a coalescing ScanNode
+
+def _objids(mask_fn):
+    """Reference: exactly the objids a numpy mask over the catalog keeps."""
+
+    def check(photo, table):
+        expected = np.asarray(photo["objid"])[mask_fn(photo)]
+        assert sorted(table["objid"].tolist()) == sorted(expected.tolist())
+
+    return check
+
+
+def _cone(ra, dec, radius):
+    return lambda photo: circle_region(ra, dec, radius).contains(
+        photo.positions_xyz()
+    )
+
+
+def _brightest_30(photo, table):
+    order = np.lexsort((photo["objid"], photo["mag_r"]))[:30]
+    assert table["objid"].tolist() == np.asarray(photo["objid"])[order].tolist()
+    assert table["mag_r"].tolist() == np.asarray(photo["mag_r"])[order].tolist()
+
+
+def _mean_and_count_by_type(photo, table):
+    assert sorted(table["objtype"].tolist()) == np.unique(photo["objtype"]).tolist()
+    for objtype, mean, count in zip(table["objtype"], table["m"], table["n"]):
+        mag_r = np.asarray(photo["mag_r"], dtype=np.float64)[
+            photo["objtype"] == objtype
+        ]
+        assert count == len(mag_r)
+        assert mean == pytest.approx(mag_r.mean(), rel=1e-5)
+
+
+#: every plan shape whose rows flow through a coalescing ScanNode, with
+#: the numpy check of its answer
 CORPUS = [
-    ("full_scan", "SELECT objid FROM photo", "rows"),
-    ("filter", "SELECT objid, mag_r FROM photo WHERE mag_r < 18", "rows"),
-    ("cone", "SELECT objid FROM photo WHERE CIRCLE(40, 30, 5)", "rows"),
+    ("full_scan", "SELECT objid FROM photo", _objids(lambda photo: slice(None))),
+    (
+        "filter",
+        "SELECT objid, mag_r FROM photo WHERE mag_r < 18",
+        _objids(lambda photo: photo["mag_r"] < 18),
+    ),
+    (
+        "cone",
+        "SELECT objid FROM photo WHERE CIRCLE(40, 30, 5)",
+        _objids(_cone(40, 30, 5)),
+    ),
     (
         "cone_pred",
         "SELECT objid FROM photo WHERE CIRCLE(40, 30, 10) AND mag_g < 19",
-        "rows",
+        _objids(lambda photo: _cone(40, 30, 10)(photo) & (photo["mag_g"] < 19)),
     ),
     (
         "order_limit",
         "SELECT objid, mag_r FROM photo ORDER BY mag_r, objid LIMIT 30",
-        "ordered",
+        _brightest_30,
     ),
     (
         "aggregate",
         "SELECT objtype, AVG(mag_r) AS m, COUNT(objid) AS n FROM photo "
         "GROUP BY objtype",
-        "ordered",
+        _mean_and_count_by_type,
     ),
     (
         "set_op",
         "(SELECT objid FROM photo WHERE mag_r < 18) INTERSECT "
         "(SELECT objid FROM photo WHERE mag_g < 19)",
-        "rows",
+        _objids(lambda photo: (photo["mag_r"] < 18) & (photo["mag_g"] < 19)),
     ),
 ]
 
-BATCH_SIZES = [0, 256, 4096, 65536]  # 0 = per-container (no coalescing)
+BATCH_SIZES = [64, 256, 4096, 65536]
 
 
 @pytest.fixture(scope="module")
@@ -68,22 +115,37 @@ def sessions(photo_store, tag_store):
 
 
 class TestBatchSizeInvariance:
-    @pytest.mark.parametrize("name,query,mode", CORPUS)
-    def test_corpus_identical_across_batch_sizes(
-        self, sessions, same_rows, name, query, mode
+    @pytest.mark.parametrize("name,query,check", CORPUS)
+    def test_corpus_matches_numpy_at_every_batch_size(
+        self, sessions, photo, name, query, check
     ):
-        baseline = sessions[BATCH_SIZES[0]].query_table(query)
-        for rows in BATCH_SIZES[1:]:
-            got = sessions[rows].query_table(query)
-            same_rows(baseline, got, ordered=(mode == "ordered"))
+        for rows in BATCH_SIZES:
+            check(photo, sessions[rows].query_table(query))
 
     def test_unordered_scan_order_is_invariant_too(self, sessions):
         """Even raw emission order is the sweep's delivery order, so the
         unsorted stream is positionally identical at every batch size."""
-        baseline = sessions[0].query_table("SELECT objid FROM photo")
+        baseline = sessions[BATCH_SIZES[0]].query_table("SELECT objid FROM photo")
         for rows in BATCH_SIZES[1:]:
             got = sessions[rows].query_table("SELECT objid FROM photo")
             assert np.array_equal(baseline["objid"], got["objid"])
+
+    @pytest.mark.parametrize("batch_rows", [0, -1])
+    def test_non_positive_batch_rows_is_refused(
+        self, photo, photo_store, batch_rows
+    ):
+        """There is no per-container mode: the engines refuse the value
+        where they are built, whichever way they are reached."""
+        stores = {"photo": photo_store}
+        archive = DistributedArchive.from_table(photo, depth=5, n_servers=2)
+        for build in (
+            lambda: QueryEngine(stores, batch_rows=batch_rows),
+            lambda: DistributedQueryEngine(archive, batch_rows=batch_rows),
+            lambda: Archive.connect(stores=stores, batch_rows=batch_rows),
+            lambda: Archive.connect(archive=archive, batch_rows=batch_rows),
+        ):
+            with pytest.raises(ValueError, match="batch_rows must be positive"):
+                build()
 
 
 def _scan_stats(job):
@@ -128,17 +190,6 @@ class TestCounterPerfGate:
         assert 1 <= scan.predicate_evals <= bound
         # and the bound is meaningful: far fewer passes than containers
         assert scan.predicate_evals < n_containers
-
-    def test_per_container_mode_matches_container_count(self, photo_store, photo):
-        """batch_rows<=0 is the pre-morsel behavior: one evaluation per
-        delivered non-empty container."""
-        with Archive.connect(
-            stores={"photo": photo_store}, batch_rows=0
-        ) as session:
-            job = session.submit("SELECT objid FROM photo")
-            job.cursor.to_table()
-            (scan,) = _scan_stats(job)
-        assert scan.predicate_evals == len(photo_store.containers)
 
     def test_region_query_counts_stay_bounded(self, photo_store):
         """A cone over the small test catalog buffers well under one

@@ -1,16 +1,29 @@
 """The session differential corpus — the acceptance gate of the API.
 
-One corpus of representative queries runs through every entry point —
-the legacy single-store :class:`QueryEngine`, the legacy
-:class:`DistributedQueryEngine`, and the :class:`Session` facade over
-both backends in *both* query classes (interactive streaming and
-batch-queued) — asserting row-for-row identical results.  Every query
-must also explain to a non-empty structured plan tree on both backends.
+Two references, one way in:
+
+* a hand-written corpus of representative queries runs through the
+  :class:`Session` facade over both in-process backends in *both* query
+  classes (interactive streaming and batch-queued), asserting
+  row-for-row identical results backend to backend; every query must
+  also explain to a non-empty structured plan tree on both;
+* seeded, generated operations (the gated benchmark's generators,
+  imported, not copied) run on every backend shape — a store mapping, a
+  partitioned archive, a cluster of archive servers — at ``workers`` 1
+  and 4, and each answer is checked row-exact and order-exact against
+  the benchmark's numpy oracle, which shares no code with the archive.
 """
 
+import itertools
+
+import numpy as np
 import pytest
 
-from repro.session import PlanTree
+from bench import gen
+from bench.oracle import Oracle, digest_answer, same_answer
+from repro.net import ArchiveServer
+from repro.session import Archive, PlanTree
+from repro.storage import DistributedArchive
 
 # (query, mode): mode 'rows' compares canonically sorted rows, 'ordered'
 # compares positionally (deterministic output order on both sides),
@@ -83,17 +96,11 @@ def _compare(expected, got, mode, same_rows):
 
 @pytest.mark.parametrize("query,mode", CORPUS)
 def test_all_entry_points_agree(
-    engine, dengine, local_session, dist_session, same_rows, query, mode
+    local_session, dist_session, same_rows, query, mode
 ):
-    """QueryEngine == DistributedQueryEngine == Session over both
-    backends in both query classes, row for row."""
-    expected = engine.query_table(query)
-
-    # Legacy distributed entry point.
-    _compare(expected, dengine.query_table(query), mode, same_rows)
-
-    # Session facade, interactive class, both backends.
-    _compare(expected, local_session.query_table(query), mode, same_rows)
+    """Session over both backends in both query classes, row for row."""
+    # Interactive class: the single-store answer is the reference.
+    expected = local_session.query_table(query)
     _compare(expected, dist_session.query_table(query), mode, same_rows)
 
     # Session facade, batch class, both backends: queued through the
@@ -126,3 +133,74 @@ def test_explain_is_structured_everywhere(
         node for node in dist_tree.walk() if "servers" in node.detail
     ]
     assert fanout_nodes, "distributed explain must surface the fan-out"
+
+
+# ----------------------------------------------------------------------
+# one oracle, every backend
+# ----------------------------------------------------------------------
+
+ORACLE_SEED = 17
+
+
+def _answer_rows(digest):
+    return digest[1] if digest[0] in ("rows", "ordered") else len(digest[1])
+
+
+@pytest.fixture(scope="module")
+def oracle_ops(photo):
+    """~40 generated ops with the digest a correct answer has.
+
+    The suite's catalog is 6.7 k rows over the whole sky, so most of the
+    generators' small cones are empty here: of 80 draws per spatial
+    generator the ops with rows are kept (capped), plus two empty ones —
+    an empty answer has to be right too.
+    """
+    oracle = Oracle(photo.data)
+    rng = np.random.default_rng(ORACLE_SEED)
+    ops = [(op, oracle.expect(op)) for op in itertools.islice(gen.scan_sweep(rng), 12)]
+    for generator, cap in ((gen.cone_search, 12), (gen.cluster_gather, 9)):
+        drawn = [
+            (op, oracle.expect(op)) for op in itertools.islice(generator(rng), 80)
+        ]
+        whole = [pair for pair in drawn if pair[0].region is None]
+        spatial = [pair for pair in drawn if pair[0].region is not None]
+        with_rows = [pair for pair in spatial if _answer_rows(pair[1])]
+        empty = [pair for pair in spatial if not _answer_rows(pair[1])]
+        ops += whole[:3] + with_rows[:cap] + empty[:2]
+    assert len(ops) >= 36
+    return ops
+
+
+@pytest.fixture(scope="module", params=[1, 4], ids=["workers1", "workers4"])
+def oracle_backends(request, photo, tags, photo_store, tag_store, dist_archive):
+    """A session per backend shape at one ``workers`` setting."""
+    workers = request.param
+    cluster_archive = DistributedArchive.from_table(photo, depth=5, n_servers=2)
+    cluster_archive.attach_source("tag", tags)
+    servers = [
+        ArchiveServer(stores=node.stores(), workers=workers).start()
+        for node in cluster_archive.servers
+    ]
+    sessions = {
+        "stores": Archive.connect(
+            stores={"photo": photo_store, "tag": tag_store}, workers=workers
+        ),
+        "archive": Archive.connect(archive=dist_archive, workers=workers),
+        "cluster": Archive.connect([server.url for server in servers]),
+    }
+    yield sessions
+    for session in sessions.values():
+        session.close()
+    for server in servers:
+        server.stop()
+
+
+@pytest.mark.parametrize("backend", ["stores", "archive", "cluster"])
+def test_generated_ops_match_the_numpy_oracle(oracle_ops, oracle_backends, backend):
+    session = oracle_backends[backend]
+    wrong = []
+    for op, expected in oracle_ops:
+        got = digest_answer(op, list(session.execute(op.text)))
+        if not same_answer(expected, got):
+            wrong.append((op.text, expected[:2], got[:2]))
+    assert wrong == []

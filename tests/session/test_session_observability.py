@@ -142,8 +142,8 @@ class TestExplainAnalyze:
         prefixed = local_session.explain_analyze(f"EXPLAIN ANALYZE {QUERY}")
         assert prefixed.kind == plain.kind
 
-    def test_rows_match_the_real_result(self, local_session, engine):
-        expected = engine.query_table(QUERY)
+    def test_rows_match_the_real_result(self, local_session):
+        expected = local_session.query_table(QUERY)
         tree = local_session.explain_analyze(QUERY)
         assert tree.detail["rows"] == (0 if expected is None else len(expected))
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.session import Archive
 from repro.storage import BufferPool, ContainerStore
 
 
@@ -34,20 +35,25 @@ class TestReadPath:
             store.read_container(htm_id)
         assert store.buffer_pool.stats.hit_rate() == pytest.approx(0.5)
 
-    def test_query_region_populates_and_reuses_pool(self, photo, store):
-        from repro.geometry import circle_region
+    def test_repeated_query_populates_and_reuses_pool(self, store):
+        query = "SELECT * FROM photo WHERE CIRCLE(40, 30, 10)"
+        with Archive.connect(stores={"photo": store}) as session:
+            first = session.execute(query)
+            first.to_table()
+            second = session.execute(query)
+            second.to_table()
+        touched = first.io_report()["containers_read"]
+        assert 0 < touched < len(store.containers)
+        assert first.io_report()["containers_from_pool"] == 0
+        assert second.io_report()["containers_from_pool"] == touched
+        assert second.io_report()["containers_read"] == 0
 
-        region = circle_region(40.0, 30.0, 10.0)
-        _result, first = store.query_region(region)
-        _result, second = store.query_region(region)
-        assert first.containers_from_pool == 0
-        touched = second.containers_accepted + second.containers_bisected
-        assert second.containers_from_pool == touched
-
-    def test_scan_all_second_pass_is_all_hits(self, store):
-        store.scan_all()
-        _result, stats = store.scan_all()
-        assert stats.containers_from_pool == len(store.containers)
+    def test_second_full_scan_is_all_hits(self, store):
+        with Archive.connect(stores={"photo": store}) as session:
+            session.query_table("SELECT * FROM photo")
+            cursor = session.execute("SELECT * FROM photo")
+            cursor.to_table()
+        assert cursor.io_report()["containers_from_pool"] == len(store.containers)
         assert store.buffer_pool.stats.misses == len(store.containers)
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.geometry.shapes import circle_region, latitude_band
+from repro.geometry.shapes import circle_region
+from repro.session import Archive
 from repro.storage.cluster import DistributedArchive
 
 
@@ -11,6 +12,16 @@ from repro.storage.cluster import DistributedArchive
 def archive(request):
     photo = request.getfixturevalue("photo")
     return DistributedArchive.from_table(photo, depth=5, n_servers=6)
+
+
+@pytest.fixture()
+def session(archive):
+    with Archive.connect(archive=archive) as session:
+        yield session
+
+
+def rows_by_objid(table):
+    return np.sort(table.data, order="objid")
 
 
 class TestDistribution:
@@ -33,53 +44,56 @@ class TestDistribution:
 
 
 class TestDistributedQueries:
-    def test_query_matches_brute_force(self, photo, archive):
-        region = circle_region(40.0, 30.0, 5.0)
-        result, report = archive.query_region(region)
-        expected = int(region.contains(photo.positions_xyz()).sum())
-        assert len(result) == expected
-        assert report.rows_returned == expected
+    """A session over the archive is how it is queried; the fan-out
+    accounting is the job's :class:`ShardFanoutReport`."""
 
-    def test_small_query_touches_few_servers(self, archive):
-        region = circle_region(40.0, 30.0, 0.5)
-        _result, report = archive.query_region(region)
-        assert report.servers_touched <= 2
+    def test_query_matches_brute_force(self, photo, session):
+        result = session.query_table("SELECT * FROM photo WHERE CIRCLE(40, 30, 5)")
+        mask = circle_region(40.0, 30.0, 5.0).contains(photo.positions_xyz())
+        np.testing.assert_array_equal(
+            rows_by_objid(result), rows_by_objid(photo.select(mask))
+        )
 
-    def test_allsky_scan_touches_all_servers(self, photo, archive):
-        result, report = archive.scan_all()
-        assert len(result) == len(photo)
-        assert report.servers_touched == report.servers_total
+    def test_small_query_touches_few_servers(self, session):
+        job = session.submit("SELECT * FROM photo WHERE CIRCLE(40, 30, 0.5)")
+        job.cursor.to_table()
+        assert job.reports[0].servers_touched <= 2
 
-    def test_scan_with_predicate(self, photo, archive):
-        result, _report = archive.scan_all(lambda t: t["objtype"] == 3)
+    def test_allsky_scan_touches_all_servers(self, photo, session):
+        job = session.submit("SELECT * FROM photo")
+        assert len(job.cursor.to_table()) == len(photo)
+        assert job.reports[0].servers_touched == job.reports[0].servers_total
+
+    def test_scan_with_predicate(self, photo, session):
+        result = session.query_table("SELECT * FROM photo WHERE objtype = QUASAR")
         assert len(result) == int((photo["objtype"] == 3).sum())
 
-    def test_parallel_speedup_on_wide_queries(self, archive):
+    def test_parallel_speedup_on_wide_queries(self, archive, session):
         # A band crossing every server: parallel time ~ single / servers.
-        region = latitude_band(-90.0, 90.0)
-        _result, report = archive.query_region(region)
+        job = session.submit("SELECT * FROM photo WHERE LATBAND(-90, 90)")
+        job.cursor.to_table()
+        report = job.reports[0]
         assert report.servers_touched == report.servers_total
         assert report.parallel_speedup() > len(archive.servers) * 0.5
 
-    def test_extra_mask(self, photo, archive):
-        region = circle_region(40.0, 30.0, 8.0)
-        result, _report = archive.query_region(
-            region, extra_mask_fn=lambda t: t["mag_r"] < 19.0
+    def test_attribute_predicate(self, photo, session):
+        result = session.query_table(
+            "SELECT * FROM photo WHERE CIRCLE(40, 30, 8) AND mag_r < 19"
         )
-        expected = int(
-            (
-                region.contains(photo.positions_xyz())
-                & (np.asarray(photo["mag_r"]) < 19.0)
-            ).sum()
+        mask = circle_region(40.0, 30.0, 8.0).contains(photo.positions_xyz()) & (
+            np.asarray(photo["mag_r"]) < 19.0
         )
-        assert len(result) == expected
+        np.testing.assert_array_equal(
+            rows_by_objid(result), rows_by_objid(photo.select(mask))
+        )
 
-    def test_empty_region(self, archive):
-        from repro.geometry.region import Region
-
-        result, report = archive.query_region(Region.empty())
-        assert len(result) == 0
-        assert report.servers_touched == 0
+    def test_empty_region(self, session):
+        # Two disjoint circles: an empty cover prunes every server.
+        job = session.submit(
+            "SELECT * FROM photo WHERE CIRCLE(10, 10, 1) AND CIRCLE(200, -50, 1)"
+        )
+        assert len(job.cursor.to_table()) == 0
+        assert job.reports[0].servers_touched == 0
 
 
 class TestScaleOut:
@@ -99,13 +113,15 @@ class TestScaleOut:
 
     def test_queries_correct_after_scale_out(self, photo):
         archive = DistributedArchive.from_table(photo, depth=5, n_servers=3)
-        region = circle_region(40.0, 30.0, 6.0)
-        before, _r = archive.query_region(region)
-        archive.add_servers(3)
-        after, _r2 = archive.query_region(region)
-        assert sorted(np.asarray(before["objid"]).tolist()) == sorted(
-            np.asarray(after["objid"]).tolist()
-        )
+        query = "SELECT * FROM photo WHERE CIRCLE(40, 30, 6)"
+        mask = circle_region(40.0, 30.0, 6.0).contains(photo.positions_xyz())
+        expected = rows_by_objid(photo.select(mask))
+        with Archive.connect(archive=archive) as session:
+            before = session.query_table(query)
+            archive.add_servers(3)
+            after = session.query_table(query)
+        np.testing.assert_array_equal(rows_by_objid(before), expected)
+        np.testing.assert_array_equal(rows_by_objid(after), expected)
 
     def test_incremental_load(self, photo):
         half = len(photo) // 2
@@ -113,10 +129,9 @@ class TestScaleOut:
         archive.load(photo.take(np.arange(half)))
         archive.load(photo.take(np.arange(half, len(photo))))
         assert archive.total_objects() == len(photo)
-        result, _report = archive.scan_all()
-        assert sorted(np.asarray(result["objid"]).tolist()) == sorted(
-            np.asarray(photo["objid"]).tolist()
-        )
+        with Archive.connect(archive=archive) as session:
+            result = session.query_table("SELECT * FROM photo")
+        np.testing.assert_array_equal(rows_by_objid(result), rows_by_objid(photo))
 
     def test_add_servers_validated(self, photo):
         archive = DistributedArchive.from_table(photo, depth=5, n_servers=2)

@@ -1,13 +1,33 @@
-"""Tests for repro.storage.containers."""
+"""Tests for repro.storage.containers.
+
+A store places data; rows leave it through a session's subscription to
+the store's shared sweep and no other way, so what a spatial query does
+to a store — exact answers, the three-way container classification, the
+work the index saves — is checked on that path.
+"""
 
 import numpy as np
 import pytest
 
 from repro.catalog.schema import PHOTO_SCHEMA
 from repro.catalog.table import ObjectTable
-from repro.geometry.shapes import circle_region, latitude_band
+from repro.geometry.region import Region
+from repro.geometry.shapes import (
+    circle_region,
+    latitude_band,
+    polygon_region,
+    rect_region,
+)
+from repro.htm.cover import cover_region
 from repro.htm.mesh import depth_id_bounds, lookup_ids_from_vectors
+from repro.session import Archive
 from repro.storage.containers import ContainerStore
+
+TRIANGLE = [(0.0, 0.0), (10.0, 0.0), (5.0, 8.0)]
+
+
+def rows_by_objid(table):
+    return np.sort(table.data, order="objid")
 
 
 class TestClustering:
@@ -49,66 +69,103 @@ class TestClustering:
 
 class TestQuerying:
     @pytest.mark.parametrize(
-        "region_factory",
+        "where, region_factory",
         [
-            lambda: circle_region(40.0, 30.0, 4.0),
-            lambda: circle_region(200.0, -50.0, 10.0),
-            lambda: latitude_band(-5.0, 5.0),
-            lambda: circle_region(0.5, 0.5, 2.0),  # straddles the RA seam octants
+            ("CIRCLE(40, 30, 4)", lambda: circle_region(40.0, 30.0, 4.0)),
+            ("CIRCLE(200, -50, 10)", lambda: circle_region(200.0, -50.0, 10.0)),
+            ("LATBAND(-5, 5)", lambda: latitude_band(-5.0, 5.0)),
+            # straddles the RA seam octants
+            ("CIRCLE(0.5, 0.5, 8)", lambda: circle_region(0.5, 0.5, 8.0)),
+            ("RECT(30, 50, 20, 40)", lambda: rect_region(30.0, 50.0, 20.0, 40.0)),
+            ("POLYGON(0, 0, 10, 0, 5, 8)", lambda: polygon_region(TRIANGLE)),
         ],
     )
-    def test_query_matches_brute_force(self, photo, photo_store, region_factory):
-        region = region_factory()
-        result, stats = photo_store.query_region(region)
-        expected_mask = region.contains(photo.positions_xyz())
-        assert len(result) == int(expected_mask.sum())
-        assert stats.objects_returned == len(result)
-        expected_ids = set(np.asarray(photo["objid"])[expected_mask].tolist())
-        got_ids = set(np.asarray(result["objid"]).tolist()) if len(result) else set()
-        assert got_ids == expected_ids
+    def test_query_matches_brute_force(self, photo, session, where, region_factory):
+        result = session.query_table(f"SELECT * FROM photo WHERE {where}")
+        expected = photo.select(region_factory().contains(photo.positions_xyz()))
+        assert len(expected) > 0
+        np.testing.assert_array_equal(rows_by_objid(result), rows_by_objid(expected))
 
-    def test_query_with_extra_mask(self, photo, photo_store):
-        region = circle_region(40.0, 30.0, 8.0)
-        result, _stats = photo_store.query_region(
-            region, extra_mask_fn=lambda t: t["mag_r"] < 20.0
+    def test_query_with_attribute_predicate(self, photo, session):
+        result = session.query_table(
+            "SELECT * FROM photo WHERE CIRCLE(40, 30, 8) AND mag_r < 20"
         )
-        expected = region.contains(photo.positions_xyz()) & (photo["mag_r"] < 20.0)
-        assert len(result) == int(expected.sum())
-
-    def test_stats_accounting(self, photo_store):
-        region = circle_region(40.0, 30.0, 6.0)
-        _result, stats = photo_store.query_region(region)
-        assert (
-            stats.containers_accepted
-            + stats.containers_bisected
-            + stats.containers_rejected
-            == stats.containers_total
+        mask = circle_region(40.0, 30.0, 8.0).contains(photo.positions_xyz()) & (
+            np.asarray(photo["mag_r"]) < 20.0
         )
-        assert stats.objects_scanned() == (
-            stats.objects_accepted_wholesale + stats.objects_point_tested
+        np.testing.assert_array_equal(
+            rows_by_objid(result), rows_by_objid(photo.select(mask))
         )
-        # The index must reject the overwhelming majority of containers
-        # for a 6-degree query.
-        assert stats.containers_rejected > 0.8 * stats.containers_total
 
-    def test_accepted_containers_skip_point_tests(self, photo_store):
-        # A huge region accepts containers wholesale.
-        region = circle_region(0.0, 90.0, 170.0)
-        _result, stats = photo_store.query_region(region)
-        assert stats.objects_accepted_wholesale > 0
+    def test_scan_point_tests_only_bisected_containers(
+        self, photo_store, session, monkeypatch
+    ):
+        # The paper's three-way classification, observed on the live
+        # path by counting the rows each Region instance is asked about.
+        # The scan's own exact test (plan.region) sees the rows of the
+        # bisected containers and nothing else: containers inside the
+        # cover pass it wholesale, containers outside are never
+        # delivered.  The compiled WHERE carries the CIRCLE term too (a
+        # second Region instance) and evaluates it over every delivered
+        # row — the redundancy ROADMAP item 6 records.
+        tested = {}
+        contains = Region.contains
 
-    def test_scan_all(self, photo, photo_store):
-        result, stats = photo_store.scan_all()
+        def counting(region, xyz):
+            tested[id(region)] = tested.get(id(region), 0) + len(xyz)
+            return contains(region, xyz)
+
+        monkeypatch.setattr(Region, "contains", counting)
+        cursor = session.execute("SELECT * FROM photo WHERE CIRCLE(40, 30, 12)")
+        result = cursor.to_table()
+        monkeypatch.undo()
+
+        coverage = cover_region(circle_region(40.0, 30.0, 12.0), photo_store.depth)
+        rows = {"inside": 0, "partial": 0}
+        containers = {"inside": 0, "partial": 0}
+        for htm_id, container in photo_store.containers.items():
+            for kind in ("inside", "partial"):
+                if getattr(coverage, kind).contains(htm_id):
+                    rows[kind] += len(container)
+                    containers[kind] += 1
+        assert rows["inside"] > 0 and rows["partial"] > 0
+        assert sorted(tested.values()) == [
+            rows["partial"],
+            rows["inside"] + rows["partial"],
+        ]
+        assert rows["inside"] <= len(result) < rows["inside"] + rows["partial"]
+        # Accepted + bisected containers were delivered, the rest skipped.
+        report = cursor.io_report()
+        delivered = report["containers_read"] + report["containers_from_pool"]
+        assert delivered == containers["inside"] + containers["partial"]
+        assert delivered + report["containers_skipped"] == len(photo_store)
+
+    def test_index_rejects_most_containers(self, photo_store, session):
+        cursor = session.execute("SELECT * FROM photo WHERE CIRCLE(40, 30, 6)")
+        cursor.to_table()
+        assert cursor.io_report()["containers_skipped"] > 0.8 * len(photo_store)
+
+    def test_full_scan_reads_every_byte_once(self, photo):
+        store = ContainerStore.from_table(photo, 5)
+        with Archive.connect(stores={"photo": store}) as session:
+            cursor = session.execute("SELECT * FROM photo")
+            result = cursor.to_table()
         assert len(result) == len(photo)
-        assert stats.bytes_touched == photo.nbytes()
+        assert cursor.io_report()["containers_read"] == len(store)
+        assert store.buffer_pool.stats.bytes_read == photo.nbytes()
 
-    def test_scan_all_with_predicate(self, photo, photo_store):
-        result, _stats = photo_store.scan_all(lambda t: t["objtype"] == 3)
+    def test_full_scan_with_predicate(self, photo, session):
+        result = session.query_table("SELECT * FROM photo WHERE objtype = QUASAR")
         assert len(result) == int((photo["objtype"] == 3).sum())
 
-    def test_query_empty_region_returns_empty(self, photo_store):
-        from repro.geometry.region import Region
-
-        result, stats = photo_store.query_region(Region.empty())
+    def test_query_empty_region_returns_empty(self, photo_store, session):
+        # Two disjoint circles: the cover is empty, nothing is delivered.
+        cursor = session.execute(
+            "SELECT * FROM photo WHERE CIRCLE(10, 10, 1) AND CIRCLE(200, -50, 1)"
+        )
+        result = cursor.to_table()
         assert len(result) == 0
-        assert stats.containers_rejected == stats.containers_total
+        assert result.schema.field_names() == photo_store.schema.field_names()
+        report = cursor.io_report()
+        assert report["containers_read"] + report["containers_from_pool"] == 0
+        assert report["containers_skipped"] == len(photo_store)
