@@ -3,7 +3,7 @@
 
 PYTEST = PYTHONPATH=src python -m pytest
 
-.PHONY: test test-net test-chaos test-all bench bench-smoke check examples serve loc
+.PHONY: test test-net test-chaos test-all bench bench-smoke counters check examples serve loc
 
 # Tier-1 verification: everything except @pytest.mark.slow benchmarks.
 test:
@@ -56,14 +56,20 @@ serve:
 bench:
 	$(PYTEST) -q -s benchmarks -o addopts=""
 
-# One quick benchmark per family as a smoke check (~30s): exercises every
-# benchmark fixture chain without the multi-second timing rounds, then
-# records the session-API perf artifact (time-to-first-row / completion
-# for a fixed corpus over both backends) so the trajectory is on disk.
-bench-smoke:
+# The deterministic-counter gate: record the session-API perf artifact
+# (time-to-first-row / completion for a fixed corpus over both backends,
+# so the trajectory is on disk) and compare its exact I/O counters with
+# the committed artifact.  Latencies drift with the host; a counter that
+# moves means the engine reads or evaluates differently.
+counters:
 	PYTHONPATH=src python benchmarks/bench_session.py \
 		--out BENCH_session.json --trace-out BENCH_trace_breakdown.json
 	PYTHONPATH=src python benchmarks/check_counters.py BENCH_session.json
+
+# One quick benchmark per family as a smoke check (~30s): the counter
+# gate, then every benchmark fixture chain without the multi-second
+# timing rounds.
+bench-smoke: counters
 	$(PYTEST) -q -x \
 		"benchmarks/test_bench_cartesian_vs_trig.py::test_bench_cone_dot_vs_haversine" \
 		"benchmarks/test_bench_container_pruning.py::test_bench_pruning_savings" \

@@ -13,8 +13,9 @@ happen to execute in another process.  The moving part is
 protocol: it submits the query as a server-side session job, pulls
 result batches (client-driven streaming, so backpressure crosses the
 network hop for free), folds the server's per-node
-:class:`~repro.query.qet.NodeStats` and shared-scan I/O counters back
-into the client job, and propagates :meth:`Job.cancel` over the wire.
+:class:`~repro.query.qet.NodeStats` into its own, keeps the server's
+sweep, pool and cache counters for the client job's metrics, and
+propagates :meth:`Job.cancel` over the wire.
 
 Every wire call goes through one :class:`ServerLink` — one server's
 address, identity, timeouts, round-trip telemetry and retry policy.
@@ -60,6 +61,7 @@ from repro.net.protocol import (
     ConnectionClosed,
     ProtocolError,
     RemoteArchiveError,
+    node_stats_from_wire,
     plan_from_wire,
     raise_from_wire,
     recv_frame,
@@ -69,7 +71,7 @@ from repro.net.protocol import (
     table_from_wire,
 )
 from repro.query.errors import ExecutionError, UnrecoverableShardError
-from repro.query.qet import QETNode, Stream, add_worker_items
+from repro.query.qet import QETNode, Stream
 from repro.session.executor import Executor, PreparedQuery
 
 __all__ = [
@@ -366,6 +368,10 @@ class RemoteRootNode(QETNode):
 
     name = "remote"
 
+    #: result batches asked for per ``fetch_batch`` round trip (the server
+    #: sends fewer rather than stall a ready one; its cap is ``_MAX_FETCH``)
+    FETCH_BATCHES = 8
+
     def __init__(
         self,
         link,
@@ -374,7 +380,6 @@ class RemoteRootNode(QETNode):
         mode="full",
         select_index=0,
         remote_plan=None,
-        fetch_batches=8,
         server_id=None,
         compression=None,
         ranges=None,
@@ -396,7 +401,6 @@ class RemoteRootNode(QETNode):
         self.compression = compression
         #: the server-rendered PlanTree (``session.explain`` passthrough)
         self.remote_plan = remote_plan
-        self.fetch_batches = max(1, int(fetch_batches))
         #: annotation consumed by the structured explain (shard index)
         self.server_id = server_id
         #: query class forwarded to the server-side session (bound by
@@ -436,8 +440,9 @@ class RemoteRootNode(QETNode):
         self.remote_job_id = None
         #: serialized per-node NodeStats from the server (after drain)
         self.remote_node_stats = None
-        #: raw ``{"sweep": [swept, deliveries], "pool": [accesses, hits]}``
-        #: counters the client Job.io_report folds in
+        #: the ``done`` frame's ``raw``: the server job's ``sweep.*`` /
+        #: ``buffer_pool.*`` / ``cache.*`` counters in registry names,
+        #: which the client job's metrics merge in
         self.remote_io_raw = None
         #: the current segment's link and socket (guarded by the lock)
         self._segment_link = link
@@ -641,7 +646,7 @@ class RemoteRootNode(QETNode):
                 {
                     "op": "fetch_batch",
                     "job_id": self.remote_job_id,
-                    "max_batches": self.fetch_batches,
+                    "max_batches": self.FETCH_BATCHES,
                 },
             )
             stream_span.attrs["round_trips"] = (
@@ -686,27 +691,13 @@ class RemoteRootNode(QETNode):
 
     def _collect_stats(self, stats):
         """Fold what the ``done`` frame carries — NodeStats, server
-        spans, the analyzed plan, the raw I/O counters — into this node,
-        so the client job's telemetry is real, not empty."""
+        spans, the analyzed plan, the store-side counters — into this
+        node, so the client job's telemetry is real, not empty."""
         self.remote_spans = stats.get("spans")
         self.remote_analyzed_plan = plan_from_wire(stats.get("analyzed_plan"))
         nodes = stats.get("nodes", [])
         self.remote_node_stats = nodes
-        for node in nodes:
-            self.stats.containers_read += int(node.get("containers_read", 0))
-            self.stats.containers_from_pool += int(
-                node.get("containers_from_pool", 0)
-            )
-            self.stats.containers_skipped += int(
-                node.get("containers_skipped", 0)
-            )
-            self.stats.predicate_evals += int(node.get("predicate_evals", 0))
-            self.stats.note_buffered(int(node.get("peak_buffered_rows", 0)))
-            # Fold the server-side worker-pool counters so utilization
-            # telemetry survives the wire: widest pool wins, per-slot
-            # item counts accumulate elementwise.
-            self.stats.workers = max(self.stats.workers, int(node.get("workers", 0)))
-            add_worker_items(self.stats.worker_items, node.get("worker_items", []))
+        self.stats.fold(*map(node_stats_from_wire, nodes))
         self.remote_io_raw = stats.get("raw")
 
 
@@ -729,11 +720,9 @@ class RemoteExecutor(Executor):
         *,
         connect_timeout=5.0,
         timeout=None,
-        fetch_batches=8,
         compression=None,
         user=None,
         token=None,
-        retry=None,
     ):
         #: address, tenant identity, timeouts, telemetry and the
         #: RetryPolicy of the idempotent ops (hello, prepare, stats,
@@ -745,9 +734,7 @@ class RemoteExecutor(Executor):
             token=token,
             connect_timeout=connect_timeout,
             timeout=timeout,
-            retry=retry if retry is not None else RetryPolicy(),
         )
-        self.fetch_batches = fetch_batches
         #: table-frame codec to request for result streams (e.g.
         #: ``"zlib"``); servers that do not speak it fall back to raw
         #: frames, so this is always safe to set
@@ -818,7 +805,6 @@ class RemoteExecutor(Executor):
             text,
             allow_tag_route=allow_tag_route,
             remote_plan=plan_from_wire(header.get("plan")),
-            fetch_batches=self.fetch_batches,
             compression=self.compression,
         )
         return PreparedQuery(

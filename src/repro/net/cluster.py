@@ -202,14 +202,12 @@ class RemotePartitionedExecutor(Executor):
         *,
         connect_timeout=5.0,
         timeout=None,
-        fetch_batches=8,
         batch_rows=4096,
         compression=None,
     ):
         urls = list(urls)
         if not urls:
             raise ValueError("remote cluster needs at least one endpoint")
-        self.fetch_batches = fetch_batches
         self.batch_rows = int(batch_rows)
         if compression is None:
             # honor ?compress=zlib URL options (any endpoint opts the
@@ -365,7 +363,6 @@ class RemotePartitionedExecutor(Executor):
                     allow_tag_route=allow_tag_route,
                     mode="shard",
                     select_index=select_index,
-                    fetch_batches=self.fetch_batches,
                     server_id=shard.shard_id,
                     compression=self.compression,
                     ranges=assigned.intervals if assigned is not None else None,

@@ -60,9 +60,10 @@ connection; the server keeps no client state across connections.
     results are simply ``done`` with zero batches — the client already
     holds the static output schema, so they stay well-formed tables.
     The ``batches`` frame that says ``done`` also carries the job's
-    statistics — everything ``job_stats`` answers with (below) — so a
-    drained query needs no further exchange; the client folds them in
-    once the round's last table frame has arrived.
+    statistics — ``state``, ``rows``, ``nodes``, ``spans``, ``raw`` and
+    ``analyzed_plan``, everything ``job_stats`` answers with (below) —
+    so a drained query needs no further exchange; the client folds them
+    in once the round's last table frame has arrived.
     On a range-restricted shard stream, each table frame's header also
     carries ``delivered`` — the cumulative closed container-id
     intervals fully accounted for up to and including that batch — the
@@ -74,16 +75,18 @@ connection; the server keeps no client state across connections.
     job id is refused with a structured authentication error.
 ``job_stats``
     A job's statistics on request (the ``done`` frame carries the same
-    payload unasked): per-QET-node execution counters, serialized
-    :class:`~repro.query.qet.NodeStats` (including the node timestamps,
-    ``None`` for events that never happened), the job's offset-encoded
-    server-side ``spans`` (see :meth:`repro.obs.trace.Trace.to_wire`),
-    once the job is terminal its ``analyzed_plan`` — the server-executed
-    plan tree annotated with measured rows/time/I-O for EXPLAIN ANALYZE
-    — and the ``raw`` shared-scan sweep/pool counters the client folds
-    into :meth:`~repro.session.core.Job.io_report` (on cache-enabled
-    servers also the result-cache counters with a per-job ``hit`` flag,
-    so cache telemetry survives the wire).
+    payload unasked): ``nodes``, per QET node its ``kind`` plus every
+    field of its :class:`~repro.query.qet.NodeStats` (each declared
+    counter; the timestamps, ``None`` for events that never happened),
+    which the client's remote leaf folds into its own record; the job's
+    offset-encoded server-side ``spans`` (see
+    :meth:`repro.obs.trace.Trace.to_wire`); once the job is terminal its
+    ``analyzed_plan`` — the server-executed plan tree annotated with
+    measured rows/time/I-O for EXPLAIN ANALYZE; and ``raw``, a flat dict
+    in metrics-registry names of what the server's sweeps, buffer pools
+    and result cache counted (:func:`repro.obs.report.shared_metrics`;
+    on cache-enabled servers with a per-job ``cache.hit`` flag), which
+    the client job's metrics merge in, so telemetry survives the wire.
 ``stats``
     Snapshot of the server's process-wide metrics registry plus server
     vitals: uptime, live/retired job counts, per-user job counts,
@@ -110,6 +113,7 @@ import numpy as np
 from repro.catalog.schema import Field, Schema
 from repro.catalog.table import ObjectTable
 from repro.distributed.routing import ShardFanoutReport
+from repro.query.qet import NodeStats
 from repro.session.plan import PlanTree
 
 __all__ = [
@@ -131,6 +135,7 @@ __all__ = [
     "report_to_wire",
     "report_from_wire",
     "node_stats_to_wire",
+    "node_stats_from_wire",
     "plan_to_wire",
     "plan_from_wire",
     "error_to_wire",
@@ -141,7 +146,9 @@ __all__ = [
 #: 2: credentials identify a connection on any frame, not only on
 #: ``hello``; the ``done`` frame carries the job statistics and raw I/O
 #: counters; the ``io_report`` op is gone.
-PROTOCOL_VERSION = 2
+#: 3: ``raw`` is a flat dict in metrics-registry names (it was
+#: ``sweep`` / ``pool`` pairs and a nested ``cache`` dict).
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one frame (header + body).  Result batches are at most
 #: a few thousand ~1.3 kB records, far below this; the bound exists so a
@@ -395,30 +402,23 @@ def report_from_wire(wire):
 
 
 def node_stats_to_wire(node_stats):
-    """``{node: NodeStats}`` -> list of JSON-safe per-node counter dicts.
-
-    Timestamps are perf-counter floats local to the serializing process
-    (meaningful only as deltas to the receiver) and stay ``None`` for
-    events that never happened — a never-started node ships as such.
-    """
+    """``{node: NodeStats}`` -> one JSON-safe dict per node: its ``kind``
+    plus every field of its record.  Timestamps are perf-counter floats
+    local to the serializing process (meaningful only as deltas to the
+    receiver) and stay ``None`` for events that never happened — a
+    never-started node ships as such."""
     return [
-        {
-            "kind": getattr(node, "name", type(node).__name__),
-            "rows_out": stats.rows_out,
-            "batches_out": stats.batches_out,
-            "started_at": stats.started_at,
-            "first_output_at": stats.first_output_at,
-            "finished_at": stats.finished_at,
-            "containers_read": stats.containers_read,
-            "containers_from_pool": stats.containers_from_pool,
-            "containers_skipped": stats.containers_skipped,
-            "predicate_evals": stats.predicate_evals,
-            "peak_buffered_rows": stats.peak_buffered_rows,
-            "workers": stats.workers,
-            "worker_items": [int(n) for n in stats.worker_items],
-        }
+        {"kind": getattr(node, "name", type(node).__name__), **vars(stats)}
         for node, stats in node_stats.items()
     ]
+
+
+def node_stats_from_wire(wire):
+    """One :func:`node_stats_to_wire` entry -> :class:`NodeStats`; a
+    field the sender did not know keeps its zero."""
+    stats = NodeStats()
+    vars(stats).update({name: wire[name] for name in vars(stats) if name in wire})
+    return stats
 
 
 def plan_to_wire(tree):

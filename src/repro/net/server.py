@@ -72,6 +72,7 @@ from repro.net.protocol import (
     table_to_wire,
 )
 from repro.obs.metrics import registry as obs_registry
+from repro.obs.report import shared_metrics
 from repro.obs.trace import assemble_job_trace
 from repro.query.engine import QueryEngine
 from repro.query.errors import ExecutionError, QueryError
@@ -483,7 +484,13 @@ class ArchiveServer:
                 if not served.job.state.is_terminal():
                     served.job.cancel()
                 with self._lock:
+                    full = len(self._retired) == self._RETIRED_JOBS
+                    evicted = self._retired[0][0] if full else None
                     self._retired.append((served.job, job_id))
+                if evicted is not None:
+                    # Out of the window, out of the session: otherwise
+                    # the session keeps every QET this server ever ran.
+                    self.session._forget(evicted)
             with self._lock:
                 self._threads.discard(threading.current_thread())
 
@@ -544,19 +551,9 @@ class ArchiveServer:
     def _job_stats(self, served):
         """What a client needs to account a served job: state, per-node
         NodeStats, server spans, the analyzed plan once terminal, and the
-        raw shared-scan I/O counters.  Rides the ``done`` frame of a
-        stream; the ``job_stats`` op answers the same thing mid-flight."""
+        store-side counters.  Rides the ``done`` frame of a stream; the
+        ``job_stats`` op answers the same thing mid-flight."""
         job = served.job
-        counters = job.io_counters()
-        raw = {"sweep": list(counters["sweep"]), "pool": list(counters["pool"])}
-        if self.service.cache is not None:
-            # Cross-wire cache telemetry: whether *this* job was a
-            # cache replay, plus the tier-wide counters, so the
-            # client's Job.io_report()["cache"] matches a local one.
-            raw["cache"] = {
-                "hit": bool(job.cache_hit),
-                **self.service.cache.stats.as_dict(),
-            }
         stats = {
             "state": job.state.value,
             "rows": job.rows,
@@ -565,7 +562,10 @@ class ArchiveServer:
             # these under its remote leaf, so one merged trace covers
             # both sides of the network hop.
             "spans": assemble_job_trace(job).to_wire()["spans"],
-            "raw": raw,
+            # What this server's sweeps, pools and cache counted (and
+            # whether *this* job was a cache replay): the client's job
+            # merges it like a local store's, so its metrics match.
+            "raw": shared_metrics(job),
         }
         prepared = getattr(job, "_prepared", None)
         if job.state.is_terminal() and prepared is not None:

@@ -21,12 +21,16 @@ Existing ``*Stats`` owners (:class:`~repro.storage.buffer.BufferPool`,
 *source*: a bound method returning ``{metric_name: value}``, held via
 :class:`weakref.WeakMethod` so a dead pool or closed session silently
 drops out of the snapshot instead of leaking.  :meth:`snapshot` merges
-all live sources — numeric values of the same name **sum** across
-instances (three shard servers' sweeps roll up into one
-``sweep.containers_swept``), dict values merge key-wise — and then adds
-the derived ratios (``buffer_pool.hit_rate``, ``cache.hit_rate``,
-``sweep.sharing_factor``) from the summed counters, so a rate is never
-a meaningless average of averages.
+all live sources with :func:`merge_metrics` — numeric values of the
+same name **sum** across instances (three shard servers' sweeps roll up
+into one ``sweep.containers_swept``), flags OR, dict values merge
+key-wise — and then :func:`derive_rates` adds the ratios
+(``buffer_pool.hit_rate``, ``cache.hit_rate``, ``sweep.sharing_factor``)
+from the summed counters, so a rate is never a meaningless average of
+averages.  Both are plain functions over a flat ``{metric name: value}``
+dict, and everything else that combines statistics calls them too: a
+job's metrics across its nodes, stores and caches, and across the wire
+(:mod:`repro.obs.report`).
 
 One process-wide default registry is reachable via :func:`registry`;
 the class stays instantiable for isolated tests.
@@ -43,6 +47,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "merge_metrics",
+    "derive_rates",
     "registry",
 ]
 
@@ -149,13 +155,42 @@ class Histogram:
         return f"Histogram({self.name!r}, n={self.count})"
 
 
-#: ``(numerator, denominator or (a, b) summed) -> derived rate name``;
-#: computed from the *summed* counters at snapshot time.
+#: ``(derived rate name, numerator, denominators summed, value while the
+#: denominators are still zero)``
 _DERIVED_RATES = (
-    ("buffer_pool.hit_rate", "buffer_pool.hits", ("buffer_pool.hits", "buffer_pool.misses")),
-    ("cache.hit_rate", "cache.hits", ("cache.hits", "cache.misses")),
-    ("sweep.sharing_factor", "sweep.deliveries", ("sweep.containers_swept",)),
+    ("buffer_pool.hit_rate", "buffer_pool.hits", ("buffer_pool.hits", "buffer_pool.misses"), 0.0),
+    ("cache.hit_rate", "cache.hits", ("cache.hits", "cache.misses"), 0.0),
+    ("sweep.sharing_factor", "sweep.deliveries", ("sweep.containers_swept",), 1.0),
 )
+
+
+def merge_metrics(out, metrics):
+    """Fold the flat dict ``metrics`` into ``out`` (returned): same-named
+    numbers sum, flags OR, dicts merge key-wise, anything else is
+    replaced.  A rate folded this way is meaningless until
+    :func:`derive_rates` recomputes it from the summed counters."""
+    for name, value in metrics.items():
+        existing = out.get(name)
+        if isinstance(value, dict):
+            bucket = existing if isinstance(existing, dict) else {}
+            out[name] = merge_metrics(bucket, value)
+        elif isinstance(value, bool):
+            out[name] = value or existing is True
+        elif isinstance(value, (int, float)) and isinstance(existing, (int, float)):
+            out[name] = existing + value
+        else:
+            out[name] = value
+    return out
+
+
+def derive_rates(out):
+    """Set every derived rate whose counters ``out`` carries (in place;
+    returns ``out``)."""
+    for rate_name, numerator, denominator, unset in _DERIVED_RATES:
+        if any(part in out for part in denominator):
+            total = sum(out.get(part, 0) for part in denominator)
+            out[rate_name] = out.get(numerator, 0) / total if total else unset
+    return out
 
 
 class MetricsRegistry:
@@ -219,23 +254,6 @@ class MetricsRegistry:
 
     # -- snapshot --------------------------------------------------------
 
-    @staticmethod
-    def _merge(out, name, value):
-        if isinstance(value, dict):
-            bucket = out.setdefault(name, {})
-            if isinstance(bucket, dict):
-                for key, item in value.items():
-                    bucket[key] = bucket.get(key, 0) + item
-            return
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            out[name] = value
-            return
-        existing = out.get(name)
-        if isinstance(existing, (int, float)) and not isinstance(existing, bool):
-            out[name] = existing + value
-        else:
-            out[name] = value
-
     def snapshot(self):
         """One flat ``{metric_name: value}`` view of everything.
 
@@ -249,10 +267,8 @@ class MetricsRegistry:
             histograms = list(self._histograms.values())
             sources = list(self._sources)
         out = {}
-        for counter in counters:
-            self._merge(out, counter.name, counter.value)
-        for gauge in gauges:
-            self._merge(out, gauge.name, gauge.value)
+        merge_metrics(out, {counter.name: counter.value for counter in counters})
+        merge_metrics(out, {gauge.name: gauge.value for gauge in gauges})
         for histogram in histograms:
             out[histogram.name] = histogram.summary()
         dead = []
@@ -265,24 +281,10 @@ class MetricsRegistry:
                 published = method()
             except Exception:
                 continue
-            for name, value in (published or {}).items():
-                self._merge(out, name, value)
-        if dead:
-            with self._lock:
-                for ref in dead:
-                    try:
-                        self._sources.remove(ref)
-                    except ValueError:
-                        pass
-        for rate_name, numerator, denominator in _DERIVED_RATES:
-            if not any(part in out for part in denominator):
-                continue
-            total = sum(out.get(part, 0) for part in denominator)
-            if rate_name == "sweep.sharing_factor" and total == 0:
-                out[rate_name] = 1.0
-            else:
-                out[rate_name] = (out.get(numerator, 0) / total) if total else 0.0
-        return out
+            merge_metrics(out, published or {})
+        for ref in dead:
+            self.remove_source(ref)
+        return derive_rates(out)
 
     def __repr__(self):
         with self._lock:

@@ -5,7 +5,11 @@ and its operators mined that log to plan capacity and spot runaway
 queries.  :class:`QueryLog` is that tradition for the reproduction: the
 session calls :meth:`observe` once per job at a terminal transition
 (DONE / FAILED / CANCELLED) and the log appends one JSON object with the
-trace id, latencies, row counts, and I/O counters.
+trace id, latencies, row counts, and an ``io`` block: every counter the
+:class:`~repro.query.qet.NodeStats` declaration sums (container reads,
+pool hits, skips, predicate passes ...), totalled over the job's nodes,
+plus ``attempts`` / ``failovers`` from ``Job.metrics()`` for jobs with
+remote leaves.
 
 A ``slow_ms`` threshold turns it into a slow-query log: jobs finishing
 faster are skipped (failures and cancellations always log — those are
@@ -18,6 +22,8 @@ import io
 import json
 import threading
 import time
+
+from repro.query.qet import NodeStats
 
 __all__ = ["QueryLog"]
 
@@ -96,25 +102,21 @@ class QueryLog:
         if error is not None:
             record["error"] = f"{type(error).__name__}: {error}"
         try:
-            counters = job.io_counters()
+            total = NodeStats().fold(*job.node_stats().values())
+            metrics = job.metrics()
         except Exception:
-            counters = None
-        if counters:
-            record["io"] = {
-                key: counters[key]
-                for key in (
-                    "containers_read",
-                    "containers_from_pool",
-                    "containers_skipped",
-                    "predicate_evals",
-                )
-                if key in counters
-            }
-            # Resilience telemetry: how many submissions and replica
-            # failovers the job's remote leaves needed (0/0 locally).
-            if counters.get("attempts"):
-                record["io"]["attempts"] = counters["attempts"]
-                record["io"]["failovers"] = counters.get("failovers", 0)
+            return record
+        # The job's additive totals, every one the declaration knows.
+        record["io"] = {
+            name: getattr(total, name)
+            for name, how in NodeStats.COUNTERS.items()
+            if how == "sum"
+        }
+        # Resilience telemetry, remote jobs only: how many submissions
+        # and replica failovers the job's remote leaves needed.
+        if "net.attempts" in metrics:
+            record["io"]["attempts"] = metrics["net.attempts"]
+            record["io"]["failovers"] = metrics["net.failovers"]
         return record
 
     # ------------------------------------------------------------------

@@ -1,126 +1,111 @@
-"""Per-job metric snapshots, and the legacy ``io_report`` built on them.
+"""A job's telemetry: one flat dict in registry names, and its views.
 
-:func:`job_snapshot` flattens one job's telemetry into registry-style
-metric names (``job.containers_read``, ``sweep.deliveries``,
-``buffer_pool.hits`` ...) and runs them through a
-:class:`~repro.obs.metrics.MetricsRegistry` snapshot, so the derived
-ratios (``sweep.sharing_factor``, ``buffer_pool.hit_rate``,
-``cache.hit_rate``) come from exactly the same code path as the
-process-wide registry.  :func:`legacy_io_report` then reconstructs the
-historical ``Job.io_report()`` dict *from that snapshot* — one source of
-truth, two presentations — which is what keeps the legacy surface and
-the new one pinned to identical numbers.
+:func:`job_snapshot` is the one place a job's numbers are put together:
+its nodes' :class:`~repro.query.qet.NodeStats` folded into one record,
+plus what the sweeps, buffer pools and result caches it rode counted
+(:func:`shared_metrics`), under the metrics registry's names and
+combined by the registry's own :func:`~repro.obs.metrics.merge_metrics`
+and :func:`~repro.obs.metrics.derive_rates`.  ``Job.metrics()`` returns
+that dict, ``Job.io_report()`` is :func:`io_report`, a view of it under
+the report's own keys, and the ``raw`` entry of the wire's ``done``
+frame is the server job's :func:`shared_metrics`, which the client
+job's snapshot merges like any local store's.
 """
 
 from __future__ import annotations
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import derive_rates, merge_metrics
+from repro.query.qet import NodeStats
 
-__all__ = ["job_snapshot", "legacy_io_report"]
+__all__ = ["job_snapshot", "shared_metrics", "io_report"]
+
+#: what a job reports of the sweeps and pools it rode, out of everything
+#: those publish into the registry
+_STORE_COUNTERS = (
+    "sweep.containers_swept",
+    "sweep.deliveries",
+    "buffer_pool.hits",
+    "buffer_pool.misses",
+)
 
 
-class _JobSource:
-    """Holds one job's raw metrics so a registry can snapshot them.
+def shared_metrics(job):
+    """What the sweeps, pools and caches ``job`` rode have counted
+    (store-lifetime counters: see :meth:`Job.metrics`).
 
-    The registry holds sources via ``WeakMethod``; an instance of this
-    class stays alive for the duration of the snapshot call only.
+    Each distinct local sweep and pool is read once, through the source
+    it publishes into the registry; a remote leaf contributes the dict
+    its server shipped (this function, run on the server's job); the
+    session's result cache adds its counters and whether *this* job was
+    a replay.  Rates come later, from the summed counters.
     """
-
-    def __init__(self, metrics):
-        self._metrics = metrics
-
-    def metrics(self):
-        return self._metrics
-
-
-def _raw_metrics(job):
-    """Flat ``{metric_name: value}`` of one job's telemetry.
-
-    Rates are *not* included — the registry derives them from the raw
-    counters, so a rate is never shipped separately from its inputs.
-    """
-    counters = job.io_counters()
-    out = {
-        "job.rows": job.rows,
-        "job.cache_hit": bool(job.cache_hit),
-        "job.containers_read": counters["containers_read"],
-        "job.containers_from_pool": counters["containers_from_pool"],
-        "job.containers_skipped": counters["containers_skipped"],
-    }
-    if counters["has_sweep"]:
-        swept, delivered = counters["sweep"]
-        out["sweep.containers_swept"] = int(swept)
-        out["sweep.deliveries"] = int(delivered)
-    if counters["has_pool"]:
-        accesses, hits = counters["pool"]
-        out["buffer_pool.hits"] = int(hits)
-        out["buffer_pool.misses"] = int(accesses) - int(hits)
-    if counters.get("attempts"):
-        # Remote jobs only: submissions attempted across the job's
-        # remote leaves and successful replica failovers among them.
-        out["net.attempts"] = int(counters["attempts"])
-        out["net.failovers"] = int(counters.get("failovers", 0))
-    if counters["workers_configured"]:
-        items = counters["worker_items"]
-        out["workers.configured"] = counters["workers_configured"]
-        out["workers.active"] = sum(1 for count in items if count > 0)
-        out["workers.work_items"] = sum(items)
-    cache = counters["cache"]
-    if cache is None:
-        # A local service-tier job: the cache lives in this process.
-        service = getattr(getattr(job, "_session", None), "service", None)
-        if service is not None and service.cache is not None:
-            cache = {"hit": job.cache_hit, **service.cache.stats.as_dict()}
-    if cache is not None:
-        for key, value in cache.items():
-            if key == "hit_rate":
-                continue  # derived from the summed hits/misses instead
-            out[f"cache.{key}"] = value
+    out = {}
+    seen = []
+    for node in job.node_stats():
+        remote = getattr(node, "remote_io_raw", None)
+        if remote is not None:
+            # A remote leaf always stands for its server's sweeps and
+            # pools: they count zero, not "none ridden", when the served
+            # job touched no store (a cache replay).
+            merge_metrics(out, dict.fromkeys(_STORE_COUNTERS, 0))
+            merge_metrics(out, remote)
+        store = getattr(node, "store", None)
+        sources = () if store is None else (store.sweeper(), store.buffer_pool)
+        for source in sources:
+            if source not in seen:
+                seen.append(source)
+                published = source._published_metrics()
+                merge_metrics(
+                    out, {n: published[n] for n in _STORE_COUNTERS if n in published}
+                )
+    service = getattr(getattr(job, "_session", None), "service", None)
+    if service is not None and service.cache is not None:
+        cache = service.cache._published_metrics()
+        merge_metrics(out, {"cache.hit": bool(job.cache_hit), **cache})
     return out
 
 
 def job_snapshot(job):
-    """Registry-style metric snapshot of one job.
+    """Registry-style metric snapshot of one job: ``job.*`` totals over
+    its nodes, ``net.*`` for jobs with remote leaves only (submissions
+    attempted, successful replica failovers), ``workers.*`` only when a
+    node ran a worker pool, :func:`shared_metrics`, and the ratios the
+    registry would derive."""
+    nodes = job.node_stats()
+    total = NodeStats().fold(*nodes.values())
+    out = {"job.rows": job.rows, "job.cache_hit": bool(job.cache_hit)}
+    for name in NodeStats.PUBLISHED:
+        out[f"job.{name}"] = getattr(total, name)
+    attempts = sum(getattr(node, "attempts", 0) for node in nodes)
+    if attempts:
+        out["net.attempts"] = attempts
+        out["net.failovers"] = sum(getattr(node, "failovers", 0) for node in nodes)
+    if total.workers:
+        out["workers.configured"] = total.workers
+        out["workers.active"] = sum(1 for count in total.worker_items if count > 0)
+        out["workers.work_items"] = sum(total.worker_items)
+    return derive_rates(merge_metrics(out, shared_metrics(job)))
 
-    Same naming scheme as :meth:`MetricsRegistry.snapshot`, same derived
-    ratios, scoped to a single job's counters.
-    """
-    source = _JobSource(_raw_metrics(job))
-    scoped = MetricsRegistry()
-    scoped.add_source(source.metrics)
-    return scoped.snapshot()
 
-
-def legacy_io_report(job):
-    """The historical ``Job.io_report()`` dict, rebuilt from
-    :func:`job_snapshot` so both surfaces report identical numbers."""
-    snap = job_snapshot(job)
-    report = {
-        "containers_read": snap.get("job.containers_read", 0),
-        "containers_from_pool": snap.get("job.containers_from_pool", 0),
-        "containers_skipped": snap.get("job.containers_skipped", 0),
-        "sweep_sharing_factor": snap.get("sweep.sharing_factor"),
-        "buffer_pool_hit_rate": snap.get("buffer_pool.hit_rate"),
-        "workers": None,
-        "cache": None,
+def _named(snap, prefix):
+    """The ``prefix``-ed entries of ``snap``, under their bare names."""
+    return {
+        name[len(prefix):]: value
+        for name, value in snap.items()
+        if name.startswith(prefix)
     }
-    if "net.attempts" in snap:
-        report["attempts"] = snap["net.attempts"]
-        report["failovers"] = snap.get("net.failovers", 0)
-    if "workers.configured" in snap:
-        configured = snap["workers.configured"]
-        active = snap.get("workers.active", 0)
-        report["workers"] = {
-            "configured": configured,
-            "active": active,
-            "work_items": snap.get("workers.work_items", 0),
-            "utilization": active / configured if configured else 0.0,
-        }
-    cache = {
-        key[len("cache."):]: value
-        for key, value in snap.items()
-        if key.startswith("cache.")
-    }
-    if cache:
-        report["cache"] = cache
+
+
+def io_report(snap):
+    """The ``Job.io_report()`` dict: a view of a :func:`job_snapshot`
+    under the report's own keys, so both surfaces show the same numbers."""
+    report = {name: snap[f"job.{name}"] for name in NodeStats.PUBLISHED}
+    report["sweep_sharing_factor"] = snap.get("sweep.sharing_factor")
+    report["buffer_pool_hit_rate"] = snap.get("buffer_pool.hit_rate")
+    for block in ("workers", "cache"):
+        report[block] = _named(snap, f"{block}.") or None
+    if report["workers"]:
+        pool = report["workers"]
+        pool["utilization"] = pool["active"] / pool["configured"]
+    report.update(_named(snap, "net."))
     return report

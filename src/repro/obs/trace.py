@@ -286,16 +286,7 @@ class Trace:
 def _node_attrs(node):
     stats = node.stats
     attrs = {"rows_out": stats.rows_out, "batches_out": stats.batches_out}
-    for name in (
-        "containers_read",
-        "containers_from_pool",
-        "containers_skipped",
-        "predicate_evals",
-        "workers",
-    ):
-        value = getattr(stats, name, 0)
-        if value:
-            attrs[name] = value
+    attrs.update(stats.counters())
     endpoint = getattr(node, "endpoint", None)
     if endpoint is not None:
         host, port = endpoint

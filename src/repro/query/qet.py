@@ -17,11 +17,11 @@ operations.
 
 from __future__ import annotations
 
+import operator
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain, zip_longest
 
 import numpy as np
 
@@ -174,44 +174,82 @@ class Stream:
             raise ExecutionError(str(self.error)) from self.error
 
 
-@dataclass
-class NodeStats:
-    """Per-node execution counters.
+#: how two records of a :attr:`NodeStats.COUNTERS` entry combine
+_COMBINE = {
+    "sum": operator.add,
+    "max": max,
+    "slots": lambda a, b: [x + y for x, y in zip_longest(a, b, fillvalue=0)],
+}
 
-    The ``containers_*`` fields are the shared-scan I/O telemetry and
-    are populated by leaf :class:`ScanNode`\\ s only: how many container
-    deliveries required a physical read, how many were served from the
-    store's :class:`~repro.storage.buffer.BufferPool`, and how many the
-    node's HTM pruning skipped without breaking the shared sweep.
+
+class NodeStats:
+    """Per-node execution counters: the one record of a node's work.
+
+    Every node keeps ``rows_out`` / ``batches_out`` and three timestamps;
+    what else a node may count is declared once, in :attr:`COUNTERS`.
+    Whatever carries a node's or a job's statistics somewhere — span
+    attributes, EXPLAIN ANALYZE, the wire and the client's fold of it,
+    ``Job.metrics()``, the query log — loops over that declaration, so a
+    new counter is one line here plus the increment where the work is.
     """
 
-    rows_out: int = 0
-    batches_out: int = 0
-    #: ``perf_counter`` timestamps; ``None`` until the event happens, so
-    #: a never-started node is distinguishable from one started at an
-    #: arbitrary clock zero (the span layer and plan renderers rely on
-    #: this to show unset timings as None instead of nonsense deltas)
-    started_at: Optional[float] = None
-    first_output_at: Optional[float] = None
-    finished_at: Optional[float] = None
-    containers_read: int = 0
-    containers_from_pool: int = 0
-    containers_skipped: int = 0
-    #: vectorized predicate/region passes a ScanNode performed — the
-    #: morsel-coalescing win is this dropping from one-per-container to
-    #: one-per-morsel (remote leaves fold in their server-side count)
-    predicate_evals: int = 0
-    #: high-water mark of rows a bounded buffering node (TopKNode) held
-    #: at once — the evidence that ORDER BY ... LIMIT k no longer
-    #: materializes the full input
-    peak_buffered_rows: int = 0
-    #: worker-pool width of a morsel-parallel node (0 = serial path)
-    workers: int = 0
-    #: work items completed per worker (length == ``workers``) — the
-    #: deterministic utilization evidence: the scan's fair first round
-    #: guarantees every entry is >= 1 whenever the sweep delivered at
-    #: least ``workers`` runs, independent of thread scheduling
-    worker_items: list = field(default_factory=list)
+    #: counter -> how two records combine: ``"sum"``, ``"max"``, or
+    #: ``"slots"`` (lists added element-wise), in declaration order
+    COUNTERS = {
+        # Shared-scan I/O, leaf ScanNodes only: container deliveries
+        # that needed a physical read, were served from the store's
+        # BufferPool, or were pruned by the HTM cover without breaking
+        # the shared sweep.
+        "containers_read": "sum",
+        "containers_from_pool": "sum",
+        "containers_skipped": "sum",
+        # Vectorized predicate/region passes of a ScanNode — the
+        # morsel-coalescing win is this dropping from one-per-container
+        # to one-per-morsel.
+        "predicate_evals": "sum",
+        # High-water mark of rows a buffering node held at once — the
+        # evidence that ORDER BY ... LIMIT k no longer materializes the
+        # full input.
+        "peak_buffered_rows": "max",
+        # Worker-pool width of a morsel-parallel node (0 = serial path).
+        "workers": "max",
+        # Work items completed per worker (length == ``workers``) — the
+        # deterministic utilization evidence: the scan's fair first
+        # round guarantees every entry is >= 1 whenever the sweep
+        # delivered at least ``workers`` runs, independent of thread
+        # scheduling.
+        "worker_items": "slots",
+    }
+    #: the ones ``Job.metrics()`` publishes (as ``job.<name>``)
+    PUBLISHED = ("containers_read", "containers_from_pool", "containers_skipped")
+
+    def __init__(self):
+        self.rows_out = self.batches_out = 0
+        #: ``perf_counter`` timestamps; ``None`` until the event happens,
+        #: so a never-started node is distinguishable from one started at
+        #: an arbitrary clock zero (spans and plan renderers show unset
+        #: timings as None instead of nonsense deltas)
+        self.started_at = self.first_output_at = self.finished_at = None
+        for name, how in self.COUNTERS.items():
+            setattr(self, name, [] if how == "slots" else 0)
+
+    def fold(self, *others):
+        """Fold other records' counters into this one (a job's nodes
+        into its total, a server's nodes into the client's remote
+        leaf); returns self."""
+        for other in others:
+            for name, how in self.COUNTERS.items():
+                combined = _COMBINE[how](getattr(self, name), getattr(other, name))
+                setattr(self, name, combined)
+        return self
+
+    def counters(self):
+        """The non-zero scalar counters, in declaration order."""
+        return {
+            name: getattr(self, name)
+            for name, how in self.COUNTERS.items()
+            if how != "slots" and getattr(self, name)
+        }
 
     def note_workers(self, items):
         """Record a parallel node's per-worker work-item counts."""
@@ -228,15 +266,6 @@ class NodeStats:
             self.first_output_at = now
         self.rows_out += rows
         self.batches_out += 1
-
-
-def add_worker_items(total, items):
-    """Accumulate per-worker item counts slot by slot, widening ``total``."""
-    for slot, count in enumerate(items):
-        if slot < len(total):
-            total[slot] += int(count)
-        else:
-            total.append(int(count))
 
 
 class QETNode:
@@ -402,13 +431,14 @@ class ScanNode(QETNode):
             mask[rows] &= region.contains(positions)
         return morsel.select(mask)
 
-    def _flush(self, morsel_tables, partial_spans):
+    def _flush(self, morsel_tables, partial_spans, buffered):
         """Filter a morsel and emit it; returns False when cancelled."""
+        # A morsel only grows between flushes, so its size here is the
+        # high-water mark since the last one.
+        self.stats.note_buffered(buffered)
         selected = self._filter_morsel(morsel_tables, partial_spans)
         self.stats.predicate_evals += 1
-        if len(selected) == 0:
-            return True
-        if self.track_delivery:
+        if self.track_delivery and len(selected):
             # One batch per flush, never chunked: the annotation says
             # "every row of these containers is in the stream up to and
             # including this batch", which chunking would falsify for
@@ -422,26 +452,35 @@ class ScanNode(QETNode):
                 return False
         return True
 
-    def _classify(self, htm_id, region, inside, partial):
-        """Region classification of one delivered container.
+    def _gather(self, runs, cover, morsel_tables, partial_spans, buffered):
+        """Add delivered runs' containers to the morsel being built.
 
-        Returns ``None`` to drop it (outside the cover — unreachable via
-        candidates, but delivery is run-granular), ``True`` when the rows
-        need the exact geometric test, ``False`` when fully inside.
+        The one place a delivered container is classified against
+        ``cover`` (``(region, inside, partial)``): dropped, kept
+        wholesale, or kept with its row span noted in ``partial_spans``
+        for the exact geometric test.  Returns the morsel's new row
+        count.
         """
-        if self.restrict is not None and not self.restrict.contains(htm_id):
-            # Not this scan's assignment (another replica holds it, or
-            # it was already delivered before a failover).  Checked per
-            # container, not just via subscription candidates, because
-            # delivery is run-granular.
-            return None
-        if region is None:
-            return False
-        if inside.contains(htm_id):
-            return False
-        if partial.contains(htm_id):
-            return True
-        return None
+        region, inside, partial = cover
+        restrict = self.restrict
+        for htm_id, table, _from_pool in chain.from_iterable(runs):
+            if len(table) == 0:
+                continue
+            if restrict is not None and not restrict.contains(htm_id):
+                # Not this scan's assignment (another replica holds it,
+                # or it was already delivered before a failover).
+                # Checked per container, not just via subscription
+                # candidates, because delivery is run-granular.
+                continue
+            if region is not None and not inside.contains(htm_id):
+                if not partial.contains(htm_id):
+                    # Outside the cover: unreachable via candidates,
+                    # but delivery is run-granular.
+                    continue
+                partial_spans.append((buffered, buffered + len(table)))
+            morsel_tables.append(table)
+            buffered += len(table)
+        return buffered
 
     def run(self):
         region = self.plan.region
@@ -463,11 +502,12 @@ class ScanNode(QETNode):
             )
         subscription = self.store.sweeper().subscribe(candidates=candidates)
         self.subscription = subscription
+        cover = (region, inside, partial)
         try:
             if self.workers > 1 and not self.track_delivery:
-                self._run_parallel(subscription, region, inside, partial)
+                self._run_parallel(subscription, cover)
             else:
-                self._run_serial(subscription, region, inside, partial)
+                self._run_serial(subscription, cover)
         finally:
             # Leave the sweep (a finished subscription is already gone;
             # an early exit must not keep receiving) and fold the I/O
@@ -477,7 +517,7 @@ class ScanNode(QETNode):
             self.stats.containers_from_pool += subscription.from_pool
             self.stats.containers_skipped += subscription.skipped
 
-    def _run_serial(self, subscription, region, inside, partial):
+    def _run_serial(self, subscription, cover):
         target = self.batch_rows
         ramp = min(self.RAMP_ROWS, target)
         morsel_tables = []
@@ -486,31 +526,23 @@ class ScanNode(QETNode):
         for run in subscription.iter_runs():
             if self.output.cancelled():
                 return
-            for htm_id, table, _from_pool in run:
-                if self.track_delivery:
-                    # Every delivered container is accounted for — even
-                    # empty or dropped ones, which a resumed scan would
-                    # simply find empty again.
-                    self._delivered_ids.append(htm_id)
-                if len(table) == 0:
-                    continue
-                needs_region = self._classify(htm_id, region, inside, partial)
-                if needs_region is None:
-                    continue
-                if needs_region:
-                    partial_spans.append((buffered, buffered + len(table)))
-                morsel_tables.append(table)
-                buffered += len(table)
-                self.stats.note_buffered(buffered)
+            if self.track_delivery:
+                # Every delivered container is accounted for — even
+                # empty or dropped ones, which a resumed scan would
+                # simply find empty again.
+                self._delivered_ids.extend(htm_id for htm_id, _t, _p in run)
+            buffered = self._gather(
+                (run,), cover, morsel_tables, partial_spans, buffered
+            )
             if buffered >= ramp and morsel_tables:
-                if not self._flush(morsel_tables, partial_spans):
+                if not self._flush(morsel_tables, partial_spans, buffered):
                     return
                 morsel_tables, partial_spans, buffered = [], [], 0
                 ramp = min(ramp * 4, target)
         if morsel_tables and not self.output.cancelled():
-            self._flush(morsel_tables, partial_spans)
+            self._flush(morsel_tables, partial_spans, buffered)
 
-    def _run_parallel(self, subscription, region, inside, partial):
+    def _run_parallel(self, subscription, cover):
         """K workers over one subscription, output in sweep order.
 
         Each work item is a batch of contiguous delivery runs; the
@@ -525,10 +557,11 @@ class ScanNode(QETNode):
         source = RunSource(subscription, self.workers, self.batch_rows)
         emitter = SequencedEmitter(self._emit, max_pending=2 * self.workers)
         items = [0] * self.workers
-        evals = [0] * self.workers
-        peaks = [0] * self.workers
+        #: one record per worker, folded into the node's when all are done
+        tallies = [NodeStats() for _ in items]
 
         def worker(index):
+            tally = tallies[index]
             while True:
                 if self.output.cancelled():
                     emitter.fail()
@@ -540,35 +573,14 @@ class ScanNode(QETNode):
                 first_seq, runs = pulled
                 morsel_tables = []
                 partial_spans = []
-                buffered = 0
-                for run in runs:
-                    for htm_id, table, _from_pool in run:
-                        if len(table) == 0:
-                            continue
-                        needs_region = self._classify(
-                            htm_id, region, inside, partial
-                        )
-                        if needs_region is None:
-                            continue
-                        if needs_region:
-                            partial_spans.append(
-                                (buffered, buffered + len(table))
-                            )
-                        morsel_tables.append(table)
-                        buffered += len(table)
+                buffered = self._gather(runs, cover, morsel_tables, partial_spans, 0)
                 items[index] += 1
-                if buffered > peaks[index]:
-                    peaks[index] = buffered
+                tally.note_buffered(buffered)
+                payload = []
                 if morsel_tables:
-                    evals[index] += 1
+                    tally.predicate_evals += 1
                     selected = self._filter_morsel(morsel_tables, partial_spans)
-                    payload = (
-                        list(selected.iter_chunks(self.batch_rows))
-                        if len(selected)
-                        else []
-                    )
-                else:
-                    payload = []
+                    payload = list(selected.iter_chunks(self.batch_rows))
                 # An all-filtered morsel still advances the sequence.
                 if not emitter.submit(first_seq, len(runs), payload):
                     source.cancel()
@@ -582,9 +594,7 @@ class ScanNode(QETNode):
         try:
             pool.run(worker)
         finally:
-            self.stats.predicate_evals += sum(evals)
-            self.stats.note_buffered(max(peaks))
-            self.stats.note_workers(items)
+            self.stats.fold(*tallies).note_workers(items)
 
 
 class ProjectNode(QETNode):

@@ -14,6 +14,7 @@ FIFO on the batch machine), and hands every submission back as a
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 import threading
 import time
@@ -24,11 +25,10 @@ from repro.machines.scheduler import DeficitRoundRobin
 from repro.machines.scheduler import Job as MachineJob
 from repro.machines.scheduler import MachineScheduler
 from repro.obs.metrics import registry as obs_registry
-from repro.obs.report import legacy_io_report
+from repro.obs.report import io_report, job_snapshot
 from repro.obs.trace import Trace, assemble_job_trace
 from repro.query.engine import QueryResult, start_tree
 from repro.query.parser import extract_into, query_sources
-from repro.query.qet import add_worker_items
 from repro.session.cursor import Cursor
 from repro.session.executor import PreparedQuery
 from repro.session.plan import analyzed_plan_tree, plan_tree
@@ -53,32 +53,6 @@ class JobCancelledError(SessionError):
 
 
 _EXPLAIN_ANALYZE_RE = re.compile(r"^\s*EXPLAIN\s+ANALYZE\s+", re.IGNORECASE)
-
-
-def _merge_cache_counters(merged, cache_raw):
-    """Fold one endpoint's cache counters into the job-wide total.
-
-    A job fanning out across several archive servers sees one cache
-    per endpoint; numeric counters sum, the per-job ``hit`` flag ORs,
-    and ``hit_rate`` is recomputed from the summed hits/misses (never
-    averaged across endpoints).
-    """
-    if merged is None:
-        return dict(cache_raw)
-    for key, value in cache_raw.items():
-        if key in ("hit", "hit_rate"):
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            merged[key] = value
-        else:
-            existing = merged.get(key, 0)
-            merged[key] = (existing if isinstance(existing, (int, float)) else 0) + value
-    if "hit" in cache_raw or "hit" in merged:
-        merged["hit"] = bool(merged.get("hit")) or bool(cache_raw.get("hit"))
-    hits = merged.get("hits", 0)
-    total = hits + merged.get("misses", 0)
-    merged["hit_rate"] = hits / total if total else 0.0
-    return merged
 
 
 class JobState(enum.Enum):
@@ -174,107 +148,32 @@ class Job:
         """Per-QET-node execution counters (empty before start)."""
         return {} if self._result is None else self._result.node_stats()
 
-    def io_counters(self):
-        """Raw shared-scan I/O counters behind :meth:`io_report`.
+    def metrics(self):
+        """This job's telemetry as one flat dict in registry names,
+        built by :func:`repro.obs.report.job_snapshot`.
 
-        ``containers_*`` are job-scoped sums over the job's scan nodes;
-        ``sweep`` is ``[containers_swept, deliveries]`` and ``pool`` is
-        ``[accesses, hits]`` summed over the distinct sweeps/pools this
-        job touched (``has_sweep``/``has_pool`` flag whether any were
-        seen).  Remote nodes contribute the counters their archive
-        server shipped back on the stream's ``done`` frame, so telemetry
-        aggregates correctly across the wire.  ``attempts``/``failovers``
-        sum each remote leaf's submissions and successful replica
-        failovers (both 0 for purely local jobs).
+        ``job.*`` are job-scoped totals over the job's QET nodes: rows,
+        and physically-read vs. served-from-pool vs. pruned-and-skipped
+        container deliveries.  ``sweep.*``, ``buffer_pool.*`` and
+        ``cache.*`` describe the *store-lifetime* behavior of the sweeps,
+        pools and caches this job rode — a shared physical read cannot
+        be attributed to one job, so sharing is reported where it
+        happens, at the store; for remote jobs the store lives in the
+        server process and its counters arrive on the stream's ``done``
+        frame.  ``net.*`` appear for remote leaves, ``workers.*`` for
+        worker pools; the ratios come from the summed counters, by the
+        metrics registry's own rules.
         """
-        counters = {
-            "containers_read": 0,
-            "containers_from_pool": 0,
-            "containers_skipped": 0,
-            "sweep": [0, 0],
-            "pool": [0, 0],
-            "has_sweep": False,
-            "has_pool": False,
-            "workers_configured": 0,
-            "worker_items": [],
-            "cache": None,
-            "attempts": 0,
-            "failovers": 0,
-        }
-        if self._result is None:
-            return counters
-        sweepers = []
-        pools = []
-        for node, stats in self._result.node_stats().items():
-            counters["containers_read"] += stats.containers_read
-            counters["containers_from_pool"] += stats.containers_from_pool
-            counters["containers_skipped"] += stats.containers_skipped
-            if stats.workers:
-                counters["workers_configured"] = max(
-                    counters["workers_configured"], stats.workers
-                )
-                add_worker_items(counters["worker_items"], stats.worker_items)
-            counters["attempts"] += int(getattr(node, "attempts", 0))
-            counters["failovers"] += int(getattr(node, "failovers", 0))
-            remote_raw = getattr(node, "remote_io_raw", None)
-            if remote_raw is not None:
-                swept, delivered = remote_raw.get("sweep", (0, 0))
-                accesses, hits = remote_raw.get("pool", (0, 0))
-                counters["sweep"][0] += int(swept)
-                counters["sweep"][1] += int(delivered)
-                counters["pool"][0] += int(accesses)
-                counters["pool"][1] += int(hits)
-                counters["has_sweep"] = True
-                counters["has_pool"] = True
-                cache_raw = remote_raw.get("cache")
-                if cache_raw is not None:
-                    counters["cache"] = _merge_cache_counters(
-                        counters["cache"], cache_raw
-                    )
-            store = getattr(node, "store", None)
-            if store is None:
-                continue
-            sweeper = store.sweeper()
-            if sweeper not in sweepers:
-                sweepers.append(sweeper)
-            if store.buffer_pool not in pools:
-                pools.append(store.buffer_pool)
-        for sweeper in sweepers:
-            counters["sweep"][0] += sweeper.stats.containers_swept
-            counters["sweep"][1] += sweeper.stats.deliveries
-            counters["has_sweep"] = True
-        for pool in pools:
-            counters["pool"][0] += pool.stats.accesses()
-            counters["pool"][1] += pool.stats.hits
-            counters["has_pool"] = True
-        return counters
+        return job_snapshot(self)
 
     def io_report(self):
-        """Shared-scan I/O telemetry for this job.
-
-        The ``containers_*`` counters are job-scoped (summed over the
-        job's scan nodes): physically-read vs. served-from-pool vs.
-        pruned-and-skipped container deliveries.
-        ``sweep_sharing_factor`` and ``buffer_pool_hit_rate`` describe
-        the *store-lifetime* behavior of the sweeps and pools this job
-        rode — a shared physical read cannot be attributed to one job,
-        so sharing is reported where it happens, at the store.  For
-        remote jobs the store lives in the server process; its counters
-        arrive over the wire (see :meth:`io_counters`).
-
-        The dict is built from the same per-job metric snapshot as
-        :func:`repro.obs.report.job_snapshot` (one source of truth, two
-        presentations) — the legacy keys and semantics are unchanged.
-        """
-        return legacy_io_report(self)
-
-    def metrics(self):
-        """Registry-style metric snapshot of this job's telemetry
-        (``job.*``, ``sweep.*``, ``buffer_pool.*``, ``cache.*`` names,
-        with derived ratios; see :func:`repro.obs.report.job_snapshot`)."""
-        from repro.obs.report import job_snapshot
-
-        return job_snapshot(self)
+        """Shared-scan I/O telemetry for this job: a view of
+        :meth:`metrics` under this report's own keys (the ``job.*``
+        container counters by name, ``sweep_sharing_factor``,
+        ``buffer_pool_hit_rate``, a ``workers`` and a ``cache`` block or
+        ``None``, ``attempts`` / ``failovers`` for remote jobs) — the
+        same numbers, see :func:`repro.obs.report.io_report`."""
+        return io_report(self.metrics())
 
     def trace(self):
         """The merged span tree of this job: session phases, per-node
@@ -353,9 +252,12 @@ class Job:
         """
         if self._state.is_terminal():
             return
+        # The sinks take what they keep; the job must not hold a second
+        # copy of its result for as long as it is remembered.
+        collected, self._collected = self._collected, []
         try:
             for sink in self._sinks:
-                sink(self._collected)
+                sink(collected)
         except Exception as exc:
             self._note_failed(exc)
             return
@@ -489,6 +391,9 @@ class Session:
         #: observing every terminal job (None = disabled)
         self.query_log = query_log
         self.jobs = []
+        #: job ids count submissions, not list entries: a server session
+        #: forgets retired jobs (:meth:`_forget`) and must not reuse ids
+        self._job_ids = itertools.count()
         #: live gauges published into the process-wide metrics registry
         #: (weakly held: a collected session drops out of snapshots)
         self._metrics_ref = obs_registry().add_source(self._published_metrics)
@@ -501,6 +406,14 @@ class Session:
         #: resources whose lifetime is tied to this session (e.g. a
         #: ProcessShardCluster built by Archive.connect); closed last.
         self._owned = []
+
+    def _forget(self, job):
+        """Drop a terminal job from :attr:`jobs`.  The archive server
+        calls this when a served job leaves its retired window, so its
+        one long-lived session stays as bounded as the window is."""
+        with self._lock:
+            if job in self.jobs:
+                self.jobs.remove(job)
 
     def adopt(self, resource):
         """Tie ``resource`` (anything with ``close()``) to this session:
@@ -642,7 +555,7 @@ class Session:
                 # Quota-reject before the job exists, so a refused
                 # submission leaves no QUEUED orphan behind.
                 service.admission.check(user, self._batch_queue.pending(user))
-            job_id = f"job-{len(self.jobs)}"
+            job_id = f"job-{next(self._job_ids)}"
             job = Job(self, job_id, prepared, query_class, user=user)
             job.cache_hit = cache_hit
             job.trace_id = trace.trace_id

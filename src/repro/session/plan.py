@@ -192,17 +192,7 @@ def _measured_detail(stats):
         detail["first_row_ms"] = round(
             (stats.first_output_at - stats.started_at) * 1e3, 3
         )
-    for name in (
-        "containers_read",
-        "containers_from_pool",
-        "containers_skipped",
-        "predicate_evals",
-        "peak_buffered_rows",
-        "workers",
-    ):
-        value = getattr(stats, name, 0)
-        if value:
-            detail[name] = value
+    detail.update(stats.counters())
     return detail
 
 

@@ -248,6 +248,6 @@ def test_full_mode_submit_is_never_retried(replicated_archive, chaos_cluster):
             job.cursor.fetchall()
         assert job.wait(timeout=JOIN_TIMEOUT).value == "failed"
     assert "died mid-stream" in str(job.error)
-    counters = job.io_counters()
-    assert counters["attempts"] == 1
-    assert counters["failovers"] == 0
+    counters = job.metrics()
+    assert counters["net.attempts"] == 1
+    assert counters["net.failovers"] == 0

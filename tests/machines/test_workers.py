@@ -24,6 +24,7 @@ from repro.machines.workers import (
     resolve_workers,
 )
 from repro.query import QueryEngine
+from repro.query.qet import NodeStats
 from repro.session import Archive
 from repro.storage import ContainerStore
 
@@ -303,9 +304,8 @@ def test_worker_utilization_counter_gates(parallel_engine):
     with Archive.connect(parallel_engine) as session:
         job = session.submit("SELECT objid, mag_r FROM photo WHERE mag_r < 20")
         job.cursor.to_table()
-        counters = job.io_counters()
-        assert counters["workers_configured"] == WORKERS
-        items = counters["worker_items"]
+        assert job.metrics()["workers.configured"] == WORKERS
+        items = NodeStats().fold(*job.node_stats().values()).worker_items
         assert len(items) == WORKERS
         assert min(items) >= 1, f"idle worker despite fair round: {items}"
         report = job.io_report()["workers"]
@@ -319,7 +319,7 @@ def test_serial_engine_reports_no_worker_pool(serial_engine):
     with Archive.connect(serial_engine) as session:
         job = session.submit("SELECT objid FROM photo WHERE mag_r < 20")
         job.cursor.to_table()
-        assert job.io_counters()["workers_configured"] == 0
+        assert "workers.configured" not in job.metrics()
         assert job.io_report()["workers"] is None
 
 

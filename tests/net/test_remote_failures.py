@@ -211,3 +211,33 @@ class TestSharedSweepAcrossClients:
             for session in sessions:
                 session.close()
             server.stop()
+
+
+class TestServerStaysBounded:
+    def test_a_job_out_of_the_retired_window_leaves_the_session(
+        self, fresh_stores, monkeypatch
+    ):
+        """Regression: the server retired finished jobs into a bounded
+        window, but its one session kept every job it ever ran — QET,
+        and for a cache-fill job a second copy of the result."""
+        window = 4
+        monkeypatch.setattr(ArchiveServer, "_RETIRED_JOBS", window)
+        with ArchiveServer(stores=fresh_stores, cache=True) as server:
+            for limit in range(1, window + 4):
+                with Archive.connect(server.url) as session:
+                    table = session.query_table(
+                        f"SELECT objid FROM photo ORDER BY objid LIMIT {limit}"
+                    )
+                    assert len(table) == limit
+            assert _wait_until(lambda: len(server._jobs) == 0)
+            served = server.jobs()
+            assert len(served) == window
+            assert sorted(server.session.jobs, key=id) == sorted(served, key=id)
+            assert all(job._collected == [] for job in served)
+            ids = [job.job_id for job in served]
+            assert len(set(ids)) == window  # forgetting never reuses an id
+            # what the ``stats`` op publishes for this session (the
+            # registry itself sums every session alive in this process)
+            assert server.session._published_metrics()["session.jobs"] == window
+            with Archive.connect(server.url) as session:
+                assert session.server_stats()["server"]["jobs_retired"] == window

@@ -115,15 +115,15 @@ class TestTelemetrySums:
         self, cluster_session, shard_servers
     ):
         job = run_to_completion(cluster_session, QUERY)
-        client = job.io_counters()
+        client = job.metrics()
         server_read = server_pooled = 0
         for server in shard_servers:
             for served in server.jobs():
-                counters = served.io_counters()
-                server_read += counters["containers_read"]
-                server_pooled += counters["containers_from_pool"]
-        assert client["containers_read"] == server_read
-        assert client["containers_from_pool"] == server_pooled
+                counters = served.metrics()
+                server_read += counters["job.containers_read"]
+                server_pooled += counters["job.containers_from_pool"]
+        assert client["job.containers_read"] == server_read
+        assert client["job.containers_from_pool"] == server_pooled
         # physical read or pool hit depends on whether earlier tests
         # warmed the (store-owned) buffer pool; the sum is the truth
         assert server_read + server_pooled > 0
@@ -132,17 +132,16 @@ class TestTelemetrySums:
         self, cluster_session, shard_servers
     ):
         """Regression: one endpoint's cache counters used to overwrite
-        the previous endpoint's in Job.io_counters()."""
+        the previous endpoint's in the job's counters."""
         # Prime each server's (in-process) cache with distinct counters.
         for i, server in enumerate(shard_servers):
             server.service.cache.stats.hits = 10 * (i + 1)
             server.service.cache.stats.misses = i + 1
         job = run_to_completion(cluster_session, QUERY)
-        cache = job.io_counters()["cache"]
-        assert cache is not None
-        assert cache["hits"] == 10 + 20 + 30
-        assert cache["misses"] == 1 + 2 + 3
-        assert cache["hit_rate"] == pytest.approx(60 / 66)
+        metrics = job.metrics()
+        assert metrics["cache.hits"] == 10 + 20 + 30
+        assert metrics["cache.misses"] == 1 + 2 + 3
+        assert metrics["cache.hit_rate"] == pytest.approx(60 / 66)
 
 
 class TestStatsOp:

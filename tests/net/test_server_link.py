@@ -133,7 +133,7 @@ def test_one_cluster_shard_sees_submit_and_fetches_only(photo, tags):
 
 
 def test_io_report_op_is_gone(auth_server):
-    assert PROTOCOL_VERSION == 2
+    assert PROTOCOL_VERSION == 3
     link = ServerLink(auth_server.address, user="alice", token=USERS["alice"])
     with pytest.raises(Exception, match="unknown operation 'io_report'"):
         link.once({"op": "io_report", "job_id": "rjob-1"})

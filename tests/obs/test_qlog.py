@@ -75,8 +75,11 @@ class TestObserve:
             cache_hit = False
             error = RuntimeError("store exploded")
 
-            def io_counters(self):
-                return {"containers_read": 0}
+            def node_stats(self):
+                return {}
+
+            def metrics(self):
+                return {"job.containers_read": 0}
 
         stream = io.StringIO()
         qlog = QueryLog(stream=stream, slow_ms=60_000.0)
@@ -95,3 +98,24 @@ class TestObserve:
             job.join()
             job.join()  # a second join must not re-log
         assert len(parse_lines(stream)) == 1
+
+    def test_io_block_totals_every_summed_counter(self, engine):
+        """Regression: the log asked the job for ``predicate_evals``
+        under a name the job never carried, so the documented counter
+        was silently absent from every record.  The block now lists
+        what the NodeStats declaration sums — no more, no less — and
+        ``attempts`` / ``failovers`` stay a remote-job matter."""
+        stream = io.StringIO()
+        with Archive.connect(engine, query_log=QueryLog(stream=stream)) as session:
+            cursor = session.execute("SELECT objid FROM photo WHERE mag_r < 19")
+            cursor.fetchall()
+            passes = sum(s.predicate_evals for s in cursor.node_stats().values())
+        (record,) = parse_lines(stream)
+        assert passes > 0
+        assert record["io"]["predicate_evals"] == passes
+        assert sorted(record["io"]) == [
+            "containers_from_pool",
+            "containers_read",
+            "containers_skipped",
+            "predicate_evals",
+        ]

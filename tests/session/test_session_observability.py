@@ -2,16 +2,15 @@
 
 The unified observability layer threads a trace id through every
 submission, derives per-node spans from NodeStats timestamps, and
-rebuilds the legacy ``io_report`` dict from the registry-style job
-snapshot — these tests pin that the surfaces agree with each other and
-with the job's own timings.
+shows ``io_report`` as a view of the registry-style job snapshot —
+these tests pin that the surfaces agree with each other and with the
+job's own timings.
 """
 
 import pytest
 
-from repro.obs import job_snapshot
+from repro.obs import derive_rates, job_snapshot, merge_metrics
 from repro.session import Archive
-from repro.session.core import _merge_cache_counters
 
 
 QUERY = "SELECT objid, mag_r FROM photo WHERE mag_r < 15"
@@ -85,7 +84,7 @@ class TestJobTrace:
         scans = [s for s in trace.spans if s.name == "node:scan"]
         assert scans
         total_read = sum(s.attrs.get("containers_read", 0) for s in scans)
-        assert total_read == job.io_counters()["containers_read"]
+        assert total_read == job.metrics()["job.containers_read"]
 
 
 class TestParseOnce:
@@ -154,14 +153,15 @@ class TestMetricSurfaces:
         job.cursor.fetchall()
         job.join()
         snap = job.metrics()
-        counters = job.io_counters()
         assert snap["job.rows"] == job.rows
-        assert snap["job.containers_read"] == counters["containers_read"]
+        assert snap["job.containers_read"] == sum(
+            stats.containers_read for stats in job.node_stats().values()
+        )
         assert snap["sweep.sharing_factor"] >= 1.0
 
     def test_io_report_key_parity_with_snapshot(self, local_session):
-        """Satellite: the legacy dict is *rebuilt from* the registry
-        snapshot — same numbers, pinned key set."""
+        """The report is a *view of* the registry-style snapshot —
+        same numbers, pinned key set."""
         job = local_session.submit(QUERY)
         job.cursor.fetchall()
         job.join()
@@ -192,22 +192,35 @@ class TestMetricSurfaces:
 
 class TestCacheCounterMerge:
     """Regression for the multi-endpoint cache-counter overwrite: one
-    endpoint's counters used to clobber the previous endpoint's."""
+    endpoint's counters used to clobber the previous endpoint's.  The
+    rule is the registry's own merge, shared by everything that
+    combines statistics."""
 
     def test_numeric_counters_sum_across_endpoints(self):
-        merged = _merge_cache_counters(
-            None, {"hit": True, "hits": 3, "misses": 1, "bytes_served": 100}
+        merged = merge_metrics(
+            {},
+            {"cache.hit": True, "cache.hits": 3, "cache.misses": 1,
+             "cache.bytes_served": 100},
         )
-        merged = _merge_cache_counters(
-            merged, {"hit": False, "hits": 1, "misses": 3, "bytes_served": 50}
+        merged = merge_metrics(
+            merged,
+            {"cache.hit": False, "cache.hits": 1, "cache.misses": 3,
+             "cache.bytes_served": 50},
         )
-        assert merged["hits"] == 4
-        assert merged["misses"] == 4
-        assert merged["bytes_served"] == 150
+        assert merged["cache.hits"] == 4
+        assert merged["cache.misses"] == 4
+        assert merged["cache.bytes_served"] == 150
 
     def test_hit_flag_ors_and_rate_recomputes(self):
-        merged = _merge_cache_counters(None, {"hit": False, "hits": 0, "misses": 4})
-        merged = _merge_cache_counters(merged, {"hit": True, "hits": 4, "misses": 0})
-        assert merged["hit"] is True
+        merged = merge_metrics(
+            {}, {"cache.hit": False, "cache.hits": 0, "cache.misses": 4,
+                 "cache.hit_rate": 0.0}
+        )
+        merged = merge_metrics(
+            merged, {"cache.hit": True, "cache.hits": 4, "cache.misses": 0,
+                     "cache.hit_rate": 1.0}
+        )
+        assert merged["cache.hit"] is True
+        assert merge_metrics(merged, {"cache.hit": False})["cache.hit"] is True
         # recomputed from the summed counters — NOT an average of rates
-        assert merged["hit_rate"] == pytest.approx(0.5)
+        assert derive_rates(merged)["cache.hit_rate"] == pytest.approx(0.5)
