@@ -3,7 +3,7 @@
 
 PYTEST = PYTHONPATH=src python -m pytest
 
-.PHONY: test test-net test-chaos test-all bench bench-smoke counters check examples serve loc
+.PHONY: test test-net test-chaos test-all bench bench-smoke bench-compare counters check examples serve loc
 
 # Tier-1 verification: everything except @pytest.mark.slow benchmarks.
 test:
@@ -86,3 +86,32 @@ bench-smoke: counters
 		"benchmarks/test_bench_table1_products.py::test_bench_table1" \
 		"benchmarks/test_bench_tags_speedup.py::test_bench_tag_byte_ratio" \
 		"benchmarks/test_bench_typical_queries.py::test_bench_indexed_vs_scan"
+
+# What a performance PR is judged by: `python3 -m bench` on BASE (a
+# `git archive` of the ref in a temp dir, sharing this tree's cached
+# catalogs) and on this tree, PAIRS pairs from seed 11, alternating
+# which side runs first, then the bench.compare verdicts.  The result
+# files stay in bench/out/compare/{base,head} (git-ignored).
+PAIRS ?= 10
+bench-compare:
+	@test -n "$(BASE)" || { \
+		echo "usage: make bench-compare BASE=<ref> [PAIRS=10] [WORKLOAD=<name>]" >&2; \
+		exit 2; }
+	@set -e; tree=$$(mktemp -d); trap 'rm -rf "$$tree"' EXIT; \
+	out=$(CURDIR)/bench/out/compare; rm -rf $$out; \
+	mkdir -p $$out/base $$out/head $$tree/bench/out; \
+	git archive $(BASE) | tar -x -C $$tree; \
+	for catalog in $(CURDIR)/bench/out/catalog-*.npy; do \
+		if [ -e $$catalog ]; then ln -s $$catalog $$tree/bench/out/; fi; \
+	done; \
+	for pair in $$(seq $(PAIRS)); do \
+		seed=$$((10 + pair)); \
+		if [ $$((pair % 2)) = 1 ]; then sides="base head"; else sides="head base"; fi; \
+		for side in $$sides; do \
+			if [ $$side = base ]; then dir=$$tree; else dir=$(CURDIR); fi; \
+			echo "== pair $$pair/$(PAIRS): $$side, seed $$seed"; \
+			(cd $$dir && python3 -m bench $(if $(WORKLOAD),--workload $(WORKLOAD)) \
+				--seed $$seed --out $$out/$$side > $$out/$$side/seed$$seed.log); \
+		done; \
+	done; \
+	python3 -m bench.compare $$out/base $$out/head

@@ -41,10 +41,14 @@ def _normalize_intervals(intervals):
 class RangeSet:
     """An immutable set of non-negative integers stored as closed intervals."""
 
-    __slots__ = ("intervals",)
+    __slots__ = ("intervals", "_lows", "_highs")
 
     def __init__(self, intervals=()):
         self.intervals = tuple(_normalize_intervals(intervals))
+        # The interval bounds as two sorted lists, built once because
+        # the set never changes: every point query is a bisection.
+        self._lows = [lo for lo, _ in self.intervals]
+        self._highs = [hi for _, hi in self.intervals]
 
     @classmethod
     def from_ids(cls, ids):
@@ -82,20 +86,28 @@ class RangeSet:
     def contains(self, value):
         """Membership test for a single id (binary search)."""
         value = int(value)
-        lows = [lo for lo, _ in self.intervals]
-        idx = bisect.bisect_right(lows, value) - 1
-        if idx < 0:
-            return False
-        lo, hi = self.intervals[idx]
-        return lo <= value <= hi
+        idx = bisect.bisect_right(self._lows, value) - 1
+        return idx >= 0 and value <= self._highs[idx]
+
+    def next_member(self, value):
+        """Smallest id in the set that is ``>= value``, or ``None``.
+
+        The query an ordered walk needs to go from one wanted id
+        straight to the next (the shared sweep's jump).
+        """
+        value = int(value)
+        idx = bisect.bisect_left(self._highs, value)
+        if idx == len(self._highs):
+            return None
+        return max(value, self._lows[idx])
 
     def contains_array(self, values):
         """Vectorized membership mask for an integer array."""
         values = np.asarray(values, dtype=np.int64)
         if not self.intervals:
             return np.zeros(values.shape, dtype=bool)
-        lows = np.array([lo for lo, _ in self.intervals], dtype=np.int64)
-        highs = np.array([hi for _, hi in self.intervals], dtype=np.int64)
+        lows = np.array(self._lows, dtype=np.int64)
+        highs = np.array(self._highs, dtype=np.int64)
         idx = np.searchsorted(lows, values, side="right") - 1
         valid = idx >= 0
         idx_clipped = np.clip(idx, 0, len(lows) - 1)

@@ -20,7 +20,13 @@ scans ever were:
   query's HTM candidate :class:`~repro.htm.ranges.RangeSet`; containers
   outside it are counted as skipped (they still advance the
   subscription toward completion) and, when *no* active subscriber
-  wants a container, it is never read at all;
+  wants a container, it is never read at all.  Nor is it visited: the
+  lap order is sorted, so while every active subscriber carries
+  candidates a step *jumps* by bisection to the next container any of
+  them wants and counts the ones in between arithmetically — a lap
+  costs what it delivers plus O(cover ranges · log containers), not
+  one test per container.  A whole-catalog subscriber wants every
+  position, so beside one the sweep walks as it always did;
 * **reads go through the buffer pool** — the sweep reads each run of
   containers via :meth:`BufferPool.fetch_many
   <repro.storage.buffer.BufferPool.fetch_many>`, so a lap over
@@ -42,6 +48,7 @@ steps itself and charges its own clock).
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -84,7 +91,8 @@ class SweepStats:
 class SweepStep:
     """What one :meth:`SweepScanner.step` did (a run of containers)."""
 
-    #: container ids visited this step, in sweep order
+    #: container ids visited this step, in sweep order: the run it
+    #: classified, not the ones it jumped over to get there
     htm_ids: list
     #: bytes pumped (0 when every container was skipped by every subscriber)
     nbytes: int
@@ -219,6 +227,9 @@ class SweepScanner:
         self._throttle = float(throttle)
         self._subs = []
         self._order = []
+        #: how much of ``_order`` is sorted: all of a fresh snapshot,
+        #: not the tail appended when the store grew under the sweep
+        self._sorted_len = 0
         self._position = 0
         self._snapshot_len = 0
         self._thread = None
@@ -243,6 +254,7 @@ class SweepScanner:
         """Live mode: seconds slept per swept container (test/disk-rate
         knob); a throttled sweep steps one container at a time so the
         pacing — and mid-sweep join granularity — is per container.
+        Containers a step jumps over are not swept and not paced.
 
         Reads and writes go through the sweep's condition variable:
         assigning a new value mid-sweep wakes the live thread out of its
@@ -291,6 +303,7 @@ class SweepScanner:
             # Idle sweep: take a fresh snapshot of the container order
             # and park at the top (deterministic for sequential work).
             self._order = self.store.occupied_ids()
+            self._sorted_len = len(self._order)
             self._position = 0
         elif len(self.store.containers) != self._snapshot_len:
             # The store grew (or shrank) under an active sweep: append
@@ -329,16 +342,24 @@ class SweepScanner:
     # ------------------------------------------------------------------
 
     def step(self, stride=1):
-        """Advance the sweep by a run of up to ``stride`` consecutive
-        containers for every active subscriber.
+        """Advance the sweep for every active subscriber: jump to the
+        next container any of them wants, then pump a run of up to
+        ``stride`` consecutive containers from there.
 
-        Runs never cross a wrap boundary or any subscriber's completion
-        point, so join/complete granularity stays per container while
-        the lock and queue handoffs amortize over the run.  Returns a
-        :class:`SweepStep`, or ``None`` when there is nothing to do.
-        Shared by the live thread (``stride > 1``) and the simulated
-        :class:`~repro.machines.scan.ScanMachine` driver (``stride=1``,
-        one clock charge per container).
+        The jump costs two bisections per candidate interval it passes,
+        not one ``wants`` call per container: the containers in between
+        are credited to every subscriber's ``seen`` / ``skipped`` and to
+        ``containers_skipped`` as a count and are never looked at.  A
+        subscriber without candidates wants every position, so a sweep
+        serving one never jumps.  Neither the jump nor the run crosses a
+        wrap boundary or any subscriber's completion point, so
+        join/complete granularity stays per container while the lock
+        and queue handoffs amortize over the run.  Returns a
+        :class:`SweepStep` (its run is empty when the jump alone reached
+        the lap's end or a completion point), or ``None`` when there is
+        nothing to do.  Shared by the live thread (``stride > 1``) and
+        the simulated :class:`~repro.machines.scan.ScanMachine` driver
+        (``stride=1``, one clock charge per container).
         """
         with self._cond:
             if not self._subs or not self._order:
@@ -346,13 +367,16 @@ class SweepScanner:
             subs = list(self._subs)
             start = self._position
             lap_len = len(self._order)
-            run_len = min(int(stride), lap_len - start)
-            run_len = max(1, min(run_len, *(s.total - s.seen for s in subs)))
-            run_ids = self._order[start : start + run_len]
+            # No further than the lap's end or the first completion point.
+            stop = start + min(lap_len - start, *(s.total - s.seen for s in subs))
+            run_start = self._next_wanted_locked(subs, start, stop)
+            run_stop = max(start + 1, min(run_start + int(stride), stop))
+            run_ids = self._order[run_start:run_stop]
+            advanced = run_stop - start
             # Advance before delivering: a subscriber joining during the
             # deliveries starts at the run end and still sees every
             # container exactly once on wrap-around.
-            self._position = start + run_len
+            self._position = run_stop
             wrapped = self._position >= lap_len
             if wrapped:
                 self._position = 0
@@ -396,8 +420,8 @@ class SweepScanner:
             if run and sub._deliver_run(run):
                 deliveries += len(run)
             if not sub.done:
-                sub.skipped += run_len - len(run)
-                sub.seen += run_len
+                sub.skipped += advanced - len(run)
+                sub.seen += advanced
                 if sub.seen >= sub.total:
                     sub._complete()
 
@@ -405,7 +429,7 @@ class SweepScanner:
             self.stats.containers_swept += pumped
             self.stats.containers_read += pumped - pooled
             self.stats.containers_from_pool += pooled
-            self.stats.containers_skipped += run_len - pumped
+            self.stats.containers_skipped += advanced - pumped
             self.stats.bytes_swept += nbytes
             self.stats.deliveries += deliveries
             self._subs = [s for s in self._subs if not s.done]
@@ -420,6 +444,43 @@ class SweepScanner:
             from_pool=pooled,
             wrapped=wrapped,
         )
+
+    def _next_wanted_locked(self, subs, start, stop):
+        """Lap position in ``[start, stop]`` of the first container any
+        of ``subs`` wants; ``stop`` when none of them wants any.
+
+        The lap order is sorted up to ``_sorted_len``, so the next id a
+        candidate set names (:meth:`RangeSet.next_member
+        <repro.htm.ranges.RangeSet.next_member>`) is found in it by
+        bisection; a named id the store does not hold lands on the next
+        one it does, and the search goes on from there.  The tail a
+        store that grew mid-lap appended is not sorted: the search stops
+        where it begins and :meth:`step` walks it container by
+        container.
+        """
+        order = self._order
+        first = order[start]
+        # Asked through ``wants`` first: a subscriber without candidates
+        # answers here, and so does one whose candidates cannot answer.
+        if any(s.wants(first) for s in subs):
+            return start
+        stop = min(stop, self._sorted_len)
+        if start >= stop:
+            return start
+        for sub in subs:
+            position = start + 1
+            while position < stop:
+                member = sub.candidates.next_member(order[position])
+                if member is None:
+                    position = stop
+                elif member == order[position]:
+                    break
+                else:
+                    position = bisect_left(order, member, position + 1, stop)
+            # Never past ``stop``: the next subscriber searches only up
+            # to the nearest position found so far.
+            stop = position
+        return stop
 
     # ------------------------------------------------------------------
     # the live thread

@@ -73,6 +73,41 @@ class TestQueries:
         assert list(rs.iter_ids()) == [2, 3, 4, 9]
 
 
+class TestPointQueries:
+    """``contains`` / ``contains_array`` / ``next_member`` against a
+    brute-force ``set(iter_ids())``, probed where bisection goes wrong:
+    on every interval edge, one step either side of it, below the first
+    interval and above the last."""
+
+    @staticmethod
+    def _probes(rs):
+        edges = [bound for interval in rs.intervals for bound in interval]
+        return sorted({0, 302} | {e + d for e in edges for d in (-1, 0, 1) if e + d >= 0})
+
+    @given(id_sets)
+    @settings(max_examples=150, deadline=None)
+    def test_contains_matches_set(self, ids):
+        rs = RangeSet.from_ids(ids)
+        probes = self._probes(rs)
+        assert [rs.contains(v) for v in probes] == [v in ids for v in probes]
+        np.testing.assert_array_equal(
+            rs.contains_array(np.array(probes)), [v in ids for v in probes]
+        )
+
+    @given(id_sets)
+    @settings(max_examples=150, deadline=None)
+    def test_next_member_matches_set(self, ids):
+        rs = RangeSet.from_ids(ids)
+        for value in self._probes(rs):
+            assert rs.next_member(value) == min(
+                (i for i in ids if i >= value), default=None
+            )
+
+    def test_next_member_of_the_empty_set(self):
+        assert RangeSet().next_member(0) is None
+        assert RangeSet().next_member(10**9) is None
+
+
 class TestSetAlgebra:
     @given(id_sets, id_sets)
     @settings(max_examples=150, deadline=None)

@@ -2,12 +2,15 @@
 
 import threading
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.htm import RangeSet
-from repro.machines.sweep import SweepScanner
+from repro.machines.sweep import SweepScanner, SweepStats, SweepSubscription
 from repro.storage import ContainerStore
 
 
@@ -289,3 +292,293 @@ class TestThrottleRace:
         scanner.throttle = 0.0
         healthy = [h for h, _t, _p in scanner.subscribe()]
         assert healthy == store.occupied_ids()
+
+
+def _revolve(scanner, subscription, stride):
+    """``bench/probes.py::_revolution``'s loop shape, counting the
+    steps; a ``None`` step under a live subscription would spin that
+    loop forever, so it fails here instead."""
+    steps = 0
+    while not subscription.done:
+        assert scanner.step(stride) is not None
+        steps += 1
+    return steps
+
+
+class TestJumpCost:
+    """A pruned lap costs O(candidate intervals) steps and ``wants``
+    calls, not O(containers): counts, so they do not depend on the box."""
+
+    @pytest.fixture(scope="class")
+    def deep_store(self, photo):
+        return ContainerStore.from_table(photo, depth=6)
+
+    @pytest.fixture()
+    def wants_calls(self, monkeypatch):
+        calls = []
+        wants = SweepSubscription.wants
+        monkeypatch.setattr(
+            SweepSubscription,
+            "wants",
+            lambda self, htm_id: calls.append(htm_id) or wants(self, htm_id),
+        )
+        return calls
+
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_a_lap_costs_its_intervals_not_its_containers(
+        self, deep_store, wants_calls, k
+    ):
+        ids = deep_store.occupied_ids()
+        # k well-separated intervals of three occupied ids each, the
+        # first and the last touching the ends of the lap.
+        firsts = np.linspace(0, len(ids) - 3, k).astype(int)
+        keep = RangeSet([(ids[i], ids[i + 2]) for i in firsts])
+        assert len(keep) == k
+        scanner = SweepScanner(deep_store)
+        got = []
+        subscription = scanner.attach(
+            candidates=keep, sink=lambda htm_id, _t, _p: got.append(htm_id)
+        )
+        steps = _revolve(scanner, subscription, scanner.stride)
+        assert got == [i for i in ids if keep.contains(i)]
+        assert subscription.delivered + subscription.skipped == subscription.total
+        assert subscription.total == len(ids) > 100 * scanner.stride
+        assert steps <= 2 * k + 2
+        assert len(wants_calls) <= scanner.stride * (k + 1)
+
+    def test_an_empty_candidate_set_is_one_step(self, deep_store, wants_calls):
+        scanner = SweepScanner(deep_store)
+        subscription = scanner.attach(candidates=RangeSet(), sink=lambda *_run: True)
+        assert _revolve(scanner, subscription, scanner.stride) == 1
+        assert subscription.skipped == subscription.total == len(deep_store.containers)
+        assert subscription.delivered == 0
+        assert scanner.stats.containers_skipped == len(deep_store.containers)
+        assert len(wants_calls) == 1
+
+    def test_a_whole_catalog_subscriber_still_walks(self, deep_store):
+        scanner = SweepScanner(deep_store)
+        subscription = scanner.attach(sink=lambda *_run: True)
+        n = len(deep_store.containers)
+        assert _revolve(scanner, subscription, scanner.stride) == -(-n // scanner.stride)
+        assert subscription.delivered == n and subscription.skipped == 0
+
+
+class _ModelSub:
+    def __init__(self, candidates):
+        #: every id it wants, spelled out (``None``: all of them)
+        self.wanted = None if candidates is None else set(candidates.iter_ids())
+        self.delivered = []
+        self.seen = self.skipped = self.total = self.start_position = 0
+        self.done = False
+
+
+class _ModelSweep:
+    """The reference the jump is checked against: a sweep that visits
+    every lap position, one id at a time, and asks every subscriber."""
+
+    def __init__(self, store):
+        self.store = store
+        self.order, self.position, self.active = [], 0, []
+        self.resident = set()
+        self.stats = SweepStats()
+
+    def attach(self, sub):
+        if not self.active:
+            self.order, self.position = self.store.occupied_ids(), 0
+        else:
+            self.order += [
+                i for i in self.store.occupied_ids() if i not in self.order
+            ]
+        sub.total, sub.start_position = len(self.order), self.position
+        sub.done = sub.total == 0
+        if not sub.done:
+            self.active.append(sub)
+
+    def walk_to(self, laps, position):
+        """One container at a time until the sweep stands where the real
+        one was observed (or, with ``None``, until nobody is left)."""
+        while self.active and (self.stats.laps, self.position) != (laps, position):
+            htm_id = self.order[self.position]
+            container = self.store.containers.get(htm_id)
+            wanting = [
+                s
+                for s in self.active
+                if container is not None
+                and (s.wanted is None or htm_id in s.wanted)
+            ]
+            if wanting:
+                self.stats.containers_swept += 1
+                if htm_id in self.resident:
+                    self.stats.containers_from_pool += 1
+                else:
+                    self.stats.containers_read += 1
+                self.resident.add(htm_id)
+                self.stats.bytes_swept += container.nbytes()
+                self.stats.deliveries += len(wanting)
+            else:
+                self.stats.containers_skipped += 1
+            for sub in self.active:
+                sub.seen += 1
+                if sub in wanting:
+                    sub.delivered.append(htm_id)
+                else:
+                    sub.skipped += 1
+                sub.done = sub.seen >= sub.total
+            self.position += 1
+            if self.position == len(self.order):
+                self.position = 0
+                self.stats.laps += 1
+            self.active = [s for s in self.active if not s.done]
+            if not self.active:
+                self.order, self.position = [], 0
+
+
+#: the depth-3 id space, a little past both ends
+_DEPTH3 = st.integers(min_value=8 * 4**3 - 2, max_value=16 * 4**3 + 1)
+
+
+@st.composite
+def _candidate_sets(draw, occupied, hot):
+    """``None``, the empty set, one occupied id, or many short ranges
+    (naming unoccupied ids too) plus some of the ``hot`` ids: both ends
+    of the lap, the container added mid-lap and the one removed."""
+    kind = draw(st.sampled_from(["none", "empty", "single", "ranges"]))
+    if kind == "none":
+        return None
+    if kind == "empty":
+        return RangeSet()
+    if kind == "single":
+        return RangeSet.from_ids([draw(st.sampled_from(occupied))])
+    ranges = draw(st.lists(st.tuples(_DEPTH3, st.integers(0, 5)), max_size=12))
+    named = draw(st.lists(st.sampled_from(hot), unique=True))
+    return RangeSet(
+        [(lo, lo + length) for lo, length in ranges] + [(i, i) for i in named]
+    )
+
+
+def _depth3_store(photo):
+    return ContainerStore.from_table(photo.take(np.arange(80)), depth=3)
+
+
+def _check_against_model(photo, candidates, stride, targets, added, removed):
+    """Run one script on a real scanner (manual mode) and on the model.
+
+    The script is one skeleton with drawn parts: the first subscriber
+    joins an idle sweep; the sweep is driven to ``targets[0]``; container
+    ``added`` appears (so later subscribers walk an unsorted tail) and
+    the second subscriber joins; on to ``targets[1]``; container
+    ``removed`` goes and the third joins; then everyone finishes.  A
+    target past the last position drives through the wrap.  The model
+    joins its subscribers where the real ones were seen to join, since
+    where a step ends depends on the jump.
+    """
+    store = _depth3_store(photo)
+    scanner, model = SweepScanner(store), _ModelSweep(store)
+    real, expected = [], []
+
+    def join(wanted):
+        got = []
+        subscription = scanner.attach(
+            candidates=wanted, sink=lambda htm_id, _t, _p: got.append(htm_id)
+        )
+        real.append((subscription, got))
+        expected.append(_ModelSub(wanted))
+        model.attach(expected[-1])
+
+    def advance(target):
+        while scanner.position() < target:
+            step = scanner.step(stride)
+            if step is None or step.wrapped:
+                break
+        model.walk_to(scanner.stats.laps, scanner.position())
+        assert (model.stats.laps, model.position) == (
+            scanner.stats.laps,
+            scanner.position(),
+        )
+
+    join(candidates[0])
+    advance(targets[0])
+    store.get_or_create(added).append(photo.take(np.arange(3)))
+    if len(candidates) > 1:
+        join(candidates[1])
+    advance(targets[1])
+    del store.containers[removed]
+    if len(candidates) > 2:
+        join(candidates[2])
+    while scanner.step(stride) is not None:
+        pass
+    model.walk_to(None, None)
+
+    for (subscription, got), want in zip(real, expected):
+        assert got == want.delivered
+        assert subscription.delivered == len(want.delivered)
+        for field in ("seen", "skipped", "total", "start_position", "done"):
+            assert getattr(subscription, field) == getattr(want, field), field
+    assert asdict(scanner.stats) == asdict(model.stats)
+
+
+class TestJumpAgainstModel:
+    @pytest.fixture(scope="class")
+    def ids(self, photo):
+        return _depth3_store(photo).occupied_ids()
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_every_count_equals_the_id_by_id_walk(self, photo, ids, data):
+        unoccupied = sorted(set(range(8 * 4**3, 16 * 4**3)) - set(ids))
+        added = data.draw(st.sampled_from(unoccupied), label="added")
+        removed = data.draw(st.sampled_from(ids), label="removed")
+        hot = [ids[0], ids[-1], added, removed]
+        _check_against_model(
+            photo,
+            candidates=data.draw(
+                st.lists(_candidate_sets(ids, hot), min_size=1, max_size=3),
+                label="candidates",
+            ),
+            stride=data.draw(st.sampled_from([1, 3, 32]), label="stride"),
+            targets=data.draw(
+                st.tuples(*[st.integers(0, len(ids) + 1)] * 2), label="targets"
+            ),
+            added=added,
+            removed=removed,
+        )
+
+    @pytest.mark.parametrize("stride", [1, 32])
+    def test_a_jump_stops_where_the_unsorted_tail_begins(self, photo, ids, stride):
+        # The third subscriber joins the second lap at the top, wanting
+        # only the container the store grew by; once the second is done
+        # it sweeps alone and must not bisect its way past the tail.
+        added = next(i for i in range(ids[0], ids[-1]) if i not in ids)
+        _check_against_model(
+            photo,
+            candidates=[None, RangeSet.from_ids(ids[:2]), RangeSet.from_ids([added])],
+            stride=stride,
+            targets=(len(ids) // 2, len(ids) + 1),
+            added=added,
+            removed=ids[-1],
+        )
+
+
+class TestJumpLive:
+    def test_a_cone_joining_a_throttled_full_scan(self, store):
+        scanner = store.sweeper()
+        scanner.throttle = 0.002
+        ids = store.occupied_ids()
+        full = scanner.subscribe()
+        seen_by_full = []
+        drainer = threading.Thread(target=_drain, args=(full, seen_by_full))
+        drainer.start()
+        deadline = time.time() + 10
+        while full.seen < 3 and time.time() < deadline:
+            time.sleep(0.002)
+        # Behind the join point (reached after the wrap) and ahead of it.
+        keep = RangeSet.from_ids([ids[0], ids[1], ids[-1]])
+        cone = scanner.subscribe(candidates=keep)
+        assert 0 < cone.start_position < len(ids) - 1, "joined mid-lap"
+        seen_by_cone = [h for h, _t, _p in cone]
+        drainer.join(timeout=30)
+        scanner.throttle = 0.0
+        assert seen_by_cone == [ids[-1], ids[0], ids[1]]
+        assert cone.completed() and cone.seen == cone.total == len(ids)
+        assert cone.skipped == len(ids) - 3
+        assert [h for h, _r, _p in seen_by_full] == ids
