@@ -3,7 +3,7 @@
 
 PYTEST = PYTHONPATH=src python -m pytest
 
-.PHONY: test test-net test-chaos test-all bench bench-smoke bench-compare counters check examples serve loc
+.PHONY: test test-net test-chaos test-all bench bench-smoke bench-compare bench-layers counters check examples serve loc
 
 # Tier-1 verification: everything except @pytest.mark.slow benchmarks.
 test:
@@ -87,23 +87,29 @@ bench-smoke: counters
 		"benchmarks/test_bench_tags_speedup.py::test_bench_tag_byte_ratio" \
 		"benchmarks/test_bench_typical_queries.py::test_bench_indexed_vs_scan"
 
-# What a performance PR is judged by: `python3 -m bench` on BASE (a
-# `git archive` of the ref in a temp dir, sharing this tree's cached
-# catalogs) and on this tree, PAIRS pairs from seed 11, alternating
-# which side runs first, then the bench.compare verdicts.  The result
-# files stay in bench/out/compare/{base,head} (git-ignored).
+# Shell lines unpacking BASE (a `git archive` of the ref) into $$tree, a
+# temp dir removed on exit, with this tree's cached catalogs linked in.
+define base_tree
+tree=$$(mktemp -d); trap 'rm -rf "$$tree"' EXIT; \
+	mkdir -p $$tree/bench/out; \
+	git archive $(BASE) | tar -x -C $$tree; \
+	for catalog in $(CURDIR)/bench/out/catalog-*.npy; do \
+		if [ -e $$catalog ]; then ln -s $$catalog $$tree/bench/out/; fi; \
+	done
+endef
+
+# What a performance PR is judged by: `python3 -m bench` on BASE and on
+# this tree, PAIRS pairs from seed 11, alternating which side runs
+# first, then the bench.compare verdicts.  The result files stay in
+# bench/out/compare/{base,head} (git-ignored).
 PAIRS ?= 10
 bench-compare:
 	@test -n "$(BASE)" || { \
 		echo "usage: make bench-compare BASE=<ref> [PAIRS=10] [WORKLOAD=<name>]" >&2; \
 		exit 2; }
-	@set -e; tree=$$(mktemp -d); trap 'rm -rf "$$tree"' EXIT; \
+	@set -e; $(base_tree); \
 	out=$(CURDIR)/bench/out/compare; rm -rf $$out; \
-	mkdir -p $$out/base $$out/head $$tree/bench/out; \
-	git archive $(BASE) | tar -x -C $$tree; \
-	for catalog in $(CURDIR)/bench/out/catalog-*.npy; do \
-		if [ -e $$catalog ]; then ln -s $$catalog $$tree/bench/out/; fi; \
-	done; \
+	mkdir -p $$out/base $$out/head; \
 	for pair in $$(seq $(PAIRS)); do \
 		seed=$$((10 + pair)); \
 		if [ $$((pair % 2)) = 1 ]; then sides="base head"; else sides="head base"; fi; \
@@ -115,3 +121,25 @@ bench-compare:
 		done; \
 	done; \
 	python3 -m bench.compare $$out/base $$out/head
+
+# Where the saving appeared: one traced run (`--trace 1`) of WORKLOAD at
+# SEED on BASE and on this tree, then their per-layer metrics and
+# per-shape latencies side by side (benchmarks/compare_layers.py).  The
+# result files stay in bench/out/layers/{base,head} (git-ignored).
+SEED ?= 21
+bench-layers:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { \
+		echo "usage: make bench-layers BASE=<ref> WORKLOAD=<name> [SEED=21]" >&2; \
+		exit 2; }
+	@set -e; $(base_tree); \
+	out=$(CURDIR)/bench/out/layers; rm -rf $$out; \
+	mkdir -p $$out/base $$out/head; \
+	for side in base head; do \
+		if [ $$side = base ]; then dir=$$tree; else dir=$(CURDIR); fi; \
+		echo "== $$side, seed $(SEED)"; \
+		(cd $$dir && python3 -m bench --workload $(WORKLOAD) --seed $(SEED) \
+			--trace 1 --out $$out/$$side > $$out/$$side/seed$(SEED).log); \
+	done; \
+	python3 benchmarks/compare_layers.py \
+		$$out/base/$(WORKLOAD)-seed$(SEED)-trace1.json \
+		$$out/head/$(WORKLOAD)-seed$(SEED)-trace1.json

@@ -13,8 +13,9 @@ Modules
   octahedron) and vectorized point location.
 * :mod:`repro.htm.ranges` — sorted id-interval sets, the compact result
   form of a coverage computation.
-* :mod:`repro.htm.cover` — the recursive inside/partial/outside coverage
-  algorithm over regions of half-space constraints (Figure 4).
+* :mod:`repro.htm.cover` — the inside/partial/outside coverage algorithm
+  over regions of half-space constraints (Figure 4), one vectorised pass
+  per mesh level.
 * :mod:`repro.htm.depthmap` — coarse per-trixel density maps used for the
   paper's output-volume / search-time predictions.
 """

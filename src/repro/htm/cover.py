@@ -1,10 +1,25 @@
-"""Recursive trixel coverage of half-space regions (the paper's Figure 4).
+"""Trixel coverage of half-space regions, a level at a time (the paper's Figure 4).
 
 *"Run a test between the query polyhedron and the spherical triangles
 corresponding to the tree root nodes. ... Classify nodes, as fully outside
 the query, fully inside the query or partially intersecting the query
 polyhedron.  If a node is rejected, that node's children can be ignored.
 Only the children of bisected triangles need be further investigated."*
+
+The rule is level-synchronous: a node's verdict depends on the node
+alone, and only a bisected node has children to look at.  So
+:func:`cover_region` walks the mesh breadth-first.  The surviving
+trixels of a level are one ``(n, 3, 3)`` corner array, classified
+against every halfspace of the region in one vectorised pass; the
+accepted ones become leaf-id intervals, the rejected ones are dropped,
+and the children of the bisected ones are the next level.  A cover
+costs at most ``depth + 1`` numpy passes over the survivors, not one
+Python call per trixel.
+
+:func:`classify_trixel_halfspace`, :func:`classify_trixel_convex` and
+:func:`classify_trixel_region` decide one trixel with the same
+arithmetic.  They are the scalar reference: the property tests require
+the level pass to reproduce their verdicts exactly.
 
 Correctness contract
 --------------------
@@ -26,10 +41,10 @@ import numpy as np
 from repro.geometry.convex import Convex
 from repro.geometry.halfspace import Halfspace
 from repro.geometry.region import Region
-from repro.geometry.vector import cross3
+from repro.geometry.vector import cross3, normalize
 from repro.htm.mesh import MAX_DEPTH
 from repro.htm.ranges import RangeSet
-from repro.htm.trixel import BASE_TRIXELS
+from repro.htm.trixel import base_trixel_vertices
 
 __all__ = ["Classification", "Coverage", "cover_region", "classify_trixel_region"]
 
@@ -170,6 +185,116 @@ def classify_trixel_region(corners, region):
     return verdict
 
 
+# The level pass.  Each helper below applies a scalar test above to
+# every row at once with the same floating-point operations, step for
+# step: ``_cross`` forms the components as ``cross3`` does, and
+# ``np.vecdot`` reduces each row with the BLAS dot that ``np.dot`` (and
+# so ``np.linalg.norm`` of a vector) calls.  That is what makes every
+# sign, and so every verdict, equal to the reference's.
+
+#: verdicts as codes ordered so that a convex (AND) takes the minimum
+#: over its halfspaces and a region (OR) the maximum over its convexes:
+#: OUTSIDE dominates a convex, INSIDE a region
+_OUTSIDE, _PARTIAL, _INSIDE = 0, 1, 2
+#: edge ``i`` of a trixel runs from corner ``i`` to corner ``_HEADS[i]``
+_HEADS = [1, 2, 0]
+#: the two solutions of the edge test, ``base ± gamma * direction``
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
+#: the corners of each child, in child order, among a trixel's corners
+#: ``v0, v1, v2`` (0-2) and edge midpoints ``w0, w1, w2`` (3-5)
+_CHILD_CORNERS = [[0, 5, 4], [1, 3, 5], [2, 4, 3], [3, 4, 5]]
+
+
+def _cross(a, b):
+    """:func:`cross3` row-wise over the last axis of broadcastable arrays
+    (the arithmetic of ``np.cross``, without its axis handling)."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
+def _cap_boundary_crosses_edges(halfspace, a, b, length, m):
+    """Element-wise :func:`_cap_boundary_crosses_edge` over the arcs
+    ``a -> b``, given the length of ``a x b`` and ``m``, its unit vector."""
+    n = halfspace.normal
+    c = halfspace.offset
+    # Where the scalar test returns early (a degenerate edge, an edge
+    # circle parallel to the cap's, no real solution) this computes inf
+    # or NaN, masked out at the end.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_dot_m = np.vecdot(n, m)
+        denom = 1.0 - n_dot_m * n_dot_m
+        alpha = c / denom
+        beta = -c * n_dot_m / denom
+        base = alpha[..., None] * n + beta[..., None] * m
+        gamma_sq = 1.0 - np.vecdot(base, base)
+        candidate = base + (_SIGNS * np.sqrt(gamma_sq))[..., None] * _cross(n, m)
+        within = (np.vecdot(_cross(a, candidate), m) >= -1e-15) & (
+            np.vecdot(_cross(candidate, b), m) >= -1e-15
+        )
+    return (length != 0.0) & (denom > 1e-15) & (gamma_sq >= 0.0) & within.any(axis=0)
+
+
+def _classify_halfspace_level(halfspace, corners, edges):
+    """Row-wise :func:`classify_trixel_halfspace` of a level, as verdict
+    codes.  A convex holds no full or empty halfspace (:class:`Convex`
+    prunes them), so those two cases never arise here."""
+    heads, planes, lengths, units = edges
+    n_inside = np.count_nonzero(halfspace.contains(corners), axis=1)
+    inside = n_inside == 3
+    outside = n_inside == 0
+    # No corner in is final unless the trixel holds the cap's centre or
+    # the cap's boundary crosses an edge.  All corners in is final for a
+    # cap no larger than a hemisphere, which is convex; for a larger one
+    # the same probe runs with the centre of its complement.
+    centres = np.where(inside[:, None, None], -halfspace.normal, halfspace.normal)
+    cut = (np.vecdot(centres, planes) >= 0.0).all(axis=1)
+    cut |= _cap_boundary_crosses_edges(halfspace, corners, heads, lengths, units).any(
+        axis=1
+    )
+    outside &= ~cut
+    if halfspace.offset < 0.0:
+        inside &= ~cut
+    verdict = np.full(len(corners), _PARTIAL, dtype=np.int8)
+    verdict[inside] = _INSIDE
+    verdict[outside] = _OUTSIDE
+    return verdict
+
+
+def _classify_level(corners, region):
+    """Row-wise :func:`classify_trixel_region` of a level's ``(n, 3, 3)``
+    corners, as verdict codes: one vectorised pass per halfspace."""
+    # Every trixel's edges and their planes, shared by all halfspaces.
+    heads = corners[:, _HEADS]
+    planes = _cross(corners, heads)
+    lengths = np.sqrt(np.vecdot(planes, planes))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        units = planes / lengths[..., None]
+    edges = (heads, planes, lengths, units)
+    verdict = np.full(len(corners), _OUTSIDE, dtype=np.int8)
+    for convex in region:
+        clause = np.full(len(corners), _INSIDE, dtype=np.int8)
+        for halfspace in convex:
+            np.minimum(
+                clause, _classify_halfspace_level(halfspace, corners, edges), out=clause
+            )
+        np.maximum(verdict, clause, out=verdict)
+    return verdict
+
+
+def _children(corners, ids):
+    """Corners and ids of the four children of every trixel, in child
+    order 0-3 and bit for bit as :meth:`Trixel.children` builds them."""
+    midpoints = normalize(corners[:, [1, 0, 0]] + corners[:, [2, 2, 1]])
+    points = np.concatenate([corners, midpoints], axis=1)
+    children = points[:, _CHILD_CORNERS].reshape(-1, 3, 3)
+    return children, ((ids[:, None] << 2) | np.arange(4)).reshape(-1)
+
+
 class Coverage:
     """Result of covering a region down to ``depth``.
 
@@ -208,9 +333,14 @@ class Coverage:
 def cover_region(region, depth):
     """Cover ``region`` with trixels down to ``depth``.
 
-    Implements the recursive classification of the paper: nodes fully
-    inside are accepted as whole subtrees (contiguous id intervals), nodes
-    fully outside are pruned, and only bisected nodes recurse.
+    The paper's classification, breadth-first: each level's surviving
+    trixels are classified in one vectorised pass.  Nodes fully inside
+    are accepted as whole subtrees (contiguous leaf-id intervals), nodes
+    fully outside are dropped, and only the bisected nodes' children
+    make the next level; the bisected nodes at ``depth`` are the partial
+    leaves.  At most ``depth + 1`` passes.  ``inside``, ``partial`` and
+    ``stats`` are exactly what classifying node by node with
+    :func:`classify_trixel_region` gives.
     """
     if isinstance(region, Halfspace):
         region = Region.from_halfspace(region)
@@ -222,35 +352,28 @@ def cover_region(region, depth):
         raise ValueError(f"depth must be in [0, {MAX_DEPTH}], got {depth}")
 
     inside_intervals = []
-    partial_ids = []
     stats = {"tested": 0, "accepted": 0, "rejected": 0, "bisected": 0}
-
-    def recurse(trixel, node_depth):
-        stats["tested"] += 1
-        verdict = classify_trixel_region(trixel.corners, region)
-        if verdict is Classification.OUTSIDE:
-            stats["rejected"] += 1
-            return
-        if verdict is Classification.INSIDE:
-            stats["accepted"] += 1
-            shift = 2 * (depth - node_depth)
-            lo = trixel.htm_id << shift
-            hi = ((trixel.htm_id + 1) << shift) - 1
-            inside_intervals.append((lo, hi))
-            return
-        stats["bisected"] += 1
-        if node_depth == depth:
-            partial_ids.append(trixel.htm_id)
-            return
-        for child in trixel.children():
-            recurse(child, node_depth + 1)
-
-    for root in BASE_TRIXELS:
-        recurse(root, 0)
+    corners = base_trixel_vertices()
+    ids = np.arange(8, 16, dtype=np.int64)
+    for level in range(depth + 1):
+        verdict = _classify_level(corners, region)
+        accepted = ids[verdict == _INSIDE]
+        bisected = verdict == _PARTIAL
+        shift = 2 * (depth - level)
+        inside_intervals.extend(
+            zip((accepted << shift).tolist(), (((accepted + 1) << shift) - 1).tolist())
+        )
+        stats["tested"] += len(ids)
+        stats["accepted"] += len(accepted)
+        stats["rejected"] += int(np.count_nonzero(verdict == _OUTSIDE))
+        stats["bisected"] += int(np.count_nonzero(bisected))
+        if level == depth or not bisected.any():
+            break
+        corners, ids = _children(corners[bisected], ids[bisected])
 
     return Coverage(
         depth=depth,
         inside=RangeSet(inside_intervals),
-        partial=RangeSet.from_ids(partial_ids),
+        partial=RangeSet.from_ids(ids[bisected].tolist()),
         stats=stats,
     )

@@ -231,7 +231,9 @@ class SweepScanner:
         #: not the tail appended when the store grew under the sweep
         self._sorted_len = 0
         self._position = 0
-        self._snapshot_len = 0
+        #: the store's mutation generation when ``_order`` was last made
+        #: or extended
+        self._generation = None
         self._thread = None
 
     def _published_metrics(self):
@@ -305,20 +307,22 @@ class SweepScanner:
             self._order = self.store.occupied_ids()
             self._sorted_len = len(self._order)
             self._position = 0
-        elif len(self.store.containers) != self._snapshot_len:
-            # The store grew (or shrank) under an active sweep: append
-            # the new containers to the tail of the lap so this (and
-            # every later) subscriber sees them, without renumbering the
+        elif self.store.generation != self._generation:
+            # The store changed under an active sweep: append the new
+            # containers to the tail of the lap so this (and every
+            # later) subscriber sees them, without renumbering the
             # positions mid-lap subscribers are counting against.
             # Removed containers stay in the order and are skipped by
-            # ``step`` when the lookup misses.
+            # ``step`` when the lookup misses.  The generation, not the
+            # container count, tells: one container added and another
+            # removed leave the count as it was.
             known = set(self._order)
             self._order = self._order + [
                 htm_id
                 for htm_id in self.store.occupied_ids()
                 if htm_id not in known
             ]
-        self._snapshot_len = len(self.store.containers)
+        self._generation = self.store.generation
         sub.total = len(self._order)
         sub.start_position = self._position
         if sub.total == 0:
@@ -511,7 +515,6 @@ class SweepScanner:
                     self._subs = []
                     self._order = []
                     self._position = 0
-                    self._snapshot_len = 0
                 for sub in failed:
                     sub._fail(exc)
                 continue

@@ -50,7 +50,6 @@ import contextlib
 import socket
 import threading
 import time
-from collections import deque
 
 from repro.distributed.engine import DistributedQueryEngine
 from repro.htm.ranges import RangeSet
@@ -187,9 +186,6 @@ class ArchiveServer:
     """
 
     _MAX_FETCH = 64
-    #: terminal jobs kept for introspection after their connection ends;
-    #: older ones are dropped so a long-running server stays bounded
-    _RETIRED_JOBS = 256
 
     def __init__(
         self,
@@ -247,9 +243,6 @@ class ArchiveServer:
         self._threads = set()
         self._connections = set()
         self._jobs = {}
-        #: recently retired (terminal, connection gone) jobs — a bounded
-        #: window so introspection works without unbounded growth
-        self._retired = deque(maxlen=self._RETIRED_JOBS)
         self._job_counter = 0
         self._lock = threading.Lock()
         self._closing = threading.Event()
@@ -381,22 +374,19 @@ class ArchiveServer:
     # -- introspection (used by tests and benchmarks) -------------------
 
     def jobs(self):
-        """Server-side session jobs created for remote submissions:
-        the live ones plus a bounded window of recently retired ones."""
-        with self._lock:
-            return [job for job, _id in self._retired] + [
-                served.job for served in self._jobs.values()
-            ]
+        """Server-side session jobs created for remote submissions: the
+        live ones plus the session's bounded window of finished ones."""
+        return self.session.jobs
 
     def _stats(self):
         """The ``stats`` op reply: the process-wide metrics registry
         snapshot (cache hit rate, pool/sweep counters, admission queue
         depth, per-session job counts) plus this server's own vitals."""
         with self._lock:
-            jobs_live = len(self._jobs)
-            jobs_retired = len(self._retired)
+            served = {item.job for item in self._jobs.values()}
+        jobs = self.jobs()
         by_user = {}
-        for job in self.jobs():
+        for job in jobs:
             by_user[job.user] = by_user.get(job.user, 0) + 1
         uptime = (
             time.monotonic() - self._started_at
@@ -408,8 +398,9 @@ class ArchiveServer:
             "uptime_seconds": uptime,
             "metrics": jsonable(obs_registry().snapshot()),
             "server": {
-                "jobs_live": jobs_live,
-                "jobs_retired": jobs_retired,
+                "jobs_live": len(served),
+                # remembered, their connection gone
+                "jobs_retired": sum(job not in served for job in jobs),
                 "jobs_by_user": by_user,
                 "cache_enabled": self.service.cache is not None,
                 "auth_required": self.service.auth is not None,
@@ -471,26 +462,16 @@ class ArchiveServer:
             except OSError:
                 pass
             # A vanished client must not leak server-side QET threads:
-            # cancel every non-terminal job this connection created.
-            # Cancelled/finished jobs then move from the live registry
-            # to the bounded retired window, so a long-running server
+            # cancel every non-terminal job this connection created and
+            # drop it from the live registry.  The session remembers a
+            # bounded window of finished jobs, so a long-running server
             # does not accumulate one QET (and its buffered batches)
             # per submission it ever served.
             for job_id in conn.job_ids:
                 with self._lock:
                     served = self._jobs.pop(job_id, None)
-                if served is None:
-                    continue
-                if not served.job.state.is_terminal():
+                if served is not None and not served.job.state.is_terminal():
                     served.job.cancel()
-                with self._lock:
-                    full = len(self._retired) == self._RETIRED_JOBS
-                    evicted = self._retired[0][0] if full else None
-                    self._retired.append((served.job, job_id))
-                if evicted is not None:
-                    # Out of the window, out of the session: otherwise
-                    # the session keeps every QET this server ever ran.
-                    self.session._forget(evicted)
             with self._lock:
                 self._threads.discard(threading.current_thread())
 

@@ -13,6 +13,7 @@ FIFO on the batch machine), and hands every submission back as a
 
 from __future__ import annotations
 
+import collections
 import enum
 import itertools
 import re
@@ -373,6 +374,10 @@ class Session:
     """
 
     QUERY_CLASSES = ("interactive", "batch")
+    #: finished jobs a session remembers, most recent last; an older one
+    #: is forgotten, so a long-lived session (the archive server's
+    #: above all) stays bounded.  A caller holding a job keeps it usable.
+    _FINISHED_JOBS = 256
 
     def __init__(self, executor, scheduler=None, service=None, user=None, query_log=None):
         if not hasattr(executor, "prepare"):
@@ -390,14 +395,18 @@ class Session:
         #: structured JSON-lines :class:`~repro.obs.qlog.QueryLog`
         #: observing every terminal job (None = disabled)
         self.query_log = query_log
-        self.jobs = []
-        #: job ids count submissions, not list entries: a server session
-        #: forgets retired jobs (:meth:`_forget`) and must not reuse ids
+        #: the jobs :attr:`jobs` lists, in submission order (a dict, so
+        #: forgetting one is O(1)), and the finished ones among them in
+        #: the order they finished
+        self._jobs = {}
+        self._finished = collections.deque()
+        #: job ids count submissions, not remembered jobs: forgotten
+        #: jobs' ids are never reused
         self._job_ids = itertools.count()
+        self._lock = threading.Lock()
         #: live gauges published into the process-wide metrics registry
         #: (weakly held: a collected session drops out of snapshots)
         self._metrics_ref = obs_registry().add_source(self._published_metrics)
-        self._lock = threading.Lock()
         self._closed = False
         #: fair-share batch queue; with a single user it degenerates to
         #: the FIFO it replaced
@@ -406,14 +415,6 @@ class Session:
         #: resources whose lifetime is tied to this session (e.g. a
         #: ProcessShardCluster built by Archive.connect); closed last.
         self._owned = []
-
-    def _forget(self, job):
-        """Drop a terminal job from :attr:`jobs`.  The archive server
-        calls this when a served job leaves its retired window, so its
-        one long-lived session stays as bounded as the window is."""
-        with self._lock:
-            if job in self.jobs:
-                self.jobs.remove(job)
 
     def adopt(self, resource):
         """Tie ``resource`` (anything with ``close()``) to this session:
@@ -432,28 +433,40 @@ class Session:
     def closed(self):
         return self._closed
 
+    @property
+    def jobs(self):
+        """This session's jobs in submission order: every live one and
+        the last :attr:`_FINISHED_JOBS` finished ones (a snapshot)."""
+        with self._lock:
+            return list(self._jobs)
+
     # -- observability --------------------------------------------------
 
     def _published_metrics(self):
         """This session's live metrics, pulled at registry snapshot time."""
+        jobs = self.jobs
         by_user = {}
-        for job in list(self.jobs):
+        for job in jobs:
             by_user[job.user] = by_user.get(job.user, 0) + 1
         return {
-            "session.jobs": len(self.jobs),
+            "session.jobs": len(jobs),
             "session.jobs_by_user": by_user,
             "admission.queue_depth": self._batch_queue.pending(),
             "admission.rounds": self._batch_queue.rounds,
         }
 
     def _observe_terminal(self, job):
-        """Terminal-job hook: registry counters, the completion-latency
-        histogram, and the query log.  Idempotent per job; telemetry
-        failures never poison job state."""
+        """Terminal-job hook: the finished-jobs window, registry counters,
+        the completion-latency histogram, and the query log.  Idempotent
+        per job; telemetry failures never poison job state."""
         with job._lock:
             if job._observed or not job._state.is_terminal():
                 return
             job._observed = True
+        with self._lock:
+            self._finished.append(job)
+            if len(self._finished) > self._FINISHED_JOBS:
+                del self._jobs[self._finished.popleft()]
         try:
             reg = obs_registry()
             reg.counter(f"session.jobs_{job.state.name.lower()}").inc()
@@ -561,7 +574,7 @@ class Session:
             job.trace_id = trace.trace_id
             job._trace = trace
             query_span.attrs["job_id"] = job_id
-            self.jobs.append(job)
+            self._jobs[job] = None
             # Sinks attach before the batch enqueue: the dispatcher may
             # pop the job the instant it lands in the queue.
             if into is not None:
@@ -888,7 +901,8 @@ class Session:
             # backlog (all cancelled below, so runs are no-ops) and
             # exits on the queue's None.
             self._batch_queue.close()
-        for job in self.jobs:
+            jobs = list(self._jobs)
+        for job in jobs:
             if not job.state.is_terminal():
                 job.cancel()
         if dispatcher is not None:

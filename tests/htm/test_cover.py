@@ -4,19 +4,31 @@ The contract: ``inside`` trixels contain only in-region points, and every
 in-region point falls in ``inside | partial``.  These hold for any region
 at any depth; the property tests sweep random caps, bands, and Boolean
 combinations.
+
+The cover is classified a level at a time; :func:`reference_cover`
+walks the mesh one trixel at a time with the scalar classifier instead,
+and the two must agree exactly — on drawn regions, on regions at the
+mesh's edges and on the benchmark's own regions.
 """
+
+import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from bench import config as bench_config
+from bench import gen
+from bench.probes import build_region
 from repro.geometry.convex import Convex
 from repro.geometry.coords import GALACTIC
 from repro.geometry.halfspace import Halfspace
 from repro.geometry.region import Region
-from repro.geometry.shapes import circle_region, latitude_band
-from repro.geometry.vector import radec_to_vector, random_unit_vectors
+from repro.geometry.shapes import circle_region, latitude_band, rect_region
+from repro.geometry.vector import normalize, radec_to_vector, random_unit_vectors
+from repro.htm import cover as cover_module
 from repro.htm.cover import (
     Classification,
     classify_trixel_halfspace,
@@ -24,7 +36,8 @@ from repro.htm.cover import (
     cover_region,
 )
 from repro.htm.mesh import depth_id_bounds, lookup_ids_from_vectors, trixel_corners
-from repro.htm.trixel import BASE_TRIXELS
+from repro.htm.ranges import RangeSet
+from repro.htm.trixel import BASE_TRIXELS, Trixel, base_trixel_vertices
 
 
 def assert_coverage_exact(region, coverage, points):
@@ -202,3 +215,236 @@ class TestHalfspaceClassification:
         outside_clause = Region.from_halfspace(Halfspace(-trixel.center(), 0.95))
         union = inside_clause | outside_clause
         assert classify_trixel_region(trixel.corners, union) is Classification.INSIDE
+
+
+# ----------------------------------------------------------------------
+# the level pass against the trixel-at-a-time walk
+# ----------------------------------------------------------------------
+
+
+def reference_cover(region, depth):
+    """The model: the paper's recursion, one :class:`Trixel` and one call
+    of the scalar :func:`classify_trixel_region` per node."""
+    inside, partial = [], []
+    stats = {"tested": 0, "accepted": 0, "rejected": 0, "bisected": 0}
+
+    def visit(trixel, level):
+        stats["tested"] += 1
+        verdict = classify_trixel_region(trixel.corners, region)
+        if verdict is Classification.OUTSIDE:
+            stats["rejected"] += 1
+        elif verdict is Classification.INSIDE:
+            stats["accepted"] += 1
+            inside.extend(RangeSet.from_subtree(trixel.htm_id, level, depth))
+        else:
+            stats["bisected"] += 1
+            if level == depth:
+                partial.append(trixel.htm_id)
+            else:
+                for child in trixel.children():
+                    visit(child, level + 1)
+
+    for root in BASE_TRIXELS:
+        visit(root, 0)
+    return RangeSet(inside), RangeSet.from_ids(partial), stats
+
+
+def assert_same_as_reference(region, depth):
+    coverage = cover_region(region, depth)
+    inside, partial, stats = reference_cover(region, depth)
+    assert coverage.inside == inside
+    assert coverage.partial == partial
+    assert coverage.stats == stats
+
+
+#: every corner of the depth-2 mesh: the octahedron's six vertices, the
+#: level-1 and level-2 edge midpoints (each on an edge one level up)
+_MESH_POINTS = np.unique(
+    np.concatenate(
+        [trixel_corners(htm_id) for htm_id in range(*depth_id_bounds(2))]
+    ),
+    axis=0,
+)
+_OCTAHEDRON = np.concatenate([np.eye(3), -np.eye(3)])
+#: cap offsets at the edges of the classifier's branches: a point (radius
+#: 0), exactly a hemisphere, a hemisphere by way of cos(90 deg), caps
+#: larger than a hemisphere, radius 180 (the full sphere), past 1 (empty)
+_EDGE_OFFSETS = [1.0, 0.0, math.cos(math.radians(90.0)), -0.5, -0.999, -1.0, 1.0 + 1e-9]
+
+
+def _vector(draw):
+    kind = draw(st.sampled_from(["mesh", "radec", "wrap"]))
+    if kind == "mesh":
+        return _MESH_POINTS[draw(st.integers(0, len(_MESH_POINTS) - 1))]
+    dec = draw(st.floats(-90.0, 90.0))
+    if kind == "wrap":  # either side of RA 0 / 360
+        return radec_to_vector(draw(st.sampled_from([0.0, 1e-9, 359.9999999])), dec)
+    return radec_to_vector(draw(st.floats(0.0, 360.0)), dec)
+
+
+@st.composite
+def _caps(draw):
+    normal = _vector(draw)
+    offset = draw(st.one_of(st.sampled_from(_EDGE_OFFSETS), st.floats(-1.0, 1.0)))
+    return Region.from_halfspace(Halfspace(normal, offset))
+
+
+@st.composite
+def _bands(draw):
+    lo, hi = sorted(draw(st.tuples(*[st.floats(-90.0, 90.0)] * 2)))
+    frame = draw(st.sampled_from(["equatorial", GALACTIC]))
+    return latitude_band(lo, hi, frame=frame)
+
+
+@st.composite
+def _rects(draw):
+    """Coordinate rectangles, across RA 0 and wider than 180 degrees
+    (then the wedge is two convexes)."""
+    ra_min = draw(st.floats(0.0, 360.0))
+    span = draw(st.one_of(st.floats(0.5, 359.0), st.sampled_from([180.0, 181.0])))
+    dec_lo, dec_hi = sorted(draw(st.tuples(*[st.floats(-90.0, 90.0)] * 2)))
+    return rect_region(ra_min, (ra_min + span) % 360.0, dec_lo, dec_hi)
+
+
+@st.composite
+def _polygons(draw):
+    """A convex polygon as its hemispheres (what ``polygon_region``
+    builds): 3-6 vertices in order on a small circle about a centre."""
+    centre = _vector(draw)
+    radius = math.radians(draw(st.floats(0.01, 60.0)))
+    count = draw(st.integers(3, 6))
+    east = np.cross([0.0, 0.0, 1.0], centre)
+    if np.linalg.norm(east) < 1e-6:
+        east = np.array([1.0, 0.0, 0.0])
+    east = normalize(east)
+    north = np.cross(centre, east)
+    jitter = draw(st.lists(st.floats(0.0, 0.8), min_size=count, max_size=count))
+    bearings = [(i + u) * 2 * math.pi / count for i, u in enumerate(jitter)]
+    vertices = [
+        math.cos(radius) * centre
+        + math.sin(radius) * (math.cos(b) * east + math.sin(b) * north)
+        for b in bearings
+    ]
+    halfspaces = []
+    for a, b in zip(vertices, vertices[1:] + vertices[:1]):
+        normal = np.cross(a, b)
+        if np.linalg.norm(normal) == 0.0:
+            continue
+        halfspaces.append(Halfspace(normal, 0.0))
+    return Region.from_convex(Convex(halfspaces))
+
+
+_SHAPES = st.one_of(
+    _caps(),
+    _bands(),
+    _rects(),
+    _polygons(),
+    st.sampled_from([Region.empty(), Region.full_sphere()]),
+)
+
+
+@st.composite
+def _regions(draw):
+    first = draw(_SHAPES)
+    how = draw(st.sampled_from(["one", "union", "difference"]))
+    if how == "one":
+        return first
+    second = draw(_SHAPES)
+    return first | second if how == "union" else first - second
+
+
+class TestCoverEqualsTheReferenceWalk:
+    @given(_regions(), st.integers(min_value=0, max_value=8))
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_drawn_regions(self, region, depth):
+        # The walk costs ~50 us a node: leave the widest shapes at the
+        # deepest levels (tens of thousands of nodes) to the tests below.
+        assume(cover_region(region, depth).stats["tested"] <= 2000)
+        assert_same_as_reference(region, depth)
+
+    @pytest.mark.parametrize("depth", [0, 2, 5])
+    @pytest.mark.parametrize("offset", _EDGE_OFFSETS)
+    def test_caps_centred_on_the_mesh(self, offset, depth):
+        """Centres on every octahedron vertex (the poles among them) and
+        on a level-1 and a level-2 midpoint, at every edge offset."""
+        level1 = normalize(_OCTAHEDRON[0] + _OCTAHEDRON[1])
+        level2 = normalize(level1 + _OCTAHEDRON[2])
+        for centre in [*_OCTAHEDRON, level1, level2]:
+            assert_same_as_reference(
+                Region.from_halfspace(Halfspace(centre, offset)), depth
+            )
+
+    @pytest.mark.parametrize(
+        "region",
+        [
+            circle_region(0.0, 0.0, 3.0),
+            circle_region(359.9999, 10.0, 3.0),
+            circle_region(0.0, 90.0, 0.0),
+            circle_region(45.0, -90.0, 90.0),
+            circle_region(120.0, 30.0, 180.0),
+            rect_region(350.0, 10.0, -5.0, 5.0),
+            rect_region(10.0, 250.0, -30.0, 60.0),
+            latitude_band(-90.0, -89.0),
+            Region.empty(),
+            Region.full_sphere(),
+        ],
+    )
+    def test_regions_at_the_edges(self, region):
+        assert_same_as_reference(region, 6)
+
+    @pytest.mark.parametrize("workload", ["cone_search", "cluster_gather"])
+    def test_the_benchmarks_regions(self, workload):
+        """200 regions from the benchmark's own generator, at its depth."""
+        ops = getattr(gen, workload)(gen.make_rng(11, workload))
+        specs = (op.region for op in ops if op.region is not None)
+        for spec in itertools.islice(specs, 200):
+            assert_same_as_reference(build_region(spec), bench_config.HTM_DEPTH)
+
+
+class TestLevelPassCost:
+    """Counts that do not depend on the box: a cover builds no Trixel
+    and runs one classifier pass per level."""
+
+    def test_a_band_constructs_no_trixel(self, monkeypatch):
+        built = []
+        init = Trixel.__init__
+        monkeypatch.setattr(
+            Trixel,
+            "__init__",
+            lambda self, *args: built.append(args[0]) or init(self, *args),
+        )
+        coverage = cover_region(latitude_band(20.0, 21.5), 6)
+        assert built == []
+        # The node-by-node recursion built 3424 trixels for this band
+        # and tested these nodes too.
+        assert coverage.stats["tested"] == 3432
+
+    @given(_regions(), st.integers(min_value=0, max_value=6))
+    @settings(max_examples=40, deadline=None)
+    def test_one_classifier_pass_per_level(self, region, depth):
+        calls = []
+        classify = cover_module._classify_level
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                cover_module,
+                "_classify_level",
+                lambda corners, region: calls.append(len(corners))
+                or classify(corners, region),
+            )
+            cover_region(region, depth)
+        assert 1 <= len(calls) <= depth + 1
+        if depth == 0:
+            assert calls == [8]
+
+    def test_children_are_bit_identical_to_trixel_children(self):
+        trixels = list(BASE_TRIXELS)
+        corners, ids = base_trixel_vertices(), np.arange(8, 16)
+        for _level in range(4):
+            trixels = [child for trixel in trixels for child in trixel.children()]
+            corners, ids = cover_module._children(corners, ids)
+            assert ids.tolist() == [trixel.htm_id for trixel in trixels]
+            assert corners.tobytes() == np.stack([t.corners for t in trixels]).tobytes()

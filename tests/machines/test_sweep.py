@@ -179,6 +179,7 @@ class TestRobustness:
             if htm_id not in store.containers
         )
         store.get_or_create(new_id).append(photo.take(np.arange(5)))
+        store.note_mutation([new_id])
         late = scanner.subscribe()
         seen_by_late = {h for h, _t, _p in late}
         drainer.join(timeout=30)
@@ -209,6 +210,27 @@ class TestManualMode:
         scanner.step()
         assert subscription.done
         assert scanner.active_subscriptions() == 0
+
+    def test_a_join_sees_one_container_added_and_another_removed(self, photo):
+        """Regression: the sweep noticed a changed store by its container
+        count, so an add and a remove between two joins went unseen and
+        the later subscriber never got the new container."""
+        store = _depth3_store(photo)
+        ids = store.occupied_ids()
+        added = next(i for i in range(ids[0], ids[-1]) if i not in store.containers)
+        scanner = SweepScanner(store)
+        scanner.attach(sink=lambda *_run: True)
+        scanner.step()  # the sweep is active, mid-lap
+        store.get_or_create(added).append(photo.take(np.arange(3)))
+        store.note_mutation([added])
+        del store.containers[ids[-1]]
+        store.note_mutation([ids[-1]])
+        got = []
+        scanner.attach(sink=lambda htm_id, _t, _p: got.append(htm_id))
+        while scanner.step() is not None:
+            pass
+        assert got.count(added) == 1
+        assert sorted(got) == store.occupied_ids()
 
 
 class TestThrottleRace:
@@ -460,17 +482,22 @@ def _depth3_store(photo):
     return ContainerStore.from_table(photo.take(np.arange(80)), depth=3)
 
 
-def _check_against_model(photo, candidates, stride, targets, added, removed):
+def _check_against_model(
+    photo, candidates, stride, targets, added, removed, gaps=(0, 1)
+):
     """Run one script on a real scanner (manual mode) and on the model.
 
     The script is one skeleton with drawn parts: the first subscriber
-    joins an idle sweep; the sweep is driven to ``targets[0]``; container
-    ``added`` appears (so later subscribers walk an unsorted tail) and
-    the second subscriber joins; on to ``targets[1]``; container
-    ``removed`` goes and the third joins; then everyone finishes.  A
-    target past the last position drives through the wrap.  The model
-    joins its subscribers where the real ones were seen to join, since
-    where a step ends depends on the jump.
+    joins an idle sweep; the sweep is driven to ``targets[0]``; the
+    second subscriber joins; on to ``targets[1]``; the third joins; then
+    everyone finishes.  A target past the last position drives through
+    the wrap.  Container ``added`` appears (so later subscribers walk an
+    unsorted tail) before the join ``gaps[0]`` names (0: the second,
+    1: the third), and container ``removed`` goes before the one
+    ``gaps[1]`` names — both before the same join leaves the store's
+    container count as it was.  The model joins its subscribers where
+    the real ones were seen to join, since where a step ends depends on
+    the jump.
     """
     store = _depth3_store(photo)
     scanner, model = SweepScanner(store), _ModelSweep(store)
@@ -496,13 +523,22 @@ def _check_against_model(photo, candidates, stride, targets, added, removed):
             scanner.position(),
         )
 
+    def mutate(gap):
+        # Announced as every mutating path does: the generation moves.
+        if gaps[0] == gap:
+            store.get_or_create(added).append(photo.take(np.arange(3)))
+            store.note_mutation([added])
+        if gaps[1] == gap:
+            del store.containers[removed]
+            store.note_mutation([removed])
+
     join(candidates[0])
     advance(targets[0])
-    store.get_or_create(added).append(photo.take(np.arange(3)))
+    mutate(0)
     if len(candidates) > 1:
         join(candidates[1])
     advance(targets[1])
-    del store.containers[removed]
+    mutate(1)
     if len(candidates) > 2:
         join(candidates[2])
     while scanner.step(stride) is not None:
@@ -541,6 +577,7 @@ class TestJumpAgainstModel:
             ),
             added=added,
             removed=removed,
+            gaps=data.draw(st.tuples(*[st.integers(0, 1)] * 2), label="gaps"),
         )
 
     @pytest.mark.parametrize("stride", [1, 32])

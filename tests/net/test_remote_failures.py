@@ -21,7 +21,7 @@ import pytest
 from repro.catalog.table import ObjectTable
 from repro.net import ArchiveServer
 from repro.query.errors import ExecutionError
-from repro.session import Archive
+from repro.session import Archive, Session
 from repro.storage import ContainerStore
 
 JOIN_TIMEOUT = 10.0
@@ -221,7 +221,7 @@ class TestServerStaysBounded:
         window, but its one session kept every job it ever ran — QET,
         and for a cache-fill job a second copy of the result."""
         window = 4
-        monkeypatch.setattr(ArchiveServer, "_RETIRED_JOBS", window)
+        monkeypatch.setattr(Session, "_FINISHED_JOBS", window)
         with ArchiveServer(stores=fresh_stores, cache=True) as server:
             for limit in range(1, window + 4):
                 with Archive.connect(server.url) as session:

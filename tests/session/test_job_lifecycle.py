@@ -6,8 +6,10 @@ backend) with gate-controlled QET nodes where the tests need to freeze a
 job mid-run.
 """
 
+import gc
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -192,6 +194,44 @@ class TestFailure:
             assert job.error is not None
             with pytest.raises(ExecutionError):
                 job.cursor.to_table()
+
+
+class TestSessionStaysBounded:
+    def test_a_local_session_forgets_all_but_its_recent_finished_jobs(
+        self, engine
+    ):
+        """Regression: a local session kept every job it ever ran (its
+        QET node threads, streams and range sets, ~39 KB each)."""
+        window = Session._FINISHED_JOBS
+        cone = "SELECT objid FROM photo WHERE CIRCLE(40, 30, 2)"
+
+        def run(count):
+            for _ in range(count):
+                session.query_table(cone)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        with Archive.connect(engine) as session:
+            expected = session.query_table(cone)
+            finished = session.submit(cone)
+            finished.cursor.fetchall()
+            live = session.submit(cone)  # never drained: stays RUNNING
+            tracemalloc.start()
+            try:
+                after_one = run(window)
+                after_three = run(2 * window)
+            finally:
+                tracemalloc.stop()
+            jobs = session.jobs
+            assert len(jobs) <= window + 1
+            assert live in jobs and finished not in jobs
+            assert after_three - after_one < 4 * 2**20
+            # Forgotten is not broken: what the caller holds still works.
+            assert finished.state is JobState.DONE
+            assert finished.io_report()["containers_read"] >= 0
+            assert finished.trace().spans
+            assert live.cursor.to_table().data.tolist() == expected.data.tolist()
+            assert session.explain_analyze(cone).kind
 
 
 class TestSubmissionValidation:
