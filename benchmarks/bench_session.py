@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import threading
 import time
@@ -196,57 +195,6 @@ def _bench_concurrent(photo):
         ),
         "buffer_pool_hit_rate": round(pool.hit_rate(), 4),
         "sweep_sharing_factor": round(sweep.sharing_factor(), 3),
-    }
-
-
-#: Workers sweep: the morsel-parallel pool widths measured side by side.
-WORKERS_SWEEP = (1, 4)
-WORKERS_QUERIES = (
-    "full_scan_stream", "tag_routed_filter", "grouped_aggregate",
-    "order_limit_topk",
-)
-
-
-def _bench_workers_scaling(photo, tags):
-    """Morsel-parallel scaling: the same corpus at workers=1 vs 4.
-
-    Wall-clock speedup here is **non-gating** evidence: it depends
-    entirely on the host's core count (recorded as ``cpu_count`` — on a
-    1-core CI runner thread parallelism cannot and does not show), so
-    correctness and engagement are gated elsewhere, by the deterministic
-    worker-utilization counters (``tests/machines/test_workers.py``)
-    that this scenario also records per query.
-    """
-    stores = {
-        "photo": ContainerStore.from_table(photo, depth=6),
-        "tag": ContainerStore.from_table(tags, depth=6),
-    }
-    corpus = dict(CORPUS)
-    # Warm the shared pool so every width measures compute, not cold I/O.
-    with Archive.connect(stores=stores) as warmup:
-        warmup.query_table(corpus["full_scan_stream"])
-    sweep = {}
-    for workers in WORKERS_SWEEP:
-        with Archive.connect(stores=stores, workers=workers) as session:
-            entries = {}
-            for name in WORKERS_QUERIES:
-                job = session.submit(corpus[name])
-                table = job.cursor.to_table()
-                entry = _query_stats(job.cursor, table)
-                entry["workers"] = job.io_report()["workers"]
-                entries[name] = entry
-            sweep[str(workers)] = entries
-    serial = sweep[str(WORKERS_SWEEP[0])]
-    widest = sweep[str(WORKERS_SWEEP[-1])]
-    speedups = {}
-    for name in WORKERS_QUERIES:
-        a = serial[name]["time_to_completion_ms"]
-        b = widest[name]["time_to_completion_ms"]
-        speedups[name] = None if not b else round(a / b, 3)
-    return {
-        "cpu_count": os.cpu_count(),
-        "widths": sweep,
-        "wall_clock_speedup_nongating": speedups,
     }
 
 
@@ -460,7 +408,6 @@ def main():
         },
         "concurrent": _bench_concurrent(photo),
         "batch_size_sweep": _bench_batch_size_sweep(photo, tags),
-        "workers_scaling": _bench_workers_scaling(photo, tags),
         "multi_tenant": _bench_multi_tenant(photo, tags),
         "failover": _bench_failover(photo),
     }

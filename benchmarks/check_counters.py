@@ -1,9 +1,9 @@
 """Deterministic-counter regression gate over the session bench artifact.
 
 Latency numbers in ``BENCH_session.json`` drift with the host, but the
-I/O counters do not: for a fixed catalog seed, corpus, batch size and
-worker width, ``predicate_evals`` and ``containers_read`` per
-backend/query are exact integers.  A silent change in either means the
+I/O counters do not: for a fixed catalog seed, corpus and batch size,
+``predicate_evals`` and ``containers_read`` per backend/query are exact
+integers.  A silent change in either means the
 execution engine started reading or evaluating differently — exactly
 the regression class a wall-clock smoke pass cannot catch.
 

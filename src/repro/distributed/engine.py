@@ -62,7 +62,7 @@ class DistributedQueryEngine(Executor):
         must have been attached with ``attach_source`` for tag routing.
     density_maps:
         Optional per-source :class:`DensityMap` for cost estimates.
-    batch_rows, workers:
+    batch_rows:
         As for :class:`~repro.query.engine.QueryEngine`, applied inside
         every shard's scan.
 
@@ -80,23 +80,14 @@ class DistributedQueryEngine(Executor):
     #: per-user store overlays do not partition across shards (yet)
     supports_mydb = False
 
-    def __init__(
-        self,
-        archive,
-        density_maps=None,
-        batch_rows=4096,
-        workers=None,
-    ):
+    def __init__(self, archive, density_maps=None, batch_rows=4096):
         if not archive.servers:
             raise ValueError("archive has no servers")
-        from repro.machines.workers import resolve_workers
-
         self.archive = archive
         self.density_maps = dict(density_maps or {})
         self.batch_rows = int(batch_rows)
         if self.batch_rows <= 0:
             raise ValueError(f"batch_rows must be positive, not {batch_rows!r}")
-        self.workers = resolve_workers(workers)
 
     @property
     def schemas(self):
@@ -121,7 +112,6 @@ class DistributedQueryEngine(Executor):
                     sharded,
                     coverage,
                     batch_rows=self.batch_rows,
-                    workers=self.workers,
                 )
                 # Annotation consumed by the session layer's structured
                 # explain: which server this sub-tree runs on.

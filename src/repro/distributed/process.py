@@ -24,7 +24,7 @@ shard's containers.
 
 Wire-up lives in :meth:`~repro.session.core.Archive.connect`::
 
-    session = Archive.connect(archive=dist, process_shards=True, workers=2)
+    session = Archive.connect(archive=dist, process_shards=True)
 
 which builds the cluster, wraps it in a ``RemotePartitionedExecutor``,
 and ties the cluster's lifetime to the session via ``Session.adopt``.
@@ -75,7 +75,7 @@ def shard_handles(archive):
     return handles
 
 
-def _shard_main(shard_id, handle, workers, ready, stop):
+def _shard_main(shard_id, handle, ready, stop):
     """Child entry point: host one shard until told to stop.
 
     Module-level (spawn pickles it by qualified name).  Reports
@@ -91,7 +91,7 @@ def _shard_main(shard_id, handle, workers, ready, stop):
             name: ContainerStore.from_table(table, depth)
             for name, table in handle["sources"].items()
         }
-        server = ArchiveServer(stores=stores, port=0, workers=workers)
+        server = ArchiveServer(stores=stores, port=0)
         server.start()
     except Exception as exc:  # startup failure -> structured report
         ready.put((shard_id, "error", f"{type(exc).__name__}: {exc}"))
@@ -121,15 +121,14 @@ class ProcessShardCluster:
         self._closed = False
 
     @classmethod
-    def from_archive(cls, archive, workers=None, start_timeout=_START_TIMEOUT):
+    def from_archive(cls, archive, start_timeout=_START_TIMEOUT):
         """Spawn one shard server process per server of ``archive``.
 
-        ``workers`` sets the morsel-parallel width *inside* each shard
-        process (``None`` defers to each child's ``REPRO_WORKERS``
-        environment, inherited from this process).  Blocks until every
-        child reports its bound port; a child that fails to start (or
-        dies silently) tears the partial cluster down and raises
-        :class:`RuntimeError`.
+        Each shard process is one more core's worth of scanning: this is
+        how a query uses more than one core (every QET node is one
+        thread).  Blocks until every child reports its bound port; a
+        child that fails to start (or dies silently) tears the partial
+        cluster down and raises :class:`RuntimeError`.
         """
         ctx = multiprocessing.get_context("spawn")
         ready = ctx.Queue()
@@ -139,7 +138,7 @@ class ProcessShardCluster:
             stop = ctx.Event()
             process = ctx.Process(
                 target=_shard_main,
-                args=(index, handle, workers, ready, stop),
+                args=(index, handle, ready, stop),
                 name=f"repro-shard-{index}",
                 daemon=True,
             )

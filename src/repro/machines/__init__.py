@@ -14,6 +14,11 @@ serve alone:
   produce streams with partition parallelism; sorting networks are the
   simplest examples.
 
+A query's scan rides the scan machine's shared sweep on one thread per
+QET node; its parallelism comes from splitting the data across
+partition servers (:mod:`repro.distributed.process` runs one OS process
+per server), not from threads inside a node.
+
 Real algorithms run at laptop scale; the
 :class:`~repro.storage.diskmodel.ClusterModel` supplies simulated-time
 numbers for paper-scale datasets.
@@ -25,18 +30,8 @@ from repro.machines.scan import ScanMachine, ScanQuery, SweepReport
 from repro.machines.hash import HashMachine, HashReport, PairPredicate
 from repro.machines.river import RiverGraph, RiverReport
 from repro.machines.scheduler import MachineScheduler, Job
-from repro.machines.workers import (
-    RunSource,
-    SequencedEmitter,
-    WorkerPool,
-    resolve_workers,
-)
 
 __all__ = [
-    "RunSource",
-    "SequencedEmitter",
-    "WorkerPool",
-    "resolve_workers",
     "BoundedStream",
     "StreamStats",
     "SweepScanner",

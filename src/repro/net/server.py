@@ -198,7 +198,6 @@ class ArchiveServer:
         scheduler=None,
         density_maps=None,
         batch_rows=4096,
-        workers=None,
         service=None,
         auth=None,
         cache=None,
@@ -232,7 +231,6 @@ class ArchiveServer:
             scheduler=scheduler,
             density_maps=density_maps,
             batch_rows=batch_rows,
-            workers=workers,
             service=service,
         )
         self.session.executor = _ServerExecutor(self.session.executor)

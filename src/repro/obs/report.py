@@ -68,9 +68,8 @@ def shared_metrics(job):
 def job_snapshot(job):
     """Registry-style metric snapshot of one job: ``job.*`` totals over
     its nodes, ``net.*`` for jobs with remote leaves only (submissions
-    attempted, successful replica failovers), ``workers.*`` only when a
-    node ran a worker pool, :func:`shared_metrics`, and the ratios the
-    registry would derive."""
+    attempted, successful replica failovers), :func:`shared_metrics`,
+    and the ratios the registry would derive."""
     nodes = job.node_stats()
     total = NodeStats().fold(*nodes.values())
     out = {"job.rows": job.rows, "job.cache_hit": bool(job.cache_hit)}
@@ -80,10 +79,6 @@ def job_snapshot(job):
     if attempts:
         out["net.attempts"] = attempts
         out["net.failovers"] = sum(getattr(node, "failovers", 0) for node in nodes)
-    if total.workers:
-        out["workers.configured"] = total.workers
-        out["workers.active"] = sum(1 for count in total.worker_items if count > 0)
-        out["workers.work_items"] = sum(total.worker_items)
     return derive_rates(merge_metrics(out, shared_metrics(job)))
 
 
@@ -102,10 +97,6 @@ def io_report(snap):
     report = {name: snap[f"job.{name}"] for name in NodeStats.PUBLISHED}
     report["sweep_sharing_factor"] = snap.get("sweep.sharing_factor")
     report["buffer_pool_hit_rate"] = snap.get("buffer_pool.hit_rate")
-    for block in ("workers", "cache"):
-        report[block] = _named(snap, f"{block}.") or None
-    if report["workers"]:
-        pool = report["workers"]
-        pool["utilization"] = pool["active"] / pool["configured"]
+    report["cache"] = _named(snap, "cache.") or None
     report.update(_named(snap, "net."))
     return report

@@ -135,13 +135,10 @@ class QueryEngine(Executor):
         containers into batches of roughly this size before each
         vectorized predicate pass (and emit batches of at most this
         size).  Must be positive.
-    workers:
-        Morsel-parallel worker threads per scan/aggregate/top-k node.
-        ``None`` resolves from the ``REPRO_WORKERS`` environment
-        variable (default 1 — the serial path).  Workers pull off the
-        same shared sweep subscription and output stays row-for-row
-        identical to serial execution (see
-        :mod:`repro.machines.workers`).
+
+    Every QET node runs on one thread; more cores come from splitting
+    the data across partition-server processes
+    (``Archive.connect(archive=..., process_shards=True)``).
     """
 
     kind = "local"
@@ -149,17 +146,14 @@ class QueryEngine(Executor):
     #: this backend can overlay per-user MyDB stores and run INTO
     supports_mydb = True
 
-    def __init__(self, stores, density_maps=None, batch_rows=4096, workers=None):
+    def __init__(self, stores, density_maps=None, batch_rows=4096):
         if not stores:
             raise ValueError("QueryEngine needs at least one store")
-        from repro.machines.workers import resolve_workers
-
         self.stores = dict(stores)
         self.density_maps = dict(density_maps or {})
         self.batch_rows = int(batch_rows)
         if self.batch_rows <= 0:
             raise ValueError(f"batch_rows must be positive, not {batch_rows!r}")
-        self.workers = resolve_workers(workers)
         self.schemas = {name: store.schema for name, store in self.stores.items()}
 
     # ------------------------------------------------------------------
@@ -182,10 +176,7 @@ class QueryEngine(Executor):
             text,
             schemas,
             lambda plan, _select_index: select_tree(
-                stores[plan.routed_source],
-                plan,
-                batch_rows=self.batch_rows,
-                workers=self.workers,
+                stores[plan.routed_source], plan, batch_rows=self.batch_rows
             ),
             ast=ast,
             density_maps=self.density_maps,
@@ -205,8 +196,7 @@ class QueryEngine(Executor):
         ``ranges`` marks a replicated-cluster submission: scan only the
         coordinator's disjoint container assignment, and stamp every
         batch with the cumulative delivered ranges so a failover can
-        resume exactly where this stream died.  Tracking needs the
-        serial scan, so the morsel pool is not spun up.
+        resume exactly where this stream died.
         """
         selects = query_selects(ast if ast is not None else parse_query(text))
         index = int(select_index)
@@ -230,7 +220,6 @@ class QueryEngine(Executor):
                 sharded,
                 coverage,
                 batch_rows=self.batch_rows,
-                workers=1 if ranges is not None else self.workers,
                 restrict=restrict,
                 track_delivery=ranges is not None,
             ),

@@ -186,15 +186,13 @@ def plan_selects(ast, schemas, density_maps=None, allow_tag_route=True):
 # ----------------------------------------------------------------------
 
 
-def order_limit_tail(node, spec, workers=1):
+def order_limit_tail(node, spec):
     """``ORDER BY`` / ``LIMIT`` over ``node``: a fused streaming
     :class:`TopKNode` (bounded candidate buffer) when both are present,
     else a sort, else a limit.  ``spec`` is a plan or a merge spec."""
     top_k = fused_top_k(spec)
     if top_k is not None:
-        return TopKNode(
-            node, spec.order_key_fns, spec.order_descending, top_k, workers=workers
-        )
+        return TopKNode(node, spec.order_key_fns, spec.order_descending, top_k)
     if spec.order_key_fns:
         return SortNode(node, spec.order_key_fns, spec.order_descending)
     if spec.limit is not None:
@@ -202,24 +200,18 @@ def order_limit_tail(node, spec, workers=1):
     return node
 
 
-def select_tree(store, plan, batch_rows=4096, workers=1, **scan_options):
+def select_tree(store, plan, batch_rows=4096, **scan_options):
     """The QET of one planned SELECT over one store (``scan_options`` go
     to the :class:`~repro.query.qet.ScanNode`)."""
-    node = ScanNode(
-        store, plan, batch_rows=batch_rows, workers=workers, **scan_options
-    )
+    node = ScanNode(store, plan, batch_rows=batch_rows, **scan_options)
     if plan.is_aggregate:
         node = AggregateNode(
-            node,
-            plan.group_specs,
-            plan.aggregate_specs,
-            plan.output_order,
-            workers=workers,
+            node, plan.group_specs, plan.aggregate_specs, plan.output_order
         )
         if plan.having_fn is not None:
             node = FilterNode(node, plan.having_fn)
         return order_limit_tail(node, plan)
-    node = order_limit_tail(node, plan, workers=workers)
+    node = order_limit_tail(node, plan)
     if plan.projection:
         node = ProjectNode(node, plan.projection)
     return node
@@ -232,14 +224,12 @@ def shard_tree(store, sharded, coverage, **options):
     HAVING, ORDER BY or LIMIT, and a LIMIT copy fuses into a shard-local
     top-k, so each shard's candidate set stays bounded too — built over
     a partition server's store by the in-process engine, and by a shard
-    server for a ``mode="shard"`` submission.  ``workers`` applies
-    morsel parallelism *within* the shard.  ``restrict`` (a
+    server for a ``mode="shard"`` submission.  ``restrict`` (a
     :class:`~repro.htm.ranges.RangeSet`) limits the scan to the
     coordinator's disjoint container assignment on a replicated
     cluster, and ``track_delivery`` makes every emitted batch carry the
     cumulative delivered-container annotation the failover bookkeeping
-    needs (forcing the serial scan path — see
-    :class:`~repro.query.qet.ScanNode`).
+    needs (see :class:`~repro.query.qet.ScanNode`).
     """
     return select_tree(store, sharded.shard, coverage=coverage, **options)
 

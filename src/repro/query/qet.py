@@ -21,7 +21,6 @@ import operator
 import queue
 import threading
 import time
-from itertools import chain, zip_longest
 
 import numpy as np
 
@@ -175,11 +174,7 @@ class Stream:
 
 
 #: how two records of a :attr:`NodeStats.COUNTERS` entry combine
-_COMBINE = {
-    "sum": operator.add,
-    "max": max,
-    "slots": lambda a, b: [x + y for x, y in zip_longest(a, b, fillvalue=0)],
-}
+_COMBINE = {"sum": operator.add, "max": max}
 
 
 class NodeStats:
@@ -193,8 +188,8 @@ class NodeStats:
     new counter is one line here plus the increment where the work is.
     """
 
-    #: counter -> how two records combine: ``"sum"``, ``"max"``, or
-    #: ``"slots"`` (lists added element-wise), in declaration order
+    #: counter -> how two records combine (``"sum"`` or ``"max"``), in
+    #: declaration order
     COUNTERS = {
         # Shared-scan I/O, leaf ScanNodes only: container deliveries
         # that needed a physical read, were served from the store's
@@ -211,14 +206,6 @@ class NodeStats:
         # evidence that ORDER BY ... LIMIT k no longer materializes the
         # full input.
         "peak_buffered_rows": "max",
-        # Worker-pool width of a morsel-parallel node (0 = serial path).
-        "workers": "max",
-        # Work items completed per worker (length == ``workers``) — the
-        # deterministic utilization evidence: the scan's fair first
-        # round guarantees every entry is >= 1 whenever the sweep
-        # delivered at least ``workers`` runs, independent of thread
-        # scheduling.
-        "worker_items": "slots",
     }
     #: the ones ``Job.metrics()`` publishes (as ``job.<name>``)
     PUBLISHED = ("containers_read", "containers_from_pool", "containers_skipped")
@@ -230,8 +217,8 @@ class NodeStats:
         #: an arbitrary clock zero (spans and plan renderers show unset
         #: timings as None instead of nonsense deltas)
         self.started_at = self.first_output_at = self.finished_at = None
-        for name, how in self.COUNTERS.items():
-            setattr(self, name, [] if how == "slots" else 0)
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
     def fold(self, *others):
         """Fold other records' counters into this one (a job's nodes
@@ -244,17 +231,12 @@ class NodeStats:
         return self
 
     def counters(self):
-        """The non-zero scalar counters, in declaration order."""
+        """The non-zero counters, in declaration order."""
         return {
             name: getattr(self, name)
-            for name, how in self.COUNTERS.items()
-            if how != "slots" and getattr(self, name)
+            for name in self.COUNTERS
+            if getattr(self, name)
         }
-
-    def note_workers(self, items):
-        """Record a parallel node's per-worker work-item counts."""
-        self.workers = len(items)
-        self.worker_items = list(items)
 
     def note_buffered(self, rows):
         if rows > self.peak_buffered_rows:
@@ -282,7 +264,9 @@ class QETNode:
     def start(self):
         """Start this node's thread (children are started by the engine)."""
         self.stats.started_at = time.perf_counter()
-        self._thread = threading.Thread(target=self._run_guarded, daemon=True)
+        self._thread = threading.Thread(
+            target=self._run_guarded, daemon=True, name=f"qet-{self.name}"
+        )
         self._thread.start()
 
     def join(self, timeout=None):
@@ -355,12 +339,9 @@ class ScanNode(QETNode):
     arrive after a few hundred buffered rows, not after a full morsel,
     while the steady-state amortization is untouched.
 
-    With ``workers > 1`` the node becomes morsel-parallel: K pool
-    workers each pull contiguous delivery runs off the *same*
-    subscription (see :class:`~repro.machines.workers.RunSource`),
-    filter their morsel concurrently, and feed a sequence-restoring
-    emitter — so emission order (and therefore every downstream tie) is
-    byte-identical to the serial scan.
+    The node filters on its own thread; more cores come from more
+    partition servers (``process_shards=True``), not from threads
+    inside one node.
     """
 
     name = "scan"
@@ -376,7 +357,6 @@ class ScanNode(QETNode):
         plan,
         batch_rows=4096,
         coverage=None,
-        workers=1,
         restrict=None,
         track_delivery=False,
     ):
@@ -384,7 +364,6 @@ class ScanNode(QETNode):
         self.store = store
         self.plan = plan
         self.batch_rows = int(batch_rows)
-        self.workers = max(1, int(workers))
         #: optional precomputed Coverage at the store's depth; a
         #: distributed executor computes the cover once and shares it
         #: across every shard scan instead of re-covering per server.
@@ -396,8 +375,8 @@ class ScanNode(QETNode):
         self.restrict = restrict
         #: when True, every emitted batch is stamped with the cumulative
         #: set of containers fully accounted for so far (resume-from-
-        #: range failover bookkeeping).  Forces the serial scan path and
-        #: one-batch-per-flush emission, so the annotation is exact.
+        #: range failover bookkeeping).  Forces one-batch-per-flush
+        #: emission, so the annotation is exact.
         self.track_delivery = bool(track_delivery)
         self._delivered_ids = []
         #: the node's SweepSubscription while running (I/O telemetry)
@@ -452,8 +431,8 @@ class ScanNode(QETNode):
                 return False
         return True
 
-    def _gather(self, runs, cover, morsel_tables, partial_spans, buffered):
-        """Add delivered runs' containers to the morsel being built.
+    def _gather(self, run, cover, morsel_tables, partial_spans, buffered):
+        """Add a delivered run's containers to the morsel being built.
 
         The one place a delivered container is classified against
         ``cover`` (``(region, inside, partial)``): dropped, kept
@@ -463,7 +442,7 @@ class ScanNode(QETNode):
         """
         region, inside, partial = cover
         restrict = self.restrict
-        for htm_id, table, _from_pool in chain.from_iterable(runs):
+        for htm_id, table, _from_pool in run:
             if len(table) == 0:
                 continue
             if restrict is not None and not restrict.contains(htm_id):
@@ -504,10 +483,7 @@ class ScanNode(QETNode):
         self.subscription = subscription
         cover = (region, inside, partial)
         try:
-            if self.workers > 1 and not self.track_delivery:
-                self._run_parallel(subscription, cover)
-            else:
-                self._run_serial(subscription, cover)
+            self._consume(subscription, cover)
         finally:
             # Leave the sweep (a finished subscription is already gone;
             # an early exit must not keep receiving) and fold the I/O
@@ -517,7 +493,7 @@ class ScanNode(QETNode):
             self.stats.containers_from_pool += subscription.from_pool
             self.stats.containers_skipped += subscription.skipped
 
-    def _run_serial(self, subscription, cover):
+    def _consume(self, subscription, cover):
         target = self.batch_rows
         ramp = min(self.RAMP_ROWS, target)
         morsel_tables = []
@@ -532,7 +508,7 @@ class ScanNode(QETNode):
                 # simply find empty again.
                 self._delivered_ids.extend(htm_id for htm_id, _t, _p in run)
             buffered = self._gather(
-                (run,), cover, morsel_tables, partial_spans, buffered
+                run, cover, morsel_tables, partial_spans, buffered
             )
             if buffered >= ramp and morsel_tables:
                 if not self._flush(morsel_tables, partial_spans, buffered):
@@ -541,60 +517,6 @@ class ScanNode(QETNode):
                 ramp = min(ramp * 4, target)
         if morsel_tables and not self.output.cancelled():
             self._flush(morsel_tables, partial_spans, buffered)
-
-    def _run_parallel(self, subscription, cover):
-        """K workers over one subscription, output in sweep order.
-
-        Each work item is a batch of contiguous delivery runs; the
-        filter pass runs concurrently across workers (numpy releases the
-        GIL) and the :class:`~repro.machines.workers.SequencedEmitter`
-        restores sweep-delivery order before anything reaches the output
-        stream, so this path is row-for-row *and* order-identical to the
-        serial scan.
-        """
-        from repro.machines.workers import RunSource, SequencedEmitter, WorkerPool
-
-        source = RunSource(subscription, self.workers, self.batch_rows)
-        emitter = SequencedEmitter(self._emit, max_pending=2 * self.workers)
-        items = [0] * self.workers
-        #: one record per worker, folded into the node's when all are done
-        tallies = [NodeStats() for _ in items]
-
-        def worker(index):
-            tally = tallies[index]
-            while True:
-                if self.output.cancelled():
-                    emitter.fail()
-                    source.cancel()
-                    return
-                pulled = source.pull(index)
-                if pulled is None:
-                    return
-                first_seq, runs = pulled
-                morsel_tables = []
-                partial_spans = []
-                buffered = self._gather(runs, cover, morsel_tables, partial_spans, 0)
-                items[index] += 1
-                tally.note_buffered(buffered)
-                payload = []
-                if morsel_tables:
-                    tally.predicate_evals += 1
-                    selected = self._filter_morsel(morsel_tables, partial_spans)
-                    payload = list(selected.iter_chunks(self.batch_rows))
-                # An all-filtered morsel still advances the sequence.
-                if not emitter.submit(first_seq, len(runs), payload):
-                    source.cancel()
-                    return
-
-        def fail_shared():
-            emitter.fail()
-            source.cancel()
-
-        pool = WorkerPool(self.workers, name="qet-scan-worker", on_fail=fail_shared)
-        try:
-            pool.run(worker)
-        finally:
-            self.stats.fold(*tallies).note_workers(items)
 
 
 class ProjectNode(QETNode):
@@ -746,17 +668,6 @@ class TopKNode(QETNode):
     whose keys *equal* the threshold can never displace an
     earlier-arrived candidate — so filtering strictly-worse-or-equal
     rows is exact, not approximate.
-
-    With ``workers > 1`` the drain is parallel: batches are stamped with
-    **arrival ordinals** (batch sequence, row-within-batch) at the pull
-    point, the ordinals join the sort keys as final ascending
-    tie-breakers, and each worker keeps its own pruned candidate buffer
-    and running threshold (a worker's k-th best is a valid *global*
-    bound, so threshold filtering stays exact).  The final merge
-    concatenates at most ``workers * prune_rows`` candidates and selects
-    with the ordinal-extended ordering — "stable by arrival" is now an
-    explicit key, so the parallel result is row-for-row identical to the
-    serial one, ties and DESC included.
     """
 
     name = "topk"
@@ -768,7 +679,6 @@ class TopKNode(QETNode):
         descending_flags,
         limit,
         prune_rows=None,
-        workers=1,
     ):
         super().__init__((child,))
         self.key_fns = list(key_fns)
@@ -777,7 +687,6 @@ class TopKNode(QETNode):
         if prune_rows is None:
             prune_rows = max(2 * self.limit, 1024)
         self.prune_rows = max(int(prune_rows), self.limit)
-        self.workers = max(1, int(workers))
         self._schema = None
 
     def _keys_for(self, batch):
@@ -789,22 +698,18 @@ class TopKNode(QETNode):
             arrays.append(array)
         return arrays
 
-    def _order(self, keys, flags=None):
-        """Stable multi-key argsort — exactly SortNode's semantics.
-
-        ``flags`` defaults to the node's descending flags; the parallel
-        path passes an extended list covering its arrival-ordinal keys.
-        """
-        if flags is None:
-            flags = self.descending_flags
+    def _order(self, keys):
+        """Stable multi-key argsort — exactly SortNode's semantics."""
         order = np.arange(len(keys[0]))
         for index in range(len(keys) - 1, -1, -1):
             order = order[
-                SortNode._stable_order(keys[index][order], flags[index])
+                SortNode._stable_order(
+                    keys[index][order], self.descending_flags[index]
+                )
             ]
         return order
 
-    def _strictly_before(self, keys, bound, flags=None):
+    def _strictly_before(self, keys, bound):
         """Mask of rows whose key tuple sorts strictly before ``bound``.
 
         NaN keys follow :meth:`SortNode._stable_order`'s semantics — a
@@ -812,12 +717,12 @@ class TopKNode(QETNode):
         with other NaNs — so the threshold filter can never drop a row
         the unfused sort-then-limit plan would have kept.
         """
-        if flags is None:
-            flags = self.descending_flags
         length = len(keys[0])
         lt = np.zeros(length, dtype=bool)
         eq = np.ones(length, dtype=bool)
-        for array, bound_value, descending in zip(keys, bound, flags):
+        for array, bound_value, descending in zip(
+            keys, bound, self.descending_flags
+        ):
             is_float = np.issubdtype(array.dtype, np.floating)
             value_nan = np.isnan(array) if is_float else None
             bound_nan = is_float and bool(np.isnan(bound_value))
@@ -839,9 +744,6 @@ class TopKNode(QETNode):
         k = self.limit
         if k == 0:
             child.output.cancel()
-            return
-        if self.workers > 1:
-            self._run_parallel(child, k)
             return
         data = None  # candidate rows, in arrival order
         keys = None  # aligned key arrays
@@ -880,94 +782,6 @@ class TopKNode(QETNode):
         out = ObjectTable(self._schema, data[order])
         out.delivered = delivered
         self._emit(out)
-
-    def _run_parallel(self, child, k):
-        """K workers with ordinal-stamped pulls and per-worker pruning."""
-        from repro.machines.workers import WorkerPool
-
-        pull_lock = threading.Lock()
-        iterator = iter(child.output)
-        state = {"seq": 0}
-        flags = list(self.descending_flags) + [False, False]
-        n_keys = len(self.key_fns) + 2
-        results = [None] * self.workers
-        items = [0] * self.workers
-        peaks = [0] * self.workers
-
-        def pull():
-            with pull_lock:
-                batch = next(iterator, None)
-                if batch is None:
-                    return None
-                if self._schema is None:
-                    self._schema = batch.schema
-                seq = state["seq"]
-                state["seq"] += 1
-                return seq, batch
-
-        def worker(index):
-            data = None
-            keys = None  # value keys + [batch seq, row-within-batch]
-            threshold = None
-            while True:
-                pulled = pull()
-                if pulled is None:
-                    break
-                seq, batch = pulled
-                items[index] += 1
-                rows = len(batch)
-                batch_keys = self._keys_for(batch) + [
-                    np.full(rows, seq, dtype=np.int64),
-                    np.arange(rows, dtype=np.int64),
-                ]
-                values = batch.data
-                if threshold is not None:
-                    mask = self._strictly_before(batch_keys, threshold, flags)
-                    if not mask.any():
-                        continue
-                    values = values[mask]
-                    batch_keys = [a[mask] for a in batch_keys]
-                if data is None:
-                    data, keys = values, batch_keys
-                else:
-                    data = np.concatenate([data, values])
-                    keys = [
-                        np.concatenate([a, b])
-                        for a, b in zip(keys, batch_keys)
-                    ]
-                if len(data) > peaks[index]:
-                    peaks[index] = len(data)
-                if len(data) > self.prune_rows:
-                    order = self._order(keys, flags)
-                    worst = order[k - 1]
-                    # The worker's k-th best bounds the *global* k-th
-                    # best too (its own k candidates already beat it),
-                    # so pruning against it never drops a global winner.
-                    threshold = tuple(a[worst] for a in keys)
-                    kept = np.sort(order[:k])  # back to arrival order
-                    data = data[kept]
-                    keys = [a[kept] for a in keys]
-            results[index] = (data, keys)
-
-        pool = WorkerPool(
-            self.workers, name="qet-topk-worker", on_fail=child.output.cancel
-        )
-        try:
-            pool.run(worker)
-        finally:
-            self.stats.note_workers(items)
-        survivors = [r for r in results if r is not None and r[0] is not None]
-        if not survivors:
-            return
-        data = np.concatenate([r[0] for r in survivors])
-        keys = [
-            np.concatenate([r[1][i] for r in survivors])
-            for i in range(n_keys)
-        ]
-        self.stats.note_buffered(max(max(peaks), len(data)))
-        order = self._order(keys, flags)[:k]
-        self._emit(ObjectTable(self._schema, data[order]))
-
 
 class FilterNode(QETNode):
     """Row filter over streaming batches (used for HAVING on aggregates)."""
@@ -1125,24 +939,6 @@ class _GroupedAccumulator:
                 merged[order], starts
             )
 
-    def merge_from(self, other):
-        """Fold a sibling accumulator's partials into this one.
-
-        The intra-node parallel-aggregation merge: each pool worker
-        accumulates its own partials and the node recombines them here —
-        the same sorted-partial merge the distributed recombination path
-        uses, so results match the serial accumulator up to float
-        summation order.
-        """
-        if other.rows_seen == 0 or other.columns is None:
-            return
-        self.rows_seen += other.rows_seen
-        self._sum_dtypes.update(other._sum_dtypes)
-        if self.columns is None:
-            self.keys, self.columns = other.keys, other.columns
-            return
-        self._merge_partials(other.keys, other.columns)
-
     def finalize(self, output_order):
         """The aggregation result table, groups in sorted-key order."""
         arrays = {}
@@ -1185,85 +981,30 @@ class AggregateNode(QETNode):
     into a running partial-aggregate table (see
     :class:`_GroupedAccumulator`), so the node holds ``O(groups)``
     state instead of re-concatenating every fragment of the scan.
-
-    With ``workers > 1`` the drain is parallel partial aggregation: K
-    pool workers pull batches off the child stream (grouping is
-    order-free, so no reorder buffer is needed), each folds into its own
-    accumulator, and the partials recombine via
-    :meth:`_GroupedAccumulator.merge_from` — the distributed
-    recombination path applied intra-node.  Results differ from serial
-    only in float summation order (same as the distributed path).
     """
 
     name = "aggregate"
 
-    def __init__(
-        self, child, group_specs, aggregate_specs, output_order, workers=1
-    ):
+    def __init__(self, child, group_specs, aggregate_specs, output_order):
         super().__init__((child,))
         self.group_specs = list(group_specs)
         self.aggregate_specs = list(aggregate_specs)
         self.output_order = list(output_order)
-        self.workers = max(1, int(workers))
 
     def run(self):
         child = self.children[0]
         delivered = None
-        if self.workers > 1:
-            accumulator = self._drain_parallel(child)
-        else:
-            accumulator = _GroupedAccumulator(
-                self.group_specs, self.aggregate_specs
-            )
-            for batch in child.output:
-                delivered = _merge_delivered(delivered, batch)
-                accumulator.update(batch)
-                if accumulator.keys:
-                    self.stats.note_buffered(len(accumulator.keys[0]))
+        accumulator = _GroupedAccumulator(self.group_specs, self.aggregate_specs)
+        for batch in child.output:
+            delivered = _merge_delivered(delivered, batch)
+            accumulator.update(batch)
+            if accumulator.keys:
+                self.stats.note_buffered(len(accumulator.keys[0]))
         if accumulator.rows_seen == 0:
             return
         out = accumulator.finalize(self.output_order)
         out.delivered = delivered
         self._emit(out)
-
-    def _drain_parallel(self, child):
-        """K workers, one partial accumulator each, merged at the end."""
-        from repro.machines.workers import WorkerPool
-
-        pull_lock = threading.Lock()
-        iterator = iter(child.output)
-        parts = [
-            _GroupedAccumulator(self.group_specs, self.aggregate_specs)
-            for _ in range(self.workers)
-        ]
-        items = [0] * self.workers
-
-        def worker(index):
-            accumulator = parts[index]
-            while True:
-                # Serialize pulls: the child stream closes with a single
-                # sentinel, so only one consumer may ever block in it.
-                with pull_lock:
-                    batch = next(iterator, None)
-                if batch is None:
-                    return
-                items[index] += 1
-                accumulator.update(batch)
-
-        pool = WorkerPool(
-            self.workers, name="qet-agg-worker", on_fail=child.output.cancel
-        )
-        try:
-            pool.run(worker)
-        finally:
-            self.stats.note_workers(items)
-        merged = parts[0]
-        for part in parts[1:]:
-            merged.merge_from(part)
-        if merged.keys:
-            self.stats.note_buffered(len(merged.keys[0]))
-        return merged
-
 
 def _objids(batch):
     if "objid" not in batch.schema:

@@ -161,9 +161,8 @@ class Job:
         be attributed to one job, so sharing is reported where it
         happens, at the store; for remote jobs the store lives in the
         server process and its counters arrive on the stream's ``done``
-        frame.  ``net.*`` appear for remote leaves, ``workers.*`` for
-        worker pools; the ratios come from the summed counters, by the
-        metrics registry's own rules.
+        frame.  ``net.*`` appear for remote leaves; the ratios come from
+        the summed counters, by the metrics registry's own rules.
         """
         return job_snapshot(self)
 
@@ -171,8 +170,8 @@ class Job:
         """Shared-scan I/O telemetry for this job: a view of
         :meth:`metrics` under this report's own keys (the ``job.*``
         container counters by name, ``sweep_sharing_factor``,
-        ``buffer_pool_hit_rate``, a ``workers`` and a ``cache`` block or
-        ``None``, ``attempts`` / ``failovers`` for remote jobs) — the
+        ``buffer_pool_hit_rate``, a ``cache`` block or ``None``,
+        ``attempts`` / ``failovers`` for remote jobs) — the
         same numbers, see :func:`repro.obs.report.io_report`."""
         return io_report(self.metrics())
 
@@ -948,7 +947,6 @@ class Archive:
         density_maps=None,
         scheduler=None,
         batch_rows=4096,
-        workers=None,
         process_shards=False,
         service=None,
         cache=None,
@@ -970,15 +968,12 @@ class Archive:
         that arrive with their batching already configured (a
         pre-built engine, an ``archive://`` URL).
 
-        ``workers`` sets the morsel-parallel pool width of engines built
-        here (``None`` = the ``REPRO_WORKERS`` environment variable,
-        else 1); like ``batch_rows`` it does not reconfigure a pre-built
-        engine or a remote server.  ``process_shards=True`` (requires
-        ``archive=``) serves each partition server from its *own OS
-        process* via :class:`~repro.distributed.process.ProcessShardCluster`
-        — N shards use N cores instead of N GIL-bound threads — and ties
-        the cluster's lifetime to the returned session; ``workers`` then
-        applies inside each shard process.
+        Every QET node runs on one thread.  ``process_shards=True``
+        (requires ``archive=``) is the way to use more cores: it serves
+        each partition server from its *own OS process* via
+        :class:`~repro.distributed.process.ProcessShardCluster` — N
+        shards use N cores instead of N GIL-bound threads — and ties the
+        cluster's lifetime to the returned session.
 
         Multi-tenancy: ``service`` attaches a
         :class:`~repro.service.tier.ServiceTier` (result cache, MyDB
@@ -1074,7 +1069,7 @@ class Archive:
             from repro.distributed.process import ProcessShardCluster
             from repro.net.cluster import RemotePartitionedExecutor
 
-            cluster = ProcessShardCluster.from_archive(target, workers=workers)
+            cluster = ProcessShardCluster.from_archive(target)
             try:
                 executor = RemotePartitionedExecutor(
                     cluster.urls, batch_rows=batch_rows
@@ -1105,17 +1100,11 @@ class Archive:
             )
         elif isinstance(target, DistributedArchive):
             executor = DistributedQueryEngine(
-                target,
-                density_maps=density_maps,
-                batch_rows=batch_rows,
-                workers=workers,
+                target, density_maps=density_maps, batch_rows=batch_rows
             )
         elif isinstance(target, dict):
             executor = QueryEngine(
-                target,
-                density_maps=density_maps,
-                batch_rows=batch_rows,
-                workers=workers,
+                target, density_maps=density_maps, batch_rows=batch_rows
             )
         elif hasattr(target, "prepare") and hasattr(target, "kind"):
             # An engine, or anything else speaking the Executor protocol.

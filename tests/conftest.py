@@ -21,9 +21,8 @@ from repro.session import Archive
 from repro.storage import ContainerStore
 
 #: Suite-wide per-test wall-clock bound (seconds).  Generous — the point
-#: is that a deadlocked worker pool or wedged sweep fails one test with
-#: a traceback instead of hanging the whole run (locally and in CI,
-#: with or without REPRO_WORKERS).  Directory conftests may arm a
+#: is that a wedged stream or sweep fails one test with a traceback
+#: instead of hanging the whole run.  Directory conftests may arm a
 #: tighter guard (tests/net uses 120s); nesting is safe because each
 #: guard saves and restores the previous handler and timer.
 SUITE_TEST_TIMEOUT = 300.0
@@ -42,7 +41,7 @@ def _suite_test_timeout():
     def _expired(signum, frame):
         raise TimeoutError(
             f"test exceeded the {SUITE_TEST_TIMEOUT}s suite timeout guard "
-            "(deadlocked worker pool or wedged sweep?)"
+            "(wedged stream or sweep?)"
         )
 
     previous = signal.signal(signal.SIGALRM, _expired)
@@ -54,8 +53,16 @@ def _suite_test_timeout():
         signal.signal(signal.SIGALRM, previous)
 
 
-#: directories whose tests open sockets and start servers
-LEAVE_NOTHING_BEHIND = ("net", "chaos", "service")
+#: test directory -> what its tests must leave as they found it: open
+#: sockets and ``archive-*`` threads where tests start servers, ``qet-*``
+#: threads where they run query trees
+LEAVE_NOTHING_BEHIND = {
+    "net": "sockets",
+    "chaos": "sockets",
+    "service": "sockets",
+    "session": "qet",
+    "query": "qet",
+}
 
 
 def _open_sockets():
@@ -69,40 +76,56 @@ def _open_sockets():
     return count
 
 
-def _archive_threads():
-    return sorted(
-        thread.name
-        for thread in threading.enumerate()
-        if thread.name.startswith("archive-")
-    )
+def _threads(prefix):
+    return {
+        thread for thread in threading.enumerate() if thread.name.startswith(prefix)
+    }
+
+
+def _network_state():
+    return _open_sockets(), sorted(thread.name for thread in _threads("archive-"))
 
 
 @pytest.fixture(autouse=True)
 def _leave_nothing_behind(request):
     """A network test ends with the open sockets and the ``archive-*``
-    threads (server accept loops, cluster probes) it began with.
+    threads (server accept loops, cluster probes) it began with; a
+    session or query test leaves no ``qet-*`` node thread it started
+    running.
 
     Server-side connection threads close their socket a moment after
-    the client hangs up, so the check polls briefly before it fails.
+    the client hangs up, and a cancelled node thread exits a moment
+    after its stream is cancelled, so the check polls briefly before it
+    fails.
     """
     path = request.node.path
-    watched = (
-        path.parent.name in LEAVE_NOTHING_BEHIND
-        and path.parent.parent.name == "tests"
-        and os.path.isdir("/proc/self/fd")
-    )
-    if not watched:
+    watch = None
+    if path.parent.parent.name == "tests":
+        watch = LEAVE_NOTHING_BEHIND.get(path.parent.name)
+    if watch == "sockets" and os.path.isdir("/proc/self/fd"):
+        before = _network_state()
+
+        def left():
+            after = _network_state()
+            if after != before:
+                return f"(open sockets, archive-* threads) {before} -> {after}"
+
+    elif watch == "qet":
+        before = _threads("qet-")
+
+        def left():
+            started = sorted(thread.name for thread in _threads("qet-") - before)
+            if started:
+                return f"qet-* threads {started}"
+
+    else:
         yield
         return
-    before = (_open_sockets(), _archive_threads())
     yield
     deadline = time.monotonic() + 5.0
-    while (after := (_open_sockets(), _archive_threads())) != before:
+    while leftover := left():
         if time.monotonic() > deadline:
-            pytest.fail(
-                "test left something behind: (open sockets, archive-* "
-                f"threads) {before} -> {after}"
-            )
+            pytest.fail(f"test left something behind: {leftover}")
         time.sleep(0.02)
 
 

@@ -114,8 +114,8 @@ def job_record(session, text):
 
 
 def capture(photo, tags):
-    """Every record of the comparison, on fresh stores (cold pools) and
-    one-worker servers so the counters are exactly repeatable."""
+    """Every record of the comparison, on fresh stores (cold pools) so
+    the counters are exactly repeatable."""
     out = {}
     stores = {
         "photo": ContainerStore.from_table(photo, depth=5),
@@ -123,9 +123,7 @@ def capture(photo, tags):
     }
     with contextlib.ExitStack() as stack:
         server = stack.enter_context(
-            ArchiveServer(
-                stores=stores, cache=True, workers=1, batch_rows=512
-            )
+            ArchiveServer(stores=stores, cache=True, batch_rows=512)
         )
         session = stack.enter_context(Archive.connect(server.url))
         out["archive"] = {name: job_record(session, text) for name, text in QUERIES}
@@ -135,9 +133,7 @@ def capture(photo, tags):
     with contextlib.ExitStack() as stack:
         servers = [
             stack.enter_context(
-                ArchiveServer(
-                    stores=node.stores(), cache=True, workers=1, batch_rows=512
-                )
+                ArchiveServer(stores=node.stores(), cache=True, batch_rows=512)
             )
             for node in halves.servers
         ]
@@ -158,7 +154,6 @@ def capture(photo, tags):
     servers = [
         ArchiveServer(
             stores=node.stores(),
-            workers=1,
             batch_rows=512,
             fault_policy=faults if node.server_id == 0 else None,
         ).start()

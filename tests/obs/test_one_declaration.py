@@ -69,13 +69,8 @@ def test_a_declared_counter_reaches_every_surface(engine, monkeypatch):
     assert record["io"]["cover_calls"] == 2
 
 
-#: a declared name that is also an ordinary word of the code base (the
-#: ``io_report()`` block of that name, a pool's thread-name prefix)
-ORDINARY_WORDS = {"workers"}
-
-
 def test_no_module_keeps_a_counter_list_of_its_own():
-    names = set(NodeStats.COUNTERS) - ORDINARY_WORDS
+    names = set(NodeStats.COUNTERS)
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
         relative = path.relative_to(SRC).as_posix()

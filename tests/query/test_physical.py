@@ -13,7 +13,9 @@ Three checks that the AST -> QET decision lives in one module:
   nowhere in ``src/repro`` but ``query/physical.py`` (and ``qet.py``);
   trees are started by ``session/core.py`` only, containers are read
   out of a pool by the sweep only, and neither the engines nor the
-  stores define a way to run a query of their own.
+  stores define a way to run a query of their own; every QET node runs
+  on the one thread it is started on — no worker pool, no ``workers``
+  keyword, no ``REPRO_WORKERS``.
 """
 
 from __future__ import annotations
@@ -287,3 +289,37 @@ def test_a_session_is_the_only_way_to_run_a_query():
         (repro.distributed, "admit_scan_jobs"),
     ):
         assert not hasattr(module, name), name
+
+
+def test_every_qet_node_runs_on_one_thread():
+    """No in-process worker pool: no module, no ``workers`` keyword on
+    the way from a session to a node, no environment knob for it."""
+    import importlib
+    import inspect
+
+    from repro.distributed import DistributedQueryEngine
+    from repro.distributed.process import ProcessShardCluster
+    from repro.query import QueryEngine
+    from repro.query.physical import select_tree
+    from repro.query.qet import AggregateNode, ScanNode, TopKNode
+
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.machines.workers")
+    for entry in (
+        Archive.connect,
+        QueryEngine,
+        DistributedQueryEngine,
+        ArchiveServer,
+        ProcessShardCluster.from_archive,
+        select_tree,
+        ScanNode,
+        TopKNode,
+        AggregateNode,
+    ):
+        assert "workers" not in inspect.signature(entry).parameters, entry
+    readers = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if "REPRO_WORKERS" in path.read_text()
+    ]
+    assert readers == []

@@ -18,6 +18,7 @@ class TestSchema:
             "SELECT objid, mag_g - mag_r AS gr FROM photo WHERE mag_r < 18"
         )
         assert cursor.schema.field_names() == ["objid", "gr"]
+        cursor.cancel()  # no row was wanted: stop the tree
 
     def test_known_for_empty_results(self, session):
         cursor = session.execute("SELECT objid, mag_r FROM photo WHERE mag_r < 0")

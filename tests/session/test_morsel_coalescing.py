@@ -23,7 +23,6 @@ import pytest
 
 from repro.distributed import DistributedQueryEngine
 from repro.geometry.shapes import circle_region
-from repro.machines.workers import resolve_workers
 from repro.query import QueryEngine
 from repro.session import Archive
 from repro.storage import DistributedArchive
@@ -180,13 +179,6 @@ class TestCounterPerfGate:
             ramp_steps += 1
             ramp *= 4
         bound = math.ceil(len(photo) / batch_rows) + ramp_steps + 1
-        workers = resolve_workers(None)
-        if workers > 1:
-            # Morsel-parallel scan (the REPRO_WORKERS CI leg): no ramp,
-            # but each worker's fair-round *first* pull is a single run
-            # and only its *final* pull may come up short at exhaustion
-            # — at most 2 extra sub-target morsels per worker.
-            bound = math.ceil(len(photo) / batch_rows) + 2 * workers
         assert 1 <= scan.predicate_evals <= bound
         # and the bound is meaningful: far fewer passes than containers
         assert scan.predicate_evals < n_containers

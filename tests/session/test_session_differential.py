@@ -9,8 +9,8 @@ Two references, one way in:
   also explain to a non-empty structured plan tree on both;
 * seeded, generated operations (the gated benchmark's generators,
   imported, not copied) run on every backend shape — a store mapping, a
-  partitioned archive, a cluster of archive servers — at ``workers`` 1
-  and 4, and each answer is checked row-exact and order-exact against
+  partitioned archive, a cluster of archive servers — in both query
+  classes, and each answer is checked row-exact and order-exact against
   the benchmark's numpy oracle, which shares no code with the archive.
 """
 
@@ -171,21 +171,18 @@ def oracle_ops(photo):
     return ops
 
 
-@pytest.fixture(scope="module", params=[1, 4], ids=["workers1", "workers4"])
-def oracle_backends(request, photo, tags, photo_store, tag_store, dist_archive):
-    """A session per backend shape at one ``workers`` setting."""
-    workers = request.param
+@pytest.fixture(scope="module")
+def oracle_backends(photo, tags, photo_store, tag_store, dist_archive):
+    """A session per backend shape."""
     cluster_archive = DistributedArchive.from_table(photo, depth=5, n_servers=2)
     cluster_archive.attach_source("tag", tags)
     servers = [
-        ArchiveServer(stores=node.stores(), workers=workers).start()
+        ArchiveServer(stores=node.stores()).start()
         for node in cluster_archive.servers
     ]
     sessions = {
-        "stores": Archive.connect(
-            stores={"photo": photo_store, "tag": tag_store}, workers=workers
-        ),
-        "archive": Archive.connect(archive=dist_archive, workers=workers),
+        "stores": Archive.connect(stores={"photo": photo_store, "tag": tag_store}),
+        "archive": Archive.connect(archive=dist_archive),
         "cluster": Archive.connect([server.url for server in servers]),
     }
     yield sessions
@@ -195,12 +192,32 @@ def oracle_backends(request, photo, tags, photo_store, tag_store, dist_archive):
         server.stop()
 
 
+def _wrong_answers(oracle_ops, run):
+    wrong = []
+    for op, expected in oracle_ops:
+        got = digest_answer(op, run(op.text))
+        if not same_answer(expected, got):
+            wrong.append((op.text, expected[:2], got[:2]))
+    return wrong
+
+
 @pytest.mark.parametrize("backend", ["stores", "archive", "cluster"])
 def test_generated_ops_match_the_numpy_oracle(oracle_ops, oracle_backends, backend):
     session = oracle_backends[backend]
-    wrong = []
-    for op, expected in oracle_ops:
-        got = digest_answer(op, list(session.execute(op.text)))
-        if not same_answer(expected, got):
-            wrong.append((op.text, expected[:2], got[:2]))
-    assert wrong == []
+    assert _wrong_answers(oracle_ops, lambda text: list(session.execute(text))) == []
+
+
+@pytest.mark.parametrize("backend", ["stores", "archive", "cluster"])
+def test_generated_ops_match_the_numpy_oracle_in_the_batch_class(
+    oracle_ops, oracle_backends, backend
+):
+    """The same ops queued through the batch class: run to completion
+    by the session's dispatcher, delivered from the cursor's buffer."""
+    session = oracle_backends[backend]
+
+    def run(text):
+        job = session.submit(text, query_class="batch")
+        assert job.wait(timeout=30).value == "done"
+        return list(job.cursor)
+
+    assert _wrong_answers(oracle_ops, run) == []

@@ -172,7 +172,6 @@ class TestMetricSurfaces:
             "containers_skipped",
             "sweep_sharing_factor",
             "buffer_pool_hit_rate",
-            "workers",
             "cache",
         }
         snap = job_snapshot(job)
