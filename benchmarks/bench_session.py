@@ -160,7 +160,7 @@ def _bench_concurrent(photo):
     # Depth 5: fewer, larger containers — the sharing story is the same
     # while the scenario stays fast enough for the smoke target.
     store = ContainerStore.from_table(photo, depth=5)
-    n_containers = len(store.containers)
+    n_containers = len(store)
     with Archive.connect(stores={"photo": store}) as session:
         started = time.perf_counter()
         jobs = [

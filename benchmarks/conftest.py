@@ -86,17 +86,18 @@ def container_split(store, region):
     split = SimpleNamespace(
         accepted=0, bisected=0, rejected=0, wholesale=0, point_tested=0, nbytes=0
     )
-    for htm_id, container in store.containers.items():
+    itemsize = store.snapshot.arena.itemsize
+    for htm_id, rows in store.container_sizes().items():
         if coverage.inside.contains(htm_id):
             split.accepted += 1
-            split.wholesale += len(container)
+            split.wholesale += rows
         elif coverage.partial.contains(htm_id):
             split.bisected += 1
-            split.point_tested += len(container)
+            split.point_tested += rows
         else:
             split.rejected += 1
             continue
-        split.nbytes += container.nbytes()
+        split.nbytes += rows * itemsize
     return split
 
 

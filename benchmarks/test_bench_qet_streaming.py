@@ -37,7 +37,7 @@ def paced(session):
     """
     stores = session.executor.stores.values()
     sweepers = [store.sweeper() for store in stores]
-    n_containers = max(len(s.containers) for s in stores)
+    n_containers = max(len(s) for s in stores)
     saved = [sweeper.throttle for sweeper in sweepers]
     for sweeper in sweepers:
         sweeper.throttle = max(0.5 / max(n_containers, 1), 0.00005)

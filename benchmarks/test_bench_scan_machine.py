@@ -82,9 +82,10 @@ def test_bench_scan_machine_behaviour(benchmark, bench_photo_store):
 
     # "the query completes within the scan time" — from its arrival,
     # plus at most one container step of admission granularity.
+    itemsize = bench_photo_store.snapshot.arena.itemsize
     max_step = max(
-        machine.cluster.scan_seconds(c.nbytes())
-        for c in bench_photo_store.containers.values()
+        machine.cluster.scan_seconds(rows * itemsize)
+        for rows in bench_photo_store.container_sizes().values()
     )
     for query in queries:
         assert query.latency() <= full_scan + max_step

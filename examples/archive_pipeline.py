@@ -67,7 +67,7 @@ def main():
                           for r in brightest.data))
 
     # --- Partition containers across commodity servers ------------------
-    weights = {cid: len(c) for cid, c in store.containers.items()}
+    weights = store.container_sizes()
     partitioner = Partitioner(depth=6)
     partition_map = partitioner.build(weights, n_servers=8)
     loads = {}

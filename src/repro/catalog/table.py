@@ -13,7 +13,28 @@ import numpy as np
 
 from repro.catalog.schema import Schema
 
-__all__ = ["ObjectTable"]
+__all__ = ["ObjectTable", "concat_records"]
+
+
+def concat_records(arrays, dtype):
+    """Same-``dtype`` structured arrays, in order, as one new array —
+    bit-identical to ``np.concatenate``, which pays ~60 µs per input on
+    the 50-field photo dtype where a byte copy through a ``uint8`` view
+    of each C-contiguous input pays ~1.5 µs.  Strided inputs are assigned.
+    """
+    out = np.empty(sum(len(a) for a in arrays), dtype=dtype)
+    flat = out.view(np.uint8)
+    itemsize = dtype.itemsize
+    position = 0
+    for array in arrays:
+        rows = len(array)
+        if array.flags.c_contiguous:
+            start = position * itemsize
+            flat[start : start + rows * itemsize] = array.view(np.uint8)
+        else:
+            out[position : position + rows] = array
+        position += rows
+    return out
 
 
 class ObjectTable:
@@ -138,13 +159,9 @@ class ObjectTable:
     def concat_all(tables):
         """Concatenate a non-empty sequence of compatible tables.
 
-        A single-table sequence returns that table as-is (no copy).
-        Multi-table sequences are coalesced by preallocating the result
-        and copying each table's packed bytes: ``np.concatenate`` pays
-        ~100µs of per-input dtype unification on *structured* arrays,
-        which is ruinous when a scan coalesces thousands of tiny
-        container fragments into one morsel — raw byte copies are ~10x
-        faster and bit-identical (the dtypes are validated equal first).
+        A single-table sequence returns that table as-is (no copy); more
+        are copied by :func:`concat_records` (the dtypes are validated
+        equal first).
         """
         tables = list(tables)
         if not tables:
@@ -153,28 +170,11 @@ class ObjectTable:
         if len(tables) == 1:
             return first
         dtype = first.schema.numpy_dtype()
-        total = 0
         for t in tables:
             if t.schema is not first.schema and t.schema.numpy_dtype() != dtype:
                 raise ValueError("cannot concat tables with different layouts")
-            total += t.data.shape[0]
-        out = np.empty(total, dtype=dtype)
-        buffer = memoryview(out).cast("B")
-        itemsize = dtype.itemsize
-        position = 0
-        for t in tables:
-            data = t.data
-            rows = data.shape[0]
-            if rows == 0:
-                continue
-            if data.flags.c_contiguous:
-                start = position * itemsize
-                nbytes = rows * itemsize
-                buffer[start : start + nbytes] = memoryview(data).cast("B")
-            else:
-                out[position : position + rows] = data
-            position += rows
-        return ObjectTable(first.schema, out)
+        data = concat_records([t.data for t in tables], dtype)
+        return ObjectTable(first.schema, data)
 
     def __repr__(self):
         return (

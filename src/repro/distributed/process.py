@@ -41,8 +41,6 @@ import multiprocessing
 import queue
 import time
 
-from repro.catalog.table import ObjectTable
-
 __all__ = ["ProcessShardCluster", "shard_handles"]
 
 #: seconds a child gets to report its bound port before startup fails
@@ -56,23 +54,18 @@ def shard_handles(archive):
 
     One handle per :class:`~repro.storage.cluster.ServerNode`: a dict of
     ``{"depth": int, "sources": {name: ObjectTable}}`` holding exactly
-    that shard's rows (every hosted source, tag tables included).  The
-    tables are coalesced copies of the shard's containers, so the handle
-    pickles without dragging the parent's stores, sweepers, or buffer
-    pools across the spawn boundary.
+    that shard's rows (every hosted source, tag tables included).  Each
+    table is the store's rows in container order — its arena when it has
+    no overflow — so the handle pickles without dragging the parent's
+    stores, sweepers, or buffer pools across the spawn boundary.
     """
-    schemas = archive.source_schemas()
-    handles = []
-    for server in archive.servers:
-        sources = {}
-        for name, store in server.stores().items():
-            tables = [c.table for c in store.containers.values() if len(c)]
-            if tables:
-                sources[name] = ObjectTable.concat_all(tables)
-            else:
-                sources[name] = ObjectTable(schemas[name])
-        handles.append({"depth": archive.depth, "sources": sources})
-    return handles
+    return [
+        {
+            "depth": archive.depth,
+            "sources": {name: s.rows()[0] for name, s in server.stores().items()},
+        }
+        for server in archive.servers
+    ]
 
 
 def _shard_main(shard_id, handle, ready, stop):

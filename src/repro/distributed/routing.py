@@ -74,11 +74,9 @@ def _store_bytes_under(store, candidates):
     """Bytes of a store's containers whose ids fall in ``candidates``."""
     if candidates is None:
         return store.total_bytes()
-    return sum(
-        container.nbytes()
-        for htm_id, container in store.containers.items()
-        if candidates.contains(htm_id)
-    )
+    snapshot = store.snapshot
+    rows = snapshot.sizes[candidates.contains_array(snapshot.ids)].sum()
+    return int(rows) * snapshot.arena.itemsize
 
 
 def assign_sweep_servers(touched_ids, replication=None):

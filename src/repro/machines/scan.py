@@ -101,20 +101,16 @@ class ScanMachine:
         #: interleaves with real query traffic on the same store.
         self.scanner = None
 
-    def _container_step_seconds(self, container):
-        """Simulated time to pump one container through the cluster."""
-        return self.cluster.scan_seconds(container.nbytes())
+    def _sink_for(self, query):
+        """Per-query delivery: the predicate per container, the matches kept."""
 
-    @staticmethod
-    def _sink_for(query):
-        """Per-query delivery: evaluate the predicate, keep the matches."""
-
-        def sink(_htm_id, table, _from_pool):
-            mask = np.asarray(query.predicate(table), dtype=bool)
-            if mask.any():
-                query._pieces.append(table.select(mask))
-                query.rows_matched += int(mask.sum())
-            return True
+        def sink(run):
+            for _htm_id, rows, _from_pool in run.containers():
+                table = ObjectTable(self.store.schema, rows)
+                mask = np.asarray(query.predicate(table), dtype=bool)
+                if mask.any():
+                    query._pieces.append(table.select(mask))
+                    query.rows_matched += int(mask.sum())
 
         return sink
 
@@ -141,7 +137,7 @@ class ScanMachine:
         completed = 0
         cycles = 0
 
-        if not self.store.containers:
+        if not len(self.store):
             for query in pending:
                 query.activated_at = query.arrival_time
                 query.completed_at = query.arrival_time
@@ -187,7 +183,8 @@ class ScanMachine:
 
     def full_scan_seconds(self):
         """Simulated time for one complete sweep of the store."""
+        itemsize = self.store.snapshot.arena.itemsize
         return sum(
-            self._container_step_seconds(container)
-            for container in self.store.containers.values()
+            self.cluster.scan_seconds(rows * itemsize)
+            for rows in self.store.snapshot.sizes.tolist()
         )

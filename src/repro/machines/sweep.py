@@ -27,34 +27,57 @@ scans ever were:
   costs what it delivers plus O(cover ranges · log containers), not
   one test per container.  A whole-catalog subscriber wants every
   position, so beside one the sweep walks as it always did;
-* **reads go through the buffer pool** — the sweep reads each run of
+* **reads go through the buffer pool** — the sweep accounts each run of
   containers via :meth:`BufferPool.fetch_many
   <repro.storage.buffer.BufferPool.fetch_many>`, so a lap over
   recently-swept data is served from the pool without physical I/O;
-* **the sweep never stalls on a slow astronomer** — deliveries are
-  references to resident container tables pushed on unbounded
+* **the sweep never stalls on a slow astronomer** — a delivery is a
+  :class:`SweepRun`, row ranges of one immutable
+  :class:`~repro.storage.containers.StoreSnapshot`, pushed on unbounded
   subscription streams, so one blocked consumer cannot wedge the sweep
   for everyone else (each query's own output stream still applies
   backpressure downstream).
 
 The scanner has two driving modes sharing one :meth:`step` core: *live*
 (:meth:`subscribe` — a daemon thread sweeps while subscriptions exist,
-parking at the top of the store when idle so sequential queries stay
-deterministic) and *manual* (:meth:`attach` with a synchronous sink —
-the simulated-time :class:`~repro.machines.scan.ScanMachine` drives the
-steps itself and charges its own clock).
+parks at the top of the store when idle so sequential queries stay
+deterministic, and ends once its store is collected) and *manual*
+(:meth:`attach` with a synchronous sink — the simulated-time
+:class:`~repro.machines.scan.ScanMachine` drives the steps itself and
+charges its own clock).
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
+from repro.catalog.table import concat_records
 from repro.query.qet import Stream
 
-__all__ = ["SweepScanner", "SweepSubscription", "SweepStats", "SweepStep"]
+__all__ = ["SweepRun", "SweepScanner", "SweepSubscription", "SweepStats", "SweepStep"]
+
+
+class SweepRun(NamedTuple):
+    """One delivery: ``items`` are ``(htm_id, lo, hi, from_pool)`` for a
+    run of containers, in sweep order — arena rows ``lo:hi`` of
+    ``snapshot``, then the container's ``snapshot.overflow`` rows."""
+
+    snapshot: object
+    items: list
+
+    def containers(self):
+        """``(htm_id, rows, from_pool)`` per container; ``rows`` is a
+        structured array (a view of the arena when it has no overflow)."""
+        arena, overflow = self.snapshot.arena, self.snapshot.overflow
+        for htm_id, lo, hi, from_pool in self.items:
+            rows = arena[lo:hi]
+            if htm_id in overflow:
+                rows = concat_records([rows, overflow[htm_id]], arena.dtype)
+            yield htm_id, rows, from_pool
 
 
 @dataclass
@@ -96,10 +119,6 @@ class SweepStep:
     htm_ids: list
     #: bytes pumped (0 when every container was skipped by every subscriber)
     nbytes: int
-    #: containers pumped to at least one subscriber
-    pumped: int
-    #: pumped containers that came out of the buffer pool
-    from_pool: int
     #: True when this step closed a circular pass
     wrapped: bool
 
@@ -107,9 +126,9 @@ class SweepStep:
 class SweepSubscription:
     """One query's membership in a store's shared sweep.
 
-    Iterate it for ``(htm_id, table, from_pool)`` deliveries (live
-    mode), or give the scanner a synchronous ``sink`` callable instead
-    (manual mode).  ``candidates`` restricts deliveries to an HTM
+    Iterate it for :class:`SweepRun` deliveries (live mode), or give the
+    scanner a synchronous ``sink`` callable taking each (manual mode).
+    ``candidates`` restricts deliveries to an HTM
     :class:`~repro.htm.ranges.RangeSet` — pruned containers count as
     ``skipped`` and still advance the subscription, so pruning never
     breaks the shared wrap-around accounting.
@@ -150,24 +169,9 @@ class SweepSubscription:
             self.stream.cancel()
 
     def __iter__(self):
-        """Yield ``(htm_id, table, from_pool)`` per delivered container.
-
-        Deliveries travel as *runs* (the scanner batches consecutive
-        containers per push to keep handoff overhead off the hot path);
-        iteration flattens them back to per-container granularity.
-        Consumers that batch their own work (the morsel-coalescing
-        :class:`~repro.query.qet.ScanNode`) should use
-        :meth:`iter_runs` instead and keep the run structure.
-        """
-        if self.stream is None:
-            raise TypeError("a sink-based (manual) subscription is not iterable")
-        for run in self.stream:
-            yield from run
-
-    def iter_runs(self):
-        """Yield whole delivery runs (lists of ``(htm_id, table,
-        from_pool)``) as the sweep pushed them — the coalescing read
-        path: one handoff, one iteration step, many containers."""
+        """Yield each :class:`SweepRun` as the sweep pushed it — one
+        handoff, one iteration step, many containers
+        (:meth:`SweepRun.containers` walks one container at a time)."""
         if self.stream is None:
             raise TypeError("a sink-based (manual) subscription is not iterable")
         return iter(self.stream)
@@ -175,18 +179,14 @@ class SweepSubscription:
     # -- scanner side ---------------------------------------------------
 
     def _deliver_run(self, run):
-        """Hand a run of ``(htm_id, table, from_pool)`` to the consumer."""
+        """Hand a :class:`SweepRun` to the consumer."""
         if self._sink is not None:
-            ok = True
-            for htm_id, table, from_pool in run:
-                if self._sink(htm_id, table, from_pool) is False:
-                    ok = False
-                    break
+            ok = self._sink(run) is not False
         else:
             ok = self.stream.push(run)
         if ok:
-            self.delivered += len(run)
-            self.from_pool += sum(1 for _h, _t, hit in run if hit)
+            self.delivered += len(run.items)
+            self.from_pool += sum(1 for *_span, hit in run.items if hit)
         else:
             self.done = True  # consumer cancelled mid-delivery
         return ok
@@ -369,13 +369,14 @@ class SweepScanner:
             if not self._subs or not self._order:
                 return None
             subs = list(self._subs)
+            order = self._order
             start = self._position
-            lap_len = len(self._order)
+            lap_len = len(order)
             # No further than the lap's end or the first completion point.
             stop = start + min(lap_len - start, *(s.total - s.seen for s in subs))
             run_start = self._next_wanted_locked(subs, start, stop)
             run_stop = max(start + 1, min(run_start + int(stride), stop))
-            run_ids = self._order[run_start:run_stop]
+            run_ids = order[run_start:run_stop]
             advanced = run_stop - start
             # Advance before delivering: a subscriber joining during the
             # deliveries starts at the run end and still sees every
@@ -386,42 +387,48 @@ class SweepScanner:
                 self._position = 0
                 self.stats.laps += 1
 
-        # Classify the run and read the wanted containers in one batch.
+        # Classify the run and read the wanted containers in one batch,
+        # all from one snapshot.  While the lap order is the snapshot's
+        # own id list, a lap position is an index position.
+        snapshot = self.store.snapshot
+        ids, offsets, sizes = snapshot.lists()
+        itemsize = snapshot.arena.itemsize
+        if order is ids:
+            positions = range(run_start, run_stop)
+        else:
+            positions = [snapshot.find(htm_id) for htm_id in run_ids]
         to_read = []
-        for htm_id in run_ids:
-            container = self.store.containers.get(htm_id)
-            if container is None:
-                continue
+        for htm_id, k in zip(run_ids, positions):
+            if k < 0:
+                continue  # removed since the lap began
             wanting = [s for s in subs if not s.done and s.wants(htm_id)]
             if wanting:
-                to_read.append((htm_id, container, wanting))
-        read_results = (
+                to_read.append((htm_id, k, wanting))
+        flags = (
             self.store.buffer_pool.fetch_many(
-                self.store, [c for _h, c, _w in to_read]
+                self.store, [(h, sizes[k] * itemsize) for h, k, _w in to_read]
             )
             if to_read
             else []
         )
 
         nbytes = 0
-        pumped = 0
         pooled = 0
         deliveries = 0
         per_sub = {id(s): [] for s in subs}
-        for (htm_id, container, wanting), (table, from_pool) in zip(
-            to_read, read_results
-        ):
-            nbytes += container.nbytes()
-            pumped += 1
-            pooled += int(from_pool)
+        for (htm_id, k, wanting), from_pool in zip(to_read, flags):
+            nbytes += sizes[k] * itemsize
+            pooled += from_pool
+            item = (htm_id, offsets[k], offsets[k + 1], from_pool)
             for sub in wanting:
-                per_sub[id(sub)].append((htm_id, table, from_pool))
+                per_sub[id(sub)].append(item)
+        pumped = len(to_read)
 
         for sub in subs:
             if sub.done:
                 continue
             run = per_sub[id(sub)]
-            if run and sub._deliver_run(run):
+            if run and sub._deliver_run(SweepRun(snapshot, run)):
                 deliveries += len(run)
             if not sub.done:
                 sub.skipped += advanced - len(run)
@@ -441,13 +448,7 @@ class SweepScanner:
                 # Park at the top; the next subscriber re-snapshots.
                 self._order = []
                 self._position = 0
-        return SweepStep(
-            htm_ids=run_ids,
-            nbytes=nbytes,
-            pumped=pumped,
-            from_pool=pooled,
-            wrapped=wrapped,
-        )
+        return SweepStep(htm_ids=run_ids, nbytes=nbytes, wrapped=wrapped)
 
     def _next_wanted_locked(self, subs, start, stop):
         """Lap position in ``[start, stop]`` of the first container any
@@ -494,46 +495,46 @@ class SweepScanner:
         if self._thread is None or not self._thread.is_alive():
             label = self.name if self.name else f"{id(self.store):x}"
             self._thread = threading.Thread(
-                target=self._loop, daemon=True, name=f"sweep-{label}"
+                target=_sweep_while_reachable,
+                args=(weakref.ref(self), self._cond),
+                daemon=True,
+                name=f"sweep-{label}",
             )
             self._thread.start()
 
-    def _loop(self):
-        while True:
+    def _live_step(self):
+        with self._cond:
+            throttle = self._throttle
+        try:
+            advanced = self.step(stride=1 if throttle else self.stride)
+        except Exception as exc:
+            # The sweep must never die silently: fail every active
+            # subscription so consumers raise instead of blocking
+            # forever, then keep serving later subscribers.
             with self._cond:
-                while not self._subs:
-                    self._cond.wait()
-                throttle = self._throttle
-            try:
-                advanced = self.step(stride=1 if throttle else self.stride)
-            except Exception as exc:
-                # The sweep must never die silently: fail every active
-                # subscription so consumers raise instead of blocking
-                # forever, then keep serving later subscribers.
-                with self._cond:
-                    failed = list(self._subs)
-                    self._subs = []
-                    self._order = []
-                    self._position = 0
-                for sub in failed:
-                    sub._fail(exc)
-                continue
-            if advanced is None:
-                # Subscribers exist but nothing was deliverable (e.g. a
-                # racing detach emptied the lap): block on the condition
-                # with a bounded wait instead of busy-spinning; any
-                # subscribe or throttle change notifies us awake.
-                with self._cond:
-                    if self._subs:
-                        self._cond.wait(timeout=0.05)
-                continue
-            if throttle:
-                # Pace on the condition variable, not a bare sleep: a
-                # mid-sweep throttle change (or a new subscriber) wakes
-                # the wait and takes effect on the very next step.
-                with self._cond:
-                    if self._throttle:
-                        self._cond.wait(timeout=self._throttle)
+                failed = list(self._subs)
+                self._subs = []
+                self._order = []
+                self._position = 0
+            for sub in failed:
+                sub._fail(exc)
+            return
+        if advanced is None:
+            # Subscribers exist but nothing was deliverable (e.g. a
+            # racing detach emptied the lap): block on the condition
+            # with a bounded wait instead of busy-spinning; any
+            # subscribe or throttle change notifies us awake.
+            with self._cond:
+                if self._subs:
+                    self._cond.wait(timeout=0.05)
+            return
+        if throttle:
+            # Pace on the condition variable, not a bare sleep: a
+            # mid-sweep throttle change (or a new subscriber) wakes the
+            # wait and takes effect on the very next step.
+            with self._cond:
+                if self._throttle:
+                    self._cond.wait(timeout=self._throttle)
 
     def __repr__(self):
         return (
@@ -541,3 +542,17 @@ class SweepScanner:
             f"active={self.active_subscriptions()}, "
             f"sharing={self.stats.sharing_factor():.2f})"
         )
+
+
+def _sweep_while_reachable(ref, cond):
+    """The live thread's body: step while the scanner has subscribers,
+    wait without holding it, and end once it is gone — a dropped store
+    takes its sweep thread with it (an idle wait looks once a second)."""
+    while True:
+        with cond:
+            while (scanner := ref()) is not None and not scanner._subs:
+                scanner = None
+                cond.wait(timeout=1.0)
+        if scanner is None:
+            return
+        scanner._live_step()

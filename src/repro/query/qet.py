@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.catalog.schema import Field as SchemaField
 from repro.catalog.schema import Schema
-from repro.catalog.table import ObjectTable
+from repro.catalog.table import ObjectTable, concat_records
 from repro.htm.ranges import RangeSet
 from repro.query.errors import ExecutionError
 
@@ -206,6 +206,8 @@ class NodeStats:
         # evidence that ORDER BY ... LIMIT k no longer materializes the
         # full input.
         "peak_buffered_rows": "max",
+        # Rows a ScanNode copied into morsels (none while each is a view).
+        "rows_copied": "sum",
     }
     #: the ones ``Job.metrics()`` publishes (as ``job.<name>``)
     PUBLISHED = ("containers_read", "containers_from_pool", "containers_skipped")
@@ -325,7 +327,9 @@ class ScanNode(QETNode):
     Delivered containers are **coalesced into execution morsels**: runs
     accumulate until roughly ``batch_rows`` rows are buffered, then one
     vectorized predicate pass (plus one region-mask pass over just the
-    rows of partially-covered trixels) filters the whole morsel.  With
+    rows of partially-covered trixels) filters the whole morsel — a view
+    of the store's arena when its containers are consecutive there, else
+    one byte-level gather (``rows_copied``).  With
     the archive's many small containers (a handful of rows each) this
     turns tens of thousands of tiny numpy calls per query into a few
     dozen large ones, while answers stay exact — containers are
@@ -382,7 +386,17 @@ class ScanNode(QETNode):
         #: the node's SweepSubscription while running (I/O telemetry)
         self.subscription = None
 
-    def _filter_morsel(self, morsel_tables, partial_spans):
+    def _morsel(self, pieces):
+        """The buffered ``[array, lo, hi]`` pieces as one table: a view
+        when there is one, else one gather of their bytes."""
+        if len(pieces) == 1:
+            base, lo, hi = pieces[0]
+            return ObjectTable(self.store.schema, base[lo:hi])
+        data = concat_records([b[lo:hi] for b, lo, hi in pieces], pieces[0][0].dtype)
+        self.stats.rows_copied += len(data)
+        return ObjectTable(self.store.schema, data)
+
+    def _filter_morsel(self, morsel, partial_spans):
         """One vectorized filter pass over a buffered morsel.
 
         ``partial_spans`` are ``(start, stop)`` row ranges of containers
@@ -391,10 +405,6 @@ class ScanNode(QETNode):
         """
         predicate = self.plan.predicate
         region = self.plan.region
-        if len(morsel_tables) == 1:
-            morsel = morsel_tables[0]
-        else:
-            morsel = ObjectTable.concat_all(morsel_tables)
         mask = np.asarray(predicate(morsel), dtype=bool)
         if mask.shape == ():
             mask = np.full(len(morsel), bool(mask))
@@ -410,12 +420,12 @@ class ScanNode(QETNode):
             mask[rows] &= region.contains(positions)
         return morsel.select(mask)
 
-    def _flush(self, morsel_tables, partial_spans, buffered):
+    def _flush(self, pieces, partial_spans, buffered):
         """Filter a morsel and emit it; returns False when cancelled."""
         # A morsel only grows between flushes, so its size here is the
         # high-water mark since the last one.
         self.stats.note_buffered(buffered)
-        selected = self._filter_morsel(morsel_tables, partial_spans)
+        selected = self._filter_morsel(self._morsel(pieces), partial_spans)
         self.stats.predicate_evals += 1
         if self.track_delivery and len(selected):
             # One batch per flush, never chunked: the annotation says
@@ -431,34 +441,43 @@ class ScanNode(QETNode):
                 return False
         return True
 
-    def _gather(self, run, cover, morsel_tables, partial_spans, buffered):
+    def _gather(self, run, cover, pieces, partial_spans, buffered):
         """Add a delivered run's containers to the morsel being built.
 
         The one place a delivered container is classified against
         ``cover`` (``(region, inside, partial)``): dropped, kept
         wholesale, or kept with its row span noted in ``partial_spans``
-        for the exact geometric test.  Returns the morsel's new row
-        count.
+        for the exact geometric test.  A kept container's arena rows
+        extend the last piece when they follow it; its overflow rows are
+        a piece of their own.  Returns the morsel's new row count.
         """
         region, inside, partial = cover
         restrict = self.restrict
-        for htm_id, table, _from_pool in run:
-            if len(table) == 0:
-                continue
+        arena, overflow = run.snapshot.arena, run.snapshot.overflow
+        for htm_id, lo, hi, _from_pool in run.items:
             if restrict is not None and not restrict.contains(htm_id):
                 # Not this scan's assignment (another replica holds it,
                 # or it was already delivered before a failover).
                 # Checked per container, not just via subscription
                 # candidates, because delivery is run-granular.
                 continue
-            if region is not None and not inside.contains(htm_id):
-                if not partial.contains(htm_id):
-                    # Outside the cover: unreachable via candidates,
-                    # but delivery is run-granular.
-                    continue
-                partial_spans.append((buffered, buffered + len(table)))
-            morsel_tables.append(table)
-            buffered += len(table)
+            bisected = region is not None and not inside.contains(htm_id)
+            if bisected and not partial.contains(htm_id):
+                # Outside the cover: unreachable via candidates, but
+                # delivery is run-granular.
+                continue
+            if pieces and pieces[-1][0] is arena and pieces[-1][2] == lo:
+                pieces[-1][2] = hi
+            else:
+                pieces.append([arena, lo, hi])
+            rows = hi - lo
+            extra = overflow.get(htm_id)
+            if extra is not None:
+                pieces.append([extra, 0, len(extra)])
+                rows += len(extra)
+            if bisected:
+                partial_spans.append((buffered, buffered + rows))
+            buffered += rows
         return buffered
 
     def run(self):
@@ -496,27 +515,25 @@ class ScanNode(QETNode):
     def _consume(self, subscription, cover):
         target = self.batch_rows
         ramp = min(self.RAMP_ROWS, target)
-        morsel_tables = []
+        pieces = []
         partial_spans = []
         buffered = 0
-        for run in subscription.iter_runs():
+        for run in subscription:
             if self.output.cancelled():
                 return
             if self.track_delivery:
                 # Every delivered container is accounted for — even
-                # empty or dropped ones, which a resumed scan would
-                # simply find empty again.
-                self._delivered_ids.extend(htm_id for htm_id, _t, _p in run)
-            buffered = self._gather(
-                run, cover, morsel_tables, partial_spans, buffered
-            )
-            if buffered >= ramp and morsel_tables:
-                if not self._flush(morsel_tables, partial_spans, buffered):
+                # dropped ones, which a resumed scan would simply find
+                # empty again.
+                self._delivered_ids.extend(item[0] for item in run.items)
+            buffered = self._gather(run, cover, pieces, partial_spans, buffered)
+            if buffered >= ramp and pieces:
+                if not self._flush(pieces, partial_spans, buffered):
                     return
-                morsel_tables, partial_spans, buffered = [], [], 0
+                pieces, partial_spans, buffered = [], [], 0
                 ramp = min(ramp * 4, target)
-        if morsel_tables and not self.output.cancelled():
-            self._flush(morsel_tables, partial_spans, buffered)
+        if pieces and not self.output.cancelled():
+            self._flush(pieces, partial_spans, buffered)
 
 
 class ProjectNode(QETNode):

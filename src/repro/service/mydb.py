@@ -18,7 +18,7 @@ import threading
 
 from repro.catalog.table import ObjectTable
 from repro.service.errors import MyDBError, QuotaExceededError
-from repro.storage.containers import Container, ContainerStore
+from repro.storage.containers import ContainerStore
 
 __all__ = ["MyDBManager", "MYDB_PREFIX", "DEFAULT_MYDB_QUOTA"]
 
@@ -132,5 +132,5 @@ class MyDBManager:
             return ContainerStore.from_table(table, self.depth)
         store = ContainerStore(schema, self.depth)
         if len(table):
-            store.containers[store._lo] = Container(store._lo, table)
+            store.append(table, [store._lo] * len(table))
         return store

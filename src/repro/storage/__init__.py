@@ -11,7 +11,7 @@ reports (150 MB/s per node, 3 GB/s aggregate, 2-minute full scans).
 """
 
 from repro.storage.buffer import BufferPool, BufferPoolStats
-from repro.storage.containers import Container, ContainerStore
+from repro.storage.containers import ContainerStore, StoreSnapshot
 from repro.storage.database import Database
 from repro.storage.partition import Partitioner, PartitionMap
 from repro.storage.replication import ReplicationManager
@@ -28,8 +28,8 @@ from repro.storage.cluster import DistributedArchive, ServerNode
 __all__ = [
     "BufferPool",
     "BufferPoolStats",
-    "Container",
     "ContainerStore",
+    "StoreSnapshot",
     "Database",
     "Partitioner",
     "PartitionMap",

@@ -5,17 +5,14 @@ the dataset"* — and the follow-up systems (the Grid and SkyServer papers)
 make the complementary point: a multi-terabyte archive serves heavy
 interactive traffic only when hot containers stay cached and concurrent
 scans share physical reads.  :class:`BufferPool` is the read path under
-the shared sweep: a byte-budgeted LRU over container tables with
+the shared sweep: a byte-budgeted LRU over containers with
 hit/miss/eviction accounting, so every query riding a sweep shares one
 notion of "physically read" vs. "served from memory".
 
-The pool caches *references* to the container tables (the reproduction
-keeps its dataset in process memory), so the LRU budget models a disk
-cache rather than duplicating data: a miss is a simulated physical read,
-a hit is a page already resident.  Entries are validated by identity
-against the live container table, so a container mutated by the loader
-(``Container.append`` replaces the table object) can never be served
-stale.
+The pool holds no rows (they stay in each store's arena): an entry is a
+container's key and byte count, so the budget models a disk cache — a
+miss is a simulated physical read, a hit a page already resident.  An
+entry stays valid until the store's ``note_mutation`` invalidates it.
 """
 
 from __future__ import annotations
@@ -59,7 +56,7 @@ class BufferPoolStats:
 
 
 class BufferPool:
-    """Byte-budgeted LRU cache of container tables.
+    """Byte-budgeted LRU of ``(store, htm_id) -> nbytes`` (never rows).
 
     Parameters
     ----------
@@ -69,7 +66,7 @@ class BufferPool:
         store becomes hot after one sweep — exactly the regime the
         SkyServer follow-up describes for its cached hot containers).
 
-    Keys are ``(store_token, htm_id)`` so one pool may be shared by
+    Keys are ``(store_uid, htm_id)`` so one pool may be shared by
     several stores (e.g. every source hosted on one partition server)
     without id collisions.  All methods are thread-safe: the pool sits
     under the concurrent sweep threads of every store that shares it.
@@ -86,7 +83,7 @@ class BufferPool:
         #: registry; a collected pool drops out of snapshots
         self._metrics_ref = _obs_registry().add_source(self._published_metrics)
         self._lock = threading.Lock()
-        #: key -> (table, nbytes), in LRU order (oldest first)
+        #: key -> nbytes, in LRU order (oldest first)
         self._entries = OrderedDict()
         self._resident_bytes = 0
 
@@ -97,10 +94,10 @@ class BufferPool:
     def fetch_many(self, store, containers):
         """Read a run of containers under one lock acquisition.
 
-        The sweep scanner's batched read path; returns a list of
-        ``(table, from_pool)`` in input order: each container's table and
-        whether it was served from the pool (hit) or physically read
-        (miss).  The budget check runs once per run, not once per
+        The sweep scanner's batched read path: ``containers`` are
+        ``(htm_id, nbytes)`` pairs; returns, in input order, whether each
+        was served from the pool (hit) or physically read (miss).  The
+        budget check runs once per run, not once per
         container — transiently holding one run over budget is the cost
         of not re-walking the LRU for every tiny container in a
         coalesced read.  The overshoot is *bounded*
@@ -109,8 +106,9 @@ class BufferPool:
         restores ``resident <= budget`` before the lock is released, so
         no other reader can ever observe an over-budget pool.
         """
+        uid = store.store_uid
         with self._lock:
-            results = [self._fetch_locked(store, c) for c in containers]
+            results = [self._fetch_locked((uid, h), n) for h, n in containers]
             self._evict_over_budget()
             if self.byte_budget is not None:
                 assert self._resident_bytes <= self.byte_budget, (
@@ -119,25 +117,15 @@ class BufferPool:
                 )
             return results
 
-    def _fetch_locked(self, store, container):
-        key = (id(store), container.htm_id)
-        table = container.table
-        entry = self._entries.get(key)
-        if entry is not None:
-            cached, nbytes = entry
-            if cached is table:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                self.stats.bytes_from_pool += nbytes
-                return table, True
-            # The container was mutated since it was cached; the old
-            # pages are worthless.
-            self._drop(key)
-            self.stats.invalidations += 1
-        nbytes = container.nbytes()
+    def _fetch_locked(self, key, nbytes):
+        if key in self._entries:
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+            self.stats.bytes_from_pool += self._entries[key]
+            return True
         self.stats.misses += 1
         self.stats.bytes_read += nbytes
-        self._entries[key] = (table, nbytes)
+        self._entries[key] = nbytes
         self._resident_bytes += nbytes
         if self.byte_budget is not None:
             # Eviction is deferred to the end of the run: track how far
@@ -145,7 +133,7 @@ class BufferPool:
             overshoot = self._resident_bytes - self.byte_budget
             if overshoot > self.stats.peak_overshoot_bytes:
                 self.stats.peak_overshoot_bytes = overshoot
-        return table, False
+        return False
 
     def _published_metrics(self):
         """Registry source: this pool's counters (summed with every
@@ -161,24 +149,18 @@ class BufferPool:
             "buffer_pool.bytes_from_pool": stats.bytes_from_pool,
         }
 
-    def contains(self, store, htm_id):
-        """True if the container is currently resident (no LRU touch)."""
-        with self._lock:
-            return (id(store), int(htm_id)) in self._entries
-
     # ------------------------------------------------------------------
     # management
     # ------------------------------------------------------------------
 
     def _drop(self, key):
-        _table, nbytes = self._entries.pop(key)
-        self._resident_bytes -= nbytes
+        self._resident_bytes -= self._entries.pop(key)
 
     def _evict_over_budget(self):
         if self.byte_budget is None:
             return
         while self._resident_bytes > self.byte_budget and self._entries:
-            _key, (_table, nbytes) = self._entries.popitem(last=False)
+            _key, nbytes = self._entries.popitem(last=False)
             self._resident_bytes -= nbytes
             self.stats.evictions += 1
 
@@ -186,12 +168,12 @@ class BufferPool:
         """Forget one container, or every container of a store."""
         with self._lock:
             if htm_id is not None:
-                key = (id(store), int(htm_id))
+                key = (store.store_uid, int(htm_id))
                 if key in self._entries:
                     self._drop(key)
                     self.stats.invalidations += 1
                 return
-            token = id(store)
+            token = store.store_uid
             for key in [k for k in self._entries if k[0] == token]:
                 self._drop(key)
                 self.stats.invalidations += 1

@@ -29,6 +29,10 @@ queries one server on its own.
 
 from __future__ import annotations
 
+from collections import Counter
+
+import numpy as np
+
 from repro.storage.containers import ContainerStore
 from repro.storage.diskmodel import PAPER_NODE, NodeModel
 from repro.storage.partition import Partitioner
@@ -120,15 +124,10 @@ class DistributedArchive:
             raise ValueError(f"{name!r} is the primary source")
         if name in self.extra_schemas:
             raise ValueError(f"source {name!r} is already attached")
-        staging = ContainerStore.from_table(table, self.depth)
         self.extra_schemas[name] = table.schema
         for server in self.servers:
             server.attach_store(name, ContainerStore(table.schema, self.depth))
-        for htm_id, container in staging.containers.items():
-            owner = self.servers[self.partition_map.server_for(htm_id)]
-            store = owner.extra_stores[name]
-            store.get_or_create(htm_id).append(container.table)
-            store.note_mutation([htm_id])
+        self._place(name, table, self.servers[0].store.container_ids_for(table))
 
     def enable_replication(self, replication_factor=2, hot_fraction=0.05):
         """Attach a :class:`~repro.storage.replication.ReplicationManager`.
@@ -158,15 +157,20 @@ class DistributedArchive:
         Rebuilds the partition map from the combined (existing + new)
         weights first, so a bulk load lands balanced.
         """
-        staging = ContainerStore.from_table(table, self.depth)
-        weights = self._combined_weights(staging)
+        ids = self.servers[0].store.container_ids_for(table)
+        weights = self._combined_weights(ids)
         self._set_partition_map(self.partitioner.build(weights, len(self.servers)))
         # Re-place any containers whose owner changed, then add new data.
         self._replace_misplaced()
-        for htm_id, container in staging.containers.items():
-            owner = self.servers[self.partition_map.server_for(htm_id)]
-            owner.store.get_or_create(htm_id).append(container.table)
-            owner.store.note_mutation([htm_id])
+        self._place(self.source, table, ids)
+
+    def _place(self, source_name, table, ids):
+        """Append each row to its container's owner, one append per server."""
+        owners = self.partition_map.server_for_array(ids)
+        for server in self.servers:
+            mine = owners == server.server_id
+            if mine.any():
+                server.stores()[source_name].append(table.select(mine), ids[mine])
 
     def _set_partition_map(self, partition_map):
         """Install a rebuilt map, keeping the replication manager's view
@@ -176,14 +180,10 @@ class DistributedArchive:
         if self.replication is not None:
             self.replication.partition_map = partition_map
 
-    def _combined_weights(self, staging=None):
-        weights = {}
+    def _combined_weights(self, ids=()):
+        weights = Counter(np.asarray(ids, dtype=np.int64).tolist())
         for server in self.servers:
-            for htm_id, container in server.store.containers.items():
-                weights[htm_id] = weights.get(htm_id, 0) + len(container)
-        if staging is not None:
-            for htm_id, container in staging.containers.items():
-                weights[htm_id] = weights.get(htm_id, 0) + len(container)
+            weights.update(server.store.container_sizes())
         return weights
 
     def _replace_misplaced(self):
@@ -195,15 +195,13 @@ class DistributedArchive:
         moved_objects = 0
         for server in self.servers:
             for source_name, store in server.stores().items():
-                for htm_id in list(store.containers):
-                    target = self.partition_map.server_for(htm_id)
-                    if target != server.server_id:
-                        container = store.containers.pop(htm_id)
-                        store.note_mutation([htm_id])
-                        destination = self.servers[target].stores()[source_name]
-                        destination.get_or_create(htm_id).append(container.table)
-                        destination.note_mutation([htm_id])
-                        moved_objects += len(container)
+                ids = store.snapshot.ids
+                owners = self.partition_map.server_for_array(ids)
+                leaving = ids[owners != server.server_id]
+                if len(leaving):
+                    table, row_ids = store.remove(leaving)
+                    self._place(source_name, table, row_ids)
+                    moved_objects += len(table)
         return moved_objects
 
     def add_servers(self, count):

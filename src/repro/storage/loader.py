@@ -16,9 +16,7 @@ time insertion (which touches a container once per *object*).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 __all__ = ["ChunkLoader", "LoadReport"]
 
@@ -57,9 +55,10 @@ class ChunkLoader:
         """Load one chunk; returns a :class:`LoadReport`.
 
         Phase 1 (index construction): compute each object's container id
-        and group rows by container — *no* container is opened yet.
-        Phase 2 (single pass): append each group to its container, one
-        touch per container.
+        — *no* container is opened yet.  Phase 2 (single pass):
+        :meth:`~repro.storage.containers.ContainerStore.append` groups
+        the rows by container and adds each group, one touch per
+        container.
         """
         report = LoadReport()
         n = len(chunk_table)
@@ -69,31 +68,16 @@ class ChunkLoader:
             self.history.append(report)
             return report
 
-        # Phase 1: examine the chunk, construct the index.
+        # Phase 1 locates each object; phase 2, the store's append, also
+        # records the mutation (generation, buffer-pool invalidation).
         ids = self.store.container_ids_for(chunk_table)
-        order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[order]
-        boundaries = np.nonzero(np.diff(sorted_ids))[0] + 1
-        groups = np.split(order, boundaries)
-        needed = [int(ids[g[0]]) for g in groups]
-
+        before = len(self.store)
+        needed = self.store.append(chunk_table, ids)
+        report.containers_touched = len(needed)
+        report.containers_created = len(self.store) - before
         if self.partition_map is not None:
             servers = {self.partition_map.server_for(cid) for cid in needed}
             report.databases_touched = len(servers)
-
-        # Phase 2: single pass, one touch per clustering unit.
-        for group, container_id in zip(groups, needed):
-            created = container_id not in self.store.containers
-            container = self.store.get_or_create(container_id)
-            container.append(chunk_table.take(group))
-            report.containers_touched += 1
-            if created:
-                report.containers_created += 1
-
-        # One mutation seam: bump the store generation (staling any
-        # cached results derived from it) and invalidate the touched
-        # buffer-pool entries in the same call.
-        self.store.note_mutation(needed)
 
         self.history.append(report)
         return report

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 
+import numpy as np
+
 __all__ = ["ReplicationManager", "replicate_archive"]
 
 
@@ -50,21 +52,19 @@ def replicate_archive(archive, replication_factor=2):
     placements = 0
     for server in archive.servers:
         for source_name, store in server.stores().items():
-            for htm_id in sorted(store.containers):
-                if archive.partition_map.server_for(htm_id) != server.server_id:
-                    continue  # a replica already placed by this pass
-                container = store.containers[htm_id]
-                for k in range(1, replication_factor):
-                    target = archive.servers[
-                        (server.server_id + k) % n_servers
-                    ]
-                    target_store = target.stores()[source_name]
-                    if htm_id in target_store.containers:
-                        continue
-                    target_store.get_or_create(htm_id).append(container.table)
-                    target_store.note_mutation([htm_id])
+            ids = store.snapshot.ids
+            # Skip the replicas an earlier server of this pass placed here.
+            owned = ids[archive.partition_map.server_for_array(ids) == server.server_id]
+            for k in range(1, replication_factor):
+                target = archive.servers[(server.server_id + k) % n_servers]
+                target_store = target.stores()[source_name]
+                missing = np.setdiff1d(owned, target_store.snapshot.ids)
+                if not len(missing):
+                    continue
+                target_store.append(*store.rows(missing))
+                for htm_id in missing.tolist():
                     manager.replicas[htm_id].add(target.server_id)
-                    placements += 1
+                placements += len(missing)
     return placements
 
 

@@ -127,3 +127,20 @@ class TestTransforms:
     def test_concat_all_empty(self):
         with pytest.raises(ValueError):
             ObjectTable.concat_all([])
+
+    @pytest.mark.parametrize(
+        "pieces",
+        [
+            pytest.param(lambda d: [d[:30], d[30:31], d[31:]], id="contiguous"),
+            pytest.param(lambda d: [d[::2], d[1::3], d[5:9]], id="strided"),
+            pytest.param(lambda d: [d[:0], d[10:20], d[20:20], d[:0]], id="empty"),
+            pytest.param(lambda d: [d[:0], d[:0]], id="all-empty"),
+            pytest.param(lambda d: [d[::-1]], id="single"),
+        ],
+    )
+    def test_concat_all_is_bit_identical_to_np_concatenate(self, table, pieces):
+        arrays = pieces(table.data)
+        got = ObjectTable.concat_all([ObjectTable(SCHEMA, a) for a in arrays])
+        expected = np.concatenate(arrays)
+        assert got.data.dtype == expected.dtype
+        assert got.data.tobytes() == expected.tobytes()

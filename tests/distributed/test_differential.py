@@ -125,7 +125,7 @@ class TestRepartitioning:
         archive = scaled.executor.archive
         for server in archive.servers:
             for store in server.stores().values():
-                for htm_id in store.containers:
+                for htm_id in store.occupied_ids():
                     assert (
                         archive.partition_map.server_for(htm_id)
                         == server.server_id

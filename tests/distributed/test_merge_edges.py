@@ -113,14 +113,9 @@ class TestAvgRecombination:
         for group in (1, 2):
             shard_means = []
             for server in archive.servers:
-                values = [
-                    v
-                    for container in server.store.containers.values()
-                    for v in container.table["mag_r"][
-                        container.table["objtype"] == group
-                    ]
-                ]
-                if values:
+                table, _row_ids = server.store.rows()
+                values = table["mag_r"][table["objtype"] == group]
+                if len(values):
                     shard_means.append(np.mean(values))
             naive.append(np.mean(shard_means))
         assert abs(naive[0] - 12.0) > 0.5 or abs(naive[1] - 38.0) > 0.5
@@ -210,11 +205,9 @@ class TestAllShardsPruned:
 class TestShardFailurePropagation:
     """A failing server must fail the query, never shrink the answer."""
 
-    class _PoisonTable:
-        """Readable for planning (nbytes) but fails when actually scanned."""
-
-        def nbytes(self):
-            return 0
+    class _PoisonRows:
+        """A container's overflow rows: planning reads the index, not
+        them, and a scan fails when it reaches them."""
 
         def __len__(self):
             raise RuntimeError("simulated corrupt container")
@@ -223,8 +216,7 @@ class TestShardFailurePropagation:
     def degraded(self, make_archive):
         archive = make_archive(5)
         store = archive.servers[2].store
-        first_id = next(iter(store.containers))
-        store.containers[first_id].table = self._PoisonTable()
+        store.snapshot.overflow[store.occupied_ids()[0]] = self._PoisonRows()
         with Archive.connect(archive=archive) as session:
             yield session
 

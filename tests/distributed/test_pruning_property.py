@@ -17,7 +17,7 @@ from repro.geometry.shapes import circle_region
 from repro.htm.cover import cover_region
 from repro.htm.mesh import lookup_ids_from_vectors
 from repro.session import Archive
-from repro.storage import DistributedArchive
+from repro.storage import ContainerStore, DistributedArchive
 
 N_TRIALS = 12
 
@@ -62,28 +62,20 @@ def test_cover_pruning_never_drops_matching_objects(photo, rng, depth):
     assert some_server_pruned, "no region ever pruned anything — vacuous test"
 
 
-class _CountingContainers(dict):
-    """Spy mapping: counts every way a scan can reach the containers."""
+class _CountingStore(ContainerStore):
+    """Spy: counts every read of a store's rows — all of them go through
+    its current snapshot."""
 
-    def __init__(self, data):
-        super().__init__(data)
-        self.reads = 0
+    reads = 0
 
-    def items(self):
+    @property
+    def snapshot(self):
         self.reads += 1
-        return super().items()
+        return self.__dict__["snapshot"]
 
-    def values(self):
-        self.reads += 1
-        return super().values()
-
-    def __iter__(self):
-        self.reads += 1
-        return super().__iter__()
-
-    def __getitem__(self, key):
-        self.reads += 1
-        return super().__getitem__(key)
+    @snapshot.setter
+    def snapshot(self, value):
+        self.__dict__["snapshot"] = value
 
 
 class TestPrunedServersNeverRead:
@@ -92,7 +84,7 @@ class TestPrunedServersNeverRead:
         archive = make_archive(5)
         for server in archive.servers:
             for store in server.stores().values():
-                store.containers = _CountingContainers(store.containers)
+                store.__class__ = _CountingStore
         return archive
 
     def test_zero_container_reads_outside_cover(self, spied, session, assert_same_rows):
@@ -106,7 +98,7 @@ class TestPrunedServersNeverRead:
         assert report.pruned_server_ids, "query too broad to prune anything"
         for server in spied.servers:
             reads = sum(
-                store.containers.reads for store in server.stores().values()
+                store.reads for store in server.stores().values()
             )
             if server.server_id in report.pruned_server_ids:
                 assert reads == 0, (
@@ -127,6 +119,6 @@ class TestPrunedServersNeverRead:
         for server in spied.servers:
             if server.server_id in report.pruned_server_ids:
                 assert (
-                    sum(s.containers.reads for s in server.stores().values())
+                    sum(s.reads for s in server.stores().values())
                     == 0
                 )

@@ -31,7 +31,7 @@ class TestAssignment:
         # Replicate one of server 0's containers onto server 2, and make
         # server 0 look busy.
         cid = next(
-            c for c in archive.servers[0].store.containers
+            c for c in archive.servers[0].store.occupied_ids()
             if replication.primary_for(c) == 0
         )
         replication.replicas[cid].add(2)
@@ -45,7 +45,7 @@ class TestAssignment:
     def test_shards_without_replicas_stay_on_primary(self, archive):
         replication = archive.enable_replication()
         cid = next(
-            c for c in archive.servers[1].store.containers
+            c for c in archive.servers[1].store.occupied_ids()
             if replication.primary_for(c) == 1
         )
         replication.replicas[cid].add(0)
@@ -66,7 +66,7 @@ class TestRoutedReports:
 
     def test_scan_jobs_use_the_assigned_sweep_machine(self, archive):
         replication = archive.enable_replication()
-        for cid in list(archive.servers[0].store.containers)[:5]:
+        for cid in list(archive.servers[0].store.occupied_ids())[:5]:
             if replication.primary_for(cid) == 0:
                 replication.replicas[cid].add(1)
         replication.server_load[0] = 100
@@ -86,7 +86,7 @@ class TestRoutedReports:
         with Archive.connect(archive=archive) as session:
             plain = session.query_table(query)
             replication = archive.enable_replication()
-            for cid in list(archive.servers[0].store.containers)[:10]:
+            for cid in list(archive.servers[0].store.occupied_ids())[:10]:
                 replication.replicas[cid].add(2)
             routed = session.query_table(query)
         assert len(plain) == len(routed)

@@ -25,7 +25,7 @@ class TestSweepCorrectness:
         machine = ScanMachine(photo_store)
         query = ScanQuery("all", lambda t: np.ones(len(t), dtype=bool))
         machine.run([query])
-        assert query.containers_seen == len(photo_store.containers)
+        assert query.containers_seen == len(photo_store)
         assert query.rows_matched == photo_store.total_objects()
 
     def test_empty_store(self):
@@ -54,9 +54,10 @@ class TestInteractiveScheduling:
 
     @staticmethod
     def _max_step(machine, store):
+        itemsize = store.snapshot.arena.itemsize
         return max(
-            machine.cluster.scan_seconds(c.nbytes())
-            for c in store.containers.values()
+            machine.cluster.scan_seconds(rows * itemsize)
+            for rows in store.container_sizes().values()
         )
 
     def test_midsweep_arrival_wraps_around(self, photo, photo_store):
@@ -107,8 +108,8 @@ class TestSimulatedTime:
     def test_full_scan_time_matches_cluster_model(self, photo_store):
         machine = ScanMachine(photo_store)
         expected = sum(
-            machine.cluster.scan_seconds(c.nbytes())
-            for c in photo_store.containers.values()
+            machine.cluster.scan_seconds(photo_store.rows([htm_id])[0].nbytes())
+            for htm_id in photo_store.occupied_ids()
         )
         assert machine.full_scan_seconds() == pytest.approx(expected)
 

@@ -1,7 +1,9 @@
 """Tests for repro.machines.sweep: the shared sweep scanner."""
 
+import gc
 import threading
 import time
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.htm import RangeSet
 from repro.machines.sweep import SweepScanner, SweepStats, SweepSubscription
+from repro.session import Archive
 from repro.storage import ContainerStore
 
 
@@ -20,38 +23,49 @@ def store(photo):
     return ContainerStore.from_table(photo, depth=2)
 
 
+def _flat(subscription):
+    """A live subscription's deliveries, one container at a time."""
+    for run in subscription:
+        yield from run.containers()
+
+
 def _drain(subscription, out):
-    for htm_id, table, from_pool in subscription:
-        out.append((htm_id, len(table), from_pool))
+    for htm_id, rows, from_pool in _flat(subscription):
+        out.append((htm_id, len(rows), from_pool))
+
+
+def _collect(got):
+    """A manual-mode sink recording delivered container ids."""
+    return lambda run: got.extend(htm_id for htm_id, *_span in run.items)
 
 
 class TestSingleSubscriber:
     def test_sees_every_container_exactly_once_in_sorted_order(self, store):
         subscription = store.sweeper().subscribe()
-        delivered = [htm_id for htm_id, _t, _p in subscription]
+        delivered = [htm_id for htm_id, _t, _p in _flat(subscription)]
         assert delivered == store.occupied_ids()
         assert subscription.completed()
-        assert subscription.delivered == len(store.containers)
+        assert subscription.delivered == len(store)
         assert subscription.skipped == 0
 
     def test_sequential_subscribers_get_identical_order(self, store):
-        first = [h for h, _t, _p in store.sweeper().subscribe()]
-        second = [h for h, _t, _p in store.sweeper().subscribe()]
+        first = [h for h, _t, _p in _flat(store.sweeper().subscribe())]
+        second = [h for h, _t, _p in _flat(store.sweeper().subscribe())]
         assert first == second == store.occupied_ids()
 
     def test_second_pass_served_from_pool(self, store):
-        list(store.sweeper().subscribe())
+        list(_flat(store.sweeper().subscribe()))
         subscription = store.sweeper().subscribe()
-        flags = [from_pool for _h, _t, from_pool in subscription]
+        flags = [from_pool for _h, _t, from_pool in _flat(subscription)]
         assert all(flags)
         assert subscription.physical_reads() == 0
-        assert store.buffer_pool.stats.misses == len(store.containers)
+        assert store.buffer_pool.stats.misses == len(store)
 
     def test_empty_store_completes_immediately(self, photo):
         empty = ContainerStore(photo.schema, 2)
         subscription = empty.sweeper().subscribe()
         assert subscription.done
-        assert list(subscription) == []
+        assert list(_flat(subscription)) == []
 
 
 class TestPrunedSubscriber:
@@ -61,7 +75,7 @@ class TestPrunedSubscriber:
         ids = store.occupied_ids()
         keep = RangeSet.from_ids(ids[: len(ids) // 3])
         subscription = store.sweeper().subscribe(candidates=keep)
-        delivered = [h for h, _t, _p in subscription]
+        delivered = [h for h, _t, _p in _flat(subscription)]
         assert delivered == ids[: len(ids) // 3]
         assert subscription.completed()
         assert subscription.skipped == len(ids) - len(delivered)
@@ -71,7 +85,7 @@ class TestPrunedSubscriber:
         ids = store.occupied_ids()
         keep = RangeSet.from_ids(ids[:2])
         scanner = store.sweeper()
-        list(scanner.subscribe(candidates=keep))
+        list(_flat(scanner.subscribe(candidates=keep)))
         # A lone pruned subscriber must not cause physical reads outside
         # its candidate set (the old per-query pruning perf).
         assert store.buffer_pool.stats.misses == 2
@@ -82,7 +96,7 @@ class TestSharedSweep:
     def test_concurrent_subscribers_share_physical_reads(self, store):
         scanner = store.sweeper()
         scanner.throttle = 0.002  # slow the sweep so both genuinely overlap
-        n = len(store.containers)
+        n = len(store)
         first = scanner.subscribe()
         second = scanner.subscribe()
         out_first, out_second = [], []
@@ -106,7 +120,7 @@ class TestSharedSweep:
     def test_midsweep_join_starts_at_current_position_and_wraps(self, store):
         scanner = store.sweeper()
         scanner.throttle = 0.002
-        n = len(store.containers)
+        n = len(store)
         first = scanner.subscribe()
         collected = []
         drainer = threading.Thread(target=_drain, args=(first, collected))
@@ -116,7 +130,7 @@ class TestSharedSweep:
             time.sleep(0.002)
         late = scanner.subscribe()
         assert late.start_position > 0, "joined mid-sweep"
-        seen_by_late = [h for h, _t, _p in late]
+        seen_by_late = [h for h, _t, _p in _flat(late)]
         drainer.join(timeout=30)
         scanner.throttle = 0.0
         # Wrap-around completion: every container exactly once, starting
@@ -153,9 +167,9 @@ class TestRobustness:
 
         subscription = scanner.subscribe(candidates=Poisoned())
         with pytest.raises(ExecutionError, match="boom"):
-            list(subscription)
+            list(_flat(subscription))
         # The sweep recovered: later subscribers are served normally.
-        healthy = [h for h, _t, _p in scanner.subscribe()]
+        healthy = [h for h, _t, _p in _flat(scanner.subscribe())]
         assert healthy == store.occupied_ids()
 
     def test_containers_added_under_active_sweep_reach_new_subscribers(
@@ -173,35 +187,59 @@ class TestRobustness:
         while first.seen < 2 and time.time() < deadline:
             time.sleep(0.002)
         # Grow the store while the sweep is active (never idle).
+        occupied = set(store.occupied_ids())
         new_id = next(
-            htm_id
-            for htm_id in range(store._lo, store._hi)
-            if htm_id not in store.containers
+            htm_id for htm_id in range(store._lo, store._hi) if htm_id not in occupied
         )
-        store.get_or_create(new_id).append(photo.take(np.arange(5)))
-        store.note_mutation([new_id])
+        store.append(photo.take(np.arange(5)), [new_id] * 5)
         late = scanner.subscribe()
-        seen_by_late = {h for h, _t, _p in late}
+        seen_by_late = {h for h, _t, _p in _flat(late)}
         drainer.join(timeout=30)
         scanner.throttle = 0.0
         assert new_id in seen_by_late
-        assert len(seen_by_late) == len(store.containers)
+        assert len(seen_by_late) == len(store)
+
+
+class TestLifetime:
+    def test_a_dropped_store_ends_its_sweep_thread(self, photo):
+        """Regression: a store's ``sweep-*`` thread looped forever holding
+        its scanner, so no store that was ever scanned could be freed —
+        one leaked thread (and store) per MyDB table a server read."""
+        stores, threads = [], []
+        for _ in range(5):
+            store = ContainerStore.from_table(photo.take(np.arange(200)), depth=3)
+            with Archive.connect(stores={"photo": store}) as session:
+                assert len(session.query_table("SELECT objid FROM photo")) == 200
+            stores.append(weakref.ref(store))
+            threads.append(store.sweeper()._thread)
+            del store, session
+        gc.collect()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert [ref() for ref in stores] == [None] * 5
+        assert [t.name for t in threads if t.is_alive()] == []
+
+    def test_the_live_thread_outlives_idle_gaps(self, store):
+        scanner = store.sweeper()
+        assert len(list(_flat(scanner.subscribe()))) == len(store)
+        thread = scanner._thread
+        time.sleep(0.05)
+        assert len(list(_flat(scanner.subscribe()))) == len(store)
+        assert scanner._thread is thread and thread.is_alive()
 
 
 class TestManualMode:
     def test_attach_and_step_drive_a_synchronous_sink(self, store):
         scanner = SweepScanner(store)
         got = []
-        subscription = scanner.attach(
-            sink=lambda htm_id, table, from_pool: got.append(htm_id)
-        )
+        subscription = scanner.attach(sink=_collect(got))
         steps = 0
         while not subscription.done:
             report = scanner.step()
             assert report is not None
             steps += 1
         assert got == store.occupied_ids()
-        assert steps == len(store.containers)
+        assert steps == len(store)
         assert scanner.step() is None  # idle sweep has nothing to do
 
     def test_sink_false_means_cancel(self, store):
@@ -217,16 +255,15 @@ class TestManualMode:
         the later subscriber never got the new container."""
         store = _depth3_store(photo)
         ids = store.occupied_ids()
-        added = next(i for i in range(ids[0], ids[-1]) if i not in store.containers)
+        added = next(i for i in range(ids[0], ids[-1]) if i not in ids)
+        removed = ids[-1]
         scanner = SweepScanner(store)
         scanner.attach(sink=lambda *_run: True)
         scanner.step()  # the sweep is active, mid-lap
-        store.get_or_create(added).append(photo.take(np.arange(3)))
-        store.note_mutation([added])
-        del store.containers[ids[-1]]
-        store.note_mutation([ids[-1]])
+        store.append(photo.take(np.arange(3)), [added] * 3)
+        store.remove([removed])
         got = []
-        scanner.attach(sink=lambda htm_id, _t, _p: got.append(htm_id))
+        scanner.attach(sink=_collect(got))
         while scanner.step() is not None:
             pass
         assert got.count(added) == 1
@@ -253,7 +290,7 @@ class TestThrottleRace:
         fraction of that — only possible if the live thread wakes out of
         its pacing wait instead of serving the sweep at the stale rate."""
         scanner = store.sweeper()
-        scanner.throttle = 0.25  # len(store.containers) * 0.25s >> 20s
+        scanner.throttle = 0.25  # len(store) * 0.25s >> 20s
         subscription = scanner.subscribe()
         collected = []
         drainer = threading.Thread(target=_drain, args=(subscription, collected))
@@ -312,7 +349,7 @@ class TestThrottleRace:
             time.sleep(0.005)
         assert scanner.active_subscriptions() == 0
         scanner.throttle = 0.0
-        healthy = [h for h, _t, _p in scanner.subscribe()]
+        healthy = [h for h, _t, _p in _flat(scanner.subscribe())]
         assert healthy == store.occupied_ids()
 
 
@@ -358,9 +395,7 @@ class TestJumpCost:
         assert len(keep) == k
         scanner = SweepScanner(deep_store)
         got = []
-        subscription = scanner.attach(
-            candidates=keep, sink=lambda htm_id, _t, _p: got.append(htm_id)
-        )
+        subscription = scanner.attach(candidates=keep, sink=_collect(got))
         steps = _revolve(scanner, subscription, scanner.stride)
         assert got == [i for i in ids if keep.contains(i)]
         assert subscription.delivered + subscription.skipped == subscription.total
@@ -372,15 +407,15 @@ class TestJumpCost:
         scanner = SweepScanner(deep_store)
         subscription = scanner.attach(candidates=RangeSet(), sink=lambda *_run: True)
         assert _revolve(scanner, subscription, scanner.stride) == 1
-        assert subscription.skipped == subscription.total == len(deep_store.containers)
+        assert subscription.skipped == subscription.total == len(deep_store)
         assert subscription.delivered == 0
-        assert scanner.stats.containers_skipped == len(deep_store.containers)
+        assert scanner.stats.containers_skipped == len(deep_store)
         assert len(wants_calls) == 1
 
     def test_a_whole_catalog_subscriber_still_walks(self, deep_store):
         scanner = SweepScanner(deep_store)
         subscription = scanner.attach(sink=lambda *_run: True)
-        n = len(deep_store.containers)
+        n = len(deep_store)
         assert _revolve(scanner, subscription, scanner.stride) == -(-n // scanner.stride)
         assert subscription.delivered == n and subscription.skipped == 0
 
@@ -419,14 +454,14 @@ class _ModelSweep:
     def walk_to(self, laps, position):
         """One container at a time until the sweep stands where the real
         one was observed (or, with ``None``, until nobody is left)."""
+        sizes = self.store.container_sizes()
+        itemsize = self.store.snapshot.arena.itemsize
         while self.active and (self.stats.laps, self.position) != (laps, position):
             htm_id = self.order[self.position]
-            container = self.store.containers.get(htm_id)
             wanting = [
                 s
                 for s in self.active
-                if container is not None
-                and (s.wanted is None or htm_id in s.wanted)
+                if htm_id in sizes and (s.wanted is None or htm_id in s.wanted)
             ]
             if wanting:
                 self.stats.containers_swept += 1
@@ -435,7 +470,7 @@ class _ModelSweep:
                 else:
                     self.stats.containers_read += 1
                 self.resident.add(htm_id)
-                self.stats.bytes_swept += container.nbytes()
+                self.stats.bytes_swept += sizes[htm_id] * itemsize
                 self.stats.deliveries += len(wanting)
             else:
                 self.stats.containers_skipped += 1
@@ -505,9 +540,7 @@ def _check_against_model(
 
     def join(wanted):
         got = []
-        subscription = scanner.attach(
-            candidates=wanted, sink=lambda htm_id, _t, _p: got.append(htm_id)
-        )
+        subscription = scanner.attach(candidates=wanted, sink=_collect(got))
         real.append((subscription, got))
         expected.append(_ModelSub(wanted))
         model.attach(expected[-1])
@@ -526,11 +559,9 @@ def _check_against_model(
     def mutate(gap):
         # Announced as every mutating path does: the generation moves.
         if gaps[0] == gap:
-            store.get_or_create(added).append(photo.take(np.arange(3)))
-            store.note_mutation([added])
+            store.append(photo.take(np.arange(3)), [added] * 3)
         if gaps[1] == gap:
-            del store.containers[removed]
-            store.note_mutation([removed])
+            store.remove([removed])
 
     join(candidates[0])
     advance(targets[0])
@@ -612,7 +643,7 @@ class TestJumpLive:
         keep = RangeSet.from_ids([ids[0], ids[1], ids[-1]])
         cone = scanner.subscribe(candidates=keep)
         assert 0 < cone.start_position < len(ids) - 1, "joined mid-lap"
-        seen_by_cone = [h for h, _t, _p in cone]
+        seen_by_cone = [h for h, _t, _p in _flat(cone)]
         drainer.join(timeout=30)
         scanner.throttle = 0.0
         assert seen_by_cone == [ids[-1], ids[0], ids[1]]

@@ -168,7 +168,7 @@ class TestSharedSweepAcrossClients:
         """Concurrent remote clients ride one server-side sweep: physical
         container reads ~ one store pass, not one per client."""
         server, store = _throttled_server(photo, depth=3, throttle=0.001)
-        n_containers = len(store.containers)
+        n_containers = len(store)
         query = "SELECT objid, mag_r FROM photo"
         sessions = [Archive.connect(server.url) for _ in range(2)]
         try:

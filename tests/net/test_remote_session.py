@@ -140,7 +140,7 @@ def test_remote_stats_arrive_over_the_wire(engine, remote_session):
     total_deliveries = (
         node_stats.containers_read + node_stats.containers_from_pool
     )
-    assert total_deliveries >= len(engine.stores["photo"].containers)
+    assert total_deliveries >= len(engine.stores["photo"])
 
     report = cursor.io_report()
     assert report["containers_read"] + report["containers_from_pool"] > 0

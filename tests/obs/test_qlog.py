@@ -118,4 +118,5 @@ class TestObserve:
             "containers_read",
             "containers_skipped",
             "predicate_evals",
+            "rows_copied",
         ]

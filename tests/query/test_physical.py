@@ -251,7 +251,6 @@ ONLY_CALLED_FROM = {
     "start_tree": ("session/core.py",),
     "fetch_many": ("machines/sweep.py", "storage/"),
     "fetch": ("machines/sweep.py", "storage/"),
-    "read_container": ("machines/sweep.py", "storage/"),
 }
 
 

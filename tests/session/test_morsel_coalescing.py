@@ -169,7 +169,7 @@ class TestCounterPerfGate:
             table = job.cursor.to_table()
             assert len(table) == len(photo)
             (scan,) = _scan_stats(job)
-        n_containers = len(photo_store.containers)
+        n_containers = len(photo_store)
         # steady-state flushes plus the ASAP ramp-up flushes (the morsel
         # target starts at RAMP_ROWS and grows 4x per flush) plus the
         # final partial flush
@@ -216,7 +216,7 @@ class TestMidRunControl:
             assert job.alive_nodes() == []
             (scan,) = _scan_stats(job)
             delivered = scan.containers_read + scan.containers_from_pool
-            assert delivered < len(store.containers)
+            assert delivered < len(store)
 
     def test_cancel_mid_coalesced_run(self, photo):
         """Cancelling while a morsel is still accumulating stops every

@@ -37,7 +37,7 @@ def _scan_node(job):
 
 class TestConcurrentSharing:
     def test_k_jobs_read_less_than_1_5_sweeps(self, photo, fresh_store):
-        n_containers = len(fresh_store.containers)
+        n_containers = len(fresh_store)
         expected_rows = len(photo)
         with Archive.connect(stores={"photo": fresh_store}) as session:
             jobs = [
@@ -78,7 +78,7 @@ class TestConcurrentSharing:
             cursor = session.execute("SELECT objid, mag_r FROM photo")
             cursor.to_table()
             report = cursor.io_report()
-            n = len(fresh_store.containers)
+            n = len(fresh_store)
             assert report["containers_read"] + report["containers_from_pool"] == n
             assert report["containers_skipped"] == 0
             assert report["buffer_pool_hit_rate"] is not None
@@ -93,7 +93,7 @@ class TestConcurrentSharing:
             )
             cursor.to_table()
             report = cursor.io_report()
-            n = len(fresh_store.containers)
+            n = len(fresh_store)
             assert report["containers_skipped"] > 0
             delivered = report["containers_read"] + report["containers_from_pool"]
             assert delivered + report["containers_skipped"] == n
@@ -105,7 +105,7 @@ class TestConcurrentSharing:
 class TestMidSweepArrival:
     def test_job_submitted_mid_sweep_wraps_and_shares(self, photo, fresh_store):
         """Satellite: mid-sweep arrival through the *real* query path."""
-        n_containers = len(fresh_store.containers)
+        n_containers = len(fresh_store)
         expected_rows = len(photo)
         sweeper = fresh_store.sweeper()
         sweeper.throttle = 0.003  # slow the pump so the overlap is real

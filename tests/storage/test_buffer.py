@@ -13,26 +13,42 @@ def store(photo):
     return ContainerStore.from_table(photo, depth=2)
 
 
+def nbytes(store, htm_id):
+    return store.rows([htm_id])[0].nbytes()
+
+
+def read(store, htm_id):
+    """One container through the store's pool, as the sweep reads it."""
+    table, _row_ids = store.rows([htm_id])
+    (from_pool,) = store.buffer_pool.fetch_many(store, [(htm_id, table.nbytes())])
+    return table, from_pool
+
+
+def pairs(store, ids):
+    """``fetch_many``'s input: ``(htm_id, nbytes)`` per container."""
+    return [(i, nbytes(store, i)) for i in ids]
+
+
 class TestReadPath:
     def test_first_read_misses_then_hits(self, store):
         pool = store.buffer_pool
         htm_id = store.occupied_ids()[0]
-        table, from_pool = store.read_container(htm_id)
+        table, from_pool = read(store, htm_id)
         assert from_pool is False
         assert pool.stats.misses == 1
-        again, from_pool = store.read_container(htm_id)
+        _again, from_pool = read(store, htm_id)
         assert from_pool is True
-        assert again is table  # same resident pages
+        assert pool.resident_containers() == 1  # a byte count, not the rows
         assert pool.stats.hits == 1
-        assert pool.stats.bytes_read == store.containers[htm_id].nbytes()
-        assert pool.stats.bytes_from_pool == store.containers[htm_id].nbytes()
+        assert pool.stats.bytes_read == nbytes(store, htm_id)
+        assert pool.stats.bytes_from_pool == nbytes(store, htm_id)
 
     def test_hit_rate(self, store):
         ids = store.occupied_ids()[:4]
         for htm_id in ids:
-            store.read_container(htm_id)
+            read(store, htm_id)
         for htm_id in ids:
-            store.read_container(htm_id)
+            read(store, htm_id)
         assert store.buffer_pool.stats.hit_rate() == pytest.approx(0.5)
 
     def test_repeated_query_populates_and_reuses_pool(self, store):
@@ -43,7 +59,7 @@ class TestReadPath:
             second = session.execute(query)
             second.to_table()
         touched = first.io_report()["containers_read"]
-        assert 0 < touched < len(store.containers)
+        assert 0 < touched < len(store)
         assert first.io_report()["containers_from_pool"] == 0
         assert second.io_report()["containers_from_pool"] == touched
         assert second.io_report()["containers_read"] == 0
@@ -53,80 +69,75 @@ class TestReadPath:
             session.query_table("SELECT * FROM photo")
             cursor = session.execute("SELECT * FROM photo")
             cursor.to_table()
-        assert cursor.io_report()["containers_from_pool"] == len(store.containers)
-        assert store.buffer_pool.stats.misses == len(store.containers)
+        assert cursor.io_report()["containers_from_pool"] == len(store)
+        assert store.buffer_pool.stats.misses == len(store)
 
 
 class TestLRUBudget:
-    def test_eviction_under_byte_budget(self, store):
+    def test_eviction_under_byte_budget(self, photo, store):
         ids = store.occupied_ids()
         a, b = ids[0], ids[1]
-        nbytes_a = store.containers[a].nbytes()
-        nbytes_b = store.containers[b].nbytes()
-        pool = BufferPool(byte_budget=max(nbytes_a, nbytes_b))
-        tight = ContainerStore(store.schema, store.depth, buffer_pool=pool)
-        tight.containers = store.containers
-        tight.read_container(a)
-        tight.read_container(b)  # evicts a
+        pool = BufferPool(byte_budget=max(nbytes(store, a), nbytes(store, b)))
+        tight = ContainerStore.from_table(photo, store.depth, buffer_pool=pool)
+        read(tight, a)
+        read(tight, b)  # evicts a
         assert pool.stats.evictions >= 1
-        _table, from_pool = tight.read_container(a)
+        _table, from_pool = read(tight, a)
         assert from_pool is False  # a was evicted
         assert pool.resident_bytes() <= pool.byte_budget
 
-    def test_lru_order_keeps_recently_used(self, store):
+    def test_lru_order_keeps_recently_used(self, photo, store):
         ids = store.occupied_ids()
         a, b, c = ids[0], ids[1], ids[2]
-        sizes = {i: store.containers[i].nbytes() for i in (a, b, c)}
-        pool = BufferPool(byte_budget=sizes[a] + sizes[b])
-        tight = ContainerStore(store.schema, store.depth, buffer_pool=pool)
-        tight.containers = store.containers
-        tight.read_container(a)
-        tight.read_container(b)
-        tight.read_container(a)  # touch a: b is now LRU
-        tight.read_container(c)  # evicts b (maybe more, budget is bytes)
-        _table, from_pool = tight.read_container(b)
+        pool = BufferPool(byte_budget=nbytes(store, a) + nbytes(store, b))
+        tight = ContainerStore.from_table(photo, store.depth, buffer_pool=pool)
+        read(tight, a)
+        read(tight, b)
+        read(tight, a)  # touch a: b is now LRU
+        read(tight, c)  # evicts b (maybe more, budget is bytes)
+        _table, from_pool = read(tight, b)
         assert from_pool is False
 
     def test_unbounded_pool_never_evicts(self, store):
         for htm_id in store.occupied_ids():
-            store.read_container(htm_id)
+            read(store, htm_id)
         assert store.buffer_pool.stats.evictions == 0
-        assert store.buffer_pool.resident_containers() == len(store.containers)
+        assert store.buffer_pool.resident_containers() == len(store)
 
-    def test_zero_budget_rejects_residency_but_serves_reads(self, store):
+    def test_zero_budget_rejects_residency_but_serves_reads(self, photo, store):
         pool = BufferPool(byte_budget=0)
-        bare = ContainerStore(store.schema, store.depth, buffer_pool=pool)
-        bare.containers = store.containers
+        bare = ContainerStore.from_table(photo, store.depth, buffer_pool=pool)
         htm_id = store.occupied_ids()[0]
-        table, from_pool = bare.read_container(htm_id)
+        table, from_pool = read(bare, htm_id)
         assert from_pool is False
-        assert len(table) == len(store.containers[htm_id])
-        _table, from_pool = bare.read_container(htm_id)
+        assert len(table) == len(store.rows([htm_id])[0])
+        _table, from_pool = read(bare, htm_id)
         assert from_pool is False  # nothing can stay resident
 
 
 class TestInvalidation:
     def test_mutated_container_is_never_served_stale(self, photo, store):
         htm_id = store.occupied_ids()[0]
-        table, _ = store.read_container(htm_id)
+        table, _ = read(store, htm_id)
         rows_before = len(table)
-        # Container.append replaces the table object (loader path).
-        store.containers[htm_id].append(table.take(np.arange(min(3, rows_before))))
-        fresh, from_pool = store.read_container(htm_id)
+        # Every mutation is an append, which records itself.
+        added = min(3, rows_before)
+        store.append(table.take(np.arange(added)), [htm_id] * added)
+        fresh, from_pool = read(store, htm_id)
         assert from_pool is False
         assert store.buffer_pool.stats.invalidations == 1
         assert len(fresh) == rows_before + min(3, rows_before)
 
     def test_explicit_invalidate(self, store):
         htm_id = store.occupied_ids()[0]
-        store.read_container(htm_id)
+        read(store, htm_id)
         store.buffer_pool.invalidate(store, htm_id)
-        _table, from_pool = store.read_container(htm_id)
+        _table, from_pool = read(store, htm_id)
         assert from_pool is False
 
     def test_invalidate_whole_store(self, store):
         for htm_id in store.occupied_ids()[:5]:
-            store.read_container(htm_id)
+            read(store, htm_id)
         store.buffer_pool.invalidate(store)
         assert store.buffer_pool.resident_containers() == 0
 
@@ -140,8 +151,8 @@ class TestSharedPool:
         shared_ids = set(photo_store.occupied_ids()) & set(tag_store.occupied_ids())
         assert shared_ids
         htm_id = sorted(shared_ids)[0]
-        photo_table, _ = photo_store.read_container(htm_id)
-        tag_table, from_pool = tag_store.read_container(htm_id)
+        photo_table, _ = read(photo_store, htm_id)
+        tag_table, from_pool = read(tag_store, htm_id)
         assert from_pool is False  # distinct key despite equal htm_id
         assert photo_table is not tag_table
 
@@ -158,39 +169,37 @@ class TestFetchManyOvershoot:
     most the run's own bytes, and the end-of-run eviction must restore
     the invariant before any other reader can look."""
 
-    def _tight_store(self, store, budget):
+    def _tight_store(self, photo, store, budget):
         pool = BufferPool(byte_budget=budget)
-        tight = ContainerStore(store.schema, store.depth, buffer_pool=pool)
-        tight.containers = store.containers
+        tight = ContainerStore.from_table(photo, store.depth, buffer_pool=pool)
         return tight, pool
 
-    def test_budget_restored_after_each_run(self, store):
+    def test_budget_restored_after_each_run(self, photo, store):
         ids = store.occupied_ids()
-        sizes = [store.containers[i].nbytes() for i in ids]
-        budget = max(sizes)  # every run is larger than the whole budget
-        tight, pool = self._tight_store(store, budget)
-        containers = [tight.containers[i] for i in ids]
-        results = pool.fetch_many(tight, containers)
+        run = pairs(store, ids)
+        budget = max(n for _i, n in run)  # every run is larger than the budget
+        tight, pool = self._tight_store(photo, store, budget)
+        results = pool.fetch_many(tight, run)
         assert len(results) == len(ids)
         assert pool.resident_bytes() <= budget
         assert pool.stats.evictions >= len(ids) - 1
 
-    def test_overshoot_is_recorded_and_bounded_by_run_bytes(self, store):
+    def test_overshoot_is_recorded_and_bounded_by_run_bytes(self, photo, store):
         ids = store.occupied_ids()
-        run_bytes = sum(store.containers[i].nbytes() for i in ids)
-        budget = store.containers[ids[0]].nbytes()
-        tight, pool = self._tight_store(store, budget)
-        pool.fetch_many(tight, [tight.containers[i] for i in ids])
+        run = pairs(store, ids)
+        run_bytes = sum(n for _i, n in run)
+        budget = nbytes(store, ids[0])
+        tight, pool = self._tight_store(photo, store, budget)
+        pool.fetch_many(tight, run)
         overshoot = pool.stats.peak_overshoot_bytes
         assert overshoot > 0  # the run did exceed the budget mid-flight
         assert overshoot <= run_bytes
         assert pool.resident_bytes() <= budget
 
-    def test_within_budget_run_never_overshoots(self, store):
-        ids = store.occupied_ids()
-        run = [store.containers[i] for i in ids[:2]]
-        budget = sum(c.nbytes() for c in run)
-        tight, pool = self._tight_store(store, budget)
+    def test_within_budget_run_never_overshoots(self, photo, store):
+        run = pairs(store, store.occupied_ids()[:2])
+        budget = sum(n for _i, n in run)
+        tight, pool = self._tight_store(photo, store, budget)
         pool.fetch_many(tight, run)
         assert pool.stats.peak_overshoot_bytes == 0
         assert pool.stats.evictions == 0
@@ -198,5 +207,5 @@ class TestFetchManyOvershoot:
     def test_unbounded_pool_records_no_overshoot(self, store):
         ids = store.occupied_ids()
         pool = store.buffer_pool
-        pool.fetch_many(store, [store.containers[i] for i in ids])
+        pool.fetch_many(store, pairs(store, ids))
         assert pool.stats.peak_overshoot_bytes == 0

@@ -35,7 +35,7 @@ class TestDistribution:
 
     def test_containers_on_their_owner(self, archive):
         for server in archive.servers:
-            for htm_id in server.store.containers:
+            for htm_id in server.store.occupied_ids():
                 assert archive.partition_map.server_for(htm_id) == server.server_id
 
     def test_needs_servers(self, photo):

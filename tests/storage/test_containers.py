@@ -37,29 +37,41 @@ class TestClustering:
 
     def test_containers_hold_their_trixel(self, photo, photo_store):
         # Each container's rows must map back to its trixel id.
-        for htm_id in list(photo_store.containers)[:40]:
-            container = photo_store.containers[htm_id]
-            ids = lookup_ids_from_vectors(
-                container.table.positions_xyz(), photo_store.depth
-            )
-            assert bool((ids == htm_id).all())
+        for htm_id in photo_store.occupied_ids()[:40]:
+            table, _row_ids = photo_store.rows([htm_id])
+            ids = lookup_ids_from_vectors(table.positions_xyz(), photo_store.depth)
+            assert len(table) and bool((ids == htm_id).all())
 
     def test_ids_at_container_depth(self, photo_store):
         lo, hi = depth_id_bounds(photo_store.depth)
-        for htm_id in photo_store.containers:
+        for htm_id in photo_store.occupied_ids():
             assert lo <= htm_id < hi
 
-    def test_get_or_create(self, photo_store):
+    def test_the_arena_is_sorted_and_indexed(self, photo, photo_store):
+        snapshot = photo_store.snapshot
+        row_ids = lookup_ids_from_vectors(
+            np.stack([snapshot.arena[c] for c in ("cx", "cy", "cz")], axis=-1),
+            photo_store.depth,
+        )
+        assert (np.diff(row_ids) >= 0).all()
+        np.testing.assert_array_equal(
+            np.repeat(snapshot.ids, np.diff(snapshot.offsets)), row_ids
+        )
+        assert not snapshot.arena.flags.writeable
+
+    def test_append_to_an_empty_store(self):
         store = ContainerStore(PHOTO_SCHEMA, 5)
         lo, _hi = depth_id_bounds(5)
-        container = store.get_or_create(lo)
-        assert len(container) == 0
-        assert store.get_or_create(lo) is container
+        rows = ObjectTable(PHOTO_SCHEMA, np.zeros(2, PHOTO_SCHEMA.numpy_dtype()))
+        assert store.append(rows, [lo, lo]) == [lo]
+        assert store.occupied_ids() == [lo] and store.total_objects() == 2
+        assert store.generation == 1
 
-    def test_get_or_create_validates_depth(self):
+    def test_append_validates_depth(self):
         store = ContainerStore(PHOTO_SCHEMA, 5)
+        rows = ObjectTable(PHOTO_SCHEMA, np.zeros(1, PHOTO_SCHEMA.numpy_dtype()))
         with pytest.raises(ValueError):
-            store.get_or_create(8)  # a depth-0 id
+            store.append(rows, [8])  # a depth-0 id
 
     def test_empty_table(self):
         store = ContainerStore.from_table(ObjectTable(PHOTO_SCHEMA), 5)
@@ -123,10 +135,10 @@ class TestQuerying:
         coverage = cover_region(circle_region(40.0, 30.0, 12.0), photo_store.depth)
         rows = {"inside": 0, "partial": 0}
         containers = {"inside": 0, "partial": 0}
-        for htm_id, container in photo_store.containers.items():
+        for htm_id, size in photo_store.container_sizes().items():
             for kind in ("inside", "partial"):
                 if getattr(coverage, kind).contains(htm_id):
-                    rows[kind] += len(container)
+                    rows[kind] += size
                     containers[kind] += 1
         assert rows["inside"] > 0 and rows["partial"] > 0
         assert sorted(tested.values()) == [

@@ -11,7 +11,7 @@ from repro.storage.replication import ReplicationManager
 
 @pytest.fixture(scope="module")
 def weights(photo_store_module):
-    return {cid: len(c) for cid, c in photo_store_module.containers.items()}
+    return photo_store_module.container_sizes()
 
 
 @pytest.fixture(scope="module")
