@@ -81,6 +81,9 @@ def container_split(store, region):
 
     Returns counts of accepted / bisected / rejected containers, the
     objects accepted wholesale vs point-tested, and the bytes touched.
+    The wholesale / point-tested split is the paper's cost model; the
+    live scan tests every delivered row once with the compiled
+    ``WHERE``, whichever class its container is in.
     """
     coverage = cover_region(region, store.depth)
     split = SimpleNamespace(

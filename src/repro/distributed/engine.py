@@ -101,7 +101,7 @@ class DistributedQueryEngine(Executor):
     def _select_root(self, plan, _select_index):
         """One SELECT fanned out over the archive's current servers."""
 
-        def fan_out(sharded, coverage, candidates):
+        def fan_out(sharded, candidates):
             touched, report = route_plan(
                 self.archive, plan.routed_source, candidates
             )
@@ -110,7 +110,7 @@ class DistributedQueryEngine(Executor):
                 shard_root = shard_tree(
                     server.stores()[plan.routed_source],
                     sharded,
-                    coverage,
+                    candidates,
                     batch_rows=self.batch_rows,
                 )
                 # Annotation consumed by the session layer's structured

@@ -309,9 +309,7 @@ class RemotePartitionedExecutor(Executor):
             text, self.schemas, select_root, ast=ast, allow_tag_route=allow_tag_route
         )
 
-    def _fan_out(
-        self, text, select_index, allow_tag_route, sharded, _coverage, candidates
-    ):
+    def _fan_out(self, text, select_index, allow_tag_route, sharded, candidates):
         """Prune endpoints by their hello ranges and submit the shard
         half of SELECT ``select_index`` to the rest: ``(leaves, report)``."""
         plan = sharded.base

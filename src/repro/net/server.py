@@ -420,10 +420,16 @@ class ArchiveServer:
             thread = threading.Thread(
                 target=self._serve_connection, args=(sock,), daemon=True
             )
+            # Registered and started under the lock stop() snapshots
+            # under, so it never joins an unstarted thread; a connection
+            # accepted once the server is closing is refused.
             with self._lock:
+                if self._closing.is_set():
+                    self._shut(sock)
+                    break
                 self._connections.add(sock)
                 self._threads.add(thread)
-            thread.start()
+                thread.start()
 
     def _serve_connection(self, sock):
         conn = _Conn()

@@ -23,12 +23,7 @@ import time
 
 from repro.htm.ranges import RangeSet
 from repro.query.errors import PlanError
-from repro.query.optimizer import (
-    output_schema_for,
-    plan_query,
-    shard_candidates,
-    split_plan,
-)
+from repro.query.optimizer import output_schema_for, plan_query, split_plan
 from repro.query.parser import parse_query
 from repro.query.physical import (
     Executor,
@@ -194,9 +189,12 @@ class QueryEngine(Executor):
         and the coordinator's merge tree finishes the job.
 
         ``ranges`` marks a replicated-cluster submission: scan only the
-        coordinator's disjoint container assignment, and stamp every
-        batch with the cumulative delivered ranges so a failover can
-        resume exactly where this stream died.
+        coordinator's disjoint container assignment — its holdings
+        already intersected with the cover, so the server covers
+        nothing — and stamp every batch with the cumulative delivered
+        ranges so a failover can resume exactly where this stream died.
+        Without ``ranges`` the scan covers the plan itself when it
+        starts.
         """
         selects = query_selects(ast if ast is not None else parse_query(text))
         index = int(select_index)
@@ -208,19 +206,16 @@ class QueryEngine(Executor):
         sharded = split_plan(
             plan_query(selects[index], self.schemas, self.density_maps, allow_tag_route)
         )
-        store = self.stores[sharded.base.routed_source]
-        coverage, _candidates = shard_candidates(sharded.base, store.depth)
-        restrict = None
+        candidates = None
         if ranges is not None:
-            restrict = RangeSet(tuple((int(lo), int(hi)) for lo, hi in ranges))
+            candidates = RangeSet(tuple((int(lo), int(hi)) for lo, hi in ranges))
         return PreparedQuery(
             text=text,
             root=shard_tree(
-                store,
+                self.stores[sharded.base.routed_source],
                 sharded,
-                coverage,
+                candidates,
                 batch_rows=self.batch_rows,
-                restrict=restrict,
                 track_delivery=ranges is not None,
             ),
             schema=output_schema_for(sharded.shard, self.schemas),

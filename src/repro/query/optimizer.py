@@ -3,8 +3,10 @@
 Decisions the paper describes:
 
 * **spatial index use** — the WHERE clause's positive spatial terms become
-  a region whose HTM cover prunes containers ("only the bisected container
-  category is searched");
+  a region whose HTM cover prunes containers: the inside and partial
+  (bisected) trixels are the scan's candidates, the rest are never
+  delivered, and the compiled WHERE — spatial terms included — tests
+  every delivered row;
 * **tag routing** — "small tag objects consisting of the most popular
   attributes speed up frequent searches": if every referenced column is
   available on the tag table, the plan reads tags instead of full records;
@@ -21,7 +23,8 @@ aggregation + sort/limit/projection pushdown, executed unchanged on every
 partition server — and a :class:`MergeSpec` telling the coordinator how to
 recombine the shard streams; :func:`shard_candidates` turns the plan's
 region into the HTM :class:`~repro.htm.ranges.RangeSet` used to *prune*
-servers whose id ranges cannot hold a matching object.
+servers whose id ranges cannot hold a matching object and the containers
+each scan is delivered.
 """
 
 from __future__ import annotations
@@ -546,18 +549,18 @@ def split_plan(plan):
 
 
 def shard_candidates(plan, depth):
-    """Coverage and candidate container ids for shard pruning.
+    """The container ids at ``depth`` a plan's scan may read.
 
-    Returns ``(coverage, rangeset)``; both are ``None`` when the plan has
-    no spatial region (every server must scan).  The rangeset is the
-    cover's inside+partial leaf ids at container depth — conservative by
-    the cover's contract, so intersecting it with each server's
-    :class:`~repro.storage.partition.PartitionMap` range never prunes a
-    server that could hold a matching object.
+    Where a query's scans get their HTM cover: a
+    :class:`~repro.htm.ranges.RangeSet` of the cover's inside+partial
+    leaf ids, or ``None`` when the plan has no spatial region (every
+    container must be scanned).  Conservative by the cover's contract,
+    so neither the sweep's skipping nor intersecting it with a server's
+    :class:`~repro.storage.partition.PartitionMap` range ever drops a
+    container that could hold a matching object.
     """
     if plan.region is None:
-        return None, None
+        return None
     from repro.htm.cover import cover_region
 
-    coverage = cover_region(plan.region, depth)
-    return coverage, coverage.candidates()
+    return cover_region(plan.region, depth).candidates()

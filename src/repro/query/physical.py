@@ -217,21 +217,22 @@ def select_tree(store, plan, batch_rows=4096, **scan_options):
     return node
 
 
-def shard_tree(store, sharded, coverage, **options):
+def shard_tree(store, sharded, candidates, **options):
     """One server's sub-QET: the pushed-down shard half of a split plan.
 
     The shard plan is an ordinary plan — a partial aggregate keeps no
     HAVING, ORDER BY or LIMIT, and a LIMIT copy fuses into a shard-local
     top-k, so each shard's candidate set stays bounded too — built over
     a partition server's store by the in-process engine, and by a shard
-    server for a ``mode="shard"`` submission.  ``restrict`` (a
-    :class:`~repro.htm.ranges.RangeSet`) limits the scan to the
-    coordinator's disjoint container assignment on a replicated
-    cluster, and ``track_delivery`` makes every emitted batch carry the
-    cumulative delivered-container annotation the failover bookkeeping
-    needs (see :class:`~repro.query.qet.ScanNode`).
+    server for a ``mode="shard"`` submission.  ``candidates`` (a
+    :class:`~repro.htm.ranges.RangeSet`, or ``None`` for the scan to
+    cover the plan itself) are the containers the scan may read — the
+    coordinator's cover, or its disjoint container assignment on a
+    replicated cluster — and ``track_delivery`` makes every emitted
+    batch carry the cumulative delivered-container annotation the
+    failover bookkeeping needs (see :class:`~repro.query.qet.ScanNode`).
     """
-    return select_tree(store, sharded.shard, coverage=coverage, **options)
+    return select_tree(store, sharded.shard, candidates=candidates, **options)
 
 
 def merge_tree(shard_roots, sharded, batch_rows=4096):
@@ -273,15 +274,14 @@ def merge_tree(shard_roots, sharded, batch_rows=4096):
 def scatter_gather_tree(plan, depth, fan_out, batch_rows=4096):
     """One SELECT split across partition servers.
 
-    ``fan_out(sharded, coverage, candidates)`` returns ``(shard_roots,
+    ``fan_out(sharded, candidates)`` returns ``(shard_roots,
     report)``: the sub-tree (or remote leaf) of every touched server and
     the :class:`~repro.distributed.routing.ShardFanoutReport`; servers
     whose holdings miss ``candidates`` are pruned there.  The report
     rides on the merge root as ``fanout_report``.
     """
     sharded = split_plan(plan)
-    coverage, candidates = shard_candidates(plan, depth)
-    shard_roots, report = fan_out(sharded, coverage, candidates)
+    shard_roots, report = fan_out(sharded, shard_candidates(plan, depth))
     root = merge_tree(shard_roots, sharded, batch_rows=batch_rows)
     root.fanout_report = report
     return root

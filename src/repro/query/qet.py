@@ -198,7 +198,7 @@ class NodeStats:
         "containers_read": "sum",
         "containers_from_pool": "sum",
         "containers_skipped": "sum",
-        # Vectorized predicate/region passes of a ScanNode — the
+        # Vectorized predicate passes of a ScanNode — the
         # morsel-coalescing win is this dropping from one-per-container
         # to one-per-morsel.
         "predicate_evals": "sum",
@@ -319,22 +319,24 @@ class ScanNode(QETNode):
     does no container I/O of its own: it subscribes to the store's
     :class:`~repro.machines.sweep.SweepScanner` — one circular read
     path shared by every concurrent scan of the store — and receives
-    *runs* of consecutive containers.  Pruned trixel ranges (the
-    cover's candidate set) are declared on the subscription, so this
-    query skips containers it cannot match without breaking the shared
-    sweep for other queries.
+    *runs* of consecutive containers.  ``candidates`` (a
+    :class:`~repro.htm.ranges.RangeSet` of container ids, or ``None`` to
+    take the plan's HTM cover at the store's depth when the scan starts)
+    is declared on the subscription, so the sweep delivers only the
+    containers this query may match — it skips the rest without
+    breaking the shared sweep for other queries.  The sweep decides the
+    containers; the compiled ``WHERE`` decides the rows, in one
+    predicate pass that tests every delivered row exactly once (its
+    spatial terms included, which ``plan.region`` only bounds).
 
     Delivered containers are **coalesced into execution morsels**: runs
     accumulate until roughly ``batch_rows`` rows are buffered, then one
-    vectorized predicate pass (plus one region-mask pass over just the
-    rows of partially-covered trixels) filters the whole morsel — a view
-    of the store's arena when its containers are consecutive there, else
-    one byte-level gather (``rows_copied``).  With
-    the archive's many small containers (a handful of rows each) this
-    turns tens of thousands of tiny numpy calls per query into a few
-    dozen large ones, while answers stay exact — containers are
-    classified against the HTM cover per delivery, and row order is the
-    sweep's delivery order regardless of the morsel size
+    vectorized predicate pass filters the whole morsel — a view of the
+    store's arena when its containers are consecutive there, else one
+    byte-level gather (``rows_copied``).  With the archive's many small
+    containers (a handful of rows each) this turns tens of thousands of
+    tiny numpy calls per query into a few dozen large ones; row order is
+    the sweep's delivery order regardless of the morsel size
     (``batch_rows`` is positive; the engines check it).
 
     The morsel target *ramps up* (``RAMP_ROWS`` rows for the first
@@ -360,23 +362,18 @@ class ScanNode(QETNode):
         store,
         plan,
         batch_rows=4096,
-        coverage=None,
-        restrict=None,
+        candidates=None,
         track_delivery=False,
     ):
         super().__init__(())
         self.store = store
         self.plan = plan
         self.batch_rows = int(batch_rows)
-        #: optional precomputed Coverage at the store's depth; a
-        #: distributed executor computes the cover once and shares it
-        #: across every shard scan instead of re-covering per server.
-        self.coverage = coverage
-        #: optional :class:`~repro.htm.ranges.RangeSet` of container ids
-        #: this scan may read — the coordinator's disjoint assignment on
-        #: a replicated cluster, where endpoint holdings overlap and an
-        #: unrestricted scan would duplicate rows across shards.
-        self.restrict = restrict
+        #: the container ids this scan may read: a distributed
+        #: coordinator's cover, shared by every shard scan, or on a
+        #: replicated cluster its disjoint assignment (endpoint holdings
+        #: overlap, so an unassigned scan would duplicate rows).
+        self.candidates = candidates
         #: when True, every emitted batch is stamped with the cumulative
         #: set of containers fully accounted for so far (resume-from-
         #: range failover bookkeeping).  Forces one-batch-per-flush
@@ -396,36 +393,14 @@ class ScanNode(QETNode):
         self.stats.rows_copied += len(data)
         return ObjectTable(self.store.schema, data)
 
-    def _filter_morsel(self, morsel, partial_spans):
-        """One vectorized filter pass over a buffered morsel.
-
-        ``partial_spans`` are ``(start, stop)`` row ranges of containers
-        only partially inside the region's cover — just those rows get
-        the exact geometric test.  Returns the selected-rows table.
-        """
-        predicate = self.plan.predicate
-        region = self.plan.region
-        mask = np.asarray(predicate(morsel), dtype=bool)
-        if mask.shape == ():
-            mask = np.full(len(morsel), bool(mask))
-        if partial_spans:
-            rows = np.concatenate(
-                [np.arange(lo, hi) for lo, hi in partial_spans]
-            )
-            data = morsel.data
-            positions = np.stack(
-                [data["cx"][rows], data["cy"][rows], data["cz"][rows]],
-                axis=-1,
-            )
-            mask[rows] &= region.contains(positions)
-        return morsel.select(mask)
-
-    def _flush(self, pieces, partial_spans, buffered):
-        """Filter a morsel and emit it; returns False when cancelled."""
+    def _flush(self, pieces, buffered):
+        """Filter a morsel in one predicate pass and emit it; returns
+        False when cancelled."""
         # A morsel only grows between flushes, so its size here is the
         # high-water mark since the last one.
         self.stats.note_buffered(buffered)
-        selected = self._filter_morsel(self._morsel(pieces), partial_spans)
+        morsel = self._morsel(pieces)
+        selected = morsel.select(self.plan.predicate(morsel))
         self.stats.predicate_evals += 1
         if self.track_delivery and len(selected):
             # One batch per flush, never chunked: the annotation says
@@ -441,68 +416,36 @@ class ScanNode(QETNode):
                 return False
         return True
 
-    def _gather(self, run, cover, pieces, partial_spans, buffered):
+    def _gather(self, run, pieces, buffered):
         """Add a delivered run's containers to the morsel being built.
 
-        The one place a delivered container is classified against
-        ``cover`` (``(region, inside, partial)``): dropped, kept
-        wholesale, or kept with its row span noted in ``partial_spans``
-        for the exact geometric test.  A kept container's arena rows
-        extend the last piece when they follow it; its overflow rows are
-        a piece of their own.  Returns the morsel's new row count.
+        A container's arena rows extend the last piece when they follow
+        it; its overflow rows are a piece of their own.  Returns the
+        morsel's new row count.
         """
-        region, inside, partial = cover
-        restrict = self.restrict
         arena, overflow = run.snapshot.arena, run.snapshot.overflow
         for htm_id, lo, hi, _from_pool in run.items:
-            if restrict is not None and not restrict.contains(htm_id):
-                # Not this scan's assignment (another replica holds it,
-                # or it was already delivered before a failover).
-                # Checked per container, not just via subscription
-                # candidates, because delivery is run-granular.
-                continue
-            bisected = region is not None and not inside.contains(htm_id)
-            if bisected and not partial.contains(htm_id):
-                # Outside the cover: unreachable via candidates, but
-                # delivery is run-granular.
-                continue
             if pieces and pieces[-1][0] is arena and pieces[-1][2] == lo:
                 pieces[-1][2] = hi
             else:
                 pieces.append([arena, lo, hi])
-            rows = hi - lo
+            buffered += hi - lo
             extra = overflow.get(htm_id)
             if extra is not None:
                 pieces.append([extra, 0, len(extra)])
-                rows += len(extra)
-            if bisected:
-                partial_spans.append((buffered, buffered + rows))
-            buffered += rows
+                buffered += len(extra)
         return buffered
 
     def run(self):
-        region = self.plan.region
-        inside = partial = None
-        candidates = None
-        if region is not None:
-            from repro.htm.cover import cover_region
+        candidates = self.candidates
+        if candidates is None:
+            from repro.query.optimizer import shard_candidates
 
-            coverage = self.coverage
-            if coverage is None:
-                coverage = cover_region(region, self.store.depth)
-            inside, partial = coverage.inside, coverage.partial
-            candidates = coverage.candidates()
-        if self.restrict is not None:
-            candidates = (
-                self.restrict
-                if candidates is None
-                else candidates.intersect(self.restrict)
-            )
+            candidates = shard_candidates(self.plan, self.store.depth)
         subscription = self.store.sweeper().subscribe(candidates=candidates)
         self.subscription = subscription
-        cover = (region, inside, partial)
         try:
-            self._consume(subscription, cover)
+            self._consume(subscription)
         finally:
             # Leave the sweep (a finished subscription is already gone;
             # an early exit must not keep receiving) and fold the I/O
@@ -512,28 +455,27 @@ class ScanNode(QETNode):
             self.stats.containers_from_pool += subscription.from_pool
             self.stats.containers_skipped += subscription.skipped
 
-    def _consume(self, subscription, cover):
+    def _consume(self, subscription):
         target = self.batch_rows
         ramp = min(self.RAMP_ROWS, target)
         pieces = []
-        partial_spans = []
         buffered = 0
         for run in subscription:
             if self.output.cancelled():
                 return
             if self.track_delivery:
                 # Every delivered container is accounted for — even
-                # dropped ones, which a resumed scan would simply find
-                # empty again.
+                # ones whose rows all fail the WHERE, which a resumed
+                # scan would simply find empty again.
                 self._delivered_ids.extend(item[0] for item in run.items)
-            buffered = self._gather(run, cover, pieces, partial_spans, buffered)
-            if buffered >= ramp and pieces:
-                if not self._flush(pieces, partial_spans, buffered):
+            buffered = self._gather(run, pieces, buffered)
+            if buffered >= ramp:
+                if not self._flush(pieces, buffered):
                     return
-                pieces, partial_spans, buffered = [], [], 0
+                pieces, buffered = [], 0
                 ramp = min(ramp * 4, target)
         if pieces and not self.output.cancelled():
-            self._flush(pieces, partial_spans, buffered)
+            self._flush(pieces, buffered)
 
 
 class ProjectNode(QETNode):
@@ -1041,7 +983,9 @@ def _gather_streams(children, maxsize=16):
     partially-drained fan-out for a complete result.
 
     Returns ``(merged, threads)``; iterate ``merged``, then join the
-    threads (or cancel everything via :func:`_cancel_gather`).
+    threads (or cancel everything via :func:`_cancel_gather`).  The
+    helper threads are named ``qet-gather-*``, so they count as the
+    tree's threads wherever a leftover ``qet-*`` thread is looked for.
     """
     merged = Stream(maxsize=maxsize)
     done = threading.Semaphore(0)
@@ -1059,7 +1003,10 @@ def _gather_streams(children, maxsize=16):
             done.release()
 
     threads = [
-        threading.Thread(target=drain, args=(c,), daemon=True) for c in children
+        threading.Thread(
+            target=drain, args=(c,), daemon=True, name=f"qet-gather-{c.name}"
+        )
+        for c in children
     ]
     for t in threads:
         t.start()
@@ -1069,7 +1016,9 @@ def _gather_streams(children, maxsize=16):
             done.acquire()
         merged.close()
 
-    closer = threading.Thread(target=close_when_drained, daemon=True)
+    closer = threading.Thread(
+        target=close_when_drained, daemon=True, name="qet-gather-closer"
+    )
     closer.start()
     return merged, threads
 

@@ -14,9 +14,9 @@ sweep reads contiguous bytes.  The store places data; it answers no
 query.  Rows leave it only through its shared
 :class:`~repro.machines.sweep.SweepScanner` (:meth:`ContainerStore.sweeper`),
 subscribed with the cover's candidate ranges: containers outside the
-cover are never delivered, a scan node point-tests the rows of bisected
-ones, and the query's compiled ``WHERE`` — which keeps the region's own
-term — tests every delivered row, those of inside containers too.
+cover are never delivered, and the query's compiled ``WHERE`` — which
+keeps the region's own term — tests every delivered row once, those of
+inside and bisected containers alike.
 """
 
 from __future__ import annotations

@@ -62,6 +62,8 @@ LEAVE_NOTHING_BEHIND = {
     "service": "sockets",
     "session": "qet",
     "query": "qet",
+    "distributed": "qet",
+    "storage": "qet",
 }
 
 
@@ -89,9 +91,9 @@ def _network_state():
 @pytest.fixture(autouse=True)
 def _leave_nothing_behind(request):
     """A network test ends with the open sockets and the ``archive-*``
-    threads (server accept loops, cluster probes) it began with; a
-    session or query test leaves no ``qet-*`` node thread it started
-    running.
+    threads (server accept loops, cluster probes) it began with; a test
+    that runs query trees leaves no ``qet-*`` thread (a node's, or a
+    gather helper's) it started running.
 
     Server-side connection threads close their socket a moment after
     the client hangs up, and a cancelled node thread exits a moment

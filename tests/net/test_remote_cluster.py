@@ -106,7 +106,7 @@ def test_cluster_prunes_endpoints_conservatively(
     assert report.pruned_server_ids, "a 5-degree cone must prune shards"
 
     plan = plan_query(parse_query(query), engine.schemas)
-    _coverage, candidates = shard_candidates(plan, partitioned_archive.depth)
+    candidates = shard_candidates(plan, partitioned_archive.depth)
     local_touched, _local_report = route_plan(
         partitioned_archive, plan.routed_source, candidates
     )

@@ -10,9 +10,13 @@ The contract under test:
 * two remote clients scanning one store share a single sweep: physical
   reads stay ~1 store pass (the PR 3 read-amplification win must
   survive the network hop);
-* connecting to a dead endpoint fails fast.
+* connecting to a dead endpoint fails fast;
+* ``stop()`` racing a stream of connects joins every connection thread
+  it knows of and refuses the rest — it never joins one not yet started.
 """
 
+import socket
+import sys
 import threading
 import time
 
@@ -79,6 +83,43 @@ class TestServerDeath:
             session.submit("SELECT objid FROM photo")
         assert time.perf_counter() - started < 30.0
         session.close()
+
+    def test_stop_racing_connects_joins_only_started_threads(self, photo_store):
+        """Connection threads are registered and started under the lock
+        ``stop()`` snapshots under; registered first and started after,
+        ``stop()`` sometimes joined an unstarted thread and raised."""
+        stores = {"photo": photo_store}
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # widen any register-then-start gap
+        errors = []
+        try:
+            for _round in range(25):
+                server = ArchiveServer(stores=stores).start()
+                done = threading.Event()
+
+                def connect_until_refused(address=server.address, done=done):
+                    while not done.is_set():
+                        try:
+                            socket.create_connection(address, timeout=1.0).close()
+                        except OSError:
+                            return
+
+                clients = [
+                    threading.Thread(target=connect_until_refused) for _ in range(6)
+                ]
+                for client in clients:
+                    client.start()
+                try:
+                    server.stop()
+                except RuntimeError as exc:
+                    errors.append(exc)
+                done.set()
+                for client in clients:
+                    client.join(JOIN_TIMEOUT)
+                    assert not client.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert errors == []
 
 
 class TestRemoteCancel:

@@ -176,9 +176,11 @@ def test_each_node_runs_on_one_named_thread(throttled, query):
         assert [t.name for t in threads] == [f"qet-{node.name}" for node in nodes]
         assert len(set(threads)) == len(nodes)
         # The scan is paced, so the tree is still running: every qet-*
-        # thread that appeared belongs to one of this job's nodes.
+        # thread that appeared belongs to one of this job's nodes, or is
+        # a set operation's gather helper.
         assert any(node.is_alive() for node in nodes)
-        assert _qet_threads() - before <= set(threads)
+        extra = _qet_threads() - before - set(threads)
+        assert all(t.name.startswith("qet-gather-") for t in extra), extra
     finally:
         job.cancel()
         job.join(10.0)
@@ -211,7 +213,7 @@ def test_a_failing_node_fails_the_job_and_stops_every_thread(
     def fail(self, *args, **kwargs):
         raise ExecutionError("scan died")
 
-    monkeypatch.setattr(ScanNode, "_filter_morsel", fail)
+    monkeypatch.setattr(ScanNode, "_flush", fail)
     job = session.submit("SELECT objid, mag_r FROM photo ORDER BY mag_r LIMIT 5")
     with pytest.raises(ExecutionError, match="scan died"):
         job.cursor.to_table()

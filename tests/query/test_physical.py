@@ -15,7 +15,10 @@ Three checks that the AST -> QET decision lives in one module:
   out of a pool by the sweep only, and neither the engines nor the
   stores define a way to run a query of their own; every QET node runs
   on the one thread it is started on — no worker pool, no ``workers``
-  keyword, no ``REPRO_WORKERS``.
+  keyword, no ``REPRO_WORKERS``;
+* one cover — a spatial SELECT covers its region once on every backend,
+  only through ``shard_candidates``, and a scan takes one input, its
+  ``candidates``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import pytest
 from repro.net import ArchiveServer
 from repro.session import Archive
 from repro.storage import DistributedArchive
+from repro.storage.replication import replicate_archive
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_physical_plans.json")
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -322,3 +326,74 @@ def test_every_qet_node_runs_on_one_thread():
         if "REPRO_WORKERS" in path.read_text()
     ]
     assert readers == []
+
+
+# ----------------------------------------------------------------------
+# (e) one cover per query, one input per scan
+# ----------------------------------------------------------------------
+
+#: the packages a query passes through on its way to a scan
+QUERY_PATH = ("query/", "session/", "distributed/", "net/")
+
+
+def test_the_query_path_covers_only_in_the_optimizer():
+    offenders = [
+        f"{relative}:{line}"
+        for relative, line, name in _calls()
+        if name == "cover_region"
+        and relative.startswith(QUERY_PATH)
+        and relative != "query/optimizer.py"
+    ]
+    assert offenders == []
+    import inspect
+
+    from repro.query.qet import ScanNode
+
+    assert list(inspect.signature(ScanNode).parameters) == [
+        "store",
+        "plan",
+        "batch_rows",
+        "candidates",
+        "track_delivery",
+    ]
+
+
+def test_a_spatial_select_covers_its_region_once(
+    monkeypatch, photo, tags, photo_store, tag_store
+):
+    """One ``cover_region`` call per spatial SELECT on a store mapping,
+    an in-process archive and a replicated 2-endpoint cluster, whose
+    servers scan the coordinator's assignment instead of re-covering."""
+    import repro.htm.cover
+
+    calls = []
+    cover = repro.htm.cover.cover_region
+
+    def counting(region, depth):
+        calls.append(depth)
+        return cover(region, depth)
+
+    monkeypatch.setattr(repro.htm.cover, "cover_region", counting)
+    dist = DistributedArchive.from_table(photo, depth=5, n_servers=3)
+    mirrored = DistributedArchive.from_table(photo, depth=5, n_servers=2)
+    mirrored.attach_source("tag", tags)
+    replicate_archive(mirrored, replication_factor=2)
+    query = "SELECT objid FROM photo WHERE CIRCLE(40, 30, 12)"
+    with contextlib.ExitStack() as stack:
+        servers = [
+            stack.enter_context(ArchiveServer(stores=node.stores()))
+            for node in mirrored.servers
+        ]
+        sessions = {
+            "stores": Archive.connect(stores={"photo": photo_store, "tag": tag_store}),
+            "archive": Archive.connect(archive=dist),
+            "replicated": Archive.connect([server.url for server in servers]),
+        }
+        for session in sessions.values():
+            stack.enter_context(session)
+        counts = {}
+        for backend, session in sessions.items():
+            calls.clear()
+            assert len(session.query_table(query)) > 0
+            counts[backend] = len(calls)
+    assert counts == {"stores": 1, "archive": 1, "replicated": 1}

@@ -3,7 +3,8 @@
 A store places data; rows leave it through a session's subscription to
 the store's shared sweep and no other way, so what a spatial query does
 to a store — exact answers, the three-way container classification, the
-work the index saves — is checked on that path.
+work the index saves, one region test per delivered row — is checked on
+that path.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.geometry.shapes import (
 )
 from repro.htm.cover import cover_region
 from repro.htm.mesh import depth_id_bounds, lookup_ids_from_vectors
+from repro.query.qet import ScanNode
 from repro.session import Archive
 from repro.storage.containers import ContainerStore
 
@@ -79,22 +81,53 @@ class TestClustering:
         assert store.total_objects() == 0
 
 
+def _in(photo, region):
+    return region.contains(photo.positions_xyz())
+
+
+def _mag_r(photo):
+    return np.asarray(photo["mag_r"])
+
+
 class TestQuerying:
     @pytest.mark.parametrize(
-        "where, region_factory",
+        "where, expected_mask",
         [
-            ("CIRCLE(40, 30, 4)", lambda: circle_region(40.0, 30.0, 4.0)),
-            ("CIRCLE(200, -50, 10)", lambda: circle_region(200.0, -50.0, 10.0)),
-            ("LATBAND(-5, 5)", lambda: latitude_band(-5.0, 5.0)),
+            ("CIRCLE(40, 30, 4)", lambda p: _in(p, circle_region(40.0, 30.0, 4.0))),
+            (
+                "CIRCLE(200, -50, 10)",
+                lambda p: _in(p, circle_region(200.0, -50.0, 10.0)),
+            ),
+            ("LATBAND(-5, 5)", lambda p: _in(p, latitude_band(-5.0, 5.0))),
             # straddles the RA seam octants
-            ("CIRCLE(0.5, 0.5, 8)", lambda: circle_region(0.5, 0.5, 8.0)),
-            ("RECT(30, 50, 20, 40)", lambda: rect_region(30.0, 50.0, 20.0, 40.0)),
-            ("POLYGON(0, 0, 10, 0, 5, 8)", lambda: polygon_region(TRIANGLE)),
+            ("CIRCLE(0.5, 0.5, 8)", lambda p: _in(p, circle_region(0.5, 0.5, 8.0))),
+            (
+                "RECT(30, 50, 20, 40)",
+                lambda p: _in(p, rect_region(30.0, 50.0, 20.0, 40.0)),
+            ),
+            ("POLYGON(0, 0, 10, 0, 5, 8)", lambda p: _in(p, polygon_region(TRIANGLE))),
+            # Shapes whose plan region only bounds the WHERE: a union of
+            # two cuts, an intersection, and a NOT the region ignores.
+            (
+                "(CIRCLE(40, 30, 8) AND mag_r < 20) "
+                "OR (CIRCLE(200, -50, 10) AND mag_r >= 19)",
+                lambda p: (_in(p, circle_region(40.0, 30.0, 8.0)) & (_mag_r(p) < 20))
+                | (_in(p, circle_region(200.0, -50.0, 10.0)) & (_mag_r(p) >= 19)),
+            ),
+            (
+                "CIRCLE(40, 30, 8) AND CIRCLE(45, 33, 8)",
+                lambda p: _in(p, circle_region(40.0, 30.0, 8.0))
+                & _in(p, circle_region(45.0, 33.0, 8.0)),
+            ),
+            (
+                "NOT CIRCLE(40, 30, 8) AND mag_r < 20",
+                lambda p: ~_in(p, circle_region(40.0, 30.0, 8.0)) & (_mag_r(p) < 20),
+            ),
         ],
     )
-    def test_query_matches_brute_force(self, photo, session, where, region_factory):
+    def test_query_matches_brute_force(self, photo, session, where, expected_mask):
         result = session.query_table(f"SELECT * FROM photo WHERE {where}")
-        expected = photo.select(region_factory().contains(photo.positions_xyz()))
+        expected = photo.select(expected_mask(photo))
         assert len(expected) > 0
         np.testing.assert_array_equal(rows_by_objid(result), rows_by_objid(expected))
 
@@ -109,17 +142,14 @@ class TestQuerying:
             rows_by_objid(result), rows_by_objid(photo.select(mask))
         )
 
-    def test_scan_point_tests_only_bisected_containers(
+    def test_each_delivered_row_is_region_tested_once(
         self, photo_store, session, monkeypatch
     ):
         # The paper's three-way classification, observed on the live
-        # path by counting the rows each Region instance is asked about.
-        # The scan's own exact test (plan.region) sees the rows of the
-        # bisected containers and nothing else: containers inside the
-        # cover pass it wholesale, containers outside are never
-        # delivered.  The compiled WHERE carries the CIRCLE term too (a
-        # second Region instance) and evaluates it over every delivered
-        # row — the redundancy ROADMAP item 6 records.
+        # path.  The cover decides containers: inside and bisected ones
+        # are delivered, the rest skipped.  The compiled WHERE decides
+        # rows: its CIRCLE term is the one Region instance asked about
+        # rows, and it sees every delivered row exactly once.
         tested = {}
         contains = Region.contains
 
@@ -127,29 +157,38 @@ class TestQuerying:
             tested[id(region)] = tested.get(id(region), 0) + len(xyz)
             return contains(region, xyz)
 
+        delivered_ids = []
+        gather = ScanNode._gather
+
+        def recording(node, run, pieces, buffered):
+            delivered_ids.extend(item[0] for item in run.items)
+            return gather(node, run, pieces, buffered)
+
         monkeypatch.setattr(Region, "contains", counting)
+        monkeypatch.setattr(ScanNode, "_gather", recording)
         cursor = session.execute("SELECT * FROM photo WHERE CIRCLE(40, 30, 12)")
         result = cursor.to_table()
         monkeypatch.undo()
 
         coverage = cover_region(circle_region(40.0, 30.0, 12.0), photo_store.depth)
         rows = {"inside": 0, "partial": 0}
-        containers = {"inside": 0, "partial": 0}
+        containers = {"inside": set(), "partial": set()}
         for htm_id, size in photo_store.container_sizes().items():
             for kind in ("inside", "partial"):
                 if getattr(coverage, kind).contains(htm_id):
                     rows[kind] += size
-                    containers[kind] += 1
+                    containers[kind].add(htm_id)
         assert rows["inside"] > 0 and rows["partial"] > 0
-        assert sorted(tested.values()) == [
-            rows["partial"],
-            rows["inside"] + rows["partial"],
-        ]
+        assert list(tested.values()) == [rows["inside"] + rows["partial"]]
         assert rows["inside"] <= len(result) < rows["inside"] + rows["partial"]
-        # Accepted + bisected containers were delivered, the rest skipped.
+        # Inside + bisected containers were delivered once each, the
+        # rest skipped.
+        assert sorted(delivered_ids) == sorted(
+            containers["inside"] | containers["partial"]
+        )
         report = cursor.io_report()
         delivered = report["containers_read"] + report["containers_from_pool"]
-        assert delivered == containers["inside"] + containers["partial"]
+        assert delivered == len(delivered_ids)
         assert delivered + report["containers_skipped"] == len(photo_store)
 
     def test_index_rejects_most_containers(self, photo_store, session):
