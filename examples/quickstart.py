@@ -60,9 +60,9 @@ def main():
           f"{cursor.time_to_first_row * 1e3:.1f} ms, "
           f"complete after {cursor.time_to_completion * 1e3:.1f} ms")
 
-    # 5. Batch work queues FIFO behind other batch jobs on the machine
-    #    scheduler, keeping interactive queries at paper-mandated
-    #    priority; results are delivered on completion.
+    # 5. Batch work queues on the session's fair-share queue and runs
+    #    one job at a time, keeping interactive queries at
+    #    paper-mandated priority; results are delivered on completion.
     job = session.submit(
         "SELECT objtype, COUNT(objid) AS n FROM photo GROUP BY objtype",
         query_class="batch",

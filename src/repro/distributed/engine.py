@@ -50,10 +50,8 @@ class DistributedQueryEngine(Executor):
     parallel against each touched server's container stores and a
     coordinator merge tree recombines the streams (union, ordered k-way
     merge, or partial aggregate re-combination).  Servers outside the
-    plan's HTM cover are pruned and never read; the session admits one
-    interactive job per touched server on that server's shared sweep
-    machine (``sweep:<server_id>``, replica-adjusted when the archive has
-    a :class:`~repro.storage.replication.ReplicationManager`).
+    plan's HTM cover are pruned and never read; each touched server's
+    shard scan rides that server's shared sweep.
 
     Parameters
     ----------

@@ -11,12 +11,8 @@ hold a matching object.
 The same routing pass prices the fan-out: per-server bytes under the
 cover feed the :class:`~repro.storage.diskmodel.NodeModel` for simulated
 scan seconds ("a prediction of the output data volume and search time
-can be computed from the intersection volume"), and each touched shard's
-sweep is admitted to a
-:class:`~repro.machines.scheduler.MachineScheduler` as a job on the
-shared per-server sweep machine ``sweep:<server_id>`` — one machine per
-store, shared by every concurrent query, per the paper's interactive
-scan policy.
+can be computed from the intersection volume").  Each touched shard's
+scan rides that server's one shared sweep.
 
 Replication-aware assignment ("Some of the high-traffic data will be
 replicated among servers"): when the archive carries a
@@ -29,13 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.machines.scheduler import Job
-
 __all__ = [
     "ShardFanoutReport",
     "route_plan",
     "assign_sweep_servers",
-    "scan_jobs_for",
 ]
 
 
@@ -92,7 +85,7 @@ def assign_sweep_servers(touched_ids, replication=None):
 
     Returns ``{shard_server_id: executing_server_id}``.  Note the
     reproduction keeps container data in process memory, so a replica
-    assignment redirects the *load accounting and machine name*; the
+    assignment redirects only the *load accounting*; the
     rows themselves are read from the primary's resident store.
     """
     replica_holders = {}
@@ -162,25 +155,3 @@ def route_plan(archive, routed_source, candidates):
     )
     return touched, report
 
-
-def scan_jobs_for(label, report, arrival_time=0.0):
-    """One (unscheduled) interactive sweep job per touched shard.
-
-    The single source of the ``sweep:<server_id>`` machine-name and
-    per-server duration convention: the session layer's admission
-    (``Session._admit``) builds its jobs here and admits them
-    interactively — every per-server job starts at its arrival time and
-    overlaps freely with other queries riding the same sweep, per the
-    paper's policy for the sweep machines.  The machine is the *executing*
-    server's shared sweep (the replica assignment), while the duration
-    prices the shard's resident bytes.
-    """
-    return [
-        Job(
-            name=f"{label}@server{server_id}",
-            machine=f"sweep:{report.sweep_assignments.get(server_id, server_id)}",
-            duration=report.simulated_seconds_per_server.get(server_id, 0.0),
-            arrival_time=arrival_time,
-        )
-        for server_id in report.touched_server_ids
-    ]

@@ -17,7 +17,11 @@ serve alone:
 A query's scan rides the scan machine's shared sweep on one thread per
 QET node; its parallelism comes from splitting the data across
 partition servers (:mod:`repro.distributed.process` runs one OS process
-per server), not from threads inside a node.
+per server), not from threads inside a node.  Interactive queries start
+on the sweep as soon as they are submitted; batch jobs queue on the
+session's fair-share queue
+(:class:`~repro.machines.scheduler.DeficitRoundRobin`) and run one at a
+time.
 
 Real algorithms run at laptop scale; the
 :class:`~repro.storage.diskmodel.ClusterModel` supplies simulated-time
@@ -29,7 +33,6 @@ from repro.machines.sweep import SweepScanner, SweepStats, SweepSubscription
 from repro.machines.scan import ScanMachine, ScanQuery, SweepReport
 from repro.machines.hash import HashMachine, HashReport, PairPredicate
 from repro.machines.river import RiverGraph, RiverReport
-from repro.machines.scheduler import MachineScheduler, Job
 
 __all__ = [
     "BoundedStream",
@@ -45,6 +48,4 @@ __all__ = [
     "PairPredicate",
     "RiverGraph",
     "RiverReport",
-    "MachineScheduler",
-    "Job",
 ]

@@ -1,130 +1,22 @@
-"""Machine scheduling: interactive scans, batched hash/river jobs.
+"""The batch machine's fair-share queue.
 
 *"The scan machine will be interactively scheduled: when an astronomer has
 a query, it is added to the query mix immediately. ... The hash and river
 machines will be batch scheduled."*
 
-:class:`MachineScheduler` is a small simulated-time scheduler enforcing
-that policy: scan jobs are admitted immediately (the scan machine
-piggybacks any number of concurrent predicates on its sweep), while hash
-and river jobs queue FIFO per machine and run exclusively.
-
-Sweep machines exist per store: the session layer admits each
-interactive query as a job on ``sweep:<store>`` (single store) or one
-job per touched partition server on ``sweep:<server_id>`` — one shared
-sweep machine per store, piggybacking every concurrent predicate, not N
-per-query scan machines.  All sweep machines share the interactive
-policy — jobs overlap freely — because the sweep piggybacks every
-concurrent predicate.
+A :class:`~repro.session.core.Session` enforces that split live: an
+interactive job starts on its store's shared sweep the moment it is
+submitted, while batch jobs queue on a :class:`DeficitRoundRobin` and
+the session's dispatcher runs them one at a time, fair-share across
+users.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional
 
-__all__ = ["Job", "MachineScheduler", "DeficitRoundRobin"]
-
-
-@dataclass
-class Job:
-    """One submitted job.
-
-    ``machine`` is 'sweep', 'sweep:<store>', 'hash', 'river' or
-    'batch'; ``duration`` is the job's simulated run time (for sweep
-    jobs: one full sweep).
-    ``user`` is the submitting tenant (multi-tenant batch accounting).
-    """
-
-    name: str
-    machine: str
-    duration: float
-    arrival_time: float = 0.0
-    started_at: Optional[float] = None
-    completed_at: Optional[float] = None
-    user: str = "anonymous"
-
-    def turnaround(self):
-        """Simulated seconds from arrival to completion."""
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.arrival_time
-
-
-class MachineScheduler:
-    """Simulated-time admission control for the machine classes.
-
-    Machines come in two policies: the *sweep* class (``'sweep'`` /
-    ``'sweep:<store>'``) is interactively scheduled — jobs overlap
-    freely on the store's one shared sweep — while the *batch* class
-    (``'hash'``, ``'river'``, and the session layer's ``'batch'`` query
-    machine) serializes FIFO per machine.  Any other name is refused
-    with :class:`ValueError`.
-    """
-
-    BATCH_MACHINES = ("hash", "river", "batch")
-
-    @staticmethod
-    def is_scan_machine(machine):
-        """True for the interactive sweep class: ``'sweep'`` /
-        ``'sweep:<store>'``."""
-        return machine == "sweep" or machine.startswith("sweep:")
-
-    def __init__(self):
-        self.completed = []
-        #: per-batch-machine completion horizon for stateful admission
-        self._machine_free_at = {}
-
-    def _place(self, job, free_at):
-        """Shared placement: scan overlaps freely, batch serializes FIFO
-        against ``free_at`` (the per-machine completion horizon)."""
-        if self.is_scan_machine(job.machine):
-            job.started_at = job.arrival_time
-            job.completed_at = job.started_at + job.duration
-        elif job.machine in self.BATCH_MACHINES:
-            start = max(job.arrival_time, free_at.get(job.machine, 0.0))
-            job.started_at = start
-            job.completed_at = start + job.duration
-            free_at[job.machine] = job.completed_at
-        else:
-            raise ValueError(f"unknown machine {job.machine!r}")
-        self.completed.append(job)
-        return job
-
-    def run(self, jobs):
-        """Schedule all jobs; returns them with times filled in.
-
-        Scan jobs overlap freely (shared sweep: a scan job admitted at
-        time t completes at t + duration regardless of other scan jobs).
-        Batch jobs serialize per machine in arrival order; the batch
-        horizon resets per call (one closed job list).
-        """
-        jobs = sorted(jobs, key=lambda j: (j.arrival_time, j.name))
-        free_at = {}
-        for job in jobs:
-            self._place(job, free_at)
-        return jobs
-
-    def admit(self, job):
-        """Stateful single-job admission (for session-style submission).
-
-        Unlike :meth:`run`, ``admit`` remembers each batch machine's
-        completion time across calls, so jobs submitted one at a time
-        still serialize FIFO per machine while scan jobs keep
-        overlapping freely.  Returns the job with times filled in.
-        """
-        return self._place(job, self._machine_free_at)
-
-    def mean_turnaround(self, machine=None):
-        """Average turnaround of completed jobs (optionally one machine)."""
-        relevant = [
-            j for j in self.completed if machine is None or j.machine == machine
-        ]
-        if not relevant:
-            return 0.0
-        return sum(j.turnaround() for j in relevant) / len(relevant)
+__all__ = ["DeficitRoundRobin"]
 
 
 class DeficitRoundRobin:

@@ -12,8 +12,8 @@ boundary made real, with nothing caller-visible changing:
   class client-side.
 * :mod:`repro.net.server` — :class:`ArchiveServer`: any backend
   :meth:`~repro.session.core.Archive.connect` accepts, hosted on
-  localhost TCP, thread-per-connection, every remote job admitted
-  through the server's one Session (scheduler + shared sweeps), plus
+  localhost TCP, thread-per-connection, every remote job run through
+  the server's one Session (shared sweeps + fair-share batch queue), plus
   the ``python -m repro.net.server`` CLI.
 * :mod:`repro.net.client` — :class:`RemoteExecutor` /
   :class:`RemoteRootNode`: ``Archive.connect("archive://host:port")``

@@ -40,9 +40,9 @@ connection; the server keeps no client state across connections.
     static output schema, fan-out reports, routed sources, and the
     structured plan tree.
 ``submit``
-    Admit a query as a server-side session job (interactive or batch,
-    through the server's :class:`~repro.machines.scheduler.MachineScheduler`)
-    and return its job id.  ``mode="shard"`` runs only the pushed-down
+    Start a query as a server-side session job and return its job id
+    (an interactive job starts at once; a batch job queues on the
+    server session's fair-share queue).  ``mode="shard"`` runs only the pushed-down
     shard half of the plan's ``select_index``-th SELECT — the op the
     remote scatter-gather executor fans out.  An optional ``trace_id``
     rides the frame so the server-side job records its spans under the

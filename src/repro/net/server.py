@@ -10,14 +10,13 @@ store mapping, a :class:`~repro.query.engine.QueryEngine`, a
 TCP, thread-per-connection, speaking the wire protocol of
 :mod:`repro.net.protocol`.
 
-Every remote submission is admitted through the server's *one* shared
-:class:`~repro.session.Session` — i.e. through the existing
-:class:`~repro.machines.scheduler.MachineScheduler` admission and the
-per-store :class:`~repro.machines.sweep.SweepScanner` read path — so
-concurrent remote clients share a single sweep per store exactly like
-concurrent local jobs do; the shared-scan read-amplification win
-survives the network hop.  Batch-class submissions from *different*
-clients serialize FIFO through the server's one batch machine.
+Every remote submission runs through the server's *one* shared
+:class:`~repro.session.Session` — i.e. through the per-store
+:class:`~repro.machines.sweep.SweepScanner` read path — so concurrent
+remote clients share a single sweep per store exactly like concurrent
+local jobs do; the shared-scan read-amplification win survives the
+network hop.  Batch-class submissions from *different* clients queue on
+that session's fair-share queue and run one at a time.
 
 ``mode="shard"`` submissions (from the remote scatter-gather
 coordinator, :class:`~repro.net.cluster.RemotePartitionedExecutor`) run
@@ -164,7 +163,7 @@ class ArchiveServer:
     ephemeral port (read it back from :attr:`url` / :attr:`address`).
     Thread-per-connection; all connections share one server-side
     :class:`~repro.session.Session`, so remote jobs ride the same
-    scheduler admission and shared sweeps as local ones.
+    shared sweeps and fair-share batch queue as local ones.
 
     Use as a context manager for deterministic teardown::
 
@@ -195,7 +194,6 @@ class ArchiveServer:
         archive=None,
         host="127.0.0.1",
         port=0,
-        scheduler=None,
         density_maps=None,
         batch_rows=4096,
         service=None,
@@ -228,7 +226,6 @@ class ArchiveServer:
             backend,
             stores=stores,
             archive=archive,
-            scheduler=scheduler,
             density_maps=density_maps,
             batch_rows=batch_rows,
             service=service,

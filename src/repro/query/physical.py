@@ -86,8 +86,8 @@ class PreparedQuery:
     sources:
         The routed physical source of every SELECT (e.g. ``['tag']``
         after tag routing) — the stores whose shared sweeps this query
-        rides; the session admits one ``sweep:<source>`` machine job per
-        distinct source for single-store backends.
+        rides; the session reads their generations to key and validate
+        cached results.
     into:
         The ``SELECT ... INTO mydb.x`` destination, or ``None`` for
         ordinary queries.  The session layer materializes the drained
@@ -100,11 +100,6 @@ class PreparedQuery:
     reports: list = field(default_factory=list)
     sources: list = field(default_factory=list)
     into: str | None = None
-
-    def simulated_seconds(self):
-        """Total simulated scan seconds across the fan-out (0.0 when the
-        backend does not model per-server cost)."""
-        return sum(report.simulated_seconds for report in self.reports)
 
 
 class Executor:

@@ -44,9 +44,9 @@ streaming :class:`Cursor` with ``fetchmany`` pagination::
     >>> rest = cursor.to_table()              # everything after the page
 
 Query lifecycle is first-class.  ``submit`` classifies the query:
-interactive jobs stream ASAP; batch jobs queue FIFO on the scheduler's
-batch machine so interactive queries keep their paper-mandated
-priority::
+interactive jobs stream ASAP; batch jobs queue on the session's
+fair-share queue and run one at a time, so interactive queries keep
+their paper-mandated priority::
 
     >>> job = session.submit(
     ...     "SELECT objtype, COUNT(objid) AS n FROM photo GROUP BY objtype",

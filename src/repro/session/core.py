@@ -3,12 +3,14 @@
 The paper's archive serves users through a single query agent: a query
 arrives, is classified (interactive vs. batch), scheduled, and its
 results stream back as soon as possible.  :class:`Session` is that
-agent.  It wraps any :class:`~repro.session.executor.Executor` backend,
-classifies submissions via ``query_class``, admits them through the
-:class:`~repro.machines.scheduler.MachineScheduler` (so interactive
-queries keep their paper-mandated priority while batch queries queue
-FIFO on the batch machine), and hands every submission back as a
-:class:`Job` with a uniform :class:`~repro.session.cursor.Cursor`.
+agent.  It wraps any :class:`~repro.session.executor.Executor` backend
+and classifies submissions via ``query_class``: an interactive job
+starts on its store's shared sweep the moment it is submitted, while
+batch jobs queue on the session's fair-share queue
+(:class:`~repro.machines.scheduler.DeficitRoundRobin`) and run one at a
+time — the paper's interactive/batch split.
+Every submission comes back as a :class:`Job` with a uniform
+:class:`~repro.session.cursor.Cursor`.
 """
 
 from __future__ import annotations
@@ -21,10 +23,7 @@ import threading
 import time
 
 from repro.catalog.table import ObjectTable
-from repro.distributed.routing import scan_jobs_for
 from repro.machines.scheduler import DeficitRoundRobin
-from repro.machines.scheduler import Job as MachineJob
-from repro.machines.scheduler import MachineScheduler
 from repro.obs.metrics import registry as obs_registry
 from repro.obs.report import io_report, job_snapshot
 from repro.obs.trace import Trace, assemble_job_trace
@@ -74,7 +73,7 @@ class Job:
 
     States move ``QUEUED -> RUNNING -> DONE | CANCELLED | FAILED``
     (interactive jobs skip straight to RUNNING at submission; batch jobs
-    wait in the session's FIFO batch queue).  ``job.cursor`` is the
+    wait in the session's fair-share batch queue).  ``job.cursor`` is the
     uniform result handle; ``rows`` / ``time_to_first_row`` are live
     progress counters; :meth:`cancel` stops every QET node thread;
     :meth:`node_stats` exposes per-node execution counters.
@@ -103,9 +102,6 @@ class Job:
         #: at least one sink is attached
         self._sinks = []
         self._collected = []
-        #: simulated-scheduler admissions backing this job (scan jobs for
-        #: interactive queries, one batch-machine job for batch queries)
-        self.machine_jobs = []
         #: observability: the trace recorder Session.submit attached
         #: (None for jobs constructed outside a session submit)
         self.trace_id = None
@@ -364,9 +360,9 @@ class Session:
     """The query agent: one facade over any execution backend.
 
     Obtained from :meth:`Archive.connect`.  ``submit`` classifies a
-    query (``"interactive"`` streams ASAP, ``"batch"`` queues FIFO
-    behind other batch work), admits it to the machine scheduler, and
-    returns a :class:`Job`; ``execute`` / ``query_table`` are the
+    query (``"interactive"`` streams ASAP, ``"batch"`` queues on the
+    session's fair-share queue and runs one job at a time) and returns
+    a :class:`Job`; ``execute`` / ``query_table`` are the
     cursor-first conveniences; ``explain`` returns the structured
     :class:`~repro.session.plan.PlanTree` — the same representation for
     local and distributed execution.
@@ -378,14 +374,13 @@ class Session:
     #: above all) stays bounded.  A caller holding a job keeps it usable.
     _FINISHED_JOBS = 256
 
-    def __init__(self, executor, scheduler=None, service=None, user=None, query_log=None):
+    def __init__(self, executor, service=None, user=None, query_log=None):
         if not hasattr(executor, "prepare"):
             raise TypeError(
                 "executor must implement the Executor protocol "
                 "(a prepare(text, allow_tag_route=...) method)"
             )
         self.executor = executor
-        self.scheduler = scheduler if scheduler is not None else MachineScheduler()
         #: the multi-tenant :class:`~repro.service.tier.ServiceTier`
         #: (result cache, MyDB, quotas), or None for a plain session
         self.service = service
@@ -589,7 +584,6 @@ class Session:
                             job, cache_key, generations, extra_stores
                         )
                     )
-            self._admit(job)
             if query_class == "batch":
                 # Admission queue-wait span: opened at enqueue, closed
                 # when the dispatcher starts the job.
@@ -780,57 +774,6 @@ class Session:
 
     # -- scheduling -----------------------------------------------------
 
-    def _admit(self, job):
-        """Simulated-scheduler accounting for one submission.
-
-        Interactive queries ride the *shared sweep machines*: one job on
-        ``sweep:<store>`` per distinct routed source (single-store
-        backends) or per touched partition server (distributed
-        backends).  There is one sweep machine per store — every
-        concurrent query piggybacks the same sweep, so admission is
-        interactive (jobs overlap freely), not N per-query scan
-        machines.  Batch queries admit one job on the exclusive FIFO
-        ``batch`` machine — the paper's priority split.  All times stay
-        in the scheduler's *simulated* clock (arrival 0.0), so
-        turnaround statistics keep coherent units.
-        """
-        if job.query_class == "batch":
-            # Batch accounting happens at *dispatch* time (see
-            # :meth:`_admit_batch`), in the fair-share order jobs
-            # actually run, not submission order.
-            return
-        if job.cache_hit:
-            # Served from the result cache: no sweep is ridden.
-            return
-        label = " ".join(job.text.split())[:40]
-        if job._prepared.reports:
-            for report in job._prepared.reports:
-                for machine_job in scan_jobs_for(label, report):
-                    job.machine_jobs.append(self.scheduler.admit(machine_job))
-        else:
-            sources = list(dict.fromkeys(job._prepared.sources)) or [None]
-            for source in sources:
-                machine = "sweep" if source is None else f"sweep:{source}"
-                job.machine_jobs.append(
-                    self.scheduler.admit(
-                        MachineJob(name=label, machine=machine, duration=0.0)
-                    )
-                )
-
-    def _admit_batch(self, job):
-        """Batch-machine accounting for one dispatched job."""
-        label = " ".join(job.text.split())[:40]
-        job.machine_jobs.append(
-            self.scheduler.admit(
-                MachineJob(
-                    name=label,
-                    machine="batch",
-                    duration=job._prepared.simulated_seconds(),
-                    user=job.user,
-                )
-            )
-        )
-
     def _dispatch_batches(self):
         """Batch machine: run queued jobs exclusively, one at a time, in
         deficit-round-robin order across users (FIFO within a user — and
@@ -846,7 +789,6 @@ class Session:
             _user, job, round_no = item
             try:
                 job.dispatch_round = round_no
-                self._admit_batch(job)
                 job._run_to_completion()
             except Exception as exc:
                 job._note_failed(exc)
@@ -945,7 +887,6 @@ class Archive:
         stores=None,
         archive=None,
         density_maps=None,
-        scheduler=None,
         batch_rows=4096,
         process_shards=False,
         service=None,
@@ -958,13 +899,11 @@ class Archive:
         """Connect to a backend and open a :class:`Session`.
 
         Exactly one of ``backend``, ``stores`` or ``archive`` must be
-        given; ``density_maps`` feeds cost estimation, ``scheduler``
-        shares a :class:`MachineScheduler` with other archive machinery
-        (one is created otherwise).  ``batch_rows`` sizes the execution
-        morsels of an engine built here (over a store mapping or a raw
-        ``DistributedArchive``): scans coalesce delivered containers to
-        roughly this many rows per vectorized pass (it must be
-        positive).  It has no effect on backend shapes
+        given; ``density_maps`` feeds cost estimation.  ``batch_rows``
+        sizes the execution morsels of an engine built here (over a
+        store mapping or a raw ``DistributedArchive``): scans coalesce
+        delivered containers to roughly this many rows per vectorized
+        pass (it must be positive).  It has no effect on backend shapes
         that arrive with their batching already configured (a
         pre-built engine, an ``archive://`` URL).
 
@@ -1008,7 +947,7 @@ class Archive:
             )
         target = given[0]
 
-        def _open_session(executor, scheduler):
+        def _open_session(executor):
             tier = service
             identity = user
             qlog = query_log
@@ -1051,7 +990,6 @@ class Archive:
                 identity = tier.auth.authenticate(identity, token)
             session = Session(
                 executor,
-                scheduler=scheduler,
                 service=tier,
                 user=identity,
                 query_log=qlog,
@@ -1077,7 +1015,7 @@ class Archive:
             except Exception:
                 cluster.close()
                 raise
-            session = _open_session(executor, scheduler)
+            session = _open_session(executor)
             session.adopt(cluster)
             return session
 
@@ -1115,7 +1053,7 @@ class Archive:
                 "engine, a DistributedArchive, a store mapping, or an "
                 "Executor"
             )
-        return _open_session(executor, scheduler)
+        return _open_session(executor)
 
 
 def connect(*args, **kwargs):

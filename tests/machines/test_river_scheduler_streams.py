@@ -1,4 +1,4 @@
-"""Tests for repro.machines.river, .scheduler, and .streams."""
+"""Tests for repro.machines.river and .streams."""
 
 import threading
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.catalog.schema import ObjectType
 from repro.machines.river import RiverGraph
-from repro.machines.scheduler import Job, MachineScheduler
 from repro.machines.streams import BoundedStream
 
 
@@ -106,61 +105,6 @@ class TestRiver:
         )
         with pytest.raises(Exception):
             graph.run()
-
-
-class TestScheduler:
-    def test_scan_jobs_overlap(self):
-        scheduler = MachineScheduler()
-        jobs = [
-            Job("a", "sweep", duration=100.0, arrival_time=0.0),
-            Job("b", "sweep", duration=100.0, arrival_time=10.0),
-        ]
-        scheduler.run(jobs)
-        assert jobs[0].completed_at == 100.0
-        assert jobs[1].completed_at == 110.0  # not queued behind job a
-
-    def test_batch_jobs_serialize(self):
-        scheduler = MachineScheduler()
-        jobs = [
-            Job("h1", "hash", duration=50.0, arrival_time=0.0),
-            Job("h2", "hash", duration=50.0, arrival_time=0.0),
-        ]
-        scheduler.run(jobs)
-        assert jobs[0].completed_at == 50.0
-        assert jobs[1].started_at == 50.0
-        assert jobs[1].completed_at == 100.0
-
-    def test_machines_independent(self):
-        scheduler = MachineScheduler()
-        jobs = [
-            Job("h", "hash", duration=100.0, arrival_time=0.0),
-            Job("r", "river", duration=100.0, arrival_time=0.0),
-        ]
-        scheduler.run(jobs)
-        assert jobs[0].completed_at == 100.0
-        assert jobs[1].completed_at == 100.0
-
-    def test_idle_gap(self):
-        scheduler = MachineScheduler()
-        jobs = [Job("late", "river", duration=10.0, arrival_time=500.0)]
-        scheduler.run(jobs)
-        assert jobs[0].started_at == 500.0
-
-    def test_unknown_machine(self):
-        with pytest.raises(ValueError):
-            MachineScheduler().run([Job("x", "quantum", 1.0)])
-
-    def test_mean_turnaround(self):
-        scheduler = MachineScheduler()
-        scheduler.run(
-            [
-                Job("a", "sweep", duration=10.0),
-                Job("b", "hash", duration=30.0),
-            ]
-        )
-        assert scheduler.mean_turnaround() == pytest.approx(20.0)
-        assert scheduler.mean_turnaround("sweep") == pytest.approx(10.0)
-        assert scheduler.mean_turnaround("river") == 0.0
 
 
 class TestBoundedStream:

@@ -296,7 +296,9 @@ def test_a_session_is_the_only_way_to_run_a_query():
 
 def test_every_qet_node_runs_on_one_thread():
     """No in-process worker pool: no module, no ``workers`` keyword on
-    the way from a session to a node, no environment knob for it."""
+    the way from a session to a node, no environment knob for it.  No
+    simulated scheduler beside the live path either: no ``scheduler``
+    keyword."""
     import importlib
     import inspect
 
@@ -305,11 +307,13 @@ def test_every_qet_node_runs_on_one_thread():
     from repro.query import QueryEngine
     from repro.query.physical import select_tree
     from repro.query.qet import AggregateNode, ScanNode, TopKNode
+    from repro.session import Session
 
     with pytest.raises(ImportError):
         importlib.import_module("repro.machines.workers")
     for entry in (
         Archive.connect,
+        Session,
         QueryEngine,
         DistributedQueryEngine,
         ArchiveServer,
@@ -319,7 +323,9 @@ def test_every_qet_node_runs_on_one_thread():
         TopKNode,
         AggregateNode,
     ):
-        assert "workers" not in inspect.signature(entry).parameters, entry
+        parameters = inspect.signature(entry).parameters
+        assert "workers" not in parameters, entry
+        assert "scheduler" not in parameters, entry
     readers = [
         path.relative_to(SRC).as_posix()
         for path in sorted(SRC.rglob("*.py"))

@@ -1,18 +1,24 @@
 """Fair-share batch dispatch: deficit round robin + admission quotas.
 
-Every fairness assertion is on deterministic scheduler counters
+Every fairness assertion is on deterministic queue counters
 (dispatch order, per-user dispatch counts, round numbers) — never on
 wall clocks.
 """
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
+from repro.catalog.table import ObjectTable
 from repro.machines.scheduler import DeficitRoundRobin
+from repro.query.qet import QETNode
 from repro.service import ServiceTier
 from repro.service.errors import QuotaExceededError
-from repro.session import Archive
+from repro.session import Archive, JobState, PreparedQuery, Session
+from repro.session.executor import Executor
 
 
 class TestDeficitRoundRobin:
@@ -91,6 +97,83 @@ class TestDeficitRoundRobin:
         assert queue.pending("b") == 1
         assert queue.pending() == 3
 
+    def test_a_larger_quantum_dispatches_in_bursts(self):
+        # Unit costs against a quantum of two: each visit serves two of
+        # a user's items before the rotation moves on.
+        queue = DeficitRoundRobin(quantum=2.0)
+        for index in range(4):
+            queue.put("a", index)
+            queue.put("b", index)
+        queue.close()
+        drained = list(iter(queue.get, None))
+        assert [user for user, _item, _round in drained] == list("aabbaabb")
+        assert [item for _user, item, _round in drained] == [0, 1, 0, 1, 2, 3, 2, 3]
+        assert [round_no for _user, _item, round_no in drained] == [0] * 4 + [1] * 4
+        assert queue.rounds == 1
+
+    def test_get_waits_for_a_put(self):
+        queue = DeficitRoundRobin()
+        got = []
+        getter = threading.Thread(target=lambda: got.append(queue.get()))
+        getter.start()
+        time.sleep(0.05)
+        assert got == []  # nothing queued yet: the getter blocks
+        queue.put("u", "late")
+        getter.join(timeout=5)
+        assert got == [("u", "late", 0)]
+
+    def test_close_wakes_a_blocked_getter(self):
+        queue = DeficitRoundRobin()
+        got = []
+        getter = threading.Thread(target=lambda: got.append(queue.get()))
+        getter.start()
+        time.sleep(0.05)
+        queue.close()
+        getter.join(timeout=5)
+        assert not getter.is_alive()
+        assert got == [None]
+
+
+class _HeldNode(QETNode):
+    """Logs its label when it starts, then emits one batch once the
+    gate opens — a batch job that holds the batch machine on demand."""
+
+    name = "held"
+
+    def __init__(self, batch, gate, label, started):
+        super().__init__(())
+        self.batch, self.gate = batch, gate
+        self.label, self.started = label, started
+
+    def run(self):
+        self.started.append(self.label)
+        while not self.gate.is_set() and not self.output.cancelled():
+            time.sleep(0.005)
+        self._emit(self.batch)
+
+
+class _HeldExecutor(Executor):
+    """Executor whose every query is a :class:`_HeldNode` labelled by
+    the query text."""
+
+    kind = "stub"
+
+    def __init__(self, photo, gate):
+        self.batch = ObjectTable(photo.schema, photo.data[:10].copy())
+        self.gate = gate
+        self.started = []
+
+    def prepare(self, text, allow_tag_route=True):
+        root = _HeldNode(self.batch, self.gate, text, self.started)
+        return PreparedQuery(text=text, root=root, schema=self.batch.schema)
+
+
+def _wait_running(job, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while job.state is not JobState.RUNNING and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert job.state is JobState.RUNNING
+
 
 class TestSessionFairShare:
     def test_batch_jobs_carry_user_and_round(self, fresh_engine):
@@ -132,16 +215,44 @@ class TestSessionFairShare:
             )
             assert table is not None
 
-    def test_machine_jobs_record_user(self, fresh_engine):
-        tier = ServiceTier()
-        with Archive.connect(fresh_engine, service=tier) as session:
-            job = session.submit(
-                "SELECT objid FROM photo WHERE mag_r < 15",
-                query_class="batch",
-                user="carol",
-            )
-            assert job.wait(timeout=30).value == "done"
-            batch_machine_jobs = [
-                mj for mj in session.scheduler.completed if mj.machine == "batch"
+    def test_a_light_user_overtakes_a_flood_on_the_live_queue(self, photo):
+        gate = threading.Event()
+        executor = _HeldExecutor(photo, gate)
+        with Session(executor) as session:
+            hold = session.submit("hold", query_class="batch", user="flood")
+            _wait_running(hold)
+            flood = [
+                session.submit(f"f{k}", query_class="batch", user="flood")
+                for k in range(3)
             ]
-            assert batch_machine_jobs and batch_machine_jobs[-1].user == "carol"
+            light = session.submit("light", query_class="batch", user="light")
+            gate.set()
+            for job in [hold, *flood, light]:
+                assert job.wait(timeout=10) is JobState.DONE
+        order = executor.started
+        # The flood runs in its own submission order, and the light
+        # user's one job is served before the flood's backlog drains.
+        assert [label for label in order if label != "light"] == [
+            "hold", "f0", "f1", "f2"
+        ]
+        assert order.index("light") < order.index("f1")
+        assert session._batch_queue.dispatched == {"flood": 4, "light": 1}
+
+    def test_admission_cap_counts_only_queued_jobs(self, photo):
+        # The running job has left the queue: with a cap of one, a user
+        # may hold the batch machine and have one more job waiting.
+        gate = threading.Event()
+        tier = ServiceTier(max_queued_per_user=1)
+        with Session(_HeldExecutor(photo, gate), service=tier) as session:
+            running = session.submit("run", query_class="batch", user="ann")
+            _wait_running(running)
+            waiting = session.submit("wait", query_class="batch", user="ann")
+            assert waiting.state is JobState.QUEUED
+            with pytest.raises(QuotaExceededError):
+                session.submit("over", query_class="batch", user="ann")
+            other = session.submit("other", query_class="batch", user="ben")
+            gate.set()
+            for job in (running, waiting, other):
+                assert job.wait(timeout=10) is JobState.DONE
+            assert tier.admission.rejected == {"ann": 1}
+            assert [job.user for job in session.jobs] == ["ann", "ann", "ben"]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.metrics import registry
 from repro.session import PlanTree
 
 
@@ -96,12 +97,13 @@ class TestDistributedPlans:
 
 class TestExplainDoesNotExecute:
     def test_no_job_no_admission(self, dist_session):
-        jobs_before = len(dist_session.jobs)
-        admitted_before = len(dist_session.scheduler.completed)
+        submitted = registry().counter("session.queries_submitted")
+        jobs_before = dist_session.jobs
+        submitted_before = submitted.value
         tree = dist_session.explain("SELECT objid FROM photo WHERE mag_r < 17")
         assert isinstance(tree, PlanTree)
-        assert len(dist_session.jobs) == jobs_before
-        assert len(dist_session.scheduler.completed) == admitted_before
+        assert dist_session.jobs == jobs_before
+        assert submitted.value == submitted_before
 
     def test_rendering_is_indented(self, local_session):
         text = local_session.explain(

@@ -14,8 +14,6 @@ import tracemalloc
 import pytest
 
 from repro.catalog.table import ObjectTable
-from repro.machines.scheduler import Job as MachineJob
-from repro.machines.scheduler import MachineScheduler
 from repro.query.errors import ExecutionError
 from repro.session import (
     Archive,
@@ -114,14 +112,26 @@ class TestInteractiveLifecycle:
 class TestBatchQueueing:
     def test_fifo_one_at_a_time(self, photo, small_batches):
         gate = threading.Event()
+        open_gate = threading.Event()
+        open_gate.set()
         executor = StubExecutor(
-            lambda text: GateNode(small_batches, gate), photo.schema
+            lambda text: GateNode(
+                small_batches, open_gate if text == "interactive" else gate
+            ),
+            photo.schema,
         )
         with Session(executor) as session:
             job1 = session.submit("q1", query_class="batch")
             job2 = session.submit("q2", query_class="batch")
             assert _wait_for(lambda: job1.state is JobState.RUNNING)
             # Exclusive batch machine: job2 must wait its turn.
+            assert job2.state is JobState.QUEUED
+            # Interactive work never queues behind batch work: it starts
+            # at submission and finishes while the batch machine is held.
+            quick = session.submit("interactive")
+            assert len(quick.cursor.to_table()) == 90
+            assert quick.wait(timeout=5) is JobState.DONE
+            assert job1.state is JobState.RUNNING
             assert job2.state is JobState.QUEUED
             gate.set()
             assert job1.wait(timeout=5) is JobState.DONE
@@ -174,6 +184,129 @@ class TestBatchQueueing:
         expected = local_session.query_table(query)
         got = job.cursor.to_table()
         assert got.data.tolist() == expected.data.tolist()
+
+
+class RecordingNode(GateNode):
+    """A :class:`GateNode` that logs when it starts and ends, and how
+    many recording nodes were running at its start."""
+
+    def __init__(self, batches, gate, label, log):
+        super().__init__(batches, gate)
+        self.label = label
+        self.log = log
+
+    def run(self):
+        with self.log["lock"]:
+            self.log["running"] += 1
+            self.log["starts"].append((self.label, self.log["running"]))
+        try:
+            super().run()
+        finally:
+            with self.log["lock"]:
+                self.log["running"] -= 1
+
+
+def _run_log():
+    return {"lock": threading.Lock(), "running": 0, "starts": []}
+
+
+class TestLiveScheduling:
+    """The paper's split, held on the live session: the scan machine is
+    interactively scheduled, the batch machine runs one job at a time."""
+
+    def test_interactive_jobs_run_side_by_side(self, photo, small_batches):
+        gate = threading.Event()
+        log = _run_log()
+        executor = StubExecutor(
+            lambda text: RecordingNode(small_batches, gate, text, log),
+            photo.schema,
+        )
+        with Session(executor) as session:
+            jobs = [session.submit(f"i{k}") for k in range(3)]
+            # None waits for another: all three hold their node at once.
+            assert _wait_for(lambda: len(log["starts"]) == 3)
+            assert all(job.state is JobState.RUNNING for job in jobs)
+            assert log["running"] == 3
+            gate.set()
+            for job in reversed(jobs):
+                assert len(job.cursor.to_table()) == 90
+                assert job.wait(timeout=5) is JobState.DONE
+
+    def test_batch_jobs_run_one_at_a_time_in_submission_order(
+        self, photo, small_batches
+    ):
+        gate = threading.Event()
+        log = _run_log()
+        executor = StubExecutor(
+            lambda text: RecordingNode(small_batches, gate, text, log),
+            photo.schema,
+        )
+        with Session(executor) as session:
+            jobs = [session.submit(f"b{k}", query_class="batch") for k in range(4)]
+            assert _wait_for(lambda: jobs[0].state is JobState.RUNNING)
+            assert [job.state for job in jobs[1:]] == [JobState.QUEUED] * 3
+            gate.set()
+            for job in jobs:
+                assert job.wait(timeout=5) is JobState.DONE
+        # Each batch job started alone, in the order it was submitted.
+        assert log["starts"] == [(f"b{k}", 1) for k in range(4)]
+
+    def test_a_held_interactive_job_does_not_hold_up_batch_work(
+        self, photo, small_batches
+    ):
+        gate = threading.Event()
+        open_gate = threading.Event()
+        open_gate.set()
+        executor = StubExecutor(
+            lambda text: GateNode(
+                small_batches, gate if text == "held" else open_gate
+            ),
+            photo.schema,
+        )
+        with Session(executor) as session:
+            held = session.submit("held")
+            batch = session.submit("batch", query_class="batch")
+            assert batch.wait(timeout=5) is JobState.DONE
+            assert len(batch.cursor.to_table()) == 90
+            assert held.state is JobState.RUNNING
+            gate.set()
+            assert len(held.cursor.to_table()) == 90
+
+    def test_cancelling_the_running_batch_job_frees_the_machine(
+        self, photo, small_batches
+    ):
+        gate = threading.Event()
+        executor = StubExecutor(
+            lambda text: GateNode(small_batches, gate), photo.schema
+        )
+        with Session(executor) as session:
+            job1 = session.submit("held", query_class="batch")
+            job2 = session.submit("next", query_class="batch")
+            assert _wait_for(lambda: job1.state is JobState.RUNNING)
+            assert job2.state is JobState.QUEUED
+            job1.cancel()
+            assert job1.state is JobState.CANCELLED
+            # The dispatcher moves on without the gate ever opening.
+            assert _wait_for(lambda: job2.state is JobState.RUNNING)
+            gate.set()
+            assert job2.wait(timeout=5) is JobState.DONE
+            assert len(job2.cursor.to_table()) == 90
+
+    def test_a_failed_batch_job_frees_the_machine(self, photo, small_batches):
+        open_gate = threading.Event()
+        open_gate.set()
+        executor = StubExecutor(
+            lambda text: FailingNode()
+            if text == "boom"
+            else GateNode(small_batches, open_gate),
+            photo.schema,
+        )
+        with Session(executor) as session:
+            failed = session.submit("boom", query_class="batch")
+            after = session.submit("after", query_class="batch")
+            assert failed.wait(timeout=5) is JobState.FAILED
+            assert after.wait(timeout=5) is JobState.DONE
+            assert len(after.cursor.to_table()) == 90
 
 
 class TestFailure:
@@ -239,51 +372,15 @@ class TestSubmissionValidation:
         with pytest.raises(SessionError):
             local_session.submit("SELECT objid FROM photo", query_class="cosmic")
 
+    @pytest.mark.parametrize("machine", ["sweep", "scan", "hash", "river"])
+    def test_machine_names_are_not_query_classes(self, local_session, machine):
+        # A submission names how it is scheduled, not a machine.
+        with pytest.raises(SessionError, match="unknown query class"):
+            local_session.submit("SELECT objid FROM photo", query_class=machine)
+        assert Session.QUERY_CLASSES == ("interactive", "batch")
+
     def test_closed_session_rejects(self, engine):
         session = Archive.connect(engine)
         session.close()
         with pytest.raises(SessionError):
             session.submit("SELECT objid FROM photo")
-
-
-class TestSchedulerAccounting:
-    def test_interactive_admits_sweep_jobs_per_server(self, dengine):
-        with Archive.connect(dengine) as session:
-            job = session.submit("SELECT objid FROM photo WHERE mag_r < 17")
-            job.cursor.to_table()
-            machines = {mj.machine for mj in job.machine_jobs}
-            assert machines
-            assert all(m.startswith("sweep:") for m in machines)
-            touched = set(job.reports[0].touched_server_ids)
-            assert machines == {f"sweep:{k}" for k in touched}
-
-    def test_local_interactive_admits_shared_sweep(self, engine):
-        with Archive.connect(engine) as session:
-            job = session.submit("SELECT objid FROM photo LIMIT 5")
-            job.cursor.to_table()
-            # One job on the routed store's shared sweep machine — the
-            # objid-only select tag-routes, so it rides the tag sweep.
-            assert [mj.machine for mj in job.machine_jobs] == ["sweep:tag"]
-
-    def test_batch_admits_batch_machine(self, engine):
-        with Archive.connect(engine) as session:
-            job = session.submit(
-                "SELECT objid FROM photo LIMIT 5", query_class="batch"
-            )
-            job.wait(timeout=10)
-            assert [mj.machine for mj in job.machine_jobs] == ["batch"]
-            assert session.scheduler.completed[-1].machine == "batch"
-
-    def test_admit_serializes_batch_across_calls(self):
-        # The stateful admission path: batch jobs admitted one at a time
-        # still serialize FIFO, unlike run() which resets per call.
-        scheduler = MachineScheduler()
-        first = scheduler.admit(MachineJob("b1", "batch", duration=5.0))
-        second = scheduler.admit(MachineJob("b2", "batch", duration=3.0))
-        assert first.completed_at == 5.0
-        assert second.started_at == 5.0
-        assert second.completed_at == 8.0
-        # Sweep admission stays interactive: overlaps freely.
-        s1 = scheduler.admit(MachineJob("s1", "sweep", duration=9.0, arrival_time=1.0))
-        s2 = scheduler.admit(MachineJob("s2", "sweep", duration=9.0, arrival_time=1.0))
-        assert s1.started_at == s2.started_at == 1.0

@@ -103,8 +103,8 @@ def test_all_entry_points_agree(
     expected = local_session.query_table(query)
     _compare(expected, dist_session.query_table(query), mode, same_rows)
 
-    # Session facade, batch class, both backends: queued through the
-    # scheduler's batch machine, results delivered on completion.
+    # Session facade, batch class, both backends: queued on the
+    # session's fair-share queue, results delivered on completion.
     for session in (local_session, dist_session):
         job = session.submit(query, query_class="batch")
         assert job.wait(timeout=30).value == "done"
