@@ -101,6 +101,13 @@ class RangeSet:
             return None
         return max(value, self._lows[idx])
 
+    def overlaps(self, other):
+        """Whether the sets share an id (a bisection per interval of ``other``)."""
+        return any(
+            (member := self.next_member(lo)) is not None and member <= hi
+            for lo, hi in other.intervals
+        )
+
     def contains_array(self, values):
         """Vectorized membership mask for an integer array."""
         values = np.asarray(values, dtype=np.int64)

@@ -53,7 +53,6 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, Optional
 
-from repro.htm.ranges import RangeSet
 from repro.obs.metrics import registry as metrics_registry
 from repro.obs.trace import Span
 from repro.net.protocol import (
@@ -340,15 +339,16 @@ class RemoteRootNode(QETNode):
     building block of the remote scatter-gather executor, whose
     coordinator stacks the ordinary merge tree on top of these nodes.
 
-    On a *replicated* cluster the coordinator also passes ``ranges``
-    (this shard's disjoint container assignment), ``failover`` (the
-    query's shared :class:`~repro.net.cluster.ShardFailoverPlanner`)
-    and ``strategy``.  The node then runs a queue of *segments* —
-    ``(endpoint, ranges)`` submissions — starting with its own
-    assignment: when a segment's server dies mid-stream, the
-    still-undelivered ranges (assignment minus the last batch's
-    ``delivered`` annotation) are re-routed to surviving replicas and
-    appended as new segments, so rows are neither lost nor duplicated.
+    A shard leaf also carries ``ranges`` (this shard's disjoint
+    container assignment), ``failover`` (the query's shared
+    :class:`~repro.net.cluster.ShardFailoverPlanner`) and ``strategy``.
+    The node runs a queue of *segments* — ``(endpoint, ranges)``
+    submissions — starting with its own assignment: when a segment's
+    server dies mid-stream, the still-undelivered ranges (assignment
+    minus the last batch's ``delivered`` annotation) are re-routed to
+    surviving replicas and appended as new segments, so rows are
+    neither lost nor duplicated — or, when no survivor holds them, fail
+    the job with an :class:`~repro.query.errors.UnrecoverableShardError`.
     ``strategy`` says how the remainder may be split:
 
     ``"split"``
@@ -362,8 +362,8 @@ class RemoteRootNode(QETNode):
         Only a clean restart is sound (bare-LIMIT shards): failover
         happens only if this node has emitted zero rows.
 
-    Without a ``failover`` plan the legacy contract holds: a dead
-    server fails the job with the connection error as its cause.
+    A full-mode root has no ``failover`` plan: a dead server fails the
+    job with the connection error as its cause.
     """
 
     name = "remote"
@@ -419,14 +419,10 @@ class RemoteRootNode(QETNode):
         self.remote_analyzed_plan = None
         #: codec the server actually agreed to (set at submit time)
         self.negotiated_compression = None
-        #: this shard's disjoint container assignment (closed intervals),
-        #: or ``None`` for the legacy unrestricted scan
-        self.ranges = (
-            tuple((int(lo), int(hi)) for lo, hi in ranges)
-            if ranges is not None
-            else None
-        )
-        #: the query's shared failover planner (``None`` = legacy contract)
+        #: this shard's disjoint container assignment (closed intervals);
+        #: ``None`` in full mode
+        self.ranges = ranges
+        #: the query's shared failover planner (``None`` in full mode)
         self.failover = failover
         #: how undelivered ranges may be re-routed: split / single / fresh
         self.strategy = strategy
@@ -568,21 +564,18 @@ class RemoteRootNode(QETNode):
         Returns ``[(link, intervals), ...]`` covering the dead
         segment's still-undelivered ranges; empty when everything was
         already delivered.  Raises (failing the job) when no failover
-        plan exists — the legacy contract — or when no surviving
-        replica covers the remainder
+        plan exists — a full-mode root — or when no surviving replica
+        covers the remainder
         (:class:`~repro.query.errors.UnrecoverableShardError`).
         """
         endpoint = link.endpoint
         host, port = endpoint
-        died = ConnectionClosed(
-            f"archive server at {host}:{port} died mid-stream: {exc}"
-        )
-        if self.failover is None or ranges is None:
-            raise died from exc
+        if self.failover is None:
+            raise ConnectionClosed(
+                f"archive server at {host}:{port} died mid-stream: {exc}"
+            ) from exc
         self.failover.mark_dead(endpoint)
-        remaining = RangeSet(ranges).difference(
-            RangeSet(self._segment_delivered or ())
-        )
+        remaining = self.failover.undelivered(ranges, self._segment_delivered)
         if remaining.is_empty():
             # The stream died after its last data batch (e.g. during the
             # done handshake): every assigned container is accounted
@@ -681,9 +674,7 @@ class RemoteRootNode(QETNode):
                     # for.  Recorded only after the batch is safely in
                     # the output stream — the failover remainder is
                     # computed against it.
-                    self._segment_delivered = tuple(
-                        (int(lo), int(hi)) for lo, hi in delivered
-                    )
+                    self._segment_delivered = delivered
         stream_span.ended_at = time.perf_counter()
         # Only now, with every batch frame of the last round received:
         # a stream that dies after its done header is still a failover.

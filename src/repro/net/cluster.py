@@ -9,11 +9,12 @@ behind a real :class:`~repro.net.server.ArchiveServer`:
   backend, the shape ``DistributedArchive`` gives each
   :class:`~repro.storage.cluster.ServerNode`);
 * the coordinator plans the query *once* against the schemas the
-  endpoints advertise in ``hello``, prunes endpoints whose occupied
-  container-id ranges miss the plan's HTM cover, and fans the query
-  text out as ``mode="shard"`` submissions — both ends derive the same
-  deterministic :func:`~repro.query.optimizer.split_plan` from the
-  text, so no plan closures ever cross the wire;
+  endpoints advertise in ``hello``, assigns each container under the
+  plan's HTM cover to one endpoint holding it, and fans the query text
+  out as ``mode="shard"`` submissions carrying those ``ranges`` — both
+  ends derive the same deterministic
+  :func:`~repro.query.optimizer.split_plan` from the text, so no plan
+  closures ever cross the wire, and no shard server covers again;
 * the ordinary coordinator merge tree
   (:func:`~repro.query.physical.merge_tree`: streaming
   exchange, ordered k-way merge, partial-aggregate recombination) runs
@@ -63,26 +64,35 @@ class RemoteShard:
         self.depth = hello.get("depth")
         self.shard_capable = bool(hello.get("shard_capable"))
         self.schemas = {}
+        #: per source, the occupied container ids the hello advertised
         self.ranges = {}
+        #: per source, ``ranges`` padded with ids no endpoint holds
+        #: (:func:`_pad_holdings`): what an assignment is cut from
+        self.padded = {}
         for name, info in hello.get("sources", {}).items():
             self.schemas[name] = schema_from_wire(info["schema"])
-            self.ranges[name] = RangeSet(
-                tuple((int(lo), int(hi)) for lo, hi in info.get("ranges", []))
-            )
-
-    def covers(self, source, candidates):
-        """Whether this shard can hold rows of ``source`` under the
-        plan's candidate cover (``None`` = full scan: always)."""
-        held = self.ranges.get(source)
-        if held is None:
-            return False
-        if candidates is None:
-            return not held.is_empty()
-        return not held.intersect(candidates).is_empty()
+            self.ranges[name] = RangeSet(info.get("ranges", []))
 
     def __repr__(self):
         host, port = self.endpoint
         return f"RemoteShard({self.shard_id}, archive://{host}:{port})"
+
+
+def _pad_holdings(shards, source):
+    """Fill every shard's ``padded[source]`` once, at connect: each gap
+    between held intervals goes to every shard holding the id below it,
+    so an assignment is a few intervals, not one per occupied run.
+    Padded ids have rows nowhere; pruning and failover read ``ranges``."""
+    union = RangeSet()
+    for shard in shards:
+        union = union.union(shard.ranges[source])
+    intervals = union.intervals
+    gaps = [(hi + 1, lo - 1) for (_, hi), (lo, _) in zip(intervals, intervals[1:])]
+    for shard in shards:
+        held = shard.ranges[source]
+        shard.padded[source] = RangeSet(
+            held.intervals + tuple(gap for gap in gaps if held.contains(gap[0] - 1))
+        )
 
 
 def _failover_strategy(sharded):
@@ -135,6 +145,14 @@ class ShardFailoverPlanner:
             dead = set(self._dead)
         return [s for s in self.shards if s.endpoint not in dead]
 
+    def undelivered(self, ranges, delivered):
+        """A dead segment's ``ranges`` minus its ``delivered`` claim,
+        within what some endpoint holds (padding has rows nowhere)."""
+        held = RangeSet()
+        for shard in self.shards:
+            held = held.union(shard.ranges[self.source])
+        return RangeSet(ranges).difference(RangeSet(delivered or ())).intersect(held)
+
     def replacements(self, remaining, strategy, dead_endpoint):
         """``[(endpoint, RangeSet), ...]`` covering ``remaining``.
 
@@ -148,8 +166,7 @@ class ShardFailoverPlanner:
         ]
         if strategy == "single":
             for shard in survivors:
-                held = shard.ranges.get(self.source)
-                if held is not None and remaining.difference(held).is_empty():
+                if remaining.difference(shard.ranges[self.source]).is_empty():
                     return [(shard.endpoint, remaining)]
             raise UnrecoverableShardError(
                 "no single surviving replica covers the ordered shard "
@@ -164,10 +181,7 @@ class ShardFailoverPlanner:
         for shard in survivors:
             if left.is_empty():
                 break
-            held = shard.ranges.get(self.source)
-            if held is None:
-                continue
-            take = left.intersect(held)
+            take = left.intersect(shard.ranges[self.source])
             if take.is_empty():
                 continue
             assignments.append((shard.endpoint, take))
@@ -272,27 +286,8 @@ class RemotePartitionedExecutor(Executor):
                 raise ValueError(
                     f"shard {shard!r} is missing sources {sorted(missing)}"
                 )
-        #: whether any source's containers are held by more than one
-        #: endpoint.  A replicated cluster switches the fan-out to
-        #: disjoint range assignments (an unrestricted scan of
-        #: overlapping holdings would duplicate rows) and arms replica
-        #: failover; a non-replicated cluster keeps the exact legacy
-        #: fan-out, bookkeeping-free.
-        self.replicated = self._detect_replication()
-
-    def _detect_replication(self):
         for source in self.schemas:
-            union = RangeSet()
-            total = 0
-            for shard in self.shards:
-                held = shard.ranges.get(source)
-                if held is None:
-                    continue
-                total += held.count()
-                union = union.union(held)
-            if total > union.count():
-                return True
-        return False
+            _pad_holdings(self.shards, source)
 
     # -- planning -------------------------------------------------------
 
@@ -310,50 +305,25 @@ class RemotePartitionedExecutor(Executor):
         )
 
     def _fan_out(self, text, select_index, allow_tag_route, sharded, candidates):
-        """Prune endpoints by their hello ranges and submit the shard
-        half of SELECT ``select_index`` to the rest: ``(leaves, report)``."""
-        plan = sharded.base
-        report = ShardFanoutReport(
-            source=plan.routed_source, servers_total=len(self.shards)
-        )
-        touched = []
-        assignments = {}
-        failover = None
-        strategy = "split"
-        if not self.replicated:
-            # Legacy fan-out: holdings are disjoint, every covering
-            # shard scans its full holdings unrestricted.
-            for shard in self.shards:
-                if shard.covers(plan.routed_source, candidates):
-                    touched.append(shard)
-                    report.touched_server_ids.append(shard.shard_id)
-                else:
-                    report.pruned_server_ids.append(shard.shard_id)
-        else:
-            # Replicated holdings overlap: assign each candidate
-            # container to exactly one endpoint (shard-id order wins
-            # ties) so no row is scanned twice, and arm failover with
-            # the full placement map.
-            strategy = _failover_strategy(sharded)
-            failover = ShardFailoverPlanner(self.shards, plan.routed_source)
-            taken = RangeSet()
-            for shard in self.shards:
-                held = shard.ranges.get(plan.routed_source)
-                if held is None:
-                    report.pruned_server_ids.append(shard.shard_id)
-                    continue
-                wanted = held if candidates is None else held.intersect(candidates)
-                assigned = wanted.difference(taken)
-                if assigned.is_empty():
-                    report.pruned_server_ids.append(shard.shard_id)
-                    continue
-                taken = taken.union(assigned)
-                assignments[shard.shard_id] = assigned
-                touched.append(shard)
-                report.touched_server_ids.append(shard.shard_id)
+        """Submit the shard half of SELECT ``select_index`` to every
+        endpoint holding a container of its assignment — its padded
+        holdings under the cover minus what an earlier endpoint took
+        (holdings may overlap; shard-id order wins): ``(leaves, report)``."""
+        source = sharded.base.routed_source
+        report = ShardFanoutReport(source=source, servers_total=len(self.shards))
+        failover = ShardFailoverPlanner(self.shards, source)
+        strategy = _failover_strategy(sharded)
+        taken = RangeSet()
         shard_roots = []
-        for shard in touched:
-            assigned = assignments.get(shard.shard_id)
+        for shard in self.shards:
+            padded = shard.padded[source]
+            wanted = padded if candidates is None else padded.intersect(candidates)
+            assigned = wanted.difference(taken)
+            if not shard.ranges[source].overlaps(assigned):
+                report.pruned_server_ids.append(shard.shard_id)
+                continue
+            taken = taken.union(assigned)
+            report.touched_server_ids.append(shard.shard_id)
             shard_roots.append(
                 RemoteRootNode(
                     shard.link,
@@ -363,7 +333,7 @@ class RemotePartitionedExecutor(Executor):
                     select_index=select_index,
                     server_id=shard.shard_id,
                     compression=self.compression,
-                    ranges=assigned.intervals if assigned is not None else None,
+                    ranges=assigned.intervals,
                     failover=failover,
                     strategy=strategy,
                 )

@@ -47,10 +47,12 @@ connection; the server keeps no client state across connections.
     remote scatter-gather executor fans out.  An optional ``trace_id``
     rides the frame so the server-side job records its spans under the
     *client's* trace — the ``done`` frame ships them back and the client
-    grafts them into one merged span tree per query.  Shard submissions
-    on a replicated cluster also carry ``ranges`` — a list of closed
-    ``[lo, hi]`` container-id intervals restricting the shard scan to
-    the coordinator's disjoint container assignment; the same field is
+    grafts them into one merged span tree per query.  Every shard
+    submission carries ``ranges`` — a list of closed ``[lo, hi]``
+    container-id intervals restricting the shard scan to the
+    coordinator's disjoint container assignment (its cover already
+    applied: the shard server covers nothing); a shard submission
+    without it is refused with a structured error.  The same field is
     how a failover *resumes*: the replacement submission's ranges are
     the dead shard's assignment minus what it already delivered.
 ``fetch_batch``
@@ -64,8 +66,8 @@ connection; the server keeps no client state across connections.
     ``analyzed_plan``, everything ``job_stats`` answers with (below) —
     so a drained query needs no further exchange; the client folds them
     in once the round's last table frame has arrived.
-    On a range-restricted shard stream, each table frame's header also
-    carries ``delivered`` — the cumulative closed container-id
+    On a shard stream, each table frame's header also carries
+    ``delivered`` — the cumulative closed container-id
     intervals fully accounted for up to and including that batch — the
     client-side bookkeeping that makes resume-from-range exact.
 ``cancel``

@@ -118,6 +118,11 @@ class _ServerExecutor:
                 f"{self.kind!r} backend and cannot run shard-mode queries "
                 "(shard mode needs a single-store engine)"
             )
+        if ranges is None:
+            raise SessionError(
+                "a shard-mode submission must carry its container "
+                "assignment (ranges)"
+            )
         return prepare_shard(
             text, select_index, ranges, allow_tag_route=allow_tag_route, **kwargs
         )

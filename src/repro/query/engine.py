@@ -178,9 +178,7 @@ class QueryEngine(Executor):
             allow_tag_route=allow_tag_route,
         )
 
-    def prepare_shard(
-        self, text, select_index=0, ranges=None, allow_tag_route=True, ast=None
-    ):
+    def prepare_shard(self, text, select_index, ranges, allow_tag_route=True, ast=None):
         """Only the pushed-down shard half of SELECT ``select_index``.
 
         The server side of remote scatter-gather: both ends derive the
@@ -188,13 +186,11 @@ class QueryEngine(Executor):
         this builds ``sharded.shard`` over the engine's own containers
         and the coordinator's merge tree finishes the job.
 
-        ``ranges`` marks a replicated-cluster submission: scan only the
-        coordinator's disjoint container assignment — its holdings
-        already intersected with the cover, so the server covers
-        nothing — and stamp every batch with the cumulative delivered
-        ranges so a failover can resume exactly where this stream died.
-        Without ``ranges`` the scan covers the plan itself when it
-        starts.
+        ``ranges`` (closed ``[lo, hi]`` intervals) is the coordinator's
+        disjoint container assignment — its cover already applied, so
+        the scan covers nothing — and every batch is stamped with the
+        cumulative delivered claim, so a failover can resume exactly
+        where this stream died.
         """
         selects = query_selects(ast if ast is not None else parse_query(text))
         index = int(select_index)
@@ -206,17 +202,14 @@ class QueryEngine(Executor):
         sharded = split_plan(
             plan_query(selects[index], self.schemas, self.density_maps, allow_tag_route)
         )
-        candidates = None
-        if ranges is not None:
-            candidates = RangeSet(tuple((int(lo), int(hi)) for lo, hi in ranges))
         return PreparedQuery(
             text=text,
             root=shard_tree(
                 self.stores[sharded.base.routed_source],
                 sharded,
-                candidates,
+                RangeSet(ranges),
                 batch_rows=self.batch_rows,
-                track_delivery=ranges is not None,
+                track_delivery=True,
             ),
             schema=output_schema_for(sharded.shard, self.schemas),
             sources=[sharded.base.routed_source],

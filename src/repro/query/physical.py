@@ -222,10 +222,11 @@ def shard_tree(store, sharded, candidates, **options):
     server for a ``mode="shard"`` submission.  ``candidates`` (a
     :class:`~repro.htm.ranges.RangeSet`, or ``None`` for the scan to
     cover the plan itself) are the containers the scan may read — the
-    coordinator's cover, or its disjoint container assignment on a
-    replicated cluster — and ``track_delivery`` makes every emitted
-    batch carry the cumulative delivered-container annotation the
-    failover bookkeeping needs (see :class:`~repro.query.qet.ScanNode`).
+    in-process coordinator's cover, or a remote coordinator's disjoint
+    container assignment — and ``track_delivery`` (every remote shard
+    scan) makes every emitted batch carry the cumulative
+    delivered-container claim the failover bookkeeping needs (see
+    :class:`~repro.query.qet.ScanNode`).
     """
     return select_tree(store, sharded.shard, candidates=candidates, **options)
 

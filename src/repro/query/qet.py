@@ -21,6 +21,7 @@ import operator
 import queue
 import threading
 import time
+from bisect import bisect_left
 
 import numpy as np
 
@@ -369,17 +370,20 @@ class ScanNode(QETNode):
         self.store = store
         self.plan = plan
         self.batch_rows = int(batch_rows)
-        #: the container ids this scan may read: a distributed
-        #: coordinator's cover, shared by every shard scan, or on a
-        #: replicated cluster its disjoint assignment (endpoint holdings
-        #: overlap, so an unassigned scan would duplicate rows).
+        #: the container ids this scan may read: an in-process
+        #: coordinator's cover, shared by every shard scan, or a remote
+        #: coordinator's disjoint assignment (endpoint holdings may
+        #: overlap, so an unassigned scan could duplicate rows).
         self.candidates = candidates
-        #: when True, every emitted batch is stamped with the cumulative
-        #: set of containers fully accounted for so far (resume-from-
-        #: range failover bookkeeping).  Forces one-batch-per-flush
-        #: emission, so the annotation is exact.
+        #: when True (every remote shard scan), every emitted batch is
+        #: stamped with the cumulative claim of containers fully
+        #: accounted for so far (resume-from-range failover
+        #: bookkeeping).  Forces one-batch-per-flush emission, so the
+        #: claim is exact.
         self.track_delivery = bool(track_delivery)
-        self._delivered_ids = []
+        #: the claim's ``[lo, hi]`` intervals; the snapshot of its last
+        #: run and the index there that would extend its last interval
+        self._claim, self._claim_end = [], (None, None)
         #: the node's SweepSubscription while running (I/O telemetry)
         self.subscription = None
 
@@ -403,13 +407,13 @@ class ScanNode(QETNode):
         selected = morsel.select(self.plan.predicate(morsel))
         self.stats.predicate_evals += 1
         if self.track_delivery and len(selected):
-            # One batch per flush, never chunked: the annotation says
-            # "every row of these containers is in the stream up to and
+            # One batch per flush, never chunked: the claim says "every
+            # row of these containers is in the stream up to and
             # including this batch", which chunking would falsify for
             # all but the last chunk.  Containers whose rows were all
-            # filtered out ride along in the cumulative set — rescanning
-            # them after a failover would yield zero rows anyway.
-            selected.delivered = RangeSet.from_ids(self._delivered_ids).intervals
+            # filtered out ride along in the cumulative claim —
+            # rescanning them after a failover would yield zero rows.
+            selected.delivered = RangeSet(self._claim).intervals
             return self._emit(selected)
         for piece in selected.iter_chunks(self.batch_rows):
             if not self._emit(piece):
@@ -435,6 +439,28 @@ class ScanNode(QETNode):
                 pieces.append([extra, 0, len(extra)])
                 buffered += len(extra)
         return buffered
+
+    def _grow_claim(self, run):
+        """Claim a delivered run: one interval when its containers are
+        consecutive in its snapshot (extending the last interval when
+        the run continues it), else one per container.  An interval
+        spans ids the snapshot lacks; ids a load adds leave the claim."""
+        (previous, extend), items = self._claim_end, run.items
+        if run.snapshot is not previous and previous is not None:
+            added = np.setdiff1d(run.snapshot.ids, previous.ids).tolist()
+            kept = RangeSet(self._claim).difference(RangeSet.from_ids(added))
+            self._claim, extend = [list(interval) for interval in kept], None
+        ids = run.snapshot.lists()[0]
+        first = bisect_left(ids, items[0][0])
+        stop = first + len(items)
+        if ids[first:stop] != [item[0] for item in items]:
+            self._claim.extend([item[0], item[0]] for item in items)
+            stop = None
+        elif first == extend:
+            self._claim[-1][1] = ids[stop - 1]
+        else:
+            self._claim.append([ids[first], ids[stop - 1]])
+        self._claim_end = (run.snapshot, stop)
 
     def run(self):
         candidates = self.candidates
@@ -467,7 +493,7 @@ class ScanNode(QETNode):
                 # Every delivered container is accounted for — even
                 # ones whose rows all fail the WHERE, which a resumed
                 # scan would simply find empty again.
-                self._delivered_ids.extend(item[0] for item in run.items)
+                self._grow_claim(run)
             buffered = self._gather(run, pieces, buffered)
             if buffered >= ramp:
                 if not self._flush(pieces, buffered):

@@ -1,4 +1,4 @@
-"""Fixtures for the chaos suite: replicated clusters with scripted faults.
+"""Fixtures for the chaos suite: clusters with scripted faults.
 
 Every test runs under the same SIGALRM timeout guard as tests/net — a
 chaos test that hangs (the exact bug failover exists to prevent) must
@@ -72,9 +72,19 @@ def replicated_archive(photo, tags):
     return archive
 
 
+@pytest.fixture(scope="module")
+def split_archive(photo, tags):
+    """A 2-server partitioning without replication: every container has
+    exactly one home, so a dead server's undelivered ranges have none."""
+    archive = DistributedArchive.from_table(photo, depth=5, n_servers=2)
+    archive.attach_source("tag", tags)
+    return archive
+
+
 @pytest.fixture()
 def chaos_cluster(replicated_archive):
-    """Factory starting one ArchiveServer per replicated node.
+    """Factory starting one ArchiveServer per node of an archive (the
+    replicated one unless ``archive=`` names another).
 
     ``start(policies={server_id: FaultPolicy})`` returns the started
     servers; every server started through the factory is stopped at
@@ -84,7 +94,7 @@ def chaos_cluster(replicated_archive):
     """
     started = []
 
-    def start(policies=None, batch_rows=512):
+    def start(policies=None, batch_rows=512, archive=replicated_archive):
         policies = policies or {}
         servers = [
             ArchiveServer(
@@ -92,7 +102,7 @@ def chaos_cluster(replicated_archive):
                 batch_rows=batch_rows,
                 fault_policy=policies.get(node.server_id),
             ).start()
-            for node in replicated_archive.servers
+            for node in archive.servers
         ]
         started.extend(servers)
         return servers

@@ -1,4 +1,4 @@
-"""Chaos harness: seeded mid-query server kills over a replicated cluster.
+"""Chaos harness: seeded mid-query server kills over a cluster.
 
 The acceptance contract of the fault-tolerance work:
 
@@ -6,10 +6,12 @@ The acceptance contract of the fault-tolerance work:
   must yield *row-identical* answers to the fault-free local engine —
   the undelivered container ranges re-route to surviving replicas with
   no row lost or duplicated — and the job must report the failover;
-* a kill with no surviving replica for some ranges must end the job
-  FAILED with a structured :class:`UnrecoverableShardError` naming the
-  unrecoverable container ranges — never a hang, never a silent
-  partial result (the conftest timeout guard enforces "never a hang").
+* a kill with no surviving replica for some ranges — on a replicated
+  cluster after a cascade, on an unreplicated one at once — must end
+  the job FAILED with a structured :class:`UnrecoverableShardError`
+  naming the dead endpoint and the unrecoverable container ranges —
+  never a hang, never a silent partial result (the conftest timeout
+  guard enforces "never a hang").
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ _rng = random.Random(CHAOS_SEED)
 
 #: (query, comparison mode, victim batch index).  Ordered and aggregate
 #: shard streams are single-batch breakers, so their kill lands on frame
-#: 0; plain streams span several 512-row frames and die at a seeded one.
+#: 0; plain streams span several 512-row frames and die at a seeded one
+#: — the spatial ones too, whose delivered claims the cover fragments
+#: (each touches servers 0 and 1 and streams three frames from 1).
 #: Bare LIMIT queries are excluded: LIMIT without ORDER BY legitimately
 #: returns different (correct) rows per run, so there is no row-exact
 #: differential to assert (their failover contract is covered below).
@@ -53,6 +57,12 @@ CHAOS_CORPUS = [
         "WHERE mag_r < 19 GROUP BY objtype",
         "ordered",
         0,
+    ),
+    ("SELECT objid FROM photo WHERE CIRCLE(300, 0, 45)", "rows", _rng.randrange(3)),
+    (
+        "SELECT objid, ra, dec FROM photo WHERE RECT(225, 315, -30, 60)",
+        "rows",
+        _rng.randrange(3),
     ),
 ]
 
@@ -148,6 +158,37 @@ def test_cascading_deaths_fail_with_unrecoverable_ranges(chaos_cluster):
     assert "container ranges" in str(job.error)
     # Both scripted faults fired: the cascade actually happened.
     assert victim.fired and replacement.fired
+
+
+def test_unreplicated_kill_fails_structured_naming_endpoint_and_ranges(
+    chaos_cluster, split_archive
+):
+    """A 2-endpoint cluster without replicas: server 1 dies after its
+    first frame.  The job fails with an UnrecoverableShardError naming
+    server 1 and container ranges it holds and had not yet delivered —
+    not with a bare connection error."""
+    from repro.htm.ranges import RangeSet
+
+    faults = _kill_at_batch(1)
+    servers = chaos_cluster({1: faults}, archive=split_archive)
+    dead = servers[1].address
+    with Archive.connect(_urls(servers)) as session:
+        job = session.submit("SELECT objid, mag_u FROM photo")
+        with pytest.raises(ExecutionError):
+            job.cursor.fetchall()
+        assert job.wait(timeout=JOIN_TIMEOUT).value == "failed"
+    assert faults.fired == [("stream_batch", "crash_server")]
+    assert isinstance(job.error, UnrecoverableShardError)
+    assert job.error.endpoint == dead
+    lost = RangeSet(job.error.ranges)
+    held = RangeSet.from_ids(split_archive.servers[1].stores()["photo"].occupied_ids())
+    assert not lost.is_empty() and lost.difference(held).is_empty()
+    (leaf,) = [
+        node for node in job.node_stats() if node.name == "remote" and node.endpoint == dead
+    ]
+    delivered = RangeSet(leaf._segment_delivered)
+    assert not delivered.is_empty(), "the first frame carried a claim"
+    assert not lost.overlaps(delivered)
 
 
 def test_ordered_kill_without_single_covering_survivor_fails_structured(

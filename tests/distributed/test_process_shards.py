@@ -56,6 +56,21 @@ DIFFERENTIAL = [
         " ORDER BY objtype",
         True,
     ),
+    # Spatial shapes: the coordinator covers once and each shard process
+    # scans its assignment under that cover.
+    ("SELECT objid, ra, dec FROM photo WHERE CIRCLE(120, 10, 20)", False),
+    (
+        "SELECT objid, mag_r FROM photo WHERE CIRCLE(200, -20, 25) "
+        "ORDER BY mag_r, objid LIMIT 15",
+        True,
+    ),
+    ("SELECT objid, ra, dec FROM photo WHERE RECT(100, 190, -30, 30)", False),
+    ("SELECT objid FROM photo WHERE POLYGON(0, 0, 10, 0, 5, 8)", False),
+    (
+        "SELECT objtype, COUNT(objid) AS n, AVG(mag_r) AS m FROM photo "
+        "WHERE CIRCLE(300, 0, 40) GROUP BY objtype ORDER BY objtype",
+        True,
+    ),
 ]
 
 

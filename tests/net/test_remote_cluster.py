@@ -161,3 +161,24 @@ def test_into_is_refused_like_every_other_mydb_less_backend(cluster_session):
         cluster_session.submit(
             "SELECT objid INTO mydb.bright FROM photo WHERE mag_r < 18"
         )
+
+
+def test_a_shard_submission_without_ranges_is_refused(shard_servers):
+    """Every shard submission carries its container assignment: a raw
+    ``mode="shard"`` submit without ``ranges`` is refused with a
+    structured error instead of scanning a cover of the server's own."""
+    from repro.net.client import ServerLink
+    from repro.session import SessionError
+
+    link = ServerLink(shard_servers[0].address)
+    submit = {
+        "op": "submit",
+        "text": "SELECT objid FROM photo WHERE CIRCLE(40, 30, 5)",
+        "mode": "shard",
+        "select_index": 0,
+    }
+    with pytest.raises(SessionError, match="must carry its container assignment"):
+        link.once(submit)
+    accepted = link.once({**submit, "ranges": [[0, 1]]})
+    assert accepted["op"] == "accepted"
+    link.once({"op": "cancel", "job_id": accepted["job_id"]})

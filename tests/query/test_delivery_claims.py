@@ -1,0 +1,152 @@
+"""A tracked shard scan's ``delivered`` claim is exact, drawn.
+
+A remote shard scan stamps every batch with the cumulative claim of the
+containers whose rows are all in the stream — the intervals a failover
+subtracts from the assignment before it re-routes the rest.  The claim
+grows by one interval per run of containers consecutive in the store's
+snapshot, so it spans ids the snapshot does not hold; a load can add one
+of those mid-scan.  Drawn here: stores with overflow containers, a scan
+that joins the sweep mid-lap, a load that lands between two containers
+the scan already delivered (plus rows for a delivered container), and a
+second join that appends the new container to the tail of the lap.
+
+After every batch, the claim intersected with the ids of the snapshot
+the scan last read holds only containers whose rows (at their delivery,
+those the ``WHERE`` keeps) are all in the stream; at the end the claim
+holds every delivered container.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.catalog.table import ObjectTable
+from repro.htm import RangeSet
+from repro.machines.sweep import SweepScanner
+from repro.query.optimizer import plan_query
+from repro.query.parser import parse_query
+from repro.query.qet import ScanNode, Stream
+from repro.storage import ContainerStore
+
+#: the depth-3 container id space
+LO, HI = 8 * 4**3, 16 * 4**3 - 1
+
+_next_objid = itertools.count(10**15)
+
+
+def _rows(photo, picks):
+    """Copies of catalog rows under objids no other row has."""
+    table = photo.take(np.asarray(picks))
+    data = table.data.copy()
+    data["objid"] = [next(_next_objid) for _ in range(len(data))]
+    return ObjectTable(table.schema, data)
+
+
+def _between_delivered(snapshot, delivered):
+    """An id no container holds, between two containers consecutive in
+    the snapshot that were both delivered; ``None`` when there is none."""
+    ids = snapshot.lists()[0]
+    for a, b in zip(ids, ids[1:]):
+        if a in delivered and b in delivered and b - a > 1:
+            return a + 1
+    return None
+
+
+def _kept(plan, schema, rows):
+    """Objids of the rows the ``WHERE`` keeps."""
+    table = ObjectTable(schema, rows)
+    return set(table.data["objid"][plan.predicate(table)].tolist())
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_tracked_scan_claims_exactly_what_is_in_its_stream(photo, data):
+    store = ContainerStore.from_table(photo.take(np.arange(160)), depth=3)
+    ids = store.occupied_ids()
+    overflowing = data.draw(st.lists(st.sampled_from(ids), max_size=4), label="overflow")
+    if overflowing:
+        store.append(_rows(photo, range(len(overflowing))), overflowing)
+    stride = data.draw(st.sampled_from([1, 3, 32]), label="stride")
+    lead_steps = data.draw(st.integers(0, 12), label="lead")
+    load_at = data.draw(st.integers(0, 40), label="load_at")
+    ranges = data.draw(
+        st.one_of(
+            st.just([(LO, HI)]),
+            st.lists(
+                st.tuples(st.integers(LO, HI), st.integers(0, 40)), min_size=1, max_size=6
+            ).map(lambda pairs: [(lo, min(lo + n, HI)) for lo, n in pairs]),
+        ),
+        label="assignment",
+    )
+    batch_rows = data.draw(st.sampled_from([4, 16, 64]), label="batch_rows")
+    plan = plan_query(
+        parse_query("SELECT * FROM photo WHERE mag_r < 21"), {"photo": store.schema}
+    )
+    candidates = RangeSet(ranges)
+
+    scanner = SweepScanner(store)
+    scanner.attach(sink=lambda run: None)  # moves the sweep: the scan joins mid-lap
+    for _ in range(lead_steps):
+        scanner.step(stride)
+    runs = []
+    subscription = scanner.attach(candidates=candidates, sink=runs.append)
+
+    node = ScanNode(
+        store, plan, batch_rows=batch_rows, candidates=candidates, track_delivery=True
+    )
+    node.output = Stream(maxsize=0)
+    consumed = []  # every run the node has taken, in order
+    delivered = set()
+
+    def feed():
+        steps = 0
+        while not subscription.done or runs:
+            while runs:
+                run = runs.pop(0)
+                consumed.append(run)
+                delivered.update(item[0] for item in run.items)
+                yield run
+            if subscription.done:
+                break
+            if steps == load_at:
+                snapshot = store.snapshot
+                added = _between_delivered(snapshot, delivered)
+                if added is None:
+                    added = next(i for i in range(LO, HI + 1) if i not in snapshot.lists()[0])
+                touched = [added, added]
+                if delivered:
+                    touched.append(min(delivered))
+                store.append(_rows(photo, range(len(touched))), touched)
+                # A later join appends the new container to the lap's tail.
+                scanner.attach(sink=lambda run: None)
+            scanner.step(stride)
+            steps += 1
+
+    emitted = []
+    emit = node._emit
+
+    def recording_emit(batch):
+        emitted.append((batch, len(consumed)))
+        return emit(batch)
+
+    node._emit = recording_emit
+    node._consume(feed())
+
+    stream = set()
+    for batch, taken in emitted:
+        stream.update(batch.data["objid"].tolist())
+        complete = set()
+        for run in consumed[:taken]:
+            for htm_id, rows, _from_pool in run.containers():
+                if _kept(plan, store.schema, rows) <= stream:
+                    complete.add(htm_id)
+        latest = consumed[taken - 1].snapshot.lists()[0]
+        claim = RangeSet(batch.delivered)
+        claimed = {htm_id for htm_id in latest if claim.contains(htm_id)}
+        assert claimed <= complete, sorted(claimed - complete)
+    final = RangeSet(node._claim)
+    assert all(final.contains(htm_id) for htm_id in delivered)

@@ -164,7 +164,8 @@ NESTED = (
 )
 
 
-def test_select_index_numbering_matches_shard_resolution(engine, photo):
+def test_select_index_numbering_matches_shard_resolution(engine, photo, photo_store):
+    from repro.htm.ranges import RangeSet
     from repro.query import parse_query
     from repro.query.errors import PlanError
     from repro.query.physical import build_query_tree, query_selects
@@ -188,14 +189,16 @@ def test_select_index_numbering_matches_shard_resolution(engine, photo):
     assert query_selects(parse_query(NESTED)) == [numbered[i] for i in range(5)]
 
     # The shard half a server builds for select_index i scans with
-    # exactly the i-th SELECT's predicate.
+    # exactly the i-th SELECT's predicate, over the assignment it is
+    # given (here every container the engine holds).
     mag_r = photo.data["mag_r"]
+    everything = RangeSet.from_ids(photo_store.occupied_ids()).intervals
     for index in range(5):
-        prepared = engine.prepare_shard(NESTED, select_index=index)
+        prepared = engine.prepare_shard(NESTED, index, everything)
         rows = sum(len(batch) for batch in _run(prepared.root))
         assert rows == int((mag_r < 14 + index).sum())
     with pytest.raises(PlanError, match="select_index 5 out of range"):
-        engine.prepare_shard(NESTED, select_index=5)
+        engine.prepare_shard(NESTED, 5, everything)
 
 
 def _run(root):
@@ -368,8 +371,9 @@ def test_a_spatial_select_covers_its_region_once(
     monkeypatch, photo, tags, photo_store, tag_store
 ):
     """One ``cover_region`` call per spatial SELECT on a store mapping,
-    an in-process archive and a replicated 2-endpoint cluster, whose
-    servers scan the coordinator's assignment instead of re-covering."""
+    an in-process archive and a 2-endpoint cluster, replicated or not,
+    whose servers scan the coordinator's assignment instead of
+    re-covering."""
     import repro.htm.cover
 
     calls = []
@@ -381,19 +385,26 @@ def test_a_spatial_select_covers_its_region_once(
 
     monkeypatch.setattr(repro.htm.cover, "cover_region", counting)
     dist = DistributedArchive.from_table(photo, depth=5, n_servers=3)
+    split = DistributedArchive.from_table(photo, depth=5, n_servers=2)
+    split.attach_source("tag", tags)
     mirrored = DistributedArchive.from_table(photo, depth=5, n_servers=2)
     mirrored.attach_source("tag", tags)
     replicate_archive(mirrored, replication_factor=2)
     query = "SELECT objid FROM photo WHERE CIRCLE(40, 30, 12)"
     with contextlib.ExitStack() as stack:
-        servers = [
-            stack.enter_context(ArchiveServer(stores=node.stores()))
-            for node in mirrored.servers
-        ]
+
+        def cluster(archive):
+            servers = [
+                stack.enter_context(ArchiveServer(stores=node.stores()))
+                for node in archive.servers
+            ]
+            return Archive.connect([server.url for server in servers])
+
         sessions = {
             "stores": Archive.connect(stores={"photo": photo_store, "tag": tag_store}),
             "archive": Archive.connect(archive=dist),
-            "replicated": Archive.connect([server.url for server in servers]),
+            "cluster": cluster(split),
+            "replicated": cluster(mirrored),
         }
         for session in sessions.values():
             stack.enter_context(session)
@@ -402,4 +413,4 @@ def test_a_spatial_select_covers_its_region_once(
             calls.clear()
             assert len(session.query_table(query)) > 0
             counts[backend] = len(calls)
-    assert counts == {"stores": 1, "archive": 1, "replicated": 1}
+    assert counts == {"stores": 1, "archive": 1, "cluster": 1, "replicated": 1}
