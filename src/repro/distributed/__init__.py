@@ -9,17 +9,12 @@ by :mod:`repro.query.physical`).  See
 """
 
 from repro.distributed.engine import DistributedQueryEngine
-from repro.distributed.routing import (
-    ShardFanoutReport,
-    assign_sweep_servers,
-    route_plan,
-)
+from repro.distributed.routing import ShardFanoutReport, route_plan
 
 __all__ = [
     "DistributedQueryEngine",
     "ProcessShardCluster",
     "ShardFanoutReport",
-    "assign_sweep_servers",
     "route_plan",
 ]
 

@@ -13,23 +13,13 @@ cover feed the :class:`~repro.storage.diskmodel.NodeModel` for simulated
 scan seconds ("a prediction of the output data volume and search time
 can be computed from the intersection volume").  Each touched shard's
 scan rides that server's one shared sweep.
-
-Replication-aware assignment ("Some of the high-traffic data will be
-replicated among servers"): when the archive carries a
-:class:`~repro.storage.replication.ReplicationManager`, each shard's
-sweep is assigned to the *least-loaded replica* of that shard's data;
-a shard whose data has a single copy keeps its sweep on the primary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = [
-    "ShardFanoutReport",
-    "route_plan",
-    "assign_sweep_servers",
-]
+__all__ = ["ShardFanoutReport", "route_plan"]
 
 
 @dataclass
@@ -44,9 +34,6 @@ class ShardFanoutReport:
     estimated_bytes_per_server: dict = field(default_factory=dict)
     #: simulated scan seconds, per touched server
     simulated_seconds_per_server: dict = field(default_factory=dict)
-    #: shard server id -> server id chosen to run that shard's sweep
-    #: (differs from the shard id only under replication)
-    sweep_assignments: dict = field(default_factory=dict)
     #: simulated seconds: slowest touched server (shared-nothing parallelism)
     simulated_seconds: float = 0.0
     #: simulated seconds a single server holding everything would need
@@ -72,53 +59,12 @@ def _store_bytes_under(store, candidates):
     return int(rows) * snapshot.arena.itemsize
 
 
-def assign_sweep_servers(touched_ids, replication=None):
-    """Pick the server that runs each touched shard's sweep.
-
-    Consults the :class:`~repro.storage.replication.ReplicationManager`
-    when one is given: a shard whose containers have replicas may have
-    its sweep served by any server holding a copy, and the least-loaded
-    one is chosen (the choice is charged to ``server_load`` so repeated
-    assignments spread).  Without replication — or for shards with no
-    replicated containers — the shard's only copy is its primary, so the
-    sweep stays there.
-
-    Returns ``{shard_server_id: executing_server_id}``.  Note the
-    reproduction keeps container data in process memory, so a replica
-    assignment redirects only the *load accounting*; the
-    rows themselves are read from the primary's resident store.
-    """
-    replica_holders = {}
-    if replication is not None:
-        # One pass over the replica table, grouped by primary — not a
-        # rescan per touched shard.
-        for container_id, extra in replication.replicas.items():
-            primary = replication.primary_for(container_id)
-            replica_holders.setdefault(primary, set()).update(
-                int(s) for s in extra
-            )
-    assignment = {}
-    for shard_id in touched_ids:
-        shard_id = int(shard_id)
-        copies = sorted({shard_id} | replica_holders.get(shard_id, set()))
-        if len(copies) > 1:
-            target = min(copies, key=lambda s: replication.server_load[s])
-            replication.server_load[target] += 1
-        else:
-            target = shard_id
-        assignment[shard_id] = target
-    return assignment
-
-
 def route_plan(archive, routed_source, candidates):
     """Split the archive's servers into (touched, report) for one plan.
 
     ``candidates`` is the cover's candidate :class:`RangeSet` at
     container depth, or ``None`` for a full scan (all servers touched).
-    Pruned servers are recorded but never read.  Each touched shard's
-    sweep is assigned to a replica server when the archive has a
-    :class:`~repro.storage.replication.ReplicationManager` attached
-    (``archive.replication``).
+    Pruned servers are recorded but never read.
     """
     report = ShardFanoutReport(
         source=routed_source, servers_total=len(archive.servers)
@@ -143,10 +89,6 @@ def route_plan(archive, routed_source, candidates):
         report.estimated_bytes_per_server[server.server_id] = nbytes
         report.simulated_seconds_per_server[server.server_id] = seconds
         total_bytes += nbytes
-    report.sweep_assignments = assign_sweep_servers(
-        report.touched_server_ids,
-        replication=getattr(archive, "replication", None),
-    )
     report.simulated_seconds = max(
         report.simulated_seconds_per_server.values(), default=0.0
     )

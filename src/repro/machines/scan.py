@@ -56,7 +56,6 @@ class ScanQuery:
     rows_matched: int = 0
     containers_seen: int = 0
     _pieces: List[ObjectTable] = field(default_factory=list)
-    _start_index: Optional[int] = None
 
     def latency(self):
         """Simulated seconds from arrival to completion."""
@@ -149,9 +148,7 @@ class ScanMachine:
             while pending and pending[0].arrival_time <= self.clock:
                 query = pending.pop(0)
                 query.activated_at = self.clock
-                subscription = scanner.attach(sink=self._sink_for(query))
-                query._start_index = subscription.start_position
-                active[subscription] = query
+                active[scanner.attach(sink=self._sink_for(query))] = query
             if not active:
                 # Idle until the next arrival.
                 self.clock = pending[0].arrival_time

@@ -8,10 +8,21 @@ completes within the scan time."*
 :class:`SweepScanner` makes the paper's scan machine the *real* read
 path instead of a standalone simulation: every concurrent scan of a
 :class:`~repro.storage.containers.ContainerStore` subscribes to the
-store's single scanner, which sweeps the containers in a circle and
-hands each container to every active subscriber.  A query joining
-mid-sweep starts at the current position and completes on wrap-around —
-N concurrent queries cost one physical pass, not N.
+store's single scanner, which sweeps the containers in id order, in a
+circle, and hands each container to every active subscriber.  A query
+joining mid-sweep starts at the current position and completes on
+wrap-around — N concurrent queries cost one physical pass, not N.
+
+The sweep's position is a container id, read against whatever
+:class:`~repro.storage.containers.StoreSnapshot` the store holds at
+each step.  A subscription records the id the sweep stood at when it
+joined: it is offered every held container at or after that id, then,
+after the wrap, every held container before it, and it is done when the
+sweep comes back to its start.  So when the store changes mid-lap, a
+container held at attach and still held when the sweep reaches it is
+offered exactly once, a container added after attach is offered only if
+its id lies in the arc the subscription has not swept yet, and a
+removed container is not offered.
 
 Three properties keep the shared sweep from being slower than private
 scans ever were:
@@ -20,23 +31,22 @@ scans ever were:
   query's HTM candidate :class:`~repro.htm.ranges.RangeSet`; containers
   outside it are counted as skipped (they still advance the
   subscription toward completion) and, when *no* active subscriber
-  wants a container, it is never read at all.  Nor is it visited: the
-  lap order is sorted, so while every active subscriber carries
-  candidates a step *jumps* by bisection to the next container any of
-  them wants and counts the ones in between arithmetically — a lap
-  costs what it delivers plus O(cover ranges · log containers), not
-  one test per container.  A whole-catalog subscriber wants every
-  position, so beside one the sweep walks as it always did;
+  wants a container, it is never read at all.  Nor is it visited: while
+  every active subscriber carries candidates a step *jumps* by
+  bisection to the next container any of them wants and counts the ones
+  in between arithmetically — a lap costs what it delivers plus
+  O(cover intervals · log containers), not one test per container.  A
+  whole-catalog subscriber wants every container, so beside one the
+  sweep walks;
 * **reads go through the buffer pool** — the sweep accounts each run of
   containers via :meth:`BufferPool.fetch_many
   <repro.storage.buffer.BufferPool.fetch_many>`, so a lap over
   recently-swept data is served from the pool without physical I/O;
 * **the sweep never stalls on a slow astronomer** — a delivery is a
-  :class:`SweepRun`, row ranges of one immutable
-  :class:`~repro.storage.containers.StoreSnapshot`, pushed on unbounded
-  subscription streams, so one blocked consumer cannot wedge the sweep
-  for everyone else (each query's own output stream still applies
-  backpressure downstream).
+  :class:`SweepRun`, index spans of one immutable snapshot, pushed on
+  unbounded subscription streams, so one blocked consumer cannot wedge
+  the sweep for everyone else (each query's own output stream still
+  applies backpressure downstream).
 
 The scanner has two driving modes sharing one :meth:`step` core: *live*
 (:meth:`subscribe` — a daemon thread sweeps while subscriptions exist,
@@ -51,8 +61,9 @@ from __future__ import annotations
 
 import threading
 import weakref
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from repro.catalog.table import concat_records
@@ -62,22 +73,27 @@ __all__ = ["SweepRun", "SweepScanner", "SweepSubscription", "SweepStats", "Sweep
 
 
 class SweepRun(NamedTuple):
-    """One delivery: ``items`` are ``(htm_id, lo, hi, from_pool)`` for a
-    run of containers, in sweep order — arena rows ``lo:hi`` of
-    ``snapshot``, then the container's ``snapshot.overflow`` rows."""
+    """One delivery: ``spans`` are ``(k0, k1)`` index ranges of
+    ``snapshot`` in sweep order — containers ``ids[k0:k1]``, each its
+    arena rows then its ``snapshot.overflow`` rows — and ``hits`` holds
+    one buffer-pool flag per delivered container, in the same order."""
 
     snapshot: object
-    items: list
+    spans: list
+    hits: list
 
     def containers(self):
         """``(htm_id, rows, from_pool)`` per container; ``rows`` is a
         structured array (a view of the arena when it has no overflow)."""
         arena, overflow = self.snapshot.arena, self.snapshot.overflow
-        for htm_id, lo, hi, from_pool in self.items:
-            rows = arena[lo:hi]
-            if htm_id in overflow:
-                rows = concat_records([rows, overflow[htm_id]], arena.dtype)
-            yield htm_id, rows, from_pool
+        ids, offsets, _sizes = self.snapshot.lists()
+        hits = iter(self.hits)
+        for k0, k1 in self.spans:
+            for k in range(k0, k1):
+                rows = arena[offsets[k] : offsets[k + 1]]
+                if ids[k] in overflow:
+                    rows = concat_records([rows, overflow[ids[k]]], arena.dtype)
+                yield ids[k], rows, next(hits)
 
 
 @dataclass
@@ -138,29 +154,27 @@ class SweepSubscription:
         self.scanner = scanner
         self.candidates = candidates
         self._sink = sink
-        #: containers this subscription must be offered before completing
-        #: (fixed by the scanner at attach time)
-        self.total = 0
-        #: sweep position at which this subscription joined
-        self.start_position = 0
+        #: the container id the sweep stood at when this subscription
+        #: joined (0, the top of the store, on an idle sweep)
+        self.start = 0
+        #: ``(lap, id)``: where the sweep is back at ``start``
+        self._end = None
         self.seen = 0
         self.delivered = 0
         self.skipped = 0
         self.from_pool = 0
         self.done = False
+        self._completed = False
         self.stream = Stream(maxsize=0) if sink is None else None
-
-    def wants(self, htm_id):
-        """Whether this subscription needs the container's rows."""
-        return self.candidates is None or self.candidates.contains(htm_id)
 
     def physical_reads(self):
         """Deliveries whose bytes came off disk during this pass."""
         return self.delivered - self.from_pool
 
     def completed(self):
-        """True once every container was offered exactly once."""
-        return self.done and self.seen >= self.total
+        """True once the sweep came back to this subscription's start
+        (not when it was cancelled or failed)."""
+        return self._completed
 
     def cancel(self):
         """Consumer side: stop receiving; the sweep drops this subscription."""
@@ -178,6 +192,26 @@ class SweepSubscription:
 
     # -- scanner side ---------------------------------------------------
 
+    def _spans(self, ids, start, stop):
+        """Yield the ``(a, b)`` index spans of ``ids[start:stop]`` this
+        subscription wants, in order: the whole range without
+        candidates, else one bisection pair per candidate interval that
+        meets it (``ids`` is sorted, and so are the intervals)."""
+        if start >= stop:
+            return
+        if self.candidates is None:
+            yield start, stop
+            return
+        intervals = self.candidates.intervals
+        for i in range(bisect_left(intervals, ids[start], key=_HIGH), len(intervals)):
+            lo, hi = intervals[i]
+            a = bisect_left(ids, lo, start, stop)
+            if a == stop:
+                return
+            start = bisect_right(ids, hi, a, stop)
+            if start > a:
+                yield a, start
+
     def _deliver_run(self, run):
         """Hand a :class:`SweepRun` to the consumer."""
         if self._sink is not None:
@@ -185,15 +219,15 @@ class SweepSubscription:
         else:
             ok = self.stream.push(run)
         if ok:
-            self.delivered += len(run.items)
-            self.from_pool += sum(1 for *_span, hit in run.items if hit)
+            self.delivered += len(run.hits)
+            self.from_pool += sum(run.hits)
         else:
             self.done = True  # consumer cancelled mid-delivery
         return ok
 
     def _complete(self):
         if not self.done:
-            self.done = True
+            self.done = self._completed = True
             if self.stream is not None:
                 self.stream.close()
 
@@ -203,6 +237,21 @@ class SweepSubscription:
             self.done = True
             if self.stream is not None:
                 self.stream.fail(exc)
+
+
+#: a candidate interval's upper bound (intervals are sorted by both ends)
+_HIGH = itemgetter(1)
+
+
+def _union(span_lists):
+    """The sorted union of several subscribers' spans, overlaps merged."""
+    union = []
+    for a, b in sorted(span for spans in span_lists for span in spans):
+        if union and a <= union[-1][1]:
+            union[-1][1] = max(union[-1][1], b)
+        else:
+            union.append([a, b])
+    return union
 
 
 class SweepScanner:
@@ -226,14 +275,9 @@ class SweepScanner:
         self._cond = threading.Condition()
         self._throttle = float(throttle)
         self._subs = []
-        self._order = []
-        #: how much of ``_order`` is sorted: all of a fresh snapshot,
-        #: not the tail appended when the store grew under the sweep
-        self._sorted_len = 0
-        self._position = 0
-        #: the store's mutation generation when ``_order`` was last made
-        #: or extended
-        self._generation = None
+        #: the sweep's position: the next container id it reads this lap
+        #: (or the first held one after it); 0, the top, between laps
+        self._cursor = 0
         self._thread = None
 
     def _published_metrics(self):
@@ -301,34 +345,14 @@ class SweepScanner:
             )
 
     def _attach_locked(self, sub):
-        if not self._subs:
-            # Idle sweep: take a fresh snapshot of the container order
-            # and park at the top (deterministic for sequential work).
-            self._order = self.store.occupied_ids()
-            self._sorted_len = len(self._order)
-            self._position = 0
-        elif self.store.generation != self._generation:
-            # The store changed under an active sweep: append the new
-            # containers to the tail of the lap so this (and every
-            # later) subscriber sees them, without renumbering the
-            # positions mid-lap subscribers are counting against.
-            # Removed containers stay in the order and are skipped by
-            # ``step`` when the lookup misses.  The generation, not the
-            # container count, tells: one container added and another
-            # removed leave the count as it was.
-            known = set(self._order)
-            self._order = self._order + [
-                htm_id
-                for htm_id in self.store.occupied_ids()
-                if htm_id not in known
-            ]
-        self._generation = self.store.generation
-        sub.total = len(self._order)
-        sub.start_position = self._position
-        if sub.total == 0:
-            sub._complete()
-        else:
+        # Start where the sweep stands (an idle one is parked at the
+        # top) and end there one lap on.
+        sub.start = self._cursor
+        sub._end = (self.stats.laps + 1, self._cursor)
+        if len(self.store.snapshot.ids):
             self._subs.append(sub)
+        else:
+            sub._complete()
         return sub
 
     def active_subscriptions(self):
@@ -337,9 +361,10 @@ class SweepScanner:
             return len(self._subs)
 
     def position(self):
-        """Current sweep position (index into the lap order)."""
+        """Current sweep position: the next container id it reads this
+        lap, or the first held one after it (0 at the top)."""
         with self._cond:
-            return self._position
+            return self._cursor
 
     # ------------------------------------------------------------------
     # the sweep core
@@ -350,90 +375,90 @@ class SweepScanner:
         next container any of them wants, then pump a run of up to
         ``stride`` consecutive containers from there.
 
-        The jump costs two bisections per candidate interval it passes,
-        not one ``wants`` call per container: the containers in between
-        are credited to every subscriber's ``seen`` / ``skipped`` and to
-        ``containers_skipped`` as a count and are never looked at.  A
-        subscriber without candidates wants every position, so a sweep
-        serving one never jumps.  Neither the jump nor the run crosses a
-        wrap boundary or any subscriber's completion point, so
-        join/complete granularity stays per container while the lock
-        and queue handoffs amortize over the run.  Returns a
-        :class:`SweepStep` (its run is empty when the jump alone reached
-        the lap's end or a completion point), or ``None`` when there is
-        nothing to do.  Shared by the live thread (``stride > 1``) and
-        the simulated :class:`~repro.machines.scan.ScanMachine` driver
-        (``stride=1``, one clock charge per container).
+        A step reads one contiguous index range of the snapshot the
+        store holds now, from the first container at or after the
+        sweep's position.  The jump costs a bisection pair per candidate
+        interval it passes, not one test per container: the containers
+        in between are credited to every subscriber's ``seen`` /
+        ``skipped`` and to ``containers_skipped`` as a count and are
+        never looked at.  A subscriber without candidates wants every
+        container, so a sweep serving one never jumps.  Neither the jump
+        nor the run crosses the lap's end or the start of a subscriber
+        the sweep has wrapped for, so join/complete granularity stays
+        per container while the lock and queue handoffs amortize over
+        the run; each subscriber gets its part of the run as index
+        spans.  Returns a :class:`SweepStep` (its run is empty when the
+        jump alone reached the lap's end or a completion point), or
+        ``None`` when there is nothing to do.  Shared by the live thread
+        (``stride > 1``) and the simulated
+        :class:`~repro.machines.scan.ScanMachine` driver (``stride=1``,
+        one clock charge per container).
         """
         with self._cond:
-            if not self._subs or not self._order:
+            if not self._subs:
                 return None
             subs = list(self._subs)
-            order = self._order
-            start = self._position
-            lap_len = len(order)
-            # No further than the lap's end or the first completion point.
-            stop = start + min(lap_len - start, *(s.total - s.seen for s in subs))
-            run_start = self._next_wanted_locked(subs, start, stop)
-            run_stop = max(start + 1, min(run_start + int(stride), stop))
-            run_ids = order[run_start:run_stop]
-            advanced = run_stop - start
+            snapshot = self.store.snapshot
+            ids, _offsets, sizes = snapshot.lists()
+            lap = self.stats.laps
+            start = bisect_left(ids, self._cursor)
+            # No further than the lap's end or the first start the sweep
+            # comes back to in this lap.
+            ends = [end for end_lap, end in (s._end for s in subs) if end_lap == lap]
+            stop = bisect_left(ids, min(ends), start) if ends else len(ids)
+            first = stop
+            for sub in subs:
+                # Never past ``first``: each subscriber searches only up
+                # to the nearest wanted container found so far.
+                first = next(sub._spans(ids, start, first), (first,))[0]
+            end = min(first + int(stride), stop)
             # Advance before delivering: a subscriber joining during the
             # deliveries starts at the run end and still sees every
             # container exactly once on wrap-around.
-            self._position = run_stop
-            wrapped = self._position >= lap_len
+            wrapped = end == len(ids)
             if wrapped:
-                self._position = 0
                 self.stats.laps += 1
+                self._cursor = 0
+            else:
+                self._cursor = ids[end]
+            position = (self.stats.laps, self._cursor)
 
-        # Classify the run and read the wanted containers in one batch,
-        # all from one snapshot.  While the lap order is the snapshot's
-        # own id list, a lap position is an index position.
-        snapshot = self.store.snapshot
-        ids, offsets, sizes = snapshot.lists()
+        # Each subscriber's spans of the run, and one pool read of their
+        # union, all in the one snapshot.
         itemsize = snapshot.arena.itemsize
-        if order is ids:
-            positions = range(run_start, run_stop)
-        else:
-            positions = [snapshot.find(htm_id) for htm_id in run_ids]
-        to_read = []
-        for htm_id, k in zip(run_ids, positions):
-            if k < 0:
-                continue  # removed since the lap began
-            wanting = [s for s in subs if not s.done and s.wants(htm_id)]
-            if wanting:
-                to_read.append((htm_id, k, wanting))
+        wanting = [(s, list(s._spans(ids, first, end))) for s in subs if not s.done]
+        union = _union(spans for _sub, spans in wanting)
         flags = (
             self.store.buffer_pool.fetch_many(
-                self.store, [(h, sizes[k] * itemsize) for h, k, _w in to_read]
+                self.store,
+                [(ids[k], sizes[k] * itemsize) for a, b in union for k in range(a, b)],
             )
-            if to_read
+            if union
             else []
         )
+        hits = [False] * (end - first)
+        taken = 0
+        for a, b in union:
+            hits[a - first : b - first] = flags[taken : taken + b - a]
+            taken += b - a
+        pumped = len(flags)
+        pooled = sum(flags)
+        nbytes = itemsize * sum(sum(sizes[a:b]) for a, b in union)
 
-        nbytes = 0
-        pooled = 0
+        advanced = end - start
         deliveries = 0
-        per_sub = {id(s): [] for s in subs}
-        for (htm_id, k, wanting), from_pool in zip(to_read, flags):
-            nbytes += sizes[k] * itemsize
-            pooled += from_pool
-            item = (htm_id, offsets[k], offsets[k + 1], from_pool)
-            for sub in wanting:
-                per_sub[id(sub)].append(item)
-        pumped = len(to_read)
-
-        for sub in subs:
+        for sub, spans in wanting:
             if sub.done:
                 continue
-            run = per_sub[id(sub)]
-            if run and sub._deliver_run(SweepRun(snapshot, run)):
-                deliveries += len(run)
+            mine = []
+            for a, b in spans:
+                mine += hits[a - first : b - first]
+            if spans and sub._deliver_run(SweepRun(snapshot, spans, mine)):
+                deliveries += len(mine)
             if not sub.done:
-                sub.skipped += advanced - len(run)
+                sub.skipped += advanced - len(mine)
                 sub.seen += advanced
-                if sub.seen >= sub.total:
+                if position >= sub._end:
                     sub._complete()
 
         with self._cond:
@@ -445,47 +470,8 @@ class SweepScanner:
             self.stats.deliveries += deliveries
             self._subs = [s for s in self._subs if not s.done]
             if not self._subs:
-                # Park at the top; the next subscriber re-snapshots.
-                self._order = []
-                self._position = 0
-        return SweepStep(htm_ids=run_ids, nbytes=nbytes, wrapped=wrapped)
-
-    def _next_wanted_locked(self, subs, start, stop):
-        """Lap position in ``[start, stop]`` of the first container any
-        of ``subs`` wants; ``stop`` when none of them wants any.
-
-        The lap order is sorted up to ``_sorted_len``, so the next id a
-        candidate set names (:meth:`RangeSet.next_member
-        <repro.htm.ranges.RangeSet.next_member>`) is found in it by
-        bisection; a named id the store does not hold lands on the next
-        one it does, and the search goes on from there.  The tail a
-        store that grew mid-lap appended is not sorted: the search stops
-        where it begins and :meth:`step` walks it container by
-        container.
-        """
-        order = self._order
-        first = order[start]
-        # Asked through ``wants`` first: a subscriber without candidates
-        # answers here, and so does one whose candidates cannot answer.
-        if any(s.wants(first) for s in subs):
-            return start
-        stop = min(stop, self._sorted_len)
-        if start >= stop:
-            return start
-        for sub in subs:
-            position = start + 1
-            while position < stop:
-                member = sub.candidates.next_member(order[position])
-                if member is None:
-                    position = stop
-                elif member == order[position]:
-                    break
-                else:
-                    position = bisect_left(order, member, position + 1, stop)
-            # Never past ``stop``: the next subscriber searches only up
-            # to the nearest position found so far.
-            stop = position
-        return stop
+                self._cursor = 0  # park at the top
+        return SweepStep(htm_ids=ids[first:end], nbytes=nbytes, wrapped=wrapped)
 
     # ------------------------------------------------------------------
     # the live thread
@@ -506,7 +492,7 @@ class SweepScanner:
         with self._cond:
             throttle = self._throttle
         try:
-            advanced = self.step(stride=1 if throttle else self.stride)
+            self.step(stride=1 if throttle else self.stride)
         except Exception as exc:
             # The sweep must never die silently: fail every active
             # subscription so consumers raise instead of blocking
@@ -514,19 +500,9 @@ class SweepScanner:
             with self._cond:
                 failed = list(self._subs)
                 self._subs = []
-                self._order = []
-                self._position = 0
+                self._cursor = 0
             for sub in failed:
                 sub._fail(exc)
-            return
-        if advanced is None:
-            # Subscribers exist but nothing was deliverable (e.g. a
-            # racing detach emptied the lap): block on the condition
-            # with a bounded wait instead of busy-spinning; any
-            # subscribe or throttle change notifies us awake.
-            with self._cond:
-                if self._subs:
-                    self._cond.wait(timeout=0.05)
             return
         if throttle:
             # Pace on the condition variable, not a bare sleep: a

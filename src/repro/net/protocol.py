@@ -372,7 +372,6 @@ def report_to_wire(report):
         "pruned_server_ids": list(report.pruned_server_ids),
         "estimated_bytes_per_server": report.estimated_bytes_per_server,
         "simulated_seconds_per_server": report.simulated_seconds_per_server,
-        "sweep_assignments": report.sweep_assignments,
         "simulated_seconds": report.simulated_seconds,
         "simulated_seconds_single_server": report.simulated_seconds_single_server,
     }
@@ -395,7 +394,6 @@ def report_from_wire(wire):
         simulated_seconds_per_server=_int_keyed(
             wire.get("simulated_seconds_per_server"), float
         ),
-        sweep_assignments=_int_keyed(wire.get("sweep_assignments"), int),
         simulated_seconds=float(wire.get("simulated_seconds", 0.0)),
         simulated_seconds_single_server=float(
             wire.get("simulated_seconds_single_server", 0.0)

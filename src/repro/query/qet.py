@@ -21,7 +21,6 @@ import operator
 import queue
 import threading
 import time
-from bisect import bisect_left
 
 import numpy as np
 
@@ -421,46 +420,37 @@ class ScanNode(QETNode):
         return True
 
     def _gather(self, run, pieces, buffered):
-        """Add a delivered run's containers to the morsel being built.
-
-        A container's arena rows extend the last piece when they follow
-        it; its overflow rows are a piece of their own.  Returns the
-        morsel's new row count.
-        """
-        arena, overflow = run.snapshot.arena, run.snapshot.overflow
-        for htm_id, lo, hi, _from_pool in run.items:
-            if pieces and pieces[-1][0] is arena and pieces[-1][2] == lo:
-                pieces[-1][2] = hi
-            else:
-                pieces.append([arena, lo, hi])
-            buffered += hi - lo
-            extra = overflow.get(htm_id)
-            if extra is not None:
-                pieces.append([extra, 0, len(extra)])
-                buffered += len(extra)
+        """Add a delivered run to the morsel being built: one arena
+        slice per span, cut only after a container with overflow rows,
+        which follow it.  A slice extends the last piece when it follows
+        it.  Returns the morsel's new row count."""
+        for k0, k1 in run.spans:
+            for base, lo, hi in run.snapshot.slices(k0, k1):
+                if pieces and pieces[-1][0] is base and pieces[-1][2] == lo:
+                    pieces[-1][2] = hi
+                else:
+                    pieces.append([base, lo, hi])
+                buffered += hi - lo
         return buffered
 
     def _grow_claim(self, run):
-        """Claim a delivered run: one interval when its containers are
-        consecutive in its snapshot (extending the last interval when
-        the run continues it), else one per container.  An interval
-        spans ids the snapshot lacks; ids a load adds leave the claim."""
-        (previous, extend), items = self._claim_end, run.items
-        if run.snapshot is not previous and previous is not None:
-            added = np.setdiff1d(run.snapshot.ids, previous.ids).tolist()
+        """Claim a delivered run: one interval per span, extending the
+        last interval when the span continues it in the same snapshot.
+        An interval spans ids the snapshot lacks; ids a load adds leave
+        the claim."""
+        (previous, extend), snapshot = self._claim_end, run.snapshot
+        if snapshot is not previous and previous is not None:
+            added = np.setdiff1d(snapshot.ids, previous.ids).tolist()
             kept = RangeSet(self._claim).difference(RangeSet.from_ids(added))
             self._claim, extend = [list(interval) for interval in kept], None
-        ids = run.snapshot.lists()[0]
-        first = bisect_left(ids, items[0][0])
-        stop = first + len(items)
-        if ids[first:stop] != [item[0] for item in items]:
-            self._claim.extend([item[0], item[0]] for item in items)
-            stop = None
-        elif first == extend:
-            self._claim[-1][1] = ids[stop - 1]
-        else:
-            self._claim.append([ids[first], ids[stop - 1]])
-        self._claim_end = (run.snapshot, stop)
+        ids = snapshot.lists()[0]
+        for k0, k1 in run.spans:
+            if k0 == extend:
+                self._claim[-1][1] = ids[k1 - 1]
+            else:
+                self._claim.append([ids[k0], ids[k1 - 1]])
+            extend = k1
+        self._claim_end = (snapshot, extend)
 
     def run(self):
         candidates = self.candidates

@@ -132,11 +132,10 @@ class DistributedArchive:
     def enable_replication(self, replication_factor=2, hot_fraction=0.05):
         """Attach a :class:`~repro.storage.replication.ReplicationManager`.
 
-        Once attached, the distributed router
-        (:func:`~repro.distributed.routing.assign_sweep_servers`)
-        consults it and assigns each shard's sweep to the least-loaded
-        replica of that shard's data.  Returns the manager so callers
-        can record accesses and trigger ``rebalance()``.
+        It records which servers hold a copy of each container
+        (:func:`~repro.storage.replication.replicate_archive` fills it)
+        and places replicas of hot containers.  Returns the manager so
+        callers can record accesses and trigger ``rebalance()``.
         """
         from repro.storage.replication import ReplicationManager
 

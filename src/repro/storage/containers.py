@@ -22,7 +22,6 @@ inside and bisected containers alike.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 
 import numpy as np
 
@@ -72,11 +71,22 @@ class StoreSnapshot:
             self._lists = [a.tolist() for a in (self.ids, self.offsets, self.sizes)]
         return self._lists
 
-    def find(self, htm_id):
-        """Index position of a container id, or -1 when not held."""
-        ids = self.lists()[0]
-        k = bisect_left(ids, htm_id)
-        return k if k < len(ids) and ids[k] == htm_id else -1
+    def slices(self, k0, k1):
+        """``(array, lo, hi)`` row slices of containers ``k0:k1`` in row
+        order: their arena rows in one slice, cut only after a container
+        with overflow rows, which follow it there."""
+        ids, offsets, _sizes = self.lists()
+        lo = offsets[k0]
+        if self.overflow:
+            for k in range(k0, k1):
+                extra = self.overflow.get(ids[k])
+                if extra is not None:
+                    if offsets[k + 1] > lo:
+                        yield self.arena, lo, offsets[k + 1]
+                    yield extra, 0, len(extra)
+                    lo = offsets[k + 1]
+        if offsets[k1] > lo:
+            yield self.arena, lo, offsets[k1]
 
     def appended(self, data, row_ids):
         """``(next snapshot, touched ids)``: ``data`` grouped by container

@@ -48,8 +48,6 @@ class TestTouchedServers:
         assert touched and pruned, "the cone should prune some servers"
         assert not touched & pruned
         assert touched | pruned == {s.server_id for s in archives[5].servers}
-        # Without replication every shard sweeps on its own server.
-        assert report.sweep_assignments == {k: k for k in touched}
         assert set(report.simulated_seconds_per_server) == touched
         assert set(report.estimated_bytes_per_server) == touched
 

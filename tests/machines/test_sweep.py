@@ -4,6 +4,7 @@ import gc
 import threading
 import time
 import weakref
+from bisect import bisect_left
 from dataclasses import asdict
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.htm import RangeSet
+import repro.machines.sweep as sweep_module
 from repro.machines.sweep import SweepScanner, SweepStats, SweepSubscription
 from repro.session import Archive
 from repro.storage import ContainerStore
@@ -36,7 +38,7 @@ def _drain(subscription, out):
 
 def _collect(got):
     """A manual-mode sink recording delivered container ids."""
-    return lambda run: got.extend(htm_id for htm_id, *_span in run.items)
+    return lambda run: got.extend(htm_id for htm_id, _rows, _hit in run.containers())
 
 
 class TestSingleSubscriber:
@@ -129,7 +131,7 @@ class TestSharedSweep:
         while first.seen < 3 and time.time() < deadline:
             time.sleep(0.002)
         late = scanner.subscribe()
-        assert late.start_position > 0, "joined mid-sweep"
+        assert late.start > 0, "joined mid-sweep"
         seen_by_late = [h for h, _t, _p in _flat(late)]
         drainer.join(timeout=30)
         scanner.throttle = 0.0
@@ -138,7 +140,9 @@ class TestSharedSweep:
         assert sorted(seen_by_late) == store.occupied_ids()
         assert len(seen_by_late) == n
         order = store.occupied_ids()
-        expected = order[late.start_position:] + order[: late.start_position]
+        expected = [i for i in order if i >= late.start] + [
+            i for i in order if i < late.start
+        ]
         assert seen_by_late == expected
 
     def test_cancelled_subscriber_is_dropped(self, store):
@@ -162,7 +166,8 @@ class TestRobustness:
         scanner = store.sweeper()
 
         class Poisoned:
-            def contains(self, _htm_id):
+            @property
+            def intervals(self):
                 raise RuntimeError("boom")
 
         subscription = scanner.subscribe(candidates=Poisoned())
@@ -365,27 +370,30 @@ def _revolve(scanner, subscription, stride):
 
 
 class TestJumpCost:
-    """A pruned lap costs O(candidate intervals) steps and ``wants``
-    calls, not O(containers): counts, so they do not depend on the box."""
+    """A pruned lap costs O(candidate intervals) steps and bisections,
+    not O(containers): counts, so they do not depend on the box."""
 
     @pytest.fixture(scope="class")
     def deep_store(self, photo):
         return ContainerStore.from_table(photo, depth=6)
 
     @pytest.fixture()
-    def wants_calls(self, monkeypatch):
+    def bisections(self, monkeypatch):
+        """Every bisection the sweep makes: its per-interval call."""
         calls = []
-        wants = SweepSubscription.wants
-        monkeypatch.setattr(
-            SweepSubscription,
-            "wants",
-            lambda self, htm_id: calls.append(htm_id) or wants(self, htm_id),
-        )
+        for name in ("bisect_left", "bisect_right"):
+            real = getattr(sweep_module, name)
+            monkeypatch.setattr(
+                sweep_module,
+                name,
+                lambda *args, real=real, **kwargs: calls.append(args[1])
+                or real(*args, **kwargs),
+            )
         return calls
 
     @pytest.mark.parametrize("k", [1, 8])
     def test_a_lap_costs_its_intervals_not_its_containers(
-        self, deep_store, wants_calls, k
+        self, deep_store, bisections, k
     ):
         ids = deep_store.occupied_ids()
         # k well-separated intervals of three occupied ids each, the
@@ -398,19 +406,19 @@ class TestJumpCost:
         subscription = scanner.attach(candidates=keep, sink=_collect(got))
         steps = _revolve(scanner, subscription, scanner.stride)
         assert got == [i for i in ids if keep.contains(i)]
-        assert subscription.delivered + subscription.skipped == subscription.total
-        assert subscription.total == len(ids) > 100 * scanner.stride
+        assert subscription.delivered + subscription.skipped == subscription.seen
+        assert subscription.seen == len(ids) > 100 * scanner.stride
         assert steps <= 2 * k + 2
-        assert len(wants_calls) <= scanner.stride * (k + 1)
+        assert len(bisections) <= 10 * (k + 1)
 
-    def test_an_empty_candidate_set_is_one_step(self, deep_store, wants_calls):
+    def test_an_empty_candidate_set_is_one_step(self, deep_store, bisections):
         scanner = SweepScanner(deep_store)
         subscription = scanner.attach(candidates=RangeSet(), sink=lambda *_run: True)
         assert _revolve(scanner, subscription, scanner.stride) == 1
-        assert subscription.skipped == subscription.total == len(deep_store)
+        assert subscription.skipped == subscription.seen == len(deep_store)
         assert subscription.delivered == 0
         assert scanner.stats.containers_skipped == len(deep_store)
-        assert len(wants_calls) == 1
+        assert len(bisections) <= 2
 
     def test_a_whole_catalog_subscriber_still_walks(self, deep_store):
         scanner = SweepScanner(deep_store)
@@ -425,69 +433,72 @@ class _ModelSub:
         #: every id it wants, spelled out (``None``: all of them)
         self.wanted = None if candidates is None else set(candidates.iter_ids())
         self.delivered = []
-        self.seen = self.skipped = self.total = self.start_position = 0
+        self.seen = self.skipped = self.start = 0
+        self.end = None
         self.done = False
 
 
 class _ModelSweep:
-    """The reference the jump is checked against: a sweep that visits
-    every lap position, one id at a time, and asks every subscriber."""
+    """The reference the jump is checked against: a sweep whose position
+    is an id cursor, that reads the store's ids as they stand at each
+    position, visits one container at a time and asks every subscriber.
+    A subscriber joins where the cursor stands and ends when the cursor
+    is back at its start id one lap on."""
 
     def __init__(self, store):
         self.store = store
-        self.order, self.position, self.active = [], 0, []
+        self.cursor, self.active = 0, []
         self.resident = set()
         self.stats = SweepStats()
 
     def attach(self, sub):
-        if not self.active:
-            self.order, self.position = self.store.occupied_ids(), 0
-        else:
-            self.order += [
-                i for i in self.store.occupied_ids() if i not in self.order
-            ]
-        sub.total, sub.start_position = len(self.order), self.position
-        sub.done = sub.total == 0
+        sub.start, sub.end = self.cursor, (self.stats.laps + 1, self.cursor)
+        sub.done = not self.store.occupied_ids()
         if not sub.done:
             self.active.append(sub)
 
-    def walk_to(self, laps, position):
-        """One container at a time until the sweep stands where the real
-        one was observed (or, with ``None``, until nobody is left)."""
-        sizes = self.store.container_sizes()
-        itemsize = self.store.snapshot.arena.itemsize
-        while self.active and (self.stats.laps, self.position) != (laps, position):
-            htm_id = self.order[self.position]
-            wanting = [
-                s
-                for s in self.active
-                if htm_id in sizes and (s.wanted is None or htm_id in s.wanted)
-            ]
-            if wanting:
-                self.stats.containers_swept += 1
-                if htm_id in self.resident:
-                    self.stats.containers_from_pool += 1
-                else:
-                    self.stats.containers_read += 1
-                self.resident.add(htm_id)
-                self.stats.bytes_swept += sizes[htm_id] * itemsize
-                self.stats.deliveries += len(wanting)
+    def visit(self, htm_id):
+        size = self.store.container_sizes()[htm_id]
+        wanting = [s for s in self.active if s.wanted is None or htm_id in s.wanted]
+        if wanting:
+            self.stats.containers_swept += 1
+            if htm_id in self.resident:
+                self.stats.containers_from_pool += 1
             else:
-                self.stats.containers_skipped += 1
-            for sub in self.active:
-                sub.seen += 1
-                if sub in wanting:
-                    sub.delivered.append(htm_id)
-                else:
-                    sub.skipped += 1
-                sub.done = sub.seen >= sub.total
-            self.position += 1
-            if self.position == len(self.order):
-                self.position = 0
+                self.stats.containers_read += 1
+            self.resident.add(htm_id)
+            self.stats.bytes_swept += size * self.store.snapshot.arena.itemsize
+            self.stats.deliveries += len(wanting)
+        else:
+            self.stats.containers_skipped += 1
+        for sub in self.active:
+            sub.seen += 1
+            if sub in wanting:
+                sub.delivered.append(htm_id)
+            else:
+                sub.skipped += 1
+
+    def walk_to(self, laps, position):
+        """One move at a time until the sweep stands where the real one
+        was observed (or, with ``None``, until nobody is left): visit the
+        container at the cursor, or move the cursor on to the next held
+        one, or past the last one to the top of the next lap."""
+        while self.active and (self.stats.laps, self.cursor) != (laps, position):
+            ids = self.store.occupied_ids()
+            k = bisect_left(ids, self.cursor)
+            if k < len(ids) and ids[k] == self.cursor:
+                self.visit(ids[k])
+                k += 1
+            if k < len(ids):
+                self.cursor = ids[k]
+            else:
+                self.cursor = 0
                 self.stats.laps += 1
+            for sub in self.active:
+                sub.done = (self.stats.laps, self.cursor) >= sub.end
             self.active = [s for s in self.active if not s.done]
             if not self.active:
-                self.order, self.position = [], 0
+                self.cursor = 0
 
 
 #: the depth-3 id space, a little past both ends
@@ -525,16 +536,19 @@ def _check_against_model(
     The script is one skeleton with drawn parts: the first subscriber
     joins an idle sweep; the sweep is driven to ``targets[0]``; the
     second subscriber joins; on to ``targets[1]``; the third joins; then
-    everyone finishes.  A target past the last position drives through
-    the wrap.  Container ``added`` appears (so later subscribers walk an
-    unsorted tail) before the join ``gaps[0]`` names (0: the second,
-    1: the third), and container ``removed`` goes before the one
-    ``gaps[1]`` names — both before the same join leaves the store's
-    container count as it was.  The model joins its subscribers where
-    the real ones were seen to join, since where a step ends depends on
-    the jump.
+    everyone finishes.  A target is an index into the store's ids at the
+    start: 0 stays at the top, an index past the last id drives through
+    the wrap.  Container ``added`` appears before the join ``gaps[0]``
+    names (0: the second, 1: the third), and container ``removed`` goes
+    before the one ``gaps[1]`` names — both before the same join leaves
+    the store's container count as it was.  The model joins its
+    subscribers where the real ones were seen to join, since where a
+    step ends depends on the jump.
     """
     store = _depth3_store(photo)
+    ids = store.occupied_ids()
+    beyond = 16 * 4**3
+    stops = [0, *ids[1:], beyond, beyond]
     scanner, model = SweepScanner(store), _ModelSweep(store)
     real, expected = [], []
 
@@ -546,12 +560,12 @@ def _check_against_model(
         model.attach(expected[-1])
 
     def advance(target):
-        while scanner.position() < target:
+        while scanner.position() < stops[target]:
             step = scanner.step(stride)
             if step is None or step.wrapped:
                 break
         model.walk_to(scanner.stats.laps, scanner.position())
-        assert (model.stats.laps, model.position) == (
+        assert (model.stats.laps, model.cursor) == (
             scanner.stats.laps,
             scanner.position(),
         )
@@ -579,7 +593,7 @@ def _check_against_model(
     for (subscription, got), want in zip(real, expected):
         assert got == want.delivered
         assert subscription.delivered == len(want.delivered)
-        for field in ("seen", "skipped", "total", "start_position", "done"):
+        for field in ("seen", "skipped", "start", "done"):
             assert getattr(subscription, field) == getattr(want, field), field
     assert asdict(scanner.stats) == asdict(model.stats)
 
@@ -612,10 +626,10 @@ class TestJumpAgainstModel:
         )
 
     @pytest.mark.parametrize("stride", [1, 32])
-    def test_a_jump_stops_where_the_unsorted_tail_begins(self, photo, ids, stride):
+    def test_a_subscriber_wanting_only_the_added_container(self, photo, ids, stride):
         # The third subscriber joins the second lap at the top, wanting
         # only the container the store grew by; once the second is done
-        # it sweeps alone and must not bisect its way past the tail.
+        # it sweeps alone, and the jump must find that container.
         added = next(i for i in range(ids[0], ids[-1]) if i not in ids)
         _check_against_model(
             photo,
@@ -625,6 +639,110 @@ class TestJumpAgainstModel:
             added=added,
             removed=ids[-1],
         )
+
+
+class TestMidLapGrowth:
+    def test_a_mid_lap_joiner_gets_every_container_it_joined_with(self, photo):
+        """Regression: a subscription counted the containers a later join
+        appended to the lap toward the total it fixed at attach, so one
+        that joined mid-lap completed a container early and the one just
+        before its start, held all along, was never offered."""
+        store = _depth3_store(photo)
+        scanner = SweepScanner(store)
+        scanner.attach(sink=lambda *_run: True)
+        for _ in range(5):
+            scanner.step()
+        held = store.occupied_ids()
+        got = []
+        second = scanner.attach(sink=_collect(got))
+        added = next(i for i in range(held[0], held[-1]) if i not in held)
+        store.append(photo.take(np.arange(3)), [added] * 3)
+        scanner.attach(sink=lambda *_run: True)
+        while scanner.step() is not None:
+            pass
+        assert second.completed()
+        assert sorted(i for i in got if i != added) == held
+        assert got.count(added) <= 1
+
+
+class TestSpans:
+    @given(
+        ids=st.lists(st.integers(0, 60), unique=True).map(sorted),
+        ranges=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 6)), max_size=6),
+        bounds=st.tuples(st.integers(0, 61), st.integers(0, 61)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_spans_cover_exactly_the_wanted_containers(self, ids, ranges, bounds):
+        candidates = RangeSet([(lo, lo + length) for lo, length in ranges])
+        start, stop = sorted(min(b, len(ids)) for b in bounds)
+        subscription = SweepSubscription(None, candidates=candidates, sink=_collect([]))
+        spans = list(subscription._spans(ids, start, stop))
+        assert [k for a, b in spans for k in range(a, b)] == [
+            k for k in range(start, stop) if candidates.contains(ids[k])
+        ]
+        assert all(a < b for a, b in spans)
+        assert all(b <= a for (_, b), (a, _) in zip(spans, spans[1:]))
+        assert len(spans) <= len(candidates.intervals)
+
+    def test_a_whole_catalog_subscriber_wants_the_range_as_one_span(self):
+        subscription = SweepSubscription(None, sink=_collect([]))
+        assert list(subscription._spans([3, 5, 9, 12], 1, 4)) == [(1, 4)]
+        assert list(subscription._spans([3, 5, 9, 12], 2, 2)) == []
+
+    def test_the_pool_reads_the_union_of_every_subscribers_spans(self):
+        spans = [[(0, 2), (5, 6)], [(1, 3)], [(3, 4)], [], [(8, 9), (5, 6)]]
+        assert sweep_module._union(spans) == [[0, 4], [5, 6], [8, 9]]
+
+
+class TestMidLapChanges:
+    def test_the_position_is_the_next_container_id(self, photo):
+        store = _depth3_store(photo)
+        ids = store.occupied_ids()
+        scanner = SweepScanner(store)
+        assert scanner.position() == 0
+        scanner.attach(sink=lambda _run: True)
+        scanner.step()
+        assert scanner.position() == ids[1]
+        scanner.step(stride=3)
+        assert scanner.position() == ids[4]
+        while scanner.step(stride=32) is not None:
+            pass
+        assert scanner.position() == 0 and scanner.stats.laps == 1
+
+    def test_an_added_container_reaches_only_the_subscribers_yet_to_sweep_it(
+        self, photo
+    ):
+        # ``early`` joined at the top and has swept past the new id;
+        # ``late`` joined after it and meets it after the wrap.
+        store = _depth3_store(photo)
+        ids = store.occupied_ids()
+        scanner = SweepScanner(store)
+        got_early, got_late = [], []
+        early = scanner.attach(sink=_collect(got_early))
+        for _ in range(10):
+            scanner.step()
+        late = scanner.attach(sink=_collect(got_late))
+        added = next(i for i in range(ids[0], ids[10]) if i not in ids)
+        store.append(photo.take(np.arange(3)), [added] * 3)
+        while scanner.step() is not None:
+            pass
+        assert early.completed() and late.completed()
+        assert got_early == ids
+        assert sorted(got_late) == sorted([*ids, added])
+        assert got_late.count(added) == 1
+
+    def test_a_container_removed_ahead_of_the_sweep_is_not_offered(self, photo):
+        store = _depth3_store(photo)
+        ids = store.occupied_ids()
+        scanner = SweepScanner(store)
+        got = []
+        subscription = scanner.attach(sink=_collect(got))
+        scanner.step()
+        store.remove([ids[-2]])
+        while scanner.step() is not None:
+            pass
+        assert subscription.completed()
+        assert got == [*ids[:-2], ids[-1]]
 
 
 class TestJumpLive:
@@ -642,11 +760,11 @@ class TestJumpLive:
         # Behind the join point (reached after the wrap) and ahead of it.
         keep = RangeSet.from_ids([ids[0], ids[1], ids[-1]])
         cone = scanner.subscribe(candidates=keep)
-        assert 0 < cone.start_position < len(ids) - 1, "joined mid-lap"
+        assert ids[1] < cone.start <= ids[-1], "joined mid-lap"
         seen_by_cone = [h for h, _t, _p in _flat(cone)]
         drainer.join(timeout=30)
         scanner.throttle = 0.0
         assert seen_by_cone == [ids[-1], ids[0], ids[1]]
-        assert cone.completed() and cone.seen == cone.total == len(ids)
+        assert cone.completed() and cone.seen == len(ids)
         assert cone.skipped == len(ids) - 3
         assert [h for h, _r, _p in seen_by_full] == ids

@@ -114,7 +114,6 @@ class TestReportsAndPlans:
             pruned_server_ids=[1, 2, 4],
             estimated_bytes_per_server={0: 1024, 3: 2048},
             simulated_seconds_per_server={0: 0.5, 3: 1.25},
-            sweep_assignments={0: 0, 3: 1},
             simulated_seconds=1.25,
             simulated_seconds_single_server=1.75,
         )

@@ -3,12 +3,13 @@
 A remote shard scan stamps every batch with the cumulative claim of the
 containers whose rows are all in the stream — the intervals a failover
 subtracts from the assignment before it re-routes the rest.  The claim
-grows by one interval per run of containers consecutive in the store's
-snapshot, so it spans ids the snapshot does not hold; a load can add one
-of those mid-scan.  Drawn here: stores with overflow containers, a scan
-that joins the sweep mid-lap, a load that lands between two containers
-the scan already delivered (plus rows for a delivered container), and a
-second join that appends the new container to the tail of the lap.
+grows by one interval per span of a delivered run (containers
+consecutive in the store's snapshot), so it spans ids the snapshot does
+not hold; a load can add one of those mid-scan.  Drawn here: stores with
+overflow containers, a scan that joins the sweep mid-lap, a load that
+lands between two containers the scan already delivered (plus rows for a
+delivered container), and a second join after the load, which reads the
+grown store like every later step.
 
 After every batch, the claim intersected with the ids of the snapshot
 the scan last read holds only containers whose rows (at their delivery,
@@ -108,7 +109,7 @@ def test_a_tracked_scan_claims_exactly_what_is_in_its_stream(photo, data):
             while runs:
                 run = runs.pop(0)
                 consumed.append(run)
-                delivered.update(item[0] for item in run.items)
+                delivered.update(htm_id for htm_id, _rows, _hit in run.containers())
                 yield run
             if subscription.done:
                 break
@@ -121,7 +122,7 @@ def test_a_tracked_scan_claims_exactly_what_is_in_its_stream(photo, data):
                 if delivered:
                     touched.append(min(delivered))
                 store.append(_rows(photo, range(len(touched))), touched)
-                # A later join appends the new container to the lap's tail.
+                # A later join, while the scan is mid-lap.
                 scanner.attach(sink=lambda run: None)
             scanner.step(stride)
             steps += 1

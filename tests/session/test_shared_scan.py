@@ -130,7 +130,7 @@ class TestMidSweepArrival:
                     time.sleep(0.002)
                 second = session.submit("SELECT objid, mag_r FROM photo")
                 second_node = _scan_node(second)
-                assert second_node.subscription.start_position > 0
+                assert second_node.subscription.start > 0
 
                 second_drainer = threading.Thread(
                     target=drain, args=("second", second)

@@ -81,6 +81,59 @@ class TestClustering:
         assert store.total_objects() == 0
 
 
+def _store_with_overflow(photo):
+    """A depth-3 store whose second container and one container the
+    arena lacks have overflow rows."""
+    store = ContainerStore.from_table(photo.take(np.arange(80)), depth=3)
+    ids = store.occupied_ids()
+    added = next(i for i in range(ids[0], ids[-1]) if i not in ids)
+    store.append(photo.take(np.arange(80, 85)), [ids[1]] * 2 + [added] * 3)
+    return store, added
+
+
+def _container_rows(snapshot, k):
+    ids, offsets, _sizes = snapshot.lists()
+    rows = snapshot.arena[offsets[k] : offsets[k + 1]]
+    extra = snapshot.overflow.get(ids[k])
+    return rows if extra is None else np.concatenate([rows, extra])
+
+
+def _sliced(snapshot, k0, k1):
+    pieces = [array[lo:hi] for array, lo, hi in snapshot.slices(k0, k1)]
+    return np.concatenate(pieces) if pieces else snapshot.arena[:0]
+
+
+class TestSnapshotSlices:
+    def test_without_overflow_a_range_is_one_arena_slice(self, photo_store):
+        snapshot = photo_store.snapshot
+        k1 = len(snapshot.ids)
+        ((array, lo, hi),) = snapshot.slices(0, k1)
+        assert array is snapshot.arena
+        assert (lo, hi) == (0, len(snapshot.arena))
+        assert list(snapshot.slices(3, 3)) == []
+
+    def test_slices_are_each_containers_rows_in_order(self, photo):
+        store, _added = _store_with_overflow(photo)
+        snapshot = store.snapshot
+        n = len(snapshot.ids)
+        for k0, k1 in [(0, n), (0, 1), (1, 2), (1, 4), (2, n)]:
+            expected = [_container_rows(snapshot, k) for k in range(k0, k1)]
+            np.testing.assert_array_equal(
+                _sliced(snapshot, k0, k1), np.concatenate(expected)
+            )
+        # Cut only after a container with overflow: the arena up to the
+        # second container's end, its overflow, the arena up to the added
+        # container (which has no arena rows), its overflow, the rest.
+        assert len(list(snapshot.slices(0, n))) == 5
+
+    def test_a_container_without_arena_rows_yields_no_empty_slice(self, photo):
+        store, added = _store_with_overflow(photo)
+        snapshot = store.snapshot
+        k = snapshot.lists()[0].index(added)
+        ((array, lo, hi),) = snapshot.slices(k, k + 1)
+        assert array is snapshot.overflow[added] and (lo, hi) == (0, 3)
+
+
 def _in(photo, region):
     return region.contains(photo.positions_xyz())
 
@@ -161,7 +214,7 @@ class TestQuerying:
         gather = ScanNode._gather
 
         def recording(node, run, pieces, buffered):
-            delivered_ids.extend(item[0] for item in run.items)
+            delivered_ids.extend(htm_id for htm_id, _rows, _hit in run.containers())
             return gather(node, run, pieces, buffered)
 
         monkeypatch.setattr(Region, "contains", counting)
