@@ -23,20 +23,24 @@ session's fair-share queue
 (:class:`~repro.machines.scheduler.DeficitRoundRobin`) and run one at a
 time.
 
-Real algorithms run at laptop scale; the
+Only the shared sweep (:class:`SweepScanner`) and the batch queue sit
+on a session's path.  :class:`ScanMachine` (the sweep's simulated-time
+face), the hash machine and the river machine are figure reproductions
+reached from :mod:`repro.science`, the benchmarks and the examples;
+none keeps a second copy of logic that exists elsewhere (the neighbour
+join of :mod:`repro.science.neighbors` hashes through
+:meth:`HashMachine.hash_objects`, the river streams over the engine's
+``Stream``).  Real algorithms run at laptop scale; the
 :class:`~repro.storage.diskmodel.ClusterModel` supplies simulated-time
 numbers for paper-scale datasets.
 """
 
-from repro.machines.streams import BoundedStream, StreamStats
 from repro.machines.sweep import SweepScanner, SweepStats, SweepSubscription
 from repro.machines.scan import ScanMachine, ScanQuery, SweepReport
 from repro.machines.hash import HashMachine, HashReport, PairPredicate
 from repro.machines.river import RiverGraph, RiverReport
 
 __all__ = [
-    "BoundedStream",
-    "StreamStats",
     "SweepScanner",
     "SweepStats",
     "SweepSubscription",

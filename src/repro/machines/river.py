@@ -12,18 +12,28 @@ sort) ending in a sink.  Parallel stages split the stream by a key into
 partition parallelism exactly as the paper sketches.  The built-in
 ``parallel_sort`` is a range-partitioned sample sort: the canonical
 sorting network.
+
+Nodes run one thread each (``river-source``, ``river-<stage>``) and
+exchange batches over :class:`~repro.query.qet.Stream`, the query
+engine's cancellable stream.  A stage stops when its downstream is
+cancelled; a failing stage cancels its upstream and fails its
+downstream, so :meth:`RiverGraph.run` raises an
+:class:`~repro.query.errors.ExecutionError` whose ``__cause__`` is the
+stage's exception.  ``run`` cancels every stream and joins every node
+before it returns or raises — a failed river leaves no thread behind.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.catalog.table import ObjectTable
-from repro.machines.streams import BoundedStream
+from repro.query.qet import Stream
 from repro.storage.diskmodel import PAPER_CLUSTER
 
 __all__ = ["RiverGraph", "RiverReport"]
@@ -48,12 +58,12 @@ class RiverReport:
 
 
 class _Stage:
-    """One node of the dataflow; subclasses implement ``run``."""
+    """One node of the dataflow; ``batches`` yields its output stream."""
 
     def __init__(self, name):
         self.name = name
 
-    def run(self, upstream, downstream):
+    def batches(self, upstream):
         raise NotImplementedError
 
 
@@ -62,13 +72,12 @@ class _FilterStage(_Stage):
         super().__init__("filter")
         self.mask_fn = mask_fn
 
-    def run(self, upstream, downstream):
+    def batches(self, upstream):
         for batch in upstream:
             mask = np.asarray(self.mask_fn(batch), dtype=bool)
             selected = batch.select(mask)
             if len(selected):
-                downstream.push(selected)
-        downstream.close()
+                yield selected
 
 
 class _TransformStage(_Stage):
@@ -76,12 +85,11 @@ class _TransformStage(_Stage):
         super().__init__("transform")
         self.fn = fn
 
-    def run(self, upstream, downstream):
+    def batches(self, upstream):
         for batch in upstream:
             result = self.fn(batch)
             if result is not None and len(result):
-                downstream.push(result)
-        downstream.close()
+                yield result
 
 
 class _ParallelStage(_Stage):
@@ -92,14 +100,13 @@ class _ParallelStage(_Stage):
     input (it sees the lane as one table, enabling per-lane sorts).
     """
 
-    def __init__(self, key_fn, worker_fn, ways, ordered_merge_key=None):
+    def __init__(self, key_fn, worker_fn, ways):
         super().__init__("parallel")
         self.key_fn = key_fn
         self.worker_fn = worker_fn
         self.ways = int(ways)
-        self.ordered_merge_key = ordered_merge_key
 
-    def run(self, upstream, downstream):
+    def batches(self, upstream):
         lanes = [[] for _ in range(self.ways)]
         for batch in upstream:
             keys = np.asarray(self.key_fn(batch), dtype=np.int64)
@@ -110,30 +117,48 @@ class _ParallelStage(_Stage):
                 if len(part):
                     lanes[lane_index].append(part)
 
-        results = [None] * self.ways
+        def work(pieces):
+            return self.worker_fn(ObjectTable.concat_all(pieces)) if pieces else None
 
-        def work(lane_index):
-            pieces = lanes[lane_index]
-            if not pieces:
-                return
-            table = ObjectTable.concat_all(pieces)
-            results[lane_index] = self.worker_fn(table)
-
-        threads = [
-            threading.Thread(target=work, args=(k,), daemon=True)
-            for k in range(self.ways)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        # A worker's exception surfaces here and fails the stage.
+        with ThreadPoolExecutor(max_workers=self.ways) as pool:
+            results = list(pool.map(work, lanes))
 
         # Lanes are emitted in lane order; with a range-partitioning key
         # and sorted workers this yields a globally sorted stream.
         for result in results:
             if result is not None and len(result):
-                downstream.push(result)
+                yield result
+
+
+def _pump(table, batch_rows, downstream):
+    """The source node: stream ``table`` in chunks until cancelled."""
+    try:
+        for chunk in table.iter_chunks(batch_rows):
+            if not downstream.push(chunk):
+                return
         downstream.close()
+    except Exception as exc:
+        downstream.fail(exc)
+
+
+def _run_stage(stage, upstream, downstream):
+    """Drive one stage between its streams.
+
+    The stage stops when ``push`` returns False (everything downstream
+    was cancelled); a failing stage fails its downstream, whose reader
+    re-raises it as an :class:`~repro.query.errors.ExecutionError`.
+    Either way the upstream is cancelled, so its producer stops too.
+    """
+    try:
+        for batch in stage.batches(upstream):
+            if not downstream.push(batch):
+                return
+        downstream.close()
+    except Exception as exc:
+        downstream.fail(exc)
+    finally:
+        upstream.cancel()
 
 
 class RiverGraph:
@@ -204,32 +229,21 @@ class RiverGraph:
             rows_in=len(self._source_table),
             bytes_in=self._source_table.nbytes(),
         )
-        streams = [BoundedStream().register_producer() for _ in range(len(self._stages) + 1)]
-        errors = []
-
-        def pump_source():
-            for chunk in self._source_table.iter_chunks(self.batch_rows):
-                streams[0].push(chunk)
-            streams[0].close()
-
-        def run_stage(stage, upstream, downstream):
-            # A failing stage must not strand its neighbours: drain the
-            # upstream (unblocking producers) and close the downstream
-            # (unblocking consumers), then surface the error to run().
-            try:
-                stage.run(upstream, downstream)
-            except Exception as exc:  # re-raised in the caller's thread
-                errors.append(exc)
-                for _discarded in upstream:
-                    pass
-                downstream.close()
-
-        threads = [threading.Thread(target=pump_source, daemon=True)]
-        for index, stage in enumerate(self._stages):
+        streams = [Stream() for _ in range(len(self._stages) + 1)]
+        threads = [
+            threading.Thread(
+                target=_pump,
+                args=(self._source_table, self.batch_rows, streams[0]),
+                name="river-source",
+                daemon=True,
+            )
+        ]
+        for stage, upstream, downstream in zip(self._stages, streams, streams[1:]):
             threads.append(
                 threading.Thread(
-                    target=run_stage,
-                    args=(stage, streams[index], streams[index + 1]),
+                    target=_run_stage,
+                    args=(stage, upstream, downstream),
+                    name=f"river-{stage.name}",
                     daemon=True,
                 )
             )
@@ -239,19 +253,22 @@ class RiverGraph:
             t.start()
 
         collected = []
-        for batch in streams[-1]:
-            collected.append(batch)
-            report.rows_out += len(batch)
-            report.bytes_out += batch.nbytes()
-            if sink is not None:
-                sink(batch)
-        for t in threads:
-            t.join()
+        try:
+            for batch in streams[-1]:
+                collected.append(batch)
+                report.rows_out += len(batch)
+                report.bytes_out += batch.nbytes()
+                if sink is not None:
+                    sink(batch)
+        finally:
+            # A finished river has nothing left to cancel; a failed one
+            # (a stage's error, a sink's exception) unblocks every node.
+            for stream in streams:
+                stream.cancel()
+            for t in threads:
+                t.join()
         report.wall_seconds = time.perf_counter() - started
         report.simulated_seconds = self.cluster.scan_seconds(report.bytes_in)
-        if errors:
-            raise errors[0]
-
         if collected:
             return ObjectTable.concat_all(collected), report
         return None, report

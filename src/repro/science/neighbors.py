@@ -5,18 +5,19 @@ and notes that "preprocessing, like creating regions of attraction is not
 practical" because the operand sets are produced dynamically by other
 predicates.  Accordingly these functions operate on arbitrary
 :class:`~repro.catalog.table.ObjectTable` operands (typically query
-results) and use the hash machine's bucket-with-margin scheme internally.
+results) and bucket the right side with the hash machine's phase 1,
+:meth:`~repro.machines.hash.HashMachine.hash_objects`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.catalog.schema import ObjectType
 from repro.htm.mesh import lookup_ids_from_vectors
+from repro.machines.hash import HashMachine
 
 __all__ = [
     "neighbor_pairs",
@@ -50,8 +51,9 @@ def neighbor_pairs(left, right, radius_arcsec, depth=None):
     report both (i, j) and (j, i) orderings, matching SQL join semantics.
 
     The join buckets both sides on HTM trixels at ``depth`` (auto-chosen
-    from the radius when omitted) and replicates *right-side* objects to
-    every trixel within the radius, so no cross-boundary pair is missed.
+    from the radius when omitted); the right side goes through the hash
+    machine's phase 1, which replicates each object to every trixel
+    within the radius, so no cross-boundary pair is missed.
     """
     if radius_arcsec <= 0:
         raise ValueError("radius must be positive")
@@ -63,7 +65,7 @@ def neighbor_pairs(left, right, radius_arcsec, depth=None):
     cos_limit = math.cos(math.radians(radius_arcsec / 3600.0))
 
     left_ids = lookup_ids_from_vectors(left_xyz, depth)
-    right_buckets = _bucket_with_margin(right_xyz, radius_arcsec, depth)
+    right_buckets, _replicated = HashMachine(depth).hash_objects(right, radius_arcsec)
 
     out_left = []
     out_right = []
@@ -102,41 +104,6 @@ def neighbor_pairs(left, right, radius_arcsec, depth=None):
         np.concatenate(out_right),
         np.concatenate(out_sep),
     )
-
-
-def _bucket_with_margin(xyz, margin_arcsec, depth):
-    """Map trixel id -> row indices, each row in all trixels within margin."""
-    from repro.geometry.halfspace import Halfspace
-    from repro.geometry.region import Region
-    from repro.geometry.vector import cross3
-    from repro.htm.cover import cover_region
-    from repro.htm.mesh import trixel_corners
-
-    margin_rad = math.radians(margin_arcsec / 3600.0)
-    primary = lookup_ids_from_vectors(xyz, depth)
-    buckets = {}
-    order = np.argsort(primary, kind="stable")
-    sorted_ids = primary[order]
-    boundaries = np.nonzero(np.diff(sorted_ids))[0] + 1
-    for group in np.split(order, boundaries):
-        bucket_id = int(primary[group[0]])
-        buckets.setdefault(bucket_id, []).append(group)
-        v0, v1, v2 = trixel_corners(bucket_id)
-        edges = np.stack([cross3(v0, v1), cross3(v1, v2), cross3(v2, v0)])
-        edges /= np.linalg.norm(edges, axis=1, keepdims=True)
-        dots = xyz[group] @ edges.T
-        near = np.abs(np.arcsin(np.clip(dots, -1.0, 1.0))).min(axis=1) < margin_rad
-        for row in group[near]:
-            cap = Halfspace(xyz[row], math.cos(margin_rad))
-            coverage = cover_region(Region.from_halfspace(cap), depth)
-            for extra in coverage.candidates().iter_ids():
-                if extra != bucket_id:
-                    buckets.setdefault(int(extra), []).append(
-                        np.array([row], dtype=np.int64)
-                    )
-    return {
-        bucket: np.unique(np.concatenate(parts)) for bucket, parts in buckets.items()
-    }
 
 
 def nearest_neighbor(left, right, max_radius_arcsec=60.0, depth=None):

@@ -1,9 +1,10 @@
 """Warehouse substrate: containers, partitioning, replication, loading, I/O model.
 
 The paper's Science Archive clusters objects into *containers* keyed by
-the spatial index, spreads containers across commodity servers, replicates
-hot data, and bulk-loads nightly chunks touching each clustering unit at
-most once.  Real SDSS ran this on Objectivity/DB federations over a
+the spatial index, spreads containers across commodity servers, copies
+each container onto the servers after its owner so a server can die
+(:func:`replicate_archive`), and bulk-loads nightly chunks touching each
+clustering unit at most once.  Real SDSS ran this on Objectivity/DB federations over a
 20-node Intel cluster; we reproduce the data organization in pure Python
 plus an explicit simulated-time I/O cost model
 (:mod:`repro.storage.diskmodel`) for the throughput arithmetic the paper
@@ -12,9 +13,8 @@ reports (150 MB/s per node, 3 GB/s aggregate, 2-minute full scans).
 
 from repro.storage.buffer import BufferPool, BufferPoolStats
 from repro.storage.containers import ContainerStore, StoreSnapshot
-from repro.storage.database import Database
 from repro.storage.partition import Partitioner, PartitionMap
-from repro.storage.replication import ReplicationManager
+from repro.storage.replication import replicate_archive
 from repro.storage.diskmodel import (
     DiskModel,
     NodeModel,
@@ -30,10 +30,9 @@ __all__ = [
     "BufferPoolStats",
     "ContainerStore",
     "StoreSnapshot",
-    "Database",
     "Partitioner",
     "PartitionMap",
-    "ReplicationManager",
+    "replicate_archive",
     "DiskModel",
     "NodeModel",
     "ClusterModel",

@@ -25,6 +25,11 @@ prunes servers identically.  The distributed executor
 shard sub-plan to every touched server by building scan trees directly
 over ``ServerNode.stores()``; ``Archive.connect(stores=server.stores())``
 queries one server on its own.
+
+A server's stores are the one record of what it holds.
+:func:`~repro.storage.replication.replicate_archive` copies rows into
+them and keeps no map beside them; the partition map names each
+container's owner and nothing more.
 """
 
 from __future__ import annotations
@@ -97,9 +102,6 @@ class DistributedArchive:
             for k in range(n_servers)
         ]
         self.partition_map = self.partitioner.build({}, n_servers)
-        #: optional ReplicationManager consulted by the distributed
-        #: router to spread shard sweeps across replicas
-        self.replication = None
 
     @classmethod
     def from_table(cls, table, depth, n_servers, node_model=PAPER_NODE, source="photo"):
@@ -129,23 +131,6 @@ class DistributedArchive:
             server.attach_store(name, ContainerStore(table.schema, self.depth))
         self._place(name, table, self.servers[0].store.container_ids_for(table))
 
-    def enable_replication(self, replication_factor=2, hot_fraction=0.05):
-        """Attach a :class:`~repro.storage.replication.ReplicationManager`.
-
-        It records which servers hold a copy of each container
-        (:func:`~repro.storage.replication.replicate_archive` fills it)
-        and places replicas of hot containers.  Returns the manager so
-        callers can record accesses and trigger ``rebalance()``.
-        """
-        from repro.storage.replication import ReplicationManager
-
-        self.replication = ReplicationManager(
-            self.partition_map,
-            replication_factor=replication_factor,
-            hot_fraction=hot_fraction,
-        )
-        return self.replication
-
     # ------------------------------------------------------------------
     # loading and rebalancing
     # ------------------------------------------------------------------
@@ -158,7 +143,7 @@ class DistributedArchive:
         """
         ids = self.servers[0].store.container_ids_for(table)
         weights = self._combined_weights(ids)
-        self._set_partition_map(self.partitioner.build(weights, len(self.servers)))
+        self.partition_map = self.partitioner.build(weights, len(self.servers))
         # Re-place any containers whose owner changed, then add new data.
         self._replace_misplaced()
         self._place(self.source, table, ids)
@@ -170,14 +155,6 @@ class DistributedArchive:
             mine = owners == server.server_id
             if mine.any():
                 server.stores()[source_name].append(table.select(mine), ids[mine])
-
-    def _set_partition_map(self, partition_map):
-        """Install a rebuilt map, keeping the replication manager's view
-        of container ownership current (replica placements keyed by
-        container id stay valid; primaries are re-derived per lookup)."""
-        self.partition_map = partition_map
-        if self.replication is not None:
-            self.replication.partition_map = partition_map
 
     def _combined_weights(self, ids=()):
         weights = Counter(np.asarray(ids, dtype=np.int64).tolist())
@@ -218,8 +195,8 @@ class DistributedArchive:
             for name, schema in self.extra_schemas.items():
                 server.attach_store(name, ContainerStore(schema, self.depth))
             self.servers.append(server)
-        self._set_partition_map(
-            self.partitioner.build(self._combined_weights(), len(self.servers))
+        self.partition_map = self.partitioner.build(
+            self._combined_weights(), len(self.servers)
         )
         return self._replace_misplaced()
 

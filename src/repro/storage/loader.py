@@ -28,6 +28,7 @@ class LoadReport:
     objects_loaded: int = 0
     containers_touched: int = 0
     containers_created: int = 0
+    #: partition-map servers the load touched (given a partition map)
     databases_touched: int = 0
     #: container touches a naive per-object insert would have made
     naive_touches: int = 0
@@ -42,8 +43,8 @@ class LoadReport:
 class ChunkLoader:
     """Two-phase loader into a :class:`~repro.storage.containers.ContainerStore`.
 
-    Optionally takes a partition map to report how many per-server
-    databases a load touches.
+    Optionally takes a partition map to report how many servers' databases
+    a load touches (``LoadReport.databases_touched``).
     """
 
     def __init__(self, store, partition_map=None):

@@ -1,13 +1,27 @@
-"""Tests for repro.machines.river and .streams."""
+"""Tests for repro.machines.river: answers, failures and thread hygiene."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.catalog.schema import ObjectType
 from repro.machines.river import RiverGraph
-from repro.machines.streams import BoundedStream
+from repro.query.errors import ExecutionError
+
+
+def _river_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("river-")]
+
+
+def _river_threads_after(seconds=5.0):
+    """The ``river-*`` threads still alive once ``seconds`` have passed
+    (returns as soon as there are none)."""
+    deadline = time.monotonic() + seconds
+    while _river_threads() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return _river_threads()
 
 
 class TestRiver:
@@ -103,43 +117,58 @@ class TestRiver:
             .source(photo)
             .parallel(lambda b: np.full(len(b), 7), lambda t: t, 2)
         )
-        with pytest.raises(Exception):
+        with pytest.raises(ExecutionError) as info:
             graph.run()
+        assert isinstance(info.value.__cause__, ValueError)
+        assert _river_threads_after() == []
 
 
-class TestBoundedStream:
-    def test_single_producer(self, photo):
-        stream = BoundedStream()
-        stream.register_producer()
+class TestFailure:
+    """A failed river stops every node; none is left blocked on a stream."""
 
-        def produce():
-            for chunk in photo.iter_chunks(512):
-                stream.push(chunk)
-            stream.close()
+    def test_raising_sink_leaves_no_thread(self, photo):
+        alive_in_sink = []
 
-        thread = threading.Thread(target=produce)
-        thread.start()
-        total = sum(len(batch) for batch in stream)
-        thread.join()
-        assert total == len(photo)
-        assert stream.stats.rows == len(photo)
-        assert stream.stats.nbytes == photo.nbytes()
+        def sink(batch):
+            alive_in_sink.extend(t.name for t in _river_threads())
+            raise RuntimeError("sink gave up")
 
-    def test_multi_producer_close_protocol(self, photo):
-        stream = BoundedStream()
-        stream.register_producer()
-        stream.register_producer()
-        half = len(photo) // 2
+        graph = RiverGraph(batch_rows=64).source(photo).transform(lambda t: t)
+        with pytest.raises(RuntimeError, match="sink gave up"):
+            graph.run(sink=sink)
+        # ~100 source batches against a few queued: both nodes were
+        # still running when the sink raised.
+        assert {"river-source", "river-transform"} <= set(alive_in_sink)
+        assert _river_threads_after() == []
 
-        def produce(part):
-            stream.push(part)
-            stream.close()
+    def test_raising_stage_fails_the_run(self, photo):
+        boom = ValueError("third batch is bad")
+        seen = []
 
-        parts = [photo.take(np.arange(half)), photo.take(np.arange(half, len(photo)))]
-        threads = [threading.Thread(target=produce, args=(p,)) for p in parts]
-        for t in threads:
-            t.start()
-        total = sum(len(batch) for batch in stream)
-        for t in threads:
-            t.join()
-        assert total == len(photo)
+        def explode(batch):
+            seen.append(len(batch))
+            if len(seen) == 3:
+                raise boom
+            return batch
+
+        graph = (
+            RiverGraph(batch_rows=64)
+            .source(photo)
+            .transform(explode)
+            .filter(lambda t: t["mag_r"] < 30)
+        )
+        with pytest.raises(ExecutionError) as info:
+            graph.run()
+        assert info.value.__cause__ is boom
+        assert _river_threads_after() == []
+
+    def test_raising_lane_worker_fails_the_run(self, photo):
+        def worker(table):
+            raise KeyError("lane")
+
+        graph = RiverGraph().source(photo).parallel(
+            lambda b: np.zeros(len(b), dtype=np.int64), worker, 2
+        )
+        with pytest.raises(ExecutionError) as info:
+            graph.run()
+        assert isinstance(info.value.__cause__, KeyError)

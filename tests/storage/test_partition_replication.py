@@ -6,7 +6,7 @@ import pytest
 from repro.htm.mesh import depth_id_bounds
 from repro.htm.ranges import RangeSet
 from repro.storage.partition import PartitionMap, Partitioner
-from repro.storage.replication import ReplicationManager
+from repro.storage import DistributedArchive, replicate_archive
 
 
 @pytest.fixture(scope="module")
@@ -103,41 +103,60 @@ class TestPartitioner:
         assert servers == sorted(servers)
 
 
-class TestReplication:
-    def test_rebalance_replicates_hot(self, weights):
-        pmap = Partitioner(5).build(weights, 4)
-        manager = ReplicationManager(pmap, replication_factor=2, hot_fraction=0.1)
-        hot = sorted(weights)[:20]
-        for cid in hot:
-            for _ in range(10):
-                manager.record_access(cid)
-        placements = manager.rebalance()
-        assert placements, "expected at least one replica placement"
-        for cid, server in placements:
-            assert server in manager.replica_servers(cid)
-            assert len(manager.replica_servers(cid)) >= 2
+class TestReplicateArchive:
+    """The placement rule: owner plus the next k-1 servers, wrapping
+    around, every source together; the stores are the only record."""
 
-    def test_routing_prefers_less_loaded(self, weights):
-        pmap = Partitioner(5).build(weights, 4)
-        manager = ReplicationManager(pmap, replication_factor=3, hot_fraction=1.0)
-        target_cid = sorted(weights)[0]
-        manager.record_access(target_cid)
-        manager.rebalance()
-        servers_used = {manager.route_read(target_cid) for _ in range(30)}
-        # With 3 replicas and load balancing, reads spread over servers.
-        assert len(servers_used) >= 2
+    N_SERVERS = 4
 
-    def test_replicated_count(self, weights):
-        pmap = Partitioner(5).build(weights, 4)
-        manager = ReplicationManager(pmap, replication_factor=2, hot_fraction=0.5)
-        assert manager.replicated_container_count() == 0
-        manager.record_access(sorted(weights)[0])
-        manager.rebalance()
-        assert manager.replicated_container_count() == 1
+    @pytest.fixture()
+    def archive(self, photo, tags):
+        archive = DistributedArchive.from_table(photo, depth=5, n_servers=self.N_SERVERS)
+        archive.attach_source("tag", tags)
+        return archive
 
-    def test_validation(self, weights):
-        pmap = Partitioner(5).build(weights, 2)
+    @staticmethod
+    def contents(archive):
+        """(source, server id) -> the sorted (container id, objid) rows it
+        holds; a list, so a row held twice shows."""
+        held = {}
+        for server in archive.servers:
+            for source, store in server.stores().items():
+                table, htm_ids = store.rows()
+                held[source, server.server_id] = sorted(
+                    zip(htm_ids.tolist(), table["objid"].tolist())
+                )
+        return held
+
+    @staticmethod
+    def copies(contents):
+        """How many (container, server) holdings ``contents`` has."""
+        return sum(len({htm_id for htm_id, _ in rows}) for rows in contents.values())
+
+    @pytest.mark.parametrize("factor", [2, 3, 4])
+    def test_owner_and_the_next_servers_hold_every_container(self, archive, factor):
+        before = self.contents(archive)
+        replicate_archive(archive, replication_factor=factor)
+        after = self.contents(archive)
+        assert {source for source, _ in after} == {"photo", "tag"}
+        for (source, server), rows in before.items():
+            assert {archive.partition_map.server_for(h) for h, _ in rows} <= {server}
+        for (source, server), rows in after.items():
+            backed = [(server - k) % self.N_SERVERS for k in range(factor)]
+            assert rows == sorted(row for owner in backed for row in before[source, owner])
+
+    def test_count_is_the_copies_made(self, archive):
+        before = self.copies(self.contents(archive))
+        placed = replicate_archive(archive, replication_factor=3)
+        assert placed == self.copies(self.contents(archive)) - before == 2 * before
+
+    def test_a_second_call_places_nothing(self, archive):
+        assert replicate_archive(archive, replication_factor=2) > 0
+        before = self.contents(archive)
+        assert replicate_archive(archive, replication_factor=2) == 0
+        assert self.contents(archive) == before
+
+    @pytest.mark.parametrize("factor", [0, N_SERVERS + 1])
+    def test_factor_bounds(self, archive, factor):
         with pytest.raises(ValueError):
-            ReplicationManager(pmap, replication_factor=0)
-        with pytest.raises(ValueError):
-            ReplicationManager(pmap, hot_fraction=2.0)
+            replicate_archive(archive, replication_factor=factor)
