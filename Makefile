@@ -14,10 +14,12 @@ check:
 	$(PYTEST) -x -q
 	PYTHONPATH=src python -m compileall -q src
 
-# Just the network-archive tests (localhost TCP; every test carries a
-# SIGALRM timeout guard so a wedged socket fails instead of hanging).
+# The network-archive tests plus the service tier's, whose isolation,
+# MyDB and result-cache tests drive an authenticated server over
+# localhost TCP (every test carries a SIGALRM timeout guard so a wedged
+# socket fails instead of hanging).
 test-net:
-	$(PYTEST) -x -q tests/net
+	$(PYTEST) -x -q tests/net tests/service
 
 # Chaos tests: scripted server kills over a replicated cluster, with
 # the same SIGALRM guard — a hung failover fails, never wedges.

@@ -38,7 +38,6 @@ from repro.net.client import (
     ServerLink,
     WireTelemetry,
     parse_archive_options,
-    parse_archive_url,
 )
 from repro.net.protocol import ProtocolError, RemoteArchiveError, schema_from_wire
 from repro.query.errors import UnrecoverableShardError
@@ -218,6 +217,8 @@ class RemotePartitionedExecutor(Executor):
         timeout=None,
         batch_rows=4096,
         compression=None,
+        user=None,
+        token=None,
     ):
         urls = list(urls)
         if not urls:
@@ -235,9 +236,12 @@ class RemotePartitionedExecutor(Executor):
         self.compression = compression
         #: one round-trip count for the whole cluster (the links share it)
         self.telemetry = WireTelemetry()
+        # user= / token= win over every endpoint's URL credentials
         links = [
-            ServerLink(
-                parse_archive_url(url),
+            ServerLink.from_url(
+                url,
+                user,
+                token,
                 connect_timeout=connect_timeout,
                 timeout=timeout,
                 telemetry=self.telemetry,

@@ -22,7 +22,7 @@ Operations
 ----------
 Identity is a header field, not an exchange: a request frame that
 carries ``user``/``token`` identifies its connection, whatever its op
-(the client library's first frame is still a ``hello`` carrying them).
+(the client library puts them on each connection's first frame).
 A server with a user registry validates them — structured error on
 mismatch, connection left as it was — and refuses every op but
 ``hello`` from a connection not yet identified.  Authentication is per

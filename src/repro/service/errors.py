@@ -22,7 +22,7 @@ class ServiceError(SessionError):
 
 
 class AuthenticationError(ServiceError):
-    """Unknown user or bad token in the ``hello`` exchange."""
+    """Unknown user or bad token, or no identity where one is required."""
 
 
 class QuotaExceededError(ServiceError):

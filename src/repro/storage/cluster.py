@@ -102,6 +102,9 @@ class DistributedArchive:
             for k in range(n_servers)
         ]
         self.partition_map = self.partitioner.build({}, n_servers)
+        #: set by :func:`~repro.storage.replication.replicate_archive`:
+        #: every copy of a container off its owner is a replica
+        self.replicated = False
 
     @classmethod
     def from_table(cls, table, depth, n_servers, node_model=PAPER_NODE, source="photo"):
@@ -142,10 +145,7 @@ class DistributedArchive:
         weights first, so a bulk load lands balanced.
         """
         ids = self.servers[0].store.container_ids_for(table)
-        weights = self._combined_weights(ids)
-        self.partition_map = self.partitioner.build(weights, len(self.servers))
-        # Re-place any containers whose owner changed, then add new data.
-        self._replace_misplaced()
+        self._repartition(ids)
         self._place(self.source, table, ids)
 
     def _place(self, source_name, table, ids):
@@ -162,8 +162,21 @@ class DistributedArchive:
             weights.update(server.store.container_sizes())
         return weights
 
-    def _replace_misplaced(self):
-        """Move containers whose partition-map owner changed; count moves.
+    def _repartition(self, new_ids=()):
+        """Rebuild the partition map over the held rows plus ``new_ids``
+        and move containers onto their owners; count the objects moved.
+        Replicas are dropped first, so one copy per row moves and is
+        weighed: call ``replicate_archive`` again for redundancy."""
+        if self.replicated:
+            self._replace_misplaced(drop=True)
+            self.replicated = False
+        weights = self._combined_weights(new_ids)
+        self.partition_map = self.partitioner.build(weights, len(self.servers))
+        return self._replace_misplaced()
+
+    def _replace_misplaced(self, drop=False):
+        """Move containers whose partition-map owner changed (or, with
+        ``drop``, remove them); count moves.
 
         Every hosted source moves together, so a repartition can never
         separate a sky area's primary rows from its secondary (tag) rows.
@@ -176,14 +189,16 @@ class DistributedArchive:
                 leaving = ids[owners != server.server_id]
                 if len(leaving):
                     table, row_ids = store.remove(leaving)
-                    self._place(source_name, table, row_ids)
-                    moved_objects += len(table)
+                    if not drop:
+                        self._place(source_name, table, row_ids)
+                        moved_objects += len(table)
         return moved_objects
 
     def add_servers(self, count):
         """Scale out; repartitions and physically moves containers.
 
-        Returns the number of objects moved.
+        Returns the number of objects moved; replicas are dropped
+        (:meth:`_repartition`).
         """
         if count < 1:
             raise ValueError("must add at least one server")
@@ -195,10 +210,7 @@ class DistributedArchive:
             for name, schema in self.extra_schemas.items():
                 server.attach_store(name, ContainerStore(schema, self.depth))
             self.servers.append(server)
-        self.partition_map = self.partitioner.build(
-            self._combined_weights(), len(self.servers)
-        )
-        return self._replace_misplaced()
+        return self._repartition()
 
     # ------------------------------------------------------------------
     # inspection

@@ -3,10 +3,11 @@
 *"Some of the high-traffic data will be replicated among servers.  It is
 up to the database software to manage this partitioning and replication."*
 
-:func:`replicate_archive` copies rows; it keeps no record of where they
-went.  Each server's stores are the one record of what it holds: a
-cluster session reads them when it assigns containers to endpoints and
-when it fails a dead server's ranges over to a live copy.
+:func:`replicate_archive` copies rows; it records only that copies exist
+(``archive.replicated``; a repartition drops them).  Each server's
+stores are the one record of what it holds: a cluster session reads
+them when it assigns containers to endpoints and when it fails a dead
+server's ranges over to a live copy.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ def replicate_archive(archive, replication_factor=2):
     every container still has a live copy.  Placement is deterministic
     (owner + k modulo server count) and all sources of a sky area travel
     together.  A second call finds every copy in place and places none.
+    A repartition (``add_servers``, ``load``) drops the copies again.
 
     Returns the number of (container, server) placements made.
     """
@@ -51,4 +53,6 @@ def replicate_archive(archive, replication_factor=2):
                 if len(missing):
                     target_store.append(*store.rows(missing))
                     placements += len(missing)
+    if placements:
+        archive.replicated = True
     return placements

@@ -1,14 +1,15 @@
 """One ``ServerLink`` behind every wire call; identity on any frame, stats on ``done``.
 
 * wire shape — what a query dispatches server-side, op by op, counted
-  with a ``fault_policy`` hook: ``hello, prepare, hello, submit,
-  fetch_batch×k`` for an authenticated ``archive://`` session (the
-  client still opens an identified connection with a credentialed
-  hello — ROADMAP item 3) and ``submit, fetch_batch×k`` for one shard
-  of a cluster; no ``job_stats`` or ``io_report`` — and the client's
-  round-trip telemetry counts exactly those ops;
-* identity on the first frame — the server takes credentials on
-  whatever op opens the connection; a bad token is refused and leaves
+  with a ``fault_policy`` hook: ``prepare, submit, fetch_batch×k`` for
+  an authenticated ``archive://`` session and ``submit, fetch_batch×k``
+  for one shard of a cluster, credentialed or not; no ``hello``,
+  ``job_stats`` or ``io_report`` — and the client's round-trip
+  telemetry counts exactly those ops;
+* identity on the first frame — the client puts credentials on
+  whatever op opens the connection and the server takes them there; a
+  cluster's endpoints get them from their URLs or from ``user=`` /
+  ``token=``; a bad token is refused and leaves
   the connection unauthenticated, an anonymous frame on an ``auth=``
   server is refused outright, and the owner's side-channel ``cancel``
   reaches a job blocked in the server's batch queue;
@@ -30,7 +31,6 @@ from repro.net.client import (
     RemoteExecutor,
     ServerLink,
     _request,
-    authenticate_connection,
     open_connection,
 )
 from repro.net.protocol import PROTOCOL_VERSION
@@ -104,29 +104,39 @@ def test_authenticated_cached_query_ends_with_its_last_fetch(auth_server):
         trips = session.executor.telemetry.snapshot() - trips_before
     assert job.io_report()["cache"]["hit"] is True
     assert replay.data.tolist() == first.data.tolist()
-    assert_query_ops(ops, ["hello", "prepare", "hello", "submit"])
+    assert_query_ops(ops, ["prepare", "submit"])
     assert trips == len(ops)
 
 
-def test_one_cluster_shard_sees_submit_and_fetches_only(photo, tags):
+@pytest.mark.parametrize("identity", ["anonymous", "url", "keywords"])
+def test_one_cluster_shard_sees_submit_and_fetches_only(
+    photo, tags, session, same_rows, identity
+):
+    """Credentials reach every endpoint, from its URL or from ``user=`` /
+    ``token=``, on the frames a shard query sends anyway."""
     halves = DistributedArchive.from_table(photo, depth=5, n_servers=2)
     halves.attach_source("tag", tags)
     counters = [CountOps(), CountOps()]
+    auth = None if identity == "anonymous" else USERS
     servers = [
-        ArchiveServer(stores=node.stores(), fault_policy=counter).start()
+        ArchiveServer(stores=node.stores(), auth=auth, fault_policy=counter).start()
         for node, counter in zip(halves.servers, counters)
     ]
+    urls = [url_for(s, "alice") if identity == "url" else s.url for s in servers]
+    keywords = {}
+    if identity == "keywords":
+        keywords = {"user": "alice", "token": USERS["alice"]}
     try:
-        with Archive.connect([server.url for server in servers]) as session:
+        with Archive.connect(urls, **keywords) as cluster:
             assert [counter.take() for counter in counters] == [["hello"], ["hello"]]
-            trips_before = session.executor.telemetry.snapshot()
-            table = session.query_table(ONE_ROW)
+            trips_before = cluster.executor.telemetry.snapshot()
+            table = cluster.query_table(ONE_ROW)
             per_shard = [counter.take() for counter in counters]
-            trips = session.executor.telemetry.snapshot() - trips_before
+            trips = cluster.executor.telemetry.snapshot() - trips_before
     finally:
         for server in servers:
             server.stop()
-    assert len(table) == 1
+    same_rows(table, session.query_table(ONE_ROW))
     for ops in per_shard:
         assert_query_ops(ops, ["submit"])
     assert trips == sum(len(ops) for ops in per_shard)
@@ -189,7 +199,8 @@ def test_anonymous_first_frame_refused_outright(auth_server):
 def test_credentialed_hello_is_one_more_identifying_frame(auth_server):
     probe = open_connection(auth_server.address, 5.0, 5.0)
     try:
-        header = authenticate_connection(probe, "alice", "s3cret")
+        hello = {"op": "hello", "user": "alice", "token": "s3cret"}
+        header, _ = _request(probe, hello)
         assert header["user"] == "alice"
         reply, _ = _request(probe, {"op": "mydb", "action": "list"})
         assert reply["tables"] == []

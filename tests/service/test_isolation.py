@@ -124,11 +124,7 @@ class TestWireIsolation:
                     bob.query_table(READ)
 
     def test_job_handles_are_owner_scoped(self, server):
-        from repro.net.client import (
-            authenticate_connection,
-            open_connection,
-            _request,
-        )
+        from repro.net.client import open_connection, _request
 
         with self._connect(server, "alice", "s3cret") as alice:
             job = alice.submit("SELECT objid, mag_r FROM photo WHERE mag_r < 25")
@@ -144,7 +140,7 @@ class TestWireIsolation:
 
             probe = open_connection(server.address, 5.0, 5.0)
             try:
-                authenticate_connection(probe, "bob", "hunter2")
+                _request(probe, {"op": "hello", "user": "bob", "token": "hunter2"})
                 for op in (
                     {"op": "fetch_batch", "job_id": root.remote_job_id},
                     {"op": "cancel", "job_id": root.remote_job_id},

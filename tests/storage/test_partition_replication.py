@@ -160,3 +160,52 @@ class TestReplicateArchive:
     def test_factor_bounds(self, archive, factor):
         with pytest.raises(ValueError):
             replicate_archive(archive, replication_factor=factor)
+
+
+class TestRepartitionOfReplicas:
+    """A repartition leaves one copy per row — a replica already on its
+    new owner is dropped, not stacked — and ``replicate_archive``
+    restores the redundancy."""
+
+    N_SERVERS = 3
+
+    @pytest.fixture()
+    def replicated(self, photo):
+        """The first half of the catalog on 3 servers, replicated twice."""
+        archive = DistributedArchive(photo.schema, 5, self.N_SERVERS)
+        archive.load(photo.take(np.arange(len(photo) // 2)))
+        assert replicate_archive(archive, replication_factor=2) > 0
+        return archive
+
+    @staticmethod
+    def holders(archive):
+        """objid -> (its owner, the sorted server ids holding a copy)."""
+        owner_of, held = {}, {}
+        for server in archive.servers:
+            table, htm_ids = server.store.rows()
+            owners = archive.partition_map.server_for_array(htm_ids)
+            for objid, owner in zip(table["objid"].tolist(), owners.tolist()):
+                owner_of[objid] = owner
+                held.setdefault(objid, []).append(server.server_id)
+        return {objid: (owner_of[objid], sorted(held[objid])) for objid in held}
+
+    def assert_copies(self, archive, objids, copies):
+        holders = self.holders(archive)
+        assert set(holders) == set(objids)
+        n = len(archive.servers)
+        for owner, servers in holders.values():
+            assert servers == sorted((owner + k) % n for k in range(copies))
+
+    def test_add_servers(self, photo, replicated):
+        first_half = photo["objid"][: len(photo) // 2].tolist()
+        replicated.add_servers(1)
+        self.assert_copies(replicated, first_half, 1)
+        replicate_archive(replicated, replication_factor=2)
+        self.assert_copies(replicated, first_half, 2)
+
+    def test_load(self, photo, replicated):
+        replicated.load(photo.take(np.arange(len(photo) // 2, len(photo))))
+        assert replicated.total_objects() == len(photo)
+        self.assert_copies(replicated, photo["objid"].tolist(), 1)
+        replicate_archive(replicated, replication_factor=2)
+        self.assert_copies(replicated, photo["objid"].tolist(), 2)
