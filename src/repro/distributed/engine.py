@@ -58,8 +58,6 @@ class DistributedQueryEngine(Executor):
     archive:
         A :class:`DistributedArchive`; secondary sources (the tag table)
         must have been attached with ``attach_source`` for tag routing.
-    density_maps:
-        Optional per-source :class:`DensityMap` for cost estimates.
     batch_rows:
         As for :class:`~repro.query.engine.QueryEngine`, applied inside
         every shard's scan.
@@ -78,11 +76,10 @@ class DistributedQueryEngine(Executor):
     #: per-user store overlays do not partition across shards (yet)
     supports_mydb = False
 
-    def __init__(self, archive, density_maps=None, batch_rows=4096):
+    def __init__(self, archive, batch_rows=4096):
         if not archive.servers:
             raise ValueError("archive has no servers")
         self.archive = archive
-        self.density_maps = dict(density_maps or {})
         self.batch_rows = int(batch_rows)
         if self.batch_rows <= 0:
             raise ValueError(f"batch_rows must be positive, not {batch_rows!r}")
@@ -133,7 +130,6 @@ class DistributedQueryEngine(Executor):
             self.schemas,
             self._select_root,
             ast=ast,
-            density_maps=self.density_maps,
             allow_tag_route=allow_tag_route,
         )
 

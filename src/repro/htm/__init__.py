@@ -16,8 +16,8 @@ Modules
 * :mod:`repro.htm.cover` — the inside/partial/outside coverage algorithm
   over regions of half-space constraints (Figure 4), one vectorised pass
   per mesh level.
-* :mod:`repro.htm.depthmap` — coarse per-trixel density maps used for the
-  paper's output-volume / search-time predictions.
+* :mod:`repro.htm.depthmap` — coarse per-trixel density maps; their
+  ``estimate`` is the paper's output-volume / search-time prediction.
 """
 
 from repro.htm.trixel import Trixel, BASE_TRIXELS

@@ -9,7 +9,8 @@ volume."*
 A :class:`DensityMap` counts objects per trixel at a fixed depth.  Given a
 coverage it predicts (a) how many objects a query returns and (b) how many
 must be scanned — the accepted containers contribute all their objects,
-bisected containers contribute an area-weighted fraction estimate.
+bisected containers contribute an area-weighted fraction estimate.  The
+volume prediction figure test reproduces it; query planning does not.
 """
 
 from __future__ import annotations
@@ -97,13 +98,18 @@ class DensityMap:
         return int(self.counts.sum())
 
     def count_for_id(self, htm_id):
-        """Objects in a single trixel."""
-        return int(self.counts[int(htm_id) - self._lo])
+        """Objects in a single trixel (its id must be at this map's depth)."""
+        offset = int(htm_id) - self._lo
+        if not 0 <= offset < self.counts.shape[0]:
+            raise ValueError(f"id {htm_id} is not at this map's depth")
+        return int(self.counts[offset])
 
     def count_in_rangeset(self, rangeset):
         """Total objects over a :class:`RangeSet` of this depth's ids."""
         total = 0
         for lo, hi in rangeset:
+            if lo < self._lo or hi - self._lo >= self.counts.shape[0]:
+                raise ValueError(f"ids [{lo}, {hi}] are not at this map's depth")
             total += int(self.counts[lo - self._lo : hi - self._lo + 1].sum())
         return total
 

@@ -199,7 +199,6 @@ class ArchiveServer:
         archive=None,
         host="127.0.0.1",
         port=0,
-        density_maps=None,
         batch_rows=4096,
         service=None,
         auth=None,
@@ -231,7 +230,6 @@ class ArchiveServer:
             backend,
             stores=stores,
             archive=archive,
-            density_maps=density_maps,
             batch_rows=batch_rows,
             service=service,
         )

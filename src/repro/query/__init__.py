@@ -9,7 +9,7 @@ child nodes are passed up the tree as soon as they are generated."*
 
 Pipeline: SQL-ish text -> :mod:`lexer` -> :mod:`parser` (AST in
 :mod:`ast_nodes`) -> :mod:`optimizer` (spatial-region extraction, tag
-routing, cost estimates) -> :mod:`physical` (the one plan -> execution
+routing, aggregation) -> :mod:`physical` (the one plan -> execution
 tree builder) -> :mod:`qet` (the tree's nodes) -> :mod:`engine` (threads
 + ASAP push).
 """

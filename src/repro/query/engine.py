@@ -123,8 +123,6 @@ class QueryEngine(Executor):
         Mapping of source name -> :class:`ContainerStore`; conventional
         names are ``photo``, ``tag`` and ``spectro``.  A ``tag`` store
         enables automatic tag routing of eligible photo queries.
-    density_maps:
-        Optional per-source :class:`DensityMap` for cost estimates.
     batch_rows:
         Target rows per execution morsel: scans coalesce delivered
         containers into batches of roughly this size before each
@@ -141,11 +139,10 @@ class QueryEngine(Executor):
     #: this backend can overlay per-user MyDB stores and run INTO
     supports_mydb = True
 
-    def __init__(self, stores, density_maps=None, batch_rows=4096):
+    def __init__(self, stores, batch_rows=4096):
         if not stores:
             raise ValueError("QueryEngine needs at least one store")
         self.stores = dict(stores)
-        self.density_maps = dict(density_maps or {})
         self.batch_rows = int(batch_rows)
         if self.batch_rows <= 0:
             raise ValueError(f"batch_rows must be positive, not {batch_rows!r}")
@@ -174,7 +171,6 @@ class QueryEngine(Executor):
                 stores[plan.routed_source], plan, batch_rows=self.batch_rows
             ),
             ast=ast,
-            density_maps=self.density_maps,
             allow_tag_route=allow_tag_route,
         )
 
@@ -199,9 +195,7 @@ class QueryEngine(Executor):
                 f"select_index {index} out of range: query has "
                 f"{len(selects)} SELECTs"
             )
-        sharded = split_plan(
-            plan_query(selects[index], self.schemas, self.density_maps, allow_tag_route)
-        )
+        sharded = split_plan(plan_query(selects[index], self.schemas, allow_tag_route))
         return PreparedQuery(
             text=text,
             root=shard_tree(

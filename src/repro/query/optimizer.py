@@ -1,4 +1,4 @@
-"""Query planning: index selection, tag routing, aggregation, cost prediction.
+"""Query planning: index selection, tag routing, aggregation.
 
 Decisions the paper describes:
 
@@ -11,10 +11,13 @@ Decisions the paper describes:
   attributes speed up frequent searches": if every referenced column is
   available on the tag table, the plan reads tags instead of full records;
 * **aggregation** — GROUP BY selects plan an aggregate node (one of the
-  paper's pipeline-breaking QET node kinds) with HAVING as a post-filter;
-* **cost prediction** — "a prediction of the output data volume and search
-  time can be computed from the intersection volume", via the
-  :class:`~repro.htm.depthmap.DensityMap` when one is supplied.
+  paper's pipeline-breaking QET node kinds) with HAVING as a post-filter.
+
+A plan is made from the SELECT and the schemas alone.  The paper's cost
+prediction ("a prediction of the output data volume and search time can be
+computed from the intersection volume") is
+:meth:`~repro.htm.depthmap.DensityMap.estimate`, reproduced by the volume
+prediction figure test; no plan carries one.
 
 Distributed splitting ("Splitting the data among multiple servers enables
 parallel, scalable I/O"): :func:`split_plan` divides a single-store
@@ -84,8 +87,6 @@ class QueryPlan:
         Row limit or ``None``.
     is_aggregate / group_specs / aggregate_specs / output_order / having_fn:
         Aggregation plan parts for the AggregateNode and HAVING filter.
-    estimate:
-        Optional :class:`~repro.htm.depthmap.CostEstimate`.
     """
 
     source: str
@@ -101,7 +102,6 @@ class QueryPlan:
     aggregate_specs: list = field(default_factory=list)
     output_order: list = field(default_factory=list)
     having_fn: object = None
-    estimate: object = None
     used_tag_route: bool = False
     used_spatial_index: bool = False
 
@@ -184,7 +184,7 @@ def _plan_aggregation(select, schema, order_terms):
     )
 
 
-def plan_query(select, schemas, density_maps=None, allow_tag_route=True):
+def plan_query(select, schemas, allow_tag_route=True):
     """Plan one :class:`~repro.query.ast_nodes.Select`.
 
     Parameters
@@ -194,9 +194,6 @@ def plan_query(select, schemas, density_maps=None, allow_tag_route=True):
     schemas:
         Mapping of source name -> :class:`Schema` for the available
         physical tables (e.g. ``{'photo': ..., 'tag': ..., 'spectro': ...}``).
-    density_maps:
-        Optional mapping of source name -> :class:`DensityMap` used for
-        cost prediction.
     allow_tag_route:
         Disable to benchmark the un-routed plan.
     """
@@ -291,9 +288,6 @@ def plan_query(select, schemas, density_maps=None, allow_tag_route=True):
             compile_scalar(term.expr, schema) for term in order_terms
         ]
         plan.order_descending = [term.descending for term in order_terms]
-
-    if region is not None and density_maps and routed in density_maps:
-        plan.estimate = density_maps[routed].estimate(region)
     return plan
 
 

@@ -166,12 +166,12 @@ def query_selects(ast):
     return selects
 
 
-def plan_selects(ast, schemas, density_maps=None, allow_tag_route=True):
+def plan_selects(ast, schemas, allow_tag_route=True):
     """The :class:`~repro.query.optimizer.QueryPlan` of every SELECT, in
     ``select_index`` order — the optimizer's view of a query, for tests
     and benchmarks that inspect plans without building a tree."""
     return [
-        plan_query(select, schemas, density_maps, allow_tag_route)
+        plan_query(select, schemas, allow_tag_route)
         for select in query_selects(ast)
     ]
 
@@ -288,9 +288,7 @@ def scatter_gather_tree(plan, depth, fan_out, batch_rows=4096):
 # ----------------------------------------------------------------------
 
 
-def prepare_query(
-    text, schemas, select_root, ast=None, density_maps=None, allow_tag_route=True
-):
+def prepare_query(text, schemas, select_root, ast=None, allow_tag_route=True):
     """Parse (unless ``ast`` is given), plan and build, without starting.
 
     ``select_root(plan, select_index)`` builds one planned SELECT's
@@ -303,7 +301,7 @@ def prepare_query(
     roots = []
 
     def build_select(select, select_index):
-        plan = plan_query(select, schemas, density_maps, allow_tag_route)
+        plan = plan_query(select, schemas, allow_tag_route)
         plans.append(plan)
         roots.append(select_root(plan, select_index))
         return roots[-1]

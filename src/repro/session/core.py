@@ -886,7 +886,6 @@ class Archive:
         *,
         stores=None,
         archive=None,
-        density_maps=None,
         batch_rows=4096,
         process_shards=False,
         service=None,
@@ -899,13 +898,12 @@ class Archive:
         """Connect to a backend and open a :class:`Session`.
 
         Exactly one of ``backend``, ``stores`` or ``archive`` must be
-        given; ``density_maps`` feeds cost estimation.  ``batch_rows``
-        sizes the execution morsels of an engine built here (over a
-        store mapping or a raw ``DistributedArchive``): scans coalesce
-        delivered containers to roughly this many rows per vectorized
-        pass (it must be positive).  It has no effect on backend shapes
-        that arrive with their batching already configured (a
-        pre-built engine, an ``archive://`` URL).
+        given.  ``batch_rows`` sizes the execution morsels of an engine
+        built here (over a store mapping or a raw ``DistributedArchive``):
+        scans coalesce delivered containers to roughly this many rows per
+        vectorized pass (it must be positive).  It has no effect on
+        backend shapes that arrive with their batching already configured
+        (a pre-built engine, an ``archive://`` URL).
 
         Every QET node runs on one thread.  ``process_shards=True``
         (requires ``archive=``) is the way to use more cores: it serves
@@ -1037,13 +1035,9 @@ class Archive:
                 target, batch_rows=batch_rows, user=user, token=token
             )
         elif isinstance(target, DistributedArchive):
-            executor = DistributedQueryEngine(
-                target, density_maps=density_maps, batch_rows=batch_rows
-            )
+            executor = DistributedQueryEngine(target, batch_rows=batch_rows)
         elif isinstance(target, dict):
-            executor = QueryEngine(
-                target, density_maps=density_maps, batch_rows=batch_rows
-            )
+            executor = QueryEngine(target, batch_rows=batch_rows)
         elif hasattr(target, "prepare") and hasattr(target, "kind"):
             # An engine, or anything else speaking the Executor protocol.
             executor = target

@@ -82,8 +82,6 @@ def _scan_detail(node):
         detail["tag_route"] = True
     if plan.used_spatial_index:
         detail["spatial_index"] = True
-    if plan.estimate is not None:
-        detail["predicted_rows"] = plan.estimate.predicted_result_count
     # Every scan rides its store's one shared sweep machine.
     detail["sweep"] = f"sweep:{plan.routed_source}"
     return detail

@@ -54,16 +54,19 @@ def _suite_test_timeout():
 
 
 #: test directory -> what its tests must leave as they found it: open
-#: sockets and ``archive-*`` threads where tests start servers, ``qet-*``
-#: threads where they run query trees
+#: sockets and ``archive-*`` threads where tests start servers, else the
+#: threads named by these prefixes — ``qet-*`` where they run query
+#: trees, ``river-*`` where they run river graphs.  ``sweep-*`` threads
+#: are not watched: one ends up to a second after its store is dropped.
 LEAVE_NOTHING_BEHIND = {
     "net": "sockets",
     "chaos": "sockets",
     "service": "sockets",
-    "session": "qet",
-    "query": "qet",
-    "distributed": "qet",
-    "storage": "qet",
+    "session": ("qet-",),
+    "query": ("qet-",),
+    "distributed": ("qet-",),
+    "storage": ("qet-",),
+    "machines": ("river-", "qet-"),
 }
 
 
@@ -78,9 +81,11 @@ def _open_sockets():
     return count
 
 
-def _threads(prefix):
+def _threads(prefixes):
     return {
-        thread for thread in threading.enumerate() if thread.name.startswith(prefix)
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith(prefixes)
     }
 
 
@@ -92,8 +97,8 @@ def _network_state():
 def _leave_nothing_behind(request):
     """A network test ends with the open sockets and the ``archive-*``
     threads (server accept loops, cluster probes) it began with; a test
-    that runs query trees leaves no ``qet-*`` thread (a node's, or a
-    gather helper's) it started running.
+    that runs query trees or river graphs leaves no ``qet-*`` thread (a
+    node's, or a gather helper's) or ``river-*`` thread it started.
 
     Server-side connection threads close their socket a moment after
     the client hangs up, and a cancelled node thread exits a moment
@@ -112,13 +117,13 @@ def _leave_nothing_behind(request):
             if after != before:
                 return f"(open sockets, archive-* threads) {before} -> {after}"
 
-    elif watch == "qet":
-        before = _threads("qet-")
+    elif isinstance(watch, tuple):
+        before = _threads(watch)
 
         def left():
-            started = sorted(thread.name for thread in _threads("qet-") - before)
+            started = sorted(thread.name for thread in _threads(watch) - before)
             if started:
-                return f"qet-* threads {started}"
+                return f"threads {started}"
 
     else:
         yield

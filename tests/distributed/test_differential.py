@@ -139,7 +139,7 @@ class TestRepartitioning:
 
 def sharded_plans(dengine, text):
     """The split plan of every SELECT, without building a tree."""
-    plans = plan_selects(parse_query(text), dengine.schemas, dengine.density_maps)
+    plans = plan_selects(parse_query(text), dengine.schemas)
     return [split_plan(plan) for plan in plans]
 
 

@@ -50,6 +50,18 @@ class TestCounting:
         with pytest.raises(ValueError):
             density.add_ids(np.array([8]))  # depth-0 id
 
+    def test_counts_reject_ids_at_another_depth(self, sky_positions):
+        ra, dec = sky_positions
+        density = DensityMap.from_positions(ra, dec, 4)
+        lo3 = 8 * 4**3  # first depth-3 id: below every depth-4 id
+        hi5 = 16 * 4**5 - 1  # last depth-5 id: above every depth-4 id
+        for htm_id in (lo3, lo3 + 100, hi5):
+            with pytest.raises(ValueError):
+                density.count_for_id(htm_id)
+        for lo, hi in ((lo3, lo3 + 10), (8 * 4**4, hi5)):
+            with pytest.raises(ValueError):
+                density.count_in_rangeset(RangeSet([(lo, hi)]))
+
     def test_bad_counts_shape(self):
         with pytest.raises(ValueError):
             DensityMap(3, counts=np.zeros(7))

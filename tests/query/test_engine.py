@@ -21,9 +21,7 @@ def brute(photo, mask):
 
 def explain(engine, text, allow_tag_route=True):
     """The optimizer's plan of every SELECT, without building a tree."""
-    return plan_selects(
-        parse_query(text), engine.schemas, engine.density_maps, allow_tag_route
-    )
+    return plan_selects(parse_query(text), engine.schemas, allow_tag_route)
 
 
 def result_ids(table):

@@ -18,7 +18,10 @@ Three checks that the AST -> QET decision lives in one module:
   keyword, no ``REPRO_WORKERS``;
 * one cover — a spatial SELECT covers its region once on every backend,
   only through ``shard_candidates``, and a scan takes one input, its
-  ``candidates``.
+  ``candidates``;
+* schemas only — a SELECT is planned from itself, the schemas and the
+  tag-route switch: the keyword sets of the engines, the connect and
+  server entry points and the planning functions are pinned.
 """
 
 from __future__ import annotations
@@ -365,6 +368,57 @@ def test_the_query_path_covers_only_in_the_optimizer():
         "candidates",
         "track_delivery",
     ]
+
+
+def test_planning_takes_the_schemas_and_nothing_else():
+    import inspect
+
+    from repro.distributed.engine import DistributedQueryEngine
+    from repro.query.engine import QueryEngine
+    from repro.query.optimizer import QueryPlan, plan_query
+    from repro.query.physical import plan_selects, prepare_query
+
+    def names(entry):
+        return list(inspect.signature(entry).parameters)
+
+    assert names(plan_query) == ["select", "schemas", "allow_tag_route"]
+    assert names(plan_selects) == ["ast", "schemas", "allow_tag_route"]
+    assert names(prepare_query) == [
+        "text",
+        "schemas",
+        "select_root",
+        "ast",
+        "allow_tag_route",
+    ]
+    assert names(QueryEngine) == ["stores", "batch_rows"]
+    assert names(DistributedQueryEngine) == ["archive", "batch_rows"]
+    assert names(Archive.connect) == [
+        "backend",
+        "stores",
+        "archive",
+        "batch_rows",
+        "process_shards",
+        "service",
+        "cache",
+        "user",
+        "token",
+        "query_log",
+        "slow_query_ms",
+    ]
+    assert names(ArchiveServer) == [
+        "backend",
+        "stores",
+        "archive",
+        "host",
+        "port",
+        "batch_rows",
+        "service",
+        "auth",
+        "cache",
+        "mydb_quota_bytes",
+        "fault_policy",
+    ]
+    assert "estimate" not in QueryPlan.__dataclass_fields__
 
 
 def test_a_spatial_select_covers_its_region_once(
