@@ -157,10 +157,10 @@ def _bench_concurrent(photo):
     cost less than 1.5 (the artifact records the measured amplification
     so regressions show up in the trajectory).
     """
-    # Depth 5: fewer, larger containers — the sharing story is the same
-    # while the scenario stays fast enough for the smoke target.
+    # A container is a page of the store's arena (the unit the pool
+    # counts), so a single sweep physically reads each page once.
     store = ContainerStore.from_table(photo, depth=5)
-    n_containers = len(store)
+    n_containers = len(store.snapshot.pages()[1]) - 1
     with Archive.connect(stores={"photo": store}) as session:
         started = time.perf_counter()
         jobs = [

@@ -74,23 +74,27 @@ def bench_density(bench_photo):
 
 
 def container_split(store, region):
-    """The paper's three-way split of a store's occupied containers under
-    ``region``: a property of the region's cover at the store's depth
-    and of which containers are occupied, so it is computed from those
-    (a session query reads exactly the accepted + bisected ones).
+    """The paper's three-way split of a store's occupied containers (its
+    trixels) under ``region``: a property of the region's cover at the
+    store's depth and of which trixels are occupied, so it is computed
+    from those (a session query reads exactly the pages holding the
+    accepted + bisected ones).
 
-    Returns counts of accepted / bisected / rejected containers, the
-    objects accepted wholesale vs point-tested, and the bytes touched.
+    Returns counts of accepted / bisected / rejected trixels, the
+    objects accepted wholesale vs point-tested, the bytes touched and
+    the set of ``pages`` holding the accepted and bisected trixels.
     The wholesale / point-tested split is the paper's cost model; the
     live scan tests every delivered row once with the compiled
     ``WHERE``, whichever class its container is in.
     """
     coverage = cover_region(region, store.depth)
     split = SimpleNamespace(
-        accepted=0, bisected=0, rejected=0, wholesale=0, point_tested=0, nbytes=0
+        accepted=0, bisected=0, rejected=0, wholesale=0, point_tested=0, nbytes=0,
+        pages=set(),
     )
     itemsize = store.snapshot.arena.itemsize
-    for htm_id, rows in store.container_sizes().items():
+    page_of = store.snapshot.pages()[0]
+    for k, (htm_id, rows) in enumerate(store.container_sizes().items()):
         if coverage.inside.contains(htm_id):
             split.accepted += 1
             split.wholesale += rows
@@ -101,6 +105,7 @@ def container_split(store, region):
             split.rejected += 1
             continue
         split.nbytes += rows * itemsize
+        split.pages.add(page_of[k])
     return split
 
 

@@ -36,11 +36,11 @@ def test_bench_container_classification(
         split = container_split(bench_photo_store, region)
         truth = int(region.contains(bench_photo.positions_xyz()).sum())
         assert len(result) == truth  # exactness regardless of pruning
-        # The session read the accepted and bisected containers, no more.
+        # The session read the pages holding the accepted and bisected
+        # trixels, no more.
         report = cursor.io_report()
-        assert (
-            report["containers_read"] + report["containers_from_pool"]
-            == split.accepted + split.bisected
+        assert report["containers_read"] + report["containers_from_pool"] == len(
+            split.pages
         )
         scanned = split.wholesale + split.point_tested
         scanned_fraction = scanned / max(len(bench_photo), 1)

@@ -28,19 +28,20 @@ def run_and_time(session, query):
 
 @contextmanager
 def paced(session):
-    """Pace every sweeper of ``session``'s engine so a full lap takes ~1s.
+    """Pace every sweeper of ``session``'s engine so a full lap takes ~0.5s.
 
-    An unthrottled in-memory lap finishes in tens of milliseconds —
-    scheduling-noise territory for ratio assertions; the paper's
-    streaming claims are about *long* scans, so the claims are measured
-    on a paced sweep.  Every store is paced because queries tag-route.
+    An unthrottled in-memory lap finishes in milliseconds — scheduling-
+    noise territory for ratio assertions; the paper's streaming claims
+    are about *long* scans, so the claims are measured on a paced sweep.
+    Every store is paced because queries tag-route; the throttle is per
+    page, so each store's is its lap over its own pages.
     """
     stores = session.executor.stores.values()
     sweepers = [store.sweeper() for store in stores]
-    n_containers = max(len(s) for s in stores)
     saved = [sweeper.throttle for sweeper in sweepers]
-    for sweeper in sweepers:
-        sweeper.throttle = max(0.5 / max(n_containers, 1), 0.00005)
+    for store, sweeper in zip(stores, sweepers):
+        n_pages = len(store.snapshot.pages()[1]) - 1
+        sweeper.throttle = max(0.5 / max(n_pages, 1), 0.00005)
     try:
         yield
     finally:

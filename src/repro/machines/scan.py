@@ -8,13 +8,13 @@ data that qualifies is sent back to the astronomer, and the query
 completes within the scan time."*
 
 :class:`ScanMachine` is the *simulated-time* face of the shared sweep: it
-drives a :class:`~repro.machines.sweep.SweepScanner` step by step
-(manual mode), advancing a simulated clock by each container's bytes
-over the cluster's aggregate rate, and evaluating every active query's
-predicate per container — the batching that lets N concurrent queries
+drives a :class:`~repro.machines.sweep.SweepScanner` one page per step
+(manual mode), with one clock charge per container — a page's bytes
+over the cluster's aggregate rate — and evaluating every active query's
+predicate per trixel — the batching that lets N concurrent queries
 share one physical read.  A query joining mid-sweep is served the
-remaining containers first and finishes after wrap-around, within one
-full scan time of its arrival.
+remaining pages first and finishes after wrap-around, within one full
+scan time of its arrival.
 
 The *live* face of the same machinery is
 :meth:`~repro.storage.containers.ContainerStore.sweeper`, which the
@@ -54,6 +54,7 @@ class ScanQuery:
     activated_at: Optional[float] = None
     completed_at: Optional[float] = None
     rows_matched: int = 0
+    #: pages the query's subscription passed
     containers_seen: int = 0
     _pieces: List[ObjectTable] = field(default_factory=list)
 
@@ -76,6 +77,7 @@ class SweepReport:
 
     simulated_seconds: float
     bytes_swept: int
+    #: pages swept (one clock charge each)
     containers_swept: int
     queries_completed: int
     #: bytes that would have been read had each query scanned separately
@@ -101,7 +103,7 @@ class ScanMachine:
         self.scanner = None
 
     def _sink_for(self, query):
-        """Per-query delivery: the predicate per container, the matches kept."""
+        """Per-query delivery: the predicate per trixel, the matches kept."""
 
         def sink(run):
             for _htm_id, rows, _from_pool in run.containers():
@@ -117,12 +119,12 @@ class ScanMachine:
         """Run until every query completes (or ``max_cycles`` sweeps).
 
         Queries may have staggered ``arrival_time``; a query only sees
-        containers scanned at or after its arrival, and completes once it
-        has seen every container exactly once (wrap-around semantics).
-        The clock charges each pumped container's bytes at the cluster's
-        scan rate whether the bytes came off disk or out of the buffer
-        pool — the simulated cost model prices the *pump*, keeping the
-        legacy accounting (two sequential queries still cost two sweeps).
+        rows scanned at or after its arrival, and completes once it has
+        seen every trixel exactly once (wrap-around semantics).  The
+        clock charges each pumped page's bytes at the cluster's scan
+        rate whether the bytes came off disk or out of the buffer pool —
+        the simulated cost model prices the *pump*, keeping the legacy
+        accounting (two sequential queries still cost two sweeps).
 
         Returns a :class:`SweepReport`; per-query results live on the
         :class:`ScanQuery` objects.
@@ -154,10 +156,10 @@ class ScanMachine:
                 self.clock = pending[0].arrival_time
                 continue
 
-            step = scanner.step()  # stride 1: one clock charge per container
+            step = scanner.step()  # stride 1: one clock charge per page
             self.clock += self.cluster.scan_seconds(step.nbytes)
             bytes_swept += step.nbytes
-            containers_swept += len(step.htm_ids)
+            containers_swept += len(step.pages)
             if step.wrapped:
                 cycles += 1
 
@@ -179,9 +181,10 @@ class ScanMachine:
         )
 
     def full_scan_seconds(self):
-        """Simulated time for one complete sweep of the store."""
-        itemsize = self.store.snapshot.arena.itemsize
+        """Simulated time for one complete sweep of the store: one
+        charge per page."""
+        _page_of, first, before = self.store.snapshot.pages()
         return sum(
-            self.cluster.scan_seconds(rows * itemsize)
-            for rows in self.store.snapshot.sizes.tolist()
+            self.cluster.scan_seconds(before[b] - before[a])
+            for a, b in zip(first, first[1:])
         )

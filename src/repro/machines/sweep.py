@@ -8,40 +8,51 @@ completes within the scan time."*
 :class:`SweepScanner` makes the paper's scan machine the *real* read
 path instead of a standalone simulation: every concurrent scan of a
 :class:`~repro.storage.containers.ContainerStore` subscribes to the
-store's single scanner, which sweeps the containers in id order, in a
-circle, and hands each container to every active subscriber.  A query
-joining mid-sweep starts at the current position and completes on
-wrap-around — N concurrent queries cost one physical pass, not N.
+store's single scanner, which sweeps the store's pages in trixel-id
+order, in a circle, and hands each subscriber the rows of the trixels it
+wants on them.  A query joining mid-sweep starts at the current position
+and completes on wrap-around — N concurrent queries cost one physical
+pass, not N.
 
-The sweep's position is a container id, read against whatever
+Two units meet here.  A *container* — what the sweep steps over and the
+buffer pool accounts — is a page of the store's HTM-sorted arena
+(:data:`~repro.storage.containers.PAGE_BYTES` of it), so a lap costs
+what it reads: a store of narrow tag rows has as many times fewer pages
+as its rows are narrower.  A *trixel* stays the unit of everything that
+decides which rows a subscriber receives: its candidates, its spans, its
+start and the delivery claims built from them.
+
+The sweep's position is a trixel id, read against whatever
 :class:`~repro.storage.containers.StoreSnapshot` the store holds at
 each step.  A subscription records the id the sweep stood at when it
-joined: it is offered every held container at or after that id, then,
-after the wrap, every held container before it, and it is done when the
+joined: it is offered every held trixel at or after that id, then,
+after the wrap, every held trixel before it, and it is done when the
 sweep comes back to its start.  So when the store changes mid-lap, a
-container held at attach and still held when the sweep reaches it is
-offered exactly once, a container added after attach is offered only if
+trixel held at attach and still held when the sweep reaches it is
+offered exactly once, a trixel added after attach is offered only if
 its id lies in the arc the subscription has not swept yet, and a
-removed container is not offered.
+removed trixel is not offered.
 
 Three properties keep the shared sweep from being slower than private
 scans ever were:
 
-* **pruned subscribers skip containers** — a subscription carries the
-  query's HTM candidate :class:`~repro.htm.ranges.RangeSet`; containers
-  outside it are counted as skipped (they still advance the
-  subscription toward completion) and, when *no* active subscriber
-  wants a container, it is never read at all.  Nor is it visited: while
+* **pruned subscribers skip pages** — a subscription carries the
+  query's HTM candidate :class:`~repro.htm.ranges.RangeSet`; trixels
+  outside it are never delivered to it, pages holding none of its
+  trixels are counted as skipped (they still advance the subscription
+  toward completion) and, when *no* active subscriber wants a trixel on
+  a page, the page is never read at all.  Nor is it visited: while
   every active subscriber carries candidates a step *jumps* by
-  bisection to the next container any of them wants and counts the ones
+  bisection to the next trixel any of them wants and counts the pages
   in between arithmetically — a lap costs what it delivers plus
-  O(cover intervals · log containers), not one test per container.  A
-  whole-catalog subscriber wants every container, so beside one the
-  sweep walks;
-* **reads go through the buffer pool** — the sweep accounts each run of
-  containers via :meth:`BufferPool.fetch_many
-  <repro.storage.buffer.BufferPool.fetch_many>`, so a lap over
-  recently-swept data is served from the pool without physical I/O;
+  O(cover intervals · log trixels), not one test per trixel.  A
+  whole-catalog subscriber wants every trixel, so beside one the sweep
+  walks, ``stride`` pages a step;
+* **reads go through the buffer pool** — the sweep accounts each step's
+  pages via :meth:`BufferPool.fetch_many
+  <repro.storage.buffer.BufferPool.fetch_many>`, one entry per page, so
+  a lap over recently-swept data is served from the pool without
+  physical I/O;
 * **the sweep never stalls on a slow astronomer** — a delivery is a
   :class:`SweepRun`, index spans of one immutable snapshot, pushed on
   unbounded subscription streams, so one blocked consumer cannot wedge
@@ -74,51 +85,57 @@ __all__ = ["SweepRun", "SweepScanner", "SweepSubscription", "SweepStats", "Sweep
 
 class SweepRun(NamedTuple):
     """One delivery: ``spans`` are ``(k0, k1)`` index ranges of
-    ``snapshot`` in sweep order — containers ``ids[k0:k1]``, each its
-    arena rows then its ``snapshot.overflow`` rows — and ``hits`` holds
-    one buffer-pool flag per delivered container, in the same order."""
+    ``snapshot`` in sweep order — trixels ``ids[k0:k1]``, each its arena
+    rows then its ``snapshot.overflow`` rows — and ``hits`` holds one
+    buffer-pool flag per page those trixels lie in, in the same order."""
 
     snapshot: object
     spans: list
     hits: list
 
     def containers(self):
-        """``(htm_id, rows, from_pool)`` per container; ``rows`` is a
-        structured array (a view of the arena when it has no overflow)."""
+        """``(htm_id, rows, from_pool)`` per trixel; ``rows`` is a
+        structured array (a view of the arena when it has no overflow)
+        and ``from_pool`` its page's flag."""
         arena, overflow = self.snapshot.arena, self.snapshot.overflow
-        ids, offsets, _sizes = self.snapshot.lists()
+        ids, offsets = self.snapshot.lists()
+        page_of = self.snapshot.pages()[0]
         hits = iter(self.hits)
+        page = None
         for k0, k1 in self.spans:
             for k in range(k0, k1):
+                if page_of[k] != page:
+                    page, from_pool = page_of[k], next(hits)
                 rows = arena[offsets[k] : offsets[k + 1]]
                 if ids[k] in overflow:
                     rows = concat_records([rows, overflow[ids[k]]], arena.dtype)
-                yield ids[k], rows, next(hits)
+                yield ids[k], rows, from_pool
 
 
 @dataclass
 class SweepStats:
-    """Lifetime accounting for one store's shared sweep."""
+    """Lifetime accounting for one store's shared sweep; a container is
+    a page (one buffer-pool access per page a step reads)."""
 
-    #: steps that pumped a container to at least one subscriber
+    #: pages read for at least one subscriber
     containers_swept: int = 0
-    #: physical reads (buffer-pool misses) among the swept steps
+    #: physical reads (buffer-pool misses) among the swept pages
     containers_read: int = 0
-    #: swept steps served out of the buffer pool
+    #: swept pages served out of the buffer pool
     containers_from_pool: int = 0
-    #: steps skipped entirely (no active subscriber wanted the container)
+    #: pages passed over (no active subscriber wanted a trixel on them)
     containers_skipped: int = 0
-    #: container handoffs summed over subscribers
+    #: page handoffs summed over subscribers
     deliveries: int = 0
-    #: bytes pumped through the sweep (from disk or pool)
+    #: bytes of the trixels pumped through the sweep (from disk or pool)
     bytes_swept: int = 0
     #: completed circular passes
     laps: int = 0
 
     def sharing_factor(self):
-        """Container deliveries per swept container.
+        """Page deliveries per swept page.
 
-        1.0 means every swept container served exactly one query (no
+        1.0 means every swept page served exactly one query (no
         sharing); K concurrent all-sky queries push it toward K.
         """
         if self.containers_swept == 0:
@@ -128,12 +145,11 @@ class SweepStats:
 
 @dataclass
 class SweepStep:
-    """What one :meth:`SweepScanner.step` did (a run of containers)."""
+    """What one :meth:`SweepScanner.step` did (a run of pages)."""
 
-    #: container ids visited this step, in sweep order: the run it
-    #: classified, not the ones it jumped over to get there
-    htm_ids: list
-    #: bytes pumped (0 when every container was skipped by every subscriber)
+    #: pages read this step, in sweep order (one buffer-pool access each)
+    pages: list
+    #: bytes of the trixels pumped (0 when no subscriber wanted any)
     nbytes: int
     #: True when this step closed a circular pass
     wrapped: bool
@@ -145,16 +161,18 @@ class SweepSubscription:
     Iterate it for :class:`SweepRun` deliveries (live mode), or give the
     scanner a synchronous ``sink`` callable taking each (manual mode).
     ``candidates`` restricts deliveries to an HTM
-    :class:`~repro.htm.ranges.RangeSet` — pruned containers count as
-    ``skipped`` and still advance the subscription, so pruning never
-    breaks the shared wrap-around accounting.
+    :class:`~repro.htm.ranges.RangeSet` of trixels.  ``seen``,
+    ``delivered``, ``skipped`` and ``from_pool`` count pages: pages
+    holding none of its trixels count as ``skipped`` and still advance
+    the subscription, so pruning never breaks the shared wrap-around
+    accounting.
     """
 
     def __init__(self, scanner, candidates=None, sink: Optional[Callable] = None):
         self.scanner = scanner
         self.candidates = candidates
         self._sink = sink
-        #: the container id the sweep stood at when this subscription
+        #: the trixel id the sweep stood at when this subscription
         #: joined (0, the top of the store, on an idle sweep)
         self.start = 0
         #: ``(lap, id)``: where the sweep is back at ``start``
@@ -184,8 +202,8 @@ class SweepSubscription:
 
     def __iter__(self):
         """Yield each :class:`SweepRun` as the sweep pushed it — one
-        handoff, one iteration step, many containers
-        (:meth:`SweepRun.containers` walks one container at a time)."""
+        handoff, one iteration step, many trixels
+        (:meth:`SweepRun.containers` walks one trixel at a time)."""
         if self.stream is None:
             raise TypeError("a sink-based (manual) subscription is not iterable")
         return iter(self.stream)
@@ -196,7 +214,8 @@ class SweepSubscription:
         """Yield the ``(a, b)`` index spans of ``ids[start:stop]`` this
         subscription wants, in order: the whole range without
         candidates, else one bisection pair per candidate interval that
-        meets it (``ids`` is sorted, and so are the intervals)."""
+        meets it (``ids`` is sorted, and so are the intervals).  Spans
+        are trixel-exact whatever pages they lie in."""
         if start >= stop:
             return
         if self.candidates is None:
@@ -254,13 +273,27 @@ def _union(span_lists):
     return union
 
 
+def _pages(page_of, spans):
+    """The pages sorted, disjoint ``spans`` lie in, each once, in order
+    (a page's trixels are consecutive, so a span's pages are a range)."""
+    pages = []
+    for a, b in spans:
+        lo = page_of[a]
+        if pages and pages[-1] == lo:
+            lo += 1
+        pages.extend(range(lo, page_of[b - 1] + 1))
+    return pages
+
+
 class SweepScanner:
     """Sweeps a container store in a circle for all active subscribers."""
 
-    #: containers advanced per live step: amortizes the lock cycle and
-    #: queue handoff without coarsening join/complete granularity (runs
-    #: still break at wrap boundaries and completion points)
-    stride = 32
+    #: pages advanced per live step: amortizes the lock cycle and queue
+    #: handoff without coarsening join/complete granularity (runs still
+    #: break at wrap boundaries and completion points).  Eight 64 KiB
+    #: pages, 512 KiB a step, measured against 2 and 4 pages and against
+    #: 16–128 KiB pages on ``scan_sweep`` and ``cone_search``
+    stride = 8
 
     def __init__(self, store, name=None, throttle=0.0):
         self.store = store
@@ -275,7 +308,7 @@ class SweepScanner:
         self._cond = threading.Condition()
         self._throttle = float(throttle)
         self._subs = []
-        #: the sweep's position: the next container id it reads this lap
+        #: the sweep's position: the next trixel id it reads this lap
         #: (or the first held one after it); 0, the top, between laps
         self._cursor = 0
         self._thread = None
@@ -297,10 +330,10 @@ class SweepScanner:
 
     @property
     def throttle(self):
-        """Live mode: seconds slept per swept container (test/disk-rate
-        knob); a throttled sweep steps one container at a time so the
-        pacing — and mid-sweep join granularity — is per container.
-        Containers a step jumps over are not swept and not paced.
+        """Live mode: seconds slept per step (test/disk-rate knob); a
+        throttled sweep steps one page at a time so the pacing — and
+        mid-sweep join granularity — is per page.  Pages a step jumps
+        over are not swept and not paced.
 
         Reads and writes go through the sweep's condition variable:
         assigning a new value mid-sweep wakes the live thread out of its
@@ -327,7 +360,7 @@ class SweepScanner:
         current position and completes on wrap-around (the paper's
         "added to the query mix immediately ... completes within the
         scan time").  An idle sweep parks at the top of the store, so a
-        lone query sees containers in sorted-id order.
+        lone query sees trixels in sorted-id order.
         """
         with self._cond:
             sub = self._attach_locked(SweepSubscription(self, candidates=candidates))
@@ -361,8 +394,8 @@ class SweepScanner:
             return len(self._subs)
 
     def position(self):
-        """Current sweep position: the next container id it reads this
-        lap, or the first held one after it (0 at the top)."""
+        """Current sweep position: the next trixel id it reads this lap,
+        or the first held one after it (0 at the top)."""
         with self._cond:
             return self._cursor
 
@@ -372,34 +405,36 @@ class SweepScanner:
 
     def step(self, stride=1):
         """Advance the sweep for every active subscriber: jump to the
-        next container any of them wants, then pump a run of up to
-        ``stride`` consecutive containers from there.
+        next trixel any of them wants, then pump the run from there to
+        the end of ``stride`` pages.
 
         A step reads one contiguous index range of the snapshot the
-        store holds now, from the first container at or after the
-        sweep's position.  The jump costs a bisection pair per candidate
-        interval it passes, not one test per container: the containers
-        in between are credited to every subscriber's ``seen`` /
+        store holds now, from the first trixel at or after the sweep's
+        position.  The jump costs a bisection pair per candidate
+        interval it passes, not one test per trixel: the pages in
+        between are credited to every subscriber's ``seen`` /
         ``skipped`` and to ``containers_skipped`` as a count and are
         never looked at.  A subscriber without candidates wants every
-        container, so a sweep serving one never jumps.  Neither the jump
+        trixel, so a sweep serving one never jumps.  Neither the jump
         nor the run crosses the lap's end or the start of a subscriber
         the sweep has wrapped for, so join/complete granularity stays
-        per container while the lock and queue handoffs amortize over
-        the run; each subscriber gets its part of the run as index
-        spans.  Returns a :class:`SweepStep` (its run is empty when the
-        jump alone reached the lap's end or a completion point), or
-        ``None`` when there is nothing to do.  Shared by the live thread
-        (``stride > 1``) and the simulated
+        per trixel while the lock and queue handoffs amortize over the
+        run.  Each subscriber gets its part of the run as trixel-exact
+        index spans, and the pool is read once per page of their union,
+        for the page's bytes.  Returns a :class:`SweepStep` (its run is
+        empty when the jump alone reached the lap's end or a completion
+        point), or ``None`` when there is nothing to do.  Shared by the
+        live thread and the simulated
         :class:`~repro.machines.scan.ScanMachine` driver (``stride=1``,
-        one clock charge per container).
+        one clock charge per page).
         """
         with self._cond:
             if not self._subs:
                 return None
             subs = list(self._subs)
             snapshot = self.store.snapshot
-            ids, _offsets, sizes = snapshot.lists()
+            ids = snapshot.lists()[0]
+            page_of, page_first, before = snapshot.pages()
             lap = self.stats.laps
             start = bisect_left(ids, self._cursor)
             # No further than the lap's end or the first start the sweep
@@ -409,12 +444,15 @@ class SweepScanner:
             first = stop
             for sub in subs:
                 # Never past ``first``: each subscriber searches only up
-                # to the nearest wanted container found so far.
+                # to the nearest wanted trixel found so far.
                 first = next(sub._spans(ids, start, first), (first,))[0]
-            end = min(first + int(stride), stop)
+            end = stop
+            if first < stop:
+                last = min(page_of[first] + int(stride), len(page_first) - 1)
+                end = min(page_first[last], stop)
             # Advance before delivering: a subscriber joining during the
             # deliveries starts at the run end and still sees every
-            # container exactly once on wrap-around.
+            # trixel exactly once on wrap-around.
             wrapped = end == len(ids)
             if wrapped:
                 self.stats.laps += 1
@@ -423,36 +461,30 @@ class SweepScanner:
                 self._cursor = ids[end]
             position = (self.stats.laps, self._cursor)
 
-        # Each subscriber's spans of the run, and one pool read of their
-        # union, all in the one snapshot.
-        itemsize = snapshot.arena.itemsize
+        # Each subscriber's spans of the run, and one pool read per page
+        # of their union, all in the one snapshot.
         wanting = [(s, list(s._spans(ids, first, end))) for s in subs if not s.done]
         union = _union(spans for _sub, spans in wanting)
+        pages = _pages(page_of, union)
         flags = (
             self.store.buffer_pool.fetch_many(
                 self.store,
-                [(ids[k], sizes[k] * itemsize) for a, b in union for k in range(a, b)],
+                [(p, before[page_first[p + 1]] - before[page_first[p]]) for p in pages],
             )
-            if union
+            if pages
             else []
         )
-        hits = [False] * (end - first)
-        taken = 0
-        for a, b in union:
-            hits[a - first : b - first] = flags[taken : taken + b - a]
-            taken += b - a
-        pumped = len(flags)
+        hit = dict(zip(pages, flags))
         pooled = sum(flags)
-        nbytes = itemsize * sum(sum(sizes[a:b]) for a, b in union)
+        nbytes = sum(before[b] - before[a] for a, b in union)
 
-        advanced = end - start
+        # Pages the step passed, the jumped-over ones included.
+        advanced = page_of[end - 1] - page_of[start] + 1 if end > start else 0
         deliveries = 0
         for sub, spans in wanting:
             if sub.done:
                 continue
-            mine = []
-            for a, b in spans:
-                mine += hits[a - first : b - first]
+            mine = [hit[p] for p in _pages(page_of, spans)]
             if spans and sub._deliver_run(SweepRun(snapshot, spans, mine)):
                 deliveries += len(mine)
             if not sub.done:
@@ -462,16 +494,16 @@ class SweepScanner:
                     sub._complete()
 
         with self._cond:
-            self.stats.containers_swept += pumped
-            self.stats.containers_read += pumped - pooled
+            self.stats.containers_swept += len(pages)
+            self.stats.containers_read += len(pages) - pooled
             self.stats.containers_from_pool += pooled
-            self.stats.containers_skipped += advanced - pumped
+            self.stats.containers_skipped += advanced - len(pages)
             self.stats.bytes_swept += nbytes
             self.stats.deliveries += deliveries
             self._subs = [s for s in self._subs if not s.done]
             if not self._subs:
                 self._cursor = 0  # park at the top
-        return SweepStep(htm_ids=ids[first:end], nbytes=nbytes, wrapped=wrapped)
+        return SweepStep(pages=pages, nbytes=nbytes, wrapped=wrapped)
 
     # ------------------------------------------------------------------
     # the live thread

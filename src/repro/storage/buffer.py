@@ -1,17 +1,20 @@
-"""The buffer pool: every container read flows through here.
+"""The buffer pool: every page read flows through here.
 
 *"Our simplest approach is to run a scan machine that continuously scans
 the dataset"* — and the follow-up systems (the Grid and SkyServer papers)
 make the complementary point: a multi-terabyte archive serves heavy
 interactive traffic only when hot containers stay cached and concurrent
 scans share physical reads.  :class:`BufferPool` is the read path under
-the shared sweep: a byte-budgeted LRU over containers with
+the shared sweep: a byte-budgeted LRU over pages with
 hit/miss/eviction accounting, so every query riding a sweep shares one
 notion of "physically read" vs. "served from memory".
 
 The pool holds no rows (they stay in each store's arena): an entry is a
-container's key and byte count, so the budget models a disk cache — a
-miss is a simulated physical read, a hit a page already resident.  An
+container's key — a page of the store's arena, about
+:data:`~repro.storage.containers.PAGE_BYTES` of it — and its byte count,
+so the budget models a disk cache: a miss is a simulated physical read
+of the whole page, a hit a page already resident, and a lap over a
+store costs one access per page however many trixels it holds.  An
 entry stays valid until the store's ``note_mutation`` invalidates it.
 """
 
@@ -56,7 +59,7 @@ class BufferPoolStats:
 
 
 class BufferPool:
-    """Byte-budgeted LRU of ``(store, htm_id) -> nbytes`` (never rows).
+    """Byte-budgeted LRU of ``(store, page) -> nbytes`` (never rows).
 
     Parameters
     ----------
@@ -66,7 +69,7 @@ class BufferPool:
         store becomes hot after one sweep — exactly the regime the
         SkyServer follow-up describes for its cached hot containers).
 
-    Keys are ``(store_uid, htm_id)`` so one pool may be shared by
+    Keys are ``(store_uid, page)`` so one pool may be shared by
     several stores (e.g. every source hosted on one partition server)
     without id collisions.  All methods are thread-safe: the pool sits
     under the concurrent sweep threads of every store that shares it.
@@ -91,16 +94,16 @@ class BufferPool:
     # the read path
     # ------------------------------------------------------------------
 
-    def fetch_many(self, store, containers):
-        """Read a run of containers under one lock acquisition.
+    def fetch_many(self, store, pages):
+        """Read a run of pages under one lock acquisition.
 
-        The sweep scanner's batched read path: ``containers`` are
-        ``(htm_id, nbytes)`` pairs; returns, in input order, whether each
+        The sweep scanner's batched read path: ``pages`` are
+        ``(page, nbytes)`` pairs; returns, in input order, whether each
         was served from the pool (hit) or physically read (miss).  The
-        budget check runs once per run, not once per
-        container — transiently holding one run over budget is the cost
-        of not re-walking the LRU for every tiny container in a
-        coalesced read.  The overshoot is *bounded*
+        budget check runs once per run, not once per page —
+        transiently holding one run over budget is the cost of not
+        re-walking the LRU for every page in a coalesced read.  The
+        overshoot is *bounded*
         (at most the run's own bytes, recorded in
         ``stats.peak_overshoot_bytes``) and the end-of-run eviction
         restores ``resident <= budget`` before the lock is released, so
@@ -108,7 +111,7 @@ class BufferPool:
         """
         uid = store.store_uid
         with self._lock:
-            results = [self._fetch_locked((uid, h), n) for h, n in containers]
+            results = [self._fetch_locked((uid, p), n) for p, n in pages]
             self._evict_over_budget()
             if self.byte_budget is not None:
                 assert self._resident_bytes <= self.byte_budget, (
@@ -164,11 +167,11 @@ class BufferPool:
             self._resident_bytes -= nbytes
             self.stats.evictions += 1
 
-    def invalidate(self, store, htm_id=None):
-        """Forget one container, or every container of a store."""
+    def invalidate(self, store, page=None):
+        """Forget one page, or every page of a store."""
         with self._lock:
-            if htm_id is not None:
-                key = (store.store_uid, int(htm_id))
+            if page is not None:
+                key = (store.store_uid, int(page))
                 if key in self._entries:
                     self._drop(key)
                     self.stats.invalidations += 1
@@ -184,7 +187,7 @@ class BufferPool:
             return self._resident_bytes
 
     def resident_containers(self):
-        """Number of containers currently resident."""
+        """Number of containers (pages) currently resident."""
         with self._lock:
             return len(self._entries)
 

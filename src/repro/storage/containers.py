@@ -6,17 +6,24 @@ containers are stored as clusters, data locality will be very high - if an
 object satisfies a query, it is likely that some of the object's 'friends'
 will as well."*
 
-A :class:`ContainerStore` clusters an object table into one container
-per occupied HTM trixel at a chosen depth, stored as clusters: all rows
-in one **arena** sorted by container id, under a CSR **index** (the
-sorted ids and their row offsets), so a container is a row range and a
-sweep reads contiguous bytes.  The store places data; it answers no
-query.  Rows leave it only through its shared
-:class:`~repro.machines.sweep.SweepScanner` (:meth:`ContainerStore.sweeper`),
-subscribed with the cover's candidate ranges: containers outside the
-cover are never delivered, and the query's compiled ``WHERE`` — which
-keeps the region's own term — tests every delivered row once, those of
-inside and bisected containers alike.
+A :class:`ContainerStore` clusters an object table by the occupied HTM
+trixels at a chosen depth, stored as clusters: all rows in one **arena**
+sorted by trixel id, under a CSR **index** (the sorted ids and their row
+offsets), so a trixel is a row range and a sweep reads contiguous bytes.
+The trixel is the unit of the *index* — covers, placement and delivery
+claims name trixels.  The unit of *reading* is a **page**, a fixed
+:data:`PAGE_BYTES` slice of the arena: a trixel belongs to the page its
+arena rows start in, so a store holds about ``bytes / PAGE_BYTES`` pages
+however finely its trixels cut the sky, and a narrow tag store has as
+many times fewer pages as its rows are narrower.  The sweep steps over
+pages and the buffer pool accounts them.
+
+The store places data; it answers no query.  Rows leave it only through
+its shared :class:`~repro.machines.sweep.SweepScanner`
+(:meth:`ContainerStore.sweeper`), subscribed with the cover's candidate
+ranges: trixels outside the cover are never delivered, and the query's
+compiled ``WHERE`` — which keeps the region's own term — tests every
+delivered row once, those of inside and bisected trixels alike.
 """
 
 from __future__ import annotations
@@ -29,7 +36,11 @@ from repro.catalog.table import ObjectTable, concat_records
 from repro.htm.mesh import depth_id_bounds, lookup_ids_from_vectors
 from repro.storage.buffer import BufferPool
 
-__all__ = ["ContainerStore", "StoreSnapshot"]
+__all__ = ["PAGE_BYTES", "ContainerStore", "StoreSnapshot"]
+
+#: bytes of arena per page, the unit the sweep steps over and the buffer
+#: pool accounts (a trixel larger than a page is one page of its own)
+PAGE_BYTES = 64 * 1024
 
 
 def _grouped(data, row_ids):
@@ -44,21 +55,24 @@ def _grouped(data, row_ids):
 class StoreSnapshot:
     """One immutable state of a store's rows.
 
-    Container ``ids[k]`` owns arena rows ``offsets[k]:offsets[k + 1]``,
+    Trixel ``ids[k]`` owns arena rows ``offsets[k]:offsets[k + 1]``,
     then its ``overflow`` rows (``{htm_id: array}``, added since the
-    arena was built, in load order): ``sizes[k]`` rows in all.  A
-    mutation builds the next snapshot and the store swaps it in, so a
-    reader holding one never sees half a load.
+    arena was built, in load order): ``sizes[k]`` rows in all.  It lies
+    in the page its arena rows start in (:meth:`pages`); a trixel with
+    overflow rows only has an empty arena range at its sorted place, so
+    it joins the page there.  A mutation builds the next snapshot and
+    the store swaps it in, so a reader holding one never sees half a
+    load.
     """
 
-    __slots__ = ("arena", "ids", "offsets", "sizes", "overflow", "_lists")
+    __slots__ = ("arena", "ids", "offsets", "sizes", "overflow", "_lists", "_pages")
 
     def __init__(self, arena, ids, offsets, sizes=None, overflow=None):
         arena.flags.writeable = False  # views of it leave the store
         self.arena, self.ids, self.offsets = arena, ids, offsets
         self.sizes = np.diff(offsets) if sizes is None else sizes
         self.overflow = overflow or {}
-        self._lists = None
+        self._lists = self._pages = None
 
     @classmethod
     def build(cls, data, row_ids):
@@ -66,16 +80,35 @@ class StoreSnapshot:
         return cls(*_grouped(data, row_ids))
 
     def lists(self):
-        """``(ids, offsets, sizes)`` as lists, made once, for the sweep."""
+        """``(ids, offsets)`` as lists, made once, for the sweep."""
         if self._lists is None:
-            self._lists = [a.tolist() for a in (self.ids, self.offsets, self.sizes)]
+            self._lists = [self.ids.tolist(), self.offsets.tolist()]
         return self._lists
+
+    def pages(self):
+        """``(page_of, first, bytes_before)`` as lists, made once, for
+        the sweep: each trixel's page (numbered densely from 0 in sweep
+        order), each page's first trixel index then ``len(ids)``, and
+        the bytes of the trixels before each index then the total — so
+        page ``p`` holds trixels ``first[p]:first[p + 1]`` and a span's
+        bytes are one subtraction."""
+        if self._pages is None:
+            itemsize = self.arena.itemsize
+            raw = self.offsets[:-1] * itemsize // PAGE_BYTES
+            opens = np.diff(raw, prepend=-1) > 0
+            before = np.concatenate([[0], np.cumsum(self.sizes)]) * itemsize
+            self._pages = [
+                (np.cumsum(opens) - 1).tolist(),
+                np.append(np.flatnonzero(opens), len(raw)).tolist(),
+                before.tolist(),
+            ]
+        return self._pages
 
     def slices(self, k0, k1):
         """``(array, lo, hi)`` row slices of containers ``k0:k1`` in row
         order: their arena rows in one slice, cut only after a container
         with overflow rows, which follow it there."""
-        ids, offsets, _sizes = self.lists()
+        ids, offsets = self.lists()
         lo = offsets[k0]
         if self.overflow:
             for k in range(k0, k1):
@@ -120,14 +153,16 @@ _STORE_UIDS = itertools.count(1)
 
 
 class ContainerStore:
-    """All containers of one catalog at a fixed container depth.
+    """One catalog clustered by its trixels at a fixed container depth.
 
     The rows are one :class:`StoreSnapshot` (:attr:`snapshot`): the
-    arena, its index, and the overflow :meth:`append` fills.  Queries
-    read them as row ranges off the shared
-    :class:`~repro.machines.sweep.SweepScanner` (:meth:`sweeper`),
-    accounted by the store's :class:`~repro.storage.buffer.BufferPool`
-    (several stores, e.g. one server's sources, may share one).
+    arena, its index, and the overflow :meth:`append` fills.  The API
+    names trixels (``len(store)`` counts the occupied ones); queries
+    read their rows as row ranges off the shared
+    :class:`~repro.machines.sweep.SweepScanner` (:meth:`sweeper`), which
+    steps over the snapshot's pages, each accounted by the store's
+    :class:`~repro.storage.buffer.BufferPool` (several stores, e.g. one
+    server's sources, may share one).
 
     Every mutation (:meth:`append` and :meth:`remove` call it
     themselves) goes through :meth:`note_mutation`: it bumps the monotone
@@ -156,16 +191,19 @@ class ContainerStore:
         """Record one mutating operation against this store.
 
         Bumps :attr:`generation` and invalidates the buffer pool for the
-        touched container ids (all of them when ``htm_ids`` is None) —
-        the single seam both result-cache invalidation and pool
-        invalidation hang off.  Returns the new generation.
+        pages holding the touched trixel ids, which the current snapshot
+        holds (every page when ``htm_ids`` is None) — the single seam
+        both result-cache invalidation and pool invalidation hang off.
+        Returns the new generation.
         """
         self.generation += 1
         if htm_ids is None:
             self.buffer_pool.invalidate(self)
         else:
-            for htm_id in htm_ids:
-                self.buffer_pool.invalidate(self, int(htm_id))
+            page_of = self.snapshot.pages()[0]
+            ks = np.searchsorted(self.snapshot.ids, htm_ids).tolist()
+            for page in sorted({page_of[k] for k in ks}):
+                self.buffer_pool.invalidate(self, page)
         return self.generation
 
     @classmethod
@@ -182,10 +220,11 @@ class ContainerStore:
         return lookup_ids_from_vectors(table.positions_xyz(), self.depth)
 
     def append(self, table, htm_ids):
-        """Add rows, ``htm_ids`` naming each one's container: grouped by
-        container once, each group after its container's rows (an empty
-        store takes them as its arena).  Records the mutation and returns
-        the touched container ids, sorted."""
+        """Add rows, ``htm_ids`` naming each one's trixel: grouped by
+        trixel once, each group after its trixel's rows (an empty store
+        takes them as its arena).  Records the mutation — the touched
+        trixels' pages are invalidated — and returns the touched trixel
+        ids, sorted."""
         htm_ids = np.asarray(htm_ids, dtype=np.int64)
         if table.data.dtype != self.snapshot.arena.dtype or len(htm_ids) != len(table):
             raise ValueError("need rows of the store's schema, one id each")
@@ -221,13 +260,14 @@ class ContainerStore:
         return ObjectTable(self.schema, data), row_ids
 
     def remove(self, htm_ids):
-        """Take containers out (a rebalance moving them to another
-        server); returns their :meth:`rows`.  Rebuilds the arena from the
-        rest, overflow folded in — an offline operation."""
+        """Take trixels out (a rebalance moving them to another server);
+        returns their :meth:`rows`.  Rebuilds the arena from the rest,
+        overflow folded in — an offline operation that moves every page,
+        so the whole store's pool entries are invalidated."""
         moved = self.rows(htm_ids)
         kept, kept_ids = self.rows(np.setdiff1d(self.snapshot.ids, htm_ids))
         self.snapshot = StoreSnapshot.build(kept.data, kept_ids)
-        self.note_mutation(htm_ids)
+        self.note_mutation()
         return moved
 
     def total_objects(self):

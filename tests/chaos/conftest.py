@@ -13,13 +13,20 @@ from __future__ import annotations
 
 import signal
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro.storage.containers as containers_module
 from repro.net import ArchiveServer
 from repro.storage import DistributedArchive
 from repro.storage.replication import replicate_archive
+
+#: the page size of the chaos archives' stores: small enough that a
+#: shard's stream spans several sweep runs, morsels and batch frames, so
+#: a scripted kill after the first frames still lands mid-stream
+CHAOS_PAGE_BYTES = 2048
 
 #: Per-test wall-clock bound (seconds).  A failover path that deadlocks
 #: or a kill that silently hangs a stream must fail loudly.
@@ -60,25 +67,39 @@ def local(session):
 
 @pytest.fixture(scope="module")
 def replicated_archive(photo, tags):
-    """A 3-server partitioning with 2-way container replication.
+    """A 3-server partitioning with 2-way container replication, paged
+    at :data:`CHAOS_PAGE_BYTES`.
 
     With the wrap-around placement of :func:`replicate_archive`, server
     ``k`` holds its own containers plus server ``k-1``'s — any single
     server death leaves every container with one live copy.
     """
-    archive = DistributedArchive.from_table(photo, depth=5, n_servers=3)
-    archive.attach_source("tag", tags)
-    replicate_archive(archive, replication_factor=2)
+    with mock.patch.object(containers_module, "PAGE_BYTES", CHAOS_PAGE_BYTES):
+        archive = DistributedArchive.from_table(photo, depth=5, n_servers=3)
+        archive.attach_source("tag", tags)
+        replicate_archive(archive, replication_factor=2)
+        _make_pages(archive)
     return archive
 
 
 @pytest.fixture(scope="module")
 def split_archive(photo, tags):
-    """A 2-server partitioning without replication: every container has
-    exactly one home, so a dead server's undelivered ranges have none."""
-    archive = DistributedArchive.from_table(photo, depth=5, n_servers=2)
-    archive.attach_source("tag", tags)
+    """A 2-server partitioning without replication, paged at
+    :data:`CHAOS_PAGE_BYTES`: every container has exactly one home, so
+    a dead server's undelivered ranges have none."""
+    with mock.patch.object(containers_module, "PAGE_BYTES", CHAOS_PAGE_BYTES):
+        archive = DistributedArchive.from_table(photo, depth=5, n_servers=2)
+        archive.attach_source("tag", tags)
+        _make_pages(archive)
     return archive
+
+
+def _make_pages(archive):
+    """Make every store's pages now: a snapshot makes them once, and
+    these stores are never mutated again."""
+    for node in archive.servers:
+        for store in node.stores().values():
+            store.snapshot.pages()
 
 
 @pytest.fixture()

@@ -9,6 +9,13 @@ from repro.machines.scan import ScanMachine, ScanQuery
 from repro.storage.containers import ContainerStore
 
 
+def pages(store):
+    """``(first, before)`` of the store's pages: page ``p`` holds
+    trixels ``first[p]:first[p + 1]``, bytes ``before[first[p]]`` on."""
+    _page_of, first, before = store.snapshot.pages()
+    return first, before
+
+
 class TestSweepCorrectness:
     def test_results_match_brute_force(self, photo, photo_store):
         machine = ScanMachine(photo_store)
@@ -25,7 +32,7 @@ class TestSweepCorrectness:
         machine = ScanMachine(photo_store)
         query = ScanQuery("all", lambda t: np.ones(len(t), dtype=bool))
         machine.run([query])
-        assert query.containers_seen == len(photo_store)
+        assert query.containers_seen == len(pages(photo_store)[0]) - 1
         assert query.rows_matched == photo_store.total_objects()
 
     def test_empty_store(self):
@@ -54,10 +61,10 @@ class TestInteractiveScheduling:
 
     @staticmethod
     def _max_step(machine, store):
-        itemsize = store.snapshot.arena.itemsize
+        first, before = pages(store)
         return max(
-            machine.cluster.scan_seconds(rows * itemsize)
-            for rows in store.container_sizes().values()
+            machine.cluster.scan_seconds(before[b] - before[a])
+            for a, b in zip(first, first[1:])
         )
 
     def test_midsweep_arrival_wraps_around(self, photo, photo_store):
@@ -71,7 +78,7 @@ class TestInteractiveScheduling:
         # The late query still sees every object exactly once.
         expected = int((np.asarray(photo["objtype"]) == 3).sum())
         assert late.rows_matched == expected
-        # Admission granularity is one container step.
+        # Admission granularity is one page step.
         assert late.latency() <= full_scan + self._max_step(machine, photo_store)
 
     def test_concurrent_queries_share_the_sweep(self, photo_store):
@@ -107,9 +114,11 @@ class TestInteractiveScheduling:
 class TestSimulatedTime:
     def test_full_scan_time_matches_cluster_model(self, photo_store):
         machine = ScanMachine(photo_store)
+        ids = photo_store.occupied_ids()
+        first, _before = pages(photo_store)
         expected = sum(
-            machine.cluster.scan_seconds(photo_store.rows([htm_id])[0].nbytes())
-            for htm_id in photo_store.occupied_ids()
+            machine.cluster.scan_seconds(photo_store.rows(ids[a:b])[0].nbytes())
+            for a, b in zip(first, first[1:])
         )
         assert machine.full_scan_seconds() == pytest.approx(expected)
 

@@ -8,6 +8,7 @@ engine row for row — merges, partial aggregates, set operations and HTM
 endpoint pruning included.
 """
 
+import numpy as np
 import pytest
 
 from repro.distributed.routing import route_plan
@@ -15,7 +16,7 @@ from repro.net import ArchiveServer, RemotePartitionedExecutor
 from repro.query.optimizer import plan_query, shard_candidates
 from repro.query.parser import parse_query
 from repro.session import Archive
-from repro.storage import DistributedArchive
+from repro.storage import ContainerStore, DistributedArchive
 
 CLUSTER_CORPUS = [
     ("SELECT objid FROM photo WHERE mag_r < 16", "rows"),
@@ -182,3 +183,51 @@ def test_a_shard_submission_without_ranges_is_refused(shard_servers):
     accepted = link.once({**submit, "ranges": [[0, 1]]})
     assert accepted["op"] == "accepted"
     link.once({"op": "cancel", "job_id": accepted["job_id"]})
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "SELECT objid, mag_r FROM photo",  # the tag route
+        "SELECT objid, run, petro_r50 FROM photo",  # the photo route
+        "SELECT objid, ra FROM photo WHERE mag_r < 19",
+    ],
+)
+def test_an_assignment_boundary_inside_a_page_delivers_every_row_once(
+    photo, tags, session, same_rows, query
+):
+    """Pages never decide which rows a shard sends.  Endpoint 0 holds
+    the trixels below a boundary and endpoint 1 every trixel, so the
+    cluster assigns the lower ids to endpoint 0 and the rest to
+    endpoint 1 — and the boundary falls inside one of endpoint 1's
+    pages.  That page's trixels below it are endpoint 0's: endpoint 1
+    must send only its own part, so every row arrives once."""
+    whole = {
+        "photo": ContainerStore.from_table(photo, depth=5),
+        "tag": ContainerStore.from_table(tags, depth=5),
+    }
+    snapshot = whole["photo"].snapshot
+    page_of, first, _before = snapshot.pages()
+    k = first[len(first) // 2] + 1  # the second trixel of a middle page
+    boundary = snapshot.lists()[0][k]
+    for store in whole.values():
+        ids = store.snapshot.lists()[0]
+        j = ids.index(boundary)
+        assert store.snapshot.pages()[0][j - 1] == store.snapshot.pages()[0][j]
+    lower = {}
+    for name, table in (("photo", photo), ("tag", tags)):
+        below = whole[name].container_ids_for(table) < boundary
+        lower[name] = ContainerStore.from_table(table.select(below), depth=5)
+    servers = [ArchiveServer(stores=stores).start() for stores in (lower, whole)]
+    try:
+        with Archive.connect([server.url for server in servers]) as cluster:
+            job = cluster.submit(query)
+            got = job.cursor.to_table()
+            sent = [s.rows_out for node, s in job.node_stats().items() if node.name == "remote"]
+    finally:
+        for server in servers:
+            server.stop()
+    objids = np.asarray(got["objid"])
+    assert len(np.unique(objids)) == len(objids)
+    same_rows(session.query_table(query), got)
+    assert len(sent) == 2 and all(sent), "both endpoints sent rows"

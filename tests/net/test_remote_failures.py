@@ -31,8 +31,9 @@ from repro.storage import ContainerStore
 JOIN_TIMEOUT = 10.0
 
 
-def _throttled_server(photo, depth=3, throttle=0.002):
-    """A fresh server whose store sweeps slowly enough that streams are
+def _throttled_server(photo, depth=3, throttle=0.012):
+    """A fresh server whose store sweeps slowly enough (``throttle``
+    seconds a page: about a second a lap at depth 3) that streams are
     reliably in flight when the test interferes with them."""
     store = ContainerStore.from_table(photo, depth=depth)
     store.sweeper().throttle = throttle
@@ -208,8 +209,8 @@ class TestSharedSweepAcrossClients:
     def test_two_remote_clients_share_one_sweep(self, photo):
         """Concurrent remote clients ride one server-side sweep: physical
         container reads ~ one store pass, not one per client."""
-        server, store = _throttled_server(photo, depth=3, throttle=0.001)
-        n_containers = len(store)
+        server, store = _throttled_server(photo, depth=3, throttle=0.006)
+        n_containers = len(store.snapshot.pages()[1]) - 1
         query = "SELECT objid, mag_r FROM photo"
         sessions = [Archive.connect(server.url) for _ in range(2)]
         try:

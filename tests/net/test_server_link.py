@@ -245,7 +245,7 @@ def test_owner_side_channel_cancel_reaches_a_queued_batch_job(photo):
     batch job; only the side channel (a connection of its own that
     says who asks) can reach it."""
     store = ContainerStore.from_table(photo, depth=3)
-    store.sweeper().throttle = 0.002
+    store.sweeper().throttle = 0.012  # a page a step: ~1 s a lap
     server = ArchiveServer(stores={"photo": store}, auth=USERS).start()
     blocker_session = Archive.connect(url_for(server, "bob"))
     victim_session = Archive.connect(url_for(server, "alice"))

@@ -11,6 +11,11 @@ the end-of-query statistics moved from two requests (``job_stats``,
 mid-stream failover.  Only the ``wire:stats`` span may differ: that
 exchange no longer exists.
 
+The golden counters count one container per trixel and cut morsels at
+32 of them, as the sweep did when they were captured; the capture runs
+with every trixel a page of its own and a stride of 32 pages, so the
+sweep steps, counts and flushes as it did then.
+
 To re-capture (at the commit whose numbers are the reference): delete
 the JSON file and run this module once; the run writes it and skips.
 """
@@ -20,12 +25,16 @@ from __future__ import annotations
 import contextlib
 import json
 import pathlib
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from repro.machines.sweep import SweepScanner
 from repro.net import ArchiveServer, ScriptedFaults
 from repro.session import Archive
 from repro.storage import ContainerStore, DistributedArchive
+from repro.storage.containers import StoreSnapshot
 from repro.storage.replication import replicate_archive
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_wire_telemetry.json")
@@ -113,6 +122,14 @@ def job_record(session, text):
     }
 
 
+def _a_page_per_trixel(snapshot):
+    """``StoreSnapshot.pages`` with every trixel a page of its own: the
+    unit the golden counts in."""
+    n = len(snapshot.ids)
+    before = np.concatenate([[0], np.cumsum(snapshot.sizes)]) * snapshot.arena.itemsize
+    return [list(range(n)), list(range(n + 1)), before.tolist()]
+
+
 def capture(photo, tags):
     """Every record of the comparison, on fresh stores (cold pools) so
     the counters are exactly repeatable."""
@@ -171,7 +188,10 @@ def capture(photo, tags):
 
 @pytest.fixture(scope="module")
 def captured(photo, tags):
-    got = capture(photo, tags)
+    with mock.patch.object(StoreSnapshot, "pages", _a_page_per_trixel), mock.patch.object(
+        SweepScanner, "stride", 32
+    ):
+        got = capture(photo, tags)
     if not GOLDEN.exists():
         GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
         pytest.skip(f"captured {GOLDEN.name}; run again to compare")

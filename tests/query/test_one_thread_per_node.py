@@ -65,7 +65,7 @@ def throttled(photo):
     """A session over a fresh store whose sweep is slowed, so a job is
     still running when the test looks at it."""
     store = ContainerStore.from_table(photo, depth=5)
-    store.sweeper().throttle = 0.002
+    store.sweeper().throttle = 0.08  # a page a step: ~7 s a lap
     with Archive.connect(QueryEngine({"photo": store})) as session:
         yield session, store
 

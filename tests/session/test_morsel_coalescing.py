@@ -169,7 +169,7 @@ class TestCounterPerfGate:
             table = job.cursor.to_table()
             assert len(table) == len(photo)
             (scan,) = _scan_stats(job)
-        n_containers = len(photo_store)
+        n_containers = len(photo_store.snapshot.pages()[1]) - 1  # pages
         # steady-state flushes plus the ASAP ramp-up flushes (the morsel
         # target starts at RAMP_ROWS and grows 4x per flush) plus the
         # final partial flush
@@ -207,7 +207,7 @@ class TestMidRunControl:
         from repro.storage import ContainerStore
 
         store = ContainerStore.from_table(photo, depth=5)
-        store.sweeper().throttle = 0.0005
+        store.sweeper().throttle = 0.02  # a page a step: ~1.7 s a lap
         with Archive.connect(stores={"photo": store}, batch_rows=256) as session:
             job = session.submit("SELECT objid FROM photo LIMIT 10")
             table = job.cursor.to_table()
@@ -216,7 +216,7 @@ class TestMidRunControl:
             assert job.alive_nodes() == []
             (scan,) = _scan_stats(job)
             delivered = scan.containers_read + scan.containers_from_pool
-            assert delivered < len(store)
+            assert delivered < len(store.snapshot.pages()[1]) - 1
 
     def test_cancel_mid_coalesced_run(self, photo):
         """Cancelling while a morsel is still accumulating stops every
@@ -226,10 +226,10 @@ class TestMidRunControl:
         from repro.storage import ContainerStore
 
         store = ContainerStore.from_table(photo, depth=5)
-        store.sweeper().throttle = 0.001  # slow sweep: cancel lands mid-run
+        store.sweeper().throttle = 0.04  # slow sweep: cancel lands mid-run
         with Archive.connect(stores={"photo": store}, batch_rows=4096) as session:
             job = session.submit("SELECT objid FROM photo")
-            time.sleep(0.05)  # a few containers into the first morsel
+            time.sleep(0.05)  # a page or two into the first morsel
             job.cancel()
             job.join(10.0)
             assert job.alive_nodes() == []
@@ -243,7 +243,7 @@ class TestMidSweepJoinWithCoalescing:
         from repro.storage import ContainerStore
 
         store = ContainerStore.from_table(photo, depth=5)
-        store.sweeper().throttle = 0.0005
+        store.sweeper().throttle = 0.02  # a page a step: ~1.7 s a lap
         with Archive.connect(stores={"photo": store}, batch_rows=4096) as session:
             first = session.submit("SELECT objid FROM photo")
             started = threading.Event()

@@ -3,10 +3,10 @@
 The tentpole claim, verified through the *real* query path (``Session``
 -> ``ScanNode`` -> ``SweepScanner`` -> ``BufferPool``): with K >= 4
 concurrent interactive jobs over the same store, the total containers
-physically read stay below 1.5x one full sweep — versus ~Kx under the
-old per-query read path — and a job submitted mid-sweep joins at the
-current position and completes on wrap-around, seeing every container
-exactly once.
+(pages of the store's arena) physically read stay below 1.5x one full
+sweep — versus ~Kx under the old per-query read path — and a job
+submitted mid-sweep joins at the current position and completes on
+wrap-around, seeing every row exactly once.
 """
 
 import threading
@@ -28,6 +28,11 @@ def fresh_store(photo):
     return ContainerStore.from_table(photo, depth=2)
 
 
+def _pages(store):
+    """How many pages the store's arena has: the sweep's and pool's unit."""
+    return len(store.snapshot.pages()[1]) - 1
+
+
 def _scan_node(job):
     for node in job._result._root.walk():
         if isinstance(node, ScanNode):
@@ -37,7 +42,7 @@ def _scan_node(job):
 
 class TestConcurrentSharing:
     def test_k_jobs_read_less_than_1_5_sweeps(self, photo, fresh_store):
-        n_containers = len(fresh_store)
+        n_containers = _pages(fresh_store)
         expected_rows = len(photo)
         with Archive.connect(stores={"photo": fresh_store}) as session:
             jobs = [
@@ -78,7 +83,7 @@ class TestConcurrentSharing:
             cursor = session.execute("SELECT objid, mag_r FROM photo")
             cursor.to_table()
             report = cursor.io_report()
-            n = len(fresh_store)
+            n = _pages(fresh_store)
             assert report["containers_read"] + report["containers_from_pool"] == n
             assert report["containers_skipped"] == 0
             assert report["buffer_pool_hit_rate"] is not None
@@ -93,22 +98,22 @@ class TestConcurrentSharing:
             )
             cursor.to_table()
             report = cursor.io_report()
-            n = len(fresh_store)
+            n = _pages(fresh_store)
             assert report["containers_skipped"] > 0
             delivered = report["containers_read"] + report["containers_from_pool"]
             assert delivered + report["containers_skipped"] == n
             # A lone pruned query must not physically read outside its
-            # cover: the sweep skips unwanted containers entirely.
+            # cover: the sweep skips pages it wants nothing on entirely.
             assert fresh_store.buffer_pool.stats.misses == delivered
 
 
 class TestMidSweepArrival:
     def test_job_submitted_mid_sweep_wraps_and_shares(self, photo, fresh_store):
         """Satellite: mid-sweep arrival through the *real* query path."""
-        n_containers = len(fresh_store)
+        n_containers = _pages(fresh_store)
         expected_rows = len(photo)
         sweeper = fresh_store.sweeper()
-        sweeper.throttle = 0.003  # slow the pump so the overlap is real
+        sweeper.throttle = 0.005  # slow the pump so the overlap is real
         try:
             with Archive.connect(stores={"photo": fresh_store}) as session:
                 first = session.submit("SELECT objid, mag_r FROM photo")
@@ -141,7 +146,7 @@ class TestMidSweepArrival:
         finally:
             sweeper.throttle = 0.0
 
-        # The late job saw every container exactly once (wrap-around):
+        # The late job saw every trixel exactly once (wrap-around):
         # every row present, none duplicated.
         assert len(tables["second"]) == expected_rows
         assert len(np.unique(np.asarray(tables["second"]["objid"]))) == expected_rows

@@ -23,6 +23,7 @@ from repro.htm.cover import cover_region
 from repro.htm.mesh import depth_id_bounds, lookup_ids_from_vectors
 from repro.query.qet import ScanNode
 from repro.session import Archive
+import repro.storage.containers as containers_module
 from repro.storage.containers import ContainerStore
 
 TRIANGLE = [(0.0, 0.0), (10.0, 0.0), (5.0, 8.0)]
@@ -92,7 +93,7 @@ def _store_with_overflow(photo):
 
 
 def _container_rows(snapshot, k):
-    ids, offsets, _sizes = snapshot.lists()
+    ids, offsets = snapshot.lists()
     rows = snapshot.arena[offsets[k] : offsets[k + 1]]
     extra = snapshot.overflow.get(ids[k])
     return rows if extra is None else np.concatenate([rows, extra])
@@ -134,12 +135,63 @@ class TestSnapshotSlices:
         assert array is snapshot.overflow[added] and (lo, hi) == (0, 3)
 
 
+def n_pages(store):
+    """How many pages the store's arena has: the sweep's and pool's unit."""
+    return len(store.snapshot.pages()[1]) - 1
+
+
+def pages_of(store, ids):
+    """The pages holding the trixels ``ids``."""
+    snapshot = store.snapshot
+    page_of = snapshot.pages()[0]
+    return {page_of[k] for k in np.searchsorted(snapshot.ids, ids).tolist()}
+
+
 def _in(photo, region):
     return region.contains(photo.positions_xyz())
 
 
 def _mag_r(photo):
     return np.asarray(photo["mag_r"])
+
+
+class TestPages:
+    """A page is a fixed-byte slice of the arena: a trixel lies in the
+    page its arena rows start in, a trixel with overflow rows only at its
+    sorted place, and the pool forgets exactly the pages a mutation
+    touched."""
+
+    @pytest.fixture(autouse=True)
+    def ten_rows(self, monkeypatch, photo):
+        monkeypatch.setattr(containers_module, "PAGE_BYTES", 10 * photo.data.dtype.itemsize)
+
+    def test_a_trixel_lies_in_the_page_its_arena_rows_start_in(self, photo):
+        store, added = _store_with_overflow(photo)
+        snapshot = store.snapshot
+        page_of, first, before = snapshot.pages()
+        starts = (snapshot.offsets[:-1] // 10).tolist()
+        assert page_of == [sorted(set(starts)).index(s) for s in starts]
+        assert first == [page_of.index(p) for p in range(page_of[-1] + 1)] + [len(page_of)]
+        assert before[-1] == store.total_bytes()
+        # The added trixel has no arena rows: it shares the page of the
+        # trixel after it, whose rows start where its own would.
+        k = snapshot.lists()[0].index(added)
+        assert snapshot.offsets[k] == snapshot.offsets[k + 1]
+        assert page_of[k] == page_of[k + 1]
+
+    def test_an_append_forgets_the_pages_it_touched(self, photo):
+        store = ContainerStore.from_table(photo.take(np.arange(80)), depth=3)
+        list(store.sweeper().subscribe())
+        pool = store.buffer_pool
+        assert pool.resident_containers() == n_pages(store) > 2
+        ids = store.occupied_ids()
+        store.append(photo.take(np.arange(80, 82)), [ids[0], ids[-1]])
+        assert pool.stats.invalidations == len(pages_of(store, [ids[0], ids[-1]])) == 2
+        # A remove rebuilds the arena, so every page goes.
+        resident = pool.resident_containers()
+        store.remove([ids[1]])
+        assert pool.resident_containers() == 0
+        assert pool.stats.invalidations == 2 + resident
 
 
 class TestQuerying:
@@ -199,7 +251,7 @@ class TestQuerying:
         self, photo_store, session, monkeypatch
     ):
         # The paper's three-way classification, observed on the live
-        # path.  The cover decides containers: inside and bisected ones
+        # path.  The cover decides trixels: inside and bisected ones
         # are delivered, the rest skipped.  The compiled WHERE decides
         # rows: its CIRCLE term is the one Region instance asked about
         # rows, and it sees every delivered row exactly once.
@@ -239,15 +291,16 @@ class TestQuerying:
         assert sorted(delivered_ids) == sorted(
             containers["inside"] | containers["partial"]
         )
+        # The pool and the counters account the pages holding them.
         report = cursor.io_report()
         delivered = report["containers_read"] + report["containers_from_pool"]
-        assert delivered == len(delivered_ids)
-        assert delivered + report["containers_skipped"] == len(photo_store)
+        assert delivered == len(pages_of(photo_store, delivered_ids))
+        assert delivered + report["containers_skipped"] == n_pages(photo_store)
 
     def test_index_rejects_most_containers(self, photo_store, session):
         cursor = session.execute("SELECT * FROM photo WHERE CIRCLE(40, 30, 6)")
         cursor.to_table()
-        assert cursor.io_report()["containers_skipped"] > 0.8 * len(photo_store)
+        assert cursor.io_report()["containers_skipped"] > 0.8 * n_pages(photo_store)
 
     def test_full_scan_reads_every_byte_once(self, photo):
         store = ContainerStore.from_table(photo, 5)
@@ -255,7 +308,7 @@ class TestQuerying:
             cursor = session.execute("SELECT * FROM photo")
             result = cursor.to_table()
         assert len(result) == len(photo)
-        assert cursor.io_report()["containers_read"] == len(store)
+        assert cursor.io_report()["containers_read"] == n_pages(store)
         assert store.buffer_pool.stats.bytes_read == photo.nbytes()
 
     def test_full_scan_with_predicate(self, photo, session):
@@ -272,4 +325,4 @@ class TestQuerying:
         assert result.schema.field_names() == photo_store.schema.field_names()
         report = cursor.io_report()
         assert report["containers_read"] + report["containers_from_pool"] == 0
-        assert report["containers_skipped"] == len(photo_store)
+        assert report["containers_skipped"] == n_pages(photo_store)

@@ -2,15 +2,18 @@
 
 Random sequences of a cluster build, chunk loads (``ChunkLoader``),
 rebalances (``add_servers``) and manual sweeps — random strides,
-candidate sets, a load in the middle of a lap — run against a reference
-that keeps each server's containers as a dict of per-container tables in
-load order and each pool as a plain LRU.  Every delivered container's
-rows must equal the reference's, byte for byte and in order, and every
-pool must count the hits, misses, evictions and invalidations the
-reference LRU counts.
+candidate sets, a load in the middle of a lap, and a drawn page size —
+run against a reference that keeps each server's trixels as a dict of
+per-trixel tables in load order, the rows each had when the arena was
+last built, and each pool as a plain LRU of pages.  Every delivered
+trixel's rows must equal the reference's, byte for byte and in order,
+every step must read the pages the reference places the delivered
+trixels in, and every pool must count the hits, misses, evictions and
+invalidations the reference LRU counts.
 """
 
 from collections import OrderedDict
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -22,47 +25,73 @@ from repro.machines.sweep import SweepScanner
 from repro.query.qet import ScanNode
 from repro.session import Archive
 from repro.storage import BufferPool, ChunkLoader, ContainerStore, DistributedArchive
+import repro.storage.containers as containers_module
 
 DEPTH = 3
 MAX_SERVERS = 4
 
 
 class _RefServer:
-    """One server's store as ``{htm_id: rows}`` plus its pool as an LRU
-    of ``htm_id -> nbytes`` evicted at the end of each run."""
+    """One server's store as ``{htm_id: rows}``, the arena rows each
+    trixel had when the arena was last built, and its pool as an LRU of
+    ``page -> nbytes`` evicted at the end of each run."""
 
-    def __init__(self, budget):
+    def __init__(self, budget, itemsize):
         self.rows = {}
+        self.arena = {}
         self.lru = OrderedDict()
-        self.budget = budget
+        self.budget, self.itemsize = budget, itemsize
         self.hits = self.misses = self.evictions = self.invalidations = 0
 
     def add(self, htm_ids, data):
-        for htm_id in np.unique(htm_ids).tolist():
+        """One append: an empty store takes the rows as its arena, else
+        they are overflow; the touched trixels' pages are invalidated."""
+        build = not self.rows
+        touched = np.unique(htm_ids).tolist()
+        for htm_id in touched:
             group = data[htm_ids == htm_id]
             earlier = self.rows.get(htm_id)
             self.rows[htm_id] = group if earlier is None else np.concatenate([earlier, group])
-            self.invalidate(htm_id)
+        if build:
+            self.arena = {h: len(r) for h, r in self.rows.items()}
+        page_of = self.pages()
+        for page in sorted({page_of[h] for h in touched}):
+            if self.lru.pop(page, None) is not None:
+                self.invalidations += 1
 
-    def take(self, htm_id):
-        self.invalidate(htm_id)
-        return self.rows.pop(htm_id)
+    def take(self, htm_ids):
+        """One remove: the arena is rebuilt and every page invalidated."""
+        taken = {h: self.rows.pop(h) for h in htm_ids}
+        self.arena = {h: len(r) for h, r in self.rows.items()}
+        self.invalidations += len(self.lru)
+        self.lru.clear()
+        return taken
 
-    def invalidate(self, htm_id):
-        if self.lru.pop(htm_id, None) is not None:
-            self.invalidations += 1
+    def pages(self):
+        """``{htm_id: page}``: a trixel lies in the page its arena rows
+        start in (one with overflow rows only at its sorted place), and
+        the occupied pages are numbered from 0 in order."""
+        start, raw = 0, {}
+        for htm_id in sorted(self.rows):
+            raw[htm_id] = start * self.itemsize // containers_module.PAGE_BYTES
+            start += self.arena.get(htm_id, 0)
+        dense = {r: k for k, r in enumerate(sorted(set(raw.values())))}
+        return {htm_id: dense[r] for htm_id, r in raw.items()}
 
-    def read_run(self, htm_ids, itemsize):
-        """Whether each container of one sweep step came from the pool."""
+    def read_run(self, pages):
+        """Whether each page of one sweep step came from the pool."""
+        page_of = self.pages()
         flags = []
-        for htm_id in htm_ids:
-            flags.append(htm_id in self.lru)
+        for page in pages:
+            flags.append(page in self.lru)
             if flags[-1]:
-                self.lru.move_to_end(htm_id)
+                self.lru.move_to_end(page)
                 self.hits += 1
             else:
                 self.misses += 1
-                self.lru[htm_id] = len(self.rows[htm_id]) * itemsize
+                self.lru[page] = self.itemsize * sum(
+                    len(rows) for h, rows in self.rows.items() if page_of[h] == page
+                )
         while self.budget is not None and sum(self.lru.values()) > self.budget:
             self.lru.popitem(last=False)
             self.evictions += 1
@@ -94,7 +123,7 @@ class _Model:
     def _new_servers(self):
         for server in self.archive.servers[len(self.ref):]:
             server.store.buffer_pool = BufferPool(byte_budget=self.budget)
-            self.ref.append(_RefServer(self.budget))
+            self.ref.append(_RefServer(self.budget, self.itemsize))
 
     def server(self):
         k = self.data.draw(st.integers(0, len(self.ref) - 1), label="server")
@@ -113,10 +142,20 @@ class _Model:
         self.archive.add_servers(1)
         self._new_servers()
         owner = self.archive.partition_map.server_for
+        # Server by server: one remove of what leaves, then one append
+        # per owner receiving it.
         for k, ref in enumerate(self.ref):
-            for htm_id in sorted(h for h in ref.rows if owner(h) != k):
-                rows = ref.take(htm_id)
-                self.ref[owner(htm_id)].add(np.full(len(rows), htm_id), rows)
+            leaving = sorted(h for h in ref.rows if owner(h) != k)
+            if not leaving:
+                continue
+            taken = ref.take(leaving)
+            for j, target in enumerate(self.ref):
+                mine = [h for h in leaving if owner(h) == j]
+                if mine:
+                    target.add(
+                        np.concatenate([np.full(len(taken[h]), h) for h in mine]),
+                        np.concatenate([taken[h] for h in mine]),
+                    )
 
     def candidates(self, ref):
         kind = self.data.draw(st.sampled_from(["none", "empty", "ranges"]))
@@ -156,8 +195,14 @@ class _Model:
             step = scanner.step(stride)
             if step is None:
                 break
-            run = [h for h in step.htm_ids if h in step_delivered]
-            assert ref.read_run(run, self.itemsize) == [step_delivered[h] for h in run]
+            # One pool read per page holding a delivered trixel, and every
+            # trixel on a page shares its page's flag.
+            page_of = ref.pages()
+            flags = {page_of[h]: hit for h, hit in step_delivered.items()}
+            assert step.pages == sorted(flags)
+            for h, hit in step_delivered.items():
+                assert flags[page_of[h]] == hit
+            assert ref.read_run(step.pages) == [flags[p] for p in step.pages]
             steps += 1
         for subscription, got, expected in subscriptions:
             assert subscription.completed()
@@ -186,6 +231,18 @@ class TestStoreAgainstModel:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_every_delivery_and_every_pool_count_equal_the_model(self, photo, data):
+        row = photo.data.dtype.itemsize
+        # One row a page (a page per trixel), three rows, the default, and
+        # pages larger than any store.
+        page_bytes = data.draw(
+            st.sampled_from([row, 3 * row, containers_module.PAGE_BYTES, 1 << 30]),
+            label="page_bytes",
+        )
+        with mock.patch.object(containers_module, "PAGE_BYTES", page_bytes):
+            self._run(photo, data)
+
+    @staticmethod
+    def _run(photo, data):
         model = _Model(photo, data)
         ops = data.draw(
             st.lists(st.sampled_from(["load", "rebalance", "sweep"]), max_size=8),
