@@ -77,7 +77,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
-from repro.catalog.table import concat_records
 from repro.query.qet import Stream
 
 __all__ = ["SweepRun", "SweepScanner", "SweepSubscription", "SweepStats", "SweepStep"]
@@ -85,19 +84,18 @@ __all__ = ["SweepRun", "SweepScanner", "SweepSubscription", "SweepStats", "Sweep
 
 class SweepRun(NamedTuple):
     """One delivery: ``spans`` are ``(k0, k1)`` index ranges of
-    ``snapshot`` in sweep order — trixels ``ids[k0:k1]``, each its arena
-    rows then its ``snapshot.overflow`` rows — and ``hits`` holds one
-    buffer-pool flag per page those trixels lie in, in the same order."""
+    ``snapshot`` in sweep order — trixels ``ids[k0:k1]``, arena rows
+    ``offsets[k0]:offsets[k1]`` — and ``hits`` holds one buffer-pool
+    flag per page those trixels lie in, in the same order."""
 
     snapshot: object
     spans: list
     hits: list
 
     def containers(self):
-        """``(htm_id, rows, from_pool)`` per trixel; ``rows`` is a
-        structured array (a view of the arena when it has no overflow)
-        and ``from_pool`` its page's flag."""
-        arena, overflow = self.snapshot.arena, self.snapshot.overflow
+        """``(htm_id, rows, from_pool)`` per trixel; ``rows`` is a view
+        of the arena and ``from_pool`` its page's flag."""
+        arena = self.snapshot.arena
         ids, offsets = self.snapshot.lists()
         page_of = self.snapshot.pages()[0]
         hits = iter(self.hits)
@@ -106,10 +104,7 @@ class SweepRun(NamedTuple):
             for k in range(k0, k1):
                 if page_of[k] != page:
                     page, from_pool = page_of[k], next(hits)
-                rows = arena[offsets[k] : offsets[k + 1]]
-                if ids[k] in overflow:
-                    rows = concat_records([rows, overflow[ids[k]]], arena.dtype)
-                yield ids[k], rows, from_pool
+                yield ids[k], arena[offsets[k] : offsets[k + 1]], from_pool
 
 
 @dataclass

@@ -333,7 +333,9 @@ class ScanNode(QETNode):
     accumulate until roughly ``batch_rows`` rows are buffered, then one
     vectorized predicate pass filters the whole morsel — a view of the
     store's arena when its containers are consecutive there, else one
-    byte-level gather (``rows_copied``).  With the archive's many small
+    byte-level gather (``rows_copied``).  A morsel every row passes is
+    emitted unchanged, so a whole-catalog scan hands out read-only
+    views of the arena and copies no row.  With the archive's many small
     containers (a handful of rows each) this turns tens of thousands of
     tiny numpy calls per query into a few dozen large ones; row order is
     the sweep's delivery order regardless of the morsel size
@@ -403,7 +405,8 @@ class ScanNode(QETNode):
         # high-water mark since the last one.
         self.stats.note_buffered(buffered)
         morsel = self._morsel(pieces)
-        selected = morsel.select(self.plan.predicate(morsel))
+        mask = self.plan.predicate(morsel)
+        selected = morsel if mask.all() else morsel.select(mask)
         self.stats.predicate_evals += 1
         if self.track_delivery and len(selected):
             # One batch per flush, never chunked: the claim says "every
@@ -421,16 +424,16 @@ class ScanNode(QETNode):
 
     def _gather(self, run, pieces, buffered):
         """Add a delivered run to the morsel being built: one arena
-        slice per span, cut only after a container with overflow rows,
-        which follow it.  A slice extends the last piece when it follows
-        it.  Returns the morsel's new row count."""
+        slice per span, extending the last piece when it follows it.
+        Returns the morsel's new row count."""
+        arena, offsets = run.snapshot.arena, run.snapshot.lists()[1]
         for k0, k1 in run.spans:
-            for base, lo, hi in run.snapshot.slices(k0, k1):
-                if pieces and pieces[-1][0] is base and pieces[-1][2] == lo:
-                    pieces[-1][2] = hi
-                else:
-                    pieces.append([base, lo, hi])
-                buffered += hi - lo
+            lo, hi = offsets[k0], offsets[k1]
+            if pieces and pieces[-1][0] is arena and pieces[-1][2] == lo:
+                pieces[-1][2] = hi
+            else:
+                pieces.append([arena, lo, hi])
+            buffered += hi - lo
         return buffered
 
     def _grow_claim(self, run):

@@ -24,6 +24,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.catalog.table import ObjectTable
 from repro.query.parser import normalize_query
 from repro.query.qet import QETNode
 
@@ -156,7 +157,9 @@ class ResultCache:
         query was *prepared*; ``current_generations`` (when given) is
         the snapshot at fill time — a difference means a mutation landed
         while the query ran, and the result is not cached rather than
-        cached stale.  Oversized results are skipped.
+        cached stale.  Oversized results are skipped.  A read-only batch
+        (a view of a store's arena) is copied, so an entry never keeps a
+        superseded arena alive beyond the bytes it counts.
         """
         if generations is None:
             return False
@@ -166,6 +169,10 @@ class ResultCache:
         nbytes = sum(batch.nbytes() for batch in batches)
         if nbytes > self.max_bytes:
             return False
+        batches = tuple(
+            b if b.data.flags.writeable else ObjectTable(b.schema, b.data.copy())
+            for b in batches
+        )
         entry = _Entry(batches, schema, tuple(sources), generations, nbytes)
         with self._lock:
             self._entries[key] = entry

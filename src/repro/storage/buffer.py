@@ -167,17 +167,12 @@ class BufferPool:
             self._resident_bytes -= nbytes
             self.stats.evictions += 1
 
-    def invalidate(self, store, page=None):
-        """Forget one page, or every page of a store."""
+    def invalidate(self, store, page=0):
+        """Forget a store's pages from ``page`` on (every page by
+        default): a merge moves every row after its first touched one."""
+        token = store.store_uid
         with self._lock:
-            if page is not None:
-                key = (store.store_uid, int(page))
-                if key in self._entries:
-                    self._drop(key)
-                    self.stats.invalidations += 1
-                return
-            token = store.store_uid
-            for key in [k for k in self._entries if k[0] == token]:
+            for key in [k for k in self._entries if k[0] == token and k[1] >= page]:
                 self._drop(key)
                 self.stats.invalidations += 1
 

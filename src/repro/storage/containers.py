@@ -32,7 +32,7 @@ import itertools
 
 import numpy as np
 
-from repro.catalog.table import ObjectTable, concat_records
+from repro.catalog.table import ObjectTable
 from repro.htm.mesh import depth_id_bounds, lookup_ids_from_vectors
 from repro.storage.buffer import BufferPool
 
@@ -55,23 +55,19 @@ def _grouped(data, row_ids):
 class StoreSnapshot:
     """One immutable state of a store's rows.
 
-    Trixel ``ids[k]`` owns arena rows ``offsets[k]:offsets[k + 1]``,
-    then its ``overflow`` rows (``{htm_id: array}``, added since the
-    arena was built, in load order): ``sizes[k]`` rows in all.  It lies
-    in the page its arena rows start in (:meth:`pages`); a trixel with
-    overflow rows only has an empty arena range at its sorted place, so
-    it joins the page there.  A mutation builds the next snapshot and
-    the store swaps it in, so a reader holding one never sees half a
-    load.
+    Trixel ``ids[k]`` owns arena rows ``offsets[k]:offsets[k + 1]``
+    (``sizes[k]`` of them), in load order, and lies in the page those
+    rows start in (:meth:`pages`).  A mutation builds the next snapshot
+    — a load merges its rows into a new arena — and the store swaps it
+    in, so a reader holding one never sees half a load.
     """
 
-    __slots__ = ("arena", "ids", "offsets", "sizes", "overflow", "_lists", "_pages")
+    __slots__ = ("arena", "ids", "offsets", "sizes", "_lists", "_pages")
 
-    def __init__(self, arena, ids, offsets, sizes=None, overflow=None):
+    def __init__(self, arena, ids, offsets):
         arena.flags.writeable = False  # views of it leave the store
         self.arena, self.ids, self.offsets = arena, ids, offsets
-        self.sizes = np.diff(offsets) if sizes is None else sizes
-        self.overflow = overflow or {}
+        self.sizes = np.diff(offsets)
         self._lists = self._pages = None
 
     @classmethod
@@ -93,56 +89,40 @@ class StoreSnapshot:
         page ``p`` holds trixels ``first[p]:first[p + 1]`` and a span's
         bytes are one subtraction."""
         if self._pages is None:
-            itemsize = self.arena.itemsize
-            raw = self.offsets[:-1] * itemsize // PAGE_BYTES
-            opens = np.diff(raw, prepend=-1) > 0
-            before = np.concatenate([[0], np.cumsum(self.sizes)]) * itemsize
+            before = self.offsets * self.arena.itemsize
+            opens = np.diff(before[:-1] // PAGE_BYTES, prepend=-1) > 0
             self._pages = [
                 (np.cumsum(opens) - 1).tolist(),
-                np.append(np.flatnonzero(opens), len(raw)).tolist(),
+                np.append(np.flatnonzero(opens), len(opens)).tolist(),
                 before.tolist(),
             ]
         return self._pages
 
-    def slices(self, k0, k1):
-        """``(array, lo, hi)`` row slices of containers ``k0:k1`` in row
-        order: their arena rows in one slice, cut only after a container
-        with overflow rows, which follow it there."""
-        ids, offsets = self.lists()
-        lo = offsets[k0]
-        if self.overflow:
-            for k in range(k0, k1):
-                extra = self.overflow.get(ids[k])
-                if extra is not None:
-                    if offsets[k + 1] > lo:
-                        yield self.arena, lo, offsets[k + 1]
-                    yield extra, 0, len(extra)
-                    lo = offsets[k + 1]
-        if offsets[k1] > lo:
-            yield self.arena, lo, offsets[k1]
-
     def appended(self, data, row_ids):
         """``(next snapshot, touched ids)``: ``data`` grouped by container
-        once, each group after its container's rows.  The arena is shared;
-        an earlier overflow is replaced, so no superseded row stays alive."""
+        once and merged into a new arena, each group after its
+        container's rows — one byte copy per run of untouched rows and
+        one per group."""
         data, touched, bounds = _grouped(data, row_ids)
-        overflow = dict(self.overflow)
-        bounds_list = bounds.tolist()
-        for htm_id, lo, hi in zip(touched.tolist(), bounds_list, bounds_list[1:]):
-            earlier = overflow.get(htm_id)
-            overflow[htm_id] = (
-                data[lo:hi].copy()
-                if earlier is None
-                else concat_records([earlier, data[lo:hi]], data.dtype)
-            )
-        ids = np.union1d(self.ids, touched)
-        # A new container's arena range is empty, at its sorted place.
-        offsets = self.offsets[np.searchsorted(self.ids, ids)]
-        offsets = np.append(offsets, len(self.arena))
+        k = np.searchsorted(self.ids, touched)
+        held = np.isin(touched, self.ids, assume_unique=True)
+        # Each group goes where its container's rows end (a new
+        # container's at its sorted place).
+        at = self.offsets[k + held].tolist()
+        arena = np.empty(len(self.arena) + len(data), dtype=data.dtype)
+        out, old, new = (a.view(np.uint8) for a in (arena, self.arena, data))
+        width, copied = data.itemsize, 0
+        for a, lo, hi in zip(at, bounds.tolist(), bounds[1:].tolist()):
+            out[(copied + lo) * width : (a + lo) * width] = old[copied * width : a * width]
+            out[(a + lo) * width : (a + hi) * width] = new[lo * width : hi * width]
+            copied = a
+        out[(copied + len(data)) * width :] = old[copied * width :]
+        ids = np.insert(self.ids, k[~held], touched[~held])
         sizes = np.zeros(len(ids), dtype=np.int64)
         sizes[np.searchsorted(ids, self.ids)] = self.sizes
         sizes[np.searchsorted(ids, touched)] += np.diff(bounds)
-        return StoreSnapshot(self.arena, ids, offsets, sizes, overflow), touched
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        return StoreSnapshot(arena, ids, offsets), touched
 
 
 #: process-wide monotone store ids — identity tokens that (unlike
@@ -156,18 +136,17 @@ class ContainerStore:
     """One catalog clustered by its trixels at a fixed container depth.
 
     The rows are one :class:`StoreSnapshot` (:attr:`snapshot`): the
-    arena, its index, and the overflow :meth:`append` fills.  The API
-    names trixels (``len(store)`` counts the occupied ones); queries
-    read their rows as row ranges off the shared
-    :class:`~repro.machines.sweep.SweepScanner` (:meth:`sweeper`), which
-    steps over the snapshot's pages, each accounted by the store's
-    :class:`~repro.storage.buffer.BufferPool` (several stores, e.g. one
-    server's sources, may share one).
+    arena and its index.  The API names trixels (``len(store)`` counts
+    the occupied ones); queries read their rows as row ranges off the
+    shared :class:`~repro.machines.sweep.SweepScanner`
+    (:meth:`sweeper`), which steps over the snapshot's pages, each
+    accounted by the store's :class:`~repro.storage.buffer.BufferPool`
+    (several stores, e.g. one server's sources, may share one).
 
     Every mutation (:meth:`append` and :meth:`remove` call it
     themselves) goes through :meth:`note_mutation`: it bumps the monotone
     ``generation`` — the validity token of any result cached over this
-    store — and invalidates the touched pool entries, one seam for both.
+    store — and invalidates the moved pool entries, one seam for both.
     """
 
     def __init__(self, schema, depth, buffer_pool=None):
@@ -190,20 +169,19 @@ class ContainerStore:
     def note_mutation(self, htm_ids=None):
         """Record one mutating operation against this store.
 
-        Bumps :attr:`generation` and invalidates the buffer pool for the
-        pages holding the touched trixel ids, which the current snapshot
-        holds (every page when ``htm_ids`` is None) — the single seam
-        both result-cache invalidation and pool invalidation hang off.
-        Returns the new generation.
+        Bumps :attr:`generation` and invalidates the buffer pool from
+        the page holding the first of the sorted, touched trixel ids in
+        the current snapshot to the end, because every row after a
+        merged group moved (every page when ``htm_ids`` is None) — the
+        single seam both result-cache invalidation and pool invalidation
+        hang off.  Returns the new generation.
         """
         self.generation += 1
         if htm_ids is None:
             self.buffer_pool.invalidate(self)
-        else:
-            page_of = self.snapshot.pages()[0]
-            ks = np.searchsorted(self.snapshot.ids, htm_ids).tolist()
-            for page in sorted({page_of[k] for k in ks}):
-                self.buffer_pool.invalidate(self, page)
+        elif len(htm_ids):
+            k = int(np.searchsorted(self.snapshot.ids, htm_ids[0]))
+            self.buffer_pool.invalidate(self, self.snapshot.pages()[0][k])
         return self.generation
 
     @classmethod
@@ -221,20 +199,16 @@ class ContainerStore:
 
     def append(self, table, htm_ids):
         """Add rows, ``htm_ids`` naming each one's trixel: grouped by
-        trixel once, each group after its trixel's rows (an empty store
-        takes them as its arena).  Records the mutation — the touched
-        trixels' pages are invalidated — and returns the touched trixel
-        ids, sorted."""
+        trixel once and merged into a new arena, each group after its
+        trixel's rows.  Records the mutation — the pages from the first
+        touched trixel's on are invalidated — and returns the touched
+        trixel ids, sorted."""
         htm_ids = np.asarray(htm_ids, dtype=np.int64)
         if table.data.dtype != self.snapshot.arena.dtype or len(htm_ids) != len(table):
             raise ValueError("need rows of the store's schema, one id each")
         if len(htm_ids) and not self._lo <= htm_ids.min() <= htm_ids.max() < self._hi:
             raise ValueError(f"ids are not at container depth {self.depth}")
-        if not len(self.snapshot.ids):
-            self.snapshot = StoreSnapshot.build(table.data, htm_ids)
-            touched = self.snapshot.ids
-        else:
-            self.snapshot, touched = self.snapshot.appended(table.data, htm_ids)
+        self.snapshot, touched = self.snapshot.appended(table.data, htm_ids)
         touched = touched.tolist()
         self.note_mutation(touched)
         return touched
@@ -245,15 +219,7 @@ class ContainerStore:
         order — for moving and shipping data, not for scanning it."""
         snapshot = self.snapshot
         data = snapshot.arena
-        row_ids = np.repeat(snapshot.ids, np.diff(snapshot.offsets))
-        if snapshot.overflow:
-            keys = sorted(snapshot.overflow)
-            extra = [snapshot.overflow[k] for k in keys]
-            data = concat_records([data, *extra], data.dtype)
-            extra_ids = np.repeat(keys, [len(e) for e in extra])
-            row_ids = np.concatenate([row_ids, extra_ids])
-            order = np.argsort(row_ids, kind="stable")
-            data, row_ids = data.take(order), row_ids[order]
+        row_ids = np.repeat(snapshot.ids, snapshot.sizes)
         if htm_ids is not None:
             keep = np.isin(row_ids, np.asarray(htm_ids, dtype=np.int64))
             data, row_ids = np.compress(keep, data), row_ids[keep]
@@ -261,9 +227,9 @@ class ContainerStore:
 
     def remove(self, htm_ids):
         """Take trixels out (a rebalance moving them to another server);
-        returns their :meth:`rows`.  Rebuilds the arena from the rest,
-        overflow folded in — an offline operation that moves every page,
-        so the whole store's pool entries are invalidated."""
+        returns their :meth:`rows`.  Rebuilds the arena from the rest —
+        an offline operation that moves every page, so the whole
+        store's pool entries are invalidated."""
         moved = self.rows(htm_ids)
         kept, kept_ids = self.rows(np.setdiff1d(self.snapshot.ids, htm_ids))
         self.snapshot = StoreSnapshot.build(kept.data, kept_ids)
@@ -272,7 +238,7 @@ class ContainerStore:
 
     def total_objects(self):
         """Objects across all containers."""
-        return int(self.snapshot.sizes.sum())
+        return len(self.snapshot.arena)
 
     def total_bytes(self):
         """Packed bytes across all containers."""

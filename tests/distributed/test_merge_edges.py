@@ -205,25 +205,31 @@ class TestAllShardsPruned:
 class TestShardFailurePropagation:
     """A failing server must fail the query, never shrink the answer."""
 
-    class _PoisonRows:
-        """A container's overflow rows: planning reads the index, not
-        them, and a scan fails when it reaches them."""
+    class _PoisonArena:
+        """A server's arena: planning reads its index and row width,
+        not its rows, and a scan fails when it slices them."""
+
+        def __init__(self, arena):
+            self.dtype, self.itemsize, self._rows = arena.dtype, arena.itemsize, len(arena)
 
         def __len__(self):
+            return self._rows
+
+        def __getitem__(self, rows):
             raise RuntimeError("simulated corrupt container")
 
     @pytest.fixture()
     def degraded(self, make_archive):
         archive = make_archive(5)
-        store = archive.servers[2].store
-        store.snapshot.overflow[store.occupied_ids()[0]] = self._PoisonRows()
+        snapshot = archive.servers[2].store.snapshot
+        snapshot.arena = self._PoisonArena(snapshot.arena)
         with Archive.connect(archive=archive) as session:
             yield session
 
     def test_stream_merge_raises(self, degraded):
         from repro.query.errors import ExecutionError
 
-        with pytest.raises(ExecutionError):
+        with pytest.raises(ExecutionError, match="simulated corrupt container"):
             degraded.query_table("SELECT objid FROM photo", allow_tag_route=False)
 
     def test_aggregate_merge_raises(self, degraded):

@@ -6,7 +6,7 @@ subtracts from the assignment before it re-routes the rest.  The claim
 grows by one interval per span of a delivered run (containers
 consecutive in the store's snapshot), so it spans ids the snapshot does
 not hold; a load can add one of those mid-scan.  Drawn here: stores with
-overflow containers, a scan that joins the sweep mid-lap, a load that
+appended rows, a scan that joins the sweep mid-lap, a load that
 lands between two containers the scan already delivered (plus rows for a
 delivered container), and a second join after the load, which reads the
 grown store like every later step.
@@ -68,9 +68,9 @@ def _kept(plan, schema, rows):
 def test_a_tracked_scan_claims_exactly_what_is_in_its_stream(photo, data):
     store = ContainerStore.from_table(photo.take(np.arange(160)), depth=3)
     ids = store.occupied_ids()
-    overflowing = data.draw(st.lists(st.sampled_from(ids), max_size=4), label="overflow")
-    if overflowing:
-        store.append(_rows(photo, range(len(overflowing))), overflowing)
+    appended = data.draw(st.lists(st.sampled_from(ids), max_size=4), label="appended")
+    if appended:
+        store.append(_rows(photo, range(len(appended))), appended)
     stride = data.draw(st.sampled_from([1, 3, 32]), label="stride")
     lead_steps = data.draw(st.integers(0, 12), label="lead")
     load_at = data.draw(st.integers(0, 40), label="load_at")

@@ -9,6 +9,9 @@ row-for-row identical tables with the cache on and off.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -187,6 +190,22 @@ class TestSessionCache:
         # The re-executed result reflects the mutation: every loaded
         # row passes the predicate again, doubling the matches.
         assert len(table) == rows_before + len(bright)
+
+    def test_a_cached_result_never_pins_a_superseded_arena(
+        self, cached_session, fresh_stores, tier, photo
+    ):
+        # A scan whose WHERE passes every row hands out views of the
+        # arena; the cached entry holds copies, so a load that merges
+        # into a new arena lets the old one go.
+        store = fresh_stores["photo"]
+        arena = weakref.ref(store.snapshot.arena)
+        job = cached_session.submit("SELECT * FROM photo")
+        assert len(job.cursor.to_table()) == len(photo)
+        assert len(tier.cache) == 1
+        ChunkLoader(store).load_chunk(photo.take(np.arange(10)))
+        del job
+        gc.collect()
+        assert arena() is None
 
     def test_batch_class_also_cached(self, cached_session, same_rows):
         baseline = cached_session.execute(QUERY).to_table()

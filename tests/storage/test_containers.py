@@ -82,9 +82,9 @@ class TestClustering:
         assert store.total_objects() == 0
 
 
-def _store_with_overflow(photo):
-    """A depth-3 store whose second container and one container the
-    arena lacks have overflow rows."""
+def _store_with_appends(photo):
+    """A depth-3 store of 80 rows, then 2 rows appended to its second
+    container and 3 to a container it lacked; and the appended id."""
     store = ContainerStore.from_table(photo.take(np.arange(80)), depth=3)
     ids = store.occupied_ids()
     added = next(i for i in range(ids[0], ids[-1]) if i not in ids)
@@ -92,47 +92,34 @@ def _store_with_overflow(photo):
     return store, added
 
 
-def _container_rows(snapshot, k):
-    ids, offsets = snapshot.lists()
-    rows = snapshot.arena[offsets[k] : offsets[k + 1]]
-    extra = snapshot.overflow.get(ids[k])
-    return rows if extra is None else np.concatenate([rows, extra])
-
-
-def _sliced(snapshot, k0, k1):
-    pieces = [array[lo:hi] for array, lo, hi in snapshot.slices(k0, k1)]
-    return np.concatenate(pieces) if pieces else snapshot.arena[:0]
-
-
-class TestSnapshotSlices:
-    def test_without_overflow_a_range_is_one_arena_slice(self, photo_store):
-        snapshot = photo_store.snapshot
-        k1 = len(snapshot.ids)
-        ((array, lo, hi),) = snapshot.slices(0, k1)
-        assert array is snapshot.arena
-        assert (lo, hi) == (0, len(snapshot.arena))
-        assert list(snapshot.slices(3, 3)) == []
-
-    def test_slices_are_each_containers_rows_in_order(self, photo):
-        store, _added = _store_with_overflow(photo)
+class TestMerge:
+    def test_an_append_merges_into_a_new_sorted_arena(self, photo):
+        store = ContainerStore.from_table(photo.take(np.arange(80)), depth=3)
+        before = store.snapshot
+        ids = store.occupied_ids()
+        added = next(i for i in range(ids[0], ids[-1]) if i not in ids)
+        row_ids = [ids[1]] * 2 + [added] * 3
+        store.append(photo.take(np.arange(80, 85)), row_ids)
         snapshot = store.snapshot
-        n = len(snapshot.ids)
-        for k0, k1 in [(0, n), (0, 1), (1, 2), (1, 4), (2, n)]:
-            expected = [_container_rows(snapshot, k) for k in range(k0, k1)]
-            np.testing.assert_array_equal(
-                _sliced(snapshot, k0, k1), np.concatenate(expected)
-            )
-        # Cut only after a container with overflow: the arena up to the
-        # second container's end, its overflow, the arena up to the added
-        # container (which has no arena rows), its overflow, the rest.
-        assert len(list(snapshot.slices(0, n))) == 5
+        # The held snapshot is untouched; the new one is the arena a
+        # fresh build of the same rows in load order makes.
+        assert snapshot.arena is not before.arena and len(before.arena) == 80
+        fresh = containers_module.StoreSnapshot.build(
+            np.concatenate([before.arena, photo.data[80:85]]),
+            np.concatenate([before.ids.repeat(before.sizes), row_ids]),
+        )
+        assert snapshot.arena.tobytes() == fresh.arena.tobytes()
+        np.testing.assert_array_equal(snapshot.ids, fresh.ids)
+        np.testing.assert_array_equal(snapshot.offsets, fresh.offsets)
+        assert not snapshot.arena.flags.writeable
 
-    def test_a_container_without_arena_rows_yields_no_empty_slice(self, photo):
-        store, added = _store_with_overflow(photo)
-        snapshot = store.snapshot
-        k = snapshot.lists()[0].index(added)
-        ((array, lo, hi),) = snapshot.slices(k, k + 1)
-        assert array is snapshot.overflow[added] and (lo, hi) == (0, 3)
+    def test_each_group_follows_its_containers_rows(self, photo):
+        store, added = _store_with_appends(photo)
+        second = [i for i in store.occupied_ids() if i != added][1]
+        table, _row_ids = store.rows([second])
+        np.testing.assert_array_equal(table.data[-2:], photo.data[80:82])
+        table, _row_ids = store.rows([added])
+        np.testing.assert_array_equal(table.data, photo.data[82:85])
 
 
 def n_pages(store):
@@ -157,41 +144,41 @@ def _mag_r(photo):
 
 class TestPages:
     """A page is a fixed-byte slice of the arena: a trixel lies in the
-    page its arena rows start in, a trixel with overflow rows only at its
-    sorted place, and the pool forgets exactly the pages a mutation
-    touched."""
+    page its arena rows start in, and the pool forgets every page from
+    the first one a merge touched on."""
 
     @pytest.fixture(autouse=True)
     def ten_rows(self, monkeypatch, photo):
         monkeypatch.setattr(containers_module, "PAGE_BYTES", 10 * photo.data.dtype.itemsize)
 
     def test_a_trixel_lies_in_the_page_its_arena_rows_start_in(self, photo):
-        store, added = _store_with_overflow(photo)
+        store, added = _store_with_appends(photo)
         snapshot = store.snapshot
         page_of, first, before = snapshot.pages()
         starts = (snapshot.offsets[:-1] // 10).tolist()
         assert page_of == [sorted(set(starts)).index(s) for s in starts]
         assert first == [page_of.index(p) for p in range(page_of[-1] + 1)] + [len(page_of)]
         assert before[-1] == store.total_bytes()
-        # The added trixel has no arena rows: it shares the page of the
-        # trixel after it, whose rows start where its own would.
+        # The added trixel holds its rows in the arena, at its sorted place.
         k = snapshot.lists()[0].index(added)
-        assert snapshot.offsets[k] == snapshot.offsets[k + 1]
-        assert page_of[k] == page_of[k + 1]
+        assert snapshot.offsets[k + 1] - snapshot.offsets[k] == 3
 
-    def test_an_append_forgets_the_pages_it_touched(self, photo):
+    def test_an_append_forgets_the_pages_from_its_first_on(self, photo):
         store = ContainerStore.from_table(photo.take(np.arange(80)), depth=3)
         list(store.sweeper().subscribe())
         pool = store.buffer_pool
-        assert pool.resident_containers() == n_pages(store) > 2
-        ids = store.occupied_ids()
-        store.append(photo.take(np.arange(80, 82)), [ids[0], ids[-1]])
-        assert pool.stats.invalidations == len(pages_of(store, [ids[0], ids[-1]])) == 2
-        # A remove rebuilds the arena, so every page goes.
         resident = pool.resident_containers()
+        assert resident == n_pages(store) > 4
+        ids = store.occupied_ids()
+        middle = ids[store.snapshot.pages()[1][2]]  # the first trixel of page 2
+        store.append(photo.take(np.arange(80, 82)), [middle, ids[-1]])
+        # Pages 0 and 1 hold the same rows as before; the rest moved.
+        assert pool.stats.invalidations == resident - 2
+        assert pool.resident_containers() == 2
+        # A remove rebuilds the arena, so every page goes.
         store.remove([ids[1]])
         assert pool.resident_containers() == 0
-        assert pool.stats.invalidations == 2 + resident
+        assert pool.stats.invalidations == resident
 
 
 class TestQuerying:

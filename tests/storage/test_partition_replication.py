@@ -6,7 +6,8 @@ import pytest
 from repro.htm.mesh import depth_id_bounds
 from repro.htm.ranges import RangeSet
 from repro.storage.partition import PartitionMap, Partitioner
-from repro.storage import DistributedArchive, replicate_archive
+from repro.storage import ContainerStore, DistributedArchive, replicate_archive
+from repro.storage.containers import PAGE_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +156,17 @@ class TestReplicateArchive:
         before = self.contents(archive)
         assert replicate_archive(archive, replication_factor=2) == 0
         assert self.contents(archive) == before
+
+    def test_replica_pages_are_sized_by_bytes(self, photo):
+        # A store a replica partition was merged into has the pages its
+        # bytes make, as many as a store built from the same rows.
+        archive = DistributedArchive.from_table(photo, depth=5, n_servers=3)
+        replicate_archive(archive, replication_factor=2)
+        for server in archive.servers:
+            pages = server.store.snapshot.pages()[1]
+            built = ContainerStore.from_table(server.store.rows()[0], depth=5)
+            assert pages == built.snapshot.pages()[1]
+            assert len(pages) - 1 >= server.store.total_bytes() // PAGE_BYTES
 
     @pytest.mark.parametrize("factor", [0, N_SERVERS + 1])
     def test_factor_bounds(self, archive, factor):

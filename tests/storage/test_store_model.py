@@ -1,11 +1,11 @@
-"""A drawn model of the store: the arena, its overflow and its pool.
+"""A drawn model of the store: the arena and its pool.
 
 Random sequences of a cluster build, chunk loads (``ChunkLoader``),
 rebalances (``add_servers``) and manual sweeps — random strides,
 candidate sets, a load in the middle of a lap, and a drawn page size —
 run against a reference that keeps each server's trixels as a dict of
-per-trixel tables in load order, the rows each had when the arena was
-last built, and each pool as a plain LRU of pages.  Every delivered
+per-trixel tables in load order, rebuilt into its arena on each append,
+and each pool as a plain LRU of pages.  Every delivered
 trixel's rows must equal the reference's, byte for byte and in order,
 every step must read the pages the reference places the delivered
 trixels in, and every pool must count the hits, misses, evictions and
@@ -19,6 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.geometry.shapes import circle_region
 from repro.htm import RangeSet
 from repro.htm.mesh import lookup_ids_from_vectors
 from repro.machines.sweep import SweepScanner
@@ -32,49 +33,44 @@ MAX_SERVERS = 4
 
 
 class _RefServer:
-    """One server's store as ``{htm_id: rows}``, the arena rows each
-    trixel had when the arena was last built, and its pool as an LRU of
-    ``page -> nbytes`` evicted at the end of each run."""
+    """One server's store as ``{htm_id: rows}``, whose arena is the
+    trixels' rows in id order, and its pool as an LRU of ``page ->
+    nbytes`` evicted at the end of each run."""
 
     def __init__(self, budget, itemsize):
         self.rows = {}
-        self.arena = {}
         self.lru = OrderedDict()
         self.budget, self.itemsize = budget, itemsize
         self.hits = self.misses = self.evictions = self.invalidations = 0
 
     def add(self, htm_ids, data):
-        """One append: an empty store takes the rows as its arena, else
-        they are overflow; the touched trixels' pages are invalidated."""
-        build = not self.rows
+        """One append: each trixel's new rows after its own, and every
+        page from the first touched trixel's on is invalidated (its rows
+        moved)."""
         touched = np.unique(htm_ids).tolist()
         for htm_id in touched:
             group = data[htm_ids == htm_id]
             earlier = self.rows.get(htm_id)
             self.rows[htm_id] = group if earlier is None else np.concatenate([earlier, group])
-        if build:
-            self.arena = {h: len(r) for h, r in self.rows.items()}
-        page_of = self.pages()
-        for page in sorted({page_of[h] for h in touched}):
-            if self.lru.pop(page, None) is not None:
-                self.invalidations += 1
+        first = self.pages()[touched[0]]
+        for page in [p for p in self.lru if p >= first]:
+            del self.lru[page]
+            self.invalidations += 1
 
     def take(self, htm_ids):
         """One remove: the arena is rebuilt and every page invalidated."""
         taken = {h: self.rows.pop(h) for h in htm_ids}
-        self.arena = {h: len(r) for h, r in self.rows.items()}
         self.invalidations += len(self.lru)
         self.lru.clear()
         return taken
 
     def pages(self):
         """``{htm_id: page}``: a trixel lies in the page its arena rows
-        start in (one with overflow rows only at its sorted place), and
-        the occupied pages are numbered from 0 in order."""
+        start in, and the occupied pages are numbered from 0 in order."""
         start, raw = 0, {}
         for htm_id in sorted(self.rows):
             raw[htm_id] = start * self.itemsize // containers_module.PAGE_BYTES
-            start += self.arena.get(htm_id, 0)
+            start += len(self.rows[htm_id])
         dense = {r: k for k, r in enumerate(sorted(set(raw.values())))}
         return {htm_id: dense[r] for htm_id, r in raw.items()}
 
@@ -278,12 +274,38 @@ class TestArenaViews:
         assert all(np.shares_memory(m.data, store.snapshot.arena) for m in morsels)
         assert sum(s.rows_copied for s in stats.values()) == 0
 
-    def test_overflow_rows_are_gathered_and_counted(self, photo):
+    def test_a_loaded_stores_whole_catalog_scan_copies_no_row(self, photo, monkeypatch):
         store = ContainerStore.from_table(photo, depth=5)
-        ChunkLoader(store).load_chunk(photo.take(np.arange(0, len(photo), 7)))
+        chunk = photo.take(np.arange(0, len(photo), 7))
+        ChunkLoader(store).load_chunk(chunk)
+        morsels = self._morsels(monkeypatch)
         with Archive.connect(stores={"photo": store}) as session:
             cursor = session.execute("SELECT objid FROM photo")
             got = cursor.to_table()
             copied = sum(s.rows_copied for s in cursor.node_stats().values())
-        assert len(got) == store.total_objects()
-        assert 0 < copied <= len(got)
+        assert copied == 0
+        assert all(np.shares_memory(m.data, store.snapshot.arena) for m in morsels)
+        expected = np.concatenate([photo["objid"], chunk["objid"]])
+        np.testing.assert_array_equal(np.sort(got["objid"]), np.sort(expected))
+
+    def test_a_select_star_hands_out_arena_views(self, photo):
+        store = ContainerStore.from_table(photo, depth=5)
+        with Archive.connect(stores={"photo": store}, batch_rows=1024) as session:
+            batches = list(session.execute("SELECT * FROM photo"))
+        assert sum(len(b) for b in batches) == len(photo) and len(batches) > 1
+        for batch in batches:
+            assert np.shares_memory(batch.data, store.snapshot.arena)
+            assert not batch.data.flags.writeable
+
+    def test_a_region_that_drops_trixels_inside_a_run_is_gathered_and_counted(self, photo):
+        store = ContainerStore.from_table(photo, depth=5)
+        region = circle_region(185.0, 0.0, 20.0)
+        with Archive.connect(stores={"photo": store}) as session:
+            cursor = session.execute("SELECT objid FROM photo WHERE CIRCLE(185, 0, 20)")
+            got = cursor.to_table()
+            copied = sum(s.rows_copied for s in cursor.node_stats().values())
+        # The cover's gaps cut a run's rows into several arena slices, so
+        # its morsels are gathered, and counted.
+        assert 0 < copied < len(photo)
+        inside = photo["objid"][region.contains(photo.positions_xyz())]
+        np.testing.assert_array_equal(np.sort(got["objid"]), np.sort(inside))
