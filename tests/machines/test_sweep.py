@@ -525,10 +525,11 @@ class _ModelSweep:
             sub.page = None
 
     def appended(self, htm_id):
-        """``store.append`` touched ``htm_id``: its page leaves the pool."""
+        """``store.append`` merged rows into ``htm_id``: its page and
+        every later one leave the pool, because the merge moved them."""
         snapshot = self.store.snapshot
-        page_of = snapshot.pages()[0]
-        self.resident.discard(page_of[int(np.searchsorted(snapshot.ids, htm_id))])
+        first = snapshot.pages()[0][int(np.searchsorted(snapshot.ids, htm_id))]
+        self.resident = {page for page in self.resident if page < first}
         self.cut()
 
     def removed(self):
