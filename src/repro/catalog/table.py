@@ -5,6 +5,13 @@ streams); a structured array with schema metadata is our in-memory unit of
 exchange.  Row subsets and column projections return *new* tables that
 share no mutable state with the source, so query nodes can run
 concurrently without locking.
+
+A row subset or a concatenation moves whole records as bytes
+(:func:`take_records`, :func:`concat_records`): numpy copies a
+structured array one field at a time, 3–5× slower over the 50-field
+photo record than a gather of the same rows viewed as opaque
+``np.void`` records.  Every row copy in the engine goes through these
+two functions.
 """
 
 from __future__ import annotations
@@ -13,28 +20,33 @@ import numpy as np
 
 from repro.catalog.schema import Schema
 
-__all__ = ["ObjectTable", "concat_records"]
+__all__ = ["ObjectTable", "concat_records", "take_records"]
+
+
+def _records(dtype):
+    """One opaque ``np.void`` of ``dtype``'s size: a whole record."""
+    return np.dtype((np.void, dtype.itemsize))
+
+
+def take_records(data, index):
+    """Rows of a structured array by index array, boolean mask or slice,
+    as a new writeable array bit-identical to ``data[index]`` — gathered
+    as whole records, not field by field.  Bad indices and masks of the
+    wrong length raise ``IndexError`` as ``data[index]`` does.
+    """
+    records = data.view(_records(data.dtype))[index]
+    if isinstance(index, slice):  # a basic slice is a view: copy it
+        records = records.copy()
+    return records.view(data.dtype)
 
 
 def concat_records(arrays, dtype):
     """Same-``dtype`` structured arrays, in order, as one new array —
-    bit-identical to ``np.concatenate``, which pays ~60 µs per input on
-    the 50-field photo dtype where a byte copy through a ``uint8`` view
-    of each C-contiguous input pays ~1.5 µs.  Strided inputs are assigned.
-    """
-    out = np.empty(sum(len(a) for a in arrays), dtype=dtype)
-    flat = out.view(np.uint8)
-    itemsize = dtype.itemsize
-    position = 0
-    for array in arrays:
-        rows = len(array)
-        if array.flags.c_contiguous:
-            start = position * itemsize
-            flat[start : start + rows * itemsize] = array.view(np.uint8)
-        else:
-            out[position : position + rows] = array
-        position += rows
-    return out
+    bit-identical to ``np.concatenate``, copied as whole records
+    (strided inputs included) where numpy's structured concatenation
+    pays ~60 µs per input and copies field by field."""
+    records = _records(dtype)
+    return np.concatenate([a.view(records) for a in arrays]).view(dtype)
 
 
 class ObjectTable:
@@ -112,16 +124,10 @@ class ObjectTable:
         return int(self.data.nbytes)
 
     def take(self, indices_or_mask):
-        """Row subset as a new table (copies, never views).
-
-        Fancy indexing (index arrays, boolean masks) already copies, so
-        only slice subsets need an explicit copy — the hot scan/merge
-        paths were paying a second full copy per emitted batch here.
-        """
-        subset = self.data[indices_or_mask]
-        if isinstance(indices_or_mask, slice):
-            subset = subset.copy()
-        return ObjectTable(self.schema, subset)
+        """Row subset (index array, boolean mask or slice) as a new
+        table: one gather of whole records (:func:`take_records`),
+        never a view of the source."""
+        return ObjectTable(self.schema, take_records(self.data, indices_or_mask))
 
     def select(self, mask):
         """Alias of :meth:`take` for boolean masks."""
@@ -139,7 +145,9 @@ class ObjectTable:
         """Row concatenation; schemas must match by name and dtype."""
         if other.schema.numpy_dtype() != self.schema.numpy_dtype():
             raise ValueError("cannot concat tables with different layouts")
-        return ObjectTable(self.schema, np.concatenate([self.data, other.data]))
+        return ObjectTable(
+            self.schema, concat_records([self.data, other.data], self.data.dtype)
+        )
 
     def sort_by(self, column, descending=False):
         """New table sorted by one column."""

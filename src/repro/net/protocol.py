@@ -113,7 +113,7 @@ import zlib
 import numpy as np
 
 from repro.catalog.schema import Field, Schema
-from repro.catalog.table import ObjectTable
+from repro.catalog.table import ObjectTable, take_records
 from repro.distributed.routing import ShardFanoutReport
 from repro.query.qet import NodeStats
 from repro.session.plan import PlanTree
@@ -354,7 +354,7 @@ def table_from_wire(header, body):
             f"table body of {len(body)} bytes does not hold {rows} "
             f"records of {dtype.itemsize} bytes"
         )
-    data = np.frombuffer(body, dtype=dtype, count=rows).copy()
+    data = take_records(np.frombuffer(body, dtype=dtype, count=rows), slice(None))
     return ObjectTable(schema, data)
 
 

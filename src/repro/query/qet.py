@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.catalog.schema import Field as SchemaField
 from repro.catalog.schema import Schema
-from repro.catalog.table import ObjectTable, concat_records
+from repro.catalog.table import ObjectTable, concat_records, take_records
 from repro.htm.ranges import RangeSet
 from repro.query.errors import ExecutionError
 
@@ -587,10 +587,12 @@ class SortNode(QETNode):
             delivered = _merge_delivered(delivered, batch)
         table = ObjectTable.concat_all(batches)
         order = np.arange(len(table))
-        # Stable sorts applied from the least-significant key backwards.
+        # Stable sorts applied from the least-significant key backwards;
+        # each key is evaluated once, on the unsorted rows, and permuted
+        # (a constant key, ``ORDER BY 1``, is one per row like any other).
         for key_fn, descending in reversed(list(zip(self.key_fns, self.descending_flags))):
-            keys = np.asarray(key_fn(table.take(order)))
-            order = order[self._stable_order(keys, descending)]
+            keys = np.broadcast_to(key_fn(table), len(table))
+            order = order[self._stable_order(keys[order], descending)]
         out = table.take(order)
         out.delivered = delivered
         self._emit(out)
@@ -613,7 +615,7 @@ class LimitNode(QETNode):
             return
         for batch in child.output:
             if len(batch) > remaining:
-                truncated = batch.take(np.arange(remaining))
+                truncated = batch.take(slice(remaining))
                 truncated.delivered = batch.delivered
                 batch = truncated
             remaining -= len(batch)
@@ -737,12 +739,12 @@ class TopKNode(QETNode):
                 mask = self._strictly_before(batch_keys, threshold)
                 if not mask.any():
                     continue
-                rows = rows[mask]
+                rows = take_records(rows, mask)
                 batch_keys = [a[mask] for a in batch_keys]
             if data is None:
                 data, keys = rows, batch_keys
             else:
-                data = np.concatenate([data, rows])
+                data = concat_records([data, rows], data.dtype)
                 keys = [
                     np.concatenate([a, b]) for a, b in zip(keys, batch_keys)
                 ]
@@ -752,12 +754,12 @@ class TopKNode(QETNode):
                 worst = order[k - 1]
                 threshold = tuple(a[worst] for a in keys)
                 kept = np.sort(order[:k])  # back to arrival order
-                data = data[kept]
+                data = take_records(data, kept)
                 keys = [a[kept] for a in keys]
         if data is None or len(data) == 0:
             return
         order = self._order(keys)[:k]
-        out = ObjectTable(self._schema, data[order])
+        out = ObjectTable(self._schema, take_records(data, order))
         out.delivered = delivered
         self._emit(out)
 
@@ -1251,7 +1253,7 @@ class MergeSortNode(QETNode):
         then shard-local stable order.  Large rounds are emitted in
         ``batch_rows`` chunks to keep downstream backpressure fine-grained.
         """
-        data = np.concatenate(pieces)
+        data = concat_records(pieces, pieces[0].dtype)
         order = np.arange(len(data))
         n_keys = len(self.key_fns)
         for key_index in range(n_keys - 1, -1, -1):
@@ -1261,7 +1263,7 @@ class MergeSortNode(QETNode):
                     keys[order], self.descending_flags[key_index]
                 )
             ]
-        table = ObjectTable(self._schema, data[order])
+        table = ObjectTable(self._schema, take_records(data, order))
         for piece in table.iter_chunks(self.batch_rows):
             if not self._emit(piece):
                 return False

@@ -24,7 +24,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.catalog.table import ObjectTable
 from repro.query.parser import normalize_query
 from repro.query.qet import QETNode
 
@@ -170,8 +169,7 @@ class ResultCache:
         if nbytes > self.max_bytes:
             return False
         batches = tuple(
-            b if b.data.flags.writeable else ObjectTable(b.schema, b.data.copy())
-            for b in batches
+            b if b.data.flags.writeable else b.take(slice(None)) for b in batches
         )
         entry = _Entry(batches, schema, tuple(sources), generations, nbytes)
         with self._lock:

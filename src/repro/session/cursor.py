@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 from repro.catalog.table import ObjectTable
 from repro.query.errors import ExecutionError
 
@@ -173,8 +171,8 @@ class Cursor:
                 break
             take = min(len(batch), n - have)
             if take < len(batch):
-                self._buffer.appendleft(batch.take(np.arange(take, len(batch))))
-                batch = batch.take(np.arange(take))
+                self._buffer.appendleft(batch.take(slice(take, None)))
+                batch = batch.take(slice(take))
             parts.append(batch)
             have += take
         return self._combine(parts)

@@ -32,7 +32,7 @@ import itertools
 
 import numpy as np
 
-from repro.catalog.table import ObjectTable
+from repro.catalog.table import ObjectTable, take_records
 from repro.htm.mesh import depth_id_bounds, lookup_ids_from_vectors
 from repro.storage.buffer import BufferPool
 
@@ -49,7 +49,7 @@ def _grouped(data, row_ids):
     order = np.argsort(row_ids, kind="stable")
     row_ids = row_ids[order]
     starts = np.flatnonzero(np.diff(row_ids, prepend=-1))
-    return data.take(order), row_ids[starts], np.append(starts, len(order))
+    return take_records(data, order), row_ids[starts], np.append(starts, len(order))
 
 
 class StoreSnapshot:
@@ -72,7 +72,7 @@ class StoreSnapshot:
 
     @classmethod
     def build(cls, data, row_ids):
-        """A fresh arena of ``data``: one argsort, one take."""
+        """A fresh arena of ``data``: one argsort, one record gather."""
         return cls(*_grouped(data, row_ids))
 
     def lists(self):
@@ -186,7 +186,8 @@ class ContainerStore:
 
     @classmethod
     def from_table(cls, table, depth, buffer_pool=None):
-        """Cluster a table into a store: one stable argsort, one take."""
+        """Cluster a table into a store: one stable argsort, one record
+        gather."""
         store = cls(table.schema, depth, buffer_pool=buffer_pool)
         if len(table):
             ids = store.container_ids_for(table)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.catalog.schema import Field, Schema
-from repro.catalog.table import ObjectTable
+from repro.catalog.table import ObjectTable, take_records
 
 SCHEMA = Schema(
     "test_rows",
@@ -78,9 +78,13 @@ class TestAccess:
 
 
 class TestTransforms:
-    def test_take_copies(self, table):
-        subset = table.take(np.array([0, 1, 2]))
+    @pytest.mark.parametrize(
+        "rows", [np.array([0, 1, 2]), slice(3)], ids=["index", "slice"]
+    )
+    def test_take_copies(self, table, rows):
+        subset = table.take(rows)
         subset.data["value"][:] = -999.0
+        assert len(subset) == 3
         assert not np.any(table["value"][:3] == -999.0)
 
     def test_select_mask(self, table):
@@ -144,3 +148,68 @@ class TestTransforms:
         expected = np.concatenate(arrays)
         assert got.data.dtype == expected.dtype
         assert got.data.tobytes() == expected.tobytes()
+
+
+#: a record with a subarray field, a bytes field and an odd itemsize
+MIXED = np.dtype([("objid", "i8"), ("vec", "f4", (3,)), ("name", "S5"), ("flag", "u1")])
+
+
+def _mixed_records(n=40):
+    data = np.zeros(n, dtype=MIXED)
+    data["objid"] = np.arange(n)
+    data["vec"] = np.arange(3 * n, dtype=np.float32).reshape(n, 3)
+    data["name"] = [f"o{i}".encode() for i in range(n)]
+    data["flag"] = np.arange(n) % 7
+    return data
+
+
+def _read_only(d):
+    d = d.copy()
+    d.flags.writeable = False
+    return d
+
+
+class TestTakeRecords:
+    @pytest.mark.parametrize("records", ["schema", "mixed"])
+    @pytest.mark.parametrize(
+        "source",
+        [
+            pytest.param(lambda d: d, id="contiguous"),
+            pytest.param(lambda d: d[::3], id="strided"),
+            pytest.param(lambda d: d[::-1], id="reversed"),
+            pytest.param(_read_only, id="read-only"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "index",
+        [
+            pytest.param(lambda n: np.ones(n, dtype=bool), id="mask-all"),
+            pytest.param(lambda n: np.zeros(n, dtype=bool), id="mask-none"),
+            pytest.param(lambda n: np.arange(n) % 3 != 1, id="mask-mixed"),
+            pytest.param(lambda n: np.array([n - 1, 0, n // 2, 2]), id="unsorted"),
+            pytest.param(lambda n: np.array([1, 1, 0, 1, 0]), id="repeated"),
+            pytest.param(lambda n: np.array([-1, -n, 0]), id="negative"),
+            pytest.param(lambda n: np.empty(0, dtype=np.int64), id="empty"),
+            pytest.param(lambda n: slice(2, n - 1), id="slice"),
+            pytest.param(lambda n: slice(None, None, -2), id="slice-stepped"),
+        ],
+    )
+    def test_is_bit_identical_to_structured_indexing(
+        self, table, records, source, index
+    ):
+        data = source(table.data if records == "schema" else _mixed_records())
+        where = index(len(data))
+        got = take_records(data, where)
+        expected = data[where]
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+        assert got.flags.writeable
+        assert not np.shares_memory(got, data)
+
+    def test_out_of_range_index_raises(self):
+        with pytest.raises(IndexError):
+            take_records(_mixed_records(10), np.array([0, 10]))
+
+    def test_wrong_length_mask_raises(self):
+        with pytest.raises(IndexError):
+            take_records(_mixed_records(10), np.ones(9, dtype=bool))

@@ -79,6 +79,7 @@ KEY_CASES = [
     ([lambda t: t["a"]], [True]),
     ([lambda t: t["a"], lambda t: t["b"]], [False, True]),
     ([lambda t: t["a"], lambda t: t["b"]], [True, False]),
+    ([lambda t: 1.0, lambda t: t["a"]], [False, True]),
 ]
 
 
