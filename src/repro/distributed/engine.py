@@ -8,17 +8,19 @@ planned once, the plan is divided by
 (scan + filter + partial aggregation + sort/limit/projection pushdown)
 and a coordinator merge, and the sub-plan is *shipped* to each partition
 server whose HTM range intersects the plan's cover.  Every shard runs
-the paper's multi-threaded QET locally; the coordinator's merge nodes
-(:class:`~repro.query.qet.ExchangeNode`,
-:class:`~repro.query.qet.MergeSortNode`, re-aggregation) preserve the
-ASAP-push contract — the user sees the first batch while the slowest
-shard is still scanning.
+the paper's multi-threaded QET locally.  The coordinator's exchange
+(:class:`~repro.query.qet.ExchangeNode`) preserves the ASAP-push
+contract — the user sees the first batch while the slowest shard is
+still scanning; its ORDER BY (:class:`~repro.query.qet.MergeSortNode`,
+the ordinary sort over every shard stream) and re-aggregation are
+pipeline breakers, as on one store.
 
 The trees are built by :mod:`repro.query.physical` — the same
 ``shard_tree`` / ``merge_tree`` a remote cluster uses; this engine
 contributes only the in-process fan-out (:func:`~repro.distributed.
-routing.route_plan` plus a shard tree over each touched server's store)
-and is itself the :class:`~repro.query.physical.Executor` a session
+routing.route_plan`, which assigns each touched server the ids it owns
+under the cover, plus a shard tree over that server's store reading its
+assignment) and is itself the :class:`~repro.query.physical.Executor` a session
 drives.
 
 Nothing about the server set is cached between queries: each ``prepare``
@@ -48,10 +50,12 @@ class DistributedQueryEngine(Executor):
     (``Archive.connect(archive=...)``) runs what it prepares — but each
     SELECT fans out to the partition servers: shard sub-QETs run in
     parallel against each touched server's container stores and a
-    coordinator merge tree recombines the streams (union, ordered k-way
-    merge, or partial aggregate re-combination).  Servers outside the
-    plan's HTM cover are pruned and never read; each touched server's
-    shard scan rides that server's shared sweep.
+    coordinator merge tree recombines the streams (union, one sort over
+    the shard streams, or partial aggregate re-combination).  Servers
+    outside the plan's HTM cover are pruned and never read; each touched
+    server's shard scan reads only the containers it owns under the
+    cover (a replica another server owns is never read twice) and rides
+    that server's shared sweep.
 
     Parameters
     ----------
@@ -97,15 +101,15 @@ class DistributedQueryEngine(Executor):
         """One SELECT fanned out over the archive's current servers."""
 
         def fan_out(sharded, candidates):
-            touched, report = route_plan(
+            assignments, report = route_plan(
                 self.archive, plan.routed_source, candidates
             )
             shard_roots = []
-            for server in touched:
+            for server, assigned in assignments:
                 shard_root = shard_tree(
                     server.stores()[plan.routed_source],
                     sharded,
-                    candidates,
+                    assigned,
                     batch_rows=self.batch_rows,
                 )
                 # Annotation consumed by the session layer's structured
@@ -114,9 +118,7 @@ class DistributedQueryEngine(Executor):
                 shard_roots.append(shard_root)
             return shard_roots, report
 
-        return scatter_gather_tree(
-            plan, self.archive.depth, fan_out, batch_rows=self.batch_rows
-        )
+        return scatter_gather_tree(plan, self.archive.depth, fan_out)
 
     def prepare(self, text, allow_tag_route=True, ast=None):
         """Plan, split and route without starting: a

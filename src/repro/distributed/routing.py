@@ -2,17 +2,19 @@
 
 *"Splitting the data among multiple servers enables parallel, scalable
 I/O."*  A query's HTM cover is intersected with each server's contiguous
-id range (:class:`~repro.storage.partition.PartitionMap`); servers whose
-range misses the cover are *pruned* — their container stores are never
-read.  Pruning is conservative by the cover's contract (ambiguous
-geometry degrades to PARTIAL, never OUTSIDE), so a pruned server cannot
-hold a matching object.
+id range (:class:`~repro.storage.partition.PartitionMap`); the
+intersection is the server's *assignment*, the containers its shard scan
+reads — disjoint across servers, so a replicated archive returns every
+row once.  Servers whose range misses the cover are *pruned* — their
+container stores are never read.  Pruning is conservative by the
+cover's contract (ambiguous geometry degrades to PARTIAL, never
+OUTSIDE), so a pruned server cannot hold a matching object.
 
 The same routing pass prices the fan-out: per-server bytes under the
-cover feed the :class:`~repro.storage.diskmodel.NodeModel` for simulated
-scan seconds ("a prediction of the output data volume and search time
-can be computed from the intersection volume").  Each touched shard's
-scan rides that server's one shared sweep.
+assignment feed the :class:`~repro.storage.diskmodel.NodeModel` for
+simulated scan seconds ("a prediction of the output data volume and
+search time can be computed from the intersection volume").  Each
+touched shard's scan rides that server's one shared sweep.
 """
 
 from __future__ import annotations
@@ -52,39 +54,38 @@ class ShardFanoutReport:
 
 def _store_bytes_under(store, candidates):
     """Bytes of a store's containers whose ids fall in ``candidates``."""
-    if candidates is None:
-        return store.total_bytes()
     snapshot = store.snapshot
     rows = snapshot.sizes[candidates.contains_array(snapshot.ids)].sum()
     return int(rows) * snapshot.arena.itemsize
 
 
 def route_plan(archive, routed_source, candidates):
-    """Split the archive's servers into (touched, report) for one plan.
+    """Assign the archive's servers their share of one plan.
 
     ``candidates`` is the cover's candidate :class:`RangeSet` at
-    container depth, or ``None`` for a full scan (all servers touched).
-    Pruned servers are recorded but never read.
+    container depth, or ``None`` for a full scan.  Each server is
+    assigned the ids it *owns* under the partition map, within
+    ``candidates``: the assignments are disjoint, so a replica a server
+    holds of another server's range is never read twice.  Returns
+    ``(assignments, report)``, ``assignments`` a list of ``(server,
+    RangeSet)`` for every touched server; a server with an empty
+    assignment is pruned and never read.
     """
     report = ShardFanoutReport(
         source=routed_source, servers_total=len(archive.servers)
     )
-    if candidates is None:
-        touched_ids = {server.server_id for server in archive.servers}
-    else:
-        touched_ids = archive.partition_map.servers_for_rangeset(candidates)
-    touched = []
-    for server in archive.servers:
-        if server.server_id in touched_ids:
-            touched.append(server)
-            report.touched_server_ids.append(server.server_id)
-        else:
-            report.pruned_server_ids.append(server.server_id)
-
+    assignments = []
     total_bytes = 0
-    for server in touched:
-        store = server.stores()[routed_source]
-        nbytes = _store_bytes_under(store, candidates)
+    for server in archive.servers:
+        assigned = archive.partition_map.ranges_for(server.server_id)
+        if candidates is not None:
+            assigned = assigned.intersect(candidates)
+        if assigned.is_empty():
+            report.pruned_server_ids.append(server.server_id)
+            continue
+        assignments.append((server, assigned))
+        report.touched_server_ids.append(server.server_id)
+        nbytes = _store_bytes_under(server.stores()[routed_source], assigned)
         seconds = server.node_model.scan_seconds(nbytes)
         report.estimated_bytes_per_server[server.server_id] = nbytes
         report.simulated_seconds_per_server[server.server_id] = seconds
@@ -95,5 +96,4 @@ def route_plan(archive, routed_source, candidates):
     report.simulated_seconds_single_server = archive.node_model.scan_seconds(
         total_bytes
     )
-    return touched, report
-
+    return assignments, report

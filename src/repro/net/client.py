@@ -329,15 +329,12 @@ class RemoteRootNode(QETNode):
     surviving replicas and appended as new segments, so rows are
     neither lost nor duplicated — or, when no survivor holds them, fail
     the job with an :class:`~repro.query.errors.UnrecoverableShardError`.
-    ``strategy`` says how the remainder may be split:
+    ``strategy`` says when the remainder may be re-routed:
 
     ``"split"``
-        Across any number of survivors (plain streams; aggregates,
-        whose partials recombine over disjoint container sets).
-    ``"single"``
-        One survivor must cover *all* remaining ranges (ordered shard
-        streams: the coordinator's merge needs one sorted stream per
-        child).
+        Always, across any number of survivors (plain streams;
+        aggregates, whose partials recombine over disjoint container
+        sets; ordered streams, which the coordinator sorts as a whole).
     ``"fresh"``
         Only a clean restart is sound (bare-LIMIT shards): failover
         happens only if this node has emitted zero rows.
@@ -404,7 +401,7 @@ class RemoteRootNode(QETNode):
         self.ranges = ranges
         #: the query's shared failover planner (``None`` in full mode)
         self.failover = failover
-        #: how undelivered ranges may be re-routed: split / single / fresh
+        #: when undelivered ranges may be re-routed: split / fresh
         self.strategy = strategy
         #: submissions attempted (1 on a clean run) and successful
         #: failovers — folded into Job.io_report / the query log
@@ -573,9 +570,7 @@ class RemoteRootNode(QETNode):
                 ranges=remaining.intervals,
                 endpoint=endpoint,
             ) from exc
-        replacements = self.failover.replacements(
-            remaining, self.strategy, endpoint
-        )
+        replacements = self.failover.replacements(remaining, endpoint)
         self.failovers += 1
         metrics_registry().counter("net.failovers").inc()
         return [(link.at(ep), rs.intervals) for ep, rs in replacements]

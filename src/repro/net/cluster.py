@@ -17,7 +17,8 @@ behind a real :class:`~repro.net.server.ArchiveServer`:
   closures ever cross the wire, and no shard server covers again;
 * the ordinary coordinator merge tree
   (:func:`~repro.query.physical.merge_tree`: streaming
-  exchange, ordered k-way merge, partial-aggregate recombination) runs
+  exchange, one sort over the shard streams, partial-aggregate
+  recombination) runs
   over :class:`~repro.net.client.RemoteRootNode` leaves instead of
   local scans — scatter-gather genuinely spanning processes.
 
@@ -100,19 +101,16 @@ def _failover_strategy(sharded):
     Derived from the split plan exactly like both wire ends derive the
     split itself, so the classification is deterministic:
 
-    * ``aggregate`` merges recombine partials over disjoint container
-      sets, and plain streams are order-free — the remainder may
-      ``split`` across any survivors;
-    * ``ordered`` merges need one sorted stream per child, so a
-      ``single`` survivor must take the whole remainder;
     * a bare LIMIT shard stream truncates, which falsifies resume
       bookkeeping once rows flowed — only a ``fresh`` zero-row restart
-      is sound.
+      is sound;
+    * everything else may ``split`` the remainder across any survivors:
+      plain streams are order-free, ``aggregate`` merges recombine
+      partials over disjoint container sets, and an ``ordered`` merge
+      sorts whatever its shard streams deliver.
     """
     merge = sharded.merge
-    if merge.kind == "ordered":
-        return "single"
-    if merge.kind != "aggregate" and merge.limit is not None:
+    if merge.kind == "stream" and merge.limit is not None:
         return "fresh"
     return "split"
 
@@ -152,29 +150,13 @@ class ShardFailoverPlanner:
             held = held.union(shard.ranges[self.source])
         return RangeSet(ranges).difference(RangeSet(delivered or ())).intersect(held)
 
-    def replacements(self, remaining, strategy, dead_endpoint):
-        """``[(endpoint, RangeSet), ...]`` covering ``remaining``.
-
-        ``strategy="single"`` demands one survivor holding every
-        remaining container; anything else greedily splits the
-        remainder across survivors in shard-id order.
-        """
+    def replacements(self, remaining, dead_endpoint):
+        """``[(endpoint, RangeSet), ...]`` covering ``remaining``: the
+        remainder split greedily across survivors in shard-id order."""
         host, port = dead_endpoint
         survivors = [
             s for s in self.survivors() if s.endpoint != tuple(dead_endpoint)
         ]
-        if strategy == "single":
-            for shard in survivors:
-                if remaining.difference(shard.ranges[self.source]).is_empty():
-                    return [(shard.endpoint, remaining)]
-            raise UnrecoverableShardError(
-                "no single surviving replica covers the ordered shard "
-                f"stream's remaining container ranges "
-                f"{[list(iv) for iv in remaining.intervals]} after archive "
-                f"server at {host}:{port} died",
-                ranges=remaining.intervals,
-                endpoint=dead_endpoint,
-            )
         assignments = []
         left = remaining
         for shard in survivors:
@@ -300,9 +282,7 @@ class RemotePartitionedExecutor(Executor):
             fan_out = functools.partial(
                 self._fan_out, text, select_index, allow_tag_route
             )
-            return scatter_gather_tree(
-                plan, self.depth, fan_out, batch_rows=self.batch_rows
-            )
+            return scatter_gather_tree(plan, self.depth, fan_out)
 
         return prepare_query(
             text, self.schemas, select_root, ast=ast, allow_tag_route=allow_tag_route

@@ -385,9 +385,10 @@ class MergeSpec:
     * ``'stream'`` — unordered union of shard batches (projection and
       LIMIT were pushed down; the coordinator only re-applies the global
       LIMIT);
-    * ``'ordered'`` — k-way merge of per-shard sorted streams on
-      ``order_key_fns``; the final projection runs after the merge
-      because sort keys reference source columns;
+    * ``'ordered'`` — one sort of every shard's rows on
+      ``order_key_fns`` (each shard already sorted and LIMIT-trimmed its
+      own); the final projection runs after the sort because sort keys
+      reference source columns;
     * ``'aggregate'`` — re-group the shards' partial aggregates
       (``group_specs`` + ``reaggregate_specs``), rebuild the final
       columns (``final_projection`` divides AVG's sum/count pair), then

@@ -231,7 +231,7 @@ def shard_tree(store, sharded, candidates, **options):
     return select_tree(store, sharded.shard, candidates=candidates, **options)
 
 
-def merge_tree(shard_roots, sharded, batch_rows=4096):
+def merge_tree(shard_roots, sharded):
     """The coordinator half: recombine shard streams per the merge spec.
 
     ``shard_roots`` may be local sub-trees *or* remote nodes streaming a
@@ -252,13 +252,9 @@ def merge_tree(shard_roots, sharded, batch_rows=4096):
             node = FilterNode(node, merge.having_fn)
         return order_limit_tail(node, merge)
     if merge.kind == "ordered":
-        # The k-way merge already orders; only the global LIMIT remains.
-        node = MergeSortNode(
-            shard_roots,
-            merge.order_key_fns,
-            merge.order_descending,
-            batch_rows=batch_rows,
-        )
+        # Each shard sorted and LIMIT-trimmed its own rows; only a sort
+        # of them all gives the global order the LIMIT cuts.
+        node = MergeSortNode(shard_roots, merge.order_key_fns, merge.order_descending)
         if merge.limit is not None:
             node = LimitNode(node, merge.limit)
         if merge.projection:
@@ -267,7 +263,7 @@ def merge_tree(shard_roots, sharded, batch_rows=4096):
     return order_limit_tail(ExchangeNode(shard_roots), merge)
 
 
-def scatter_gather_tree(plan, depth, fan_out, batch_rows=4096):
+def scatter_gather_tree(plan, depth, fan_out):
     """One SELECT split across partition servers.
 
     ``fan_out(sharded, candidates)`` returns ``(shard_roots,
@@ -278,7 +274,7 @@ def scatter_gather_tree(plan, depth, fan_out, batch_rows=4096):
     """
     sharded = split_plan(plan)
     shard_roots, report = fan_out(sharded, shard_candidates(plan, depth))
-    root = merge_tree(shard_roots, sharded, batch_rows=batch_rows)
+    root = merge_tree(shard_roots, sharded)
     root.fanout_report = report
     return root
 

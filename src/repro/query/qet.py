@@ -70,6 +70,39 @@ def _merge_delivered(current, batch):
     return merged.intervals
 
 
+def _per_row(fn, batch):
+    """``fn(batch)`` as one value per row: a compiled expression that
+    evaluates to a scalar (a constant) is repeated for every row."""
+    values = np.asarray(fn(batch))
+    if values.shape == ():
+        values = np.full(len(batch), values)
+    return values
+
+
+def _stable_order(keys, descending):
+    """Stable argsort in either direction.
+
+    Reversing a stable ascending argsort would reverse tie groups too;
+    instead descending sorts negate the dense ranks, which is stable
+    for any comparable dtype.  NaN sorts as the largest value (last
+    ascending, first descending), all NaNs tied.
+    """
+    if not descending:
+        return np.argsort(keys, kind="stable")
+    _, ranks = np.unique(keys, return_inverse=True)
+    return np.argsort(-ranks, kind="stable")
+
+
+def _sort_order(key_arrays, descending_flags):
+    """The one ORDER BY permutation: stable sorts applied from the
+    least-significant key backwards, so later keys break ties of
+    earlier ones and rows equal on every key keep their input order."""
+    order = np.arange(len(key_arrays[0]))
+    for keys, descending in reversed(list(zip(key_arrays, descending_flags))):
+        order = order[_stable_order(keys[order], descending)]
+    return order
+
+
 class Stream:
     """Bounded batch queue with cooperative cancellation.
 
@@ -531,11 +564,7 @@ class ProjectNode(QETNode):
     def _project(self, batch):
         columns = {}
         for name, _hint, fn in self.projection:
-            value = fn(batch)
-            value = np.asarray(value)
-            if value.shape == ():
-                value = np.full(len(batch), value)
-            columns[name] = value
+            columns[name] = _per_row(fn, batch)
         if self._schema is None:
             fields = []
             for name, _hint, _fn in self.projection:
@@ -549,12 +578,15 @@ class ProjectNode(QETNode):
 class SortNode(QETNode):
     """ORDER BY: a pipeline breaker.
 
-    The child must complete before any row is emitted (exactly the
-    paper's caveat about sort nodes).  ``key_fns`` are evaluated against
-    the drained table; later keys break ties of earlier ones.  Both
-    directions are *stable*: rows equal on every key keep their input
-    order, and a DESC key reverses value groups, not the rows within
-    them — so ``ORDER BY a DESC, b`` still resolves ``a``-ties by ``b``.
+    Every child must complete before any row is emitted (exactly the
+    paper's caveat about sort nodes); the children are drained in child
+    order and sorted as one table.  ``key_fns`` are evaluated once on
+    that table; later keys break ties of earlier ones.  Both directions
+    are *stable*: rows equal on every key keep their input order, and a
+    DESC key reverses value groups, not the rows within them — so
+    ``ORDER BY a DESC, b`` still resolves ``a``-ties by ``b``.  A sort
+    over one store has one child; :class:`MergeSortNode` is the same
+    sort over a coordinator's shard streams.
     """
 
     name = "sort"
@@ -564,36 +596,16 @@ class SortNode(QETNode):
         self.key_fns = list(key_fns)
         self.descending_flags = list(descending_flags)
 
-    @staticmethod
-    def _stable_order(keys, descending):
-        """Stable argsort in either direction.
-
-        Reversing a stable ascending argsort would reverse tie groups
-        too; instead descending sorts negate the dense ranks, which is
-        stable for any comparable dtype.
-        """
-        if not descending:
-            return np.argsort(keys, kind="stable")
-        _, ranks = np.unique(keys, return_inverse=True)
-        return np.argsort(-ranks, kind="stable")
-
     def run(self):
-        child = self.children[0]
-        batches = list(child.output)
+        batches = [batch for child in self.children for batch in child.output]
         if not batches:
             return
         delivered = None
         for batch in batches:
             delivered = _merge_delivered(delivered, batch)
         table = ObjectTable.concat_all(batches)
-        order = np.arange(len(table))
-        # Stable sorts applied from the least-significant key backwards;
-        # each key is evaluated once, on the unsorted rows, and permuted
-        # (a constant key, ``ORDER BY 1``, is one per row like any other).
-        for key_fn, descending in reversed(list(zip(self.key_fns, self.descending_flags))):
-            keys = np.broadcast_to(key_fn(table), len(table))
-            order = order[self._stable_order(keys[order], descending)]
-        out = table.take(order)
+        keys = [_per_row(fn, table) for fn in self.key_fns]
+        out = table.take(_sort_order(keys, self.descending_flags))
         out.delivered = delivered
         self._emit(out)
 
@@ -669,30 +681,10 @@ class TopKNode(QETNode):
         self.prune_rows = max(int(prune_rows), self.limit)
         self._schema = None
 
-    def _keys_for(self, batch):
-        arrays = []
-        for fn in self.key_fns:
-            array = np.asarray(fn(batch))
-            if array.shape == ():
-                array = np.full(len(batch), array)
-            arrays.append(array)
-        return arrays
-
-    def _order(self, keys):
-        """Stable multi-key argsort — exactly SortNode's semantics."""
-        order = np.arange(len(keys[0]))
-        for index in range(len(keys) - 1, -1, -1):
-            order = order[
-                SortNode._stable_order(
-                    keys[index][order], self.descending_flags[index]
-                )
-            ]
-        return order
-
     def _strictly_before(self, keys, bound):
         """Mask of rows whose key tuple sorts strictly before ``bound``.
 
-        NaN keys follow :meth:`SortNode._stable_order`'s semantics — a
+        NaN keys follow :func:`_stable_order`'s semantics — a
         NaN compares as +inf (last ascending, first descending) and ties
         with other NaNs — so the threshold filter can never drop a row
         the unfused sort-then-limit plan would have kept.
@@ -733,7 +725,7 @@ class TopKNode(QETNode):
             delivered = _merge_delivered(delivered, batch)
             if self._schema is None:
                 self._schema = batch.schema
-            batch_keys = self._keys_for(batch)
+            batch_keys = [_per_row(fn, batch) for fn in self.key_fns]
             rows = batch.data
             if threshold is not None:
                 mask = self._strictly_before(batch_keys, threshold)
@@ -750,7 +742,7 @@ class TopKNode(QETNode):
                 ]
             self.stats.note_buffered(len(data))
             if len(data) > self.prune_rows:
-                order = self._order(keys)
+                order = _sort_order(keys, self.descending_flags)
                 worst = order[k - 1]
                 threshold = tuple(a[worst] for a in keys)
                 kept = np.sort(order[:k])  # back to arrival order
@@ -758,7 +750,7 @@ class TopKNode(QETNode):
                 keys = [a[kept] for a in keys]
         if data is None or len(data) == 0:
             return
-        order = self._order(keys)[:k]
+        order = _sort_order(keys, self.descending_flags)[:k]
         out = ObjectTable(self._schema, take_records(data, order))
         out.delivered = delivered
         self._emit(out)
@@ -775,14 +767,27 @@ class FilterNode(QETNode):
     def run(self):
         child = self.children[0]
         for batch in child.output:
-            mask = np.asarray(self.mask_fn(batch), dtype=bool)
-            if mask.shape == ():
-                mask = np.full(len(batch), bool(mask))
+            mask = np.asarray(_per_row(self.mask_fn, batch), dtype=bool)
             selected = batch.select(mask)
             if len(selected):
                 if not self._emit(selected):
                     child.output.cancel()
                     return
+
+
+def _groups(key_arrays):
+    """One grouping pass: lexsort the key arrays and find each group's
+    first sorted row.  Returns ``(order, starts, group_keys)`` — the
+    sorting permutation, the group starts in sorted order, and each
+    group's key values."""
+    order = np.lexsort(key_arrays[::-1])
+    sorted_keys = [a[order] for a in key_arrays]
+    boundary = np.zeros(len(order), dtype=bool)
+    boundary[0] = True
+    for keys in sorted_keys:
+        boundary[1:] |= keys[1:] != keys[:-1]
+    starts = np.nonzero(boundary)[0]
+    return order, starts, [a[starts] for a in sorted_keys]
 
 
 class _GroupedAccumulator:
@@ -832,13 +837,6 @@ class _GroupedAccumulator:
         self.columns = None
         self.rows_seen = 0
 
-    @staticmethod
-    def _array(values, rows):
-        values = np.asarray(values)
-        if values.shape == ():
-            values = np.full(rows, values)
-        return values
-
     def _sum_dtype(self, column, values):
         dtype = self._sum_dtypes.get(column)
         if dtype is None:
@@ -849,14 +847,7 @@ class _GroupedAccumulator:
     def _reduce(self, key_arrays, value_arrays, rows):
         """One sorted-partial table for a batch: ``(group_keys, columns)``."""
         if self.group_specs:
-            order = np.lexsort(key_arrays[::-1])
-            sorted_keys = [a[order] for a in key_arrays]
-            boundary = np.zeros(rows, dtype=bool)
-            boundary[0] = True
-            for keys in sorted_keys:
-                boundary[1:] |= keys[1:] != keys[:-1]
-            starts = np.nonzero(boundary)[0]
-            group_keys = [a[starts] for a in sorted_keys]
+            order, starts, group_keys = _groups(key_arrays)
         else:
             order = slice(None)
             starts = np.zeros(1, dtype=np.intp)
@@ -878,13 +869,11 @@ class _GroupedAccumulator:
         if rows == 0:
             return
         self.rows_seen += rows
-        key_arrays = [
-            self._array(fn(batch), rows) for _name, fn in self.group_specs
-        ]
+        key_arrays = [_per_row(fn, batch) for _name, fn in self.group_specs]
         value_arrays = {}
         for column, op, fn in self.partials:
             if op != "count" and column not in value_arrays:
-                value_arrays[column] = self._array(fn(batch), rows)
+                value_arrays[column] = _per_row(fn, batch)
         group_keys, columns = self._reduce(key_arrays, value_arrays, rows)
         self._merge_partials(group_keys, columns)
 
@@ -901,18 +890,9 @@ class _GroupedAccumulator:
                 )
             return
         # Merge two sorted partial tables: concatenate, re-sort, re-reduce.
-        merged_keys = [
-            np.concatenate([a, b]) for a, b in zip(self.keys, group_keys)
-        ]
-        total = len(merged_keys[0])
-        order = np.lexsort(merged_keys[::-1])
-        sorted_keys = [a[order] for a in merged_keys]
-        boundary = np.zeros(total, dtype=bool)
-        boundary[0] = True
-        for keys in sorted_keys:
-            boundary[1:] |= keys[1:] != keys[:-1]
-        starts = np.nonzero(boundary)[0]
-        self.keys = [a[starts] for a in sorted_keys]
+        order, starts, self.keys = _groups(
+            [np.concatenate([a, b]) for a, b in zip(self.keys, group_keys)]
+        )
         for column, op, _fn in self.partials:
             merged = np.concatenate([self.columns[column], columns[column]])
             self.columns[column] = self._COMBINE[op].reduceat(
@@ -1156,154 +1136,20 @@ class ExchangeNode(QETNode):
             t.join()
 
 
-class _MergeKey:
-    """One ORDER BY key value with its direction; defines ``<`` so tuples
-    of keys compare lexicographically, honoring per-key DESC."""
+class MergeSortNode(SortNode):
+    """The coordinator's ORDER BY over shard streams: a :class:`SortNode`
+    with one child per shard.
 
-    __slots__ = ("value", "descending")
-
-    def __init__(self, value, descending):
-        self.value = value
-        self.descending = descending
-
-    def __lt__(self, other):
-        if self.descending:
-            return other.value < self.value
-        return self.value < other.value
-
-    def __eq__(self, other):
-        return self.value == other.value
-
-
-class MergeSortNode(QETNode):
-    """Ordered k-way merge of already-sorted child streams.
-
-    The distributed ORDER BY strategy: each shard sorts (and LIMIT-trims)
-    its own rows, and the coordinator merges the sorted streams without
-    re-sorting everything.  The merge is *batch-wise and vectorized*:
-    each round computes the smallest last-buffered key across children —
-    every buffered row at or below it can never be preceded by a future
-    row — and emits those rows in one stably-merged table.  Rows flow as
-    soon as the bound allows, so a downstream LIMIT cancels the merge
-    (and, transitively, the shard scans) early.  Tie order is
-    deterministic: within each emitted round, equal keys order by child
-    index then shard-local stable order (for single-batch-per-shard
-    producers like SortNode this is exactly lower-shard-first overall).
+    Each shard sorts (and LIMIT-trims) its own rows; the coordinator
+    drains the shard streams in child order and sorts them as one table
+    with the same stable order as every other ORDER BY, so NaN keys and
+    DESC tie groups behave exactly as on one store.  Ties order by shard
+    index, then the shard's own order.  A shard input need not be one
+    sorted run (a failed-over shard's stream is several).
     """
 
     name = "merge_sort"
 
-    def __init__(self, children, key_fns, descending_flags, batch_rows=4096):
-        super().__init__(tuple(children))
-        self.key_fns = list(key_fns)
-        self.descending_flags = list(descending_flags)
-        self.batch_rows = int(batch_rows)
-        self._schema = None
-
-    def _keys_for(self, batch):
-        arrays = []
-        for fn in self.key_fns:
-            array = np.asarray(fn(batch))
-            if array.shape == ():
-                array = np.full(len(batch), array)
-            arrays.append(array)
-        return arrays
-
-    def _advance(self, iterator):
-        """Next non-empty batch of one child as ``(data, key_arrays)``."""
-        for batch in iterator:
-            if len(batch) == 0:
-                continue
-            if self._schema is None:
-                self._schema = batch.schema
-            return batch.data, self._keys_for(batch)
-        return None
-
-    def _bound_key(self, keys, index):
-        return tuple(
-            _MergeKey(array[index], descending)
-            for array, descending in zip(keys, self.descending_flags)
-        )
-
-    def _emittable_rows(self, keys, bound):
-        """How many leading rows sort at or before ``bound``.
-
-        Lexicographic <= computed per key, fully vectorized; because the
-        buffer is sorted by the same ordering, the mask is a prefix and
-        its popcount is the prefix length.
-        """
-        length = len(keys[0])
-        lt = np.zeros(length, dtype=bool)
-        eq = np.ones(length, dtype=bool)
-        for array, bound_key, descending in zip(
-            keys, bound, self.descending_flags
-        ):
-            value = bound_key.value
-            key_lt = (array > value) if descending else (array < value)
-            lt |= eq & key_lt
-            eq &= array == value
-        return int(np.count_nonzero(lt | eq))
-
-    def _emit_round(self, pieces, piece_keys):
-        """Stably merge this round's per-child prefixes and emit them.
-
-        Pieces arrive in ascending child order with within-child order
-        intact, so a sequence of stable key sorts (least-significant
-        first) yields exactly the documented tie behavior: shard index,
-        then shard-local stable order.  Large rounds are emitted in
-        ``batch_rows`` chunks to keep downstream backpressure fine-grained.
-        """
-        data = concat_records(pieces, pieces[0].dtype)
-        order = np.arange(len(data))
-        n_keys = len(self.key_fns)
-        for key_index in range(n_keys - 1, -1, -1):
-            keys = np.concatenate([pk[key_index] for pk in piece_keys])
-            order = order[
-                SortNode._stable_order(
-                    keys[order], self.descending_flags[key_index]
-                )
-            ]
-        table = ObjectTable(self._schema, take_records(data, order))
-        for piece in table.iter_chunks(self.batch_rows):
-            if not self._emit(piece):
-                return False
-        return True
-
-    def run(self):
-        cursors = []  # [iterator, data, key_arrays] per still-active child
-        for child in self.children:
-            iterator = iter(child.output)
-            head = self._advance(iterator)
-            if head is not None:
-                cursors.append([iterator, head[0], head[1]])
-
-        while cursors:
-            bound = min(
-                self._bound_key(keys, len(data) - 1)
-                for _it, data, keys in cursors
-            )
-            pieces = []
-            piece_keys = []
-            for cursor in cursors:
-                _iterator, data, keys = cursor
-                count = self._emittable_rows(keys, bound)
-                if count:
-                    pieces.append(data[:count])
-                    piece_keys.append([k[:count] for k in keys])
-                    cursor[1] = data[count:]
-                    cursor[2] = [k[count:] for k in keys]
-
-            refreshed = []
-            for cursor in cursors:
-                if len(cursor[1]) == 0:
-                    head = self._advance(cursor[0])
-                    if head is None:
-                        continue
-                    cursor[1], cursor[2] = head
-                refreshed.append(cursor)
-            cursors = refreshed
-
-            if pieces and not self._emit_round(pieces, piece_keys):
-                for child in self.children:
-                    child.output.cancel()
-                return
+    def __init__(self, children, key_fns, descending_flags):
+        super().__init__(None, key_fns, descending_flags)
+        self.children = list(children)

@@ -96,14 +96,14 @@ def _detail_for(node):
             "keys": len(node.key_fns),
             "descending": list(node.descending_flags),
         }
-    if isinstance(node, SortNode):
-        return {
-            "keys": len(node.key_fns),
-            "descending": list(node.descending_flags),
-        }
     if isinstance(node, MergeSortNode):
         return {
             "fanout": len(node.children),
+            "keys": len(node.key_fns),
+            "descending": list(node.descending_flags),
+        }
+    if isinstance(node, SortNode):
+        return {
             "keys": len(node.key_fns),
             "descending": list(node.descending_flags),
         }

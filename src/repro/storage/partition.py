@@ -80,14 +80,6 @@ class PartitionMap:
             return RangeSet()
         return RangeSet(((lo, hi),))
 
-    def servers_for_rangeset(self, rangeset):
-        """Set of servers whose ranges intersect a query's candidate ids."""
-        touched = set()
-        for server_id in range(self.n_servers):
-            if not self.ranges_for(server_id).intersect(rangeset).is_empty():
-                touched.add(server_id)
-        return touched
-
     def __repr__(self):
         return f"PartitionMap(servers={self.n_servers})"
 

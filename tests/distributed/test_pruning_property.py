@@ -13,6 +13,7 @@ container reads on servers outside its cover.
 import numpy as np
 import pytest
 
+from repro.distributed.routing import route_plan
 from repro.geometry.shapes import circle_region
 from repro.htm.cover import cover_region
 from repro.htm.mesh import lookup_ids_from_vectors
@@ -45,7 +46,8 @@ def test_cover_pruning_never_drops_matching_objects(photo, rng, depth):
     some_server_pruned = False
     for region in random_regions(rng):
         candidates = cover_region(region, depth).candidates()
-        touched = archive.partition_map.servers_for_rangeset(candidates)
+        assignments, _report = route_plan(archive, "photo", candidates)
+        touched = {server.server_id for server, _assigned in assignments}
         some_server_pruned |= len(touched) < len(archive.servers)
 
         mask = np.asarray(region.contains(xyz), dtype=bool)

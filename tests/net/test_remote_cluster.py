@@ -108,11 +108,11 @@ def test_cluster_prunes_endpoints_conservatively(
 
     plan = plan_query(parse_query(query), engine.schemas)
     candidates = shard_candidates(plan, partitioned_archive.depth)
-    local_touched, _local_report = route_plan(
+    local_assignments, _local_report = route_plan(
         partitioned_archive, plan.routed_source, candidates
     )
     assert set(report.touched_server_ids) <= {
-        node.server_id for node in local_touched
+        node.server_id for node, _assigned in local_assignments
     }
     # Correctness despite pruning: the cone's rows are complete.
     assert len(cluster_session.query_table(query)) == len(

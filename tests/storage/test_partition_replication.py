@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.distributed.routing import route_plan
 from repro.htm.mesh import depth_id_bounds
 from repro.htm.ranges import RangeSet
 from repro.storage.partition import PartitionMap, Partitioner
@@ -58,14 +59,18 @@ class TestPartitionMap:
             union = union | pmap.ranges_for(server)
         assert union.intervals == ((lo, hi - 1),)
 
-    def test_servers_for_rangeset(self, weights):
-        pmap = Partitioner(5).build(weights, 4)
+    def test_route_plan_assigns_owned_ranges(self, photo):
+        archive = DistributedArchive.from_table(photo, depth=5, n_servers=4)
         lo, hi = depth_id_bounds(5)
-        all_servers = pmap.servers_for_rangeset(RangeSet([(lo, hi - 1)]))
-        assert all_servers == {0, 1, 2, 3}
+        assignments, report = route_plan(archive, "photo", RangeSet([(lo, hi - 1)]))
+        assert [server.server_id for server, _ in assignments] == [0, 1, 2, 3]
+        for server, assigned in assignments:
+            assert assigned == archive.partition_map.ranges_for(server.server_id)
         # A tiny range should hit one server.
         tiny = RangeSet([(lo + 5, lo + 5)])
-        assert len(pmap.servers_for_rangeset(tiny)) == 1
+        assignments, report = route_plan(archive, "photo", tiny)
+        assert [assigned for _, assigned in assignments] == [tiny]
+        assert len(report.pruned_server_ids) == 3
 
 
 class TestPartitioner:
