@@ -118,10 +118,6 @@ class Region:
         """Region AND NOT other."""
         return self.intersect(other.complement())
 
-    def bounding_circles(self):
-        """Per-clause bounding caps (``None`` entries for unbounded clauses)."""
-        return [c.bounding_circle() for c in self.convexes]
-
     def area_estimate_sqdeg(self, samples=20000, rng=0):
         """Monte-Carlo area estimate in square degrees.
 

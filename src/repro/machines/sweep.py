@@ -285,10 +285,10 @@ class SweepScanner:
 
     #: pages advanced per live step: amortizes the lock cycle and queue
     #: handoff without coarsening join/complete granularity (runs still
-    #: break at wrap boundaries and completion points).  Eight 64 KiB
-    #: pages, 512 KiB a step, measured against 2 and 4 pages and against
-    #: 16–128 KiB pages on ``scan_sweep`` and ``cone_search``
-    stride = 8
+    #: break at wrap boundaries and completion points).  Thirty-two
+    #: 64 KiB pages: ``scan_sweep`` ops/s medians 276, 293, 321, 334 at
+    #: 8, 16, 32, 64 pages, ``cone_search`` 232, 235, 236, 225 (4 seeds)
+    stride = 32
 
     def __init__(self, store, name=None, throttle=0.0):
         self.store = store

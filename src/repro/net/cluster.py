@@ -197,7 +197,6 @@ class RemotePartitionedExecutor(Executor):
         *,
         connect_timeout=5.0,
         timeout=None,
-        batch_rows=4096,
         compression=None,
         user=None,
         token=None,
@@ -205,7 +204,6 @@ class RemotePartitionedExecutor(Executor):
         urls = list(urls)
         if not urls:
             raise ValueError("remote cluster needs at least one endpoint")
-        self.batch_rows = int(batch_rows)
         if compression is None:
             # honor ?compress=zlib URL options (any endpoint opts the
             # whole cluster in — shard streams share one codec choice)

@@ -78,8 +78,12 @@ class QueryPlan:
     predicate:
         Compiled WHERE mask function.
     projection:
-        ``(name, hint, fn)`` triples for the ProjectNode; empty = ``*``.
-        Unused when ``is_aggregate``.
+        ``(name, hint, fn)`` triples for the ProjectNode; empty = the
+        scan's rows (``*`` or bare columns).  Unused when ``is_aggregate``.
+    gathered:
+        Schema of the rows the scan emits: the columns the nodes above it
+        read (projection, ORDER BY keys, GROUP BY, aggregate arguments;
+        not WHERE-only ones), or ``None`` for whole rows (``SELECT *``).
     order_key_fns / order_descending:
         Compiled ORDER BY keys (against the output schema for
         aggregates).
@@ -104,6 +108,7 @@ class QueryPlan:
     having_fn: object = None
     used_tag_route: bool = False
     used_spatial_index: bool = False
+    gathered: Schema | None = None
 
 
 def _projection_name(expr, alias, index):
@@ -229,11 +234,11 @@ def plan_query(select, schemas, allow_tag_route=True):
     # to a narrower physical table.  For aggregates, HAVING and ORDER BY
     # reference *output* names and are excluded here.
     exprs = [expr for expr, _alias in select.columns]
-    exprs.append(select.where)
     exprs.extend(select.group_by)
     if not is_aggregate:
         exprs.extend(term.expr for term in order_terms)
-    needed = referenced_columns([e for e in exprs if e is not None])
+    read_above = referenced_columns(exprs)
+    needed = read_above | referenced_columns(select.where)
     if not select.columns:
         needed |= set(schemas[select.source].field_names())
 
@@ -258,6 +263,16 @@ def plan_query(select, schemas, allow_tag_route=True):
 
     region = extract_spatial_region(select.where)
     predicate = compile_predicate(select.where, schema)
+    # The scan gathers what the nodes above it read.  A select list of
+    # exactly those columns, bare and distinct, is the scan's output (in
+    # select-list order), and no projection runs over it.
+    bare = [e.name for e, alias in select.columns if isinstance(e, Column) and not alias]
+    is_bare = not is_aggregate and len(bare) == len(select.columns) and (
+        sorted(bare) == sorted(read_above)
+    )
+    dtype = schema.numpy_dtype()
+    names = bare if is_bare else [n for n in dtype.names if n in read_above]
+    fields = [SchemaField(n, dtype[n].base.str, shape=dtype[n].shape) for n in names]
 
     plan = QueryPlan(
         source=select.source,
@@ -268,6 +283,7 @@ def plan_query(select, schemas, allow_tag_route=True):
         limit=select.limit,
         used_tag_route=used_tag_route,
         used_spatial_index=region is not None,
+        gathered=Schema("projection", fields) if select.columns else None,
     )
 
     if is_aggregate:
@@ -281,9 +297,10 @@ def plan_query(select, schemas, allow_tag_route=True):
         ) = _plan_aggregation(select, schema, order_terms)
         plan.is_aggregate = True
     else:
-        for index, (expr, alias) in enumerate(select.columns):
-            name = _projection_name(expr, alias, index)
-            plan.projection.append((name, None, compile_scalar(expr, schema)))
+        if not is_bare:
+            for index, (expr, alias) in enumerate(select.columns):
+                name = _projection_name(expr, alias, index)
+                plan.projection.append((name, None, compile_scalar(expr, schema)))
         plan.order_key_fns = [
             compile_scalar(term.expr, schema) for term in order_terms
         ]
@@ -343,7 +360,7 @@ def output_schema_for(plan, schemas):
 
     routed = schemas[plan.routed_source]
     if not plan.is_aggregate and not plan.projection:
-        return routed
+        return routed if plan.gathered is None else plan.gathered
     try:
         empty = ObjectTable(routed)
         if plan.is_aggregate:

@@ -329,7 +329,9 @@ def extract_spatial_region(expr):
 def referenced_columns(expr_or_exprs):
     """Set of column names referenced by one or more expressions.
 
-    Class constants (STAR, GALAXY, ...) are not columns and are excluded.
+    Class constants (STAR, GALAXY, ...) are not columns and are excluded;
+    a spatial term or ``DIST_ARCMIN`` reads the position columns
+    ``cx, cy, cz`` without naming them.
     """
     exprs = expr_or_exprs if isinstance(expr_or_exprs, (list, tuple)) else [expr_or_exprs]
     names = set()
@@ -339,4 +341,8 @@ def referenced_columns(expr_or_exprs):
         for node in walk_expr(expr):
             if isinstance(node, Column) and node.name.upper() not in _CLASS_CONSTANTS:
                 names.add(node.name)
+            elif isinstance(node, FuncCall) and (
+                node.name in SPATIAL_FUNCTIONS or node.name == "DIST_ARCMIN"
+            ):
+                names.update(("cx", "cy", "cz"))
     return names

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.catalog.schema import Field as SchemaField
 from repro.catalog.schema import Schema
-from repro.catalog.table import ObjectTable, concat_records, take_records
+from repro.catalog.table import ObjectTable, concat_records, take_columns, take_records
 from repro.htm.ranges import RangeSet
 from repro.query.errors import ExecutionError
 
@@ -366,13 +366,16 @@ class ScanNode(QETNode):
     accumulate until roughly ``batch_rows`` rows are buffered, then one
     vectorized predicate pass filters the whole morsel — a view of the
     store's arena when its containers are consecutive there, else one
-    byte-level gather (``rows_copied``).  A morsel every row passes is
-    emitted unchanged, so a whole-catalog scan hands out read-only
-    views of the arena and copies no row.  With the archive's many small
-    containers (a handful of rows each) this turns tens of thousands of
-    tiny numpy calls per query into a few dozen large ones; row order is
-    the sweep's delivery order regardless of the morsel size
-    (``batch_rows`` is positive; the engines check it).
+    byte-level gather (``rows_copied``), which the predicate reads in
+    place.  The node emits only the plan's ``gathered`` columns of the
+    rows that pass — the ones the nodes above it read — one gather per
+    column, all-pass morsels included.  ``SELECT *`` emits whole rows:
+    a morsel every row passes unchanged, so a whole-catalog ``SELECT *``
+    hands out read-only views of the arena and copies no row.  With the
+    archive's many small containers (a handful of rows each) this turns
+    tens of thousands of tiny numpy calls per query into a few dozen
+    large ones; row order is the sweep's delivery order regardless of
+    the morsel size (``batch_rows`` is positive; the engines check it).
 
     The morsel target *ramps up* (``RAMP_ROWS`` rows for the first
     flush, growing 4x per flush until it reaches ``batch_rows``), so the
@@ -439,8 +442,13 @@ class ScanNode(QETNode):
         self.stats.note_buffered(buffered)
         morsel = self._morsel(pieces)
         mask = self.plan.predicate(morsel)
-        selected = morsel if mask.all() else morsel.select(mask)
         self.stats.predicate_evals += 1
+        gathered = self.plan.gathered
+        if gathered is not None:
+            data = take_columns(morsel.data, mask, gathered.numpy_dtype())
+            selected = ObjectTable(gathered, data)
+        else:
+            selected = morsel if mask.all() else morsel.select(mask)
         if self.track_delivery and len(selected):
             # One batch per flush, never chunked: the claim says "every
             # row of these containers is in the stream up to and
@@ -533,9 +541,9 @@ class ScanNode(QETNode):
 class ProjectNode(QETNode):
     """Evaluates the select list over each incoming batch.
 
-    ``projection`` is a list of ``(name, dtype_hint_or_None, fn)``; the
-    output schema is constructed from the first batch's evaluated dtypes.
-    An empty projection list means pass-through (``SELECT *``).
+    ``projection`` is a non-empty list of ``(name, dtype_hint_or_None,
+    fn)``; the output schema is constructed from the first batch's
+    evaluated dtypes.
     """
 
     name = "project"
@@ -548,11 +556,6 @@ class ProjectNode(QETNode):
     def run(self):
         child = self.children[0]
         for batch in child.output:
-            if not self.projection:
-                if not self._emit(batch):
-                    child.output.cancel()
-                    return
-                continue
             projected = self._project(batch)
             # 1:1 batch mapping: the delivery-tracking annotation (if
             # any) describes exactly the same rows after projection.

@@ -903,7 +903,7 @@ class Archive:
         scans coalesce delivered containers to roughly this many rows per
         vectorized pass (it must be positive).  It has no effect on
         backend shapes that arrive with their batching already configured
-        (a pre-built engine, an ``archive://`` URL).
+        (a pre-built engine, ``archive://`` URLs, shard processes).
 
         Every QET node runs on one thread.  ``process_shards=True``
         (requires ``archive=``) is the way to use more cores: it serves
@@ -1007,9 +1007,7 @@ class Archive:
 
             cluster = ProcessShardCluster.from_archive(target)
             try:
-                executor = RemotePartitionedExecutor(
-                    cluster.urls, batch_rows=batch_rows
-                )
+                executor = RemotePartitionedExecutor(cluster.urls)
             except Exception:
                 cluster.close()
                 raise
@@ -1031,9 +1029,7 @@ class Archive:
             # A list of endpoints: remote scatter-gather shards.
             from repro.net.cluster import RemotePartitionedExecutor
 
-            executor = RemotePartitionedExecutor(
-                target, batch_rows=batch_rows, user=user, token=token
-            )
+            executor = RemotePartitionedExecutor(target, user=user, token=token)
         elif isinstance(target, DistributedArchive):
             executor = DistributedQueryEngine(target, batch_rows=batch_rows)
         elif isinstance(target, dict):

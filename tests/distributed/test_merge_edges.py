@@ -3,8 +3,9 @@
 Covers the awkward corners: shards that produce nothing, LIMIT below the
 batch size (early cancellation through the merge), AVG re-combination
 weighting (sum/count pairs, not mean-of-means), tie handling in the
-ordered k-way merge, and queries whose every shard is pruned by the HTM
-cover (empty but well-formed output).
+coordinator's ordered merge (one stable sort of every shard's rows),
+and queries whose every shard is pruned by the HTM cover (empty but
+well-formed output).
 """
 
 import numpy as np
@@ -139,8 +140,8 @@ class TestOrderedMergeTies:
         np.testing.assert_array_equal(first["objid"], second["objid"])
 
     def test_single_shard_merge_is_stable(self, session, dsessions, assert_same_rows):
-        # With one server the k-way merge must preserve the shard's
-        # stable sort order exactly — positional equality with the
+        # With one server the coordinator's stable sort must preserve
+        # the shard's sort order exactly — positional equality with the
         # single-store engine.
         assert_same_rows(
             session.query_table(self.TIE_QUERY),
@@ -306,7 +307,18 @@ class TestSplitPlanUnits:
         assert sharded.shard.limit == 10
         assert sharded.shard.order_key_fns
         assert sharded.shard.projection == []
-        assert len(sharded.merge.projection) == 2
+        # A select list of bare columns is what the shard scans emit.
+        assert sharded.merge.projection == []
+        assert sharded.shard.gathered.field_names() == ["objid", "mag_r"]
+
+    def test_ordered_split_ships_the_sort_key_and_projects_after(self, engine):
+        plan = self._plan(
+            engine, "SELECT objid FROM photo ORDER BY mag_r LIMIT 10"
+        )
+        sharded = split_plan(plan)
+        assert sharded.shard.projection == []
+        assert sorted(sharded.shard.gathered.field_names()) == ["mag_r", "objid"]
+        assert [n for n, _h, _fn in sharded.merge.projection] == ["objid"]
 
     def test_plain_split_pushes_projection(self, engine):
         plan = self._plan(engine, "SELECT objid FROM photo WHERE mag_r < 16")

@@ -247,6 +247,18 @@ def test_owner_side_channel_cancel_reaches_a_queued_batch_job(photo):
     store = ContainerStore.from_table(photo, depth=3)
     store.sweeper().throttle = 0.012  # a page a step: ~1 s a lap
     server = ArchiveServer(stores={"photo": store}, auth=USERS).start()
+    # The victim's first fetch reaches the server only after its client
+    # holds the server-side job id, so from then on its cancel can name
+    # the job on the side channel.
+    victim_fetching = threading.Event()
+    handle_fetch = server._handle_fetch
+
+    def noting_fetch(sock, header, conn):
+        if conn.effective_user == "alice":
+            victim_fetching.set()
+        handle_fetch(sock, header, conn)
+
+    server._handle_fetch = noting_fetch
     blocker_session = Archive.connect(url_for(server, "bob"))
     victim_session = Archive.connect(url_for(server, "alice"))
     try:
@@ -254,9 +266,7 @@ def test_owner_side_channel_cancel_reaches_a_queued_batch_job(photo):
         victim = victim_session.submit(
             "SELECT objid FROM photo WHERE mag_r < 19", query_class="batch"
         )
-        deadline = time.monotonic() + 10.0
-        while len(server.jobs()) < 2 and time.monotonic() < deadline:
-            time.sleep(0.02)
+        assert victim_fetching.wait(timeout=10.0)
         assert len(server.jobs()) == 2
         victim.cancel()
         assert victim.wait(timeout=10.0).value == "cancelled"

@@ -8,6 +8,7 @@ source table.
 import numpy as np
 import pytest
 
+from repro.catalog.schema import Field, Schema
 from repro.geometry.shapes import circle_region
 from repro.query.engine import QueryEngine
 from repro.query.errors import ExecutionError, PlanError, QueryError
@@ -233,6 +234,20 @@ class TestErrors:
         # errors need an engine-level fault; covered by qet tests).
         with pytest.raises(QueryError):
             session.query_table("SELECT FROB(objid) FROM photo")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT objid FROM t WHERE CIRCLE(10, 10, 1)",
+            "SELECT objid, DIST_ARCMIN(10, 10) AS d FROM t",
+        ],
+    )
+    def test_positions_a_table_lacks_fail_to_plan(self, text):
+        # A table without cx, cy, cz (a MyDB result, say) cannot serve a
+        # spatial term: the plan names the columns, execution never starts.
+        t = Schema("t", [Field("objid", "i8"), Field("mag_r", "f4")])
+        with pytest.raises(PlanError, match=r"\['cx', 'cy', 'cz'\]"):
+            plan_selects(parse_query(text), {"t": t})
 
     def test_engine_requires_stores(self):
         with pytest.raises(ValueError):

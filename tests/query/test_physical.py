@@ -374,6 +374,7 @@ def test_planning_takes_the_schemas_and_nothing_else():
     import inspect
 
     from repro.distributed.engine import DistributedQueryEngine
+    from repro.net.cluster import RemotePartitionedExecutor
     from repro.query.engine import QueryEngine
     from repro.query.optimizer import QueryPlan, plan_query
     from repro.query.physical import plan_selects, prepare_query
@@ -392,6 +393,14 @@ def test_planning_takes_the_schemas_and_nothing_else():
     ]
     assert names(QueryEngine) == ["stores", "batch_rows"]
     assert names(DistributedQueryEngine) == ["archive", "batch_rows"]
+    assert names(RemotePartitionedExecutor) == [
+        "urls",
+        "connect_timeout",
+        "timeout",
+        "compression",
+        "user",
+        "token",
+    ]
     assert names(Archive.connect) == [
         "backend",
         "stores",

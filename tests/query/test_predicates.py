@@ -180,7 +180,11 @@ class TestRegionExtraction:
 class TestReferencedColumns:
     def test_collects_columns(self):
         expr = parse_expression("mag_g - mag_r < 0.4 AND CIRCLE(1, 2, 3)")
-        assert referenced_columns(expr) == {"mag_g", "mag_r"}
+        assert referenced_columns(expr) == {"mag_g", "mag_r", "cx", "cy", "cz"}
+
+    def test_distance_reads_positions(self):
+        expr = parse_expression("DIST_ARCMIN(1, 2) < objid")
+        assert referenced_columns(expr) == {"objid", "cx", "cy", "cz"}
 
     def test_class_constants_excluded(self):
         expr = parse_expression("objtype = QUASAR")

@@ -13,17 +13,25 @@ class TestLocalPlans:
             "ORDER BY mag_r LIMIT 5"
         )
         kinds = [node.kind for node in tree.walk()]
-        # ORDER BY ... LIMIT fuses into one streaming top-k node.
-        assert kinds == ["project", "topk", "scan"]
+        # ORDER BY ... LIMIT fuses into one streaming top-k node; a
+        # select list of bare columns is the scan's own output.
+        assert kinds == ["topk", "scan"]
         assert tree.find("topk")[0].detail["limit"] == 5
-        assert tree.find("project")[0].detail["columns"] == ["objid", "mag_r"]
+
+    def test_computed_select_list_projects(self, local_session):
+        tree = local_session.explain(
+            "SELECT objid, mag_r AS m FROM photo WHERE mag_r < 17 "
+            "ORDER BY mag_r LIMIT 5"
+        )
+        assert [node.kind for node in tree.walk()] == ["project", "topk", "scan"]
+        assert tree.find("project")[0].detail["columns"] == ["objid", "m"]
 
     def test_order_without_limit_keeps_sort(self, local_session):
         tree = local_session.explain(
             "SELECT objid, mag_r FROM photo WHERE mag_r < 17 ORDER BY mag_r"
         )
         kinds = [node.kind for node in tree.walk()]
-        assert kinds == ["project", "sort", "scan"]
+        assert kinds == ["sort", "scan"]
 
     def test_tag_routing_surfaces(self, local_session):
         tree = local_session.explain("SELECT objid, mag_r FROM photo WHERE mag_r < 18")
@@ -107,7 +115,7 @@ class TestExplainDoesNotExecute:
 
     def test_rendering_is_indented(self, local_session):
         text = local_session.explain(
-            "SELECT objid, mag_r FROM photo WHERE mag_r < 17 ORDER BY mag_r"
+            "SELECT objid, mag_r AS m FROM photo WHERE mag_r < 17 ORDER BY mag_r"
         ).render()
         lines = text.splitlines()
         assert len(lines) >= 3

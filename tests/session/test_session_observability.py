@@ -122,7 +122,7 @@ class TestParseOnce:
 
 class TestExplainAnalyze:
     def test_measured_detail_on_every_executed_node(self, local_session):
-        tree = local_session.explain_analyze(QUERY)
+        tree = local_session.explain_analyze(f"{QUERY} ORDER BY mag_r")
         seen = []
 
         def walk(node):
@@ -131,7 +131,7 @@ class TestExplainAnalyze:
                 walk(child)
 
         walk(tree)
-        assert len(seen) >= 2  # at least scan + project
+        assert len(seen) >= 2  # at least scan + sort
         for node in seen:
             assert "rows" in node.detail
             assert node.detail["time_ms"] is None or node.detail["time_ms"] >= 0.0
