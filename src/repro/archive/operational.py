@@ -108,8 +108,3 @@ class OperationalArchive:
             if stored.published_version is not None:
                 republished.append((stored.chunk_id, self.publish(stored.chunk_id)))
         return republished
-
-    def stored_chunk_ids(self, principal="pipeline"):
-        """Chunk ids behind the firewall (operations only)."""
-        self._check_access(principal)
-        return sorted(self._chunks)

@@ -7,8 +7,8 @@ object counts and summed flux per band, stored zlib-compressed per
 coarse tile (the "items" of Table 1), decompressed on demand.
 
 This gives the archive a real second imaging-derived product exercising
-the same container/trixel machinery as the catalog, and a measurable
-bytes-per-tile figure for the Table 1 cross-check.
+the same container/trixel machinery as the catalog, with its stored and
+raw byte counts (:class:`SkyMapStats`) to set beside Table 1's entry.
 """
 
 from __future__ import annotations
@@ -32,18 +32,6 @@ class SkyMapStats:
     occupied_bins: int = 0
     raw_bytes: int = 0
     compressed_bytes: int = 0
-
-    def compression_factor(self):
-        """Raw array bytes over stored bytes."""
-        if self.compressed_bytes == 0:
-            return 1.0
-        return self.raw_bytes / self.compressed_bytes
-
-    def bytes_per_tile(self):
-        """Mean stored bytes per coarse tile."""
-        if self.tiles == 0:
-            return 0.0
-        return self.compressed_bytes / self.tiles
 
 
 class SkyMap:

@@ -5,15 +5,17 @@
 I/O"* — and the query system rides that split: every parsed query is
 planned once, the plan is divided by
 :func:`~repro.query.optimizer.split_plan` into a per-shard sub-plan
-(scan + filter + partial aggregation + sort/limit/projection pushdown)
-and a coordinator merge, and the sub-plan is *shipped* to each partition
-server whose HTM range intersects the plan's cover.  Every shard runs
-the paper's multi-threaded QET locally.  The coordinator's exchange
-(:class:`~repro.query.qet.ExchangeNode`) preserves the ASAP-push
-contract — the user sees the first batch while the slowest shard is
-still scanning; its ORDER BY (:class:`~repro.query.qet.MergeSortNode`,
-the ordinary sort over every shard stream) and re-aggregation are
-pipeline breakers, as on one store.
+(scan + filter + the partial half of an aggregate + top-k/limit/
+projection pushdown) and a coordinator merge, and the sub-plan is
+*shipped* to each partition server whose HTM range intersects the
+plan's cover.  Every shard runs the paper's multi-threaded QET locally.
+The coordinator's exchange (:class:`~repro.query.qet.ExchangeNode`)
+preserves the ASAP-push contract — the user sees the first batch while
+the slowest shard is still scanning; its ORDER BY
+(:class:`~repro.query.qet.MergeSortNode`, the ordinary sort over every
+shard stream) and its aggregate
+(:class:`~repro.query.qet.MergeAggregateNode`, which folds the shards'
+partial states) are pipeline breakers, as on one store.
 
 The trees are built by :mod:`repro.query.physical` — the same
 ``shard_tree`` / ``merge_tree`` a remote cluster uses; this engine
@@ -51,7 +53,7 @@ class DistributedQueryEngine(Executor):
     SELECT fans out to the partition servers: shard sub-QETs run in
     parallel against each touched server's container stores and a
     coordinator merge tree recombines the streams (union, one sort over
-    the shard streams, or partial aggregate re-combination).  Servers
+    the shard streams, or one aggregate over their partial states).  Servers
     outside the plan's HTM cover are pruned and never read; each touched
     server's shard scan reads only the containers it owns under the
     cover (a replica another server owns is never read twice) and rides

@@ -205,12 +205,6 @@ class UnitVector:
         """Declination in degrees."""
         return vector_to_radec(self.xyz)[1]
 
-    def separation_deg(self, other):
-        """Angular separation to another :class:`UnitVector`, in degrees."""
-        other_xyz = other.xyz if isinstance(other, UnitVector) else np.asarray(other)
-        cos_sep = float(np.clip(np.dot(self.xyz, other_xyz), -1.0, 1.0))
-        return math.degrees(math.acos(cos_sep))
-
     def __iter__(self):
         return iter(self.xyz)
 

@@ -166,13 +166,6 @@ class RangeSet:
                 result.append((start, hi))
         return RangeSet(result)
 
-    def to_parent_depth(self):
-        """Map every id to its parent (``id >> 2``), merging intervals.
-
-        Useful for coarsening a leaf-depth coverage to a container depth.
-        """
-        return RangeSet(tuple((lo >> 2, hi >> 2) for lo, hi in self.intervals))
-
     def __eq__(self, other):
         if not isinstance(other, RangeSet):
             return NotImplemented

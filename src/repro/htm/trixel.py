@@ -158,12 +158,6 @@ class Trixel:
         """Trixel area in square degrees."""
         return self.area_sr() * (180.0 / math.pi) ** 2
 
-    def bounding_cap(self):
-        """(center, cos_radius): smallest cap about the centroid holding all corners."""
-        center = self.center()
-        cos_radius = float(min(np.dot(self.corners, center)))
-        return center, cos_radius
-
     def __repr__(self):
         from repro.htm.mesh import id_to_name
 

@@ -16,11 +16,11 @@ behind a real :class:`~repro.net.server.ArchiveServer`:
   :func:`~repro.query.optimizer.split_plan` from the text, so no plan
   closures ever cross the wire, and no shard server covers again;
 * the ordinary coordinator merge tree
-  (:func:`~repro.query.physical.merge_tree`: streaming
-  exchange, one sort over the shard streams, partial-aggregate
-  recombination) runs
-  over :class:`~repro.net.client.RemoteRootNode` leaves instead of
-  local scans — scatter-gather genuinely spanning processes.
+  (:func:`~repro.query.physical.merge_tree`: streaming exchange, one
+  sort over the shard streams, or one aggregate folding the shards'
+  partial states) runs over :class:`~repro.net.client.RemoteRootNode`
+  leaves instead of local scans — scatter-gather genuinely spanning
+  processes.
 
 ``Archive.connect(["archive://h:p0", "archive://h:p1", ...])`` builds
 one of these and returns an ordinary :class:`~repro.session.Session`.
@@ -105,12 +105,11 @@ def _failover_strategy(sharded):
       bookkeeping once rows flowed — only a ``fresh`` zero-row restart
       is sound;
     * everything else may ``split`` the remainder across any survivors:
-      plain streams are order-free, ``aggregate`` merges recombine
-      partials over disjoint container sets, and an ``ordered`` merge
-      sorts whatever its shard streams deliver.
+      plain streams are order-free, an ``aggregate`` coordinator folds
+      partial states of disjoint container sets, and an ``ordered``
+      merge sorts whatever its shard streams deliver.
     """
-    merge = sharded.merge
-    if merge.kind == "stream" and merge.limit is not None:
+    if sharded.kind == "stream" and sharded.base.limit is not None:
         return "fresh"
     return "split"
 

@@ -18,7 +18,6 @@ from repro.query.errors import QueryError, ParseError, PlanError
 from repro.query.parser import parse_query
 from repro.query.engine import QueryEngine, QueryResult
 from repro.query.optimizer import (
-    MergeSpec,
     QueryPlan,
     ShardedPlan,
     plan_query,
@@ -36,7 +35,6 @@ __all__ = [
     "QueryResult",
     "QueryPlan",
     "plan_query",
-    "MergeSpec",
     "ShardedPlan",
     "split_plan",
     "shard_candidates",

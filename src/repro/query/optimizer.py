@@ -21,13 +21,14 @@ prediction figure test; no plan carries one.
 
 Distributed splitting ("Splitting the data among multiple servers enables
 parallel, scalable I/O"): :func:`split_plan` divides a single-store
-:class:`QueryPlan` into a per-shard sub-plan — scan + filter + partial
-aggregation + sort/limit/projection pushdown, executed unchanged on every
-partition server — and a :class:`MergeSpec` telling the coordinator how to
-recombine the shard streams; :func:`shard_candidates` turns the plan's
-region into the HTM :class:`~repro.htm.ranges.RangeSet` used to *prune*
-servers whose id ranges cannot hold a matching object and the containers
-each scan is delivered.
+:class:`QueryPlan` into the per-shard sub-plan — scan + filter + the
+partial half of an aggregate + sort/limit/projection pushdown, executed
+unchanged on every partition server — and names how the coordinator
+recombines the shard streams from the plan itself (a
+:class:`ShardedPlan`'s ``kind``); :func:`shard_candidates` turns the
+plan's region into the HTM :class:`~repro.htm.ranges.RangeSet` used to
+*prune* servers whose id ranges cannot hold a matching object and the
+containers each scan is delivered.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from repro.query.predicates import (
     extract_spatial_region,
     referenced_columns,
 )
+from repro.query.qet import _GroupedAccumulator
 
 __all__ = [
     "QueryPlan",
@@ -53,7 +55,6 @@ __all__ = [
     "output_schema_for",
     "fused_top_k",
     "AGGREGATE_FUNCTIONS",
-    "MergeSpec",
     "ShardedPlan",
     "split_plan",
     "shard_candidates",
@@ -91,6 +92,8 @@ class QueryPlan:
         Row limit or ``None``.
     is_aggregate / group_specs / aggregate_specs / output_order / having_fn:
         Aggregation plan parts for the AggregateNode and HAVING filter.
+        The shard half of a split aggregate lists its accumulator's
+        ``state_names`` as ``output_order``: it emits its partials.
     """
 
     source: str
@@ -214,6 +217,14 @@ def plan_query(select, schemas, allow_tag_route=True):
     )
     if select.having is not None and not is_aggregate:
         raise PlanError("HAVING requires GROUP BY or aggregate columns")
+    # The columns of one table need distinct names.
+    names = [_projection_name(e, alias, i) for i, (e, alias) in enumerate(select.columns)]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise PlanError(
+            f"column names {repeated} appear twice in the select list; "
+            "rename one with AS"
+        )
 
     # ORDER BY may name select-list aliases; substitute them up front.
     # (Aggregate plans sort on output columns instead, no substitution.)
@@ -329,23 +340,6 @@ def fused_top_k(plan):
 # ----------------------------------------------------------------------
 
 
-def _aggregate_dtype(kind, base):
-    """Output dtype of one aggregate, matching AggregateNode's arrays.
-
-    The runtime node builds columns from the reduced scalars, so the
-    static schema must reproduce numpy's reduction dtypes — COUNT
-    collects python ints (int64), SUM follows np.sum's promotion, AVG
-    follows np.mean, MIN/MAX keep the input dtype.
-    """
-    if kind == "COUNT":
-        return np.dtype(np.int64)
-    if kind == "SUM":
-        return np.sum(np.zeros(1, dtype=base)).dtype
-    if kind == "AVG":
-        return np.mean(np.zeros(1, dtype=base)).dtype
-    return np.dtype(base)
-
-
 def output_schema_for(plan, schemas):
     """Static output :class:`Schema` of one plan, or ``None`` if unknowable.
 
@@ -364,17 +358,8 @@ def output_schema_for(plan, schemas):
     try:
         empty = ObjectTable(routed)
         if plan.is_aggregate:
-            dtypes = {}
-            for name, fn in plan.group_specs:
-                if name is not None:
-                    dtypes[name] = np.asarray(fn(empty)).dtype
-            for name, kind, fn in plan.aggregate_specs:
-                base = np.asarray(fn(empty)).dtype
-                dtypes[name] = _aggregate_dtype(kind, base)
-            return Schema(
-                "aggregation",
-                [SchemaField(n, dtypes[n].str) for n in plan.output_order],
-            )
+            accumulator = _GroupedAccumulator(plan.group_specs, plan.aggregate_specs)
+            return accumulator.schema(empty, plan.output_order)
         fields = []
         for name, _hint, fn in plan.projection:
             array = np.asarray(fn(empty))
@@ -394,170 +379,53 @@ def output_schema_for(plan, schemas):
 
 
 @dataclass
-class MergeSpec:
-    """Coordinator-side recipe for recombining shard streams.
-
-    ``kind`` selects the merge strategy:
-
-    * ``'stream'`` — unordered union of shard batches (projection and
-      LIMIT were pushed down; the coordinator only re-applies the global
-      LIMIT);
-    * ``'ordered'`` — one sort of every shard's rows on
-      ``order_key_fns`` (each shard already sorted and LIMIT-trimmed its
-      own); the final projection runs after the sort because sort keys
-      reference source columns;
-    * ``'aggregate'`` — re-group the shards' partial aggregates
-      (``group_specs`` + ``reaggregate_specs``), rebuild the final
-      columns (``final_projection`` divides AVG's sum/count pair), then
-      apply HAVING / ORDER BY / LIMIT exactly as the single-store plan
-      would.
-    """
-
-    kind: str
-    limit: int | None = None
-    projection: list = field(default_factory=list)
-    order_key_fns: list = field(default_factory=list)
-    order_descending: list = field(default_factory=list)
-    group_specs: list = field(default_factory=list)
-    reaggregate_specs: list = field(default_factory=list)
-    reaggregate_order: list = field(default_factory=list)
-    final_projection: list = field(default_factory=list)
-    having_fn: object = None
-
-
-@dataclass
 class ShardedPlan:
     """A :class:`QueryPlan` split for scatter-gather execution.
 
-    ``shard`` runs unchanged on every touched partition server; ``merge``
-    recombines the shard streams on the coordinator; ``base`` is the
-    original single-store plan (kept for routing, region, and reports).
+    ``shard`` runs unchanged on every touched partition server; ``base``
+    is the original single-store plan, whose ORDER BY, LIMIT, projection
+    and aggregate the coordinator finishes; ``kind`` says how it
+    recombines the shard streams:
+
+    * ``'stream'`` — an unordered union (projection and LIMIT were pushed
+      down; the coordinator only re-applies the global LIMIT);
+    * ``'ordered'`` — one sort of every shard's rows (each shard sorted
+      and LIMIT-trimmed its own), then the LIMIT and the projection
+      (sort keys reference source columns);
+    * ``'aggregate'`` — every shard emits its aggregate's partial state;
+      the coordinator folds the states and finishes the aggregate, then
+      HAVING / ORDER BY / LIMIT exactly as the single-store plan would.
     """
 
     base: QueryPlan
     shard: QueryPlan
-    merge: MergeSpec
-
-
-def _column_getter(name):
-    def getter(table, _name=name):
-        return table[_name]
-
-    return getter
-
-
-def _avg_getter(name):
-    def getter(table, _name=name):
-        sums = np.asarray(table[f"{_name}__sum"])
-        counts = table[f"{_name}__count"]
-        # Match np.mean's output dtype: float32 input -> float32 mean
-        # (plain division would widen to float64 and change the schema),
-        # but integer input -> float64, never a truncating int cast.
-        if np.issubdtype(sums.dtype, np.floating):
-            return np.asarray(sums / counts, dtype=sums.dtype)
-        return sums / counts
-
-    return getter
-
-
-def _split_aggregate(plan):
-    """Partial aggregation: each shard groups and pre-reduces its own
-    rows; the coordinator re-reduces the partials.
-
-    COUNT re-combines by SUM, SUM/MIN/MAX by themselves, and AVG ships a
-    ``(sum, count)`` pair so the coordinator's division is weighted by
-    shard group sizes.  Grouping keys that are not select-list columns
-    still have to travel (two groups distinct only in a hidden key must
-    not collapse at the coordinator), so shards emit them under synthetic
-    ``__group<k>`` names that the final projection drops.
-    """
-    shard_groups = []
-    merge_groups = []
-    hidden = 0
-    for name, fn in plan.group_specs:
-        if name is None:
-            name = f"__group{hidden}"
-            hidden += 1
-            shard_groups.append((name, fn))
-            merge_groups.append((None, _column_getter(name)))
-        else:
-            shard_groups.append((name, fn))
-            merge_groups.append((name, _column_getter(name)))
-
-    shard_aggs = []
-    merge_aggs = []
-    final_fns = {}
-    for name, kind, fn in plan.aggregate_specs:
-        if kind == "AVG":
-            shard_aggs.append((f"{name}__sum", "SUM", fn))
-            shard_aggs.append((f"{name}__count", "COUNT", fn))
-            merge_aggs.append(
-                (f"{name}__sum", "SUM", _column_getter(f"{name}__sum"))
-            )
-            merge_aggs.append(
-                (f"{name}__count", "SUM", _column_getter(f"{name}__count"))
-            )
-            final_fns[name] = _avg_getter(name)
-        elif kind == "COUNT":
-            shard_aggs.append((name, "COUNT", fn))
-            merge_aggs.append((name, "SUM", _column_getter(name)))
-        else:  # SUM, MIN, MAX combine with themselves
-            shard_aggs.append((name, kind, fn))
-            merge_aggs.append((name, kind, _column_getter(name)))
-
-    shard = replace(
-        plan,
-        group_specs=shard_groups,
-        aggregate_specs=shard_aggs,
-        output_order=[n for n, _fn in shard_groups]
-        + [n for n, _k, _fn in shard_aggs],
-        having_fn=None,
-        order_key_fns=[],
-        order_descending=[],
-        limit=None,
-    )
-    merge = MergeSpec(
-        kind="aggregate",
-        limit=plan.limit,
-        group_specs=merge_groups,
-        reaggregate_specs=merge_aggs,
-        reaggregate_order=[n for n, _fn in merge_groups if n is not None]
-        + [n for n, _k, _fn in merge_aggs],
-        final_projection=[
-            (name, None, final_fns.get(name, _column_getter(name)))
-            for name in plan.output_order
-        ],
-        having_fn=plan.having_fn,
-        order_key_fns=plan.order_key_fns,
-        order_descending=plan.order_descending,
-    )
-    return ShardedPlan(base=plan, shard=shard, merge=merge)
+    kind: str
 
 
 def split_plan(plan):
-    """Split a single-store :class:`QueryPlan` into shard + merge halves.
+    """Split a single-store :class:`QueryPlan` into its shard half.
 
     Everything that can run against one server's containers alone is
-    pushed down: the indexed scan, the WHERE filter, partial aggregation,
-    the per-shard sort, a copy of the LIMIT (each shard needs at most the
-    global top-k), and — when no reorder follows — the projection.  The
-    coordinator's :class:`MergeSpec` holds only the cross-shard work.
+    pushed down: the indexed scan, the WHERE filter, the partial half of
+    an aggregate, the per-shard sort, a copy of the LIMIT (each shard
+    needs at most the global top-k), and — when no reorder follows —
+    the projection.
     """
     if plan.is_aggregate:
-        return _split_aggregate(plan)
-    if plan.order_key_fns:
-        shard = replace(plan, projection=[])
-        merge = MergeSpec(
-            kind="ordered",
-            limit=plan.limit,
-            projection=plan.projection,
-            order_key_fns=plan.order_key_fns,
-            order_descending=plan.order_descending,
+        # The shard's output is the accumulator's state: its partials.
+        state = _GroupedAccumulator(plan.group_specs, plan.aggregate_specs)
+        shard = replace(
+            plan,
+            output_order=state.state_names,
+            having_fn=None,
+            order_key_fns=[],
+            order_descending=[],
+            limit=None,
         )
-        return ShardedPlan(base=plan, shard=shard, merge=merge)
-    shard = replace(plan)
-    merge = MergeSpec(kind="stream", limit=plan.limit)
-    return ShardedPlan(base=plan, shard=shard, merge=merge)
+        return ShardedPlan(base=plan, shard=shard, kind="aggregate")
+    if plan.order_key_fns:
+        return ShardedPlan(base=plan, shard=replace(plan, projection=[]), kind="ordered")
+    return ShardedPlan(base=plan, shard=replace(plan), kind="stream")
 
 
 def shard_candidates(plan, depth):

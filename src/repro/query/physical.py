@@ -11,7 +11,10 @@ nodes a planned SELECT or a set operation becomes:
   ``select_index`` a coordinator sends and a shard server resolves.
 * :func:`select_tree` (one store), :func:`shard_tree` and
   :func:`merge_tree` (the two halves of a split plan) build one SELECT
-  and share :func:`order_limit_tail`; :func:`scatter_gather_tree` is
+  and share one aggregate -> HAVING -> :func:`order_limit_tail` tail: a
+  shard's aggregate emits its partial state, and the coordinator's
+  (:class:`~repro.query.qet.MergeAggregateNode`) folds those states and
+  finishes the base plan; :func:`scatter_gather_tree` is
   plan -> split -> candidates -> fan-out -> merge, the fan-out passed in.
 * :func:`prepare_query` runs the pipeline for a backend and returns the
   :class:`PreparedQuery` — an **unstarted** tree — that the session
@@ -43,6 +46,7 @@ from repro.query.qet import (
     FilterNode,
     IntersectNode,
     LimitNode,
+    MergeAggregateNode,
     MergeSortNode,
     ProjectNode,
     QETNode,
@@ -181,18 +185,27 @@ def plan_selects(ast, schemas, allow_tag_route=True):
 # ----------------------------------------------------------------------
 
 
-def order_limit_tail(node, spec):
+def order_limit_tail(node, plan):
     """``ORDER BY`` / ``LIMIT`` over ``node``: a fused streaming
     :class:`TopKNode` (bounded candidate buffer) when both are present,
-    else a sort, else a limit.  ``spec`` is a plan or a merge spec."""
-    top_k = fused_top_k(spec)
+    else a sort, else a limit."""
+    top_k = fused_top_k(plan)
     if top_k is not None:
-        return TopKNode(node, spec.order_key_fns, spec.order_descending, top_k)
-    if spec.order_key_fns:
-        return SortNode(node, spec.order_key_fns, spec.order_descending)
-    if spec.limit is not None:
-        return LimitNode(node, spec.limit)
+        return TopKNode(node, plan.order_key_fns, plan.order_descending, top_k)
+    if plan.order_key_fns:
+        return SortNode(node, plan.order_key_fns, plan.order_descending)
+    if plan.limit is not None:
+        return LimitNode(node, plan.limit)
     return node
+
+
+def _aggregate_tail(node_class, child, plan):
+    """``plan``'s aggregate over ``child``, then HAVING and
+    :func:`order_limit_tail` (a shard's partial half has none of them)."""
+    node = node_class(child, plan.group_specs, plan.aggregate_specs, plan.output_order)
+    if plan.having_fn is not None:
+        node = FilterNode(node, plan.having_fn)
+    return order_limit_tail(node, plan)
 
 
 def select_tree(store, plan, batch_rows=4096, **scan_options):
@@ -200,12 +213,7 @@ def select_tree(store, plan, batch_rows=4096, **scan_options):
     to the :class:`~repro.query.qet.ScanNode`)."""
     node = ScanNode(store, plan, batch_rows=batch_rows, **scan_options)
     if plan.is_aggregate:
-        node = AggregateNode(
-            node, plan.group_specs, plan.aggregate_specs, plan.output_order
-        )
-        if plan.having_fn is not None:
-            node = FilterNode(node, plan.having_fn)
-        return order_limit_tail(node, plan)
+        return _aggregate_tail(AggregateNode, node, plan)
     node = order_limit_tail(node, plan)
     if plan.projection:
         node = ProjectNode(node, plan.projection)
@@ -215,9 +223,10 @@ def select_tree(store, plan, batch_rows=4096, **scan_options):
 def shard_tree(store, sharded, candidates, **options):
     """One server's sub-QET: the pushed-down shard half of a split plan.
 
-    The shard plan is an ordinary plan — a partial aggregate keeps no
-    HAVING, ORDER BY or LIMIT, and a LIMIT copy fuses into a shard-local
-    top-k, so each shard's candidate set stays bounded too — built over
+    The shard plan is an ordinary plan — an aggregate emits its partial
+    state and keeps no HAVING, ORDER BY or LIMIT, and a LIMIT copy fuses
+    into a shard-local top-k, so each shard's candidate set stays
+    bounded too — built over
     a partition server's store by the in-process engine, and by a shard
     server for a ``mode="shard"`` submission.  ``candidates`` (a
     :class:`~repro.htm.ranges.RangeSet`, or ``None`` for the scan to
@@ -232,35 +241,27 @@ def shard_tree(store, sharded, candidates, **options):
 
 
 def merge_tree(shard_roots, sharded):
-    """The coordinator half: recombine shard streams per the merge spec.
+    """The coordinator half: recombine shard streams and finish the base
+    plan as its ``kind`` says.
 
     ``shard_roots`` may be local sub-trees *or* remote nodes streaming a
     far server's shard half (:class:`~repro.net.client.RemoteRootNode`)
     — the merge logic is identical, which is exactly why scatter-gather
     survives the move across process boundaries unchanged.
     """
-    merge = sharded.merge
-    if merge.kind == "aggregate":
-        node = AggregateNode(
-            ExchangeNode(shard_roots),
-            merge.group_specs,
-            merge.reaggregate_specs,
-            merge.reaggregate_order,
-        )
-        node = ProjectNode(node, merge.final_projection)
-        if merge.having_fn is not None:
-            node = FilterNode(node, merge.having_fn)
-        return order_limit_tail(node, merge)
-    if merge.kind == "ordered":
+    base = sharded.base
+    if sharded.kind == "aggregate":
+        return _aggregate_tail(MergeAggregateNode, ExchangeNode(shard_roots), base)
+    if sharded.kind == "ordered":
         # Each shard sorted and LIMIT-trimmed its own rows; only a sort
         # of them all gives the global order the LIMIT cuts.
-        node = MergeSortNode(shard_roots, merge.order_key_fns, merge.order_descending)
-        if merge.limit is not None:
-            node = LimitNode(node, merge.limit)
-        if merge.projection:
-            node = ProjectNode(node, merge.projection)
+        node = MergeSortNode(shard_roots, base.order_key_fns, base.order_descending)
+        if base.limit is not None:
+            node = LimitNode(node, base.limit)
+        if base.projection:
+            node = ProjectNode(node, base.projection)
         return node
-    return order_limit_tail(ExchangeNode(shard_roots), merge)
+    return order_limit_tail(ExchangeNode(shard_roots), base)
 
 
 def scatter_gather_tree(plan, depth, fan_out):

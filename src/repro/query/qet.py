@@ -41,6 +41,7 @@ __all__ = [
     "TopKNode",
     "FilterNode",
     "AggregateNode",
+    "MergeAggregateNode",
     "UnionNode",
     "IntersectNode",
     "DifferenceNode",
@@ -793,6 +794,23 @@ def _groups(key_arrays):
     return order, starts, [a[starts] for a in sorted_keys]
 
 
+def _aggregate_dtype(op, base):
+    """The dtype of an aggregate over ``base``-typed values: the one rule
+    for the node's arrays and the planner's static schema.  A ``count``
+    is int64, a ``sum`` follows ``np.sum``'s promotion, an ``avg`` is its
+    sum's dtype when that is floating (``np.mean``'s rule: float32 stays
+    float32) and float64 otherwise, ``min`` / ``max`` keep ``base``."""
+    base = np.dtype(base)
+    if op == "count":
+        return np.dtype(np.int64)
+    if op in ("sum", "avg"):
+        total = np.sum(np.zeros(1, dtype=base)).dtype
+        if op == "avg" and not np.issubdtype(total, np.floating):
+            return np.dtype(np.float64)
+        return total
+    return base
+
+
 class _GroupedAccumulator:
     """Running vectorized partial aggregates over a stream of batches.
 
@@ -802,12 +820,21 @@ class _GroupedAccumulator:
     state (itself a small sorted partial table) by re-sorting and
     re-reducing — so a million input rows cost a handful of vectorized
     passes, never a Python loop per group, and memory stays
-    ``O(distinct groups + batch)``.  AVG decomposes into a SUM and a
-    COUNT partial and is finalized as their quotient, exactly like the
-    distributed partial-aggregate recombination path.
+    ``O(distinct groups + batch)``.
+
+    The running state is also what crosses the wire when an aggregate is
+    split: its columns, :attr:`state_names`, are every group key (a
+    hidden one as ``group(<k>)``) and every partial (AVG as the pair
+    ``sum(<name>)`` / ``count(<name>)``, COUNT as a count, SUM / MIN /
+    MAX as themselves); no identifier or default name can spell the
+    parenthesised ones, so no output name clashes with them.  A shard's
+    accumulator folds rows (:meth:`update`) and emits its state; the
+    coordinator's folds those tables (:meth:`absorb`) and finishes the
+    output names as one store does — AVG is the quotient of its pair,
+    weighted by every shard's count.
     """
 
-    #: how batch partials combine into the running partials
+    #: how two partials of one group combine
     _COMBINE = {
         "count": np.add,
         "sum": np.add,
@@ -817,35 +844,46 @@ class _GroupedAccumulator:
 
     def __init__(self, group_specs, aggregate_specs):
         self.group_specs = list(group_specs)
-        #: internal partial columns: ``(column, op, fn)``
+        hidden = (f"group({k})" for k in range(len(self.group_specs)))
+        #: the state's name of each group key, in ``group_specs`` order
+        self.key_names = [
+            name if name is not None else next(hidden)
+            for name, _fn in self.group_specs
+        ]
+        #: the state's partial columns: ``(column, op, fn)``
         self.partials = []
-        #: output name -> ("col", column) | ("avg", sum_col, count_col)
-        self.finals = {}
+        #: AVG output name -> its (sum, count) partial columns
+        self.averages = {}
         for name, kind, fn in aggregate_specs:
             if kind == "AVG":
-                self.partials.append((f"{name}\x00sum", "sum", fn))
-                self.partials.append((f"{name}\x00count", "count", fn))
-                self.finals[name] = ("avg", f"{name}\x00sum", f"{name}\x00count")
-            elif kind == "COUNT":
-                self.partials.append((name, "count", fn))
-                self.finals[name] = ("col", name, None)
-            else:  # SUM / MIN / MAX combine with themselves
+                pair = (f"sum({name})", f"count({name})")
+                self.partials += [(pair[0], "sum", fn), (pair[1], "count", fn)]
+                self.averages[name] = pair
+            else:
                 self.partials.append((name, kind.lower(), fn))
-                self.finals[name] = ("col", name, None)
-        #: dtype a SUM partial accumulates in (np.sum's promotion rules),
-        #: resolved from the first batch per column
-        self._sum_dtypes = {}
         #: running distinct group key arrays (lexsorted) + partial columns
         self.keys = None
         self.columns = None
         self.rows_seen = 0
 
-    def _sum_dtype(self, column, values):
-        dtype = self._sum_dtypes.get(column)
-        if dtype is None:
-            dtype = np.sum(np.zeros(1, dtype=values.dtype)).dtype
-            self._sum_dtypes[column] = dtype
-        return dtype
+    @property
+    def state_names(self):
+        """The running state's columns, in the order it is emitted."""
+        return self.key_names + [column for column, _op, _fn in self.partials]
+
+    def schema(self, rows, names):
+        """The :class:`Schema` :meth:`table` gives ``names`` over input
+        like ``rows`` (a zero-row table will do): the planner's static
+        schema of an aggregate, partial or final."""
+        dtypes = {
+            key: np.asarray(fn(rows)).dtype
+            for key, (_name, fn) in zip(self.key_names, self.group_specs)
+        }
+        for column, op, fn in self.partials:
+            dtypes[column] = _aggregate_dtype(op, np.asarray(fn(rows)).dtype)
+        for name, (sums, _counts) in self.averages.items():
+            dtypes[name] = _aggregate_dtype("avg", dtypes[sums])
+        return Schema("aggregation", [SchemaField(n, dtypes[n].str) for n in names])
 
     def _reduce(self, key_arrays, value_arrays, rows):
         """One sorted-partial table for a batch: ``(group_keys, columns)``."""
@@ -862,12 +900,12 @@ class _GroupedAccumulator:
                 columns[column] = (ends - starts).astype(np.int64)
                 continue
             values = value_arrays[column][order]
-            if op == "sum":
-                values = values.astype(self._sum_dtype(column, values), copy=False)
+            values = values.astype(_aggregate_dtype(op, values.dtype), copy=False)
             columns[column] = self._COMBINE[op].reduceat(values, starts)
         return group_keys, columns
 
     def update(self, batch):
+        """Fold a batch of input rows."""
         rows = len(batch)
         if rows == 0:
             return
@@ -879,6 +917,16 @@ class _GroupedAccumulator:
                 value_arrays[column] = _per_row(fn, batch)
         group_keys, columns = self._reduce(key_arrays, value_arrays, rows)
         self._merge_partials(group_keys, columns)
+
+    def absorb(self, state):
+        """Fold another accumulator's state table (a shard's partials)."""
+        if len(state) == 0:
+            return
+        self.rows_seen += len(state)
+        self._merge_partials(
+            [np.asarray(state[key]) for key in self.key_names],
+            {column: np.asarray(state[column]) for column, _op, _fn in self.partials},
+        )
 
     def _merge_partials(self, group_keys, columns):
         """Fold one sorted partial table into the running state."""
@@ -902,28 +950,18 @@ class _GroupedAccumulator:
                 merged[order], starts
             )
 
-    def finalize(self, output_order):
-        """The aggregation result table, groups in sorted-key order."""
-        arrays = {}
-        for index, (name, _fn) in enumerate(self.group_specs):
-            if name is not None:
-                arrays[name] = self.keys[index]
-        for name, plan in self.finals.items():
-            kind, first, second = plan
-            if kind == "col":
-                arrays[name] = self.columns[first]
-            else:  # avg: the shipped (sum, count) pair, mean-dtype division
-                sums = self.columns[first]
-                counts = self.columns[second]
-                if np.issubdtype(sums.dtype, np.floating):
-                    arrays[name] = np.asarray(sums / counts, dtype=sums.dtype)
-                else:
-                    arrays[name] = sums / counts
-        fields = [
-            SchemaField(name, arrays[name].dtype.str) for name in output_order
-        ]
-        schema = Schema("aggregation", fields)
-        return ObjectTable.from_columns(schema, arrays)
+    def table(self, names):
+        """The ``names`` columns as one table, groups in sorted-key order:
+        a plan's output names finish the aggregate, :attr:`state_names`
+        are the running state."""
+        arrays = dict(zip(self.key_names, self.keys), **self.columns)
+        for name in names:
+            if name in self.averages:
+                sums, counts = (arrays[c] for c in self.averages[name])
+                dtype = _aggregate_dtype("avg", sums.dtype)
+                arrays[name] = np.asarray(sums / counts, dtype=dtype)
+        fields = [SchemaField(name, arrays[name].dtype.str) for name in names]
+        return ObjectTable.from_columns(Schema("aggregation", fields), arrays)
 
 
 class AggregateNode(QETNode):
@@ -944,6 +982,11 @@ class AggregateNode(QETNode):
     into a running partial-aggregate table (see
     :class:`_GroupedAccumulator`), so the node holds ``O(groups)``
     state instead of re-concatenating every fragment of the scan.
+
+    A split aggregate is this node in two phases.  A shard's
+    ``output_order`` is the accumulator's ``state_names``, so it emits
+    its partials instead of finishing them; the coordinator's
+    :class:`MergeAggregateNode` folds those tables and finishes.
     """
 
     name = "aggregate"
@@ -954,20 +997,44 @@ class AggregateNode(QETNode):
         self.aggregate_specs = list(aggregate_specs)
         self.output_order = list(output_order)
 
+    @property
+    def state_names(self):
+        """The columns of this node's partial state (what a shard's half
+        emits and the coordinator's folds)."""
+        return _GroupedAccumulator(self.group_specs, self.aggregate_specs).state_names
+
+    def _fold(self, accumulator, batch):
+        accumulator.update(batch)
+
     def run(self):
         child = self.children[0]
         delivered = None
         accumulator = _GroupedAccumulator(self.group_specs, self.aggregate_specs)
         for batch in child.output:
             delivered = _merge_delivered(delivered, batch)
-            accumulator.update(batch)
+            self._fold(accumulator, batch)
             if accumulator.keys:
                 self.stats.note_buffered(len(accumulator.keys[0]))
         if accumulator.rows_seen == 0:
             return
-        out = accumulator.finalize(self.output_order)
+        out = accumulator.table(self.output_order)
         out.delivered = delivered
         self._emit(out)
+
+
+class MergeAggregateNode(AggregateNode):
+    """The coordinator's GROUP BY over shard streams: an
+    :class:`AggregateNode` whose input is the shards' partial tables.
+
+    Every shard folded its own rows and shipped its accumulator's state;
+    this node folds those states into one accumulator and finishes the
+    output names exactly as one store would, so its result is named and
+    typed as a single store's.
+    """
+
+    def _fold(self, accumulator, batch):
+        accumulator.absorb(batch)
+
 
 def _objids(batch):
     if "objid" not in batch.schema:

@@ -44,12 +44,6 @@ class MatchResult:
         """Accepted one-to-one matches."""
         return int(self.external_rows.shape[0])
 
-    def match_fraction(self, n_external):
-        """Fraction of external sources identified."""
-        if n_external == 0:
-            return 0.0
-        return self.match_count() / n_external
-
     def identification_table(self, external, reference):
         """(extid, objid, separation) triples for the matched pairs."""
         extids = np.asarray(external["extid"], dtype=np.int64)[self.external_rows]

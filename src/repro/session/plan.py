@@ -20,6 +20,7 @@ from repro.query.qet import (
     ExchangeNode,
     FilterNode,
     LimitNode,
+    MergeAggregateNode,
     MergeSortNode,
     ProjectNode,
     ScanNode,
@@ -39,7 +40,9 @@ class PlanTree:
     ``intersect``, ``difference``, ``exchange``, ``merge_sort``);
     ``detail`` holds the
     node's interesting properties (source and routing for scans, fan-out
-    and server pruning for merge points, ...).
+    and server pruning for merge points, the partials a split
+    aggregate's shard half ``emits`` and its coordinator half ``folds``,
+    ...).
     """
 
     kind: str
@@ -114,10 +117,18 @@ def _detail_for(node):
     if isinstance(node, ProjectNode):
         return {"columns": [name for name, _hint, _fn in node.projection]}
     if isinstance(node, AggregateNode):
-        return {
+        detail = {
             "groups": [name for name, _fn in node.group_specs if name is not None],
             "aggregates": [f"{kind}->{name}" for name, kind, _fn in node.aggregate_specs],
         }
+        finished = set(detail["groups"]) | {n for n, _k, _fn in node.aggregate_specs}
+        if isinstance(node, MergeAggregateNode):
+            # The coordinator's half folds the shards' partial states.
+            detail["folds"] = node.state_names
+        elif not finished.issuperset(node.output_order):
+            # A shard's half emits partials, not the finished columns.
+            detail["emits"] = node.output_order
+        return detail
     if isinstance(node, FilterNode):
         return {"predicate": "having"}
     return {}

@@ -112,8 +112,6 @@ class TestOperationalArchive:
             archive.ingest(1, photo, principal="astronomer")
         with pytest.raises(AccessDenied):
             archive.publish(0, principal="public")
-        with pytest.raises(AccessDenied):
-            archive.stored_chunk_ids(principal="anyone")
 
     def test_calibration_applied_without_mutating_raw(self, photo):
         archive = self.make_archive()

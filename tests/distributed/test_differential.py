@@ -156,7 +156,7 @@ class TestDistributedPlanning:
             dengines[5], "SELECT objid FROM photo WHERE CIRCLE(40, 30, 5)"
         )
         assert sharded[0].shard.region is not None
-        assert sharded[0].merge.kind == "stream"
+        assert sharded[0].kind == "stream"
 
 
 class TestStreaming:

@@ -13,8 +13,11 @@ import pytest
 
 from repro.catalog.table import ObjectTable
 from repro.geometry.shapes import circle_region
+from repro.htm.ranges import RangeSet
 from repro.query.optimizer import plan_query, split_plan
 from repro.query.parser import parse_query
+from repro.query.physical import merge_tree
+from repro.query.qet import MergeAggregateNode
 from repro.session import Archive
 from repro.storage import DistributedArchive
 
@@ -265,37 +268,46 @@ class TestSplitPlanUnits:
     def _plan(self, engine, text):
         return plan_query(parse_query(text), engine.schemas)
 
-    def test_avg_splits_into_sum_and_count(self, engine):
-        plan = self._plan(
-            engine, "SELECT objtype, AVG(mag_r) AS m FROM photo GROUP BY objtype"
-        )
-        sharded = split_plan(plan)
-        shard_names = [(n, k) for n, k, _fn in sharded.shard.aggregate_specs]
-        assert shard_names == [("m__sum", "SUM"), ("m__count", "COUNT")]
-        merge_names = [(n, k) for n, k, _fn in sharded.merge.reaggregate_specs]
-        assert merge_names == [("m__sum", "SUM"), ("m__count", "SUM")]
-        assert [n for n, _h, _fn in sharded.merge.final_projection] == [
-            "objtype",
-            "m",
-        ]
+    def _shard_schema(self, engine, text):
+        everything = RangeSet.from_ids(engine.stores["photo"].occupied_ids())
+        return engine.prepare_shard(text, 0, everything.intervals).schema
 
-    def test_count_recombines_by_sum(self, engine):
+    def test_avg_ships_its_sum_and_count(self, engine):
+        text = "SELECT objtype, AVG(mag_r) AS m FROM photo GROUP BY objtype"
+        sharded = split_plan(self._plan(engine, text))
+        assert sharded.kind == "aggregate"
+        # The shard keeps the plan's aggregate and emits its partials.
+        assert sharded.shard.aggregate_specs == sharded.base.aggregate_specs
+        schema = self._shard_schema(engine, text)
+        assert [(f.name, np.dtype(f.dtype)) for f in schema.fields] == [
+            ("objtype", np.dtype("u1")),
+            ("sum(m)", np.dtype("f4")),
+            ("count(m)", np.dtype("i8")),
+        ]
+        assert sharded.base.output_order == ["objtype", "m"]
+
+    def test_the_coordinator_is_one_aggregate(self, engine):
         plan = self._plan(
-            engine, "SELECT objtype, COUNT(objid) AS n FROM photo GROUP BY objtype"
+            engine,
+            "SELECT objtype, COUNT(objid) AS n, AVG(mag_r) AS m FROM photo "
+            "GROUP BY objtype HAVING n > 1",
         )
-        sharded = split_plan(plan)
-        assert sharded.shard.aggregate_specs[0][1] == "COUNT"
-        assert sharded.merge.reaggregate_specs[0][1] == "SUM"
+        root = merge_tree([], split_plan(plan))
+        kinds = [node.name for node in root.walk()]
+        assert kinds == ["filter", "aggregate", "exchange"]
+        aggregate = root.children[0]
+        assert isinstance(aggregate, MergeAggregateNode)
+        assert aggregate.aggregate_specs == plan.aggregate_specs
+        assert aggregate.output_order == ["objtype", "n", "m"]
 
     def test_hidden_group_key_travels(self, engine):
-        plan = self._plan(
-            engine, "SELECT COUNT(objid) AS n FROM photo GROUP BY objtype"
-        )
-        sharded = split_plan(plan)
-        assert [n for n, _fn in sharded.shard.group_specs] == ["__group0"]
-        assert [n for n, _fn in sharded.merge.group_specs] == [None]
-        assert "__group0" in sharded.shard.output_order
-        assert [n for n, _h, _fn in sharded.merge.final_projection] == ["n"]
+        text = "SELECT COUNT(objid) AS n FROM photo GROUP BY objtype"
+        sharded = split_plan(self._plan(engine, text))
+        assert sharded.shard.output_order == ["group(0)", "n"]
+        assert sharded.base.output_order == ["n"]
+        schema = self._shard_schema(engine, text)
+        assert schema.field_names() == ["group(0)", "n"]
+        assert np.dtype(schema.fields[1].dtype) == np.int64
 
     def test_ordered_split_pushes_sort_and_limit(self, engine):
         plan = self._plan(
@@ -303,12 +315,12 @@ class TestSplitPlanUnits:
             "SELECT objid, mag_r FROM photo ORDER BY mag_r LIMIT 10",
         )
         sharded = split_plan(plan)
-        assert sharded.merge.kind == "ordered"
+        assert sharded.kind == "ordered"
         assert sharded.shard.limit == 10
         assert sharded.shard.order_key_fns
         assert sharded.shard.projection == []
         # A select list of bare columns is what the shard scans emit.
-        assert sharded.merge.projection == []
+        assert sharded.base.projection == []
         assert sharded.shard.gathered.field_names() == ["objid", "mag_r"]
 
     def test_ordered_split_ships_the_sort_key_and_projects_after(self, engine):
@@ -318,11 +330,10 @@ class TestSplitPlanUnits:
         sharded = split_plan(plan)
         assert sharded.shard.projection == []
         assert sorted(sharded.shard.gathered.field_names()) == ["mag_r", "objid"]
-        assert [n for n, _h, _fn in sharded.merge.projection] == ["objid"]
+        assert [n for n, _h, _fn in sharded.base.projection] == ["objid"]
 
     def test_plain_split_pushes_projection(self, engine):
         plan = self._plan(engine, "SELECT objid FROM photo WHERE mag_r < 16")
         sharded = split_plan(plan)
-        assert sharded.merge.kind == "stream"
+        assert sharded.kind == "stream"
         assert sharded.shard.projection == plan.projection
-        assert sharded.merge.projection == []

@@ -161,11 +161,6 @@ class TestUnitVector:
         assert u.ra == pytest.approx(45.0)
         assert u.dec == pytest.approx(-30.0)
 
-    def test_separation(self):
-        a = UnitVector.from_radec(0.0, 0.0)
-        b = UnitVector.from_radec(90.0, 0.0)
-        assert a.separation_deg(b) == pytest.approx(90.0)
-
     def test_normalizes_input(self):
         u = UnitVector([0.0, 0.0, 2.0])
         assert u.dec == pytest.approx(90.0)

@@ -141,10 +141,5 @@ class TestSetAlgebra:
         pairs = [(i, i) for i in ids]
         assert RangeSet(pairs) == RangeSet.from_ids(a)
 
-    def test_parent_depth(self):
-        # depth-1 ids 32..35 are the children of root 8.
-        rs = RangeSet([(32, 35)])
-        assert rs.to_parent_depth().intervals == ((8, 8),)
-
     def test_hashable(self):
         assert hash(RangeSet([(1, 2)])) == hash(RangeSet([(1, 1), (2, 2)]))

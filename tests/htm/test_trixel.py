@@ -93,11 +93,6 @@ class TestTrixelGeometry:
         mask = trixel.contains(points)
         assert mask.shape == (100,)
 
-    def test_bounding_cap_holds_corners(self):
-        trixel = BASE_TRIXELS[1].children()[0].children()[3]
-        center, cos_radius = trixel.bounding_cap()
-        assert bool(np.all(trixel.corners @ center >= cos_radius - 1e-12))
-
     def test_area_sqdeg(self):
         total = sum(t.area_sqdeg() for t in BASE_TRIXELS)
         assert total == pytest.approx(41252.96, rel=1e-4)

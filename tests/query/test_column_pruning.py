@@ -34,6 +34,7 @@ import pytest
 from repro.htm.ranges import RangeSet
 from repro.net import ArchiveServer
 from repro.query.engine import start_tree
+from repro.query.errors import PlanError
 from repro.session import Archive
 from repro.storage import DistributedArchive
 
@@ -118,7 +119,8 @@ def answer(session, text, ordered):
 
 
 @pytest.fixture(scope="module")
-def answers(photo, tags, photo_store, tag_store):
+def sessions(photo, tags, photo_store, tag_store):
+    """One session per backend, keyed as in ``BACKENDS``."""
     archive = DistributedArchive.from_table(photo, depth=5, n_servers=3)
     archive.attach_source("tag", tags)
     halves = DistributedArchive.from_table(photo, depth=5, n_servers=2)
@@ -135,13 +137,18 @@ def answers(photo, tags, photo_store, tag_store):
         }
         for session in sessions.values():
             stack.enter_context(session)
-        got = {
-            text: {
-                backend: answer(session, text, ordered)
-                for backend, session in sessions.items()
-            }
-            for text, ordered in CORPUS
+        yield sessions
+
+
+@pytest.fixture(scope="module")
+def answers(sessions):
+    got = {
+        text: {
+            backend: answer(session, text, ordered)
+            for backend, session in sessions.items()
         }
+        for text, ordered in CORPUS
+    }
     if not GOLDEN.exists():
         GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
         pytest.skip(f"captured {GOLDEN.name}; run again to compare")
@@ -156,6 +163,41 @@ def test_answer_matches_the_whole_row_answer(answers, text, backend):
     assert golden["rows"] > 0
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "text",
+    [
+        "SELECT objid, objid FROM photo WHERE mag_r < 15",
+        "SELECT COUNT(objid) AS n, MAX(mag_r) AS n FROM photo",
+    ],
+)
+def test_a_column_named_twice_is_a_plan_error(sessions, text, backend):
+    # An alias tells two copies apart: the corpus's `objid AS again`.
+    with pytest.raises(PlanError, match="rename one with AS"):
+        sessions[backend].submit(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "SELECT objtype, AVG(mag_r) AS m, SUM(mag_r) AS m__sum, "
+        "COUNT(objid) AS m__count FROM photo GROUP BY objtype",
+        "SELECT COUNT(objid) AS __group0, AVG(mag_r) AS group0 FROM photo "
+        "GROUP BY objtype",
+    ],
+)
+def test_no_alias_clashes_with_a_partial_column(sessions, text):
+    # A split aggregate ships AVG as sum(m) / count(m) and a hidden key
+    # as group(0): names no alias can spell.
+    tables = {backend: session.query_table(text) for backend, session in sessions.items()}
+    want = tables["stores"]
+    assert len(want) > 0
+    for table in tables.values():
+        assert describe(table.schema) == describe(want.schema)
+        for name in want.schema.field_names():
+            np.testing.assert_allclose(table[name], want[name], rtol=1e-5)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -164,6 +206,13 @@ def test_answer_matches_the_whole_row_answer(answers, text, backend):
         "SELECT mag_r AS m FROM photo WHERE mag_r < 19 ORDER BY objid DESC",
         "SELECT 1 AS one FROM photo WHERE mag_r < 19 ORDER BY one",
         "SELECT objtype, AVG(mag_r) AS m FROM photo GROUP BY objtype",
+        "SELECT COUNT(objid) AS n FROM photo GROUP BY objtype",
+        "SELECT COUNT(objid) AS n, SUM(mag_r) AS s, AVG(mag_r) AS m FROM photo",
+        "SELECT objtype, AVG(objid) AS m FROM photo GROUP BY objtype",
+        "SELECT objtype, MIN(mag_r) AS lo, MAX(mag_g) AS hi FROM photo "
+        "GROUP BY objtype",
+        "SELECT objtype, COUNT(objid) AS n FROM photo GROUP BY objtype "
+        "HAVING n > 10 ORDER BY n DESC LIMIT 2",
         "SELECT objid, petro_r90 FROM photo WHERE CIRCLE(40, 30, 10) ORDER BY ra",
         "SELECT * FROM photo WHERE mag_r < 17 ORDER BY mag_r",
     ],

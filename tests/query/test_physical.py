@@ -86,6 +86,8 @@ STABLE_DETAILS = (
     "columns",
     "groups",
     "aggregates",
+    "emits",
+    "folds",
     "predicate",
     "mode",
     "servers",

@@ -97,7 +97,6 @@ class TestCrossmatch:
         assert result.match_count() + len(result.unmatched_external_rows) == len(
             external
         )
-        assert 0.0 <= result.match_fraction(len(external)) <= 1.0
 
     def test_separations_within_radius(self, survey_with_external):
         _sim, photo, external = survey_with_external
