@@ -63,12 +63,6 @@ class AtlasStats:
     raw_bytes: int = 0
     compressed_bytes: int = 0
 
-    def compression_factor(self):
-        """Raw pixels over stored bytes."""
-        if self.compressed_bytes == 0:
-            return 1.0
-        return self.raw_bytes / self.compressed_bytes
-
     def bytes_per_cutout(self):
         """Mean stored bytes per stamp (Table 1 expects ~1.5 kB)."""
         if self.cutouts == 0:

@@ -1,7 +1,7 @@
 """The network client: a remote archive behind the ordinary Session API.
 
 :class:`RemoteExecutor` implements the session layer's
-:class:`~repro.session.executor.Executor` protocol against an
+:class:`~repro.query.physical.Executor` protocol against an
 :class:`~repro.net.server.ArchiveServer`, so::
 
     session = Archive.connect("archive://host:port")
@@ -70,8 +70,8 @@ from repro.net.protocol import (
     table_from_wire,
 )
 from repro.query.errors import ExecutionError, UnrecoverableShardError
+from repro.query.physical import Executor, PreparedQuery
 from repro.query.qet import QETNode, Stream
-from repro.session.executor import Executor, PreparedQuery
 
 __all__ = [
     "WireTelemetry",

@@ -344,7 +344,6 @@ def assemble_job_trace(job):
     """
     base = getattr(job, "_trace", None)
     trace = base.copy() if base is not None else Trace()
-    result = getattr(job, "_result", None)
     execute = trace.first("execute")
     query_span = trace.first("query")
     ttc = job.time_to_completion
@@ -355,9 +354,11 @@ def assemble_job_trace(job):
         and ttc is not None
     ):
         execute.ended_at = execute.started_at + ttc
-    if result is not None:
+    if job._started_at is not None:
         parent = execute if execute is not None else query_span
-        _node_spans(trace, result._root, None if parent is None else parent.span_id)
+        _node_spans(
+            trace, job._prepared.root, None if parent is None else parent.span_id
+        )
     if query_span is not None and query_span.ended_at is None and job.state.is_terminal():
         ends = [s.ended_at for s in trace.spans if s.ended_at is not None]
         if ends:

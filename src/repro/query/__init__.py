@@ -16,7 +16,7 @@ tree builder) -> :mod:`qet` (the tree's nodes) -> :mod:`engine` (threads
 
 from repro.query.errors import QueryError, ParseError, PlanError
 from repro.query.parser import parse_query
-from repro.query.engine import QueryEngine, QueryResult
+from repro.query.engine import QueryEngine
 from repro.query.optimizer import (
     QueryPlan,
     ShardedPlan,
@@ -32,7 +32,6 @@ __all__ = [
     "PlanError",
     "parse_query",
     "QueryEngine",
-    "QueryResult",
     "QueryPlan",
     "plan_query",
     "ShardedPlan",

@@ -11,10 +11,9 @@ the single-store :class:`~repro.query.physical.Executor`: ``prepare``
 builds an unstarted QET from query text.  It does not run queries.  The
 one way to run one is a session — ``repro.session.Archive.connect(engine)``
 admits the prepared tree, starts every node's thread
-(:func:`start_tree`) and holds the running tree as a
-:class:`QueryResult`, which streams batches to the job's
-:class:`~repro.session.Cursor` while recording time-to-first-row — the
-measurable form of the ASAP claim.
+(:func:`start_tree`), and its :class:`~repro.session.Job` streams the
+root's batches to the job's :class:`~repro.session.Cursor` while
+recording time-to-first-row — the measurable form of the ASAP claim.
 """
 
 from __future__ import annotations
@@ -34,84 +33,19 @@ from repro.query.physical import (
     shard_tree,
 )
 
-__all__ = ["QueryEngine", "QueryResult", "start_tree"]
+__all__ = ["QueryEngine", "start_tree"]
 
 
 def start_tree(root):
     """Start every node thread of an unstarted QET, leaves last.
 
-    Returns the ``perf_counter`` start time, which result handles use as
-    the zero point for time-to-first-row.
+    Returns the ``perf_counter`` start time, which a job uses as the
+    zero point for time-to-first-row.
     """
     started_at = time.perf_counter()
     for node in reversed(list(root.walk())):
         node.start()
     return started_at
-
-
-class QueryResult:
-    """Handle on a running tree: what a job holds once it has started.
-
-    Iterate for batches; ``time_to_first_row`` and ``time_to_completion``
-    (seconds) are populated as the stream is consumed.  Materializing
-    (and the empty-result schema) is the cursor's job.
-    """
-
-    def __init__(self, root, started_at):
-        self._root = root
-        self._started_at = started_at
-        self.time_to_first_row = None
-        self.time_to_completion = None
-        self.rows = 0
-
-    def __iter__(self):
-        for batch in self._root.output:
-            if self.time_to_first_row is None and len(batch):
-                self.time_to_first_row = time.perf_counter() - self._started_at
-            self.rows += len(batch)
-            yield batch
-        # Re-draining a finished result is a no-op; keep the first
-        # completion time rather than overwriting it with a later read.
-        if self.time_to_completion is None:
-            self.time_to_completion = time.perf_counter() - self._started_at
-        self._root.join()
-
-    def cancel(self):
-        """Stop the query early.
-
-        Cancels *every* node's output stream, not just the root's: a
-        pipeline breaker (sort, aggregate) blocked draining its child
-        would otherwise keep scanning until the child finished.  Each
-        node thread notices its cancelled stream and exits promptly.
-        """
-        for node in self._root.walk():
-            node.output.cancel()
-
-    def join(self, timeout=None):
-        """Join every node thread in the tree.
-
-        ``timeout`` bounds the *total* wait across all nodes.  Use
-        :meth:`alive_nodes` afterwards to check for stragglers.
-        """
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        for node in self._root.walk():
-            remaining = None
-            if deadline is not None:
-                remaining = max(0.0, deadline - time.perf_counter())
-            node.join(remaining)
-
-    def alive_nodes(self):
-        """Nodes whose threads are still running (empty after a clean
-        drain or a completed cancel)."""
-        return [node for node in self._root.walk() if node.is_alive()]
-
-    def node_stats(self):
-        """Mapping of node -> stats for the whole tree."""
-        return {node: node.stats for node in self._root.walk()}
-
-    def pending_batches(self):
-        """Batches already produced and waiting at the root (approximate)."""
-        return self._root.output.pending()
 
 
 class QueryEngine(Executor):

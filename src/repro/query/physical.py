@@ -107,8 +107,21 @@ class PreparedQuery:
 
 
 class Executor:
-    """Protocol base class (subclassing is optional; duck-typing with a
-    ``prepare`` method and a ``kind`` attribute is enough)."""
+    """The protocol a session drives any backend through.
+
+    Subclassing is optional; duck-typing with a ``prepare`` method and
+    a ``kind`` attribute is enough.  ``prepare`` plans, (for
+    distributed backends) splits and routes, and builds the execution
+    tree **without starting any thread**: the session owns admission,
+    thread start, streaming and cancellation from there, and an
+    executor has no way to run what it prepares.  The engines implement
+    this directly; there is no adapter layer.
+
+    Beyond ``prepare``, ``kind`` and ``parse`` the session probes for
+    ``supports_mydb`` (per-user MyDB overlays and INTO),
+    ``generations_for`` (result-cache validation), ``stats`` and
+    ``mydb_op``.
+    """
 
     #: short backend label (``"local"``, ``"distributed"``, ...)
     kind = "abstract"

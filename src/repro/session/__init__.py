@@ -9,7 +9,7 @@ single-store :class:`~repro.query.engine.QueryEngine`, a scatter-gather
 :class:`~repro.distributed.engine.DistributedQueryEngine`, a raw
 :class:`~repro.storage.cluster.DistributedArchive` or a plain mapping of
 container stores — an engine is built over either — or anything else
-implementing the small :class:`~repro.session.executor.Executor`
+implementing the small :class:`~repro.query.physical.Executor`
 protocol, which the engines implement themselves) behind one
 :class:`Session` / :class:`Job` / :class:`Cursor` surface.
 
@@ -86,8 +86,8 @@ from repro.session.core import (
     SessionError,
     connect,
 )
+from repro.query.physical import Executor, PreparedQuery
 from repro.session.cursor import Cursor
-from repro.session.executor import Executor, PreparedQuery
 from repro.session.plan import PlanTree, plan_tree
 
 __all__ = [

@@ -3,7 +3,7 @@
 The paper's archive serves users through a single query agent: a query
 arrives, is classified (interactive vs. batch), scheduled, and its
 results stream back as soon as possible.  :class:`Session` is that
-agent.  It wraps any :class:`~repro.session.executor.Executor` backend
+agent.  It wraps any :class:`~repro.query.physical.Executor` backend
 and classifies submissions via ``query_class``: an interactive job
 starts on its store's shared sweep the moment it is submitted, while
 batch jobs queue on the session's fair-share queue
@@ -27,10 +27,10 @@ from repro.machines.scheduler import DeficitRoundRobin
 from repro.obs.metrics import registry as obs_registry
 from repro.obs.report import io_report, job_snapshot
 from repro.obs.trace import Trace, assemble_job_trace
-from repro.query.engine import QueryResult, start_tree
+from repro.query.engine import start_tree
 from repro.query.parser import extract_into, query_sources
+from repro.query.physical import PreparedQuery
 from repro.session.cursor import Cursor
-from repro.session.executor import PreparedQuery
 from repro.session.plan import analyzed_plan_tree, plan_tree
 
 __all__ = [
@@ -69,13 +69,17 @@ class JobState(enum.Enum):
 
 
 class Job:
-    """One submitted query with first-class lifecycle.
+    """One submitted query with first-class lifecycle: the one handle
+    on its running tree.
 
     States move ``QUEUED -> RUNNING -> DONE | CANCELLED | FAILED``
     (interactive jobs skip straight to RUNNING at submission; batch jobs
-    wait in the session's fair-share batch queue).  ``job.cursor`` is the
-    uniform result handle; ``rows`` / ``time_to_first_row`` are live
-    progress counters; :meth:`cancel` stops every QET node thread;
+    wait in the session's fair-share batch queue).  A started job holds
+    one generator over the root's batches that advances the live
+    progress counters ``rows``, ``time_to_first_row`` and
+    ``time_to_completion`` (seconds from start: the measurable form of
+    the paper's ASAP claim); ``job.cursor``, the uniform result handle,
+    is its only consumer.  :meth:`cancel` stops every QET node thread;
     :meth:`node_stats` exposes per-node execution counters.
     """
 
@@ -90,7 +94,14 @@ class Job:
         self._lock = threading.Lock()
         self._readable = threading.Event()
         self._finished = threading.Event()
-        self._result = None
+        #: set when the tree starts: its ``perf_counter`` zero point and
+        #: the one generator over its batches (see :meth:`_stream`)
+        self._started_at = None
+        self._batches = None
+        #: progress counters, advanced by :meth:`_stream`
+        self.rows = 0
+        self.time_to_first_row = None
+        self.time_to_completion = None
         self.error = None
         #: True when this job was answered from the result cache
         self.cache_hit = False
@@ -128,22 +139,13 @@ class Job:
         """Shard fan-out reports (distributed backends; empty otherwise)."""
         return list(self._prepared.reports)
 
-    @property
-    def rows(self):
-        """Rows produced so far."""
-        return 0 if self._result is None else self._result.rows
-
-    @property
-    def time_to_first_row(self):
-        return None if self._result is None else self._result.time_to_first_row
-
-    @property
-    def time_to_completion(self):
-        return None if self._result is None else self._result.time_to_completion
+    def _tree(self):
+        """The QET's nodes once the tree has started (none before)."""
+        return () if self._started_at is None else self._prepared.root.walk()
 
     def node_stats(self):
         """Per-QET-node execution counters (empty before start)."""
-        return {} if self._result is None else self._result.node_stats()
+        return {node: node.stats for node in self._tree()}
 
     def metrics(self):
         """This job's telemetry as one flat dict in registry names,
@@ -198,30 +200,48 @@ class Job:
         # root, so scatter-gather shard leaves under a merge root are
         # bound too.
         root = self._prepared.root
-        for node in root.walk() if hasattr(root, "walk") else (root,):
+        for node in root.walk():
             bind = getattr(node, "bind_job", None)
             if bind is not None:
                 bind(self)
         if self._queue_span is not None and self._queue_span.ended_at is None:
             self._trace.end(self._queue_span)
-        started_at = start_tree(self._prepared.root)
+        started_at = start_tree(root)
         if self._trace is not None:
             self._execute_span = self._trace.new_span(
                 "execute",
                 parent=self._trace.first("query"),
                 started_at=started_at,
             )
-        result = QueryResult(self._prepared.root, started_at)
         with self._lock:
-            self._result = result
+            self._started_at = started_at
+            self._batches = self._stream()
             cancelled = self._state is JobState.CANCELLED
         if cancelled:
-            # cancel() raced the thread start and missed the result (it
-            # was still None); finish the cancellation here.
-            result.cancel()
+            # cancel() raced the thread start and missed the tree (it
+            # had not started); finish the cancellation here.
+            self._cancel_tree()
             return False
         self._readable.set()
         return True
+
+    def _stream(self):
+        """The root's batches, advancing the progress counters."""
+        root = self._prepared.root
+        for batch in root.output:
+            if self.time_to_first_row is None and len(batch):
+                self.time_to_first_row = time.perf_counter() - self._started_at
+            self.rows += len(batch)
+            yield batch
+        self.time_to_completion = time.perf_counter() - self._started_at
+        root.join()
+
+    def _cancel_tree(self):
+        """Cancel *every* node's output stream, not just the root's: a
+        pipeline breaker (sort, aggregate) blocked draining its child
+        would otherwise keep scanning until the child finished."""
+        for node in self._tree():
+            node.output.cancel()
 
     def _note_done(self):
         with self._lock:
@@ -279,11 +299,10 @@ class Job:
             if self._state.is_terminal():
                 return
             self._state = JobState.CANCELLED
-            result = self._result
-        if result is not None:
-            result.cancel()
-        # If the job was mid-start (RUNNING but result not yet assigned),
-        # _start's post-assignment check finishes the cancellation.
+        # If the job was mid-start (RUNNING but the tree not yet marked
+        # started), _start's post-assignment check finishes the
+        # cancellation.
+        self._cancel_tree()
         self._readable.set()
         self._finished.set()
         self._session._observe_terminal(self)
@@ -299,22 +318,29 @@ class Job:
         return self._state
 
     def join(self, timeout=None):
-        """Wait for terminal state, then join every QET node thread."""
+        """Wait for terminal state, then join every QET node thread.
+
+        ``timeout`` bounds the *total* wait; use :meth:`alive_nodes`
+        afterwards to check for stragglers.
+        """
         deadline = None if timeout is None else time.perf_counter() + timeout
-        remaining = None if deadline is None else max(0.0, deadline - time.perf_counter())
-        self._finished.wait(remaining)
-        if self._result is not None:
-            remaining = None if deadline is None else max(0.0, deadline - time.perf_counter())
-            self._result.join(remaining)
+
+        def remaining():
+            return None if deadline is None else max(0.0, deadline - time.perf_counter())
+
+        self._finished.wait(remaining())
+        for node in self._tree():
+            node.join(remaining())
 
     def alive_nodes(self):
-        """QET nodes whose threads are still running."""
-        return [] if self._result is None else self._result.alive_nodes()
+        """QET nodes whose threads are still running (empty after a
+        clean drain or a completed cancel)."""
+        return [node for node in self._tree() if node.is_alive()]
 
     # -- cursor support -------------------------------------------------
 
     def _wait_readable(self):
-        """Block until results may be read; returns the QueryResult.
+        """Block until results may be read.
 
         Interactive jobs are readable immediately; batch jobs once the
         dispatcher has run them to completion (the paper's batch
@@ -324,7 +350,7 @@ class Job:
             self._finished.wait()
         else:
             self._readable.wait()
-        if self._result is None:
+        if self._batches is None:
             if self.error is not None:
                 raise SessionError(
                     f"job {self.job_id!r} failed to start: {self.error}"
@@ -332,26 +358,21 @@ class Job:
             raise JobCancelledError(
                 f"job {self.job_id!r} was cancelled before it started"
             )
-        return self._result
 
     def _run_to_completion(self):
-        """Dispatcher body for batch jobs: drain into the cursor buffer.
+        """Dispatcher body for batch jobs (and an eager INTO): start the
+        tree and append everything the cursor's one pull returns to its
+        buffer, so results are delivered on completion.
 
-        Drains ``self._result`` directly (not through the cursor's pull
-        path, whose batch gate waits on this very method to finish).
-        Rows land in the cursor buffer, so results are delivered on
-        completion; a failure keeps the partial rows readable and the
-        underlying stream's sticky error re-raises for the reader.
+        The pull runs the sinks and marks the job DONE or FAILED; a
+        failure keeps the partial rows readable, and the next pull past
+        them re-raises the job's error for the reader.
         """
         if not self._start():
             return  # cancelled while queued
         try:
-            for batch in self._result:
-                self._collect(batch)
-                if self.cursor._seen_schema is None:
-                    self.cursor._seen_schema = batch.schema
+            while (batch := self.cursor._pull()) is not None:
                 self.cursor._buffer.append(batch)
-            self._complete_drain()
         except Exception as exc:
             self._note_failed(exc)
 
@@ -877,7 +898,7 @@ class Archive:
       partition-server processes via
       :class:`~repro.net.cluster.RemotePartitionedExecutor`),
     * or any object implementing the
-      :class:`~repro.session.executor.Executor` protocol.
+      :class:`~repro.query.physical.Executor` protocol.
     """
 
     @staticmethod

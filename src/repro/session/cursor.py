@@ -1,8 +1,12 @@
 """The uniform result handle: one cursor for every backend and query class.
 
-The one result surface — the engines hand back no results of their own;
-:class:`~repro.query.engine.QueryResult` is the running tree a job
-holds, and this :class:`Cursor` over it
+The one result surface — the engines hand back no results of their own.
+A :class:`~repro.session.Job` holds its running tree and one generator
+over the root's batches; this :class:`Cursor` is that generator's only
+consumer.  Its :meth:`Cursor._pull` is the one drain — the batch
+dispatcher appends what it returns to the cursor's buffer — so the
+collection for completion sinks, the first-seen schema, the sinks
+themselves and failure marking are each written once.  The cursor
 
 * always knows its output :class:`~repro.catalog.schema.Schema` (empty
   results are well-formed empty tables),
@@ -17,6 +21,7 @@ holds, and this :class:`Cursor` over it
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 
 from repro.catalog.table import ObjectTable
@@ -39,8 +44,10 @@ class Cursor:
     def __init__(self, job):
         self._job = job
         self._buffer = deque()
-        self._underlying = None
         self._seen_schema = None
+        # The dispatcher and the reader of a cancelled batch job may
+        # pull at once; a generator takes one caller at a time.
+        self._pulling = threading.Lock()
 
     # ------------------------------------------------------------------
     # metadata and counters
@@ -58,35 +65,29 @@ class Cursor:
     @property
     def rows(self):
         """Rows produced so far (a live progress counter)."""
-        result = self._job._result
-        return 0 if result is None else result.rows
+        return self._job.rows
 
     @property
     def time_to_first_row(self):
-        result = self._job._result
-        return None if result is None else result.time_to_first_row
+        return self._job.time_to_first_row
 
     @property
     def time_to_completion(self):
-        result = self._job._result
-        return None if result is None else result.time_to_completion
+        return self._job.time_to_completion
 
     def node_stats(self):
         """Mapping of QET node -> :class:`~repro.query.qet.NodeStats`."""
-        result = self._job._result
-        return {} if result is None else result.node_stats()
+        return self._job.node_stats()
 
     def has_ready_batch(self):
         """True when a batch can be served without blocking — buffered
         here, or already queued by the execution tree.  Lets a paced
         reader (the archive server's ``fetch_batch`` handler) forward
         whatever exists instead of stalling for a fuller page."""
-        if self._buffer:
-            return True
-        result = self._job._result
-        if result is None:
-            return False
-        return result.pending_batches() > 0
+        job = self._job
+        return bool(self._buffer) or (
+            job._started_at is not None and job._prepared.root.output.pending() > 0
+        )
 
     def io_report(self):
         """Shared-scan I/O telemetry (see :meth:`Job.io_report`)."""
@@ -106,27 +107,33 @@ class Cursor:
     # ------------------------------------------------------------------
 
     def _pull(self):
-        """Next batch from the execution tree, or ``None`` at the end.
+        """Next batch from the execution tree, or ``None`` at the end:
+        the one drain of a job's batches.
 
         Exhaustion runs the job's completion sinks (cache fill, INTO
         materialization) and marks it DONE — or surfaces a sink failure
         (e.g. a MyDB quota error) to the reader.  An execution error
-        marks the job FAILED before re-raising.  Callers must have
-        passed the readability gate (see :meth:`_next_batch`).
+        marks the job FAILED before re-raising, and every later pull
+        raises it again, so a failure never reads as an empty result.
+        Callers must have started the job: a reader passes the
+        readability gate (see :meth:`_next_batch`), the batch dispatcher
+        started it itself.
         """
+        job = self._job
         try:
-            batch = next(self._underlying)
+            with self._pulling:
+                batch = next(job._batches)
         except StopIteration:
-            self._job._complete_drain()
-            if self._job.error is not None:
-                raise self._job.error
+            job._complete_drain()
+            if job.error is not None:
+                raise job.error
             return None
         except ExecutionError as exc:
-            self._job._note_failed(exc)
+            job._note_failed(exc)
             raise
         if self._seen_schema is None:
             self._seen_schema = batch.schema
-        self._job._collect(batch)
+        job._collect(batch)
         return batch
 
     def _next_batch(self):
@@ -138,9 +145,7 @@ class Cursor:
         readability first (completion, for batch jobs) makes the buffer
         a stable, fully-populated source.
         """
-        if self._underlying is None:
-            result = self._job._wait_readable()
-            self._underlying = iter(result)
+        self._job._wait_readable()
         if self._buffer:
             return self._buffer.popleft()
         return self._pull()

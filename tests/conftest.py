@@ -67,6 +67,7 @@ LEAVE_NOTHING_BEHIND = {
     "distributed": ("qet-",),
     "storage": ("qet-",),
     "machines": ("river-", "qet-"),
+    "obs": ("qet-",),
 }
 
 

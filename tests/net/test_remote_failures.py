@@ -50,6 +50,19 @@ def _wait_until(predicate, timeout=JOIN_TIMEOUT, interval=0.02):
     return predicate()
 
 
+def _where_stalled(client_job, server):
+    """Where a job that should have finished stalled: its client-side
+    state and every server job's state, rows and still-running nodes."""
+    server_jobs = [
+        (job.text, job.state.value, job.rows, [n.name for n in job.alive_nodes()])
+        for job in server.jobs()
+    ]
+    return (
+        f"client job {client_job.state.value} with {client_job.rows} rows; "
+        f"server jobs (text, state, rows, alive nodes): {server_jobs}"
+    )
+
+
 class TestServerDeath:
     def test_killed_mid_stream_fails_the_job(self, photo):
         server, _store = _throttled_server(photo)
@@ -181,7 +194,9 @@ class TestRemoteCancel:
             assert _wait_until(lambda: server_victim.state.is_terminal())
             assert server_victim.state.value == "cancelled"
             # The blocker is unaffected and completes normally.
-            assert blocker.wait(timeout=60).value == "done"
+            assert blocker.wait(timeout=60).value == "done", _where_stalled(
+                blocker, server
+            )
             assert len(blocker.cursor.to_table()) == len(photo)
         finally:
             blocker_session.close()

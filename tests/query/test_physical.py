@@ -285,15 +285,22 @@ def test_a_session_is_the_only_way_to_run_a_query():
     assert offenders == []
     # The engines are executors: they prepare trees and run nothing.
     for relative in ("query/engine.py", "distributed/engine.py"):
-        assert not _defined_names(relative) & {"execute", "query_table", "explain"}
+        assert not _defined_names(relative) & {
+            "execute",
+            "query_table",
+            "explain",
+            "QueryResult",
+        }
     # The stores place data and answer nothing on their own.
     for path in sorted((SRC / "storage").glob("*.py")):
         defined = _defined_names(path.relative_to(SRC).as_posix())
         assert not defined & {"query_region", "scan_all", "query_engine"}, path.name
     import repro.distributed
+    import repro.query
     import repro.storage
 
     for module, name in (
+        (repro.query, "QueryResult"),
         (repro.storage, "QueryStats"),
         (repro.storage, "DistributedQueryReport"),
         (repro.distributed, "DistributedQueryResult"),

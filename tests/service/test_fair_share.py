@@ -17,8 +17,7 @@ from repro.machines.scheduler import DeficitRoundRobin
 from repro.query.qet import QETNode
 from repro.service import ServiceTier
 from repro.service.errors import QuotaExceededError
-from repro.session import Archive, JobState, PreparedQuery, Session
-from repro.session.executor import Executor
+from repro.session import Archive, Executor, JobState, PreparedQuery, Session
 
 
 class TestDeficitRoundRobin:

@@ -15,16 +15,16 @@ import pytest
 
 from repro.catalog.table import ObjectTable
 from repro.query.errors import ExecutionError
+from repro.query.qet import QETNode
 from repro.session import (
     Archive,
+    Executor,
     JobCancelledError,
     JobState,
     PreparedQuery,
     Session,
     SessionError,
 )
-from repro.session.executor import Executor
-from repro.query.qet import QETNode
 
 
 def _wait_for(predicate, timeout=5.0):
@@ -62,6 +62,22 @@ class FailingNode(QETNode):
 
     def run(self):
         raise RuntimeError("synthetic node failure")
+
+
+class FailAfterNode(QETNode):
+    """Emits its batches, then raises: a stream that fails part-way."""
+
+    name = "fail-after"
+
+    def __init__(self, batches):
+        super().__init__(())
+        self.batches = list(batches)
+
+    def run(self):
+        for batch in self.batches:
+            if not self._emit(batch):
+                return
+        raise RuntimeError("synthetic failure after the batches")
 
 
 class StubExecutor(Executor):
@@ -286,6 +302,9 @@ class TestLiveScheduling:
             assert job2.state is JobState.QUEUED
             job1.cancel()
             assert job1.state is JobState.CANCELLED
+            # What it produced stays readable, even while the dispatcher
+            # is still winding its drain down.
+            assert len(job1.cursor.to_table()) <= 90
             # The dispatcher moves on without the gate ever opening.
             assert _wait_for(lambda: job2.state is JobState.RUNNING)
             gate.set()
@@ -325,6 +344,27 @@ class TestFailure:
             job = session.submit("boom", query_class="batch")
             assert job.wait(timeout=5) is JobState.FAILED
             assert job.error is not None
+            with pytest.raises(ExecutionError):
+                job.cursor.to_table()
+
+    def test_batch_failure_keeps_the_partial_rows(self, photo, small_batches):
+        executor = StubExecutor(lambda text: FailAfterNode(small_batches), photo.schema)
+        with Session(executor) as session:
+            job = session.submit("boom", query_class="batch")
+            page = job.cursor.fetchmany(90)
+            assert page["objid"].tolist() == photo["objid"][:90].tolist()
+            assert job.state is JobState.FAILED
+            with pytest.raises(ExecutionError):
+                job.cursor.fetchmany(1)
+
+    def test_interactive_failure_raises_on_every_read(self, photo, small_batches):
+        executor = StubExecutor(lambda text: FailAfterNode(small_batches), photo.schema)
+        with Session(executor) as session:
+            job = session.submit("boom")
+            with pytest.raises(ExecutionError):
+                job.cursor.to_table()
+            assert job.state is JobState.FAILED
+            # A failed stream is never mistaken for an empty one.
             with pytest.raises(ExecutionError):
                 job.cursor.to_table()
 

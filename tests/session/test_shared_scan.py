@@ -34,7 +34,7 @@ def _pages(store):
 
 
 def _scan_node(job):
-    for node in job._result._root.walk():
+    for node in job._prepared.root.walk():
         if isinstance(node, ScanNode):
             return node
     raise AssertionError("job has no scan node")
