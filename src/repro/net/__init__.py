@@ -7,7 +7,7 @@ boundary made real, with nothing caller-visible changing:
 
 * :mod:`repro.net.protocol` — length-prefixed JSON + binary frames
   (``hello`` / ``prepare`` / ``submit`` / ``fetch_batch`` / ``cancel`` /
-  ``mydb`` / ``job_stats`` / ``stats``), schema-carrying table serialization,
+  ``mydb`` / ``stats``), schema-carrying table serialization,
   and structured error frames that re-raise the original exception
   class client-side.
 * :mod:`repro.net.server` — :class:`ArchiveServer`: any backend

@@ -62,10 +62,20 @@ connection; the server keeps no client state across connections.
     results are simply ``done`` with zero batches — the client already
     holds the static output schema, so they stay well-formed tables.
     The ``batches`` frame that says ``done`` also carries the job's
-    statistics — ``state``, ``rows``, ``nodes``, ``spans``, ``raw`` and
-    ``analyzed_plan``, everything ``job_stats`` answers with (below) —
-    so a drained query needs no further exchange; the client folds them
-    in once the round's last table frame has arrived.
+    statistics, so a drained query needs no further exchange: its
+    ``state`` and ``rows``; ``nodes``, per QET node its ``kind`` plus
+    every field of its :class:`~repro.query.qet.NodeStats` (each
+    declared counter; the timestamps, ``None`` for events that never
+    happened), which the client's remote leaf folds into its own
+    record; the job's offset-encoded server-side ``spans`` (see
+    :meth:`repro.obs.trace.Trace.to_wire`); its ``analyzed_plan`` — the
+    server-executed plan tree annotated with measured rows/time/I-O for
+    EXPLAIN ANALYZE; and ``raw``, a flat dict in metrics-registry names
+    of what the server's sweeps, buffer pools and result cache counted
+    (:func:`repro.obs.report.shared_metrics`; on cache-enabled servers
+    with a per-job ``cache.hit`` flag), which the client job's metrics
+    merge in, so telemetry survives the wire.  The client folds them in
+    once the round's last table frame has arrived.
     On a shard stream, each table frame's header also carries
     ``delivered`` — the cumulative closed container-id
     intervals fully accounted for up to and including that batch — the
@@ -73,22 +83,8 @@ connection; the server keeps no client state across connections.
 ``cancel``
     Cancel a job, stopping every server-side QET thread (the client's
     out-of-band cancel path).  Job handles are owner-scoped: once a
-    connection authenticates, fetch/cancel/stats on another tenant's
-    job id is refused with a structured authentication error.
-``job_stats``
-    A job's statistics on request (the ``done`` frame carries the same
-    payload unasked): ``nodes``, per QET node its ``kind`` plus every
-    field of its :class:`~repro.query.qet.NodeStats` (each declared
-    counter; the timestamps, ``None`` for events that never happened),
-    which the client's remote leaf folds into its own record; the job's
-    offset-encoded server-side ``spans`` (see
-    :meth:`repro.obs.trace.Trace.to_wire`); once the job is terminal its
-    ``analyzed_plan`` — the server-executed plan tree annotated with
-    measured rows/time/I-O for EXPLAIN ANALYZE; and ``raw``, a flat dict
-    in metrics-registry names of what the server's sweeps, buffer pools
-    and result cache counted (:func:`repro.obs.report.shared_metrics`;
-    on cache-enabled servers with a per-job ``cache.hit`` flag), which
-    the client job's metrics merge in, so telemetry survives the wire.
+    connection authenticates, fetch/cancel on another tenant's job id
+    is refused with a structured authentication error.
 ``stats``
     Snapshot of the server's process-wide metrics registry plus server
     vitals: uptime, live/retired job counts, per-user job counts,
@@ -150,7 +146,8 @@ __all__ = [
 #: counters; the ``io_report`` op is gone.
 #: 3: ``raw`` is a flat dict in metrics-registry names (it was
 #: ``sweep`` / ``pool`` pairs and a nested ``cache`` dict).
-PROTOCOL_VERSION = 3
+#: 4: the ``job_stats`` op is gone (the ``done`` frame carries its payload).
+PROTOCOL_VERSION = 4
 
 #: Upper bound on one frame (header + body).  Result batches are at most
 #: a few thousand ~1.3 kB records, far below this; the bound exists so a

@@ -524,10 +524,6 @@ class ArchiveServer:
             self._handle_cancel(sock, header, conn)
         elif op == "mydb":
             self._handle_mydb(sock, header, conn)
-        elif op == "job_stats":
-            served = self._served(header, conn)
-            reply = {"op": "job_stats", "job_id": served.job_id}
-            send_frame(sock, {**reply, **self._job_stats(served)})
         elif op == "stats":
             send_frame(sock, self._stats())
         else:
@@ -536,8 +532,7 @@ class ArchiveServer:
     def _job_stats(self, served):
         """What a client needs to account a served job: state, per-node
         NodeStats, server spans, the analyzed plan once terminal, and the
-        store-side counters.  Rides the ``done`` frame of a stream; the
-        ``job_stats`` op answers the same thing mid-flight."""
+        store-side counters.  Rides the ``done`` frame of a stream."""
         job = served.job
         stats = {
             "state": job.state.value,
@@ -625,12 +620,16 @@ class ArchiveServer:
 
     def _handle_submit(self, sock, header, conn):
         query_class = header.get("query_class", "interactive")
+        mode = header.get("mode", "full")
+        # Only a full-mode query (no planning options) gets the tier.
         job = self.session.submit(
             header.get("text", ""),
             query_class=query_class,
             allow_tag_route=bool(header.get("allow_tag_route", True)),
-            prepare_kwargs={
-                "mode": header.get("mode", "full"),
+            prepare_kwargs=None
+            if mode == "full"
+            else {
+                "mode": mode,
                 "select_index": int(header.get("select_index", 0)),
                 "ranges": header.get("ranges"),
             },

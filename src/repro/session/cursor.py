@@ -5,8 +5,8 @@ A :class:`~repro.session.Job` holds its running tree and one generator
 over the root's batches; this :class:`Cursor` is that generator's only
 consumer.  Its :meth:`Cursor._pull` is the one drain — the batch
 dispatcher appends what it returns to the cursor's buffer — so the
-collection for completion sinks, the first-seen schema, the sinks
-themselves and failure marking are each written once.  The cursor
+collection for the completion sink, the first-seen schema, the sink
+itself and failure marking are each written once.  The cursor
 
 * always knows its output :class:`~repro.catalog.schema.Schema` (empty
   results are well-formed empty tables),
@@ -110,7 +110,7 @@ class Cursor:
         """Next batch from the execution tree, or ``None`` at the end:
         the one drain of a job's batches.
 
-        Exhaustion runs the job's completion sinks (cache fill, INTO
+        Exhaustion runs the job's completion sink (cache fill or INTO
         materialization) and marks it DONE — or surfaces a sink failure
         (e.g. a MyDB quota error) to the reader.  An execution error
         marks the job FAILED before re-raising, and every later pull
@@ -168,19 +168,7 @@ class Cursor:
         n = int(n)
         if n < 0:
             raise ValueError("fetchmany needs a non-negative row count")
-        parts = []
-        have = 0
-        while have < n:
-            batch = self._next_batch()
-            if batch is None:
-                break
-            take = min(len(batch), n - have)
-            if take < len(batch):
-                self._buffer.appendleft(batch.take(slice(take, None)))
-                batch = batch.take(slice(take))
-            parts.append(batch)
-            have += take
-        return self._combine(parts)
+        return self._gather(n)
 
     def fetchall(self):
         """Alias of :meth:`to_table` (drain everything remaining)."""
@@ -192,12 +180,28 @@ class Cursor:
         Empty results are empty tables of the cursor's schema — never
         ``None``.
         """
+        return self._gather(None)
+
+    def _gather(self, n):
+        """The next ``n`` rows (all remaining when ``None``) as one table.
+        On a failure part-way, what was gathered goes back to the front
+        of the buffer before the error propagates: the next read gets it."""
         parts = []
-        while True:
-            batch = self._next_batch()
-            if batch is None:
-                break
-            parts.append(batch)
+        have = 0
+        try:
+            while n is None or have < n:
+                batch = self._next_batch()
+                if batch is None:
+                    break
+                if n is not None and len(batch) > n - have:
+                    self._buffer.appendleft(batch.take(slice(n - have, None)))
+                    batch = batch.take(slice(n - have))
+                parts.append(batch)
+                have += len(batch)
+        except Exception:
+            if parts:
+                self._buffer.appendleft(ObjectTable.concat_all(parts))
+            raise
         return self._combine(parts)
 
     def _combine(self, parts):

@@ -7,6 +7,7 @@ Tests that need mutation or special parameters build their own.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -56,8 +57,9 @@ def _suite_test_timeout():
 #: test directory -> what its tests must leave as they found it: open
 #: sockets and ``archive-*`` threads where tests start servers, else the
 #: threads named by these prefixes — ``qet-*`` where they run query
-#: trees, ``river-*`` where they run river graphs.  ``sweep-*`` threads
-#: are not watched: one ends up to a second after its store is dropped.
+#: trees, ``river-*`` where they run river graphs — and, with them, the
+#: child processes (shard servers).  ``sweep-*`` threads are not
+#: watched: one ends up to a second after its store is dropped.
 LEAVE_NOTHING_BEHIND = {
     "net": "sockets",
     "chaos": "sockets",
@@ -99,7 +101,8 @@ def _leave_nothing_behind(request):
     """A network test ends with the open sockets and the ``archive-*``
     threads (server accept loops, cluster probes) it began with; a test
     that runs query trees or river graphs leaves no ``qet-*`` thread (a
-    node's, or a gather helper's) or ``river-*`` thread it started.
+    node's, or a gather helper's), ``river-*`` thread or child process
+    it started.
 
     Server-side connection threads close their socket a moment after
     the client hangs up, and a cancelled node thread exits a moment
@@ -119,12 +122,16 @@ def _leave_nothing_behind(request):
                 return f"(open sockets, archive-* threads) {before} -> {after}"
 
     elif isinstance(watch, tuple):
-        before = _threads(watch)
+        before = _threads(watch), set(multiprocessing.active_children())
 
         def left():
-            started = sorted(thread.name for thread in _threads(watch) - before)
-            if started:
-                return f"threads {started}"
+            started = sorted(thread.name for thread in _threads(watch) - before[0])
+            children = set(multiprocessing.active_children()) - before[1]
+            if started or children:
+                return (
+                    f"threads {started}, "
+                    f"child processes {sorted(child.name for child in children)}"
+                )
 
     else:
         yield

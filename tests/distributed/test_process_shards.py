@@ -140,6 +140,24 @@ class TestLifecycle:
         empty.close()
         empty.close()
 
+    def test_a_refused_connect_reaps_the_shard_processes(self, make_archive):
+        """Regression: bad credentials failed the connect after the
+        cluster had started and left every shard process running."""
+        import multiprocessing
+
+        from repro.service import AuthenticationError, ServiceTier
+
+        before = set(multiprocessing.active_children())
+        with pytest.raises(AuthenticationError):
+            Archive.connect(
+                archive=make_archive(N_SHARDS),
+                process_shards=True,
+                service=ServiceTier(auth={"alice": "s3cret"}),
+                user="alice",
+                token="wrong",
+            )
+        assert set(multiprocessing.active_children()) <= before
+
     def test_requires_a_distributed_archive(self, photo_store):
         with pytest.raises(TypeError, match="process_shards"):
             Archive.connect(

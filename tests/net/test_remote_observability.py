@@ -182,3 +182,32 @@ class TestSingleServerCacheReplay:
                 assert second.io_report()["cache"]["hit"] is True
                 stats = session.server_stats()
                 assert stats["metrics"]["cache.hit_rate"] > 0.0
+
+
+class TestShardHalvesBypassTheTier:
+    GROUPED = (
+        "SELECT objtype, COUNT(objid) AS n, AVG(mag_r) AS m FROM photo "
+        "GROUP BY objtype ORDER BY objtype"
+    )
+
+    def test_partials_never_reach_the_cache(
+        self, cluster_session, shard_servers, partitioned_archive
+    ):
+        """A shard half emits accumulator states (an AVG as its sum and
+        count), no user's answer: run twice, it neither fills nor hits
+        an endpoint's result cache, and a full-mode query of the same
+        text still gets that endpoint's own finished rows."""
+        for _ in range(2):
+            run_to_completion(cluster_session, self.GROUPED)
+        for server in shard_servers:
+            cache = server.service.cache
+            assert (cache.stats.fills, cache.stats.hits, len(cache)) == (0, 0, 0)
+        node = partitioned_archive.servers[0]
+        with Archive.connect(stores=node.stores()) as local:
+            expected = local.query_table(self.GROUPED)
+        with Archive.connect(shard_servers[0].url) as direct:
+            answer = direct.query_table(self.GROUPED)
+        assert answer.schema.field_names() == expected.schema.field_names()
+        assert answer["objtype"].tolist() == expected["objtype"].tolist()
+        assert answer["n"].tolist() == expected["n"].tolist()
+        assert answer["m"].tolist() == pytest.approx(expected["m"].tolist())

@@ -3,9 +3,9 @@
 * wire shape — what a query dispatches server-side, op by op, counted
   with a ``fault_policy`` hook: ``prepare, submit, fetch_batch×k`` for
   an authenticated ``archive://`` session and ``submit, fetch_batch×k``
-  for one shard of a cluster, credentialed or not; no ``hello``,
-  ``job_stats`` or ``io_report`` — and the client's round-trip
-  telemetry counts exactly those ops;
+  for one shard of a cluster, credentialed or not; no ``hello`` —
+  and the client's round-trip telemetry counts exactly those ops; the
+  retired ``job_stats`` and ``io_report`` ops are not served;
 * identity on the first frame — the client puts credentials on
   whatever op opens the connection and the server takes them there; a
   cluster's endpoints get them from their URLs or from ``user=`` /
@@ -142,11 +142,14 @@ def test_one_cluster_shard_sees_submit_and_fetches_only(
     assert trips == sum(len(ops) for ops in per_shard)
 
 
-def test_io_report_op_is_gone(auth_server):
-    assert PROTOCOL_VERSION == 3
+def test_retired_ops_are_gone(auth_server):
+    """The ``done`` frame carries what ``io_report`` and ``job_stats``
+    answered; neither op is served any more."""
+    assert PROTOCOL_VERSION == 4
     link = ServerLink(auth_server.address, user="alice", token=USERS["alice"])
-    with pytest.raises(Exception, match="unknown operation 'io_report'"):
-        link.once({"op": "io_report", "job_id": "rjob-1"})
+    for op in ("io_report", "job_stats"):
+        with pytest.raises(Exception, match=f"unknown operation '{op}'"):
+            link.once({"op": op, "job_id": "rjob-1"})
 
 
 # ----------------------------------------------------------------------

@@ -421,7 +421,6 @@ def test_planning_takes_the_schemas_and_nothing_else():
         "user",
         "token",
         "query_log",
-        "slow_query_ms",
     ]
     assert names(ArchiveServer) == [
         "backend",

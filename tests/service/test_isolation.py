@@ -144,7 +144,6 @@ class TestWireIsolation:
                 for op in (
                     {"op": "fetch_batch", "job_id": root.remote_job_id},
                     {"op": "cancel", "job_id": root.remote_job_id},
-                    {"op": "job_stats", "job_id": root.remote_job_id},
                 ):
                     with pytest.raises(AuthenticationError):
                         _request(probe, op)

@@ -357,6 +357,19 @@ class TestFailure:
             with pytest.raises(ExecutionError):
                 job.cursor.fetchmany(1)
 
+    def test_a_failing_read_keeps_the_rows_it_gathered(self, photo, small_batches):
+        """Regression: a read asking for more rows than the stream made
+        before failing dropped them with the error."""
+        executor = StubExecutor(lambda text: FailAfterNode(small_batches), photo.schema)
+        with Session(executor) as session:
+            job = session.submit("boom")
+            with pytest.raises(ExecutionError):
+                job.cursor.fetchmany(1000)
+            page = job.cursor.fetchmany(90)
+            assert page["objid"].tolist() == photo["objid"][:90].tolist()
+            with pytest.raises(ExecutionError):
+                job.cursor.fetchmany(1)
+
     def test_interactive_failure_raises_on_every_read(self, photo, small_batches):
         executor = StubExecutor(lambda text: FailAfterNode(small_batches), photo.schema)
         with Session(executor) as session:
