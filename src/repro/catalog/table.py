@@ -50,14 +50,28 @@ def concat_records(arrays, dtype):
     return np.concatenate([a.view(records) for a in arrays]).view(dtype)
 
 
+#: Below this share of a morsel's rows kept, :func:`take_columns` indexes
+#: each strided field directly, reading only the kept rows; at or above
+#: it, ``np.take``, which first copies the whole field contiguous, is
+#: faster.  Three photo columns of a 9 700-row morsel on a 2-CPU Xeon:
+#: 1 % kept 0.068 ms with ``np.take`` against 0.008 ms indexed, 12.5 %
+#: 0.088 against 0.049 ms, 50 % 0.127 against 0.185 ms; two tag columns
+#: cross near 20 %.
+SPARSE_SHARE = 1 / 8
+
+
 def take_columns(data, mask, dtype):
     """The rows ``mask`` keeps of ``dtype``'s fields of ``data``, packed:
-    one gather per column, so no other byte of a row is read."""
+    one gather per column.  A sparse selection (under
+    :data:`SPARSE_SHARE` of the rows) reads no other byte of a row."""
     out = np.empty(np.count_nonzero(mask), dtype)
     index = None if len(out) == len(data) else np.flatnonzero(mask)
+    sparse = len(out) < len(data) * SPARSE_SHARE
     for name in dtype.names:
         if index is None:
             out[name] = data[name]
+        elif sparse:
+            out[name] = data[name][index]
         else:  # "clip": take writes into the strided field unbuffered
             np.take(data[name], index, axis=0, out=out[name], mode="clip")
     return out

@@ -19,11 +19,13 @@ propagates :meth:`Job.cancel` over the wire.
 
 Every wire call goes through one :class:`ServerLink` — one server's
 address, identity, timeouts, round-trip telemetry and retry policy.
-Connections are one-shot.  A query is ``prepare`` on one connection,
-then ``submit`` + ``fetch_batch``... on a second; the frame that says
-``done`` brings the server's statistics with it.  A link with
-credentials puts them on each connection's first frame; there is no
-separate identifying exchange.
+Connections are one-shot.  A query is one connection: ``submit``, whose
+``accepted`` reply describes the query (schema, sources, fan-out
+reports) from the server's one prepare, then ``fetch_batch``... until
+the frame that says ``done`` brings the server's statistics with it.
+Only EXPLAIN asks for the server's plan (``prepare``, on a connection
+of its own).  A link with credentials puts them on each connection's
+first frame; there is no separate identifying exchange.
 
 Failure contract: a dead or crashed server surfaces as a *FAILED* job
 with the connection error as its cause — never a hang.  Cancellation is
@@ -225,11 +227,12 @@ class ServerLink:
     segments).
     """
 
-    #: recv bound on one-shot exchanges.  Their replies cost the server a
-    #: parse+plan at most, so a wedged server must fail the call, not
-    #: hang ``Session.submit`` with no job to cancel.  Streams stay
-    #: unbounded by default (long queries legitimately pause between
-    #: batches) and are interruptible through the cancel hook instead.
+    #: recv bound on one-shot exchanges and on a stream's ``submit``.
+    #: Their replies cost the server a parse+plan at most, so a wedged
+    #: server must fail the call, not hang ``Session.submit`` with no job
+    #: to cancel.  The ``fetch_batch`` rounds after it stay unbounded by
+    #: default (long queries legitimately pause between batches) and are
+    #: interruptible through the cancel hook instead.
     CONTROL_TIMEOUT: ClassVar[float] = 30.0
 
     endpoint: tuple
@@ -279,10 +282,15 @@ class ServerLink:
             header = {**header, "user": self.user, "token": self.token}
         return _request(sock, header, telemetry=self.telemetry)
 
+    @property
+    def control_timeout(self):
+        """The recv bound of an exchange that must not hang: ``timeout``
+        when the caller set one, else :attr:`CONTROL_TIMEOUT`."""
+        return self.timeout if self.timeout is not None else self.CONTROL_TIMEOUT
+
     def once(self, header):
         """One exchange on a connection of its own; the reply header."""
-        timeout = self.timeout if self.timeout is not None else self.CONTROL_TIMEOUT
-        with self.open(timeout) as sock:
+        with self.open(self.control_timeout) as sock:
             return self.request(sock, header, identify=True)[0]
 
     def call(self, header):
@@ -340,7 +348,11 @@ class RemoteRootNode(QETNode):
         happens only if this node has emitted zero rows.
 
     A full-mode root has no ``failover`` plan: a dead server fails the
-    job with the connection error as its cause.
+    job with the connection error as its cause.  It submits from the
+    thread that starts it (:meth:`start`), and the ``accepted`` frame's
+    description of the query completes the owning job's
+    :class:`~repro.query.physical.PreparedQuery`; its server-rendered
+    plan (:attr:`remote_plan`) is fetched only when something reads it.
     """
 
     name = "remote"
@@ -356,7 +368,6 @@ class RemoteRootNode(QETNode):
         allow_tag_route=True,
         mode="full",
         select_index=0,
-        remote_plan=None,
         server_id=None,
         compression=None,
         ranges=None,
@@ -376,8 +387,11 @@ class RemoteRootNode(QETNode):
         #: the server's choice comes back in the ``accepted`` frame and
         #: decompression is transparent in ``table_from_wire``
         self.compression = compression
-        #: the server-rendered PlanTree (``session.explain`` passthrough)
-        self.remote_plan = remote_plan
+        #: the server-rendered PlanTree, once :attr:`remote_plan` asked
+        self._remote_plan = None
+        #: the PreparedQuery a full-mode ``accepted`` frame completes
+        #: (set by :meth:`RemoteExecutor.prepare`; None for a shard leaf)
+        self._described = None
         #: annotation consumed by the structured explain (shard index)
         self.server_id = server_id
         #: query class forwarded to the server-side session (bound by
@@ -422,11 +436,33 @@ class RemoteRootNode(QETNode):
         self._sock = None
         self._sock_lock = threading.Lock()
         self._cancel_sent = False
+        #: a transport failure of the submit :meth:`start` sent, which
+        #: the node's thread fails the job with
+        self._lost = None
 
     @property
     def endpoint(self):
         """The first segment's server (what explain and traces name)."""
         return self.link.endpoint
+
+    @property
+    def remote_plan(self):
+        """The server-rendered :class:`~repro.session.plan.PlanTree` of a
+        full-mode query (``None`` for a shard leaf), fetched with one
+        ``prepare`` exchange the first time it is read: EXPLAIN asks for
+        it, a query that only runs never does."""
+        if self.mode != "full":
+            return None
+        if self._remote_plan is None:
+            header = self.link.call(
+                {
+                    "op": "prepare",
+                    "text": self.text,
+                    "allow_tag_route": self.allow_tag_route,
+                }
+            )
+            self._remote_plan = plan_from_wire(header.get("plan"))
+        return self._remote_plan
 
     # -- session integration --------------------------------------------
 
@@ -489,6 +525,27 @@ class RemoteRootNode(QETNode):
 
     # -- execution ------------------------------------------------------
 
+    def start(self):
+        """Start the node.  A full-mode root first opens the query's one
+        connection and submits on it, from the starting thread: a query
+        the server refuses (parse, plan, authentication) raises here, so
+        from ``Session.submit``, as does a server that cannot be reached
+        (its connection is opened under the link's retry policy: nothing
+        has been sent yet).  A connection that dies once the submit is
+        sent fails the job from the node's thread instead, after its one
+        attempt.
+        """
+        if self.mode == "full":
+            sock = self._connect(self.link)
+            try:
+                self._submit(sock, self.link, self.ranges)
+            except (OSError, ConnectionClosed) as exc:
+                self._lost = exc
+            except BaseException:
+                self._disconnect(sock)
+                raise
+        super().start()
+
     def run(self):
         # One entry per pending submission: (link, ranges).  A clean
         # run is the single initial segment; each failover replaces a
@@ -511,13 +568,31 @@ class RemoteRootNode(QETNode):
                 raise
 
     def _run_segment(self, link, ranges):
+        # A full-mode root's one segment was opened and submitted by start().
+        opened = self._sock
+        sock = opened if opened is not None else self._connect(link)
+        try:
+            if self._lost is not None:
+                raise self._lost
+            if opened is None:
+                if self.output.cancelled():
+                    return
+                self._submit(sock, link, ranges)
+            self._stream(sock, link)
+        finally:
+            self._disconnect(sock)
+
+    def _connect(self, link):
+        """Open a segment's connection and make it the one the cancel
+        hook breaks and the side-channel cancel follows."""
         self.attempts += 1
         self._segment_delivered = None
-        sock = link.open(link.timeout)
+        if self.mode == "full":
+            # No failover plan: retry the open, which sent nothing.
+            sock = link.retry.call(lambda: link.open(link.control_timeout))
+        else:
+            sock = link.open(link.control_timeout)
         with self._sock_lock:
-            if self.output.cancelled():
-                sock.close()
-                return
             self._sock = sock
             # Per-segment wire state: a replacement submission is a new
             # server-side job (on a new server), so the side-channel
@@ -525,15 +600,15 @@ class RemoteRootNode(QETNode):
             self._segment_link = link
             self.remote_job_id = None
             self._cancel_sent = False
+        return sock
+
+    def _disconnect(self, sock):
+        with self._sock_lock:
+            self._sock = None
         try:
-            self._stream(sock, link, ranges)
-        finally:
-            with self._sock_lock:
-                self._sock = None
-            try:
-                sock.close()
-            except OSError:
-                pass
+            sock.close()
+        except OSError:
+            pass
 
     def _plan_failover(self, link, ranges, exc):
         """Replacement segments after ``link``'s server died mid-stream.
@@ -575,7 +650,10 @@ class RemoteRootNode(QETNode):
         metrics_registry().counter("net.failovers").inc()
         return [(link.at(ep), rs.intervals) for ep, rs in replacements]
 
-    def _stream(self, sock, link, ranges):
+    def _submit(self, sock, link, ranges):
+        """``submit`` on the segment's connection, bounded like a one-shot
+        exchange; once ``accepted``, the socket waits on the stream's own
+        bound."""
         submit = {
             "op": "submit",
             "text": self.text,
@@ -597,11 +675,21 @@ class RemoteRootNode(QETNode):
         self.wire_spans.append(submit_span)
         accepted, _ = link.request(sock, submit, identify=True)
         submit_span.ended_at = time.perf_counter()
+        sock.settimeout(link.timeout)
         #: what the server actually chose (None when it spoke no
         #: requested codec — older servers simply ignore the field)
         self.negotiated_compression = accepted.get("compression")
         with self._sock_lock:
             self.remote_job_id = accepted.get("job_id")
+        if self._described is not None:
+            # The server's one prepare describes the query.
+            self._described.schema = schema_from_wire(accepted.get("schema"))
+            self._described.sources = list(accepted.get("sources", []))
+            self._described.reports = [
+                report_from_wire(r) for r in accepted.get("reports", [])
+            ]
+
+    def _stream(self, sock, link):
         stream_span = Span("wire:stream", started_at=time.perf_counter())
         self.wire_spans.append(stream_span)
         done = False
@@ -670,11 +758,14 @@ class RemoteRootNode(QETNode):
 class RemoteExecutor(Executor):
     """Executor protocol adapter: queries prepared against a far archive.
 
-    ``prepare`` performs one wire round-trip: the server parses, plans,
-    splits and routes, and answers with the static output schema, the
-    fan-out reports, the routed sources and the structured plan tree —
-    everything the session layer needs to admit, explain and account the
-    job — plus an unstarted :class:`RemoteRootNode` that will execute it.
+    ``prepare`` makes no wire exchange: it returns an unstarted
+    :class:`RemoteRootNode`, and the query's description waits for the
+    server.  When the job starts, the node opens the query's one
+    connection and submits; the server parses, plans and routes the query
+    once, and its ``accepted`` reply carries the static output schema,
+    the routed sources and the fan-out reports.  Only EXPLAIN asks the
+    server for the structured plan tree (a ``prepare`` exchange, made
+    the first time :attr:`RemoteRootNode.remote_plan` is read).
     """
 
     kind = "remote"
@@ -691,9 +782,9 @@ class RemoteExecutor(Executor):
         token=None,
     ):
         #: address, tenant identity, timeouts, telemetry and the
-        #: RetryPolicy of the idempotent ops (hello, prepare, stats,
-        #: mydb).  Submissions are never retried — they stop being
-        #: idempotent the moment the first byte streams.
+        #: RetryPolicy of the idempotent ops (hello, stats, mydb, and
+        #: EXPLAIN's prepare).  Submissions are never retried — they
+        #: stop being idempotent the moment the first byte streams.
         self.link = ServerLink(
             (host, int(port)),
             user=user,
@@ -760,23 +851,15 @@ class RemoteExecutor(Executor):
         return self.link.call(request)
 
     def prepare(self, text, allow_tag_route=True):
-        header = self.link.call(
-            {"op": "prepare", "text": text, "allow_tag_route": allow_tag_route}
-        )
         root = RemoteRootNode(
             self.link,
             text,
             allow_tag_route=allow_tag_route,
-            remote_plan=plan_from_wire(header.get("plan")),
             compression=self.compression,
         )
-        return PreparedQuery(
-            text=text,
-            root=root,
-            schema=schema_from_wire(header.get("schema")),
-            reports=[report_from_wire(r) for r in header.get("reports", [])],
-            sources=list(header.get("sources", [])),
-        )
+        prepared = PreparedQuery(text=text, root=root)
+        root._described = prepared
+        return prepared
 
     def __repr__(self):
         return f"RemoteExecutor({self.url!r})"

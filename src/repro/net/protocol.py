@@ -37,12 +37,18 @@ connection; the server keeps no client state across connections.
     cluster coordinator asks once per endpoint at connect.
 ``prepare``
     Parse + plan a query server-side without starting it; returns the
-    static output schema, fan-out reports, routed sources, and the
-    structured plan tree.
+    structured plan tree.  EXPLAIN's op: a query that runs never sends
+    it.
 ``submit``
     Start a query as a server-side session job and return its job id
     (an interactive job starts at once; a batch job queues on the
-    server session's fair-share queue).  ``mode="shard"`` runs only the pushed-down
+    server session's fair-share queue).  A full-mode ``accepted`` reply
+    also describes the query from the server's one prepare: its static
+    output ``schema``, routed ``sources`` and fan-out ``reports``, so a
+    query is ``submit`` and its ``fetch_batch`` rounds on one
+    connection.  An interactive ``SELECT ... INTO`` runs after the
+    reply, and its outcome (a MyDB quota error, say) comes on the
+    stream.  ``mode="shard"`` runs only the pushed-down
     shard half of the plan's ``select_index``-th SELECT — the op the
     remote scatter-gather executor fans out.  An optional ``trace_id``
     rides the frame so the server-side job records its spans under the
@@ -147,7 +153,9 @@ __all__ = [
 #: 3: ``raw`` is a flat dict in metrics-registry names (it was
 #: ``sweep`` / ``pool`` pairs and a nested ``cache`` dict).
 #: 4: the ``job_stats`` op is gone (the ``done`` frame carries its payload).
-PROTOCOL_VERSION = 4
+#: 5: ``accepted`` carries the schema, sources and reports; ``prepare``
+#: answers with the plan tree alone.
+PROTOCOL_VERSION = 5
 
 #: Upper bound on one frame (header + body).  Result batches are at most
 #: a few thousand ~1.3 kB records, far below this; the bound exists so a

@@ -32,8 +32,13 @@ hosted backend behind a full/shard mode dispatch.
 A connection's only protocol state is *who is asking*: a frame that
 carries ``user``/``token`` identifies its connection (the one rule, in
 ``_dispatch``), and the frame that ends a result stream brings the job's
-statistics — a query is ``prepare``, then ``submit`` and its
-``fetch_batch`` rounds.
+statistics.  A query is one connection and one server-side prepare:
+``submit``, whose ``accepted`` reply carries the output schema, routed
+sources and fan-out reports that prepare built, then ``fetch_batch``
+rounds.  The reply comes before an interactive ``SELECT ... INTO`` runs,
+so it costs a parse and plan at most; the INTO's outcome comes on the
+stream.  ``prepare`` serves EXPLAIN alone: it plans without starting a
+job and renders the plan tree.
 
 Run one from the shell::
 
@@ -598,6 +603,8 @@ class ArchiveServer:
         return self.service.mydb.stores_for(conn.effective_user)
 
     def _handle_prepare(self, sock, header, conn):
+        """EXPLAIN's exchange: plan without starting a job and render
+        the plan tree."""
         kwargs = {}
         overlay = self._mydb_overlay(conn)
         if overlay:
@@ -608,33 +615,35 @@ class ArchiveServer:
             **kwargs,
         )
         send_frame(
-            sock,
-            {
-                "op": "prepared",
-                "schema": schema_to_wire(prepared.schema),
-                "sources": list(prepared.sources),
-                "reports": [report_to_wire(r) for r in prepared.reports],
-                "plan": plan_to_wire(plan_tree(prepared.root)),
-            },
+            sock, {"op": "prepared", "plan": plan_to_wire(plan_tree(prepared.root))}
         )
 
     def _handle_submit(self, sock, header, conn):
         query_class = header.get("query_class", "interactive")
         mode = header.get("mode", "full")
+        session = self.session
         # Only a full-mode query (no planning options) gets the tier.
-        job = self.session.submit(
+        job = session._enter(
             header.get("text", ""),
-            query_class=query_class,
-            allow_tag_route=bool(header.get("allow_tag_route", True)),
-            prepare_kwargs=None
+            query_class,
+            bool(header.get("allow_tag_route", True)),
+            None
             if mode == "full"
             else {
                 "mode": mode,
                 "select_index": int(header.get("select_index", 0)),
                 "ranges": header.get("ranges"),
             },
-            user=conn.effective_user,
+            conn.effective_user,
         )
+        # An interactive INTO runs to completion in its launch.  It
+        # launches after ``accepted``, so the client's bounded wait for
+        # that reply covers parse and plan only; the INTO's outcome
+        # rides the stream.  Every other job starts before the reply,
+        # so a start that fails is the submit's error.
+        into = query_class == "interactive" and job._prepared.into is not None
+        if not into:
+            session._launch(job)
         client_trace = header.get("trace_id")
         if client_trace is not None and job._trace is not None:
             # Correlation, not adoption: the server job keeps its own
@@ -649,15 +658,28 @@ class ArchiveServer:
             job_id = f"rjob-{self._job_counter}"
             self._jobs[job_id] = _ServedJob(job_id, job, compression=compression)
         conn.job_ids.append(job_id)
-        send_frame(
-            sock,
-            {
-                "op": "accepted",
-                "job_id": job_id,
-                "query_class": query_class,
-                "compression": compression,
-            },
-        )
+        accepted = {
+            "op": "accepted",
+            "job_id": job_id,
+            "query_class": query_class,
+            "compression": compression,
+        }
+        if mode == "full":
+            # The one prepare of this query describes it to the client
+            # (a shard's coordinator planned its own half).
+            prepared = job._prepared
+            accepted["schema"] = schema_to_wire(prepared.schema)
+            accepted["sources"] = list(prepared.sources)
+            accepted["reports"] = [report_to_wire(r) for r in prepared.reports]
+        send_frame(sock, accepted)
+        if into:
+            try:
+                session._launch(job)
+            except Exception as exc:
+                if exc is not job.error:
+                    raise
+                # The failed INTO keeps its error on the job: the next
+                # fetch_batch reports it to the client.
 
     def _served(self, header, conn=None):
         job_id = header.get("job_id")

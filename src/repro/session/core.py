@@ -131,12 +131,15 @@ class Job:
 
     @property
     def static_schema(self):
-        """Statically-derived output schema of this query."""
+        """Statically-derived output schema of this query.  A remote
+        query's is known once it has started (its server describes it):
+        ``None`` while a remote batch job queues, or if its start failed."""
         return self._prepared.schema
 
     @property
     def reports(self):
-        """Shard fan-out reports (distributed backends; empty otherwise)."""
+        """Shard fan-out reports (distributed backends; empty otherwise).
+        A remote query's, like its schema, arrive when it starts."""
         return list(self._prepared.reports)
 
     def _tree(self):
@@ -524,7 +527,10 @@ class Session:
         Returns a :class:`Job` immediately: interactive jobs are already
         RUNNING and stream ASAP; batch jobs are QUEUED and dispatched in
         fair-share order across users (submission order within a user).
-        A submission is :meth:`_prepare`, :meth:`_admit`, then the start.
+        A submission is :meth:`_enter` (:meth:`_prepare`, :meth:`_admit`)
+        then :meth:`_launch` (the start); a start that raises (a remote
+        server refusing the query its root submits) withdraws the job,
+        so the error leaves none behind.
         ``prepare_kwargs`` forwards executor-specific planning options
         (e.g. the archive server's shard-mode submissions) — the common
         executors take none.  ``user`` overrides the session identity
@@ -538,6 +544,13 @@ class Session:
         ``SELECT ... INTO mydb.x``), and the per-user batch admission
         quota.
         """
+        job = self._enter(text, query_class, allow_tag_route, prepare_kwargs, user)
+        self._launch(job)
+        return job
+
+    def _enter(self, text, query_class, allow_tag_route, prepare_kwargs, user):
+        """Prepare and admit one query under a trace of its own: the
+        :class:`Job`, not started yet (a batch one already queued)."""
         if query_class not in self.QUERY_CLASSES:
             raise SessionError(
                 f"unknown query class {query_class!r}; "
@@ -557,22 +570,31 @@ class Session:
         prepared, cache_hit, sink = self._prepare(
             text, user, allow_tag_route, trace, prepare_kwargs, run=True
         )
-        job = self._admit(prepared, query_class, user, trace, cache_hit, sink)
+        return self._admit(prepared, query_class, user, trace, cache_hit, sink)
+
+    def _launch(self, job):
+        """Start an admitted job, then count it.  An interactive job
+        starts here: a start that raises withdraws it uncounted, and an
+        INTO runs to completion (the table exists when ``submit``
+        returns) and raises its error.  A batch job is already queued."""
+        interactive = job.query_class == "interactive"
+        into = interactive and job._prepared.into is not None
+        if interactive and not into:
+            try:
+                job._start()
+            except BaseException:
+                with self._lock:
+                    self._jobs.pop(job, None)
+                raise
         reg = obs_registry()
         reg.counter("session.queries_submitted").inc()
-        reg.counter(f"session.queries_{query_class}").inc()
-        if cache_hit:
+        reg.counter(f"session.queries_{job.query_class}").inc()
+        if job.cache_hit:
             reg.counter("session.cache_replays").inc()
-        if query_class == "interactive":
-            if prepared.into is not None:
-                # INTO runs eagerly: the table exists when submit
-                # returns, so the next statement can query it.
-                job._run_to_completion()
-                if job.error is not None:
-                    raise job.error
-            else:
-                job._start()
-        return job
+        if into:
+            job._run_to_completion()
+            if job.error is not None:
+                raise job.error
 
     def _prepare(
         self, text, user, allow_tag_route, trace, prepare_kwargs=None, run=False

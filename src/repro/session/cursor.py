@@ -56,7 +56,9 @@ class Cursor:
     @property
     def schema(self):
         """Output schema; statically derived, so it is known even for
-        queries that produce no rows."""
+        queries that produce no rows.  A remote query's is known once it
+        has started (its server describes it), so a queued remote batch
+        job has none yet, nor does one whose start failed."""
         static = self._job.static_schema
         if static is not None:
             return static

@@ -146,9 +146,10 @@ def plan_tree(root):
 
     A remote node (the leaf of an ``archive://`` session) carries the
     *server-rendered* plan tree — derived from the server's executable
-    QET by this same function, shipped back in the ``prepare`` frame —
-    so explaining a remote query shows the real scans and merges that
-    would run in the server process, annotated with the endpoint.
+    QET by this same function, fetched with a ``prepare`` exchange when
+    read here — so explaining a remote query shows the real scans and
+    merges that would run in the server process, annotated with the
+    endpoint.
     """
     remote_plan = getattr(root, "remote_plan", None)
     endpoint = getattr(root, "endpoint", None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.catalog.schema import Field, Schema
-from repro.catalog.table import ObjectTable, take_records
+from repro.catalog.table import SPARSE_SHARE, ObjectTable, take_columns, take_records
 
 SCHEMA = Schema(
     "test_rows",
@@ -213,3 +213,39 @@ class TestTakeRecords:
     def test_wrong_length_mask_raises(self):
         with pytest.raises(IndexError):
             take_records(_mixed_records(10), np.ones(9, dtype=bool))
+
+
+class TestTakeColumns:
+    #: objid, the subarray field and the one-byte field of MIXED, packed
+    KEPT = np.dtype([("objid", "i8"), ("vec", "f4", (3,)), ("flag", "u1")])
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            pytest.param(lambda d: d, id="contiguous"),
+            pytest.param(lambda d: d[::2], id="strided"),
+        ],
+    )
+    @pytest.mark.parametrize("kept", ["none", "one", "few", "most", "all"])
+    def test_is_bit_identical_to_the_masked_fields(self, source, kept):
+        data = source(_mixed_records(160))
+        n = len(data)
+        rows = {
+            "none": [],
+            "one": [n // 2],
+            "few": [1, 5, 6, n - 1],
+            "most": [i for i in range(n) if i % 9],
+            "all": range(n),
+        }[kept]
+        mask = np.zeros(n, dtype=bool)
+        mask[list(rows)] = True
+        # "few" takes the sparse gather, "most" np.take
+        assert (len(rows) < n * SPARSE_SHARE) == (kept in ("none", "one", "few"))
+        expected = np.empty(len(rows), self.KEPT)
+        for name in self.KEPT.names:
+            expected[name] = data[name][mask]
+        got = take_columns(data, mask, self.KEPT)
+        assert got.dtype == self.KEPT
+        assert got.tobytes() == expected.tobytes()
+        assert not np.shares_memory(got, data)
+

@@ -22,6 +22,7 @@ import socket
 import pytest
 
 from repro.net import RemotePartitionedExecutor, ScriptedFaults
+from repro.net.client import ServerLink
 from repro.obs import QueryLog
 from repro.obs.metrics import registry
 from repro.query.errors import ExecutionError, UnrecoverableShardError
@@ -250,6 +251,31 @@ def test_hello_retries_through_a_dropped_connection(chaos_cluster):
         assert len(rows) > 0
     assert faults.fired == [("op:hello", "drop_connection")]
     assert registry().snapshot().get("net.retries", 0) >= before + 1
+
+
+def test_a_refused_first_connection_of_a_query_is_retried(chaos_cluster, monkeypatch):
+    """A single-endpoint query's first contact is its connection open.
+    Nothing has been sent when that is refused, so the open retries
+    with backoff; the submit itself is still one attempt."""
+    servers = chaos_cluster()
+    real_open = ServerLink.open
+    refused = []
+
+    def refuse_once(link, timeout):
+        if not refused:
+            refused.append(link.endpoint)
+            raise ConnectionRefusedError("refused once")
+        return real_open(link, timeout)
+
+    with Archive.connect(servers[0].url) as session:
+        before = registry().snapshot().get("net.retries", 0)
+        monkeypatch.setattr(ServerLink, "open", refuse_once)
+        job = session.submit("SELECT objid FROM photo WHERE mag_r < 16")
+        assert len(job.cursor.to_table()) > 0
+        assert job.wait(timeout=JOIN_TIMEOUT).value == "done"
+    assert refused == [servers[0].address]
+    assert registry().snapshot().get("net.retries", 0) >= before + 1
+    assert job.metrics()["net.attempts"] == 1
 
 
 def test_all_unreachable_endpoints_reported_in_one_error(chaos_cluster):

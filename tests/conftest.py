@@ -57,8 +57,8 @@ def _suite_test_timeout():
 #: test directory -> what its tests must leave as they found it: open
 #: sockets and ``archive-*`` threads where tests start servers, else the
 #: threads named by these prefixes — ``qet-*`` where they run query
-#: trees, ``river-*`` where they run river graphs — and, with them, the
-#: child processes (shard servers).  ``sweep-*`` threads are not
+#: trees, ``river-*`` where they run river graphs — and, with either,
+#: the child processes (shard servers).  ``sweep-*`` threads are not
 #: watched: one ends up to a second after its store is dropped.
 LEAVE_NOTHING_BEHIND = {
     "net": "sockets",
@@ -101,8 +101,8 @@ def _leave_nothing_behind(request):
     """A network test ends with the open sockets and the ``archive-*``
     threads (server accept loops, cluster probes) it began with; a test
     that runs query trees or river graphs leaves no ``qet-*`` thread (a
-    node's, or a gather helper's), ``river-*`` thread or child process
-    it started.
+    node's, or a gather helper's) or ``river-*`` thread it started; and
+    no watched test leaves a child process (a shard server) it started.
 
     Server-side connection threads close their socket a moment after
     the client hangs up, and a cancelled node thread exits a moment
@@ -114,28 +114,33 @@ def _leave_nothing_behind(request):
     if path.parent.parent.name == "tests":
         watch = LEAVE_NOTHING_BEHIND.get(path.parent.name)
     if watch == "sockets" and os.path.isdir("/proc/self/fd"):
-        before = _network_state()
+        network = _network_state()
 
-        def left():
+        def started():
             after = _network_state()
-            if after != before:
-                return f"(open sockets, archive-* threads) {before} -> {after}"
+            if after != network:
+                return f"(open sockets, archive-* threads) {network} -> {after}"
 
     elif isinstance(watch, tuple):
-        before = _threads(watch), set(multiprocessing.active_children())
+        threads = _threads(watch)
 
-        def left():
-            started = sorted(thread.name for thread in _threads(watch) - before[0])
-            children = set(multiprocessing.active_children()) - before[1]
-            if started or children:
-                return (
-                    f"threads {started}, "
-                    f"child processes {sorted(child.name for child in children)}"
-                )
+        def started():
+            names = sorted(thread.name for thread in _threads(watch) - threads)
+            if names:
+                return f"threads {names}"
 
     else:
         yield
         return
+    children = set(multiprocessing.active_children())
+
+    def left():
+        parts = [started()]
+        new = set(multiprocessing.active_children()) - children
+        if new:
+            parts.append(f"child processes {sorted(child.name for child in new)}")
+        return ", ".join(part for part in parts if part)
+
     yield
     deadline = time.monotonic() + 5.0
     while leftover := left():

@@ -11,6 +11,9 @@ The contract under test:
   reads stay ~1 store pass (the PR 3 read-amplification win must
   survive the network hop);
 * connecting to a dead endpoint fails fast;
+* a remote query is submitted when it starts: the bound on the
+  ``submit`` reply covers parse and plan only (an INTO slower than it
+  still completes), and a queued batch job is described once it starts;
 * ``stop()`` racing a stream of connects joins every connection thread
   it knows of and refuses the rest — it never joins one not yet started.
 """
@@ -24,6 +27,7 @@ import pytest
 
 from repro.catalog.table import ObjectTable
 from repro.net import ArchiveServer
+from repro.net.client import ServerLink
 from repro.query.errors import ExecutionError
 from repro.session import Archive, Session
 from repro.storage import ContainerStore
@@ -298,3 +302,56 @@ class TestServerStaysBounded:
             assert server.session._published_metrics()["session.jobs"] == window
             with Archive.connect(server.url) as session:
                 assert session.server_stats()["server"]["jobs_retired"] == window
+
+
+class TestSubmitAtStart:
+    def test_an_into_slower_than_the_submit_bound_completes(
+        self, photo, monkeypatch
+    ):
+        """The server answers ``accepted`` before it runs an INTO, so the
+        bound on that reply covers parse and plan only: an INTO slower
+        than the bound completes, and the client's job state matches
+        the server's."""
+        bound = 0.25
+        monkeypatch.setattr(ServerLink, "CONTROL_TIMEOUT", bound)
+        server, _store = _throttled_server(photo)
+        session = Archive.connect(server.url)
+        try:
+            started = time.perf_counter()
+            job = session.submit(
+                "SELECT objid, mag_r INTO mydb.slow FROM photo WHERE mag_r < 16"
+            )
+            saved = job.cursor.to_table()
+            assert job.wait(timeout=60).value == "done", job.error
+            assert time.perf_counter() - started > 2 * bound
+            (server_job,) = server.jobs()
+            assert server_job.state.value == "done"
+            assert server_job.rows == len(saved) > 0
+            assert session.my_tables() == ["slow"]
+        finally:
+            session.close()
+            server.stop()
+
+    def test_a_queued_batch_job_is_described_when_it_starts(self, photo):
+        """A remote query's schema and reports come with the server's
+        ``accepted`` reply, so a batch job still queued on the client
+        has none yet; they are there once it has run."""
+        server, _store = _throttled_server(photo)
+        session = Archive.connect(server.url)
+        try:
+            blocker = session.submit("SELECT objid FROM photo", query_class="batch")
+            queued = session.submit(
+                "SELECT objid, mag_r FROM photo WHERE mag_r < 16",
+                query_class="batch",
+            )
+            assert queued.state.value == "queued"
+            assert queued.static_schema is None
+            assert queued.cursor.schema is None
+            assert queued.reports == []
+            assert blocker.wait(timeout=60).value == "done"
+            assert queued.wait(timeout=60).value == "done"
+            assert queued.static_schema.field_names() == ["objid", "mag_r"]
+            assert queued.cursor.schema == queued.static_schema
+        finally:
+            session.close()
+            server.stop()

@@ -9,6 +9,7 @@ the single-store engine row for row, empty-result schemas included.
 import pytest
 
 from repro.net import RemoteExecutor
+from repro.obs.metrics import registry
 from repro.query.errors import ParseError, PlanError
 from repro.session import Archive, PlanTree
 
@@ -155,6 +156,23 @@ def test_parse_and_plan_errors_re_raise_originally(remote_session):
         remote_session.submit("SELEKT objid FROM photo")
     with pytest.raises(PlanError):
         remote_session.submit("SELECT objid FROM nonsuch")
+
+
+def test_a_refused_start_leaves_no_job(remote_session):
+    """An interactive query is submitted as it starts, inside
+    ``Session.submit``: the refusal raises there, and the job is
+    withdrawn uncounted.  A batch job is submitted when the dispatcher
+    starts it, so the refusal fails that job."""
+    before = remote_session.jobs
+    counted = registry().snapshot().get("session.queries_submitted", 0)
+    with pytest.raises(ParseError):
+        remote_session.submit("SELEKT objid FROM photo")
+    assert remote_session.jobs == before
+    assert registry().snapshot().get("session.queries_submitted", 0) == counted
+    job = remote_session.submit("SELEKT objid FROM photo", query_class="batch")
+    assert job.wait(timeout=30.0).value == "failed"
+    assert isinstance(job.error, ParseError)
+    assert remote_session.jobs == [*before, job]
 
 
 def test_hello_reports_the_backend(archive_server):

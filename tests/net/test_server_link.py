@@ -1,9 +1,9 @@
 """One ``ServerLink`` behind every wire call; identity on any frame, stats on ``done``.
 
 * wire shape — what a query dispatches server-side, op by op, counted
-  with a ``fault_policy`` hook: ``prepare, submit, fetch_batch×k`` for
-  an authenticated ``archive://`` session and ``submit, fetch_batch×k``
-  for one shard of a cluster, credentialed or not; no ``hello`` —
+  with a ``fault_policy`` hook: ``submit, fetch_batch×k`` for an
+  authenticated ``archive://`` session and for one shard of a cluster,
+  credentialed or not; no ``hello`` —
   and the client's round-trip telemetry counts exactly those ops; the
   retired ``job_stats`` and ``io_report`` ops are not served;
 * identity on the first frame — the client puts credentials on
@@ -104,8 +104,62 @@ def test_authenticated_cached_query_ends_with_its_last_fetch(auth_server):
         trips = session.executor.telemetry.snapshot() - trips_before
     assert job.io_report()["cache"]["hit"] is True
     assert replay.data.tolist() == first.data.tolist()
-    assert_query_ops(ops, ["prepare", "submit"])
+    assert_query_ops(ops, ["submit"])
     assert trips == len(ops)
+
+
+@pytest.fixture()
+def connections(auth_server):
+    """The connections ``auth_server`` accepts, counted from here on."""
+    accepted = []
+    serve = auth_server._serve_connection
+
+    def counting(sock):
+        accepted.append(None)
+        serve(sock)
+
+    auth_server._serve_connection = counting
+    return accepted
+
+
+def test_a_remote_query_is_one_connection_cached_or_not(auth_server, connections):
+    """The query's one connection carries ``submit`` and its fetches:
+    the server plans it once, and ``accepted`` describes it."""
+    with Archive.connect(url_for(auth_server, "alice")) as session:
+        for cached in (False, True):
+            auth_server.counter.take()
+            connections.clear()
+            job = session.submit(ONE_ROW)
+            assert job.static_schema.field_names() == ["n"]
+            assert len(job.cursor.to_table()) == 1
+            job.join()
+            assert job.io_report()["cache"]["hit"] is cached
+            assert_query_ops(auth_server.counter.take(), ["submit"])
+            assert len(connections) == 1
+
+
+def test_remote_explain_is_one_prepare_exchange(auth_server, connections):
+    with Archive.connect(url_for(auth_server, "alice")) as session:
+        auth_server.counter.take()
+        connections.clear()
+        assert session.explain(ONE_ROW).find("scan")
+        assert auth_server.counter.take() == ["prepare"]
+        assert len(connections) == 1
+    assert auth_server.jobs() == []
+
+
+def test_a_logged_query_never_asks_for_the_remote_plan(auth_server, tmp_path):
+    log_path = tmp_path / "queries.jsonl"
+    with Archive.connect(
+        url_for(auth_server, "alice"), query_log=str(log_path)
+    ) as session:
+        auth_server.counter.take()
+        job = session.submit(ONE_ROW)
+        job.cursor.to_table()
+        job.join()
+    assert log_path.read_text().count("\n") == 1
+    assert "prepare" not in auth_server.counter.take()
+    assert job._prepared.root._remote_plan is None
 
 
 @pytest.mark.parametrize("identity", ["anonymous", "url", "keywords"])
@@ -145,7 +199,7 @@ def test_one_cluster_shard_sees_submit_and_fetches_only(
 def test_retired_ops_are_gone(auth_server):
     """The ``done`` frame carries what ``io_report`` and ``job_stats``
     answered; neither op is served any more."""
-    assert PROTOCOL_VERSION == 4
+    assert PROTOCOL_VERSION == 5
     link = ServerLink(auth_server.address, user="alice", token=USERS["alice"])
     for op in ("io_report", "job_stats"):
         with pytest.raises(Exception, match=f"unknown operation '{op}'"):
@@ -336,7 +390,7 @@ def test_every_one_shot_exchange_is_bounded_by_the_same_rule(mute_listener, op):
     call = {
         "hello": executor.hello,
         "stats": executor.stats,
-        "prepare": lambda: executor.prepare(ONE_ROW),
+        "prepare": lambda: executor.prepare(ONE_ROW).root.remote_plan,
         "mydb": lambda: executor.mydb_op("list"),
     }[op]
     started = time.perf_counter()
