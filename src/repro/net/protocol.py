@@ -155,7 +155,9 @@ __all__ = [
 #: 4: the ``job_stats`` op is gone (the ``done`` frame carries its payload).
 #: 5: ``accepted`` carries the schema, sources and reports; ``prepare``
 #: answers with the plan tree alone.
-PROTOCOL_VERSION = 5
+#: 6: ``select_index`` numbers the SELECTs after set-op fusion (an
+#: INTERSECT or EXCEPT of two bare SELECTs over one source is one).
+PROTOCOL_VERSION = 6
 
 #: Upper bound on one frame (header + body).  Result batches are at most
 #: a few thousand ~1.3 kB records, far below this; the bound exists so a

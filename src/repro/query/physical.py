@@ -8,7 +8,10 @@ nodes a planned SELECT or a set operation becomes:
 
 * :func:`build_query_tree` is the only walker of
   :class:`~repro.query.ast_nodes.SetOp`; it numbers the SELECTs — the
-  ``select_index`` a coordinator sends and a shard server resolves.
+  ``select_index`` a coordinator sends and a shard server resolves —
+  after :func:`fuse_set_op` has rewritten an INTERSECT or EXCEPT of two
+  bare SELECTs over one source into one SELECT, so both ends number the
+  fused query alike.
 * :func:`select_tree` (one store), :func:`shard_tree` and
   :func:`merge_tree` (the two halves of a split plan) build one SELECT
   and share one aggregate -> HAVING -> :func:`order_limit_tail` tail: a
@@ -27,11 +30,12 @@ so a rewriting optimizer or a join operator has this one seam to extend.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.query.ast_nodes import Select, SetOp
+from repro.query.ast_nodes import BinaryOp, Column, Literal, Select, SetOp, UnaryOp
 from repro.query.errors import PlanError
 from repro.query.optimizer import (
+    _contains_aggregate,
     fused_top_k,
     output_schema_for,
     plan_query,
@@ -59,6 +63,7 @@ from repro.query.qet import (
 __all__ = [
     "PreparedQuery",
     "Executor",
+    "fuse_set_op",
     "build_query_tree",
     "query_selects",
     "plan_selects",
@@ -147,18 +152,84 @@ _SET_NODES = {
 }
 
 
+#: the name ``EXPLAIN`` gives a root that :func:`fuse_set_op` built
+SET_OP_FUSION = "set_op_fusion"
+
+_OBJID = Column("objid")
+
+
+def _bare(select):
+    """A SELECT of rows and nothing else, that returns the object
+    pointer under its own name."""
+    return (
+        isinstance(select, Select)
+        and any(e == _OBJID and alias in (None, "objid") for e, alias in select.columns)
+        and not any(_contains_aggregate(e) for e, _alias in select.columns)
+        and not (select.group_by or select.having or select.order_by)
+        and select.limit is None
+        and select.into is None
+    )
+
+
+def _conjoin(left, right):
+    """``left AND right``, where an absent term is true."""
+    if left is None or right is None:
+        return right if left is None else left
+    return BinaryOp("AND", left, right)
+
+
+def fuse_set_op(setop):
+    """``A INTERSECT B`` or ``A EXCEPT B`` as one SELECT, or ``None``.
+
+    The rule fires when both sides are bare SELECTs (no aggregate,
+    GROUP BY, HAVING, ORDER BY, LIMIT or INTO; nested set operations are
+    fused first) over the same source that return ``objid``, and B's
+    select list is a part of A's (so B plans wherever A does).  Because
+    ``objid`` is a key of every store, the pointer intersection is the
+    row conjunction: A's select list ``WHERE A.where AND B.where`` — B's
+    region narrows the cover — and the difference is ``A.where AND NOT
+    (B.where)``, whose negated region never becomes a cover.  One scan
+    then replaces two laps and the pipeline breaker that drained B.
+    Every other set operation keeps its set node.
+    """
+    if setop.op not in ("INTERSECT", "EXCEPT"):
+        return None
+    left, right = (
+        (fuse_set_op(side) or side) if isinstance(side, SetOp) else side
+        for side in (setop.left, setop.right)
+    )
+    if not (
+        _bare(left)
+        and _bare(right)
+        and left.source == right.source
+        and set(right.columns) <= set(left.columns)
+    ):
+        return None
+    where = right.where
+    if setop.op == "EXCEPT":
+        where = UnaryOp("NOT", Literal(True) if where is None else where)
+    return replace(left, where=_conjoin(left.where, where))
+
+
 def build_query_tree(ast, build_select):
     """Build (but do not start) the QET of a parsed query.
 
     ``build_select(select, select_index)`` returns the root of one
-    SELECT's sub-tree; set operations combine them.  SELECTs are
-    numbered left-to-right depth-first, so ``select_index`` names the
-    same subquery on both ends of the wire.
+    SELECT's sub-tree; set operations combine them, unless
+    :func:`fuse_set_op` makes one SELECT of them (its root names the
+    rule as ``rule``).  SELECTs are numbered left-to-right depth-first
+    after the rewrite, so ``select_index`` names the same subquery on
+    both ends of the wire.
     """
     numbering = itertools.count()
 
     def build(node):
         if isinstance(node, SetOp):
+            fused = fuse_set_op(node)
+            if fused is not None:
+                root = build_select(fused, next(numbering))
+                root.rule = SET_OP_FUSION
+                return root
             left = build(node.left)
             right = build(node.right)
             if node.op not in _SET_NODES:

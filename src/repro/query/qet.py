@@ -13,6 +13,14 @@ own thread (see :mod:`repro.query.engine`), so producers block on
 backpressure instead of materializing intermediates — the ASAP push
 strategy.  Bags are keyed by ``objid`` (the object pointer) for the set
 operations.
+
+Because ``objid`` is a key of every store, an INTERSECT or EXCEPT of two
+bare SELECTs over one source is one SELECT of the conjunction (``A AND
+B``, or ``A AND NOT B``): :func:`~repro.query.physical.fuse_set_op`
+rewrites it before a tree is built, so that query runs one scan and no
+pipeline breaker.  :class:`IntersectNode` and :class:`DifferenceNode`
+remain for the rest — two sources, or a side that is ordered, limited
+or aggregated — and :class:`UnionNode` for every union.
 """
 
 from __future__ import annotations
@@ -1135,9 +1143,10 @@ class UnionNode(QETNode):
 
 
 class _HashedRightNode(QETNode):
-    """Shared base for intersect/difference: drains the right child into a
-    hash set of pointers first, then streams the left child through it —
-    "at least one of the child nodes must be complete"."""
+    """Shared base for intersect/difference: drains the right child's
+    pointers into one array first, then streams the left child through
+    a membership test against it — "at least one of the child nodes
+    must be complete"."""
 
     keep_if_present = True
 
@@ -1146,14 +1155,11 @@ class _HashedRightNode(QETNode):
 
     def run(self):
         left, right = self.children
-        right_ids = set()
-        for batch in right.output:
-            right_ids.update(_objids(batch).tolist())
+        right_ids = np.concatenate(
+            [np.empty(0, dtype=np.int64)] + [_objids(batch) for batch in right.output]
+        )
         for batch in left.output:
-            ids = _objids(batch)
-            present = np.fromiter(
-                (i in right_ids for i in ids), count=ids.shape[0], dtype=bool
-            )
+            present = np.isin(_objids(batch), right_ids)
             mask = present if self.keep_if_present else ~present
             if mask.any():
                 if not self._emit(batch.select(mask)):

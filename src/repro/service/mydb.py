@@ -18,7 +18,7 @@ import threading
 
 from repro.catalog.table import ObjectTable
 from repro.service.errors import MyDBError, QuotaExceededError
-from repro.storage.containers import ContainerStore
+from repro.storage.containers import ContainerStore, DuplicateKeyError
 
 __all__ = ["MyDBManager", "MYDB_PREFIX", "DEFAULT_MYDB_QUOTA"]
 
@@ -88,8 +88,10 @@ class MyDBManager:
 
         Quota-checks against the user's byte budget (a replaced table's
         bytes are credited back first); raises
-        :class:`~repro.service.errors.QuotaExceededError` over budget.
-        Returns the new :class:`ContainerStore`.
+        :class:`~repro.service.errors.QuotaExceededError` over budget,
+        and :class:`~repro.storage.containers.DuplicateKeyError` for a
+        result that repeats an ``objid``.  Returns the new
+        :class:`ContainerStore`.
         """
         bare = _bare_name(name)
         nbytes = table.nbytes()
@@ -105,7 +107,10 @@ class MyDBManager:
                     f"mydb.{bare} ({nbytes} B) would put user {user!r} over "
                     f"the {self.quota_bytes} B MyDB quota ({held} B held)"
                 )
-            tables[bare] = self._materialize(table)
+            try:
+                tables[bare] = self._materialize(table)
+            except DuplicateKeyError as exc:
+                raise DuplicateKeyError(f"mydb.{bare}", exc.objids) from None
             return tables[bare]
 
     def drop(self, user, name):

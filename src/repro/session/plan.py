@@ -134,6 +134,29 @@ def _detail_for(node):
     return {}
 
 
+def _annotated_detail(root):
+    """:func:`_detail_for` plus what the builders hang on a node: the
+    remote endpoint, the fan-out report of a merge root, the partition
+    server of a shard sub-tree and the rewrite rule that made it."""
+    detail = dict(_detail_for(root))
+    endpoint = getattr(root, "endpoint", None)
+    if endpoint is not None:
+        host, port = endpoint
+        detail["endpoint"] = f"archive://{host}:{port}"
+    report = getattr(root, "fanout_report", None)
+    if report is not None:
+        detail["servers"] = list(report.touched_server_ids)
+        if report.pruned_server_ids:
+            detail["pruned"] = list(report.pruned_server_ids)
+    server_id = getattr(root, "server_id", None)
+    if server_id is not None:
+        detail["server"] = server_id
+    rule = getattr(root, "rule", None)
+    if rule is not None:
+        detail["rule"] = rule
+    return detail
+
+
 def plan_tree(root):
     """Map an (unstarted) QET to its :class:`PlanTree`.
 
@@ -141,8 +164,11 @@ def plan_tree(root):
     not from a parallel description — explain output can never drift
     from what execution would actually do.  Distributed merge roots
     carry their :class:`~repro.distributed.routing.ShardFanoutReport`
-    (``servers``/``pruned``), and each shard sub-tree is labelled with
-    the partition server it would run on.
+    (``servers``/``pruned``), each shard sub-tree is labelled with the
+    partition server it would run on, and the root of a SELECT that a
+    rewrite made names its rule (``rule=set_op_fusion``: an INTERSECT or
+    EXCEPT of two bare SELECTs over one source, fused into one scan by
+    :func:`~repro.query.physical.fuse_set_op`).
 
     A remote node (the leaf of an ``archive://`` session) carries the
     *server-rendered* plan tree — derived from the server's executable
@@ -163,23 +189,12 @@ def plan_tree(root):
             host, port = endpoint
             annotated.detail["endpoint"] = f"archive://{host}:{port}"
         return annotated
-    detail = dict(_detail_for(root))
-    if endpoint is not None:
+    detail = _annotated_detail(root)
+    mode = getattr(root, "mode", None)
+    if endpoint is not None and mode is not None:
         # A shard-mode remote leaf (no server plan shipped): record the
-        # endpoint and subquery it fans out to.
-        host, port = endpoint
-        detail["endpoint"] = f"archive://{host}:{port}"
-        mode = getattr(root, "mode", None)
-        if mode is not None:
-            detail["mode"] = mode
-    report = getattr(root, "fanout_report", None)
-    if report is not None:
-        detail["servers"] = list(report.touched_server_ids)
-        if report.pruned_server_ids:
-            detail["pruned"] = list(report.pruned_server_ids)
-    server_id = getattr(root, "server_id", None)
-    if server_id is not None:
-        detail["server"] = server_id
+        # subquery it fans out to.
+        detail["mode"] = mode
     return PlanTree(
         kind=root.name,
         detail=detail,
@@ -217,19 +232,7 @@ def analyzed_plan_tree(root):
     frame) carries it as a child, so the analyzed tree covers the
     server-side scans too.
     """
-    detail = dict(_detail_for(root))
-    endpoint = getattr(root, "endpoint", None)
-    if endpoint is not None:
-        host, port = endpoint
-        detail["endpoint"] = f"archive://{host}:{port}"
-    server_id = getattr(root, "server_id", None)
-    if server_id is not None:
-        detail["server"] = server_id
-    report = getattr(root, "fanout_report", None)
-    if report is not None:
-        detail["servers"] = list(report.touched_server_ids)
-        if report.pruned_server_ids:
-            detail["pruned"] = list(report.pruned_server_ids)
+    detail = _annotated_detail(root)
     detail.update(_measured_detail(root.stats))
     children = [analyzed_plan_tree(child) for child in root.children]
     remote_analyzed = getattr(root, "remote_analyzed_plan", None)

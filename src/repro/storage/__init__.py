@@ -12,7 +12,7 @@ reports (150 MB/s per node, 3 GB/s aggregate, 2-minute full scans).
 """
 
 from repro.storage.buffer import BufferPool, BufferPoolStats
-from repro.storage.containers import ContainerStore, StoreSnapshot
+from repro.storage.containers import ContainerStore, DuplicateKeyError, StoreSnapshot
 from repro.storage.partition import Partitioner, PartitionMap
 from repro.storage.replication import replicate_archive
 from repro.storage.diskmodel import (
@@ -29,6 +29,7 @@ __all__ = [
     "BufferPool",
     "BufferPoolStats",
     "ContainerStore",
+    "DuplicateKeyError",
     "StoreSnapshot",
     "Partitioner",
     "PartitionMap",

@@ -38,7 +38,7 @@ from collections import Counter
 
 import numpy as np
 
-from repro.storage.containers import ContainerStore
+from repro.storage.containers import ContainerStore, DuplicateKeyError, repeated_keys
 from repro.storage.diskmodel import PAPER_NODE, NodeModel
 from repro.storage.partition import Partitioner
 
@@ -142,8 +142,18 @@ class DistributedArchive:
         """Cluster ``table`` and place containers on their owners.
 
         Rebuilds the partition map from the combined (existing + new)
-        weights first, so a bulk load lands balanced.
+        weights first, so a bulk load lands balanced.  ``objid`` is a key
+        of the whole archive: a row whose ``objid`` any server holds (a
+        replica is one more copy of a held row), or that repeats one of
+        the table's, raises :class:`DuplicateKeyError` before anything
+        moves.
         """
+        if "objid" in table.schema:
+            new = np.sort(table["objid"])
+            held = np.concatenate([server.store.snapshot.keys for server in self.servers])
+            repeats = np.union1d(repeated_keys(new), new[np.isin(new, held)])
+            if len(repeats):
+                raise DuplicateKeyError(f"archive source {self.source!r}", repeats)
         ids = self.servers[0].store.container_ids_for(table)
         self._repartition(ids)
         self._place(self.source, table, ids)

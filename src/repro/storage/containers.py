@@ -18,6 +18,12 @@ however finely its trixels cut the sky, and a narrow tag store has as
 many times fewer pages as its rows are narrower.  The sweep steps over
 pages and the buffer pool accounts them.
 
+``objid``, the object pointer, is a key of every store whose schema has
+one: a snapshot keeps its values sorted (:attr:`StoreSnapshot.keys`),
+and a build or an append that would repeat one raises
+:class:`DuplicateKeyError` and changes nothing.  The set operations'
+pointer semantics and the tag dereference rely on it.
+
 The store places data; it answers no query.  Rows leave it only through
 its shared :class:`~repro.machines.sweep.SweepScanner`
 (:meth:`ContainerStore.sweeper`), subscribed with the cover's candidate
@@ -36,11 +42,36 @@ from repro.catalog.table import ObjectTable, take_records
 from repro.htm.mesh import depth_id_bounds, lookup_ids_from_vectors
 from repro.storage.buffer import BufferPool
 
-__all__ = ["PAGE_BYTES", "ContainerStore", "StoreSnapshot"]
+__all__ = [
+    "PAGE_BYTES",
+    "ContainerStore",
+    "StoreSnapshot",
+    "DuplicateKeyError",
+    "repeated_keys",
+]
 
 #: bytes of arena per page, the unit the sweep steps over and the buffer
 #: pool accounts (a trixel larger than a page is one page of its own)
 PAGE_BYTES = 64 * 1024
+
+
+class DuplicateKeyError(ValueError):
+    """Rows refused because their ``objid`` is held already or repeats
+    among them: ``store`` names where, ``objids`` lists a few of them."""
+
+    def __init__(self, store, objids):
+        self.store = store
+        self.objids = np.asarray(objids)[:5].tolist()
+        more = f" and {len(objids) - 5} more" if len(objids) > 5 else ""
+        super().__init__(
+            f"{store} refuses rows: objid {self.objids}{more} "
+            "already held or repeated"
+        )
+
+
+def repeated_keys(keys):
+    """The distinct values that repeat in the sorted array ``keys``."""
+    return np.unique(keys[1:][keys[1:] == keys[:-1]])
 
 
 def _grouped(data, row_ids):
@@ -57,23 +88,27 @@ class StoreSnapshot:
 
     Trixel ``ids[k]`` owns arena rows ``offsets[k]:offsets[k + 1]``
     (``sizes[k]`` of them), in load order, and lies in the page those
-    rows start in (:meth:`pages`).  A mutation builds the next snapshot
-    — a load merges its rows into a new arena — and the store swaps it
-    in, so a reader holding one never sees half a load.
+    rows start in (:meth:`pages`).  ``keys`` holds the arena's ``objid``
+    values sorted (``None`` for a schema without one).  A mutation
+    builds the next snapshot — a load merges its rows into a new arena
+    and its keys into the sorted ones — and the store swaps it in, so a
+    reader holding one never sees half a load.
     """
 
-    __slots__ = ("arena", "ids", "offsets", "sizes", "_lists", "_pages")
+    __slots__ = ("arena", "ids", "offsets", "sizes", "keys", "_lists", "_pages")
 
-    def __init__(self, arena, ids, offsets):
+    def __init__(self, arena, ids, offsets, keys=None):
         arena.flags.writeable = False  # views of it leave the store
-        self.arena, self.ids, self.offsets = arena, ids, offsets
+        self.arena, self.ids, self.offsets, self.keys = arena, ids, offsets, keys
         self.sizes = np.diff(offsets)
         self._lists = self._pages = None
 
     @classmethod
     def build(cls, data, row_ids):
-        """A fresh arena of ``data``: one argsort, one record gather."""
-        return cls(*_grouped(data, row_ids))
+        """A fresh arena of ``data``: one argsort, one record gather,
+        one sort of the keys."""
+        keys = np.sort(data["objid"]) if "objid" in data.dtype.names else None
+        return cls(*_grouped(data, row_ids), keys)
 
     def lists(self):
         """``(ids, offsets)`` as lists, made once, for the sweep."""
@@ -122,7 +157,11 @@ class StoreSnapshot:
         sizes[np.searchsorted(ids, self.ids)] = self.sizes
         sizes[np.searchsorted(ids, touched)] += np.diff(bounds)
         offsets = np.concatenate([[0], np.cumsum(sizes)])
-        return StoreSnapshot(arena, ids, offsets), touched
+        keys = self.keys
+        if keys is not None:
+            new = np.sort(data["objid"])
+            keys = np.insert(keys, np.searchsorted(keys, new), new)
+        return StoreSnapshot(arena, ids, offsets, keys), touched
 
 
 #: process-wide monotone store ids — identity tokens that (unlike
@@ -184,14 +223,25 @@ class ContainerStore:
             self.buffer_pool.invalidate(self, self.snapshot.pages()[0][k])
         return self.generation
 
+    def _keyed(self, snapshot):
+        """``snapshot``, unless its keys repeat an ``objid``: then
+        :class:`DuplicateKeyError`, before the store takes it."""
+        if snapshot.keys is not None:
+            repeats = repeated_keys(snapshot.keys)
+            if len(repeats):
+                raise DuplicateKeyError(
+                    f"store {self.store_uid} ({self.schema.name})", repeats
+                )
+        return snapshot
+
     @classmethod
     def from_table(cls, table, depth, buffer_pool=None):
         """Cluster a table into a store: one stable argsort, one record
-        gather."""
+        gather; refuses a table that repeats an ``objid``."""
         store = cls(table.schema, depth, buffer_pool=buffer_pool)
         if len(table):
             ids = store.container_ids_for(table)
-            store.snapshot = StoreSnapshot.build(table.data, ids)
+            store.snapshot = store._keyed(StoreSnapshot.build(table.data, ids))
         return store
 
     def container_ids_for(self, table):
@@ -203,13 +253,16 @@ class ContainerStore:
         trixel once and merged into a new arena, each group after its
         trixel's rows.  Records the mutation — the pages from the first
         touched trixel's on are invalidated — and returns the touched
-        trixel ids, sorted."""
+        trixel ids, sorted.  Rows whose ``objid`` the store holds, or
+        that repeat one, raise :class:`DuplicateKeyError` and leave the
+        store as it was."""
         htm_ids = np.asarray(htm_ids, dtype=np.int64)
         if table.data.dtype != self.snapshot.arena.dtype or len(htm_ids) != len(table):
             raise ValueError("need rows of the store's schema, one id each")
         if len(htm_ids) and not self._lo <= htm_ids.min() <= htm_ids.max() < self._hi:
             raise ValueError(f"ids are not at container depth {self.depth}")
-        self.snapshot, touched = self.snapshot.appended(table.data, htm_ids)
+        snapshot, touched = self.snapshot.appended(table.data, htm_ids)
+        self.snapshot = self._keyed(snapshot)
         touched = touched.tolist()
         self.note_mutation(touched)
         return touched

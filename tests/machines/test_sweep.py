@@ -27,6 +27,14 @@ def store(photo):
     return ContainerStore.from_table(photo, depth=2)
 
 
+def _new_rows(photo, n):
+    """The first ``n`` catalog rows as new objects: ``objid`` is a key of
+    a store, so the copies take objids no catalog row has."""
+    rows = photo.take(np.arange(n))
+    rows.data["objid"] += photo["objid"].max()
+    return rows
+
+
 def _pages(store):
     """How many pages the store's arena has: the sweep's step unit."""
     return len(store.snapshot.pages()[1]) - 1
@@ -219,7 +227,7 @@ class TestRobustness:
         new_id = next(
             htm_id for htm_id in range(store._lo, store._hi) if htm_id not in occupied
         )
-        store.append(photo.take(np.arange(5)), [new_id] * 5)
+        store.append(_new_rows(photo, 5), [new_id] * 5)
         late = scanner.subscribe()
         seen_by_late = {h for h, _t, _p in _flat(late)}
         drainer.join(timeout=30)
@@ -290,7 +298,7 @@ class TestManualMode:
         scanner = SweepScanner(store)
         scanner.attach(sink=lambda *_run: True)
         scanner.step()  # the sweep is active, mid-lap
-        store.append(photo.take(np.arange(3)), [added] * 3)
+        store.append(_new_rows(photo, 3), [added] * 3)
         store.remove([removed])
         got = []
         scanner.attach(sink=_collect(got))
@@ -684,7 +692,7 @@ def _check_against_model(
     def mutate(gap):
         # Announced as every mutating path does: the generation moves.
         if gaps[0] == gap:
-            store.append(photo.take(np.arange(3)), [added] * 3)
+            store.append(_new_rows(photo, 3), [added] * 3)
             model.appended(added)
         if gaps[1] == gap:
             store.remove([removed])
@@ -775,7 +783,7 @@ class TestMidLapGrowth:
         got = []
         second = scanner.attach(sink=_collect(got))
         added = next(i for i in range(held[0], held[-1]) if i not in held)
-        store.append(photo.take(np.arange(3)), [added] * 3)
+        store.append(_new_rows(photo, 3), [added] * 3)
         scanner.attach(sink=lambda *_run: True)
         while scanner.step() is not None:
             pass
@@ -843,7 +851,7 @@ class TestMidLapChanges:
             scanner.step()
         late = scanner.attach(sink=_collect(got_late))
         added = next(i for i in range(ids[0], ids[10]) if i not in ids)
-        store.append(photo.take(np.arange(3)), [added] * 3)
+        store.append(_new_rows(photo, 3), [added] * 3)
         while scanner.step() is not None:
             pass
         assert early.completed() and late.completed()

@@ -93,6 +93,7 @@ STABLE_DETAILS = (
     "servers",
     "pruned",
     "server",
+    "rule",
 )
 
 
@@ -183,27 +184,29 @@ def test_select_index_numbering_matches_shard_resolution(engine, photo, photo_st
         return QETNode()
 
     root = build_query_tree(parse_query(NESTED), note)
+    # The INTERSECT of two bare SELECTs over photo is one fused SELECT
+    # (``mag_r < 15 AND mag_r < 16``), numbered after the rewrite.
     assert [node.name for node in root.walk() if node.children] == [
         "difference",
         "union",
-        "intersect",
         "union",
     ]
-    # Left-to-right depth-first: the thresholds 14..18 in textual order.
-    assert sorted(numbered) == [0, 1, 2, 3, 4]
-    assert query_selects(parse_query(NESTED)) == [numbered[i] for i in range(5)]
+    # Left-to-right depth-first: the thresholds in textual order.
+    thresholds = [14, 15, 17, 18]
+    assert sorted(numbered) == [0, 1, 2, 3]
+    assert query_selects(parse_query(NESTED)) == [numbered[i] for i in range(4)]
 
     # The shard half a server builds for select_index i scans with
     # exactly the i-th SELECT's predicate, over the assignment it is
     # given (here every container the engine holds).
     mag_r = photo.data["mag_r"]
     everything = RangeSet.from_ids(photo_store.occupied_ids()).intervals
-    for index in range(5):
+    for index, threshold in enumerate(thresholds):
         prepared = engine.prepare_shard(NESTED, index, everything)
         rows = sum(len(batch) for batch in _run(prepared.root))
-        assert rows == int((mag_r < 14 + index).sum())
-    with pytest.raises(PlanError, match="select_index 5 out of range"):
-        engine.prepare_shard(NESTED, 5, everything)
+        assert rows == int((mag_r < threshold).sum())
+    with pytest.raises(PlanError, match="select_index 4 out of range"):
+        engine.prepare_shard(NESTED, 4, everything)
 
 
 def _run(root):

@@ -170,6 +170,21 @@ class TestRegionExtraction:
         region = extract_spatial_region(parse_expression("NOT CIRCLE(10, 0, 2)"))
         assert region is None
 
+    def test_a_negated_term_never_narrows_the_cover(self):
+        # The shape a fused EXCEPT plans: A's terms AND NOT (B's terms).
+        from repro.geometry.vector import radec_to_vector
+
+        region = extract_spatial_region(
+            parse_expression("CIRCLE(10, 0, 20) AND NOT (CIRCLE(10, 0, 2) AND mag_r < 20)")
+        )
+        # A's circle alone: its centre, inside the negated circle too,
+        # stays covered.
+        assert bool(region.contains(radec_to_vector(10.0, 0.0)))
+        assert bool(region.contains(radec_to_vector(25.0, 0.0)))
+        assert extract_spatial_region(
+            parse_expression("mag_r < 20 AND NOT (CIRCLE(10, 0, 2))")
+        ) is None
+
     def test_pure_attributes_give_none(self):
         assert extract_spatial_region(parse_expression("mag_r < 20")) is None
 

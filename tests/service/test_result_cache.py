@@ -181,6 +181,7 @@ class TestSessionCache:
         # seam — no cache-specific hooks anywhere near the call site.
         bright = photo.select(photo["mag_r"] < 16)
         assert len(bright) > 0
+        bright.data["objid"] += photo["objid"].max()  # new objects
         ChunkLoader(fresh_stores["photo"]).load_chunk(bright)
 
         after = cached_session.submit(QUERY, allow_tag_route=False)
@@ -202,7 +203,9 @@ class TestSessionCache:
         job = cached_session.submit("SELECT * FROM photo")
         assert len(job.cursor.to_table()) == len(photo)
         assert len(tier.cache) == 1
-        ChunkLoader(store).load_chunk(photo.take(np.arange(10)))
+        chunk = photo.take(np.arange(10))
+        chunk.data["objid"] += photo["objid"].max()  # new objects
+        ChunkLoader(store).load_chunk(chunk)
         del job
         gc.collect()
         assert arena() is None

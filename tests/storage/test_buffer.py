@@ -135,9 +135,12 @@ class TestInvalidation:
         htm_id = store.occupied_ids()[0]
         table, _ = read_page(store, htm_id)
         rows_before = len(table)
-        # Every mutation is an append, which records itself.
+        # Every mutation is an append, which records itself.  The added
+        # rows are new objects (objid is a key) at the page's positions.
         added = min(3, rows_before)
-        store.append(table.take(np.arange(added)), [htm_id] * added)
+        rows = table.take(np.arange(added))
+        rows.data["objid"] += photo["objid"].max()
+        store.append(rows, [htm_id] * added)
         fresh, from_pool = read_page(store, htm_id)
         assert from_pool is False
         assert store.buffer_pool.stats.invalidations == 1

@@ -66,6 +66,7 @@ class TestClustering:
         store = ContainerStore(PHOTO_SCHEMA, 5)
         lo, _hi = depth_id_bounds(5)
         rows = ObjectTable(PHOTO_SCHEMA, np.zeros(2, PHOTO_SCHEMA.numpy_dtype()))
+        rows.data["objid"] = [1, 2]
         assert store.append(rows, [lo, lo]) == [lo]
         assert store.occupied_ids() == [lo] and store.total_objects() == 2
         assert store.generation == 1

@@ -103,6 +103,7 @@ class _Model:
         self.photo, self.data = photo, data
         self.itemsize = photo.data.dtype.itemsize
         self.budget = data.draw(st.sampled_from([None, 0, 4 * self.itemsize, 40 * self.itemsize]))
+        self.loaded = 0
         table = self.rows_from(data.draw(st.integers(0, 2**32 - 1)), 150)
         self.archive = DistributedArchive.from_table(table, depth=DEPTH, n_servers=2)
         self.ref = []
@@ -113,8 +114,13 @@ class _Model:
             ref.add(ids[owners == server.server_id], table.data[owners == server.server_id])
 
     def rows_from(self, seed, n):
+        """``n`` drawn rows as new objects: objid is a key, so a row
+        drawn twice is loaded under a fresh objid."""
         picks = np.random.default_rng(seed).choice(len(self.photo), size=n, replace=False)
-        return self.photo.take(np.sort(picks))
+        table = self.photo.take(np.sort(picks))
+        table.data["objid"] = np.arange(self.loaded, self.loaded + n)
+        self.loaded += n
+        return table
 
     def _new_servers(self):
         for server in self.archive.servers[len(self.ref):]:
@@ -277,6 +283,7 @@ class TestArenaViews:
     def test_a_loaded_stores_whole_catalog_scan_copies_no_row(self, photo, monkeypatch):
         store = ContainerStore.from_table(photo, depth=5)
         chunk = photo.take(np.arange(0, len(photo), 7))
+        chunk.data["objid"] += photo["objid"].max()  # new objects
         ChunkLoader(store).load_chunk(chunk)
         morsels = self._morsels(monkeypatch)
         with Archive.connect(stores={"photo": store}) as session:
