@@ -3,7 +3,7 @@
 
 PYTEST = PYTHONPATH=src python -m pytest
 
-.PHONY: test test-net test-chaos test-all bench bench-smoke bench-compare bench-layers counters check examples serve loc
+.PHONY: test test-net test-chaos test-cover test-all bench bench-smoke bench-compare bench-layers counters check examples serve loc
 
 # Tier-1 verification: everything except @pytest.mark.slow benchmarks.
 test:
@@ -25,6 +25,12 @@ test-net:
 # the same SIGALRM guard — a hung failover fails, never wedges.
 test-chaos:
 	$(PYTEST) -x -q tests/chaos
+
+# The HTM cover held to the trixel-at-a-time reference walk over 2 000
+# drawn regions at depths 0-7 and the benchmark generators' regions
+# (slow-marked, so tier-1 deselects it).
+test-cover:
+	$(PYTEST) -x -q -m slow tests/htm/test_cover.py
 
 # The full suite including slow-marked benchmark cases.
 test-all:

@@ -14,8 +14,8 @@ Modules
 * :mod:`repro.htm.ranges` — sorted id-interval sets, the compact result
   form of a coverage computation.
 * :mod:`repro.htm.cover` — the inside/partial/outside coverage algorithm
-  over regions of half-space constraints (Figure 4), one vectorised pass
-  per mesh level.
+  over regions of half-space constraints (Figure 4): bounding caps
+  decide most trixels, one vectorised exact pass the rest.
 * :mod:`repro.htm.depthmap` — coarse per-trixel density maps; their
   ``estimate`` is the paper's output-volume / search-time prediction.
 """

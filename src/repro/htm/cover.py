@@ -1,4 +1,4 @@
-"""Trixel coverage of half-space regions, a level at a time (the paper's Figure 4).
+"""Trixel coverage of half-space regions (the paper's Figure 4).
 
 *"Run a test between the query polyhedron and the spherical triangles
 corresponding to the tree root nodes. ... Classify nodes, as fully outside
@@ -8,18 +8,26 @@ Only the children of bisected triangles need be further investigated."*
 
 The rule is level-synchronous: a node's verdict depends on the node
 alone, and only a bisected node has children to look at.  So
-:func:`cover_region` walks the mesh breadth-first.  The surviving
-trixels of a level are one ``(n, 3, 3)`` corner array, classified
-against every halfspace of the region in one vectorised pass; the
-accepted ones become leaf-id intervals, the rejected ones are dropped,
-and the children of the bisected ones are the next level.  A cover
-costs at most ``depth + 1`` numpy passes over the survivors, not one
-Python call per trixel.
+:func:`cover_region` walks the mesh breadth-first, in two steps.
+
+1. *Expand.*  Every trixel has a bounding cap (its normalised corner sum
+   and its largest corner angle), and comparing two caps' angles decides
+   most trixels, those the region's boundary passes at a distance: a few
+   numpy calls per halfspace per level.  Only the children of the
+   trixels the caps leave undecided make the next level.  The corners
+   and caps of levels 0 to 6 are tabulated once per process; deeper
+   levels derive their corners from their parents'.
+2. *Classify once.*  One vectorised pass of the exact test decides every
+   undecided trixel of every level, and replaying the walk's rule (a
+   trixel is tested only if every ancestor was bisected) over the
+   verdicts gives the accepted subtrees, the partial leaves and the
+   counts.
 
 :func:`classify_trixel_halfspace`, :func:`classify_trixel_convex` and
-:func:`classify_trixel_region` decide one trixel with the same
+:func:`classify_trixel_region` decide one trixel with the exact test's
 arithmetic.  They are the scalar reference: the property tests require
-the level pass to reproduce their verdicts exactly.
+the exact pass to reproduce their verdicts, and the cover the
+trixel-at-a-time walk over them, exactly.
 
 Correctness contract
 --------------------
@@ -34,6 +42,7 @@ number of objects that need the fine check.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 
 import numpy as np
@@ -67,45 +76,47 @@ def _point_in_trixel(point, corners):
     )
 
 
-def _cap_boundary_crosses_edge(halfspace, a, b):
-    """Does the circle ``x.n = c`` intersect the great-circle arc a->b?
-
-    Solve for points on both the cap-boundary plane and the edge's great
-    circle, then test whether either solution lies within the arc.
-    """
+def _cap_boundary_points(halfspace, m):
+    """The two points where the circle ``x.n = c`` meets the great circle
+    whose unit pole is ``m``, or ``()`` where the two do not cross."""
     n = halfspace.normal
     c = halfspace.offset
-    m = cross3(a, b)
-    m_norm = np.linalg.norm(m)
-    if m_norm == 0.0:
-        return False
-    m = m / m_norm
-
     n_dot_m = float(np.dot(n, m))
     denom = 1.0 - n_dot_m * n_dot_m
     if denom <= 1e-15:
         # Edge circle parallel to cap boundary: either identical (grazing)
         # or disjoint; no transversal crossing either way.
-        return False
-    # x = alpha*n + beta*m + gamma*(n x m); constraints x.n=c, x.m=0.
+        return ()
+    # x = alpha*n + beta*m + gamma*u, u the unit normal to n and m;
+    # constraints x.n = c, x.m = 0 and |x| = 1.  n x m has length
+    # sqrt(denom), not 1, so u is (n x m) / sqrt(denom).
     alpha = c / denom
     beta = -c * n_dot_m / denom
     base = alpha * n + beta * m
     gamma_sq = 1.0 - float(np.dot(base, base))
     if gamma_sq < 0.0:
-        return False
+        return ()
     gamma = math.sqrt(gamma_sq)
-    direction = cross3(n, m)
-    for sign in (1.0, -1.0):
-        candidate = base + sign * gamma * direction
-        # Candidate is on the edge's great circle; is it within the arc?
-        within = (
-            np.dot(cross3(a, candidate), m) >= -1e-15
-            and np.dot(cross3(candidate, b), m) >= -1e-15
-        )
-        if within:
-            return True
-    return False
+    direction = cross3(n, m) / math.sqrt(denom)
+    return tuple(base + sign * gamma * direction for sign in (1.0, -1.0))
+
+
+def _cap_boundary_crosses_edge(halfspace, a, b):
+    """Does the circle ``x.n = c`` intersect the great-circle arc a->b?
+
+    Find the points on both the cap's boundary and the edge's great
+    circle, then test whether either lies within the arc.
+    """
+    m = cross3(a, b)
+    m_norm = np.linalg.norm(m)
+    if m_norm == 0.0:
+        return False
+    m = m / m_norm
+    return any(
+        np.dot(cross3(a, candidate), m) >= -1e-15
+        and np.dot(cross3(candidate, b), m) >= -1e-15
+        for candidate in _cap_boundary_points(halfspace, m)
+    )
 
 
 def classify_trixel_halfspace(corners, halfspace):
@@ -185,7 +196,7 @@ def classify_trixel_region(corners, region):
     return verdict
 
 
-# The level pass.  Each helper below applies a scalar test above to
+# The exact pass.  Each helper below applies a scalar test above to
 # every row at once with the same floating-point operations, step for
 # step: ``_cross`` forms the components as ``cross3`` does, and
 # ``np.vecdot`` reduces each row with the BLAS dot that ``np.dot`` (and
@@ -217,14 +228,13 @@ def _cross(a, b):
     return out
 
 
-def _cap_boundary_crosses_edges(halfspace, a, b, length, m):
-    """Element-wise :func:`_cap_boundary_crosses_edge` over the arcs
-    ``a -> b``, given the length of ``a x b`` and ``m``, its unit vector."""
+def _cap_boundary_points_rows(halfspace, m):
+    """Row-wise :func:`_cap_boundary_points` for unit poles ``m``: the
+    ``(2, ..., 3)`` points, and where the scalar form returns them."""
     n = halfspace.normal
     c = halfspace.offset
-    # Where the scalar test returns early (a degenerate edge, an edge
-    # circle parallel to the cap's, no real solution) this computes inf
-    # or NaN, masked out at the end.
+    # Where the scalar form returns early (an edge circle parallel to the
+    # cap's, no real solution) this computes inf or NaN, masked out.
     with np.errstate(divide="ignore", invalid="ignore"):
         n_dot_m = np.vecdot(n, m)
         denom = 1.0 - n_dot_m * n_dot_m
@@ -232,11 +242,21 @@ def _cap_boundary_crosses_edges(halfspace, a, b, length, m):
         beta = -c * n_dot_m / denom
         base = alpha[..., None] * n + beta[..., None] * m
         gamma_sq = 1.0 - np.vecdot(base, base)
-        candidate = base + (_SIGNS * np.sqrt(gamma_sq))[..., None] * _cross(n, m)
-        within = (np.vecdot(_cross(a, candidate), m) >= -1e-15) & (
-            np.vecdot(_cross(candidate, b), m) >= -1e-15
+        direction = _cross(n, m) / np.sqrt(denom)[..., None]
+        points = base + (_SIGNS * np.sqrt(gamma_sq))[..., None] * direction
+    return points, (denom > 1e-15) & (gamma_sq >= 0.0)
+
+
+def _cap_boundary_crosses_edges(halfspace, a, b, length, m):
+    """Element-wise :func:`_cap_boundary_crosses_edge` over the arcs
+    ``a -> b``, given the length of ``a x b`` and ``m``, its unit vector
+    (NaN where the length is 0, masked out)."""
+    points, met = _cap_boundary_points_rows(halfspace, m)
+    with np.errstate(invalid="ignore"):
+        within = (np.vecdot(_cross(a, points), m) >= -1e-15) & (
+            np.vecdot(_cross(points, b), m) >= -1e-15
         )
-    return (length != 0.0) & (denom > 1e-15) & (gamma_sq >= 0.0) & within.any(axis=0)
+    return (length != 0.0) & met & within.any(axis=0)
 
 
 def _classify_halfspace_level(halfspace, corners, edges):
@@ -266,8 +286,9 @@ def _classify_halfspace_level(halfspace, corners, edges):
 
 
 def _classify_level(corners, region):
-    """Row-wise :func:`classify_trixel_region` of a level's ``(n, 3, 3)``
-    corners, as verdict codes: one vectorised pass per halfspace."""
+    """Row-wise :func:`classify_trixel_region` of the ``(n, 3, 3)``
+    corners of any trixels, as verdict codes: one vectorised pass per
+    halfspace."""
     # Every trixel's edges and their planes, shared by all halfspaces.
     heads = corners[:, _HEADS]
     planes = _cross(corners, heads)
@@ -286,13 +307,81 @@ def _classify_level(corners, region):
     return verdict
 
 
+def _child_ids(ids):
+    """Ids of the four children of every trixel, in child order 0-3."""
+    return ((ids[:, None] << 2) | np.arange(4)).reshape(-1)
+
+
 def _children(corners, ids):
     """Corners and ids of the four children of every trixel, in child
     order 0-3 and bit for bit as :meth:`Trixel.children` builds them."""
     midpoints = normalize(corners[:, [1, 0, 0]] + corners[:, [2, 2, 1]])
     points = np.concatenate([corners, midpoints], axis=1)
-    children = points[:, _CHILD_CORNERS].reshape(-1, 3, 3)
-    return children, ((ids[:, None] << 2) | np.arange(4)).reshape(-1)
+    return points[:, _CHILD_CORNERS].reshape(-1, 3, 3), _child_ids(ids)
+
+
+# The bounding caps.  They decide a trixel only by a margin, so the
+# exact test, run on what they leave undecided, is never overruled.
+
+#: how far, in radians, a bounding cap must clear a halfspace's boundary
+#: to decide a trixel.  ``arccos`` near 0 is good to only about 1.5e-8
+#: rad (a cosine within 1e-16 of 1), and the exact test's crossing
+#: checks tolerate 1e-15; a margin far above both keeps every decided
+#: verdict the exact test's own.
+EPS = 1e-6
+#: the deepest level whose corners and caps :func:`_mesh_top` tabulates:
+#: 43 688 trixels, about 4.5 MB
+_TABLE_DEPTH = 6
+
+
+def _bounding_caps(corners):
+    """Centre and angular radius of each trixel's bounding cap: the
+    normalised corner sum and the largest corner angle from it.  The
+    radius is under 90 degrees at every level, so the cap is convex and
+    holds the trixel."""
+    centres = normalize(corners.sum(axis=1))
+    nearest = np.vecdot(corners, centres[:, None]).min(axis=1)
+    return centres, np.arccos(np.clip(nearest, -1.0, 1.0))
+
+
+@functools.cache
+def _mesh_top():
+    """``(corners, centres, radii)`` of every trixel of each level up to
+    :data:`_TABLE_DEPTH`, rows in id order (id ``8 * 4**level + row``),
+    built once per process by :func:`_children`, so the corners are bit
+    for bit the ones a walk derives."""
+    levels = []
+    corners, ids = base_trixel_vertices(), np.arange(8, 16, dtype=np.int64)
+    for level in range(_TABLE_DEPTH + 1):
+        if level:
+            corners, ids = _children(corners, ids)
+        tables = (corners, *_bounding_caps(corners))
+        for table in tables:
+            table.setflags(write=False)
+        levels.append(tables)
+    return tuple(levels)
+
+
+def _cap_verdicts(centres, radii, region):
+    """Verdict codes the bounding caps decide, ``_PARTIAL`` where they
+    leave a trixel undecided.  Against a halfspace of angular radius
+    ``theta`` whose normal lies at angle ``d`` from a cap's centre, the
+    trixel is outside when ``d - radius - theta > EPS`` and inside when
+    ``theta - d - radius > EPS``; the halfspaces combine as in
+    :func:`_classify_level`."""
+    verdict = np.full(len(centres), _OUTSIDE, dtype=np.int8)
+    for convex in region:
+        clause = np.full(len(centres), _INSIDE, dtype=np.int8)
+        for halfspace in convex:
+            theta = math.acos(halfspace.offset)
+            d = np.arccos(np.clip(centres @ halfspace.normal, -1.0, 1.0))
+            # inside counts 2 (it is also not outside), undecided 1
+            code = (theta - d - radii > EPS).view(np.int8) + (
+                d - radii - theta <= EPS
+            ).view(np.int8)
+            np.minimum(clause, code, out=clause)
+        np.maximum(verdict, clause, out=verdict)
+    return verdict
 
 
 class Coverage:
@@ -333,14 +422,14 @@ class Coverage:
 def cover_region(region, depth):
     """Cover ``region`` with trixels down to ``depth``.
 
-    The paper's classification, breadth-first: each level's surviving
-    trixels are classified in one vectorised pass.  Nodes fully inside
-    are accepted as whole subtrees (contiguous leaf-id intervals), nodes
-    fully outside are dropped, and only the bisected nodes' children
-    make the next level; the bisected nodes at ``depth`` are the partial
-    leaves.  At most ``depth + 1`` passes.  ``inside``, ``partial`` and
-    ``stats`` are exactly what classifying node by node with
-    :func:`classify_trixel_region` gives.
+    The paper's classification, breadth-first: nodes fully inside are
+    accepted as whole subtrees (contiguous leaf-id intervals), nodes
+    fully outside are dropped, and only the bisected nodes' children are
+    looked at; the bisected nodes at ``depth`` are the partial leaves.
+    The bounding caps decide most nodes level by level, and one exact
+    pass (:func:`_classify_level`) decides the rest.  ``inside``,
+    ``partial`` and ``stats`` are exactly what classifying node by node
+    with :func:`classify_trixel_region` gives.
     """
     if isinstance(region, Halfspace):
         region = Region.from_halfspace(region)
@@ -351,25 +440,57 @@ def cover_region(region, depth):
     if not 0 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in [0, {MAX_DEPTH}], got {depth}")
 
-    inside_intervals = []
-    stats = {"tested": 0, "accepted": 0, "rejected": 0, "bisected": 0}
-    corners = base_trixel_vertices()
+    # Expand: the caps decide what they can, and the children of the
+    # undecided trixels make the next level.  ``levels`` keeps each
+    # level's ids, verdicts and undecided mask, ``pending`` the corners
+    # of its undecided trixels.
+    levels, pending = [], []
     ids = np.arange(8, 16, dtype=np.int64)
     for level in range(depth + 1):
-        verdict = _classify_level(corners, region)
-        accepted = ids[verdict == _INSIDE]
-        bisected = verdict == _PARTIAL
+        if level <= _TABLE_DEPTH:
+            top_corners, top_centres, top_radii = _mesh_top()[level]
+            rows = ids - (8 << 2 * level)
+            verdict = _cap_verdicts(top_centres[rows], top_radii[rows], region)
+            undecided = verdict == _PARTIAL
+            corners = top_corners[rows[undecided]]
+        else:
+            verdict = _cap_verdicts(*_bounding_caps(corners), region)
+            undecided = verdict == _PARTIAL
+            corners = corners[undecided]
+        levels.append((ids, verdict, undecided))
+        pending.append(corners)
+        if level == depth or not undecided.any():
+            break
+        if level < _TABLE_DEPTH:
+            ids = _child_ids(ids[undecided])
+        else:
+            corners, ids = _children(corners, ids[undecided])
+
+    # Classify once: the exact test over every undecided trixel.
+    counts = [len(corners) for corners in pending]
+    if sum(counts):
+        exact = _classify_level(np.concatenate(pending), region)
+        for (_, verdict, undecided), part in zip(
+            levels, np.split(exact, np.cumsum(counts)[:-1])
+        ):
+            verdict[undecided] = part
+
+    # Replay the walk: a trixel is tested if every ancestor was bisected.
+    inside_intervals = []
+    stats = {"tested": 0, "accepted": 0, "rejected": 0, "bisected": 0}
+    tested = np.ones(8, dtype=bool)
+    for level, (ids, verdict, undecided) in enumerate(levels):
+        accepted = ids[tested & (verdict == _INSIDE)]
+        bisected = tested & (verdict == _PARTIAL)
         shift = 2 * (depth - level)
         inside_intervals.extend(
             zip((accepted << shift).tolist(), (((accepted + 1) << shift) - 1).tolist())
         )
-        stats["tested"] += len(ids)
+        stats["tested"] += int(np.count_nonzero(tested))
         stats["accepted"] += len(accepted)
-        stats["rejected"] += int(np.count_nonzero(verdict == _OUTSIDE))
+        stats["rejected"] += int(np.count_nonzero(tested & (verdict == _OUTSIDE)))
         stats["bisected"] += int(np.count_nonzero(bisected))
-        if level == depth or not bisected.any():
-            break
-        corners, ids = _children(corners[bisected], ids[bisected])
+        tested = np.repeat(bisected[undecided], 4)
 
     return Coverage(
         depth=depth,

@@ -463,6 +463,7 @@ TRUSTED_ERROR_MODULES = (
     "repro.session.core",
     "repro.service.errors",
     "repro.net.protocol",
+    "repro.storage.containers",
 )
 
 

@@ -163,7 +163,10 @@ def _compile_function(call, schema):
         op = simple[name]
 
         def unary_math(table, _inner=inner, _op=op):
-            return _op(_inner(table))
+            # SQRT or LOG10 out of its domain is NaN (or -inf), which
+            # every comparison already treats as false: not a warning.
+            with np.errstate(invalid="ignore", divide="ignore"):
+                return _op(_inner(table))
 
         return unary_math
 

@@ -110,7 +110,7 @@ class MyDBManager:
             try:
                 tables[bare] = self._materialize(table)
             except DuplicateKeyError as exc:
-                raise DuplicateKeyError(f"mydb.{bare}", exc.objids) from None
+                raise DuplicateKeyError.refusing(f"mydb.{bare}", exc.objids) from None
             return tables[bare]
 
     def drop(self, user, name):

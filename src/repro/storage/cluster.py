@@ -153,7 +153,9 @@ class DistributedArchive:
             held = np.concatenate([server.store.snapshot.keys for server in self.servers])
             repeats = np.union1d(repeated_keys(new), new[np.isin(new, held)])
             if len(repeats):
-                raise DuplicateKeyError(f"archive source {self.source!r}", repeats)
+                raise DuplicateKeyError.refusing(
+                    f"archive source {self.source!r}", repeats
+                )
         ids = self.servers[0].store.container_ids_for(table)
         self._repartition(ids)
         self._place(self.source, table, ids)

@@ -57,15 +57,24 @@ PAGE_BYTES = 64 * 1024
 
 class DuplicateKeyError(ValueError):
     """Rows refused because their ``objid`` is held already or repeats
-    among them: ``store`` names where, ``objids`` lists a few of them."""
+    among them: ``store`` names where, ``objids`` lists a few of them.
+    :meth:`refusing` builds one; the message alone rebuilds it (without
+    the two fields), as the client does from a server's error frame."""
 
-    def __init__(self, store, objids):
+    def __init__(self, message, store=None, objids=()):
+        super().__init__(message)
         self.store = store
-        self.objids = np.asarray(objids)[:5].tolist()
+        self.objids = list(objids)
+
+    @classmethod
+    def refusing(cls, store, objids):
+        """The error for ``store`` refusing the repeated ``objids``."""
+        shown = np.asarray(objids)[:5].tolist()
         more = f" and {len(objids) - 5} more" if len(objids) > 5 else ""
-        super().__init__(
-            f"{store} refuses rows: objid {self.objids}{more} "
-            "already held or repeated"
+        return cls(
+            f"{store} refuses rows: objid {shown}{more} already held or repeated",
+            store,
+            shown,
         )
 
 
@@ -229,7 +238,7 @@ class ContainerStore:
         if snapshot.keys is not None:
             repeats = repeated_keys(snapshot.keys)
             if len(repeats):
-                raise DuplicateKeyError(
+                raise DuplicateKeyError.refusing(
                     f"store {self.store_uid} ({self.schema.name})", repeats
                 )
         return snapshot

@@ -5,10 +5,11 @@ in-region point falls in ``inside | partial``.  These hold for any region
 at any depth; the property tests sweep random caps, bands, and Boolean
 combinations.
 
-The cover is classified a level at a time; :func:`reference_cover`
-walks the mesh one trixel at a time with the scalar classifier instead,
-and the two must agree exactly — on drawn regions, on regions at the
-mesh's edges and on the benchmark's own regions.
+The cover decides most trixels by their bounding caps and the rest in
+one exact pass; :func:`reference_cover` walks the mesh one trixel at a
+time with the scalar classifier instead, and the two must agree exactly
+— on drawn regions, on regions at the mesh's edges and on the
+benchmark's own regions.
 """
 
 import itertools
@@ -218,7 +219,7 @@ class TestHalfspaceClassification:
 
 
 # ----------------------------------------------------------------------
-# the level pass against the trixel-at-a-time walk
+# the cover against the trixel-at-a-time walk
 # ----------------------------------------------------------------------
 
 
@@ -283,10 +284,14 @@ def _vector(draw):
 
 
 @st.composite
-def _caps(draw):
+def _halfspaces(draw):
     normal = _vector(draw)
     offset = draw(st.one_of(st.sampled_from(_EDGE_OFFSETS), st.floats(-1.0, 1.0)))
-    return Region.from_halfspace(Halfspace(normal, offset))
+    return Halfspace(normal, offset)
+
+
+def _caps():
+    return _halfspaces().map(Region.from_halfspace)
 
 
 @st.composite
@@ -353,6 +358,45 @@ def _regions(draw):
     return first | second if how == "union" else first - second
 
 
+class TestCrossingPoints:
+    """The edge test's two candidates are where the cap's boundary meets
+    the edge's great circle, on the sphere.  A point inside the sphere,
+    between the true ones, can fall within an arc the boundary never
+    reaches and make a false PARTIAL."""
+
+    def test_a_trixel_far_from_a_large_caps_boundary_is_outside(self):
+        # Corners at z >= 0.38; the cap z <= 0.30 misses them all, and
+        # its boundary never reaches the trixel.
+        corners = trixel_corners(774)
+        assert corners[:, 2].min() > 0.38
+        halfspace = Halfspace((0.0, 0.0, -1.0), -0.30163114762569454)
+        assert classify_trixel_halfspace(corners, halfspace) is Classification.OUTSIDE
+        verdict = cover_module._classify_level(
+            corners[None], Region.from_halfspace(halfspace)
+        )
+        assert verdict.tolist() == [cover_module._OUTSIDE]
+
+    @given(_halfspaces(), st.integers(0, 8 * 4**3 - 1), st.integers(0, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_every_candidate_lies_on_both_circles(self, halfspace, row, edge):
+        corners = cover_module._mesh_top()[3][0][row]
+        pole = normalize(np.cross(corners[edge], corners[(edge + 1) % 3]))
+        scalar = cover_module._cap_boundary_points(halfspace, pole)
+        rows, met = cover_module._cap_boundary_points_rows(halfspace, pole[None])
+        assert bool(met[0]) == (len(scalar) == 2)
+        for point in [*scalar, *rows[:, 0][met[0].repeat(2)]]:
+            assert np.linalg.norm(point) == pytest.approx(1.0, abs=1e-9)
+            assert point @ halfspace.normal == pytest.approx(halfspace.offset, abs=1e-9)
+            assert point @ pole == pytest.approx(0.0, abs=1e-9)
+
+    def test_a_small_rect_has_four_partial_trixels(self):
+        coverage = cover_region(rect_region(219.3101, 219.7931, 17.314, 17.5556), 6)
+        assert coverage.partial.count() == 4
+
+    def test_a_band_has_eight_hundred_partial_trixels(self):
+        assert cover_region(latitude_band(20.0, 21.5), 6).partial.count() == 800
+
+
 class TestCoverEqualsTheReferenceWalk:
     @given(_regions(), st.integers(min_value=0, max_value=8))
     @settings(
@@ -405,9 +449,32 @@ class TestCoverEqualsTheReferenceWalk:
             assert_same_as_reference(build_region(spec), bench_config.HTM_DEPTH)
 
 
+class TestBoundingCaps:
+    """A trixel the bounding caps decide gets the scalar classifier's
+    verdict: the caps only skip work, they never change an answer."""
+
+    @given(_regions())
+    @settings(max_examples=20, deadline=None)
+    def test_a_decided_trixel_has_the_scalar_verdict(self, region):
+        # The scalar test costs ~60 us a halfspace and levels 0-4 hold
+        # 2 728 trixels: leave the widest differences (32 convexes, 192
+        # halfspaces) to the cover's own equality tests.
+        assume(sum(len(convex.halfspaces) for convex in region) <= 16)
+        codes = {
+            Classification.OUTSIDE: cover_module._OUTSIDE,
+            Classification.INSIDE: cover_module._INSIDE,
+        }
+        for corners, centres, radii in cover_module._mesh_top()[:5]:
+            verdict = cover_module._cap_verdicts(centres, radii, region)
+            for row in np.flatnonzero(verdict != cover_module._PARTIAL):
+                expected = classify_trixel_region(corners[row], region)
+                assert codes.get(expected) == verdict[row]
+
+
 class TestLevelPassCost:
     """Counts that do not depend on the box: a cover builds no Trixel
-    and runs one classifier pass per level."""
+    and runs the exact classifier once, over the trixels the bounding
+    caps leave undecided."""
 
     def test_a_band_constructs_no_trixel(self, monkeypatch):
         built = []
@@ -419,32 +486,75 @@ class TestLevelPassCost:
         )
         coverage = cover_region(latitude_band(20.0, 21.5), 6)
         assert built == []
-        # The node-by-node recursion built 3424 trixels for this band
-        # and tested these nodes too.
-        assert coverage.stats["tested"] == 3432
+        # The node-by-node recursion tests these nodes too.
+        assert coverage.stats["tested"] == 2120
 
-    @given(_regions(), st.integers(min_value=0, max_value=6))
+    @given(_regions(), st.integers(min_value=0, max_value=8))
     @settings(max_examples=40, deadline=None)
-    def test_one_classifier_pass_per_level(self, region, depth):
+    def test_one_exact_pass_over_the_undecided_trixels(self, region, depth):
         calls = []
         classify = cover_module._classify_level
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
                 cover_module,
                 "_classify_level",
-                lambda corners, region: calls.append(len(corners))
+                lambda corners, region: calls.append(corners)
                 or classify(corners, region),
             )
             cover_region(region, depth)
-        assert 1 <= len(calls) <= depth + 1
-        if depth == 0:
-            assert calls == [8]
+        assert len(calls) <= 1
+        for corners in calls:
+            caps = cover_module._bounding_caps(corners)
+            verdict = cover_module._cap_verdicts(*caps, region)
+            assert (verdict == cover_module._PARTIAL).all()
 
     def test_children_are_bit_identical_to_trixel_children(self):
         trixels = list(BASE_TRIXELS)
         corners, ids = base_trixel_vertices(), np.arange(8, 16)
-        for _level in range(4):
+        for level in range(1, 5):
             trixels = [child for trixel in trixels for child in trixel.children()]
             corners, ids = cover_module._children(corners, ids)
             assert ids.tolist() == [trixel.htm_id for trixel in trixels]
             assert corners.tobytes() == np.stack([t.corners for t in trixels]).tobytes()
+            assert corners.tobytes() == cover_module._mesh_top()[level][0].tobytes()
+
+    def test_the_table_of_the_top_levels_is_small(self):
+        tables = cover_module._mesh_top()
+        assert len(tables) == cover_module._TABLE_DEPTH + 1
+        assert sum(table.nbytes for level in tables for table in level) <= 5e6
+
+
+@pytest.mark.slow
+class TestLongExactness:
+    """``make test-cover``: the cover against the walk over many more
+    drawn regions than tier-1 draws, and over the benchmark's regions."""
+
+    # 2 000 regions in all, in eight tests: each stays well inside the
+    # suite's per-test timeout.
+    @pytest.mark.parametrize("depth", range(8))
+    @given(region=_regions())
+    @settings(
+        max_examples=250,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    def test_drawn_regions(self, depth, region):
+        assume(cover_region(region, depth).stats["tested"] <= 5000)
+        assert_same_as_reference(region, depth)
+
+    @pytest.mark.parametrize("seed", range(11, 21))
+    @pytest.mark.parametrize("workload", ["cone_search", "cluster_gather"])
+    def test_the_benchmarks_regions(self, workload, seed):
+        ops = getattr(gen, workload)(gen.make_rng(seed, workload))
+        specs = (op.region for op in ops if op.region is not None)
+        for spec in itertools.islice(specs, 200):
+            assert_same_as_reference(build_region(spec), bench_config.HTM_DEPTH)
+
+    @pytest.mark.parametrize("seed", range(11, 21))
+    def test_the_remote_tenants_regions(self, seed):
+        ops = gen.remote_texts(gen.make_rng(seed, "remote_tenants"))
+        specs = [op.region for op in ops if op.region is not None]
+        assert specs
+        for spec in specs:
+            assert_same_as_reference(build_region(spec), bench_config.HTM_DEPTH)

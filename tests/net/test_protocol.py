@@ -26,6 +26,7 @@ from repro.net.protocol import (
 )
 from repro.query.errors import ExecutionError, ParseError
 from repro.session.plan import PlanTree
+from repro.storage import DuplicateKeyError
 
 
 @pytest.fixture()
@@ -142,6 +143,13 @@ class TestErrors:
     def test_execution_error_re_raised(self):
         with pytest.raises(ExecutionError, match="boom"):
             raise_from_wire(error_to_wire(ExecutionError("boom")))
+
+    def test_duplicate_key_error_re_raised(self):
+        sent = DuplicateKeyError.refusing("mydb.b", [14, 15, 16, 17, 18, 19])
+        with pytest.raises(DuplicateKeyError) as excinfo:
+            raise_from_wire(jsonable(error_to_wire(sent)))
+        assert str(excinfo.value) == str(sent)
+        assert "objid [14, 15, 16, 17, 18] and 1 more already held" in str(sent)
 
     def test_untrusted_module_degrades(self):
         header = {

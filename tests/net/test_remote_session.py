@@ -8,10 +8,11 @@ the single-store engine row for row, empty-result schemas included.
 
 import pytest
 
-from repro.net import RemoteExecutor
+from repro.net import ArchiveServer, RemoteExecutor
 from repro.obs.metrics import registry
-from repro.query.errors import ParseError, PlanError
+from repro.query.errors import ExecutionError, ParseError, PlanError
 from repro.session import Archive, PlanTree
+from repro.storage import DuplicateKeyError
 
 # The session suite's corpus (tests/session/test_session_differential.py),
 # unchanged: mode 'rows' compares canonically sorted rows, 'ordered'
@@ -156,6 +157,22 @@ def test_parse_and_plan_errors_re_raise_originally(remote_session):
         remote_session.submit("SELEKT objid FROM photo")
     with pytest.raises(PlanError):
         remote_session.submit("SELECT objid FROM nonsuch")
+
+
+def test_a_repeated_objid_keeps_its_class_over_the_wire(fresh_stores):
+    """An INTO that repeats an ``objid`` fails on the server after
+    ``accepted``: the reader sees the stream's ExecutionError, caused by
+    the server's DuplicateKeyError rebuilt from the error frame."""
+    with ArchiveServer(stores=fresh_stores) as server:
+        with Archive.connect(server.url) as session:
+            with pytest.raises(ExecutionError) as excinfo:
+                session.query_table(
+                    "SELECT FLOOR(mag_r) AS objid, mag_r INTO mydb.b FROM photo"
+                )
+            cause = excinfo.value.__cause__
+            assert isinstance(cause, DuplicateKeyError)
+            assert str(cause).startswith("mydb.b refuses rows: objid [")
+            assert session.my_tables() == []
 
 
 def test_a_refused_start_leaves_no_job(remote_session):

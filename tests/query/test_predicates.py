@@ -38,6 +38,21 @@ class TestScalarCompilation:
         fn = compile_scalar(parse_expression("SQRT(petro_r50)"), PHOTO_SCHEMA)
         np.testing.assert_allclose(fn(photo), np.sqrt(photo["petro_r50"]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "term, reference",
+        [
+            ("SQRT(mag_r - 20) < 1", lambda mag_r: (mag_r >= 20) & (mag_r < 21)),
+            ("LOG10(mag_r - 30) < 1", lambda mag_r: mag_r > 30),
+        ],
+    )
+    def test_a_term_out_of_its_domain_warns_nothing(self, session, photo, term, reference):
+        """NaN is false: the query answers, and numpy prints nothing."""
+        table = session.query_table(f"SELECT objid FROM photo WHERE {term}")
+        mag_r = np.asarray(photo["mag_r"])
+        expected = np.sort(np.asarray(photo["objid"])[reference(mag_r)])
+        np.testing.assert_array_equal(np.sort(np.asarray(table["objid"])), expected)
+
     def test_least_greatest(self, photo):
         fn = compile_scalar(parse_expression("LEAST(mag_g, mag_r)"), PHOTO_SCHEMA)
         np.testing.assert_allclose(
