@@ -26,11 +26,14 @@ test-net:
 test-chaos:
 	$(PYTEST) -x -q tests/chaos
 
-# The HTM cover held to the trixel-at-a-time reference walk over 2 000
-# drawn regions at depths 0-7 and the benchmark generators' regions
-# (slow-marked, so tier-1 deselects it).
+# Both users of the HTM mesh table, held to their reference walks: the
+# cover to the trixel-at-a-time walk over 2 000 drawn regions at depths
+# 0-7 and the benchmark generators' regions, point location to the walk
+# that derives every point's corners over every corner and edge midpoint
+# of the table, drawn points, points off its edges and the benchmark
+# catalog at depths 0-10 (slow-marked, so tier-1 deselects them).
 test-cover:
-	$(PYTEST) -x -q -m slow tests/htm/test_cover.py
+	$(PYTEST) -x -q -m slow tests/htm/test_cover.py tests/htm/test_mesh.py
 
 # The full suite including slow-marked benchmark cases.
 test-all:

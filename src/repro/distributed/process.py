@@ -105,6 +105,12 @@ class ProcessShardCluster:
     ``Archive.connect`` URL-list backend).  ``close()`` signals every
     child, joins with a bounded timeout, and terminates stragglers —
     idempotent, and also run by a session that adopted the cluster.
+
+    Each child re-clusters its rows with ``ContainerStore.from_table``,
+    whose point location descends through the mesh table of
+    :mod:`repro.htm.mesh`: every child builds that table once (about
+    45 ms and 7 MB of its own), and then locates a shard's rows about
+    ten times faster than a walk that derives every row's corners.
     """
 
     def __init__(self, processes, stop_events, urls):

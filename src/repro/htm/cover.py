@@ -15,8 +15,9 @@ alone, and only a bisected node has children to look at.  So
    most trixels, those the region's boundary passes at a distance: a few
    numpy calls per halfspace per level.  Only the children of the
    trixels the caps leave undecided make the next level.  The corners
-   and caps of levels 0 to 6 are tabulated once per process; deeper
-   levels derive their corners from their parents'.
+   and caps of levels 0 to 6 come from the mesh table, built once per
+   process in :mod:`repro.htm.mesh` (point location reads its edge
+   normals); deeper levels derive their corners from their parents'.
 2. *Classify once.*  One vectorised pass of the exact test decides every
    undecided trixel of every level, and replaying the walk's rule (a
    trixel is tested only if every ancestor was bisected) over the
@@ -42,7 +43,6 @@ number of objects that need the fine check.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 
 import numpy as np
@@ -50,10 +50,17 @@ import numpy as np
 from repro.geometry.convex import Convex
 from repro.geometry.halfspace import Halfspace
 from repro.geometry.region import Region
-from repro.geometry.vector import cross3, normalize
-from repro.htm.mesh import MAX_DEPTH
+from repro.geometry.vector import cross3
+from repro.htm.mesh import (
+    _HEADS,
+    _TABLE_DEPTH,
+    MAX_DEPTH,
+    _bounding_caps,
+    _child_ids,
+    _children,
+    _mesh_top,
+)
 from repro.htm.ranges import RangeSet
-from repro.htm.trixel import base_trixel_vertices
 
 __all__ = ["Classification", "Coverage", "cover_region", "classify_trixel_region"]
 
@@ -207,13 +214,8 @@ def classify_trixel_region(corners, region):
 #: over its halfspaces and a region (OR) the maximum over its convexes:
 #: OUTSIDE dominates a convex, INSIDE a region
 _OUTSIDE, _PARTIAL, _INSIDE = 0, 1, 2
-#: edge ``i`` of a trixel runs from corner ``i`` to corner ``_HEADS[i]``
-_HEADS = [1, 2, 0]
 #: the two solutions of the edge test, ``base ± gamma * direction``
 _SIGNS = np.array([1.0, -1.0])[:, None, None]
-#: the corners of each child, in child order, among a trixel's corners
-#: ``v0, v1, v2`` (0-2) and edge midpoints ``w0, w1, w2`` (3-5)
-_CHILD_CORNERS = [[0, 5, 4], [1, 3, 5], [2, 4, 3], [3, 4, 5]]
 
 
 def _cross(a, b):
@@ -307,19 +309,6 @@ def _classify_level(corners, region):
     return verdict
 
 
-def _child_ids(ids):
-    """Ids of the four children of every trixel, in child order 0-3."""
-    return ((ids[:, None] << 2) | np.arange(4)).reshape(-1)
-
-
-def _children(corners, ids):
-    """Corners and ids of the four children of every trixel, in child
-    order 0-3 and bit for bit as :meth:`Trixel.children` builds them."""
-    midpoints = normalize(corners[:, [1, 0, 0]] + corners[:, [2, 2, 1]])
-    points = np.concatenate([corners, midpoints], axis=1)
-    return points[:, _CHILD_CORNERS].reshape(-1, 3, 3), _child_ids(ids)
-
-
 # The bounding caps.  They decide a trixel only by a margin, so the
 # exact test, run on what they leave undecided, is never overruled.
 
@@ -329,37 +318,6 @@ def _children(corners, ids):
 #: checks tolerate 1e-15; a margin far above both keeps every decided
 #: verdict the exact test's own.
 EPS = 1e-6
-#: the deepest level whose corners and caps :func:`_mesh_top` tabulates:
-#: 43 688 trixels, about 4.5 MB
-_TABLE_DEPTH = 6
-
-
-def _bounding_caps(corners):
-    """Centre and angular radius of each trixel's bounding cap: the
-    normalised corner sum and the largest corner angle from it.  The
-    radius is under 90 degrees at every level, so the cap is convex and
-    holds the trixel."""
-    centres = normalize(corners.sum(axis=1))
-    nearest = np.vecdot(corners, centres[:, None]).min(axis=1)
-    return centres, np.arccos(np.clip(nearest, -1.0, 1.0))
-
-
-@functools.cache
-def _mesh_top():
-    """``(corners, centres, radii)`` of every trixel of each level up to
-    :data:`_TABLE_DEPTH`, rows in id order (id ``8 * 4**level + row``),
-    built once per process by :func:`_children`, so the corners are bit
-    for bit the ones a walk derives."""
-    levels = []
-    corners, ids = base_trixel_vertices(), np.arange(8, 16, dtype=np.int64)
-    for level in range(_TABLE_DEPTH + 1):
-        if level:
-            corners, ids = _children(corners, ids)
-        tables = (corners, *_bounding_caps(corners))
-        for table in tables:
-            table.setflags(write=False)
-        levels.append(tables)
-    return tuple(levels)
 
 
 def _cap_verdicts(centres, radii, region):

@@ -11,13 +11,22 @@ to set algebra on sky areas.
 
 Names are the human-readable form: ``"N0"``, ``"S312"``, etc., one child
 digit per level.
+
+The mesh table lives here: the corners and bounding caps of every
+trixel of levels 0 to 6 and the edge normals of their children, built
+once per process and read-only.  The cover (:mod:`repro.htm.cover`)
+reads the corners and caps; point location descends through the
+normals, a gather and three multiply-adds per point and level, and
+walks on from the level-6 corners for a deeper id.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from repro.geometry.vector import radec_to_vector
+from repro.geometry.vector import normalize, radec_to_vector
 from repro.htm.trixel import Trixel, base_trixel_vertices
 
 __all__ = [
@@ -164,45 +173,205 @@ def lookup_ids(ra, dec, depth):
     (0, 1, 2, then the middle child 3), so every point maps to exactly one
     trixel — the property the paper's clustering containers rely on.
     """
-    if not 0 <= depth <= MAX_DEPTH:
-        raise ValueError(f"depth must be in [0, {MAX_DEPTH}], got {depth}")
     xyz = radec_to_vector(np.atleast_1d(ra), np.atleast_1d(dec))
     return lookup_ids_from_vectors(xyz, depth)
 
 
+# The mesh table: every trixel of levels 0 to ``_TABLE_DEPTH``, built
+# once per process.  The cover (:mod:`repro.htm.cover`) reads its corners
+# and bounding caps, point location its edge normals.
+
+#: the deepest level the mesh table holds: 43 688 trixels
+_TABLE_DEPTH = 6
+#: points located at a time: each level's temporaries (nine rows of dot
+#: products) stay small enough to sit in cache and to leave no large
+#: freed block behind, which on the 97 800-row catalog measured faster
+#: and with a lower peak resident set than one pass over every point
+_CHUNK_ROWS = 8192
+#: the corners of each child, in child order, among a trixel's corners
+#: ``v0, v1, v2`` (0-2) and edge midpoints ``w0, w1, w2`` (3-5)
+_CHILD_CORNERS = [[0, 5, 4], [1, 3, 5], [2, 4, 3], [3, 4, 5]]
+#: edge ``i`` of a trixel runs from corner ``i`` to corner ``_HEADS[i]``
+_HEADS = [1, 2, 0]
+
+
+def _child_ids(ids):
+    """Ids of the four children of every trixel, in child order 0-3."""
+    return ((ids[:, None] << 2) | np.arange(4)).reshape(-1)
+
+
+def _children(corners, ids):
+    """Corners and ids of the four children of every trixel, in child
+    order 0-3 and bit for bit as :meth:`Trixel.children` builds them."""
+    midpoints = normalize(corners[:, [1, 0, 0]] + corners[:, [2, 2, 1]])
+    points = np.concatenate([corners, midpoints], axis=1)
+    return points[:, _CHILD_CORNERS].reshape(-1, 3, 3), _child_ids(ids)
+
+
+def _bounding_caps(corners):
+    """Centre and angular radius of each trixel's bounding cap: the
+    normalised corner sum and the largest corner angle from it.  The
+    radius is under 90 degrees at every level, so the cap is convex and
+    holds the trixel."""
+    centres = normalize(corners.sum(axis=1))
+    nearest = np.vecdot(corners, centres[:, None]).min(axis=1)
+    return centres, np.arccos(np.clip(nearest, -1.0, 1.0))
+
+
+def _edge_normals(corners):
+    """``np.cross`` of each edge's endpoints, ``(..., 3 edges, 3)``."""
+    return np.cross(corners, corners[..., _HEADS, :])
+
+
+@functools.cache
+def _mesh_top():
+    """``(corners, centres, radii)`` of every trixel of each level up to
+    :data:`_TABLE_DEPTH`, rows in id order (id ``8 * 4**level + row``),
+    built by :func:`_children`, so the corners are bit for bit the ones
+    a walk derives; about 4.5 MB, read-only."""
+    levels = []
+    corners, ids = base_trixel_vertices(), np.arange(8, 16, dtype=np.int64)
+    for level in range(_TABLE_DEPTH + 1):
+        if level:
+            corners, ids = _children(corners, ids)
+        tables = (corners, *_bounding_caps(corners))
+        for table in tables:
+            table.setflags(write=False)
+        levels.append(tables)
+    return tuple(levels)
+
+
+@functools.cache
+def _mesh_planes():
+    """The edge normals point location tests, from the table's corners:
+    ``(roots, tolerance, levels)``.  ``roots`` is ``(3, 24)``, column
+    ``8 * e + k`` the components of edge ``e`` of root ``k``, and
+    ``tolerance`` their ``-1e-12 * |e|`` of :meth:`Trixel.contains`.
+    ``levels[l]`` is ``(3, 9, 8 * 4**l)``: ``[:, 3 * e + child, r]`` is
+    edge ``e`` of child 0-2 of the level's trixel ``r``, so gathering a
+    level's rows gives each component as nine contiguous rows; about
+    2.4 MB, read-only."""
+    roots = _edge_normals(base_trixel_vertices()).transpose(2, 1, 0).reshape(3, 24)
+    tolerance = -1.0e-12 * np.linalg.norm(roots, axis=0)
+    levels = []
+    for corners, _, _ in _mesh_top()[1:]:
+        normals = _edge_normals(corners).reshape(-1, 4, 3, 3)[:, :3]
+        planes = np.ascontiguousarray(normals.transpose(3, 2, 1, 0)).reshape(3, 9, -1)
+        planes.setflags(write=False)
+        levels.append(planes)
+    return roots, tolerance, tuple(levels)
+
+
+def _first_child(dots):
+    """Per point, the first child in order 0-3 whose edge planes hold
+    it, or -1 for none, from the ``(9, n)`` dot products with the edge
+    normals of children 0-2 (row ``3 * e + child``).
+
+    Edge 1 of each of children 0-2 is an edge of the middle child 3
+    walked the other way, and ``np.cross(b, a)`` is ``-np.cross(a, b)``
+    exactly, so the middle child holds a point exactly where those three
+    products are ``<= 0``.
+    """
+    held = dots >= 0.0
+    held = held[0:3] & held[3:6] & held[6:9]
+    chosen = np.where((dots[3] <= 0.0) & (dots[4] <= 0.0) & (dots[5] <= 0.0), 3, -1)
+    for child in (2, 1, 0):
+        chosen[held[child]] = child
+    return chosen
+
+
+def _settle(points, children):
+    """Child of each point that no child's edge planes hold, given the
+    ``(n, 4, 3, 3)`` corners of its trixel's children.
+
+    A point lying exactly on a mesh vertex or edge can be rejected by
+    every strict test through one-ulp rounding, and blindly defaulting
+    would file it half a trixel away from where it belongs; for those
+    (rare) points pick the child whose worst edge-plane deviation is
+    smallest.
+    """
+    normals = _edge_normals(children)
+    worst = np.sum(points[:, None, None] * normals, axis=-1).min(axis=2)
+    # argmax ties break toward the lower child index, the same order the
+    # strict tests use.
+    return worst.argmax(axis=1)
+
+
 def lookup_ids_from_vectors(xyz, depth):
-    """As :func:`lookup_ids` but starting from ``(n, 3)`` unit vectors."""
+    """As :func:`lookup_ids` but starting from ``(n, 3)`` unit vectors.
+
+    A descent through the mesh table: the eight roots, then at each
+    level down to :data:`_TABLE_DEPTH` the tabulated edge normals of the
+    point's children, gathered by its trixel's row.  Each test sums
+    ``x*ex + y*ey + z*ez`` left to right, as ``np.sum(xyz * e, axis=1)``
+    does, so a walk that derives every point's corners level by level
+    files every point in the same trixel.  Below the table the walk
+    does that, from the table's corners.
+    """
+    if not 0 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be in [0, {MAX_DEPTH}], got {depth}")
     xyz = np.asarray(xyz, dtype=np.float64)
     if xyz.ndim == 1:
         xyz = xyz[None, :]
-    n = xyz.shape[0]
+    ids = np.empty(len(xyz), dtype=np.int64)
+    for start in range(0, len(xyz), _CHUNK_ROWS):
+        chunk = slice(start, start + _CHUNK_ROWS)
+        ids[chunk] = _locate(xyz[chunk], depth)
+    return ids
 
-    base = base_trixel_vertices()  # (8, 3, 3)
-    ids = np.full(n, -1, dtype=np.int64)
-    corners = np.empty((n, 3, 3))
 
-    # Root assignment by octant, matching the canonical corner layout.
-    # Determine root by sign of z then quadrant of (x, y); edge ties are
-    # resolved the same way contains() resolves them, by explicit test.
-    assigned = np.zeros(n, dtype=bool)
-    for k in range(8):
-        trixel = Trixel(8 + k, base[k])
-        mask = (~assigned) & trixel.contains(xyz)
-        if np.any(mask):
-            ids[mask] = 8 + k
-            corners[mask] = base[k]
-            assigned |= mask
-    if not np.all(assigned):
+def _locate(xyz, depth):
+    """:func:`lookup_ids_from_vectors` of at most :data:`_CHUNK_ROWS`
+    points."""
+    x, y, z = np.ascontiguousarray(xyz.T)
+    roots, tolerance, planes = _mesh_planes()
+
+    # Root assignment: the first root whose edge planes hold the point,
+    # within the tolerance of Trixel.contains.
+    dots = roots[0, :, None] * x
+    dots += roots[1, :, None] * y
+    dots += roots[2, :, None] * z
+    held = dots >= tolerance[:, None]
+    held = held[0:8] & held[8:16] & held[16:24]
+    rows = held.argmax(axis=0)
+    leftovers = np.flatnonzero(~held.any(axis=0))
+    if leftovers.size:
         # Numerically pathological points (should not happen for unit
         # vectors); assign to the nearest root center as a fallback.
-        leftovers = np.nonzero(~assigned)[0]
-        centers = base.mean(axis=1)
+        centers = base_trixel_vertices().mean(axis=1)
         centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-        nearest = np.argmax(xyz[leftovers] @ centers.T, axis=1)
-        ids[leftovers] = 8 + nearest
-        corners[leftovers] = base[nearest]
+        rows[leftovers] = np.argmax(xyz[leftovers] @ centers.T, axis=1)
 
-    for _ in range(depth):
+    top = _mesh_top()
+    for level in range(min(depth, _TABLE_DEPTH)):
+        ex, ey, ez = planes[level]
+        dots = np.take(ex, rows, axis=1)
+        dots *= x
+        product = np.take(ey, rows, axis=1)
+        product *= y
+        dots += product
+        product = np.take(ez, rows, axis=1)
+        product *= z
+        dots += product
+        chosen = _first_child(dots)
+        rest = np.flatnonzero(chosen < 0)
+        if rest.size:
+            children = top[level + 1][0][_child_ids(rows[rest]).reshape(-1, 4)]
+            chosen[rest] = _settle(xyz[rest], children)
+        rows = (rows << 2) + chosen
+
+    level = min(depth, _TABLE_DEPTH)
+    ids = rows + (8 << 2 * level)
+    if depth > level:
+        ids = _walk(xyz, top[level][0][rows], ids, depth - level)
+    return ids
+
+
+def _walk(xyz, corners, ids, levels):
+    """Point location ``levels`` levels below the trixels ``ids`` with
+    corners ``corners``, deriving each point's children from its
+    corners level by level (bit for bit as :func:`_children` does)."""
+    for _ in range(levels):
         v0 = corners[:, 0]
         v1 = corners[:, 1]
         v2 = corners[:, 2]
@@ -212,74 +381,33 @@ def lookup_ids_from_vectors(xyz, depth):
         w1 /= np.linalg.norm(w1, axis=1, keepdims=True)
         w2 = v0 + v1
         w2 /= np.linalg.norm(w2, axis=1, keepdims=True)
-
         child_corner_sets = (
             (v0, w2, w1),
             (v1, w0, w2),
             (v2, w1, w0),
+            (w0, w1, w2),
         )
-        chosen = np.full(n, 3, dtype=np.int64)  # default: middle child
-        undecided = np.ones(n, dtype=bool)
-        for child_index, (a, b, c) in enumerate(child_corner_sets):
-            e_ab = np.cross(a, b)
-            e_bc = np.cross(b, c)
-            e_ca = np.cross(c, a)
-            inside = (
-                (np.sum(xyz * e_ab, axis=1) >= 0.0)
-                & (np.sum(xyz * e_bc, axis=1) >= 0.0)
-                & (np.sum(xyz * e_ca, axis=1) >= 0.0)
-            )
-            take = undecided & inside
-            chosen[take] = child_index
-            undecided &= ~take
-
-        # The remainder should be the middle child — verify rather than
-        # assume.  A point lying exactly on a mesh vertex or edge can be
-        # rejected by every strict test through one-ulp rounding, and
-        # blindly defaulting would file it half a trixel away from where
-        # it belongs; for those (rare) points pick the child whose worst
-        # edge-plane deviation is smallest.
-        rest = np.nonzero(undecided)[0]
+        dots = np.stack(
+            [
+                np.sum(xyz * np.cross(corner_set[e], corner_set[_HEADS[e]]), axis=1)
+                for e in range(3)
+                for corner_set in child_corner_sets[:3]
+            ]
+        )
+        chosen = _first_child(dots)
+        rest = np.flatnonzero(chosen < 0)
         if rest.size:
-            all_sets = child_corner_sets + ((w0, w1, w2),)
-            sub = xyz[rest]
-            ma, mb, mc = (arr[rest] for arr in all_sets[3])
-            inside_middle = (
-                (np.sum(sub * np.cross(ma, mb), axis=1) >= 0.0)
-                & (np.sum(sub * np.cross(mb, mc), axis=1) >= 0.0)
-                & (np.sum(sub * np.cross(mc, ma), axis=1) >= 0.0)
+            children = np.stack(
+                [np.stack(child, axis=1)[rest] for child in child_corner_sets], axis=1
             )
-            bad = rest[~inside_middle]
-            if bad.size:
-                sub = xyz[bad]
-                worst = np.empty((4, bad.size))
-                for child_index, corner_set in enumerate(all_sets):
-                    a, b, c = (arr[bad] for arr in corner_set)
-                    worst[child_index] = np.minimum(
-                        np.minimum(
-                            np.sum(sub * np.cross(a, b), axis=1),
-                            np.sum(sub * np.cross(b, c), axis=1),
-                        ),
-                        np.sum(sub * np.cross(c, a), axis=1),
-                    )
-                # argmax ties break toward the lower child index, the
-                # same order the strict tests use.
-                chosen[bad] = np.argmax(worst, axis=0)
+            chosen[rest] = _settle(xyz[rest], children)
 
         new_corners = np.empty_like(corners)
         for child_index, (a, b, c) in enumerate(child_corner_sets):
             mask = chosen == child_index
-            if np.any(mask):
-                new_corners[mask, 0] = a[mask]
-                new_corners[mask, 1] = b[mask]
-                new_corners[mask, 2] = c[mask]
-        mask = chosen == 3
-        if np.any(mask):
-            new_corners[mask, 0] = w0[mask]
-            new_corners[mask, 1] = w1[mask]
-            new_corners[mask, 2] = w2[mask]
-
+            new_corners[mask, 0] = a[mask]
+            new_corners[mask, 1] = b[mask]
+            new_corners[mask, 2] = c[mask]
         corners = new_corners
         ids = ids * 4 + chosen
-
     return ids

@@ -1108,6 +1108,34 @@ def _cancel_gather(children, merged):
     merged.cancel()
 
 
+class _SeenIds:
+    """The objids a union has emitted, as sorted runs, each at most half
+    as long as the one before it: a membership test is a binary search
+    per run, and a run that outgrows the bound merges into its
+    predecessor, so each id is copied O(log n) times in all."""
+
+    def __init__(self):
+        self._runs = []
+
+    def first_unseen(self, ids):
+        """Mask of the rows of ``ids`` holding the first occurrence of
+        an id not seen before; those ids count as seen from now on."""
+        unique, first = np.unique(ids, return_index=True)
+        unseen = np.ones(len(unique), dtype=bool)
+        for run in self._runs:
+            at = np.searchsorted(run, unique).clip(max=len(run) - 1)
+            unseen &= run[at] != unique
+        fresh = np.zeros(len(ids), dtype=bool)
+        fresh[first[unseen]] = True
+        if unseen.any():
+            runs = self._runs
+            runs.append(unique[unseen])
+            while len(runs) > 1 and 2 * len(runs[-1]) > len(runs[-2]):
+                last = runs.pop()
+                runs[-1] = np.sort(np.concatenate([runs[-1], last]), kind="stable")
+        return fresh
+
+
 class UnionNode(QETNode):
     """Bag union with pointer dedup: streams both children concurrently.
 
@@ -1122,15 +1150,11 @@ class UnionNode(QETNode):
         super().__init__((left, right))
 
     def run(self):
-        seen = set()
+        seen = _SeenIds()
         merged, threads = _gather_streams(self.children)
         try:
             for batch in merged:
-                ids = _objids(batch)
-                fresh = np.fromiter(
-                    (i not in seen for i in ids), count=ids.shape[0], dtype=bool
-                )
-                seen.update(ids[fresh].tolist())
+                fresh = seen.first_unseen(_objids(batch))
                 if fresh.any():
                     if not self._emit(batch.select(fresh)):
                         _cancel_gather(self.children, merged)

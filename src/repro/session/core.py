@@ -224,9 +224,10 @@ class Job:
             # cancel() raced the thread start and missed the tree (it
             # had not started); finish the cancellation here.
             self._cancel_tree()
-            return False
+        # Readable only now that the batches exist: a reader of a job
+        # cancelled mid-start gets the rows its tree produced.
         self._readable.set()
-        return True
+        return not cancelled
 
     def _stream(self):
         """The root's batches, advancing the progress counters."""
@@ -285,6 +286,8 @@ class Job:
             if not self._state.is_terminal():
                 self._state = JobState.FAILED
                 self.error = exc
+        # A job whose start raised is readable too: its reads raise.
+        self._readable.set()
         self._finished.set()
         self._session._observe_terminal(self)
 
@@ -299,12 +302,14 @@ class Job:
         with self._lock:
             if self._state.is_terminal():
                 return
+            queued = self._state is JobState.QUEUED
             self._state = JobState.CANCELLED
         # If the job was mid-start (RUNNING but the tree not yet marked
         # started), _start's post-assignment check finishes the
-        # cancellation.
+        # cancellation and makes the job readable.
         self._cancel_tree()
-        self._readable.set()
+        if queued:
+            self._readable.set()
         self._finished.set()
         self._session._observe_terminal(self)
 
@@ -343,14 +348,15 @@ class Job:
     def _wait_readable(self):
         """Block until results may be read.
 
-        Interactive jobs are readable immediately; batch jobs once the
+        Interactive jobs are readable once started; batch jobs once the
         dispatcher has run them to completion (the paper's batch
         contract: queued, run exclusively, results delivered when done).
+        A job cancelled while it started is read once its start is
+        through, so its cursor gives the rows it produced.
         """
         if self.query_class == "batch":
             self._finished.wait()
-        else:
-            self._readable.wait()
+        self._readable.wait()
         if self._batches is None:
             if self.error is not None:
                 raise SessionError(

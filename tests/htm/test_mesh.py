@@ -1,11 +1,22 @@
-"""Tests for repro.htm.mesh."""
+"""Tests for repro.htm.mesh.
+
+Point location descends through the mesh table's edge normals;
+:func:`reference_lookup`, a walk that derives every point's corners,
+midpoints and edge normals level by level, must file every point in the
+same trixel — drawn points, the table's corners and edge midpoints,
+points a hair off an edge and the points no strict test takes.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.vector import radec_to_vector, random_unit_vectors, vector_to_radec
+from bench import catalog as bench_catalog
+from bench import config as bench_config
+from repro.catalog import SkySimulator, SurveyParameters
+from repro.geometry.vector import normalize, radec_to_vector, random_unit_vectors
+from repro.htm import mesh as mesh_module
 from repro.htm.mesh import (
     children_of,
     depth_id_bounds,
@@ -20,6 +31,7 @@ from repro.htm.mesh import (
     trixel_count_at_depth,
     trixel_from_id,
 )
+from repro.htm.trixel import Trixel, base_trixel_vertices
 
 ras = st.floats(min_value=0.0, max_value=359.999)
 decs = st.floats(min_value=-89.999, max_value=89.999)
@@ -154,3 +166,241 @@ class TestTrixelCorners:
     def test_corners_unit(self):
         corners = trixel_corners(name_to_id("N3123"))
         np.testing.assert_allclose(np.linalg.norm(corners, axis=1), 1.0)
+
+
+def reference_lookup(xyz, depth):
+    """Point location by a walk that derives, for every point and level,
+    its trixel's edge midpoints and each child's edge normals with
+    ``np.cross``: the rule the table descent must reproduce exactly."""
+    xyz = np.asarray(xyz, dtype=np.float64)
+    if xyz.ndim == 1:
+        xyz = xyz[None, :]
+    n = xyz.shape[0]
+
+    base = base_trixel_vertices()  # (8, 3, 3)
+    ids = np.full(n, -1, dtype=np.int64)
+    corners = np.empty((n, 3, 3))
+
+    # Root assignment by explicit containment test, in root order.
+    assigned = np.zeros(n, dtype=bool)
+    for k in range(8):
+        trixel = Trixel(8 + k, base[k])
+        mask = (~assigned) & trixel.contains(xyz)
+        if np.any(mask):
+            ids[mask] = 8 + k
+            corners[mask] = base[k]
+            assigned |= mask
+    if not np.all(assigned):
+        # Numerically pathological points: the nearest root center.
+        leftovers = np.nonzero(~assigned)[0]
+        centers = base.mean(axis=1)
+        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+        nearest = np.argmax(xyz[leftovers] @ centers.T, axis=1)
+        ids[leftovers] = 8 + nearest
+        corners[leftovers] = base[nearest]
+
+    for _ in range(depth):
+        v0 = corners[:, 0]
+        v1 = corners[:, 1]
+        v2 = corners[:, 2]
+        w0 = v1 + v2
+        w0 /= np.linalg.norm(w0, axis=1, keepdims=True)
+        w1 = v0 + v2
+        w1 /= np.linalg.norm(w1, axis=1, keepdims=True)
+        w2 = v0 + v1
+        w2 /= np.linalg.norm(w2, axis=1, keepdims=True)
+
+        child_corner_sets = (
+            (v0, w2, w1),
+            (v1, w0, w2),
+            (v2, w1, w0),
+        )
+        chosen = np.full(n, 3, dtype=np.int64)  # default: middle child
+        undecided = np.ones(n, dtype=bool)
+        for child_index, (a, b, c) in enumerate(child_corner_sets):
+            inside = (
+                (np.sum(xyz * np.cross(a, b), axis=1) >= 0.0)
+                & (np.sum(xyz * np.cross(b, c), axis=1) >= 0.0)
+                & (np.sum(xyz * np.cross(c, a), axis=1) >= 0.0)
+            )
+            take = undecided & inside
+            chosen[take] = child_index
+            undecided &= ~take
+
+        # The remainder should be the middle child; where its strict
+        # test rejects a point too, the child whose worst edge-plane
+        # deviation is smallest.
+        rest = np.nonzero(undecided)[0]
+        if rest.size:
+            all_sets = child_corner_sets + ((w0, w1, w2),)
+            sub = xyz[rest]
+            ma, mb, mc = (arr[rest] for arr in all_sets[3])
+            inside_middle = (
+                (np.sum(sub * np.cross(ma, mb), axis=1) >= 0.0)
+                & (np.sum(sub * np.cross(mb, mc), axis=1) >= 0.0)
+                & (np.sum(sub * np.cross(mc, ma), axis=1) >= 0.0)
+            )
+            bad = rest[~inside_middle]
+            if bad.size:
+                sub = xyz[bad]
+                worst = np.empty((4, bad.size))
+                for child_index, corner_set in enumerate(all_sets):
+                    a, b, c = (arr[bad] for arr in corner_set)
+                    worst[child_index] = np.minimum(
+                        np.minimum(
+                            np.sum(sub * np.cross(a, b), axis=1),
+                            np.sum(sub * np.cross(b, c), axis=1),
+                        ),
+                        np.sum(sub * np.cross(c, a), axis=1),
+                    )
+                chosen[bad] = np.argmax(worst, axis=0)
+
+        new_corners = np.empty_like(corners)
+        for child_index, (a, b, c) in enumerate(child_corner_sets):
+            mask = chosen == child_index
+            new_corners[mask, 0] = a[mask]
+            new_corners[mask, 1] = b[mask]
+            new_corners[mask, 2] = c[mask]
+        mask = chosen == 3
+        new_corners[mask, 0] = w0[mask]
+        new_corners[mask, 1] = w1[mask]
+        new_corners[mask, 2] = w2[mask]
+
+        corners = new_corners
+        ids = ids * 4 + chosen
+
+    return ids
+
+
+def assert_same_as_reference(points, depth):
+    np.testing.assert_array_equal(
+        lookup_ids_from_vectors(points, depth), reference_lookup(points, depth)
+    )
+
+
+def mesh_points(levels):
+    """Every corner and edge midpoint of the table's trixels at
+    ``levels``, as the table's own arithmetic computes them."""
+    points = []
+    for level in levels:
+        corners = mesh_module._mesh_top()[level][0]
+        midpoints = normalize(corners + corners[:, [1, 2, 0]])
+        points += [corners.reshape(-1, 3), midpoints.reshape(-1, 3)]
+    return np.concatenate(points)
+
+
+def off_edge_points(level, offsets, rng, count=4000):
+    """Points on drawn edges of the table's trixels at ``level`` (a
+    normalised blend of the two ends), moved ``offsets`` off the edge's
+    great circle along its unit normal."""
+    corners = mesh_module._mesh_top()[level][0]
+    rows = rng.integers(0, len(corners), count)
+    edges = rng.integers(0, 3, count)
+    a = corners[rows, edges]
+    b = corners[rows, (edges + 1) % 3]
+    on_edge = normalize(a + rng.uniform(0.0, 1.0, (count, 1)) * (b - a))
+    normal = normalize(np.cross(a, b))
+    return np.concatenate([normalize(on_edge + off * normal) for off in offsets])
+
+
+@pytest.fixture()
+def settle_calls(monkeypatch):
+    """The rows of every call to the lookup's fallback."""
+    calls = []
+    settle = mesh_module._settle
+
+    def spy(points, children):
+        calls.append(len(points))
+        return settle(points, children)
+
+    monkeypatch.setattr(mesh_module, "_settle", spy)
+    return calls
+
+
+class TestTheTableDescentEqualsTheWalk:
+    @pytest.mark.parametrize("depth", range(11))
+    def test_drawn_points(self, depth):
+        points = random_unit_vectors(20000, rng=np.random.default_rng(depth))
+        assert_same_as_reference(points, depth)
+
+    @given(
+        st.lists(st.tuples(ras, decs), min_size=1, max_size=50),
+        st.integers(min_value=0, max_value=10),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_positions(self, positions, depth):
+        ra, dec = np.array(positions).T
+        assert_same_as_reference(radec_to_vector(ra, dec), depth)
+
+    @pytest.mark.parametrize("depth", range(11))
+    def test_the_corners_and_midpoints_of_the_top_levels(self, depth):
+        assert_same_as_reference(mesh_points(range(4)), depth)
+
+    def test_the_corners_and_midpoints_of_every_table_level(self):
+        assert_same_as_reference(mesh_points(range(7)), 6)
+
+    @pytest.mark.parametrize("depth", [0, 3, 6, 7, 10])
+    @pytest.mark.parametrize("level", [0, 2, 5, 6])
+    def test_points_a_hair_off_an_edge(self, level, depth):
+        rng = np.random.default_rng(100 * level + depth)
+        points = off_edge_points(level, (-1e-15, 0.0, 1e-15), rng)
+        assert_same_as_reference(points, depth)
+
+    @pytest.mark.parametrize("depth", [1, 6, 10])
+    def test_the_fallback_path(self, depth, settle_calls):
+        # Mesh vertices are where every strict child test can fail by an
+        # ulp; a NaN fails every test, and a zero vector passes them all.
+        vertices = mesh_points([min(depth - 1, 5)])
+        points = np.concatenate([vertices, [[np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+        assert_same_as_reference(points, depth)
+        assert sum(settle_calls) > 0
+
+    @pytest.mark.parametrize("depth", [0, 6, 10])
+    def test_no_row_and_one_row(self, depth):
+        assert lookup_ids_from_vectors(np.empty((0, 3)), depth).shape == (0,)
+        point = random_unit_vectors(1, rng=np.random.default_rng(depth))[0]
+        assert_same_as_reference(point, depth)
+
+    def test_the_catalog_at_its_store_and_index_depths(self):
+        photo = SkySimulator(
+            SurveyParameters(n_galaxies=3000, n_stars=1500, n_quasars=100, seed=11)
+        ).generate()
+        points = photo.positions_xyz()
+        for depth in (bench_config.HTM_DEPTH, bench_config.CATALOG_INDEX_DEPTH):
+            assert_same_as_reference(points, depth)
+
+    def test_the_tables_are_small_and_read_only(self):
+        roots, tolerance, levels = mesh_module._mesh_planes()
+        assert len(levels) == mesh_module._TABLE_DEPTH
+        assert sum(planes.nbytes for planes in levels) <= 2.5e6
+        for planes in levels:
+            assert not planes.flags.writeable
+
+
+@pytest.mark.slow
+class TestLongLookupExactness:
+    """``make test-cover``: the table descent against the walk over far
+    more points than tier-1 draws."""
+
+    @pytest.mark.parametrize("depth", range(11))
+    def test_every_corner_and_midpoint_of_the_table(self, depth):
+        assert_same_as_reference(mesh_points(range(7)), depth)
+
+    @pytest.mark.parametrize("depth", range(11))
+    def test_drawn_points(self, depth):
+        rng = np.random.default_rng(1000 + depth)
+        for _ in range(4):
+            assert_same_as_reference(random_unit_vectors(100_000, rng=rng), depth)
+
+    @pytest.mark.parametrize("depth", range(11))
+    def test_points_off_every_table_level_s_edges(self, depth):
+        rng = np.random.default_rng(2000 + depth)
+        for level in range(7):
+            offsets = (-1e-13, -1e-15, -1e-16, 0.0, 1e-16, 1e-15, 1e-13)
+            assert_same_as_reference(off_edge_points(level, offsets, rng), depth)
+
+    def test_the_benchmark_catalog(self):
+        parameters = SurveyParameters(**bench_catalog.catalog_parameters())
+        points = SkySimulator(parameters).generate().positions_xyz()
+        for depth in (0, 3, 6, 8, 10):
+            assert_same_as_reference(points, depth)

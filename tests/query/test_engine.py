@@ -129,6 +129,32 @@ class TestSetOperations:
         ids = np.asarray(result["objid"])
         assert len(ids) == len(np.unique(ids))
 
+    def test_union_of_overlapping_sides(self, session, photo):
+        result = session.query_table(
+            "(SELECT objid, mag_r FROM photo WHERE mag_r < 18) UNION "
+            "(SELECT objid, mag_r FROM photo WHERE mag_g < 19)"
+        )
+        r = np.asarray(photo["mag_r"])
+        g = np.asarray(photo["mag_g"])
+        assert (r < 18).sum() and ((r < 18) & (g < 19)).sum()
+        assert result_ids(result) == brute(photo, (r < 18) | (g < 19))
+        ids = np.asarray(result["objid"])
+        assert len(ids) == len(np.unique(ids))
+        # Each row is its object's own, whichever side delivered it.
+        by_id = dict(zip(np.asarray(photo["objid"]).tolist(), r.tolist()))
+        assert np.asarray(result["mag_r"]).tolist() == [by_id[i] for i in ids.tolist()]
+
+    def test_union_of_two_sources(self, session, photo):
+        result = session.query_table(
+            "(SELECT objid FROM photo WHERE mag_r < 17) UNION "
+            "(SELECT objid FROM tag WHERE mag_g < 18)"
+        )
+        r = np.asarray(photo["mag_r"])
+        g = np.asarray(photo["mag_g"])
+        assert result_ids(result) == brute(photo, (r < 17) | (g < 18))
+        ids = np.asarray(result["objid"])
+        assert len(ids) == len(np.unique(ids))
+
     def test_intersect(self, session, photo):
         result = session.query_table(
             "(SELECT objid FROM photo WHERE mag_r < 18) INTERSECT "

@@ -4,11 +4,20 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog.schema import Field, Schema
 from repro.catalog.table import ObjectTable
 from repro.query.errors import ExecutionError
-from repro.query.qet import AggregateNode, FilterNode, QETNode, Stream
+from repro.query.qet import (
+    AggregateNode,
+    FilterNode,
+    QETNode,
+    Stream,
+    UnionNode,
+    _SeenIds,
+)
 
 
 def make_table(values):
@@ -157,3 +166,50 @@ class TestAggregateNode:
             for a, b, n in zip(result["a"], result["b"], result["n"])
         }
         assert got == {(0, 0): 2, (0, 1): 1, (1, 0): 2}
+
+
+def id_table(objids):
+    schema = Schema("t", [Field("objid", "i8"), Field("value", "f8")])
+    return ObjectTable.from_columns(
+        schema,
+        {
+            "objid": np.asarray(objids, dtype=np.int64),
+            "value": np.arange(len(objids), dtype=np.float64),
+        },
+    )
+
+
+class TestUnionNode:
+    def test_the_first_occurrence_wins_within_a_batch(self):
+        left = _ListSource([id_table([5, 3, 5, 7, 3]), id_table([7, 9, 9])])
+        batches = run_tree(UnionNode(left, _ListSource([])))
+        got = ObjectTable.concat_all(batches)
+        assert np.asarray(got["objid"]).tolist() == [5, 3, 7, 9]
+        assert np.asarray(got["value"]).tolist() == [0.0, 1.0, 3.0, 1.0]
+
+    def test_both_sides_deduplicate_against_each_other(self):
+        left = _ListSource([id_table([1, 2, 3]), id_table([4, 2])])
+        right = _ListSource([id_table([3, 4, 5, 5]), id_table([1, 6])])
+        got = ObjectTable.concat_all(run_tree(UnionNode(left, right)))
+        assert sorted(np.asarray(got["objid"]).tolist()) == [1, 2, 3, 4, 5, 6]
+
+    @given(
+        st.lists(
+            st.lists(st.integers(-(2**62), 2**62) | st.integers(0, 40)),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_seen_ids_are_a_set(self, batches):
+        seen, reference = _SeenIds(), set()
+        for ids in batches:
+            expected = []
+            for objid in ids:
+                expected.append(objid not in reference)
+                reference.add(objid)
+            fresh = seen.first_unseen(np.asarray(ids, dtype=np.int64))
+            assert fresh.tolist() == expected
+        runs = seen._runs
+        assert sum(len(run) for run in runs) == len(reference)
+        for shorter, longer in zip(runs[1:], runs):
+            assert 2 * len(shorter) <= len(longer)

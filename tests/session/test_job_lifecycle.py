@@ -7,6 +7,7 @@ job mid-run.
 """
 
 import gc
+import sys
 import threading
 import time
 import tracemalloc
@@ -53,6 +54,22 @@ class GateNode(QETNode):
                 return
         while not self.gate.is_set() and not self.output.cancelled():
             time.sleep(0.005)
+
+
+class SlowStartNode(GateNode):
+    """A :class:`GateNode` whose ``start()`` sets ``entered`` and then
+    waits for ``release``: a window in which its job is RUNNING but the
+    tree has not started."""
+
+    def __init__(self, batches, gate, entered, release):
+        super().__init__(batches, gate)
+        self.entered = entered
+        self.release = release
+
+    def start(self):
+        self.entered.set()
+        self.release.wait(10)
+        super().start()
 
 
 class FailingNode(QETNode):
@@ -310,6 +327,59 @@ class TestLiveScheduling:
             gate.set()
             assert job2.wait(timeout=5) is JobState.DONE
             assert len(job2.cursor.to_table()) == 90
+
+    def test_a_cancel_while_the_tree_starts_leaves_it_readable(
+        self, photo, small_batches
+    ):
+        gate, entered, release = (threading.Event() for _ in range(3))
+        executor = StubExecutor(
+            lambda text: SlowStartNode(small_batches, gate, entered, release),
+            photo.schema,
+        )
+        with Session(executor) as session:
+            job = session.submit("starting", query_class="batch")
+            assert entered.wait(timeout=5)
+            job.cancel()
+            assert job.state is JobState.CANCELLED
+            # The read begins inside the window and waits the start out:
+            # the job started, so it reads what the tree produced.
+            opener = threading.Timer(0.2, release.set)
+            opener.start()
+            table = job.cursor.to_table()
+            opener.join()
+            assert len(table) <= 90
+            assert table.schema == photo.schema
+            assert job.node_stats()
+            job.join(timeout=5)
+            assert job.alive_nodes() == []
+
+    def test_a_cancel_racing_the_start_never_hides_a_started_job(
+        self, photo, small_batches
+    ):
+        open_gate = threading.Event()
+        open_gate.set()
+        executor = StubExecutor(
+            lambda text: GateNode(small_batches, open_gate), photo.schema
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Session(executor) as session:
+                for round_no in range(60):
+                    job = session.submit(f"b{round_no}", query_class="batch")
+                    time.sleep((round_no % 6) * 1e-4)
+                    job.cancel()
+                    try:
+                        table = job.cursor.to_table()
+                    except JobCancelledError:
+                        # Only a job whose tree never started reads so.
+                        assert job.node_stats() == {}
+                    else:
+                        assert len(table) <= 90
+                    job.join(timeout=5)
+                    assert job.alive_nodes() == []
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_a_failed_batch_job_frees_the_machine(self, photo, small_batches):
         open_gate = threading.Event()
