@@ -26,12 +26,14 @@ test-net:
 test-chaos:
 	$(PYTEST) -x -q tests/chaos
 
-# Both users of the HTM mesh table, held to their reference walks: the
+# The users of the HTM mesh table, held to their reference walks: the
 # cover to the trixel-at-a-time walk over 2 000 drawn regions at depths
 # 0-7 and the benchmark generators' regions, point location to the walk
 # that derives every point's corners over every corner and edge midpoint
 # of the table, drawn points, points off its edges and the benchmark
-# catalog at depths 0-10 (slow-marked, so tier-1 deselects them).
+# catalog at depths 0-10, and trixel_corners to the Trixel.children
+# descent for 2 000 drawn ids at each depth 7-12 (slow-marked, so
+# tier-1 deselects them).
 test-cover:
 	$(PYTEST) -x -q -m slow tests/htm/test_cover.py tests/htm/test_mesh.py
 

@@ -18,12 +18,12 @@ shard stream) and its aggregate
 partial states) are pipeline breakers, as on one store.
 
 The trees are built by :mod:`repro.query.physical` — the same
-``shard_tree`` / ``merge_tree`` a remote cluster uses; this engine
-contributes only the in-process fan-out (:func:`~repro.distributed.
-routing.route_plan`, which assigns each touched server the ids it owns
-under the cover, plus a shard tree over that server's store reading its
-assignment) and is itself the :class:`~repro.query.physical.Executor` a session
-drives.
+``select_tree`` of the shard half and ``merge_tree`` a remote cluster
+uses; this engine contributes only the in-process fan-out
+(:func:`~repro.distributed.routing.route_plan`, which assigns each
+touched server the ids it owns under the cover, plus a shard tree over
+that server's store reading its assignment) and is itself the
+:class:`~repro.query.physical.Executor` a session drives.
 
 Nothing about the server set is cached between queries: each ``prepare``
 reads the archive's current partition map and container placement, so
@@ -38,7 +38,7 @@ from repro.query.physical import (
     Executor,
     prepare_query,
     scatter_gather_tree,
-    shard_tree,
+    select_tree,
 )
 
 __all__ = ["DistributedQueryEngine"]
@@ -108,10 +108,10 @@ class DistributedQueryEngine(Executor):
             )
             shard_roots = []
             for server, assigned in assignments:
-                shard_root = shard_tree(
+                shard_root = select_tree(
                     server.stores()[plan.routed_source],
-                    sharded,
-                    assigned,
+                    sharded.shard,
+                    candidates=assigned,
                     batch_rows=self.batch_rows,
                 )
                 # Annotation consumed by the session layer's structured

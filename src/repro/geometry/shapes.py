@@ -15,7 +15,7 @@ from repro.geometry.convex import Convex
 from repro.geometry.coords import EQUATORIAL, get_frame, latitude_halfspaces
 from repro.geometry.halfspace import Halfspace
 from repro.geometry.region import Region
-from repro.geometry.vector import normalize, radec_to_vector, triple_product
+from repro.geometry.vector import cross, normalize, radec_to_vector, triple_product
 
 __all__ = [
     "circle_region",
@@ -102,7 +102,9 @@ def polygon_region(vertices_radec):
     Raises :class:`ValueError` for fewer than 3 vertices or a non-convex
     vertex sequence.
     """
-    vertices = [radec_to_vector(float(ra), float(dec)) for ra, dec in vertices_radec]
+    vertices = np.array(
+        [radec_to_vector(float(ra), float(dec)) for ra, dec in vertices_radec]
+    )
     if len(vertices) < 3:
         raise ValueError("a spherical polygon needs at least 3 vertices")
 
@@ -111,22 +113,18 @@ def polygon_region(vertices_radec):
     if orientation == 0.0:
         raise ValueError("degenerate polygon: first three vertices are coplanar")
     if orientation < 0.0:
-        vertices = list(reversed(vertices))
+        vertices = vertices[::-1]
 
-    halfspaces = []
-    count = len(vertices)
-    for i in range(count):
-        a = vertices[i]
-        b = vertices[(i + 1) % count]
-        normal = np.cross(a, b)
-        norm = np.linalg.norm(normal)
-        if norm == 0.0:
-            raise ValueError("degenerate polygon edge (repeated or antipodal vertices)")
-        halfspaces.append(Halfspace(normalize(normal), 0.0))
+    normals = cross(vertices, np.roll(vertices, -1, axis=0))
+    if not np.linalg.norm(normals, axis=1).all():
+        raise ValueError("degenerate polygon edge (repeated or antipodal vertices)")
+    normals = normalize(normals)
 
-    region = Region.from_convex(Convex(halfspaces))
-    # Convexity check: every vertex must lie in the polygon itself.
-    inside = region.contains(np.asarray(vertices))
-    if not bool(np.all(inside)):
+    # Convexity check: every vertex must lie in the polygon itself.  A
+    # vertex is on its own two edges, which rounding puts a few ulps to
+    # either side, so "in" is judged within 1e-12 of the (unit) edge
+    # normal, as Trixel.contains judges "on"; a reflex vertex lies far
+    # outside an edge.
+    if (vertices @ normals.T < -1.0e-12).any():
         raise ValueError("vertex sequence does not describe a convex polygon")
-    return region
+    return Region.from_convex(Convex([Halfspace(normal, 0.0) for normal in normals]))

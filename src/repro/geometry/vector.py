@@ -101,8 +101,16 @@ def is_unit(xyz, tolerance=UNIT_NORM_TOLERANCE):
 
 
 def cross(a, b):
-    """Cross product, broadcasting over leading axes."""
-    return np.cross(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    """Cross product over the last axis of broadcastable arrays: the
+    components :func:`cross3` forms, row-wise (``np.cross``'s arithmetic,
+    bit for bit, without its axis handling)."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
 
 
 def cross3(a, b):

@@ -17,7 +17,8 @@ alone, and only a bisected node has children to look at.  So
    trixels the caps leave undecided make the next level.  The corners
    and caps of levels 0 to 6 come from the mesh table, built once per
    process in :mod:`repro.htm.mesh` (point location reads its edge
-   normals); deeper levels derive their corners from their parents'.
+   normals); deeper levels derive their corners from their parents' by
+   the same subdivision rule, :func:`repro.htm.trixel._children`.
 2. *Classify once.*  One vectorised pass of the exact test decides every
    undecided trixel of every level, and replaying the walk's rule (a
    trixel is tested only if every ancestor was bisected) over the
@@ -50,17 +51,10 @@ import numpy as np
 from repro.geometry.convex import Convex
 from repro.geometry.halfspace import Halfspace
 from repro.geometry.region import Region
-from repro.geometry.vector import cross3
-from repro.htm.mesh import (
-    _HEADS,
-    _TABLE_DEPTH,
-    MAX_DEPTH,
-    _bounding_caps,
-    _child_ids,
-    _children,
-    _mesh_top,
-)
+from repro.geometry.vector import cross, cross3
+from repro.htm.mesh import _HEADS, _TABLE_DEPTH, MAX_DEPTH, _bounding_caps, _mesh_top
 from repro.htm.ranges import RangeSet
+from repro.htm.trixel import _child_ids, _children
 
 __all__ = ["Classification", "Coverage", "cover_region", "classify_trixel_region"]
 
@@ -205,7 +199,7 @@ def classify_trixel_region(corners, region):
 
 # The exact pass.  Each helper below applies a scalar test above to
 # every row at once with the same floating-point operations, step for
-# step: ``_cross`` forms the components as ``cross3`` does, and
+# step: ``cross`` forms the components as ``cross3`` does, and
 # ``np.vecdot`` reduces each row with the BLAS dot that ``np.dot`` (and
 # so ``np.linalg.norm`` of a vector) calls.  That is what makes every
 # sign, and so every verdict, equal to the reference's.
@@ -216,18 +210,6 @@ def classify_trixel_region(corners, region):
 _OUTSIDE, _PARTIAL, _INSIDE = 0, 1, 2
 #: the two solutions of the edge test, ``base ± gamma * direction``
 _SIGNS = np.array([1.0, -1.0])[:, None, None]
-
-
-def _cross(a, b):
-    """:func:`cross3` row-wise over the last axis of broadcastable arrays
-    (the arithmetic of ``np.cross``, without its axis handling)."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
 
 
 def _cap_boundary_points_rows(halfspace, m):
@@ -244,7 +226,7 @@ def _cap_boundary_points_rows(halfspace, m):
         beta = -c * n_dot_m / denom
         base = alpha[..., None] * n + beta[..., None] * m
         gamma_sq = 1.0 - np.vecdot(base, base)
-        direction = _cross(n, m) / np.sqrt(denom)[..., None]
+        direction = cross(n, m) / np.sqrt(denom)[..., None]
         points = base + (_SIGNS * np.sqrt(gamma_sq))[..., None] * direction
     return points, (denom > 1e-15) & (gamma_sq >= 0.0)
 
@@ -255,8 +237,8 @@ def _cap_boundary_crosses_edges(halfspace, a, b, length, m):
     (NaN where the length is 0, masked out)."""
     points, met = _cap_boundary_points_rows(halfspace, m)
     with np.errstate(invalid="ignore"):
-        within = (np.vecdot(_cross(a, points), m) >= -1e-15) & (
-            np.vecdot(_cross(points, b), m) >= -1e-15
+        within = (np.vecdot(cross(a, points), m) >= -1e-15) & (
+            np.vecdot(cross(points, b), m) >= -1e-15
         )
     return (length != 0.0) & met & within.any(axis=0)
 
@@ -293,7 +275,7 @@ def _classify_level(corners, region):
     halfspace."""
     # Every trixel's edges and their planes, shared by all halfspaces.
     heads = corners[:, _HEADS]
-    planes = _cross(corners, heads)
+    planes = cross(corners, heads)
     lengths = np.sqrt(np.vecdot(planes, planes))
     with np.errstate(divide="ignore", invalid="ignore"):
         units = planes / lengths[..., None]

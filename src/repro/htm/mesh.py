@@ -13,11 +13,14 @@ Names are the human-readable form: ``"N0"``, ``"S312"``, etc., one child
 digit per level.
 
 The mesh table lives here: the corners and bounding caps of every
-trixel of levels 0 to 6 and the edge normals of their children, built
-once per process and read-only.  The cover (:mod:`repro.htm.cover`)
-reads the corners and caps; point location descends through the
-normals, a gather and three multiply-adds per point and level, and
-walks on from the level-6 corners for a deeper id.
+trixel of levels 0 to 6, built once per process by the subdivision rule
+of :mod:`repro.htm.trixel`, and the edge normals of their children,
+read-only.  It is the one source of trixel corners: the cover
+(:mod:`repro.htm.cover`) reads the corners and caps,
+:func:`trixel_corners` an id's row (subdivided on for a deeper id), and
+point location descends through the normals, a gather and three
+multiply-adds per point and level, and walks on from the level-6
+corners for a deeper id.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ import functools
 
 import numpy as np
 
-from repro.geometry.vector import normalize, radec_to_vector
-from repro.htm.trixel import Trixel, base_trixel_vertices
+from repro.geometry.vector import cross, normalize, radec_to_vector
+from repro.htm.trixel import Trixel, _child_ids, _children, base_trixel_vertices
 
 __all__ = [
     "HTM_ROOT_COUNT",
@@ -122,36 +125,19 @@ def name_to_id(name):
 
 
 def trixel_corners(htm_id):
-    """Corner vectors of a trixel by direct digit walk (no Trixel objects).
-
-    The hot-path form: computes only the chosen child's corners at each
-    level instead of materializing all four children.
-    """
+    """Corner vectors of a trixel: its row of the mesh table, or for an
+    id below the table its level-6 ancestor's row subdivided once per
+    digit below."""
     htm_id = _validate_id(htm_id)
-    digits = []
-    node = htm_id
-    while node >= 16:
-        digits.append(node & 3)
-        node >>= 2
-    corners = base_trixel_vertices()[node - 8].copy()
-    for digit in reversed(digits):
-        v0, v1, v2 = corners
-        if digit == 0:
-            a, b, c = v0, v0 + v1, v0 + v2  # (v0, w2, w1)
-        elif digit == 1:
-            a, b, c = v1, v1 + v2, v0 + v1  # (v1, w0, w2)
-        elif digit == 2:
-            a, b, c = v2, v0 + v2, v1 + v2  # (v2, w1, w0)
-        else:
-            a, b, c = v1 + v2, v0 + v2, v0 + v1  # (w0, w1, w2)
-        corners = np.stack(
-            [
-                a / np.linalg.norm(a),
-                b / np.linalg.norm(b),
-                c / np.linalg.norm(c),
-            ]
-        )
-    return corners
+    depth = (htm_id.bit_length() - 4) // 2
+    level = min(depth, _TABLE_DEPTH)
+    node = htm_id >> 2 * (depth - level)
+    corners = _mesh_top()[level][0][node - (8 << 2 * level)]
+    for shift in range(2 * (depth - level) - 2, -2, -2):
+        children, _ = _children(corners[None], np.array([node]))
+        node = htm_id >> shift
+        corners = children[node & 3]
+    return corners.copy()
 
 
 def trixel_from_id(htm_id):
@@ -188,24 +174,8 @@ _TABLE_DEPTH = 6
 #: freed block behind, which on the 97 800-row catalog measured faster
 #: and with a lower peak resident set than one pass over every point
 _CHUNK_ROWS = 8192
-#: the corners of each child, in child order, among a trixel's corners
-#: ``v0, v1, v2`` (0-2) and edge midpoints ``w0, w1, w2`` (3-5)
-_CHILD_CORNERS = [[0, 5, 4], [1, 3, 5], [2, 4, 3], [3, 4, 5]]
 #: edge ``i`` of a trixel runs from corner ``i`` to corner ``_HEADS[i]``
 _HEADS = [1, 2, 0]
-
-
-def _child_ids(ids):
-    """Ids of the four children of every trixel, in child order 0-3."""
-    return ((ids[:, None] << 2) | np.arange(4)).reshape(-1)
-
-
-def _children(corners, ids):
-    """Corners and ids of the four children of every trixel, in child
-    order 0-3 and bit for bit as :meth:`Trixel.children` builds them."""
-    midpoints = normalize(corners[:, [1, 0, 0]] + corners[:, [2, 2, 1]])
-    points = np.concatenate([corners, midpoints], axis=1)
-    return points[:, _CHILD_CORNERS].reshape(-1, 3, 3), _child_ids(ids)
 
 
 def _bounding_caps(corners):
@@ -219,16 +189,17 @@ def _bounding_caps(corners):
 
 
 def _edge_normals(corners):
-    """``np.cross`` of each edge's endpoints, ``(..., 3 edges, 3)``."""
-    return np.cross(corners, corners[..., _HEADS, :])
+    """The cross product of each edge's endpoints, ``(..., 3 edges, 3)``."""
+    return cross(corners, corners[..., _HEADS, :])
 
 
 @functools.cache
 def _mesh_top():
     """``(corners, centres, radii)`` of every trixel of each level up to
     :data:`_TABLE_DEPTH`, rows in id order (id ``8 * 4**level + row``),
-    built by :func:`_children`, so the corners are bit for bit the ones
-    a walk derives; about 4.5 MB, read-only."""
+    built by :func:`~repro.htm.trixel._children`, so the corners are bit
+    for bit the ones :meth:`Trixel.children` and a walk derive; about
+    4.5 MB, read-only."""
     levels = []
     corners, ids = base_trixel_vertices(), np.arange(8, 16, dtype=np.int64)
     for level in range(_TABLE_DEPTH + 1):
@@ -268,7 +239,7 @@ def _first_child(dots):
     normals of children 0-2 (row ``3 * e + child``).
 
     Edge 1 of each of children 0-2 is an edge of the middle child 3
-    walked the other way, and ``np.cross(b, a)`` is ``-np.cross(a, b)``
+    walked the other way, and ``cross(b, a)`` is ``-cross(a, b)``
     exactly, so the middle child holds a point exactly where those three
     products are ``<= 0``.
     """
@@ -370,7 +341,18 @@ def _locate(xyz, depth):
 def _walk(xyz, corners, ids, levels):
     """Point location ``levels`` levels below the trixels ``ids`` with
     corners ``corners``, deriving each point's children from its
-    corners level by level (bit for bit as :func:`_children` does)."""
+    corners level by level (bit for bit as
+    :func:`~repro.htm.trixel._children` does).
+
+    Below level 6 a chunk of :data:`_CHUNK_ROWS` points has almost one
+    point per trixel, so sharing a trixel's subdivision between its
+    points saves nothing.  On the 97 800-row benchmark catalog (2-CPU
+    box, best of 3, identical ids) the whole lookup took 0.25 s to
+    depth 8 and 0.36 s to depth 10 with this walk below level 6, 0.38 s
+    and 0.74 s with ``_children`` and one ``_edge_normals`` per level,
+    and 0.49 s and 0.84 s with one set of normals per distinct parent
+    (``np.unique``).
+    """
     for _ in range(levels):
         v0 = corners[:, 0]
         v1 = corners[:, 1]
@@ -389,7 +371,7 @@ def _walk(xyz, corners, ids, levels):
         )
         dots = np.stack(
             [
-                np.sum(xyz * np.cross(corner_set[e], corner_set[_HEADS[e]]), axis=1)
+                np.sum(xyz * cross(corner_set[e], corner_set[_HEADS[e]]), axis=1)
                 for e in range(3)
                 for corner_set in child_corner_sets[:3]
             ]

@@ -6,6 +6,10 @@ eight level-0 trixels are the faces of an octahedron whose vertices sit on
 the coordinate axes; subdividing a trixel splits each edge at its
 (normalized) midpoint, yielding four children of approximately equal area
 — the construction of the paper's Figure 3.
+
+The subdivision rule is written once, row-wise, as :func:`_children`:
+every trixel's corners (:meth:`Trixel.children`, the mesh table of
+:mod:`repro.htm.mesh`, the cover below it) come from it, bit for bit.
 """
 
 from __future__ import annotations
@@ -42,6 +46,25 @@ _BASE_CORNERS = [
     ("N2", 3, 0, 2),
     ("N3", 2, 0, 1),
 ]
+
+
+#: the corners of each child, in child order, among a trixel's corners
+#: ``v0, v1, v2`` (0-2) and edge midpoints ``w0, w1, w2`` (3-5)
+_CHILD_CORNERS = [[0, 5, 4], [1, 3, 5], [2, 4, 3], [3, 4, 5]]
+
+
+def _child_ids(ids):
+    """Ids of the four children of every trixel, in child order 0-3."""
+    return ((ids[:, None] << 2) | np.arange(4)).reshape(-1)
+
+
+def _children(corners, ids):
+    """Corners and ids of the four children of each of the ``(n, 3, 3)``
+    trixels ``corners`` with ids ``ids``, in child order 0-3: the
+    subdivision rule, row-wise."""
+    midpoints = normalize(corners[:, [1, 0, 0]] + corners[:, [2, 2, 1]])
+    points = np.concatenate([corners, midpoints], axis=1)
+    return points[:, _CHILD_CORNERS].reshape(-1, 3, 3), _child_ids(ids)
 
 
 def base_trixel_vertices():
@@ -100,17 +123,8 @@ class Trixel:
             child 0: (v0, w2, w1)      child 2: (v2, w1, w0)
             child 1: (v1, w0, w2)      child 3: (w0, w1, w2)   (the middle)
         """
-        v0, v1, v2 = self.corners
-        w0 = normalize(v1 + v2)
-        w1 = normalize(v0 + v2)
-        w2 = normalize(v0 + v1)
-        base = self.htm_id << 2
-        return [
-            Trixel(base | 0, np.stack([v0, w2, w1])),
-            Trixel(base | 1, np.stack([v1, w0, w2])),
-            Trixel(base | 2, np.stack([v2, w1, w0])),
-            Trixel(base | 3, np.stack([w0, w1, w2])),
-        ]
+        corners, ids = _children(self.corners[None], np.array([self.htm_id]))
+        return [Trixel(htm_id, child) for htm_id, child in zip(ids.tolist(), corners)]
 
     def contains(self, xyz):
         """Boolean mask: which vector(s) lie inside this trixel.

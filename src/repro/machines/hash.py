@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.geometry.halfspace import Halfspace
 from repro.geometry.region import Region
-from repro.geometry.vector import cross3
+from repro.geometry.vector import cross
 from repro.htm.cover import cover_region
 from repro.htm.mesh import lookup_ids_from_vectors, trixel_corners
 from repro.storage.diskmodel import PAPER_CLUSTER
@@ -159,10 +159,8 @@ class HashMachine:
             bucket_id = int(primary[group[0]])
             buckets.setdefault(bucket_id, []).append(group)
             # Edge proximity: |asin(p . edge_normal)| < margin for any edge.
-            v0, v1, v2 = trixel_corners(bucket_id)
-            edges = np.stack(
-                [cross3(v0, v1), cross3(v1, v2), cross3(v2, v0)], axis=0
-            )
+            corners = trixel_corners(bucket_id)
+            edges = cross(corners, np.roll(corners, -1, axis=0))
             edges /= np.linalg.norm(edges, axis=1, keepdims=True)
             dots = xyz[group] @ edges.T
             near_edge = np.abs(np.arcsin(np.clip(dots, -1.0, 1.0))).min(axis=1) < margin_rad

@@ -49,8 +49,10 @@ connection; the server keeps no client state across connections.
     connection.  An interactive ``SELECT ... INTO`` runs after the
     reply, and its outcome (a MyDB quota error, say) comes on the
     stream.  ``mode="shard"`` runs only the pushed-down
-    shard half of the plan's ``select_index``-th SELECT — the op the
-    remote scatter-gather executor fans out.  An optional ``trace_id``
+    shard half of the plan's ``select_index``-th SELECT (numbered after
+    set-op fusion; the server plans it with its engine's
+    ``prepare_shard``) — the op the remote scatter-gather executor fans
+    out.  An optional ``trace_id``
     rides the frame so the server-side job records its spans under the
     *client's* trace — the ``done`` frame ships them back and the client
     grafts them into one merged span tree per query.  Every shard
@@ -157,7 +159,9 @@ __all__ = [
 #: answers with the plan tree alone.
 #: 6: ``select_index`` numbers the SELECTs after set-op fusion (an
 #: INTERSECT or EXCEPT of two bare SELECTs over one source is one).
-PROTOCOL_VERSION = 6
+#: 7: a UNION of two bare SELECTs over one source with one select list
+#: fuses too, so ``select_index`` numbers it as one SELECT.
+PROTOCOL_VERSION = 7
 
 #: Upper bound on one frame (header + body).  Result batches are at most
 #: a few thousand ~1.3 kB records, far below this; the bound exists so a

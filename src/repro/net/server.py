@@ -27,7 +27,8 @@ the query text — both ends of the wire split, and number the SELECTs of
 a set operation, deterministically through
 :mod:`repro.query.physical`, so no plan closures ever need to travel.
 The server adds no planning of its own: its session's executor is the
-hosted backend behind a full/shard mode dispatch.
+hosted backend, whose ``prepare_shard`` plans a shard-mode submission
+(bound to its ``select_index`` and ``ranges``) in place of ``prepare``.
 
 A connection's only protocol state is *who is asking*: a frame that
 carries ``user``/``token`` identifies its connection (the one rule, in
@@ -51,6 +52,7 @@ Run one from the shell::
 from __future__ import annotations
 
 import contextlib
+import functools
 import socket
 import threading
 import time
@@ -76,7 +78,7 @@ from repro.net.protocol import (
 )
 from repro.obs.metrics import registry as obs_registry
 from repro.obs.report import shared_metrics
-from repro.obs.trace import assemble_job_trace
+from repro.obs.trace import Trace, assemble_job_trace
 from repro.query.engine import QueryEngine
 from repro.query.errors import ExecutionError, QueryError
 from repro.service import ServiceTier
@@ -85,52 +87,6 @@ from repro.session.core import Archive, SessionError
 from repro.session.plan import analyzed_plan_tree, plan_tree
 
 __all__ = ["ArchiveServer"]
-
-
-class _ServerExecutor:
-    """The server session's executor: the submission-mode dispatch.
-
-    Full-mode queries go to the hosted backend's ``prepare``; shard-mode
-    queries to its ``prepare_shard`` (a single-store engine — the shape
-    a partition server has).  Everything else the session probes for
-    (``kind``, ``parse``, ``supports_mydb``, ``generations_for``) is the
-    hosted backend's own.
-    """
-
-    def __init__(self, base):
-        self.base = base
-
-    def __getattr__(self, name):
-        return getattr(self.base, name)
-
-    def prepare(
-        self,
-        text,
-        allow_tag_route=True,
-        mode="full",
-        select_index=0,
-        ranges=None,
-        **kwargs,
-    ):
-        if mode == "full":
-            return self.base.prepare(text, allow_tag_route=allow_tag_route, **kwargs)
-        if mode != "shard":
-            raise SessionError(f"unknown submission mode {mode!r}")
-        prepare_shard = getattr(self.base, "prepare_shard", None)
-        if prepare_shard is None:
-            raise SessionError(
-                "this archive server hosts a "
-                f"{self.kind!r} backend and cannot run shard-mode queries "
-                "(shard mode needs a single-store engine)"
-            )
-        if ranges is None:
-            raise SessionError(
-                "a shard-mode submission must carry its container "
-                "assignment (ranges)"
-            )
-        return prepare_shard(
-            text, select_index, ranges, allow_tag_route=allow_tag_route, **kwargs
-        )
 
 
 class _ServedJob:
@@ -238,7 +194,6 @@ class ArchiveServer:
             batch_rows=batch_rows,
             service=service,
         )
-        self.session.executor = _ServerExecutor(self.session.executor)
         self.host = host
         self.port = int(port)
         self._listener = None
@@ -560,7 +515,7 @@ class ArchiveServer:
     # -- op handlers ----------------------------------------------------
 
     def _hello(self):
-        base = self.session.executor.base
+        base = self.session.executor
         if isinstance(base, DistributedQueryEngine):
             servers = [server.stores() for server in base.archive.servers]
         elif isinstance(base, QueryEngine):
@@ -594,47 +549,58 @@ class ArchiveServer:
             "cache_enabled": self.service.cache is not None,
         }
 
-    def _mydb_overlay(self, conn):
-        """The connection user's MyDB stores, when the backend can host
-        them (``{}`` otherwise) — overlaid at prepare and submit so
-        ``FROM mydb.x`` resolves per-tenant."""
-        if not getattr(self.session.executor, "supports_mydb", False):
-            return {}
-        return self.service.mydb.stores_for(conn.effective_user)
-
     def _handle_prepare(self, sock, header, conn):
-        """EXPLAIN's exchange: plan without starting a job and render
-        the plan tree."""
-        kwargs = {}
-        overlay = self._mydb_overlay(conn)
-        if overlay:
-            kwargs["extra_stores"] = overlay
-        prepared = self.session.executor.prepare(
+        """EXPLAIN's exchange: plan through the session's one prepare
+        (which overlays the connection user's MyDB, as at submit)
+        without starting a job, and render the plan tree."""
+        prepared, _hit, _sink = self.session._prepare(
             header.get("text", ""),
-            allow_tag_route=bool(header.get("allow_tag_route", True)),
-            **kwargs,
+            conn.effective_user,
+            bool(header.get("allow_tag_route", True)),
+            Trace(),
         )
         send_frame(
             sock, {"op": "prepared", "plan": plan_to_wire(plan_tree(prepared.root))}
         )
 
+    def _shard_plan(self, header):
+        """``None`` (the backend's ``prepare``) in full mode; in shard
+        mode its ``prepare_shard`` bound to the coordinator's SELECT and
+        container assignment."""
+        mode = header.get("mode", "full")
+        if mode == "full":
+            return None
+        if mode != "shard":
+            raise SessionError(f"unknown submission mode {mode!r}")
+        executor = self.session.executor
+        if not hasattr(executor, "prepare_shard"):
+            raise SessionError(
+                "this archive server hosts a "
+                f"{executor.kind!r} backend and cannot run shard-mode queries "
+                "(shard mode needs a single-store engine)"
+            )
+        if header.get("ranges") is None:
+            raise SessionError(
+                "a shard-mode submission must carry its container "
+                "assignment (ranges)"
+            )
+        return functools.partial(
+            executor.prepare_shard,
+            select_index=int(header.get("select_index", 0)),
+            ranges=header["ranges"],
+        )
+
     def _handle_submit(self, sock, header, conn):
         query_class = header.get("query_class", "interactive")
-        mode = header.get("mode", "full")
+        plan = self._shard_plan(header)
         session = self.session
-        # Only a full-mode query (no planning options) gets the tier.
+        # Only a full-mode query (planned by the backend) gets the tier.
         job = session._enter(
             header.get("text", ""),
             query_class,
             bool(header.get("allow_tag_route", True)),
-            None
-            if mode == "full"
-            else {
-                "mode": mode,
-                "select_index": int(header.get("select_index", 0)),
-                "ranges": header.get("ranges"),
-            },
             conn.effective_user,
+            plan=plan,
         )
         # An interactive INTO runs to completion in its launch.  It
         # launches after ``accepted``, so the client's bounded wait for
@@ -664,7 +630,7 @@ class ArchiveServer:
             "query_class": query_class,
             "compression": compression,
         }
-        if mode == "full":
+        if plan is None:
             # The one prepare of this query describes it to the client
             # (a shard's coordinator planned its own half).
             prepared = job._prepared

@@ -30,7 +30,6 @@ from repro.query.physical import (
     prepare_query,
     query_selects,
     select_tree,
-    shard_tree,
 )
 
 __all__ = ["QueryEngine", "start_tree"]
@@ -132,10 +131,10 @@ class QueryEngine(Executor):
         sharded = split_plan(plan_query(selects[index], self.schemas, allow_tag_route))
         return PreparedQuery(
             text=text,
-            root=shard_tree(
+            root=select_tree(
                 self.stores[sharded.base.routed_source],
-                sharded,
-                RangeSet(ranges),
+                sharded.shard,
+                candidates=RangeSet(ranges),
                 batch_rows=self.batch_rows,
                 track_delivery=True,
             ),

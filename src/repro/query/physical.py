@@ -9,12 +9,12 @@ nodes a planned SELECT or a set operation becomes:
 * :func:`build_query_tree` is the only walker of
   :class:`~repro.query.ast_nodes.SetOp`; it numbers the SELECTs — the
   ``select_index`` a coordinator sends and a shard server resolves —
-  after :func:`fuse_set_op` has rewritten an INTERSECT or EXCEPT of two
-  bare SELECTs over one source into one SELECT, so both ends number the
+  after :func:`fuse_set_op` has rewritten a set operation of two bare
+  SELECTs over one source into one SELECT, so both ends number the
   fused query alike.
-* :func:`select_tree` (one store), :func:`shard_tree` and
-  :func:`merge_tree` (the two halves of a split plan) build one SELECT
-  and share one aggregate -> HAVING -> :func:`order_limit_tail` tail: a
+* :func:`select_tree` (one store, or the shard half of a split plan)
+  and :func:`merge_tree` (the coordinator half) build one SELECT and
+  share one aggregate -> HAVING -> :func:`order_limit_tail` tail: a
   shard's aggregate emits its partial state, and the coordinator's
   (:class:`~repro.query.qet.MergeAggregateNode`) folds those states and
   finishes the base plan; :func:`scatter_gather_tree` is
@@ -69,7 +69,6 @@ __all__ = [
     "plan_selects",
     "order_limit_tail",
     "select_tree",
-    "shard_tree",
     "merge_tree",
     "scatter_gather_tree",
     "prepare_query",
@@ -179,20 +178,22 @@ def _conjoin(left, right):
 
 
 def fuse_set_op(setop):
-    """``A INTERSECT B`` or ``A EXCEPT B`` as one SELECT, or ``None``.
+    """``A UNION B``, ``A INTERSECT B`` or ``A EXCEPT B`` as one SELECT,
+    or ``None``.
 
     The rule fires when both sides are bare SELECTs (no aggregate,
     GROUP BY, HAVING, ORDER BY, LIMIT or INTO; nested set operations are
     fused first) over the same source that return ``objid``, and B's
-    select list is a part of A's (so B plans wherever A does).  Because
-    ``objid`` is a key of every store, the pointer intersection is the
-    row conjunction: A's select list ``WHERE A.where AND B.where`` — B's
-    region narrows the cover — and the difference is ``A.where AND NOT
-    (B.where)``, whose negated region never becomes a cover.  One scan
-    then replaces two laps and the pipeline breaker that drained B.
-    Every other set operation keeps its set node.
+    select list is a part of A's (so B plans wherever A does) — for a
+    UNION, the same list.  Because ``objid`` is a key of every store,
+    the pointer union is the row disjunction, A's select list ``WHERE
+    A.where OR B.where`` (an absent WHERE is true); the intersection is
+    the conjunction ``A.where AND B.where`` — B's region narrows the
+    cover — and the difference ``A.where AND NOT (B.where)``, whose
+    negated region never becomes a cover.  One scan then replaces two
+    laps and the set node.  Every other set operation keeps its node.
     """
-    if setop.op not in ("INTERSECT", "EXCEPT"):
+    if setop.op not in _SET_NODES:
         return None
     left, right = (
         (fuse_set_op(side) or side) if isinstance(side, SetOp) else side
@@ -203,8 +204,13 @@ def fuse_set_op(setop):
         and _bare(right)
         and left.source == right.source
         and set(right.columns) <= set(left.columns)
+        and (setop.op != "UNION" or right.columns == left.columns)
     ):
         return None
+    if setop.op == "UNION":
+        if left.where is None or right.where is None:
+            return replace(left, where=None)
+        return replace(left, where=BinaryOp("OR", left.where, right.where))
     where = right.where
     if setop.op == "EXCEPT":
         where = UnaryOp("NOT", Literal(True) if where is None else where)
@@ -294,7 +300,14 @@ def _aggregate_tail(node_class, child, plan):
 
 def select_tree(store, plan, batch_rows=4096, **scan_options):
     """The QET of one planned SELECT over one store (``scan_options`` go
-    to the :class:`~repro.query.qet.ScanNode`)."""
+    to the :class:`~repro.query.qet.ScanNode`).
+
+    A split plan's shard half (``sharded.shard``: an aggregate emits its
+    partial state and keeps no HAVING, ORDER BY or LIMIT, and a LIMIT
+    copy fuses into a shard-local top-k) is an ordinary plan, built here
+    over one partition server's store with ``candidates=`` its
+    assignment, and ``track_delivery=True`` on a shard server.
+    """
     node = ScanNode(store, plan, batch_rows=batch_rows, **scan_options)
     if plan.is_aggregate:
         return _aggregate_tail(AggregateNode, node, plan)
@@ -302,26 +315,6 @@ def select_tree(store, plan, batch_rows=4096, **scan_options):
     if plan.projection:
         node = ProjectNode(node, plan.projection)
     return node
-
-
-def shard_tree(store, sharded, candidates, **options):
-    """One server's sub-QET: the pushed-down shard half of a split plan.
-
-    The shard plan is an ordinary plan — an aggregate emits its partial
-    state and keeps no HAVING, ORDER BY or LIMIT, and a LIMIT copy fuses
-    into a shard-local top-k, so each shard's candidate set stays
-    bounded too — built over
-    a partition server's store by the in-process engine, and by a shard
-    server for a ``mode="shard"`` submission.  ``candidates`` (a
-    :class:`~repro.htm.ranges.RangeSet`, or ``None`` for the scan to
-    cover the plan itself) are the containers the scan may read — the
-    in-process coordinator's cover, or a remote coordinator's disjoint
-    container assignment — and ``track_delivery`` (every remote shard
-    scan) makes every emitted batch carry the cumulative
-    delivered-container claim the failover bookkeeping needs (see
-    :class:`~repro.query.qet.ScanNode`).
-    """
-    return select_tree(store, sharded.shard, candidates=candidates, **options)
 
 
 def merge_tree(shard_roots, sharded):

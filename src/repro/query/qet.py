@@ -14,13 +14,13 @@ backpressure instead of materializing intermediates — the ASAP push
 strategy.  Bags are keyed by ``objid`` (the object pointer) for the set
 operations.
 
-Because ``objid`` is a key of every store, an INTERSECT or EXCEPT of two
-bare SELECTs over one source is one SELECT of the conjunction (``A AND
-B``, or ``A AND NOT B``): :func:`~repro.query.physical.fuse_set_op`
-rewrites it before a tree is built, so that query runs one scan and no
-pipeline breaker.  :class:`IntersectNode` and :class:`DifferenceNode`
-remain for the rest — two sources, or a side that is ordered, limited
-or aggregated — and :class:`UnionNode` for every union.
+Because ``objid`` is a key of every store, a set operation of two bare
+SELECTs over one source is one SELECT (``A OR B``, ``A AND B`` or ``A
+AND NOT B``): :func:`~repro.query.physical.fuse_set_op` rewrites it
+before a tree is built, so that query runs one scan and no set node.
+:class:`UnionNode`, :class:`IntersectNode` and :class:`DifferenceNode`
+remain for the rest — two sources, a side that is ordered, limited or
+aggregated, or a UNION whose sides select different columns.
 """
 
 from __future__ import annotations

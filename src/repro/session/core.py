@@ -525,7 +525,6 @@ class Session:
         text,
         query_class="interactive",
         allow_tag_route=True,
-        prepare_kwargs=None,
         user=None,
     ):
         """Classify, schedule, and (for interactive) start one query.
@@ -537,11 +536,9 @@ class Session:
         then :meth:`_launch` (the start); a start that raises (a remote
         server refusing the query its root submits) withdraws the job,
         so the error leaves none behind.
-        ``prepare_kwargs`` forwards executor-specific planning options
-        (e.g. the archive server's shard-mode submissions) — the common
-        executors take none.  ``user`` overrides the session identity
-        for this submission (the archive server submits every
-        connection's queries through its one session this way).
+        ``user`` overrides the session identity for this submission (the
+        archive server submits every connection's queries through its
+        one session this way).
 
         With a :class:`~repro.service.tier.ServiceTier` attached,
         submissions additionally flow through the result cache (a valid
@@ -550,13 +547,14 @@ class Session:
         ``SELECT ... INTO mydb.x``), and the per-user batch admission
         quota.
         """
-        job = self._enter(text, query_class, allow_tag_route, prepare_kwargs, user)
+        job = self._enter(text, query_class, allow_tag_route, user)
         self._launch(job)
         return job
 
-    def _enter(self, text, query_class, allow_tag_route, prepare_kwargs, user):
+    def _enter(self, text, query_class, allow_tag_route, user, plan=None):
         """Prepare and admit one query under a trace of its own: the
-        :class:`Job`, not started yet (a batch one already queued)."""
+        :class:`Job`, not started yet (a batch one already queued).
+        ``plan`` replaces ``executor.prepare`` (see :meth:`_prepare`)."""
         if query_class not in self.QUERY_CLASSES:
             raise SessionError(
                 f"unknown query class {query_class!r}; "
@@ -574,7 +572,7 @@ class Session:
             attrs={"query_class": query_class, "user": user},
         )
         prepared, cache_hit, sink = self._prepare(
-            text, user, allow_tag_route, trace, prepare_kwargs, run=True
+            text, user, allow_tag_route, trace, plan, run=True
         )
         return self._admit(prepared, query_class, user, trace, cache_hit, sink)
 
@@ -602,21 +600,21 @@ class Session:
             if job.error is not None:
                 raise job.error
 
-    def _prepare(
-        self, text, user, allow_tag_route, trace, prepare_kwargs=None, run=False
-    ):
+    def _prepare(self, text, user, allow_tag_route, trace, plan=None, run=False):
         """The one route to ``executor.prepare``, shared by :meth:`submit`
         and :meth:`explain`: parse once, overlay the user's MyDB, then
         plan — or, for a query about to ``run``, answer from the result
         cache.  Records the ``parse`` and ``plan`` spans.  Returns
         ``(prepared, cache_hit, sink)``, the sink being the INTO
-        materialization or cache fill a ``run`` gets (or ``None``).  The
-        tier applies only without ``prepare_kwargs``: a shard's partial
-        result is no user's answer.
+        materialization or cache fill a ``run`` gets (or ``None``).
+        ``plan`` stands in for ``executor.prepare`` (the archive server
+        plans a shard half this way), and the tier applies only without
+        it: a shard's partial result is no user's answer.
         """
         query_span = trace.first("query")
-        service = None if prepare_kwargs else self.service
-        kwargs = dict(prepare_kwargs or {})
+        service = None if plan else self.service
+        plan = plan or self.executor.prepare
+        kwargs = {}
 
         # The one parse of this submission: a backend that plans from
         # the AST gets it handed down; one that ships the text elsewhere
@@ -667,9 +665,7 @@ class Session:
             )
             plan_span.attrs["cache_hit"] = True
         else:
-            prepared = self.executor.prepare(
-                text, allow_tag_route=allow_tag_route, **kwargs
-            )
+            prepared = plan(text, allow_tag_route=allow_tag_route, **kwargs)
         trace.end(plan_span)
 
         sink = None

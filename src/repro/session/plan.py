@@ -166,9 +166,9 @@ def plan_tree(root):
     carry their :class:`~repro.distributed.routing.ShardFanoutReport`
     (``servers``/``pruned``), each shard sub-tree is labelled with the
     partition server it would run on, and the root of a SELECT that a
-    rewrite made names its rule (``rule=set_op_fusion``: an INTERSECT or
-    EXCEPT of two bare SELECTs over one source, fused into one scan by
-    :func:`~repro.query.physical.fuse_set_op`).
+    rewrite made names its rule (``rule=set_op_fusion``: a set
+    operation of two bare SELECTs over one source, fused into one scan
+    by :func:`~repro.query.physical.fuse_set_op`).
 
     A remote node (the leaf of an ``archive://`` session) carries the
     *server-rendered* plan tree — derived from the server's executable

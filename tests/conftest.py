@@ -57,8 +57,8 @@ def _suite_test_timeout():
 #: test directory -> what its tests must leave as they found it: open
 #: sockets and ``archive-*`` threads where tests start servers, else the
 #: threads named by these prefixes — ``qet-*`` where they run query
-#: trees, ``river-*`` where they run river graphs — and, with either,
-#: the child processes (shard servers).  ``sweep-*`` threads are not
+#: trees, ``river-*`` where they run river graphs, both in the rest of
+#: the suite — and, with either, the child processes (shard servers).  ``sweep-*`` threads are not
 #: watched: one ends up to a second after its store is dropped.
 LEAVE_NOTHING_BEHIND = {
     "net": "sockets",
@@ -70,6 +70,12 @@ LEAVE_NOTHING_BEHIND = {
     "storage": ("qet-",),
     "machines": ("river-", "qet-"),
     "obs": ("qet-",),
+    "htm": ("qet-", "river-"),
+    "geometry": ("qet-", "river-"),
+    "catalog": ("qet-", "river-"),
+    "archive": ("qet-", "river-"),
+    "science": ("qet-", "river-"),
+    "interchange": ("qet-", "river-"),
 }
 
 

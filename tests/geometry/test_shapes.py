@@ -12,7 +12,12 @@ from repro.geometry.shapes import (
     polygon_region,
     rect_region,
 )
-from repro.geometry.vector import radec_to_vector, random_unit_vectors, vector_to_radec
+from repro.geometry.vector import (
+    radec_to_vector,
+    random_unit_vectors,
+    tangent_basis,
+    vector_to_radec,
+)
 
 
 class TestCircle:
@@ -156,3 +161,37 @@ class TestPolygon:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             polygon_region([(0, 0), (5, 0), (10, 0)])
+
+    @staticmethod
+    def drawn_polygon(rng, count, reflex=False):
+        """``count`` vertices on a small circle of radius 0.2-5 degrees,
+        in bearing order (convex); with ``reflex`` evenly spaced, and one
+        of them pulled in to a fifth of the radius, inside the chord of
+        its neighbours for 5 or more vertices (a reflex vertex)."""
+        centre = random_unit_vectors(1, rng=rng)[0]
+        east, north = tangent_basis(centre)
+        radius = np.radians(rng.uniform(0.2, 5.0))
+        jitter = 0.0 if reflex else 0.5 * rng.random(count)
+        bearings = (np.arange(count) + jitter) * 2 * np.pi / count
+        radii = np.full(count, radius)
+        if reflex:
+            radii[rng.integers(count)] *= 0.2
+        offsets = np.cos(bearings)[:, None] * north + np.sin(bearings)[:, None] * east
+        points = np.cos(radii)[:, None] * centre + np.sin(radii)[:, None] * offsets
+        return list(zip(*vector_to_radec(points)))
+
+    def test_drawn_convex_polygons_are_accepted(self, rng):
+        accepted = 0
+        for _ in range(300):
+            try:
+                polygon_region(self.drawn_polygon(rng, int(rng.integers(3, 8))))
+            except ValueError:
+                continue
+            accepted += 1
+        assert accepted >= 299
+
+    def test_drawn_polygons_with_a_reflex_vertex_are_refused(self, rng):
+        for _ in range(300):
+            vertices = self.drawn_polygon(rng, int(rng.integers(5, 8)), reflex=True)
+            with pytest.raises(ValueError):
+                polygon_region(vertices)

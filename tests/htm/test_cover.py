@@ -30,6 +30,7 @@ from repro.geometry.region import Region
 from repro.geometry.shapes import circle_region, latitude_band, rect_region
 from repro.geometry.vector import normalize, radec_to_vector, random_unit_vectors
 from repro.htm import cover as cover_module
+from repro.htm import trixel as trixel_module
 from repro.htm.cover import (
     Classification,
     classify_trixel_halfspace,
@@ -509,14 +510,27 @@ class TestLevelPassCost:
             assert (verdict == cover_module._PARTIAL).all()
 
     def test_children_are_bit_identical_to_trixel_children(self):
+        def midpoint(a, b):
+            total = a + b
+            return total / np.sqrt(np.sum(total * total, axis=-1, keepdims=True))
+
+        def subdivide(corners):
+            v0, v1, v2 = corners[:, 0], corners[:, 1], corners[:, 2]
+            w0, w1, w2 = midpoint(v1, v2), midpoint(v0, v2), midpoint(v0, v1)
+            children = [(v0, w2, w1), (v1, w0, w2), (v2, w1, w0), (w0, w1, w2)]
+            return np.stack([np.stack(child, axis=1) for child in children], axis=1)
+
         trixels = list(BASE_TRIXELS)
         corners, ids = base_trixel_vertices(), np.arange(8, 16)
+        expected = corners
         for level in range(1, 5):
             trixels = [child for trixel in trixels for child in trixel.children()]
-            corners, ids = cover_module._children(corners, ids)
+            corners, ids = trixel_module._children(corners, ids)
+            expected = subdivide(expected).reshape(-1, 3, 3)
             assert ids.tolist() == [trixel.htm_id for trixel in trixels]
-            assert corners.tobytes() == np.stack([t.corners for t in trixels]).tobytes()
-            assert corners.tobytes() == cover_module._mesh_top()[level][0].tobytes()
+            assert corners.tobytes() == expected.tobytes()
+            assert np.stack([t.corners for t in trixels]).tobytes() == expected.tobytes()
+            assert cover_module._mesh_top()[level][0].tobytes() == expected.tobytes()
 
     def test_the_table_of_the_top_levels_is_small(self):
         tables = cover_module._mesh_top()

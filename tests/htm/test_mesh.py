@@ -31,7 +31,7 @@ from repro.htm.mesh import (
     trixel_count_at_depth,
     trixel_from_id,
 )
-from repro.htm.trixel import Trixel, base_trixel_vertices
+from repro.htm.trixel import BASE_TRIXELS, Trixel, base_trixel_vertices
 
 ras = st.floats(min_value=0.0, max_value=359.999)
 decs = st.floats(min_value=-89.999, max_value=89.999)
@@ -154,14 +154,35 @@ class TestLookup:
             lookup_ids(np.array([0.0]), np.array([0.0]), 99)
 
 
+def descend(htm_id):
+    """The trixel of ``htm_id`` by :meth:`Trixel.children` from its root,
+    one digit at a time."""
+    digits = []
+    while htm_id >= 16:
+        digits.append(htm_id & 3)
+        htm_id >>= 2
+    trixel = BASE_TRIXELS[htm_id - 8]
+    for digit in reversed(digits):
+        trixel = trixel.children()[digit]
+    return trixel
+
+
 class TestTrixelCorners:
+    """:func:`trixel_corners` reads the mesh table, and subdivides on
+    below it: bit for bit the corners the index and a descent by
+    :meth:`Trixel.children` use."""
+
     @given(ras, decs, depths)
     @settings(max_examples=60, deadline=None)
     def test_fast_corners_match_walk(self, ra, dec, depth):
         htm_id = lookup_id(ra, dec, depth)
-        fast = trixel_corners(htm_id)
-        slow = trixel_from_id(htm_id).corners
-        np.testing.assert_allclose(fast, slow, atol=1e-15)
+        assert trixel_corners(htm_id).tobytes() == descend(htm_id).corners.tobytes()
+
+    def test_every_table_row(self):
+        for level, (corners, _, _) in enumerate(mesh_module._mesh_top()):
+            lo, hi = depth_id_bounds(level)
+            rows = np.stack([trixel_corners(htm_id) for htm_id in range(lo, hi)])
+            assert rows.tobytes() == corners.tobytes()
 
     def test_corners_unit(self):
         corners = trixel_corners(name_to_id("N3123"))
@@ -404,3 +425,15 @@ class TestLongLookupExactness:
         points = SkySimulator(parameters).generate().positions_xyz()
         for depth in (0, 3, 6, 8, 10):
             assert_same_as_reference(points, depth)
+
+
+@pytest.mark.slow
+class TestLongCornerExactness:
+    """``make test-cover``: below the table, :func:`trixel_corners`
+    against the :meth:`Trixel.children` descent."""
+
+    @pytest.mark.parametrize("depth", range(7, 13))
+    def test_drawn_ids(self, depth):
+        rng = np.random.default_rng(3000 + depth)
+        for htm_id in rng.integers(*depth_id_bounds(depth), size=2000).tolist():
+            assert trixel_corners(htm_id).tobytes() == descend(htm_id).corners.tobytes()

@@ -185,6 +185,43 @@ def test_a_shard_submission_without_ranges_is_refused(shard_servers):
     link.once({"op": "cancel", "job_id": accepted["job_id"]})
 
 
+def test_a_submission_in_an_unknown_mode_is_refused(shard_servers):
+    from repro.net.client import ServerLink
+    from repro.session import SessionError
+
+    link = ServerLink(shard_servers[0].address)
+    with pytest.raises(SessionError, match="unknown submission mode 'half'"):
+        link.once(
+            {
+                "op": "submit",
+                "text": "SELECT objid FROM photo",
+                "mode": "half",
+                "ranges": [[0, 1]],
+            }
+        )
+
+
+def test_a_shard_submission_to_a_backend_without_prepare_shard_is_refused(photo):
+    """Shard mode needs a single-store engine: a server hosting a
+    partitioned archive refuses it with a structured error."""
+    from repro.net.client import ServerLink
+    from repro.session import SessionError
+
+    archive = DistributedArchive.from_table(photo, depth=5, n_servers=2)
+    with ArchiveServer(archive=archive) as server:
+        link = ServerLink(server.address)
+        with pytest.raises(SessionError, match="cannot run shard-mode queries"):
+            link.once(
+                {
+                    "op": "submit",
+                    "text": "SELECT objid FROM photo",
+                    "mode": "shard",
+                    "select_index": 0,
+                    "ranges": [[0, 1]],
+                }
+            )
+
+
 @pytest.mark.parametrize(
     "query",
     [

@@ -199,7 +199,7 @@ def test_one_cluster_shard_sees_submit_and_fetches_only(
 def test_retired_ops_are_gone(auth_server):
     """The ``done`` frame carries what ``io_report`` and ``job_stats``
     answered; neither op is served any more."""
-    assert PROTOCOL_VERSION == 6
+    assert PROTOCOL_VERSION == 7
     link = ServerLink(auth_server.address, user="alice", token=USERS["alice"])
     for op in ("io_report", "job_stats"):
         with pytest.raises(Exception, match=f"unknown operation '{op}'"):

@@ -160,8 +160,9 @@ SHAPES = [
     "SELECT objid, mag_r FROM photo ORDER BY mag_r",
     "SELECT objid FROM photo LIMIT 7",
     "SELECT objtype, COUNT(objid) AS n FROM photo GROUP BY objtype HAVING n > 100",
+    # an ordered side, so the UNION keeps its node (bare sides would fuse)
     "(SELECT objid FROM photo WHERE mag_r < 16) UNION "
-    "(SELECT objid FROM photo WHERE mag_u < 17)",
+    "(SELECT objid FROM photo WHERE mag_u < 17 ORDER BY objid)",
 ]
 
 

@@ -163,10 +163,10 @@ def test_plan_shape_matches_golden(rendered, backend, name):
 
 NESTED = (
     "((SELECT objid FROM photo WHERE mag_r < 14) UNION "
-    "((SELECT objid FROM photo WHERE mag_r < 15) INTERSECT "
+    "((SELECT objid, mag_r FROM photo WHERE mag_r < 15) INTERSECT "
     "(SELECT objid FROM photo WHERE mag_r < 16))) EXCEPT "
     "((SELECT objid FROM photo WHERE mag_r < 17) UNION "
-    "(SELECT objid FROM photo WHERE mag_r < 18))"
+    "(SELECT objid, mag_r FROM photo WHERE mag_r < 18))"
 )
 
 
@@ -185,7 +185,8 @@ def test_select_index_numbering_matches_shard_resolution(engine, photo, photo_st
 
     root = build_query_tree(parse_query(NESTED), note)
     # The INTERSECT of two bare SELECTs over photo is one fused SELECT
-    # (``mag_r < 15 AND mag_r < 16``), numbered after the rewrite.
+    # (``mag_r < 15 AND mag_r < 16``), numbered after the rewrite; the
+    # UNIONs, whose sides select different columns, keep their nodes.
     assert [node.name for node in root.walk() if node.children] == [
         "difference",
         "union",
@@ -390,9 +391,18 @@ def test_planning_takes_the_schemas_and_nothing_else():
     from repro.query.engine import QueryEngine
     from repro.query.optimizer import QueryPlan, plan_query
     from repro.query.physical import plan_selects, prepare_query
+    from repro.session import Session
 
     def names(entry):
         return list(inspect.signature(entry).parameters)
+
+    assert names(Session.submit) == [
+        "self",
+        "text",
+        "query_class",
+        "allow_tag_route",
+        "user",
+    ]
 
     assert names(plan_query) == ["select", "schemas", "allow_tag_route"]
     assert names(plan_selects) == ["ast", "schemas", "allow_tag_route"]

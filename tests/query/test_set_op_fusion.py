@@ -1,5 +1,5 @@
-"""Set-op fusion: an INTERSECT or EXCEPT of two bare SELECTs over one
-source is one SELECT (``repro.query.physical.fuse_set_op``).
+"""Set-op fusion: a UNION, INTERSECT or EXCEPT of two bare SELECTs over
+one source is one SELECT (``repro.query.physical.fuse_set_op``).
 
 * the rule — which ASTs it rewrites, into what, and which it leaves to
   the set nodes;
@@ -8,7 +8,8 @@ source is one SELECT (``repro.query.physical.fuse_set_op``).
   partitioned archive, a 2-endpoint cluster and one ``archive://``
   server, in both query classes, against a numpy reference written
   here; shapes the rule leaves alone still build their set node and
-  answer the same;
+  answer the same, and a fused UNION answers row for row as the
+  ``UnionNode`` it replaces;
 * one scan — a fused query's EXPLAIN is one scan (or one exchange)
   naming the rule, and the cluster coordinator sends each endpoint one
   shard ``submit`` for it.
@@ -29,6 +30,7 @@ from repro.net.faults import FaultPolicy
 from repro.query import parse_query
 from repro.query.ast_nodes import BinaryOp, Select, UnaryOp
 from repro.query.errors import ExecutionError
+from repro.query import physical
 from repro.query.parser import parse_expression
 from repro.query.physical import SET_OP_FUSION, fuse_set_op, query_selects
 from repro.session import Archive
@@ -68,6 +70,15 @@ class TestRule:
             UnaryOp("NOT", parse_expression("mag_g < 19")),
         )
 
+    def test_union_is_the_disjunction(self):
+        select = fused(f"({BRIGHT}) UNION (SELECT objid FROM photo WHERE CIRCLE(40, 30, 5))")
+        assert select.columns == parse_query(BRIGHT).columns
+        assert select.where == BinaryOp(
+            "OR", parse_expression("mag_r < 18"), parse_expression("CIRCLE(40, 30, 5)")
+        )
+        assert fused(f"(SELECT objid FROM photo) UNION ({BLUE})").where is None
+        assert fused(f"({BRIGHT}) UNION (SELECT objid FROM photo)").where is None
+
     def test_a_side_without_where_is_every_row(self):
         assert fused(f"({BRIGHT}) INTERSECT (SELECT objid FROM photo)") == parse_query(
             BRIGHT
@@ -82,14 +93,21 @@ class TestRule:
         )
         assert len(query_selects(parse_query(text))) == 1
         # The inner INTERSECT fuses even when the outer UNION cannot.
-        union = f"(({BRIGHT}) INTERSECT ({BLUE})) UNION ({BRIGHT})"
+        union = (
+            f"(({BRIGHT}) INTERSECT ({BLUE})) UNION "
+            "(SELECT objid FROM tag WHERE mag_r < 18)"
+        )
         assert fused(union) is None
         assert len(query_selects(parse_query(union))) == 2
+        # ... and an outer UNION of one source and one select list fuses.
+        assert len(query_selects(parse_query(f"(({BRIGHT}) INTERSECT ({BLUE})) UNION ({BRIGHT})"))) == 1
 
     @pytest.mark.parametrize(
         "text",
         [
-            f"({BRIGHT}) UNION ({BLUE})",
+            f"(SELECT objid, mag_r FROM photo WHERE mag_r < 18) UNION ({BLUE})",
+            f"({BRIGHT}) UNION (SELECT objid, mag_g FROM photo WHERE mag_g < 19)",
+            f"({BRIGHT}) UNION ({BLUE} ORDER BY mag_g)",
             f"({BRIGHT}) INTERSECT ({BLUE} ORDER BY mag_g)",
             f"({BRIGHT} LIMIT 5) INTERSECT ({BLUE})",
             f"({BRIGHT}) EXCEPT (SELECT objid FROM tag WHERE mag_g < 19)",
@@ -103,7 +121,9 @@ class TestRule:
             f"({BRIGHT}) INTERSECT (SELECT objid, mag_g FROM photo WHERE mag_g < 19)",
         ],
         ids=[
-            "union",
+            "union-wider-left",
+            "union-wider-right",
+            "union-ordered-side",
             "ordered-side",
             "limited-side",
             "two-sources",
@@ -181,6 +201,25 @@ FUSED = {
         "(SELECT objid FROM photo WHERE CIRCLE(40, 30, 10) AND mag_r < 21)",
         lambda d: _circle(d, 40, 30, 30) & ~(_circle(d, 40, 30, 10) & (d["mag_r"] < 21)),
     ),
+    "union_overlap": (
+        "(SELECT objid, mag_r FROM photo WHERE mag_r < 19) UNION "
+        "(SELECT objid, mag_r FROM photo WHERE mag_r > 17 AND mag_g < 20)",
+        lambda d: (d["mag_r"] < 19) | ((d["mag_r"] > 17) & (d["mag_g"] < 20)),
+    ),
+    "union_without_where": (
+        f"({BRIGHT}) UNION (SELECT objid FROM photo)",
+        lambda d: np.ones(len(d), dtype=bool),
+    ),
+    "union_regions": (
+        "(SELECT objid, ra, dec FROM photo WHERE CIRCLE(40, 30, 20)) UNION "
+        "(SELECT objid, ra, dec FROM photo WHERE CIRCLE(50, 35, 15) AND mag_r < 21)",
+        lambda d: _circle(d, 40, 30, 20) | (_circle(d, 50, 35, 15) & (d["mag_r"] < 21)),
+    ),
+    "union_nan": (
+        "(SELECT objid FROM photo WHERE SQRT(mag_r - 20) < 1) UNION "
+        "(SELECT objid FROM photo WHERE mag_g < 18)",
+        lambda d: _nan_term(d["mag_r"]) | (d["mag_g"] < 18),
+    ),
     "chain": (
         f"(({BRIGHT}) INTERSECT ({BLUE})) EXCEPT "
         "(SELECT objid FROM photo WHERE objtype = GALAXY)",
@@ -209,6 +248,11 @@ UNFUSED = {
         f"({BRIGHT}) INTERSECT (SELECT objid FROM tag WHERE mag_g < 19)",
         "intersect",
         lambda d: (d["mag_r"] < 18) & (d["mag_g"] < 19),
+    ),
+    "union_two_sources": (
+        f"({BRIGHT}) UNION (SELECT objid FROM tag WHERE mag_g < 19)",
+        "union",
+        lambda d: (d["mag_r"] < 18) | (d["mag_g"] < 19),
     ),
 }
 
@@ -313,6 +357,33 @@ def test_a_side_without_objid_keeps_its_execution_error(backends, backend):
         sessions[backend].query_table(text)
 
 
+def _rows(table):
+    """The table's columns in ``objid`` order."""
+    order = np.argsort(np.asarray(table["objid"]))
+    return {name: np.asarray(table[name])[order] for name in table.data.dtype.names}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", [name for name in FUSED if name.startswith("union")])
+def test_a_fused_union_answers_as_the_union_node(backends, backend, name, monkeypatch):
+    text, _reference = FUSED[name]
+    session = backends[0][backend]
+    fused_rows = _rows(_answer(session, text, "interactive"))
+    assert len(fused_rows["objid"])
+    # Both ends of the wire run in this process, so switching the rule
+    # off for UNION makes every backend plan the UnionNode.
+    monkeypatch.setattr(
+        physical,
+        "fuse_set_op",
+        lambda setop: None if setop.op == "UNION" else fuse_set_op(setop),
+    )
+    assert session.explain(text).kind == "union"
+    node_rows = _rows(_answer(session, text, "interactive"))
+    assert list(fused_rows) == list(node_rows)
+    for column in fused_rows:
+        np.testing.assert_array_equal(fused_rows[column], node_rows[column])
+
+
 # ----------------------------------------------------------------------
 # one scan
 # ----------------------------------------------------------------------
@@ -325,7 +396,8 @@ def test_a_fused_query_explains_as_one_scan_naming_the_rule(backends, name):
     for backend, session in sessions.items():
         tree = session.explain(text)
         assert tree.detail["rule"] == SET_OP_FUSION, backend
-        assert not tree.find("intersect") and not tree.find("difference")
+        for kind in ("union", "intersect", "difference"):
+            assert not tree.find(kind), backend
         merges = tree.find("exchange")
         assert len(merges) == (1 if backend in ("archive", "cluster") else 0), backend
     scans = sessions["archive"].explain(text).find("scan")

@@ -18,8 +18,9 @@ CANCEL_QUERIES = [
     "SELECT objid FROM photo",
     "SELECT objid, mag_r FROM photo ORDER BY mag_r",
     "SELECT objtype, COUNT(objid) AS n FROM photo GROUP BY objtype",
+    # two sources, so the UNION keeps its node (one source would fuse)
     "(SELECT objid FROM photo WHERE mag_r < 20) UNION "
-    "(SELECT objid FROM photo WHERE mag_u < 21)",
+    "(SELECT objid FROM tag WHERE mag_u < 21)",
 ]
 
 JOIN_TIMEOUT = 5.0

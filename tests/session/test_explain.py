@@ -52,9 +52,10 @@ class TestLocalPlans:
         assert tree.find("sort")
 
     def test_set_operation_tree(self, local_session):
+        # Two sources: a UNION over one source would fuse into one scan.
         tree = local_session.explain(
             "(SELECT objid FROM photo WHERE mag_r < 16) UNION "
-            "(SELECT objid FROM photo WHERE mag_u < 17)"
+            "(SELECT objid FROM tag WHERE mag_u < 17)"
         )
         assert tree.kind == "union"
         assert len(tree.children) == 2
