@@ -21,8 +21,9 @@ check:
 test-net:
 	$(PYTEST) -x -q tests/net tests/service
 
-# Chaos tests: scripted server kills over a replicated cluster, with
-# the same SIGALRM guard — a hung failover fails, never wedges.
+# Chaos tests: scripted server kills over a replicated cluster (a bare
+# LIMIT stream's among them), with the same SIGALRM guard — a hung
+# failover fails, never wedges.
 test-chaos:
 	$(PYTEST) -x -q tests/chaos
 

@@ -71,7 +71,7 @@ from repro.net.protocol import (
     send_frame,
     table_from_wire,
 )
-from repro.query.errors import ExecutionError, UnrecoverableShardError
+from repro.query.errors import ExecutionError
 from repro.query.physical import Executor, PreparedQuery
 from repro.query.qet import QETNode, Stream
 
@@ -328,24 +328,23 @@ class RemoteRootNode(QETNode):
     coordinator stacks the ordinary merge tree on top of these nodes.
 
     A shard leaf also carries ``ranges`` (this shard's disjoint
-    container assignment), ``failover`` (the query's shared
-    :class:`~repro.net.cluster.ShardFailoverPlanner`) and ``strategy``.
-    The node runs a queue of *segments* — ``(endpoint, ranges)``
-    submissions — starting with its own assignment: when a segment's
-    server dies mid-stream, the still-undelivered ranges (assignment
-    minus the last batch's ``delivered`` annotation) are re-routed to
-    surviving replicas and appended as new segments, so rows are
-    neither lost nor duplicated — or, when no survivor holds them, fail
-    the job with an :class:`~repro.query.errors.UnrecoverableShardError`.
-    ``strategy`` says when the remainder may be re-routed:
+    container assignment) and ``failover`` (the query's shared
+    :class:`~repro.net.cluster.ShardFailoverPlanner`).  The node runs a
+    queue of *segments* — ``(endpoint, ranges)`` submissions — starting
+    with its own assignment: when a segment's server dies mid-stream,
+    the still-undelivered ranges (assignment minus the ``delivered``
+    claim) are split across surviving replicas as new segments — or,
+    when no survivor holds them, fail the job with an
+    :class:`~repro.query.errors.UnrecoverableShardError`.  Segments are
+    disjoint, so no row is lost or duplicated: plain streams are
+    order-free, aggregate partials recombine over disjoint containers,
+    and the coordinator sorts an ordered query's streams whole.
 
-    ``"split"``
-        Always, across any number of survivors (plain streams;
-        aggregates, whose partials recombine over disjoint container
-        sets; ordered streams, which the coordinator sorts as a whole).
-    ``"fresh"``
-        Only a clean restart is sound (bare-LIMIT shards): failover
-        happens only if this node has emitted zero rows.
+    A bare ``LIMIT k`` stream resumes the same way: its LIMIT cuts rows
+    only from its last batch, so a claim covers undelivered rows only
+    once this leaf has emitted ``k`` rows, all the coordinator's
+    ``LimitNode(k)`` can take from it.  A replacement adds rows disjoint
+    from those, and that LIMIT caps them.
 
     A full-mode root has no ``failover`` plan: a dead server fails the
     job with the connection error as its cause.  It submits from the
@@ -372,7 +371,6 @@ class RemoteRootNode(QETNode):
         compression=None,
         ranges=None,
         failover=None,
-        strategy="split",
     ):
         super().__init__(())
         self.output = _CancelSignallingStream(self._on_cancelled)
@@ -415,8 +413,6 @@ class RemoteRootNode(QETNode):
         self.ranges = ranges
         #: the query's shared failover planner (``None`` in full mode)
         self.failover = failover
-        #: when undelivered ranges may be re-routed: split / fresh
-        self.strategy = strategy
         #: submissions attempted (1 on a clean run) and successful
         #: failovers — folded into Job.io_report / the query log
         self.attempts = 0
@@ -635,16 +631,6 @@ class RemoteRootNode(QETNode):
             self.failovers += 1
             metrics_registry().counter("net.failovers").inc()
             return []
-        if self.strategy == "fresh" and self.stats.rows_out > 0:
-            raise UnrecoverableShardError(
-                f"archive server at {host}:{port} died mid-stream with "
-                f"{self.stats.rows_out} rows already emitted from a "
-                "LIMIT-truncated shard stream, which cannot be resumed "
-                f"without duplicates; unrecoverable ranges: "
-                f"{[list(iv) for iv in remaining.intervals]}",
-                ranges=remaining.intervals,
-                endpoint=endpoint,
-            ) from exc
         replacements = self.failover.replacements(remaining, endpoint)
         self.failovers += 1
         metrics_registry().counter("net.failovers").inc()

@@ -40,6 +40,7 @@ from repro.net.client import (
     WireTelemetry,
     parse_archive_options,
 )
+from repro.net.protocol import PROTOCOL_VERSION
 from repro.net.protocol import ProtocolError, RemoteArchiveError, schema_from_wire
 from repro.query.errors import UnrecoverableShardError
 from repro.query.parser import parse_query
@@ -61,6 +62,7 @@ class RemoteShard:
         self.link = link
         self.endpoint = link.endpoint
         self.kind = hello.get("kind", "unknown")
+        self.version = hello.get("version")
         self.depth = hello.get("depth")
         self.shard_capable = bool(hello.get("shard_capable"))
         self.schemas = {}
@@ -93,25 +95,6 @@ def _pad_holdings(shards, source):
         shard.padded[source] = RangeSet(
             held.intervals + tuple(gap for gap in gaps if held.contains(gap[0] - 1))
         )
-
-
-def _failover_strategy(sharded):
-    """How a dead shard's undelivered ranges may be re-routed.
-
-    Derived from the split plan exactly like both wire ends derive the
-    split itself, so the classification is deterministic:
-
-    * a bare LIMIT shard stream truncates, which falsifies resume
-      bookkeeping once rows flowed — only a ``fresh`` zero-row restart
-      is sound;
-    * everything else may ``split`` the remainder across any survivors:
-      plain streams are order-free, an ``aggregate`` coordinator folds
-      partial states of disjoint container sets, and an ``ordered``
-      merge sorts whatever its shard streams deliver.
-    """
-    if sharded.kind == "stream" and sharded.base.limit is not None:
-        return "fresh"
-    return "split"
 
 
 class ShardFailoverPlanner:
@@ -250,6 +233,12 @@ class RemotePartitionedExecutor(Executor):
                     f"endpoint {url} hosts a {shard.kind!r} backend and "
                     "cannot serve shard-mode queries"
                 )
+            if shard.version != PROTOCOL_VERSION:
+                # a version may renumber the select_index a shard submit names
+                raise ValueError(
+                    f"endpoint {url} speaks protocol version {shard.version}, "
+                    f"this coordinator {PROTOCOL_VERSION}"
+                )
             self.shards.append(shard)
         if unreachable:
             raise ConnectionError(
@@ -293,7 +282,6 @@ class RemotePartitionedExecutor(Executor):
         source = sharded.base.routed_source
         report = ShardFanoutReport(source=source, servers_total=len(self.shards))
         failover = ShardFailoverPlanner(self.shards, source)
-        strategy = _failover_strategy(sharded)
         taken = RangeSet()
         shard_roots = []
         for shard in self.shards:
@@ -316,7 +304,6 @@ class RemotePartitionedExecutor(Executor):
                     compression=self.compression,
                     ranges=assigned.intervals,
                     failover=failover,
-                    strategy=strategy,
                 )
             )
         return shard_roots, report

@@ -53,7 +53,6 @@ __all__ = [
     "QueryPlan",
     "plan_query",
     "output_schema_for",
-    "fused_top_k",
     "AGGREGATE_FUNCTIONS",
     "ShardedPlan",
     "split_plan",
@@ -319,22 +318,6 @@ def plan_query(select, schemas, allow_tag_route=True):
     return plan
 
 
-def fused_top_k(plan):
-    """The ``ORDER BY ... LIMIT k`` fusion decision for one plan.
-
-    Returns ``k`` when the plan should run a streaming
-    :class:`~repro.query.qet.TopKNode` in place of the
-    ``SortNode -> LimitNode`` pipeline breaker, else ``None``.  Every
-    tree builder (local, shard sub-plan, coordinator merge tail) asks
-    this one predicate, so the fusion is pushed down uniformly — a
-    shard's LIMIT copy becomes a shard-local top-k, and a remote
-    shard-mode submission re-derives the same fused tree server-side.
-    """
-    if plan.order_key_fns and plan.limit is not None:
-        return plan.limit
-    return None
-
-
 # ----------------------------------------------------------------------
 # static output schema
 # ----------------------------------------------------------------------
@@ -388,7 +371,7 @@ class ShardedPlan:
     recombines the shard streams:
 
     * ``'stream'`` — an unordered union (projection and LIMIT were pushed
-      down; the coordinator only re-applies the global LIMIT);
+      down; the coordinator's LIMIT also caps a failed-over stream);
     * ``'ordered'`` — one sort of every shard's rows (each shard sorted
       and LIMIT-trimmed its own), then the LIMIT and the projection
       (sort keys reference source columns);

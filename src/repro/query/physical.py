@@ -36,7 +36,6 @@ from repro.query.ast_nodes import BinaryOp, Column, Literal, Select, SetOp, Unar
 from repro.query.errors import PlanError
 from repro.query.optimizer import (
     _contains_aggregate,
-    fused_top_k,
     output_schema_for,
     plan_query,
     shard_candidates,
@@ -56,7 +55,6 @@ from repro.query.qet import (
     QETNode,
     ScanNode,
     SortNode,
-    TopKNode,
     UnionNode,
 )
 
@@ -276,14 +274,10 @@ def plan_selects(ast, schemas, allow_tag_route=True):
 
 
 def order_limit_tail(node, plan):
-    """``ORDER BY`` / ``LIMIT`` over ``node``: a fused streaming
-    :class:`TopKNode` (bounded candidate buffer) when both are present,
-    else a sort, else a limit."""
-    top_k = fused_top_k(plan)
-    if top_k is not None:
-        return TopKNode(node, plan.order_key_fns, plan.order_descending, top_k)
+    """``ORDER BY`` / ``LIMIT`` over ``node``: one :class:`SortNode`
+    (limited or not) when there are keys, else a limit."""
     if plan.order_key_fns:
-        return SortNode(node, plan.order_key_fns, plan.order_descending)
+        return SortNode(node, plan.order_key_fns, plan.order_descending, plan.limit)
     if plan.limit is not None:
         return LimitNode(node, plan.limit)
     return node
@@ -304,7 +298,7 @@ def select_tree(store, plan, batch_rows=4096, **scan_options):
 
     A split plan's shard half (``sharded.shard``: an aggregate emits its
     partial state and keeps no HAVING, ORDER BY or LIMIT, and a LIMIT
-    copy fuses into a shard-local top-k) is an ordinary plan, built here
+    copy rides the shard's own sort) is an ordinary plan, built here
     over one partition server's store with ``candidates=`` its
     assignment, and ``track_delivery=True`` on a shard server.
     """
@@ -324,7 +318,8 @@ def merge_tree(shard_roots, sharded):
     ``shard_roots`` may be local sub-trees *or* remote nodes streaming a
     far server's shard half (:class:`~repro.net.client.RemoteRootNode`)
     — the merge logic is identical, which is exactly why scatter-gather
-    survives the move across process boundaries unchanged.
+    survives the move across process boundaries unchanged.  A failed-over
+    shard stream's segments each keep up to LIMIT rows: the LIMIT here caps them.
     """
     base = sharded.base
     if sharded.kind == "aggregate":
@@ -362,6 +357,21 @@ def scatter_gather_tree(plan, depth, fan_out):
 # ----------------------------------------------------------------------
 
 
+def _check_union_columns(union, plan_of, schemas):
+    """Refuse a UNION whose sides' output columns differ in name or
+    dtype: their rows make no one table.  A side is its leftmost SELECT
+    (a set node returns its left side's rows); an unknowable one passes."""
+    sides = []
+    for side in union.children:
+        while side not in plan_of:
+            side = side.children[0]
+        sides.append(output_schema_for(plan_of[side], schemas))
+    if None in sides or sides[0].numpy_dtype() == sides[1].numpy_dtype():
+        return
+    left, right = ([f"{f.name} {f.dtype}" for f in schema.fields] for schema in sides)
+    raise PlanError(f"UNION sides select different columns: {left} and {right}")
+
+
 def prepare_query(text, schemas, select_root, ast=None, allow_tag_route=True):
     """Parse (unless ``ast`` is given), plan and build, without starting.
 
@@ -381,6 +391,10 @@ def prepare_query(text, schemas, select_root, ast=None, allow_tag_route=True):
         return roots[-1]
 
     root = build_query_tree(ast, build_select)
+    plan_of = dict(zip(roots, plans))
+    for node in root.walk():
+        if isinstance(node, UnionNode):
+            _check_union_columns(node, plan_of, schemas)
     return PreparedQuery(
         text=text,
         root=root,

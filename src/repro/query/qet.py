@@ -20,7 +20,9 @@ AND NOT B``): :func:`~repro.query.physical.fuse_set_op` rewrites it
 before a tree is built, so that query runs one scan and no set node.
 :class:`UnionNode`, :class:`IntersectNode` and :class:`DifferenceNode`
 remain for the rest — two sources, a side that is ordered, limited or
-aggregated, or a UNION whose sides select different columns.
+aggregated, or a UNION whose sides' select lists differ (planning
+refuses one whose output columns differ).  The paper's sort node is one
+:class:`SortNode`, with or without a LIMIT.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from repro.catalog.schema import Field as SchemaField
 from repro.catalog.schema import Schema
-from repro.catalog.table import ObjectTable, concat_records, take_columns, take_records
+from repro.catalog.table import ObjectTable, concat_records, take_columns
 from repro.htm.ranges import RangeSet
 from repro.query.errors import ExecutionError
 
@@ -46,7 +48,6 @@ __all__ = [
     "ProjectNode",
     "SortNode",
     "LimitNode",
-    "TopKNode",
     "FilterNode",
     "AggregateNode",
     "MergeAggregateNode",
@@ -588,36 +589,101 @@ class ProjectNode(QETNode):
 
 
 class SortNode(QETNode):
-    """ORDER BY: a pipeline breaker.
+    """ORDER BY, with or without a LIMIT: a pipeline breaker.
 
-    Every child must complete before any row is emitted (exactly the
-    paper's caveat about sort nodes); the children are drained in child
-    order and sorted as one table.  ``key_fns`` are evaluated once on
-    that table; later keys break ties of earlier ones.  Both directions
-    are *stable*: rows equal on every key keep their input order, and a
-    DESC key reverses value groups, not the rows within them — so
-    ``ORDER BY a DESC, b`` still resolves ``a``-ties by ``b``.  A sort
-    over one store has one child; :class:`MergeSortNode` is the same
-    sort over a coordinator's shard streams.
+    Every child must complete before any row is emitted (the paper's
+    caveat about sort nodes); the children are drained in child order
+    and sorted as one table, stably: rows equal on every key keep their
+    input order, and a DESC key reverses value groups, not rows.
+
+    With a ``limit`` (kind ``topk``) it emits the first ``limit`` rows
+    and buffers ``O(limit + batch)`` (``peak_buffered_rows``): past
+    ``prune_rows`` it prunes back to ``limit``, whose last key tuple
+    drops every later row not sorting strictly before it.  Arrival order
+    is kept between prunes, so the answer is the unlimited sort's prefix.
     """
 
-    name = "sort"
-
-    def __init__(self, child, key_fns, descending_flags):
+    def __init__(self, child, key_fns, descending_flags, limit=None, prune_rows=None):
         super().__init__((child,))
         self.key_fns = list(key_fns)
         self.descending_flags = list(descending_flags)
+        self.limit = self.prune_rows = None
+        if limit is not None:
+            self.limit = int(limit)
+            if prune_rows is None:
+                prune_rows = max(2 * self.limit, 1024)
+            self.prune_rows = max(int(prune_rows), self.limit)
+
+    @property
+    def name(self):
+        return "sort" if self.limit is None else "topk"
+
+    def _strictly_before(self, keys, bound):
+        """Mask of rows whose key tuple sorts strictly before ``bound``,
+        a NaN comparing as +inf and tying with NaN (:func:`_stable_order`)."""
+        length = len(keys[0])
+        lt = np.zeros(length, dtype=bool)
+        eq = np.ones(length, dtype=bool)
+        for array, bound_value, descending in zip(keys, bound, self.descending_flags):
+            is_float = np.issubdtype(array.dtype, np.floating)
+            value_nan = np.isnan(array) if is_float else None
+            bound_nan = is_float and bool(np.isnan(bound_value))
+            if descending:
+                key_lt = array > bound_value
+                if is_float and not bound_nan:
+                    key_lt |= value_nan  # NaN (= +inf) leads a DESC order
+            else:
+                key_lt = array < bound_value
+                if bound_nan:
+                    key_lt |= ~value_nan  # everything precedes NaN ascending
+            key_eq = value_nan if bound_nan else (array == bound_value)
+            lt |= eq & key_lt
+            eq &= key_eq
+        return lt
+
+    def _sorted(self, batches, keys):
+        """The buffer as one table, its keys and its order to the limit."""
+        table = ObjectTable.concat_all(batches)
+        keys = [np.concatenate(arrays) for arrays in zip(*keys)]
+        return table, keys, _sort_order(keys, self.descending_flags)[: self.limit]
 
     def run(self):
-        batches = [batch for child in self.children for batch in child.output]
-        if not batches:
+        if self.limit == 0:
+            for child in self.children:
+                child.output.cancel()
             return
-        delivered = None
-        for batch in batches:
-            delivered = _merge_delivered(delivered, batch)
-        table = ObjectTable.concat_all(batches)
-        keys = [_per_row(fn, table) for fn in self.key_fns]
-        out = table.take(_sort_order(keys, self.descending_flags))
+        batches = []  # buffered rows, in arrival order
+        keys = []  # each buffered batch's key arrays
+        buffered = 0
+        threshold = None  # key tuple of the current limit-th row
+        delivered = None  # union of the input's delivery annotations
+        for child in self.children:
+            for batch in child.output:
+                delivered = _merge_delivered(delivered, batch)
+                batch_keys = [_per_row(fn, batch) for fn in self.key_fns]
+                if threshold is not None:
+                    mask = self._strictly_before(batch_keys, threshold)
+                    if not mask.any():
+                        continue
+                    batch = batch.take(mask)
+                    batch_keys = [a[mask] for a in batch_keys]
+                batches.append(batch)
+                keys.append(batch_keys)
+                buffered += len(batch)
+                if self.limit is None:
+                    continue
+                self.stats.note_buffered(buffered)
+                if buffered > self.prune_rows:
+                    table, table_keys, order = self._sorted(batches, keys)
+                    threshold = tuple(a[order[-1]] for a in table_keys)
+                    kept = np.sort(order)  # back to arrival order
+                    batches = [table.take(kept)]
+                    keys = [[a[kept] for a in table_keys]]
+                    buffered = self.limit
+        if not batches or (self.limit is not None and buffered == 0):
+            return
+        table, _keys, order = self._sorted(batches, keys)
+        out = table.take(order)
         out.delivered = delivered
         self._emit(out)
 
@@ -650,122 +716,6 @@ class LimitNode(QETNode):
                 child.output.cancel()
                 return
 
-
-class TopKNode(QETNode):
-    """``ORDER BY ... LIMIT k`` fused into one streaming, bounded node.
-
-    Replaces the ``SortNode -> LimitNode`` pipeline breaker for queries
-    that only want the top ``k`` rows: instead of materializing and
-    sorting the full input, the node keeps a candidate buffer that is
-    pruned back to ``k`` rows (stable multi-key selection) whenever it
-    grows past ``prune_rows``, and remembers the current ``k``-th key
-    tuple as a *running threshold* — incoming rows that cannot beat it
-    are dropped with one vectorized comparison before they are ever
-    buffered.  Peak memory is ``O(k + batch)``, not ``O(total rows)``
-    (asserted via ``stats.peak_buffered_rows``).
-
-    Output is row-for-row identical to ``SortNode`` + ``LimitNode``,
-    including tie order: the buffer preserves arrival order between
-    prunes, pruning uses the same stable multi-key ordering as
-    :class:`SortNode` (rows equal on every key keep their input order,
-    DESC reverses value groups, not rows within them), and a late row
-    whose keys *equal* the threshold can never displace an
-    earlier-arrived candidate — so filtering strictly-worse-or-equal
-    rows is exact, not approximate.
-    """
-
-    name = "topk"
-
-    def __init__(
-        self,
-        child,
-        key_fns,
-        descending_flags,
-        limit,
-        prune_rows=None,
-    ):
-        super().__init__((child,))
-        self.key_fns = list(key_fns)
-        self.descending_flags = list(descending_flags)
-        self.limit = int(limit)
-        if prune_rows is None:
-            prune_rows = max(2 * self.limit, 1024)
-        self.prune_rows = max(int(prune_rows), self.limit)
-        self._schema = None
-
-    def _strictly_before(self, keys, bound):
-        """Mask of rows whose key tuple sorts strictly before ``bound``.
-
-        NaN keys follow :func:`_stable_order`'s semantics — a
-        NaN compares as +inf (last ascending, first descending) and ties
-        with other NaNs — so the threshold filter can never drop a row
-        the unfused sort-then-limit plan would have kept.
-        """
-        length = len(keys[0])
-        lt = np.zeros(length, dtype=bool)
-        eq = np.ones(length, dtype=bool)
-        for array, bound_value, descending in zip(
-            keys, bound, self.descending_flags
-        ):
-            is_float = np.issubdtype(array.dtype, np.floating)
-            value_nan = np.isnan(array) if is_float else None
-            bound_nan = is_float and bool(np.isnan(bound_value))
-            if descending:
-                key_lt = array > bound_value
-                if is_float and not bound_nan:
-                    key_lt |= value_nan  # NaN (= +inf) leads a DESC order
-            else:
-                key_lt = array < bound_value
-                if bound_nan:
-                    key_lt |= ~value_nan  # everything precedes NaN ascending
-            key_eq = value_nan if bound_nan else (array == bound_value)
-            lt |= eq & key_lt
-            eq &= key_eq
-        return lt
-
-    def run(self):
-        child = self.children[0]
-        k = self.limit
-        if k == 0:
-            child.output.cancel()
-            return
-        data = None  # candidate rows, in arrival order
-        keys = None  # aligned key arrays
-        threshold = None  # key tuple of the current k-th best candidate
-        delivered = None  # union of the input's delivery annotations
-        for batch in child.output:
-            delivered = _merge_delivered(delivered, batch)
-            if self._schema is None:
-                self._schema = batch.schema
-            batch_keys = [_per_row(fn, batch) for fn in self.key_fns]
-            rows = batch.data
-            if threshold is not None:
-                mask = self._strictly_before(batch_keys, threshold)
-                if not mask.any():
-                    continue
-                rows = take_records(rows, mask)
-                batch_keys = [a[mask] for a in batch_keys]
-            if data is None:
-                data, keys = rows, batch_keys
-            else:
-                data = concat_records([data, rows], data.dtype)
-                keys = [
-                    np.concatenate([a, b]) for a, b in zip(keys, batch_keys)
-                ]
-            self.stats.note_buffered(len(data))
-            if len(data) > self.prune_rows:
-                order = _sort_order(keys, self.descending_flags)
-                worst = order[k - 1]
-                threshold = tuple(a[worst] for a in keys)
-                kept = np.sort(order[:k])  # back to arrival order
-                data = take_records(data, kept)
-                keys = [a[kept] for a in keys]
-        if data is None or len(data) == 0:
-            return
-        order = _sort_order(keys, self.descending_flags)[:k]
-        out = ObjectTable(self._schema, take_records(data, order))
-        out.delivered = delivered
-        self._emit(out)
 
 class FilterNode(QETNode):
     """Row filter over streaming batches (used for HAVING on aggregates)."""

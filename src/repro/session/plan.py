@@ -25,7 +25,6 @@ from repro.query.qet import (
     ProjectNode,
     ScanNode,
     SortNode,
-    TopKNode,
 )
 
 __all__ = ["PlanTree", "plan_tree", "analyzed_plan_tree"]
@@ -93,23 +92,12 @@ def _scan_detail(node):
 def _detail_for(node):
     if isinstance(node, ScanNode):
         return _scan_detail(node)
-    if isinstance(node, TopKNode):
-        return {
-            "limit": node.limit,
-            "keys": len(node.key_fns),
-            "descending": list(node.descending_flags),
-        }
-    if isinstance(node, MergeSortNode):
-        return {
-            "fanout": len(node.children),
-            "keys": len(node.key_fns),
-            "descending": list(node.descending_flags),
-        }
     if isinstance(node, SortNode):
-        return {
-            "keys": len(node.key_fns),
-            "descending": list(node.descending_flags),
-        }
+        detail = {} if node.limit is None else {"limit": node.limit}
+        if isinstance(node, MergeSortNode):
+            detail["fanout"] = len(node.children)
+        detail.update(keys=len(node.key_fns), descending=list(node.descending_flags))
+        return detail
     if isinstance(node, ExchangeNode):
         return {"fanout": len(node.children)}
     if isinstance(node, LimitNode):

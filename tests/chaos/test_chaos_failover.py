@@ -43,7 +43,8 @@ _rng = random.Random(CHAOS_SEED)
 #: (each touches servers 0 and 1 and streams three frames from 1).
 #: Bare LIMIT queries are excluded: LIMIT without ORDER BY legitimately
 #: returns different (correct) rows per run, so there is no row-exact
-#: differential to assert (their failover contract is covered below).
+#: differential to assert — their failover keeps the count and draws
+#: every row from the full answer (:data:`BARE_LIMIT_KILLS`).
 CHAOS_CORPUS = [
     ("SELECT objid FROM photo WHERE mag_r < 20", "rows", _rng.randrange(3)),
     ("SELECT objid, mag_u FROM photo", "rows", _rng.randrange(3)),
@@ -133,11 +134,42 @@ def test_replicated_cluster_without_faults_is_exact(
             assert job.wait(timeout=JOIN_TIMEOUT).value == "done"
             same_rows(local.query_table(query), got, ordered=(mode == "ordered"))
             assert job.io_report()["failovers"] == 0
-        # Bare LIMIT has no row-exact differential, but the count and
-        # the fresh-restart failover strategy still hold fault-free.
+        # Bare LIMIT has no row-exact differential, but the count holds
+        # fault-free.
         job = session.submit("SELECT objid FROM photo LIMIT 40")
         assert len(job.cursor.to_table()) == 40
         assert job.wait(timeout=JOIN_TIMEOUT).value == "done"
+
+
+#: (WHERE, LIMIT) of a bare-LIMIT query whose server 1 dies at its
+#: second frame.  A LIMIT below 0 counts back from the full answer's
+#: size: ``mag_r < 21`` needs all but 10 of its rows, so the coordinator
+#: reads server 1 to the end.  The circle lies in server 1's partition
+#: alone (server 0 is pruned) and streams 265 then 458 rows from it, so
+#: its LIMIT 400 truncates the frame the victim dies at.
+BARE_LIMIT_KILLS = [("mag_r < 21", -10), ("CIRCLE(310, 20, 40)", 400)]
+
+
+@pytest.mark.parametrize("where,limit", BARE_LIMIT_KILLS)
+def test_a_bare_limit_stream_fails_over(local, chaos_cluster, where, limit):
+    """A shard's LIMIT stream resumes from its delivered claim like any
+    other: the replacement segment adds rows disjoint from those
+    delivered and the coordinator's LIMIT caps the sum, so the query
+    completes with exactly LIMIT distinct rows of the full answer."""
+    query = f"SELECT objid, mag_r FROM photo WHERE {where}"
+    full = set(local.query_table(query)["objid"].tolist())
+    limit = limit if limit > 0 else len(full) + limit
+    assert 0 < limit < len(full)
+    faults = _kill_at_batch(1)
+    servers = chaos_cluster({1: faults})
+    with Archive.connect(_urls(servers)) as session:
+        job = session.submit(f"{query} LIMIT {limit}")
+        got = job.cursor.to_table()["objid"].tolist()
+        assert job.wait(timeout=JOIN_TIMEOUT).value == "done"
+    assert faults.fired == [("stream_batch", "crash_server")]
+    assert len(got) == limit == len(set(got))
+    assert set(got) <= full
+    assert job.io_report()["failovers"] >= 1
 
 
 def test_cascading_deaths_fail_with_unrecoverable_ranges(chaos_cluster):

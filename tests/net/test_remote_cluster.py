@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.distributed.routing import route_plan
-from repro.net import ArchiveServer, RemotePartitionedExecutor
+from repro.net import PROTOCOL_VERSION, ArchiveServer, RemotePartitionedExecutor
 from repro.query.optimizer import plan_query, shard_candidates
 from repro.query.parser import parse_query
 from repro.session import Archive
@@ -139,6 +139,24 @@ def test_cluster_rejects_non_shard_endpoints(partitioned_archive):
     with ArchiveServer(archive=partitioned_archive) as server:
         with pytest.raises(ValueError, match="shard-mode"):
             RemotePartitionedExecutor([server.url])
+
+
+def test_cluster_rejects_an_endpoint_of_another_protocol_version(
+    shard_servers, monkeypatch
+):
+    """A shard submit names its SELECT by ``select_index``, which a
+    protocol version may renumber: the coordinator refuses an endpoint
+    of another version at connect, naming it and both versions."""
+    behind = shard_servers[1]
+    real_hello = behind._hello
+    older = PROTOCOL_VERSION - 1
+    monkeypatch.setattr(behind, "_hello", lambda: dict(real_hello(), version=older))
+    url = behind.url
+    with pytest.raises(ValueError) as caught:
+        RemotePartitionedExecutor([server.url for server in shard_servers])
+    message = str(caught.value)
+    assert url in message
+    assert f"version {older}" in message and str(PROTOCOL_VERSION) in message
 
 
 def test_cluster_survives_scale_mismatch_probe(shard_servers):

@@ -9,7 +9,7 @@ Three checks that the AST -> QET decision lives in one module:
 * ``select_index`` numbering — the order ``build_query_tree`` numbers
   the SELECTs of a nested set operation is the order a shard server
   resolves a ``select_index`` in;
-* structure — the set-operation and order/limit nodes are constructed
+* structure — the set-operation, sort and limit nodes are constructed
   nowhere in ``src/repro`` but ``query/physical.py`` (and ``qet.py``);
   trees are started by ``session/core.py`` only, containers are read
   out of a pool by the sweep only, and neither the engines nor the
@@ -227,8 +227,8 @@ PLANNER_ONLY_NODES = {
     "UnionNode",
     "IntersectNode",
     "DifferenceNode",
-    "TopKNode",
     "SortNode",
+    "MergeSortNode",
     "LimitNode",
 }
 
@@ -325,7 +325,7 @@ def test_every_qet_node_runs_on_one_thread():
     from repro.distributed.process import ProcessShardCluster
     from repro.query import QueryEngine
     from repro.query.physical import select_tree
-    from repro.query.qet import AggregateNode, ScanNode, TopKNode
+    from repro.query.qet import AggregateNode, ScanNode, SortNode
     from repro.session import Session
 
     with pytest.raises(ImportError):
@@ -339,7 +339,7 @@ def test_every_qet_node_runs_on_one_thread():
         ProcessShardCluster.from_archive,
         select_tree,
         ScanNode,
-        TopKNode,
+        SortNode,
         AggregateNode,
     ):
         parameters = inspect.signature(entry).parameters
@@ -387,10 +387,12 @@ def test_planning_takes_the_schemas_and_nothing_else():
     import inspect
 
     from repro.distributed.engine import DistributedQueryEngine
+    from repro.net.client import RemoteRootNode
     from repro.net.cluster import RemotePartitionedExecutor
     from repro.query.engine import QueryEngine
     from repro.query.optimizer import QueryPlan, plan_query
     from repro.query.physical import plan_selects, prepare_query
+    from repro.query.qet import SortNode
     from repro.session import Session
 
     def names(entry):
@@ -434,6 +436,26 @@ def test_planning_takes_the_schemas_and_nothing_else():
         "user",
         "token",
         "query_log",
+    ]
+    # ORDER BY with or without LIMIT is one node; a shard leaf fails
+    # over by one rule, whatever its query.
+    assert names(SortNode) == [
+        "child",
+        "key_fns",
+        "descending_flags",
+        "limit",
+        "prune_rows",
+    ]
+    assert names(RemoteRootNode) == [
+        "link",
+        "text",
+        "allow_tag_route",
+        "mode",
+        "select_index",
+        "server_id",
+        "compression",
+        "ranges",
+        "failover",
     ]
     assert names(ArchiveServer) == [
         "backend",

@@ -10,6 +10,8 @@ one source is one SELECT (``repro.query.physical.fuse_set_op``).
   here; shapes the rule leaves alone still build their set node and
   answer the same, and a fused UNION answers row for row as the
   ``UnionNode`` it replaces;
+* refused — a UNION whose sides select different columns is a
+  ``PlanError`` at planning on every backend;
 * one scan — a fused query's EXPLAIN is one scan (or one exchange)
   naming the rule, and the cluster coordinator sends each endpoint one
   shard ``submit`` for it.
@@ -29,7 +31,7 @@ from repro.net import ArchiveServer
 from repro.net.faults import FaultPolicy
 from repro.query import parse_query
 from repro.query.ast_nodes import BinaryOp, Select, UnaryOp
-from repro.query.errors import ExecutionError
+from repro.query.errors import ExecutionError, PlanError
 from repro.query import physical
 from repro.query.parser import parse_expression
 from repro.query.physical import SET_OP_FUSION, fuse_set_op, query_selects
@@ -355,6 +357,25 @@ def test_a_side_without_objid_keeps_its_execution_error(backends, backend):
     assert sessions[backend].explain(text).kind == "intersect"
     with pytest.raises(ExecutionError, match="objid"):
         sessions[backend].query_table(text)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_union_of_different_columns_is_a_plan_error(backends, backend):
+    """Sides whose rows cannot make one table are refused at planning,
+    by EXPLAIN and by a submit alike, naming both column lists — over
+    the wire too, with the error's class."""
+    sessions, _logs = backends
+    session = sessions[backend]
+    for right in ("objid", "objid, mag_g"):
+        text = (
+            "(SELECT objid, mag_r FROM photo WHERE mag_r < 18) UNION "
+            f"(SELECT {right} FROM photo WHERE mag_g < 23)"
+        )
+        with pytest.raises(PlanError, match=r"\['objid <i8', 'mag_r <f4'\] and") as caught:
+            session.explain(text)
+        assert "objid <i8" in str(caught.value).split(" and ")[1]
+        with pytest.raises(PlanError, match="UNION sides select different columns"):
+            session.submit(text)
 
 
 def _rows(table):

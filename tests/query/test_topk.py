@@ -1,13 +1,15 @@
-"""TopKNode: the fused ORDER BY ... LIMIT k must be indistinguishable
-from SortNode -> LimitNode — row for row, ties, DESC stability — while
-holding a bounded candidate buffer instead of the whole input."""
+"""SortNode, with and without a LIMIT, against a reference written
+here: row for row, ties, DESC stability and NaN keys — while a limited
+sort holds a bounded candidate buffer instead of the whole input."""
+
+import math
 
 import numpy as np
 import pytest
 
 from repro.catalog.schema import Field, Schema
 from repro.catalog.table import ObjectTable
-from repro.query.qet import LimitNode, QETNode, SortNode, TopKNode
+from repro.query.qet import MergeSortNode, QETNode, SortNode
 
 SCHEMA = Schema(
     "t",
@@ -59,19 +61,36 @@ def drain_table(batches):
     return ObjectTable.concat_all(batches)
 
 
-def reference_topk(batches, key_fns, descending, k):
-    """The unfused pipeline: full sort, then LIMIT."""
-    node = SortNode(_ListSource(batches), key_fns, descending)
-    node = LimitNode(node, k)
-    return run_tree(node)
+def _sortable(value):
+    """A key value as Python orders it here: NaN after every number
+    (+inf included), all NaNs tied."""
+    value = float(value)
+    return (1, 0.0) if math.isnan(value) else (0, value)
 
 
-def fused_topk(batches, key_fns, descending, k, prune_rows=None):
-    node = TopKNode(
-        _ListSource(batches), key_fns, descending, k, prune_rows=prune_rows
-    )
+def reference_objids(batches, key_fns, descending, k=None):
+    """The objids of ``ORDER BY ... LIMIT k`` over the batches in
+    arrival order, by Python's stable sort: one pass per key from the
+    last, so later keys break ties of earlier ones.  ``reverse=True``
+    keeps equal keys in input order, so a DESC key reverses value
+    groups, not the rows within them."""
+    rows = []
+    for batch in batches:
+        keys = [np.broadcast_to(fn(batch), len(batch)).tolist() for fn in key_fns]
+        rows.extend(zip(batch["objid"].tolist(), zip(*keys)))
+    for position in reversed(range(len(key_fns))):
+        rows.sort(key=lambda row: _sortable(row[1][position]), reverse=descending[position])
+    return [objid for objid, _keys in rows[:k]]
+
+
+def limited_sort(batches, key_fns, descending, k, prune_rows=None):
+    node = SortNode(_ListSource(batches), key_fns, descending, k, prune_rows=prune_rows)
     out = run_tree(node)
     return out, node
+
+
+def objids(batches):
+    return drain_table(batches)["objid"].tolist()
 
 
 KEY_CASES = [
@@ -83,19 +102,42 @@ KEY_CASES = [
 ]
 
 
+def nan_batches(rng, n_rows, n_batches, nan_share):
+    """Batches whose ``a`` key is NaN-heavy (and ties heavily)."""
+    batches = []
+    for i in range(n_batches):
+        a = rng.integers(0, 5, n_rows).astype(np.float64)
+        a[rng.random(n_rows) < nan_share] = np.nan
+        batches.append(
+            ObjectTable.from_columns(
+                SCHEMA,
+                {
+                    "objid": np.arange(i * n_rows, (i + 1) * n_rows, dtype=np.int64),
+                    "a": a,
+                    "b": rng.integers(0, 3, n_rows),
+                },
+            )
+        )
+    return batches
+
+
 class TestTopKEquivalence:
     @pytest.mark.parametrize("key_fns,descending", KEY_CASES)
     @pytest.mark.parametrize("k", [1, 7, 50, 400])
     def test_matches_sort_limit_row_for_row(self, rng, key_fns, descending, k):
         batches = make_batches(rng, n_rows=120, n_batches=6)
-        expected = drain_table(reference_topk(batches, key_fns, descending, k))
-        got_batches, _node = fused_topk(
+        got_batches, _node = limited_sort(
             batches, key_fns, descending, k, prune_rows=2 * k
         )
-        got = drain_table(got_batches)
         # Row-for-row including tie order: objid is unique, so equality
         # of the objid sequence pins the exact stable ordering.
-        assert got.data.tolist() == expected.data.tolist()
+        assert objids(got_batches) == reference_objids(batches, key_fns, descending, k)
+
+    @pytest.mark.parametrize("key_fns,descending", KEY_CASES)
+    def test_unlimited_sort_matches_reference(self, rng, key_fns, descending):
+        batches = make_batches(rng, n_rows=120, n_batches=6)
+        got = run_tree(SortNode(_ListSource(batches), key_fns, descending))
+        assert objids(got) == reference_objids(batches, key_fns, descending)
 
     def test_ties_resolve_by_arrival_order(self, rng):
         """All-equal keys: top-k must be exactly the first k arrivals."""
@@ -111,92 +153,69 @@ class TestTopKEquivalence:
             for i in range(5)
         ]
         for descending in (False, True):
-            got_batches, _node = fused_topk(
+            got_batches, _node = limited_sort(
                 batches, [lambda t: t["a"]], [descending], 13, prune_rows=13
             )
-            got = drain_table(got_batches)
-            assert np.asarray(got["objid"]).tolist() == list(range(13))
+            assert objids(got_batches) == list(range(13))
 
     def test_k_larger_than_input(self, rng):
         batches = make_batches(rng, n_rows=20, n_batches=2)
-        expected = drain_table(
-            reference_topk(batches, [lambda t: t["a"]], [False], 1000)
+        got_batches, _node = limited_sort(batches, [lambda t: t["a"]], [False], 1000)
+        assert objids(got_batches) == reference_objids(
+            batches, [lambda t: t["a"]], [False]
         )
-        got_batches, _node = fused_topk(batches, [lambda t: t["a"]], [False], 1000)
-        assert drain_table(got_batches).data.tolist() == expected.data.tolist()
 
     def test_limit_zero_emits_nothing_and_cancels(self, rng):
         batches = make_batches(rng, n_rows=10, n_batches=2)
         source = _ListSource(batches)
-        node = TopKNode(source, [lambda t: t["a"]], [False], 0)
+        node = SortNode(source, [lambda t: t["a"]], [False], 0)
         assert run_tree(node) == []
         assert source.output.cancelled()
 
     def test_empty_input_emits_nothing(self):
-        got = run_tree(TopKNode(_ListSource([]), [lambda t: t["a"]], [False], 5))
-        assert got == []
+        for limit in (None, 5):
+            node = SortNode(_ListSource([]), [lambda t: t["a"]], [False], limit)
+            assert run_tree(node) == []
+
+    def test_a_limit_names_the_node_topk(self):
+        key_fns, flags = [lambda t: t["a"]], [False]
+        assert SortNode(_ListSource([]), key_fns, flags).name == "sort"
+        assert SortNode(_ListSource([]), key_fns, flags, 3).name == "topk"
+        merge = MergeSortNode([_ListSource([]), _ListSource([])], key_fns, flags)
+        assert merge.name == "merge_sort"
 
 
 class TestTopKNaNKeys:
-    """NaN keys sort as +inf (SortNode's dense-rank semantics) and must
-    survive the running-threshold filter identically in both plans."""
+    """NaN keys sort as +inf, all NaNs tied, and must survive the
+    running-threshold filter."""
 
     @pytest.mark.parametrize("descending", [False, True])
     @pytest.mark.parametrize("k", [3, 12])
     def test_nan_heavy_matches_sort_limit(self, rng, descending, k):
-        batches = []
-        for i in range(6):
-            a = rng.integers(0, 5, 60).astype(np.float64)
-            a[rng.random(60) < 0.3] = np.nan
-            batches.append(
-                ObjectTable.from_columns(
-                    SCHEMA,
-                    {
-                        "objid": np.arange(i * 60, i * 60 + 60, dtype=np.int64),
-                        "a": a,
-                        "b": rng.integers(0, 3, 60),
-                    },
-                )
-            )
+        batches = nan_batches(rng, n_rows=60, n_batches=6, nan_share=0.3)
         key_fns = [lambda t: t["a"], lambda t: t["b"]]
         flags = [descending, not descending]
-        expected = drain_table(reference_topk(batches, key_fns, flags, k))
-        got_batches, _node = fused_topk(
-            batches, key_fns, flags, k, prune_rows=k
-        )
-        got = drain_table(got_batches)
-        assert got["objid"].tolist() == expected["objid"].tolist()
+        got_batches, _node = limited_sort(batches, key_fns, flags, k, prune_rows=k)
+        assert objids(got_batches) == reference_objids(batches, key_fns, flags, k)
 
     def test_fuzz_against_reference(self, rng):
-        """Differential fuzz: random keys (with NaNs), directions and k."""
+        """Differential fuzz: random keys (with NaNs), directions and
+        limits — none included — over one child and over a two-child
+        merge, whose children are drained in child order."""
         for _trial in range(40):
             n_keys = int(rng.integers(1, 3))
-            batches = []
-            for i in range(4):
-                a = rng.integers(0, 4, 50).astype(np.float64)
-                a[rng.random(50) < 0.25] = np.nan
-                batches.append(
-                    ObjectTable.from_columns(
-                        SCHEMA,
-                        {
-                            "objid": np.arange(i * 50, i * 50 + 50, dtype=np.int64),
-                            "a": a,
-                            "b": rng.integers(0, 4, 50),
-                        },
-                    )
-                )
+            batches = nan_batches(rng, n_rows=50, n_batches=4, nan_share=0.25)
             key_fns = [lambda t: t["a"], lambda t: t["b"]][:n_keys]
             flags = [bool(rng.integers(2)) for _ in range(n_keys)]
-            k = int(rng.integers(1, 30))
-            expected = drain_table(reference_topk(batches, key_fns, flags, k))
-            got_batches, _node = fused_topk(
-                batches, key_fns, flags, k, prune_rows=max(k, 8)
+            k = None if rng.random() < 0.3 else int(rng.integers(1, 30))
+            expected = reference_objids(batches, key_fns, flags, k)
+            prune_rows = None if k is None else max(k, 8)
+            got_batches, _node = limited_sort(batches, key_fns, flags, k, prune_rows)
+            assert objids(got_batches) == expected, (flags, k)
+            merge = MergeSortNode(
+                [_ListSource(batches[:2]), _ListSource(batches[2:])], key_fns, flags
             )
-            got = drain_table(got_batches)
-            assert got["objid"].tolist() == expected["objid"].tolist(), (
-                flags,
-                k,
-            )
+            assert objids(run_tree(merge))[:k] == expected, (flags, k)
 
 
 class TestTopKBoundedMemory:
@@ -206,7 +225,7 @@ class TestTopKBoundedMemory:
         n_rows, n_batches, k = 500, 40, 10
         batches = make_batches(rng, n_rows=n_rows, n_batches=n_batches)
         total = n_rows * n_batches
-        _got, node = fused_topk(
+        _got, node = limited_sort(
             batches, [lambda t: t["a"], lambda t: t["b"]], [False, False], k
         )
         peak = node.stats.peak_buffered_rows
@@ -228,9 +247,7 @@ class TestTopKBoundedMemory:
             )
             for i in range(20)
         ]
-        _got, node = fused_topk(
-            batches, [lambda t: t["a"]], [False], k, prune_rows=k
-        )
+        _got, node = limited_sort(batches, [lambda t: t["a"]], [False], k, prune_rows=k)
         # After the first batch is pruned to k, every later (strictly
         # worse) batch contributes nothing to the buffer.
         assert node.stats.peak_buffered_rows <= 100 + k
