@@ -93,6 +93,7 @@ bench-smoke: counters
 		"benchmarks/test_bench_fig4_rangequery.py::test_bench_fig4_query_correctness" \
 		"benchmarks/test_bench_hash_machine.py::test_bench_hash_vs_naive_scaling" \
 		"benchmarks/test_bench_loading.py::test_bench_load_touches" \
+		"benchmarks/test_bench_loading.py::test_bench_load_cost_follows_the_chunk" \
 		"benchmarks/test_bench_qet_streaming.py::test_bench_engine_throughput" \
 		"benchmarks/test_bench_river_sort.py::test_bench_river_commodity_rate_claim" \
 		"benchmarks/test_bench_sampling.py::test_bench_sample_preserves_statistics" \

@@ -92,7 +92,7 @@ def container_split(store, region):
         accepted=0, bisected=0, rejected=0, wholesale=0, point_tested=0, nbytes=0,
         pages=set(),
     )
-    itemsize = store.snapshot.arena.itemsize
+    itemsize = store.snapshot.dtype.itemsize
     page_of = store.snapshot.pages()[0]
     for k, (htm_id, rows) in enumerate(store.container_sizes().items()):
         if coverage.inside.contains(htm_id):

@@ -6,8 +6,9 @@ about 20 GB will be arriving daily. ... Our load design minimizes disk
 accesses, touching each clustering unit at most once during a load."*
 
 Measured: container touches for spatially coherent nightly chunks vs the
-naive per-object insertion count, load throughput, and the simulated
-time to ingest a 20 GB day on 1999 hardware.
+naive per-object insertion count, the bytes one chunk's load copies into
+a store and into one four times larger, load throughput, and the
+simulated time to ingest a 20 GB day on 1999 hardware.
 """
 
 import numpy as np
@@ -15,6 +16,8 @@ import pytest
 
 from conftest import print_table
 from repro.catalog.schema import PHOTO_SCHEMA
+from repro.htm.mesh import lookup_ids_from_vectors
+from repro.storage import containers
 from repro.storage.containers import ContainerStore
 from repro.storage.diskmodel import GB, PAPER_NODE
 from repro.storage.loader import ChunkLoader
@@ -62,6 +65,50 @@ def test_bench_load_touches(benchmark, bench_photo):
     total_savings = sum(r[3] for r in rows) / sum(r[2] for r in rows)
     print(f"aggregate touch savings: {total_savings:.1f}x")
     assert total_savings > 2.0
+
+
+def test_bench_load_cost_follows_the_chunk(benchmark, bench_photo):
+    # A load copies the rows it lands among and the chunk into one new
+    # run and shares the rest of the store, so one coherent chunk (the
+    # rows of one depth-2 trixel) costs the same bytes in a store and in
+    # one four times larger — within two sweep steps, the shortest run
+    # a load leaves — where a whole-store rewrite would cost 4x.
+    coarse = lookup_ids_from_vectors(bench_photo.positions_xyz(), 2)
+    values, counts = np.unique(coarse, return_counts=True)
+    in_chunk = coarse == values[np.argmax(counts)]
+    chunk = bench_photo.select(in_chunk)
+    rest = np.flatnonzero(~in_chunk)
+    sizes = {"1x": rest[::4], "4x": rest}
+
+    def load_into(rows):
+        store = ContainerStore.from_table(bench_photo.take(rows), 5)
+        report = ChunkLoader(store).load_chunk(chunk)
+        return store, report
+
+    benchmark.pedantic(load_into, args=(sizes["4x"],), rounds=2, iterations=1)
+    step = containers.STEP_PAGES * containers.PAGE_BYTES
+    rows, copied = [], []
+    for label, picks in sizes.items():
+        store, report = load_into(picks)
+        copied.append(report.bytes_rewritten)
+        rows.append(
+            (
+                label,
+                len(picks),
+                f"{(store.total_bytes() - chunk.nbytes()) / 1e6:.1f}",
+                len(chunk),
+                f"{report.bytes_rewritten / 1e6:.2f}",
+                f"{store.total_bytes() / 1e6:.2f}",
+                len(store.snapshot.runs),
+            )
+        )
+    print_table(
+        "Claim L1: a load's cost follows the chunk, not the archive",
+        ("store", "rows", "MB", "chunk rows", "MB rewritten", "MB whole store", "runs"),
+        rows,
+    )
+    assert abs(copied[1] - copied[0]) <= 2 * step
+    assert copied[1] < store.total_bytes() / 2  # the 4x store's
 
 
 @pytest.mark.slow

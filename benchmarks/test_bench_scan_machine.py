@@ -82,7 +82,7 @@ def test_bench_scan_machine_behaviour(benchmark, bench_photo_store):
 
     # "the query completes within the scan time" — from its arrival,
     # plus at most one container step of admission granularity.
-    itemsize = bench_photo_store.snapshot.arena.itemsize
+    itemsize = bench_photo_store.snapshot.dtype.itemsize
     max_step = max(
         machine.cluster.scan_seconds(rows * itemsize)
         for rows in bench_photo_store.container_sizes().values()

@@ -55,9 +55,10 @@ def shard_handles(archive):
     One handle per :class:`~repro.storage.cluster.ServerNode`: a dict of
     ``{"depth": int, "sources": {name: ObjectTable}}`` holding exactly
     that shard's rows (every hosted source, tag tables included).  Each
-    table is the store's arena, its rows in container order, so the
-    handle pickles without dragging the parent's stores, sweepers, or
-    buffer pools across the spawn boundary.
+    table is the store's rows in container order (its runs copied into
+    one array when a load left several), so the handle pickles without
+    dragging the parent's stores, sweepers, or buffer pools across the
+    spawn boundary.
     """
     return [
         {

@@ -56,7 +56,7 @@ def _store_bytes_under(store, candidates):
     """Bytes of a store's containers whose ids fall in ``candidates``."""
     snapshot = store.snapshot
     rows = snapshot.sizes[candidates.contains_array(snapshot.ids)].sum()
-    return int(rows) * snapshot.arena.itemsize
+    return int(rows) * snapshot.dtype.itemsize
 
 
 def route_plan(archive, routed_source, candidates):

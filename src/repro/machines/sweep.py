@@ -15,8 +15,8 @@ and completes on wrap-around — N concurrent queries cost one physical
 pass, not N.
 
 Two units meet here.  A *container* — what the sweep steps over and the
-buffer pool accounts — is a page of the store's HTM-sorted arena
-(:data:`~repro.storage.containers.PAGE_BYTES` of it), so a lap costs
+buffer pool accounts — is a page of the store's HTM-sorted rows
+(:data:`~repro.storage.containers.PAGE_BYTES` of them), so a lap costs
 what it reads: a store of narrow tag rows has as many times fewer pages
 as its rows are narrower.  A *trixel* stays the unit of everything that
 decides which rows a subscriber receives: its candidates, its spans, its
@@ -47,7 +47,8 @@ scans ever were:
   in between arithmetically — a lap costs what it delivers plus
   O(cover intervals · log trixels), not one test per trixel.  A
   whole-catalog subscriber wants every trixel, so beside one the sweep
-  walks, ``stride`` pages a step;
+  walks, ``stride`` pages a step (:data:`~repro.storage.containers.STEP_PAGES`,
+  also the shortest run a load leaves);
 * **reads go through the buffer pool** — the sweep accounts each step's
   pages via :meth:`BufferPool.fetch_many
   <repro.storage.buffer.BufferPool.fetch_many>`, one entry per page, so
@@ -78,15 +79,17 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from repro.query.qet import Stream
+from repro.storage.containers import STEP_PAGES
 
 __all__ = ["SweepRun", "SweepScanner", "SweepSubscription", "SweepStats", "SweepStep"]
 
 
 class SweepRun(NamedTuple):
     """One delivery: ``spans`` are ``(k0, k1)`` index ranges of
-    ``snapshot`` in sweep order — trixels ``ids[k0:k1]``, arena rows
-    ``offsets[k0]:offsets[k1]`` — and ``hits`` holds one buffer-pool
-    flag per page those trixels lie in, in the same order."""
+    ``snapshot`` in sweep order — trixels ``ids[k0:k1]``, rows
+    ``offsets[k0]:offsets[k1]``, which may lie in several of its runs —
+    and ``hits`` holds one buffer-pool flag per page those trixels lie
+    in, in the same order."""
 
     snapshot: object
     spans: list
@@ -94,17 +97,17 @@ class SweepRun(NamedTuple):
 
     def containers(self):
         """``(htm_id, rows, from_pool)`` per trixel; ``rows`` is a view
-        of the arena and ``from_pool`` its page's flag."""
-        arena = self.snapshot.arena
+        of the run holding it and ``from_pool`` its page's flag."""
         ids, offsets = self.snapshot.lists()
         page_of = self.snapshot.pages()[0]
         hits = iter(self.hits)
         page = None
-        for k0, k1 in self.spans:
-            for k in range(k0, k1):
-                if page_of[k] != page:
-                    page, from_pool = page_of[k], next(hits)
-                yield ids[k], arena[offsets[k] : offsets[k + 1]], from_pool
+        for run, first, spans in self.snapshot.parts(self.spans):
+            for k0, k1 in spans:
+                for k in range(k0, k1):
+                    if page_of[k] != page:
+                        page, from_pool = page_of[k], next(hits)
+                    yield ids[k], run[offsets[k] - first : offsets[k + 1] - first], from_pool
 
 
 @dataclass
@@ -283,12 +286,8 @@ def _pages(page_of, spans):
 class SweepScanner:
     """Sweeps a container store in a circle for all active subscribers."""
 
-    #: pages advanced per live step: amortizes the lock cycle and queue
-    #: handoff without coarsening join/complete granularity (runs still
-    #: break at wrap boundaries and completion points).  Thirty-two
-    #: 64 KiB pages: ``scan_sweep`` ops/s medians 276, 293, 321, 334 at
-    #: 8, 16, 32, 64 pages, ``cone_search`` 232, 235, 236, 225 (4 seeds)
-    stride = 32
+    #: pages advanced per live step
+    stride = STEP_PAGES
 
     def __init__(self, store, name=None, throttle=0.0):
         self.store = store

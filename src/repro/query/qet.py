@@ -372,20 +372,23 @@ class ScanNode(QETNode):
     predicate pass that tests every delivered row exactly once (its
     spatial terms included, which ``plan.region`` only bounds).
 
-    Delivered containers are **coalesced into execution morsels**: runs
-    accumulate until roughly ``batch_rows`` rows are buffered, then one
-    vectorized predicate pass filters the whole morsel — a view of the
-    store's arena when its containers are consecutive there, else one
+    Delivered containers are **coalesced into execution morsels**:
+    deliveries accumulate until roughly ``batch_rows`` rows are
+    buffered, then one vectorized predicate pass filters the whole
+    morsel.  A morsel never spans two of the store's runs (the node
+    flushes where a delivery crosses into another), so it is a view of
+    its run when its containers are consecutive there, else one
     byte-level gather (``rows_copied``), which the predicate reads in
     place.  The node emits only the plan's ``gathered`` columns of the
     rows that pass — the ones the nodes above it read — one gather per
-    column, all-pass morsels included.  ``SELECT *`` emits whole rows:
-    a morsel every row passes unchanged, so a whole-catalog ``SELECT *``
-    hands out read-only views of the arena and copies no row.  With the
-    archive's many small containers (a handful of rows each) this turns
-    tens of thousands of tiny numpy calls per query into a few dozen
-    large ones; row order is the sweep's delivery order regardless of
-    the morsel size (``batch_rows`` is positive; the engines check it).
+    column, all-pass morsels included.  ``SELECT *`` emits whole rows: a
+    morsel every row passes unchanged, so a whole-catalog ``SELECT *``
+    hands out read-only views of the runs and copies no row, however
+    many loads the store took.  With the archive's many small
+    containers (a handful of rows each) this turns tens of thousands of
+    tiny numpy calls per query into a few dozen large ones; row order is
+    the sweep's delivery order regardless of the morsel size
+    (``batch_rows`` is positive; the engines check it).
 
     The morsel target *ramps up* (``RAMP_ROWS`` rows for the first
     flush, growing 4x per flush until it reaches ``batch_rows``), so the
@@ -473,32 +476,39 @@ class ScanNode(QETNode):
                 return False
         return True
 
-    def _gather(self, run, pieces, buffered):
-        """Add a delivered run to the morsel being built: one arena
-        slice per span, extending the last piece when it follows it.
-        Returns the morsel's new row count."""
-        arena, offsets = run.snapshot.arena, run.snapshot.lists()[1]
-        for k0, k1 in run.spans:
-            lo, hi = offsets[k0], offsets[k1]
-            if pieces and pieces[-1][0] is arena and pieces[-1][2] == lo:
+    @staticmethod
+    def _gather(offsets, run, first, spans, pieces, buffered):
+        """Add spans of one of the store's runs (its rows from ``first``
+        on) to the morsel being built, which holds none of another run:
+        one slice per span, extending the last piece when it follows
+        it.  Returns the morsel's new row count."""
+        for k0, k1 in spans:
+            lo, hi = offsets[k0] - first, offsets[k1] - first
+            if pieces and pieces[-1][2] == lo:
                 pieces[-1][2] = hi
             else:
-                pieces.append([arena, lo, hi])
+                pieces.append([run, lo, hi])
             buffered += hi - lo
         return buffered
 
-    def _grow_claim(self, run):
-        """Claim a delivered run: one interval per span, extending the
-        last interval when the span continues it in the same snapshot.
-        An interval spans ids the snapshot lacks; ids a load adds leave
-        the claim."""
-        (previous, extend), snapshot = self._claim_end, run.snapshot
+    def _follow_claim(self, snapshot):
+        """Read the claim against the snapshot of a new delivery, before
+        anything more is flushed: an interval spans ids the snapshot the
+        scan read before lacked, so ids a load added leave the claim."""
+        previous, extend = self._claim_end
         if snapshot is not previous and previous is not None:
             added = np.setdiff1d(snapshot.ids, previous.ids).tolist()
             kept = RangeSet(self._claim).difference(RangeSet.from_ids(added))
             self._claim, extend = [list(interval) for interval in kept], None
+        self._claim_end = (snapshot, extend)
+
+    def _grow_claim(self, spans):
+        """Claim delivered ``spans`` of the snapshot the claim follows:
+        one interval per span, extending the last interval when the span
+        continues it."""
+        snapshot, extend = self._claim_end
         ids = snapshot.lists()[0]
-        for k0, k1 in run.spans:
+        for k0, k1 in spans:
             if k0 == extend:
                 self._claim[-1][1] = ids[k1 - 1]
             else:
@@ -530,20 +540,33 @@ class ScanNode(QETNode):
         ramp = min(self.RAMP_ROWS, target)
         pieces = []
         buffered = 0
-        for run in subscription:
+
+        def flush():
+            nonlocal pieces, buffered, ramp
+            ok = self._flush(pieces, buffered)
+            pieces, buffered, ramp = [], 0, min(ramp * 4, target)
+            return ok
+
+        for delivery in subscription:
             if self.output.cancelled():
                 return
+            snapshot = delivery.snapshot
+            offsets = snapshot.lists()[1]
             if self.track_delivery:
-                # Every delivered container is accounted for — even
-                # ones whose rows all fail the WHERE, which a resumed
-                # scan would simply find empty again.
-                self._grow_claim(run)
-            buffered = self._gather(run, pieces, buffered)
-            if buffered >= ramp:
-                if not self._flush(pieces, buffered):
+                self._follow_claim(snapshot)
+            for run, first, spans in snapshot.parts(delivery.spans):
+                # A morsel never spans two runs, and a claim covers
+                # only flushed rows, so flush before claiming the next.
+                if pieces and pieces[-1][0] is not run and not flush():
                     return
-                pieces, buffered = [], 0
-                ramp = min(ramp * 4, target)
+                if self.track_delivery:
+                    # Every delivered container is accounted for — even
+                    # ones whose rows all fail the WHERE, which a
+                    # resumed scan would simply find empty again.
+                    self._grow_claim(spans)
+                buffered = self._gather(offsets, run, first, spans, pieces, buffered)
+                if buffered >= ramp and not flush():
+                    return
         if pieces and not self.output.cancelled():
             self._flush(pieces, buffered)
 

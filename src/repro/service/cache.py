@@ -157,8 +157,8 @@ class ResultCache:
         the snapshot at fill time — a difference means a mutation landed
         while the query ran, and the result is not cached rather than
         cached stale.  Oversized results are skipped.  A read-only batch
-        (a view of a store's arena) is copied, so an entry never keeps a
-        superseded arena alive beyond the bytes it counts.
+        (a view of one of a store's runs) is copied, so an entry never
+        keeps a superseded run alive beyond the bytes it counts.
         """
         if generations is None:
             return False

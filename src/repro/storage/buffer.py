@@ -9,8 +9,8 @@ the shared sweep: a byte-budgeted LRU over pages with
 hit/miss/eviction accounting, so every query riding a sweep shares one
 notion of "physically read" vs. "served from memory".
 
-The pool holds no rows (they stay in each store's arena): an entry is a
-container's key — a page of the store's arena, about
+The pool holds no rows (they stay in each store's runs): an entry is a
+container's key — a page of the store's rows in sweep order, about
 :data:`~repro.storage.containers.PAGE_BYTES` of it — and its byte count,
 so the budget models a disk cache: a miss is a simulated physical read
 of the whole page, a hit a page already resident, and a lap over a

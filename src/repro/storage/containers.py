@@ -7,16 +7,24 @@ object satisfies a query, it is likely that some of the object's 'friends'
 will as well."*
 
 A :class:`ContainerStore` clusters an object table by the occupied HTM
-trixels at a chosen depth, stored as clusters: all rows in one **arena**
-sorted by trixel id, under a CSR **index** (the sorted ids and their row
-offsets), so a trixel is a row range and a sweep reads contiguous bytes.
+trixels at a chosen depth, stored as clusters: all rows sorted by
+trixel id under a CSR **index** (the sorted ids and their row offsets),
+so a trixel is a row range and a sweep reads contiguous bytes.  The rows
+themselves are a few immutable **runs**, read-only record arrays that
+each hold whole trixels in sweep order: a build is one run, and a load
+copies only the stretch of rows it lands in (its *extent*) into one new
+run and shares every other run with the state before it, so a load
+costs its chunk, not the archive.  No run is shorter than a sweep step
+(:data:`STEP_PAGES` pages) unless it is the whole store, so a store of
+``bytes`` holds at most ``bytes / (STEP_PAGES * PAGE_BYTES) + 1`` runs.
 The trixel is the unit of the *index* — covers, placement and delivery
 claims name trixels.  The unit of *reading* is a **page**, a fixed
-:data:`PAGE_BYTES` slice of the arena: a trixel belongs to the page its
-arena rows start in, so a store holds about ``bytes / PAGE_BYTES`` pages
-however finely its trixels cut the sky, and a narrow tag store has as
-many times fewer pages as its rows are narrower.  The sweep steps over
-pages and the buffer pool accounts them.
+:data:`PAGE_BYTES` slice of the rows in sweep order (runs do not cut
+pages): a trixel belongs to the page its rows start in, so a store
+holds about ``bytes / PAGE_BYTES`` pages however finely its trixels cut
+the sky, and a narrow tag store has as many times fewer pages as its
+rows are narrower.  The sweep steps over pages and the buffer pool
+accounts them.
 
 ``objid``, the object pointer, is a key of every store whose schema has
 one: a snapshot keeps its values sorted (:attr:`StoreSnapshot.keys`),
@@ -35,24 +43,34 @@ delivered row once, those of inside and bisected trixels alike.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 
 import numpy as np
 
-from repro.catalog.table import ObjectTable, take_records
+from repro.catalog.table import ObjectTable, concat_records, take_records
 from repro.htm.mesh import depth_id_bounds, lookup_ids_from_vectors
 from repro.storage.buffer import BufferPool
 
 __all__ = [
     "PAGE_BYTES",
+    "STEP_PAGES",
     "ContainerStore",
     "StoreSnapshot",
     "DuplicateKeyError",
     "repeated_keys",
 ]
 
-#: bytes of arena per page, the unit the sweep steps over and the buffer
+#: bytes of rows per page, the unit the sweep steps over and the buffer
 #: pool accounts (a trixel larger than a page is one page of its own)
 PAGE_BYTES = 64 * 1024
+
+#: pages a live sweep step reads, and the shortest run a load leaves:
+#: the step amortizes the lock cycle and queue handoff without
+#: coarsening join/complete granularity (steps still break at wrap
+#: boundaries and completion points).  Thirty-two 64 KiB pages:
+#: ``scan_sweep`` ops/s medians 276, 293, 321, 334 at 8, 16, 32, 64
+#: pages, ``cone_search`` 232, 235, 236, 225 (4 seeds)
+STEP_PAGES = 32
 
 
 class DuplicateKeyError(ValueError):
@@ -95,29 +113,51 @@ def _grouped(data, row_ids):
 class StoreSnapshot:
     """One immutable state of a store's rows.
 
-    Trixel ``ids[k]`` owns arena rows ``offsets[k]:offsets[k + 1]``
-    (``sizes[k]`` of them), in load order, and lies in the page those
-    rows start in (:meth:`pages`).  ``keys`` holds the arena's ``objid``
-    values sorted (``None`` for a schema without one).  A mutation
-    builds the next snapshot — a load merges its rows into a new arena
-    and its keys into the sorted ones — and the store swaps it in, so a
-    reader holding one never sees half a load.
+    Trixel ``ids[k]`` owns rows ``offsets[k]:offsets[k + 1]`` (``sizes[k]``
+    of them), in load order, and lies in the page those rows start in
+    (:meth:`pages`).  The rows are the read-only arrays ``runs``, each
+    whole trixels in sweep order: run ``r`` holds trixels
+    ``run_first[r]:run_first[r + 1]``, rows ``run_rows[r]:run_rows[r + 1]``
+    (both lists end with the totals).  ``keys`` holds the ``objid``
+    values sorted (``None`` for a schema without one), and ``rewritten``
+    the bytes making this snapshot copied.  A mutation builds the next
+    snapshot — a load merges its rows into one new run over its extent
+    and its keys into the sorted ones, and shares the other runs — and
+    the store swaps it in, so a reader holding one never sees half a
+    load.
     """
 
-    __slots__ = ("arena", "ids", "offsets", "sizes", "keys", "_lists", "_pages")
+    __slots__ = (
+        "runs",
+        "run_first",
+        "run_rows",
+        "dtype",
+        "ids",
+        "offsets",
+        "sizes",
+        "keys",
+        "rewritten",
+        "_lists",
+        "_pages",
+    )
 
-    def __init__(self, arena, ids, offsets, keys=None):
-        arena.flags.writeable = False  # views of it leave the store
-        self.arena, self.ids, self.offsets, self.keys = arena, ids, offsets, keys
+    def __init__(self, runs, run_first, ids, offsets, keys, rewritten):
+        for run in runs:
+            run.flags.writeable = False  # views of it leave the store
+        self.runs, self.run_first, self.dtype = runs, run_first, runs[0].dtype
+        self.ids, self.offsets, self.keys = ids, offsets, keys
+        self.run_rows = offsets[run_first].tolist()
         self.sizes = np.diff(offsets)
+        self.rewritten = rewritten
         self._lists = self._pages = None
 
     @classmethod
     def build(cls, data, row_ids):
-        """A fresh arena of ``data``: one argsort, one record gather,
-        one sort of the keys."""
+        """One run of ``data``: one argsort, one record gather, one sort
+        of the keys."""
         keys = np.sort(data["objid"]) if "objid" in data.dtype.names else None
-        return cls(*_grouped(data, row_ids), keys)
+        data, ids, offsets = _grouped(data, row_ids)
+        return cls([data], [0, len(ids)], ids, offsets, keys, data.nbytes)
 
     def lists(self):
         """``(ids, offsets)`` as lists, made once, for the sweep."""
@@ -133,7 +173,7 @@ class StoreSnapshot:
         page ``p`` holds trixels ``first[p]:first[p + 1]`` and a span's
         bytes are one subtraction."""
         if self._pages is None:
-            before = self.offsets * self.arena.itemsize
+            before = self.offsets * self.dtype.itemsize
             opens = np.diff(before[:-1] // PAGE_BYTES, prepend=-1) > 0
             self._pages = [
                 (np.cumsum(opens) - 1).tolist(),
@@ -142,25 +182,61 @@ class StoreSnapshot:
             ]
         return self._pages
 
+    def parts(self, spans):
+        """Sorted, disjoint ``(k0, k1)`` trixel index ``spans`` cut at
+        run starts: ``(run, first_row, spans)`` for each run they meet,
+        in order, ``first_row`` the run's first row in the snapshot."""
+        runs = self.runs
+        if len(runs) == 1:
+            return ((runs[0], 0, spans),)
+        first, parts, end = self.run_first, [], 0
+        for k0, k1 in spans:
+            while k0 < k1:
+                if k0 >= end:
+                    r = bisect_right(first, k0) - 1
+                    end = first[r + 1]
+                    parts.append((runs[r], self.run_rows[r], []))
+                parts[-1][2].append((k0, min(k1, end)))
+                k0 = min(k1, end)
+        return parts
+
     def appended(self, data, row_ids):
         """``(next snapshot, touched ids)``: ``data`` grouped by container
-        once and merged into a new arena, each group after its
-        container's rows — one byte copy per run of untouched rows and
-        one per group."""
+        once and merged, each group after its container's rows, with the
+        old rows of the load's extent (:meth:`_extent`) into one new run
+        — one byte copy per stretch of old rows and one per group.  The
+        runs outside the extent are shared, those it cuts as views."""
         data, touched, bounds = _grouped(data, row_ids)
+        if not len(data):
+            return self, touched
         k = np.searchsorted(self.ids, touched)
         held = np.isin(touched, self.ids, assume_unique=True)
+        a, b = self._extent(int(k[0]), int(k[-1] + held[-1]), len(data))
+        rows, offsets = self.run_rows, self.offsets
+        lo, hi = int(offsets[a]), int(offsets[b])
+        run = np.empty(hi - lo + len(data), dtype=data.dtype)
+        out, new, width = run.view(np.uint8), data.view(np.uint8), data.itemsize
+
+        def old(start, stop, to):
+            """Copy stored rows ``start:stop`` to row ``to`` of the run."""
+            while start < stop:
+                r = bisect_right(rows, start) - 1
+                end = min(stop, rows[r + 1])
+                source = self.runs[r].view(np.uint8)
+                out[to * width : (to + end - start) * width] = source[
+                    (start - rows[r]) * width : (end - rows[r]) * width
+                ]
+                to, start = to + end - start, end
+
         # Each group goes where its container's rows end (a new
         # container's at its sorted place).
-        at = self.offsets[k + held].tolist()
-        arena = np.empty(len(self.arena) + len(data), dtype=data.dtype)
-        out, old, new = (a.view(np.uint8) for a in (arena, self.arena, data))
-        width, copied = data.itemsize, 0
-        for a, lo, hi in zip(at, bounds.tolist(), bounds[1:].tolist()):
-            out[(copied + lo) * width : (a + lo) * width] = old[copied * width : a * width]
-            out[(a + lo) * width : (a + hi) * width] = new[lo * width : hi * width]
-            copied = a
-        out[(copied + len(data)) * width :] = old[copied * width :]
+        copied = lo
+        for at, g0, g1 in zip(offsets[k + held].tolist(), bounds.tolist(), bounds[1:].tolist()):
+            old(copied, at, copied - lo + g0)
+            out[(at - lo + g0) * width : (at - lo + g1) * width] = new[g0 * width : g1 * width]
+            copied = at
+        old(copied, hi, copied - lo + len(data))
+
         ids = np.insert(self.ids, k[~held], touched[~held])
         sizes = np.zeros(len(ids), dtype=np.int64)
         sizes[np.searchsorted(ids, self.ids)] = self.sizes
@@ -170,7 +246,62 @@ class StoreSnapshot:
         if keys is not None:
             new = np.sort(data["objid"])
             keys = np.insert(keys, np.searchsorted(keys, new), new)
-        return StoreSnapshot(arena, ids, offsets, keys), touched
+        runs, first = self._around(a, b, run, len(ids) - len(self.ids))
+        return StoreSnapshot(runs, first, ids, offsets, keys, run.nbytes), touched
+
+    def _extent(self, a, b, added):
+        """The old trixel indices ``[a, b)`` a load of ``added`` rows
+        into trixels ``a`` to ``b`` rewrites: ``[a, b)`` widened so that
+        no run it cuts leaves a piece shorter than a sweep step, and the
+        new run is no shorter either (growing by whole trixels, into the
+        rows after it first) unless it is the whole store."""
+        least = -(-STEP_PAGES * PAGE_BYTES // self.dtype.itemsize)  # rows
+        first, rows, offsets, n = self.run_first, self.run_rows, self.offsets, len(self.ids)
+
+        def absorbed(a, b):
+            if a > 0:  # the run holding trixel a - 1, to row offsets[a]
+                r = bisect_right(first, a - 1) - 1
+                if offsets[a] - rows[r] < least:
+                    a = first[r]
+            if b < n:  # the run holding trixel b, from row offsets[b]
+                r = bisect_right(first, b) - 1
+                if rows[r + 1] - offsets[b] < least:
+                    b = first[r + 1]
+            return a, b
+
+        a, b = absorbed(a, b)
+        short = least - (offsets[b] - offsets[a] + added)
+        if short > 0:
+            b = int(np.searchsorted(offsets, offsets[b] + short))
+            if b > n:
+                b = n
+                a = int(np.searchsorted(offsets, offsets[n] + added - least, "right"))
+                a = max(a - 1, 0)
+            a, b = absorbed(a, b)
+        return a, b
+
+    def _around(self, a, b, run, added):
+        """``(runs, run_first)`` with ``run`` in place of old trixels
+        ``[a, b)`` and ``added`` trixels more: the runs before and after
+        shared, a piece of a run the extent cuts as a view of it."""
+        if a == 0 and b == len(self.ids):
+            return [run], [0, b + added]
+        first, rows, offsets = self.run_first, self.run_rows, self.offsets
+        r = bisect_right(first, a) - 1
+        runs, starts = self.runs[:r], first[:r]
+        if offsets[a] > rows[r]:
+            runs.append(self.runs[r][: offsets[a] - rows[r]])
+            starts.append(first[r])
+        runs.append(run)
+        starts.append(a)
+        r = bisect_right(first, b) - 1
+        if offsets[b] > rows[r]:
+            runs.append(self.runs[r][offsets[b] - rows[r] :])
+            starts.append(b + added)
+            r += 1
+        runs.extend(self.runs[r:])
+        starts.extend(f + added for f in first[r:])
+        return runs, starts
 
 
 #: process-wide monotone store ids — identity tokens that (unlike
@@ -183,8 +314,8 @@ _STORE_UIDS = itertools.count(1)
 class ContainerStore:
     """One catalog clustered by its trixels at a fixed container depth.
 
-    The rows are one :class:`StoreSnapshot` (:attr:`snapshot`): the
-    arena and its index.  The API names trixels (``len(store)`` counts
+    The rows are one :class:`StoreSnapshot` (:attr:`snapshot`): its
+    runs and their index.  The API names trixels (``len(store)`` counts
     the occupied ones); queries read their rows as row ranges off the
     shared :class:`~repro.machines.sweep.SweepScanner`
     (:meth:`sweeper`), which steps over the snapshot's pages, each
@@ -220,9 +351,10 @@ class ContainerStore:
         Bumps :attr:`generation` and invalidates the buffer pool from
         the page holding the first of the sorted, touched trixel ids in
         the current snapshot to the end, because every row after a
-        merged group moved (every page when ``htm_ids`` is None) — the
-        single seam both result-cache invalidation and pool invalidation
-        hang off.  Returns the new generation.
+        merged group moved in the page numbering (every page when
+        ``htm_ids`` is None) — the single seam both result-cache
+        invalidation and pool invalidation hang off.  Returns the new
+        generation.
         """
         self.generation += 1
         if htm_ids is None:
@@ -259,14 +391,15 @@ class ContainerStore:
 
     def append(self, table, htm_ids):
         """Add rows, ``htm_ids`` naming each one's trixel: grouped by
-        trixel once and merged into a new arena, each group after its
-        trixel's rows.  Records the mutation — the pages from the first
-        touched trixel's on are invalidated — and returns the touched
-        trixel ids, sorted.  Rows whose ``objid`` the store holds, or
+        trixel once and merged, each group after its trixel's rows, into
+        one new run over the stretch of rows they land in
+        (:meth:`StoreSnapshot.appended`).  Records the mutation — the
+        pages from the first touched trixel's on are invalidated — and
+        returns the touched trixel ids, sorted.  Rows whose ``objid`` the store holds, or
         that repeat one, raise :class:`DuplicateKeyError` and leave the
         store as it was."""
         htm_ids = np.asarray(htm_ids, dtype=np.int64)
-        if table.data.dtype != self.snapshot.arena.dtype or len(htm_ids) != len(table):
+        if table.data.dtype != self.snapshot.dtype or len(htm_ids) != len(table):
             raise ValueError("need rows of the store's schema, one id each")
         if len(htm_ids) and not self._lo <= htm_ids.min() <= htm_ids.max() < self._hi:
             raise ValueError(f"ids are not at container depth {self.depth}")
@@ -279,9 +412,11 @@ class ContainerStore:
     def rows(self, htm_ids=None):
         """``(table, row_ids)``: the rows of the given containers (every
         container by default) and each row's container id, in container
-        order — for moving and shipping data, not for scanning it."""
+        order — for moving and shipping data, not for scanning it (a
+        store of several runs copies them into one table)."""
         snapshot = self.snapshot
-        data = snapshot.arena
+        runs = snapshot.runs
+        data = runs[0] if len(runs) == 1 else concat_records(runs, snapshot.dtype)
         row_ids = np.repeat(snapshot.ids, snapshot.sizes)
         if htm_ids is not None:
             keep = np.isin(row_ids, np.asarray(htm_ids, dtype=np.int64))
@@ -290,7 +425,7 @@ class ContainerStore:
 
     def remove(self, htm_ids):
         """Take trixels out (a rebalance moving them to another server);
-        returns their :meth:`rows`.  Rebuilds the arena from the rest —
+        returns their :meth:`rows`.  Rebuilds one run from the rest —
         an offline operation that moves every page, so the whole
         store's pool entries are invalidated."""
         moved = self.rows(htm_ids)
@@ -301,11 +436,11 @@ class ContainerStore:
 
     def total_objects(self):
         """Objects across all containers."""
-        return len(self.snapshot.arena)
+        return int(self.snapshot.offsets[-1])
 
     def total_bytes(self):
         """Packed bytes across all containers."""
-        return self.total_objects() * self.snapshot.arena.itemsize
+        return self.total_objects() * self.snapshot.dtype.itemsize
 
     def container_sizes(self):
         """``{htm_id: rows}`` for every occupied container."""
@@ -337,5 +472,5 @@ class ContainerStore:
     def __repr__(self):
         return (
             f"ContainerStore(depth={self.depth}, containers={len(self)}, "
-            f"objects={self.total_objects()})"
+            f"objects={self.total_objects()}, runs={len(self.snapshot.runs)})"
         )

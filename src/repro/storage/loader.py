@@ -32,6 +32,9 @@ class LoadReport:
     databases_touched: int = 0
     #: container touches a naive per-object insert would have made
     naive_touches: int = 0
+    #: bytes the load copied: its chunk and the stored rows of its
+    #: extent (the store's other runs are shared, not rewritten)
+    bytes_rewritten: int = 0
 
     def touch_savings(self):
         """Naive touches per actual touch (>> 1 for clustered chunks)."""
@@ -43,8 +46,14 @@ class LoadReport:
 class ChunkLoader:
     """Two-phase loader into a :class:`~repro.storage.containers.ContainerStore`.
 
-    Optionally takes a partition map to report how many servers' databases
-    a load touches (``LoadReport.databases_touched``).
+    A load touches the stretch of the store's rows from its first
+    container to its last (its *extent*, widened so no run it cuts, nor
+    the one it writes, is shorter than a sweep step): it copies those
+    rows and the chunk into one new run and shares the store's other
+    runs, so its cost follows the chunk, not the archive
+    (``LoadReport.bytes_rewritten``).  Optionally takes a partition map
+    to report how many servers' databases a load touches
+    (``LoadReport.databases_touched``).
     """
 
     def __init__(self, store, partition_map=None):
@@ -76,6 +85,7 @@ class ChunkLoader:
         needed = self.store.append(chunk_table, ids)
         report.containers_touched = len(needed)
         report.containers_created = len(self.store) - before
+        report.bytes_rewritten = self.store.snapshot.rewritten
         if self.partition_map is not None:
             servers = {self.partition_map.server_for(cid) for cid in needed}
             report.databases_touched = len(servers)

@@ -210,11 +210,11 @@ class TestShardFailurePropagation:
     """A failing server must fail the query, never shrink the answer."""
 
     class _PoisonArena:
-        """A server's arena: planning reads its index and row width,
-        not its rows, and a scan fails when it slices them."""
+        """A run of a server's rows: planning reads its index and row
+        width, not its rows, and a scan fails when it slices them."""
 
-        def __init__(self, arena):
-            self.dtype, self.itemsize, self._rows = arena.dtype, arena.itemsize, len(arena)
+        def __init__(self, run):
+            self.dtype, self.itemsize, self._rows = run.dtype, run.itemsize, len(run)
 
         def __len__(self):
             return self._rows
@@ -226,7 +226,7 @@ class TestShardFailurePropagation:
     def degraded(self, make_archive):
         archive = make_archive(5)
         snapshot = archive.servers[2].store.snapshot
-        snapshot.arena = self._PoisonArena(snapshot.arena)
+        snapshot.runs = [self._PoisonArena(run) for run in snapshot.runs]
         with Archive.connect(archive=archive) as session:
             yield session
 

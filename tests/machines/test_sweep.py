@@ -572,7 +572,7 @@ class _ModelSweep:
                 self.stats.containers_read += 1
             self.resident.add(page)
         if wanting:
-            self.stats.bytes_swept += size * snapshot.arena.itemsize
+            self.stats.bytes_swept += size * snapshot.dtype.itemsize
         for sub in wanting:
             sub.delivered.append(htm_id)
             if page != sub.page:

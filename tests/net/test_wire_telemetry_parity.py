@@ -126,7 +126,7 @@ def _a_page_per_trixel(snapshot):
     """``StoreSnapshot.pages`` with every trixel a page of its own: the
     unit the golden counts in."""
     n = len(snapshot.ids)
-    before = np.concatenate([[0], np.cumsum(snapshot.sizes)]) * snapshot.arena.itemsize
+    before = np.concatenate([[0], np.cumsum(snapshot.sizes)]) * snapshot.dtype.itemsize
     return [list(range(n)), list(range(n + 1)), before.tolist()]
 
 

@@ -6,7 +6,10 @@ subtracts from the assignment before it re-routes the rest.  The claim
 grows by one interval per span of a delivered run (containers
 consecutive in the store's snapshot), so it spans ids the snapshot does
 not hold; a load can add one of those mid-scan.  Drawn here: stores with
-appended rows, a scan that joins the sweep mid-lap, a load that
+appended rows, a page size so small that an append leaves the store in
+several runs (a sweep step, the shortest run, is a few rows), so one
+delivery can cross from run to run, a scan that joins the sweep mid-lap,
+a load that
 lands between two containers the scan already delivered (plus rows for a
 delivered container), and a second join after the load, which reads the
 grown store like every later step.
@@ -20,6 +23,7 @@ holds every delivered container.
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -32,6 +36,7 @@ from repro.query.optimizer import plan_query
 from repro.query.parser import parse_query
 from repro.query.qet import ScanNode, Stream
 from repro.storage import ContainerStore
+import repro.storage.containers as containers_module
 
 #: the depth-3 container id space
 LO, HI = 8 * 4**3, 16 * 4**3 - 1
@@ -66,6 +71,18 @@ def _kept(plan, schema, rows):
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_a_tracked_scan_claims_exactly_what_is_in_its_stream(photo, data):
+    row = photo.data.dtype.itemsize
+    step_rows = data.draw(st.sampled_from([1, 2, 5, None]), label="step_rows")
+    page_bytes = (
+        containers_module.PAGE_BYTES
+        if step_rows is None
+        else -(-step_rows * row // containers_module.STEP_PAGES)
+    )
+    with mock.patch.object(containers_module, "PAGE_BYTES", page_bytes):
+        _claims_exactly(photo, data)
+
+
+def _claims_exactly(photo, data):
     store = ContainerStore.from_table(photo.take(np.arange(160)), depth=3)
     ids = store.occupied_ids()
     appended = data.draw(st.lists(st.sampled_from(ids), max_size=4), label="appended")

@@ -20,6 +20,13 @@ from repro.service import ResultCache, ServiceTier
 from repro.session import Archive
 from repro.storage.loader import ChunkLoader
 
+
+def _owner(array):
+    """The array that owns ``array``'s memory."""
+    while array.base is not None:
+        array = array.base
+    return array
+
 QUERY = "SELECT objid, mag_r FROM photo WHERE mag_r < 16"
 
 # Representative shapes: filter, projection+arithmetic, geometry,
@@ -196,19 +203,26 @@ class TestSessionCache:
         self, cached_session, fresh_stores, tier, photo
     ):
         # A scan whose WHERE passes every row hands out views of the
-        # arena; the cached entry holds copies, so a load that merges
-        # into a new arena lets the old one go.
+        # store's runs; the cached entry holds copies, so a load that
+        # rewrites a run lets the memory under it go.
         store = fresh_stores["photo"]
-        arena = weakref.ref(store.snapshot.arena)
+        held = store.snapshot.runs
         job = cached_session.submit("SELECT * FROM photo")
         assert len(job.cursor.to_table()) == len(photo)
         assert len(tier.cache) == 1
         chunk = photo.take(np.arange(10))
         chunk.data["objid"] += photo["objid"].max()  # new objects
         ChunkLoader(store).load_chunk(chunk)
-        del job
+        runs = store.snapshot.runs
+        superseded = [
+            weakref.ref(_owner(run))
+            for run in held
+            if not any(np.shares_memory(run, kept) for kept in runs)
+        ]
+        assert superseded
+        del job, held
         gc.collect()
-        assert arena() is None
+        assert all(arena() is None for arena in superseded)
 
     def test_batch_class_also_cached(self, cached_session, same_rows):
         baseline = cached_session.execute(QUERY).to_table()

@@ -52,15 +52,16 @@ class TestClustering:
 
     def test_the_arena_is_sorted_and_indexed(self, photo, photo_store):
         snapshot = photo_store.snapshot
+        (arena,) = snapshot.runs  # a build is one run
         row_ids = lookup_ids_from_vectors(
-            np.stack([snapshot.arena[c] for c in ("cx", "cy", "cz")], axis=-1),
+            np.stack([arena[c] for c in ("cx", "cy", "cz")], axis=-1),
             photo_store.depth,
         )
         assert (np.diff(row_ids) >= 0).all()
         np.testing.assert_array_equal(
             np.repeat(snapshot.ids, np.diff(snapshot.offsets)), row_ids
         )
-        assert not snapshot.arena.flags.writeable
+        assert not arena.flags.writeable
 
     def test_append_to_an_empty_store(self):
         store = ContainerStore(PHOTO_SCHEMA, 5)
@@ -102,17 +103,19 @@ class TestMerge:
         row_ids = [ids[1]] * 2 + [added] * 3
         store.append(photo.take(np.arange(80, 85)), row_ids)
         snapshot = store.snapshot
+        # A store smaller than a sweep step is one run, rewritten whole.
+        (arena,), (held,) = snapshot.runs, before.runs
         # The held snapshot is untouched; the new one is the arena a
         # fresh build of the same rows in load order makes.
-        assert snapshot.arena is not before.arena and len(before.arena) == 80
+        assert arena is not held and len(held) == 80
         fresh = containers_module.StoreSnapshot.build(
-            np.concatenate([before.arena, photo.data[80:85]]),
+            np.concatenate([held, photo.data[80:85]]),
             np.concatenate([before.ids.repeat(before.sizes), row_ids]),
         )
-        assert snapshot.arena.tobytes() == fresh.arena.tobytes()
+        assert arena.tobytes() == fresh.runs[0].tobytes()
         np.testing.assert_array_equal(snapshot.ids, fresh.ids)
         np.testing.assert_array_equal(snapshot.offsets, fresh.offsets)
-        assert not snapshot.arena.flags.writeable
+        assert not arena.flags.writeable
 
     def test_each_group_follows_its_containers_rows(self, photo):
         store, added = _store_with_appends(photo)
@@ -251,14 +254,18 @@ class TestQuerying:
             return contains(region, xyz)
 
         delivered_ids = []
-        gather = ScanNode._gather
+        consume = ScanNode._consume
 
-        def recording(node, run, pieces, buffered):
-            delivered_ids.extend(htm_id for htm_id, _rows, _hit in run.containers())
-            return gather(node, run, pieces, buffered)
+        def recording(node, subscription):
+            def deliveries():
+                for run in subscription:
+                    delivered_ids.extend(h for h, _rows, _hit in run.containers())
+                    yield run
+
+            return consume(node, deliveries())
 
         monkeypatch.setattr(Region, "contains", counting)
-        monkeypatch.setattr(ScanNode, "_gather", recording)
+        monkeypatch.setattr(ScanNode, "_consume", recording)
         cursor = session.execute("SELECT * FROM photo WHERE CIRCLE(40, 30, 12)")
         result = cursor.to_table()
         monkeypatch.undo()

@@ -75,7 +75,7 @@ class TestStore:
         np.testing.assert_array_equal(store.snapshot.keys, np.sort(photo["objid"][:300]))
         store.remove(store.occupied_ids()[:3])
         np.testing.assert_array_equal(
-            store.snapshot.keys, np.sort(store.snapshot.arena["objid"])
+            store.snapshot.keys, np.sort(store.rows()[0]["objid"])
         )
 
     def test_a_schema_without_objid_keeps_no_keys(self, photo):

@@ -257,6 +257,11 @@ class TestStoreAgainstModel:
         model.check()
 
 
+def _a_runs_view(data, snapshot):
+    """Whether ``data`` is a view of one of the snapshot's runs."""
+    return any(np.shares_memory(data, run) for run in snapshot.runs)
+
+
 class TestArenaViews:
     def _morsels(self, monkeypatch):
         seen = []
@@ -277,21 +282,28 @@ class TestArenaViews:
             assert len(cursor.to_table()) == len(photo)
             stats = cursor.node_stats()
         assert len(morsels) > 1
-        assert all(np.shares_memory(m.data, store.snapshot.arena) for m in morsels)
+        assert all(_a_runs_view(m.data, store.snapshot) for m in morsels)
         assert sum(s.rows_copied for s in stats.values()) == 0
 
     def test_a_loaded_stores_whole_catalog_scan_copies_no_row(self, photo, monkeypatch):
+        # Four-row pages, so a sweep step, the shortest run, is 128 rows
+        # and each spatially coherent chunk leaves the store more runs.
+        monkeypatch.setattr(containers_module, "PAGE_BYTES", 4 * photo.data.dtype.itemsize)
         store = ContainerStore.from_table(photo, depth=5)
-        chunk = photo.take(np.arange(0, len(photo), 7))
+        picks = np.arange(0, len(photo), 7)
+        chunk = photo.take(picks[np.argsort(photo["htmid"][picks], kind="stable")])
         chunk.data["objid"] += photo["objid"].max()  # new objects
-        ChunkLoader(store).load_chunk(chunk)
+        loader = ChunkLoader(store)
+        for rows in np.array_split(np.arange(len(chunk)), 4):
+            loader.load_chunk(chunk.take(rows))
+        assert len(store.snapshot.runs) > 2
         morsels = self._morsels(monkeypatch)
         with Archive.connect(stores={"photo": store}) as session:
             cursor = session.execute("SELECT objid FROM photo")
             got = cursor.to_table()
             copied = sum(s.rows_copied for s in cursor.node_stats().values())
         assert copied == 0
-        assert all(np.shares_memory(m.data, store.snapshot.arena) for m in morsels)
+        assert all(_a_runs_view(m.data, store.snapshot) for m in morsels)
         expected = np.concatenate([photo["objid"], chunk["objid"]])
         np.testing.assert_array_equal(np.sort(got["objid"]), np.sort(expected))
 
@@ -301,7 +313,7 @@ class TestArenaViews:
             batches = list(session.execute("SELECT * FROM photo"))
         assert sum(len(b) for b in batches) == len(photo) and len(batches) > 1
         for batch in batches:
-            assert np.shares_memory(batch.data, store.snapshot.arena)
+            assert _a_runs_view(batch.data, store.snapshot)
             assert not batch.data.flags.writeable
 
     def test_a_region_that_drops_trixels_inside_a_run_is_gathered_and_counted(self, photo):
