@@ -160,7 +160,7 @@ def _bench_concurrent(photo):
     # A container is a page of the store's arena (the unit the pool
     # counts), so a single sweep physically reads each page once.
     store = ContainerStore.from_table(photo, depth=5)
-    n_containers = len(store.snapshot.pages()[1]) - 1
+    n_containers = len(store.snapshot.pages())
     with Archive.connect(stores={"photo": store}) as session:
         started = time.perf_counter()
         jobs = [

@@ -93,7 +93,6 @@ def container_split(store, region):
         pages=set(),
     )
     itemsize = store.snapshot.dtype.itemsize
-    page_of = store.snapshot.pages()[0]
     for k, (htm_id, rows) in enumerate(store.container_sizes().items()):
         if coverage.inside.contains(htm_id):
             split.accepted += 1
@@ -105,7 +104,7 @@ def container_split(store, region):
             split.rejected += 1
             continue
         split.nbytes += rows * itemsize
-        split.pages.add(page_of[k])
+        split.pages.update(store.snapshot.pages_of(k, k + 1))
     return split
 
 

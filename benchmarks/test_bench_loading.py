@@ -7,8 +7,9 @@ accesses, touching each clustering unit at most once during a load."*
 
 Measured: container touches for spatially coherent nightly chunks vs the
 naive per-object insertion count, the bytes one chunk's load copies into
-a store and into one four times larger, load throughput, and the
-simulated time to ingest a 20 GB day on 1999 hardware.
+a store and into one four times larger and the buffer-pool pages it
+invalidates there, load throughput, and the simulated time to ingest a
+20 GB day on 1999 hardware.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from conftest import print_table
 from repro.catalog.schema import PHOTO_SCHEMA
 from repro.htm.mesh import lookup_ids_from_vectors
+from repro.machines.sweep import SweepScanner
 from repro.storage import containers
 from repro.storage.containers import ContainerStore
 from repro.storage.diskmodel import GB, PAPER_NODE
@@ -72,7 +74,10 @@ def test_bench_load_cost_follows_the_chunk(benchmark, bench_photo):
     # run and shares the rest of the store, so one coherent chunk (the
     # rows of one depth-2 trixel) costs the same bytes in a store and in
     # one four times larger — within two sweep steps, the shortest run
-    # a load leaves — where a whole-store rewrite would cost 4x.
+    # a load leaves — where a whole-store rewrite would cost 4x.  The
+    # shared runs keep their pages, so after a lap has filled the pool
+    # the load invalidates only the pages of the rows it rewrote: as
+    # many in either store, within one step's pages.
     coarse = lookup_ids_from_vectors(bench_photo.positions_xyz(), 2)
     values, counts = np.unique(coarse, return_counts=True)
     in_chunk = coarse == values[np.argmax(counts)]
@@ -82,15 +87,20 @@ def test_bench_load_cost_follows_the_chunk(benchmark, bench_photo):
 
     def load_into(rows):
         store = ContainerStore.from_table(bench_photo.take(rows), 5)
+        scanner = SweepScanner(store)  # one lap: every page resident
+        scanner.attach(sink=lambda _run: True)
+        while scanner.step(containers.STEP_PAGES) is not None:
+            pass
         report = ChunkLoader(store).load_chunk(chunk)
         return store, report
 
     benchmark.pedantic(load_into, args=(sizes["4x"],), rounds=2, iterations=1)
     step = containers.STEP_PAGES * containers.PAGE_BYTES
-    rows, copied = [], []
+    rows, copied, invalidated = [], [], []
     for label, picks in sizes.items():
         store, report = load_into(picks)
         copied.append(report.bytes_rewritten)
+        invalidated.append(store.buffer_pool.stats.invalidations)
         rows.append(
             (
                 label,
@@ -100,15 +110,28 @@ def test_bench_load_cost_follows_the_chunk(benchmark, bench_photo):
                 f"{report.bytes_rewritten / 1e6:.2f}",
                 f"{store.total_bytes() / 1e6:.2f}",
                 len(store.snapshot.runs),
+                invalidated[-1],
+                len(store.snapshot.pages()),
             )
         )
     print_table(
         "Claim L1: a load's cost follows the chunk, not the archive",
-        ("store", "rows", "MB", "chunk rows", "MB rewritten", "MB whole store", "runs"),
+        (
+            "store",
+            "rows",
+            "MB",
+            "chunk rows",
+            "MB rewritten",
+            "MB whole store",
+            "runs",
+            "pages invalidated",
+            "pages",
+        ),
         rows,
     )
     assert abs(copied[1] - copied[0]) <= 2 * step
     assert copied[1] < store.total_bytes() / 2  # the 4x store's
+    assert 0 < invalidated[0] and abs(invalidated[1] - invalidated[0]) <= containers.STEP_PAGES
 
 
 @pytest.mark.slow

@@ -40,7 +40,7 @@ def paced(session):
     sweepers = [store.sweeper() for store in stores]
     saved = [sweeper.throttle for sweeper in sweepers]
     for store, sweeper in zip(stores, sweepers):
-        n_pages = len(store.snapshot.pages()[1]) - 1
+        n_pages = len(store.snapshot.pages())
         sweeper.throttle = max(0.5 / max(n_pages, 1), 0.00005)
     try:
         yield

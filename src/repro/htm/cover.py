@@ -83,7 +83,10 @@ def _cap_boundary_points(halfspace, m):
     n = halfspace.normal
     c = halfspace.offset
     n_dot_m = float(np.dot(n, m))
-    denom = 1.0 - n_dot_m * n_dot_m
+    # |n x m|^2, which is 1 - (n.m)^2 for unit n and m but does not
+    # cancel when the two circles nearly parallel each other.
+    normal = cross3(n, m)
+    denom = float(np.dot(normal, normal))
     if denom <= 1e-15:
         # Edge circle parallel to cap boundary: either identical (grazing)
         # or disjoint; no transversal crossing either way.
@@ -98,7 +101,7 @@ def _cap_boundary_points(halfspace, m):
     if gamma_sq < 0.0:
         return ()
     gamma = math.sqrt(gamma_sq)
-    direction = cross3(n, m) / math.sqrt(denom)
+    direction = normal / math.sqrt(denom)
     return tuple(base + sign * gamma * direction for sign in (1.0, -1.0))
 
 
@@ -221,12 +224,13 @@ def _cap_boundary_points_rows(halfspace, m):
     # cap's, no real solution) this computes inf or NaN, masked out.
     with np.errstate(divide="ignore", invalid="ignore"):
         n_dot_m = np.vecdot(n, m)
-        denom = 1.0 - n_dot_m * n_dot_m
+        normal = cross(n, m)
+        denom = np.vecdot(normal, normal)
         alpha = c / denom
         beta = -c * n_dot_m / denom
         base = alpha[..., None] * n + beta[..., None] * m
         gamma_sq = 1.0 - np.vecdot(base, base)
-        direction = cross(n, m) / np.sqrt(denom)[..., None]
+        direction = normal / np.sqrt(denom)[..., None]
         points = base + (_SIGNS * np.sqrt(gamma_sq))[..., None] * direction
     return points, (denom > 1e-15) & (gamma_sq >= 0.0)
 

@@ -183,8 +183,6 @@ class ScanMachine:
     def full_scan_seconds(self):
         """Simulated time for one complete sweep of the store: one
         charge per page."""
-        _page_of, first, before = self.store.snapshot.pages()
         return sum(
-            self.cluster.scan_seconds(before[b] - before[a])
-            for a, b in zip(first, first[1:])
+            self.cluster.scan_seconds(nbytes) for _page, nbytes in self.store.snapshot.pages()
         )

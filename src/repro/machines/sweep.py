@@ -15,12 +15,16 @@ and completes on wrap-around — N concurrent queries cost one physical
 pass, not N.
 
 Two units meet here.  A *container* — what the sweep steps over and the
-buffer pool accounts — is a page of the store's HTM-sorted rows
-(:data:`~repro.storage.containers.PAGE_BYTES` of them), so a lap costs
-what it reads: a store of narrow tag rows has as many times fewer pages
-as its rows are narrower.  A *trixel* stays the unit of everything that
-decides which rows a subscriber receives: its candidates, its spans, its
-start and the delivery claims built from them.
+buffer pool accounts — is a page of one of the store's runs
+(:data:`~repro.storage.containers.PAGE_BYTES` of its HTM-sorted rows,
+numbered within the run and keyed by the run's token plus that number),
+so a lap costs what it reads: a store of narrow tag rows has as many
+times fewer pages as its rows are narrower.  A *trixel* stays the unit of
+everything that decides which rows a subscriber receives: its
+candidates, its spans, its start and the delivery claims built from
+them.  The sweep addresses a trixel as ``(r, j)``: window ``r`` of the
+snapshot's runs and index ``j`` of that run's own lists, made once when
+the run was written, so a load costs the sweep no index rebuild.
 
 The sweep's position is a trixel id, read against whatever
 :class:`~repro.storage.containers.StoreSnapshot` the store holds at
@@ -85,11 +89,11 @@ __all__ = ["SweepRun", "SweepScanner", "SweepSubscription", "SweepStats", "Sweep
 
 
 class SweepRun(NamedTuple):
-    """One delivery: ``spans`` are ``(k0, k1)`` index ranges of
-    ``snapshot`` in sweep order — trixels ``ids[k0:k1]``, rows
-    ``offsets[k0]:offsets[k1]``, which may lie in several of its runs —
-    and ``hits`` holds one buffer-pool flag per page those trixels lie
-    in, in the same order."""
+    """One delivery: ``spans`` are ``(r, k0, k1)`` index ranges of
+    ``snapshot`` in sweep order — trixels ``id_list[k0:k1]`` of window
+    ``r``'s run, rows ``offset_list[k0]:offset_list[k1]`` of its
+    ``data`` — and ``hits`` holds one buffer-pool flag per page those
+    trixels lie in, in the same order."""
 
     snapshot: object
     spans: list
@@ -98,16 +102,16 @@ class SweepRun(NamedTuple):
     def containers(self):
         """``(htm_id, rows, from_pool)`` per trixel; ``rows`` is a view
         of the run holding it and ``from_pool`` its page's flag."""
-        ids, offsets = self.snapshot.lists()
-        page_of = self.snapshot.pages()[0]
+        runs = self.snapshot.runs
         hits = iter(self.hits)
         page = None
-        for run, first, spans in self.snapshot.parts(self.spans):
-            for k0, k1 in spans:
-                for k in range(k0, k1):
-                    if page_of[k] != page:
-                        page, from_pool = page_of[k], next(hits)
-                    yield ids[k], run[offsets[k] - first : offsets[k + 1] - first], from_pool
+        for r, k0, k1 in self.spans:
+            run = runs[r]
+            ids, offsets, page_of, data = run.id_list, run.offset_list, run.page_of, run.data
+            for k in range(k0, k1):
+                if run.token + page_of[k] != page:
+                    page, from_pool = run.token + page_of[k], next(hits)
+                yield ids[k], data[offsets[k] : offsets[k + 1]], from_pool
 
 
 @dataclass
@@ -145,7 +149,8 @@ class SweepStats:
 class SweepStep:
     """What one :meth:`SweepScanner.step` did (a run of pages)."""
 
-    #: pages read this step, in sweep order (one buffer-pool access each)
+    #: pages read this step, their pool keys in sweep order (one
+    #: buffer-pool access each)
     pages: list
     #: bytes of the trixels pumped (0 when no subscriber wanted any)
     nbytes: int
@@ -208,6 +213,18 @@ class SweepSubscription:
 
     # -- scanner side ---------------------------------------------------
 
+    def _wanted(self, runs, start, stop):
+        """Yield the ``(r, a, b)`` spans from position ``start`` to
+        ``stop`` this subscription wants, window by window
+        (:meth:`_spans` of each run's ids)."""
+        r, a = start
+        while (r, a) < stop:
+            run = runs[r]
+            for lo, hi in self._spans(run.id_list, a, stop[1] if r == stop[0] else run.hi):
+                yield r, lo, hi
+            r += 1
+            a = runs[r].lo if r < len(runs) else 0
+
     def _spans(self, ids, start, stop):
         """Yield the ``(a, b)`` index spans of ``ids[start:stop]`` this
         subscription wants, in order: the whole range without
@@ -260,26 +277,55 @@ class SweepSubscription:
 _HIGH = itemgetter(1)
 
 
+def _position(runs, htm_id):
+    """``(r, j)``: where the first trixel at or after ``htm_id`` lies —
+    window ``r``, index ``j`` of its run's lists — or ``(len(runs), 0)``
+    past the last."""
+    for r, run in enumerate(runs):
+        ids = run.id_list
+        if ids[run.hi - 1] >= htm_id:
+            return r, bisect_left(ids, htm_id, run.lo, run.hi)
+    return len(runs), 0
+
+
+def _passed(runs, start, stop):
+    """How many pages the positions from ``start`` to ``stop`` lie in
+    (``(len(runs), 0)`` is the end), window by window."""
+    (r, a), passed = start, 0
+    while (r, a) < stop:
+        run = runs[r]
+        passed += run.page_of[(stop[1] if r == stop[0] else run.hi) - 1] - run.page_of[a] + 1
+        r += 1
+        a = runs[r].lo if r < len(runs) else 0
+    return passed
+
+
 def _union(span_lists):
     """The sorted union of several subscribers' spans, overlaps merged."""
     union = []
-    for a, b in sorted(span for spans in span_lists for span in spans):
-        if union and a <= union[-1][1]:
-            union[-1][1] = max(union[-1][1], b)
+    for r, a, b in sorted(span for spans in span_lists for span in spans):
+        if union and union[-1][0] == r and a <= union[-1][2]:
+            union[-1][2] = max(union[-1][2], b)
         else:
-            union.append([a, b])
+            union.append([r, a, b])
     return union
 
 
-def _pages(page_of, spans):
-    """The pages sorted, disjoint ``spans`` lie in, each once, in order
-    (a page's trixels are consecutive, so a span's pages are a range)."""
+def _pages(runs, spans, nbytes=None):
+    """The pool keys (run token + page) of the pages sorted, disjoint
+    ``spans`` lie in, each once, in order (a page's trixels are
+    consecutive, so a span's pages are a range); each page's bytes are
+    appended to ``nbytes`` when it is given."""
     pages = []
-    for a, b in spans:
-        lo = page_of[a]
-        if pages and pages[-1] == lo:
+    for r, a, b in spans:
+        run = runs[r]
+        page_of, token = run.page_of, run.token
+        lo, hi = page_of[a], page_of[b - 1] + 1
+        if pages and pages[-1] == token + lo:
             lo += 1
-        pages.extend(range(lo, page_of[b - 1] + 1))
+        pages.extend(range(token + lo, token + hi))
+        if nbytes is not None:
+            nbytes.extend(run.page_bytes[lo:hi])
     return pages
 
 
@@ -427,58 +473,56 @@ class SweepScanner:
                 return None
             subs = list(self._subs)
             snapshot = self.store.snapshot
-            ids = snapshot.lists()[0]
-            page_of, page_first, before = snapshot.pages()
+            runs = snapshot.runs
             lap = self.stats.laps
-            start = bisect_left(ids, self._cursor)
+            start = _position(runs, self._cursor)
             # No further than the lap's end or the first start the sweep
             # comes back to in this lap.
             ends = [end for end_lap, end in (s._end for s in subs) if end_lap == lap]
-            stop = bisect_left(ids, min(ends), start) if ends else len(ids)
+            stop = (len(runs), 0)
+            if ends:
+                stop = max(start, _position(runs, min(ends)))
             first = stop
             for sub in subs:
                 # Never past ``first``: each subscriber searches only up
                 # to the nearest wanted trixel found so far.
-                first = next(sub._spans(ids, start, first), (first,))[0]
+                first = next(sub._wanted(runs, start, first), first)[:2]
             end = stop
             if first < stop:
-                last = min(page_of[first] + int(stride), len(page_first) - 1)
-                end = min(page_first[last], stop)
+                end = min(_after_pages(runs, first, int(stride)), stop)
             # Advance before delivering: a subscriber joining during the
             # deliveries starts at the run end and still sees every
             # trixel exactly once on wrap-around.
-            wrapped = end == len(ids)
+            wrapped = end[0] == len(runs)
             if wrapped:
                 self.stats.laps += 1
                 self._cursor = 0
             else:
-                self._cursor = ids[end]
+                self._cursor = runs[end[0]].id_list[end[1]]
             position = (self.stats.laps, self._cursor)
 
         # Each subscriber's spans of the run, and one pool read per page
         # of their union, all in the one snapshot.
-        wanting = [(s, list(s._spans(ids, first, end))) for s in subs if not s.done]
+        wanting = [(s, list(s._wanted(runs, first, end))) for s in subs if not s.done]
         union = _union(spans for _sub, spans in wanting)
-        pages = _pages(page_of, union)
+        sizes = []
+        pages = _pages(runs, union, sizes)
         flags = (
-            self.store.buffer_pool.fetch_many(
-                self.store,
-                [(p, before[page_first[p + 1]] - before[page_first[p]]) for p in pages],
-            )
+            self.store.buffer_pool.fetch_many(self.store, list(zip(pages, sizes)))
             if pages
             else []
         )
         hit = dict(zip(pages, flags))
         pooled = sum(flags)
-        nbytes = sum(before[b] - before[a] for a, b in union)
+        nbytes = sum(runs[r].before[b] - runs[r].before[a] for r, a, b in union)
 
         # Pages the step passed, the jumped-over ones included.
-        advanced = page_of[end - 1] - page_of[start] + 1 if end > start else 0
+        advanced = _passed(runs, start, end)
         deliveries = 0
         for sub, spans in wanting:
             if sub.done:
                 continue
-            mine = [hit[p] for p in _pages(page_of, spans)]
+            mine = [hit[p] for p in _pages(runs, spans)]
             if spans and sub._deliver_run(SweepRun(snapshot, spans, mine)):
                 deliveries += len(mine)
             if not sub.done:
@@ -544,6 +588,24 @@ class SweepScanner:
             f"active={self.active_subscriptions()}, "
             f"sharing={self.stats.sharing_factor():.2f})"
         )
+
+
+def _after_pages(runs, position, stride):
+    """The position ``stride`` pages on from the start of the page
+    ``position`` lies in, across windows (``(len(runs), 0)`` at most)."""
+    r, j = position
+    run = runs[r]
+    page = run.page_of[j]
+    while True:
+        last = run.page_of[run.hi - 1]
+        if page + stride <= last:
+            return r, run.page_first[page + stride]
+        stride -= last - page + 1
+        r += 1
+        if r == len(runs):
+            return r, 0
+        run = runs[r]
+        page = run.page_of[run.lo]
 
 
 def _sweep_while_reachable(ref, cond):

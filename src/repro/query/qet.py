@@ -27,6 +27,7 @@ refuses one whose output columns differ).  The paper's sort node is one
 
 from __future__ import annotations
 
+import itertools
 import operator
 import queue
 import threading
@@ -477,43 +478,48 @@ class ScanNode(QETNode):
         return True
 
     @staticmethod
-    def _gather(offsets, run, first, spans, pieces, buffered):
-        """Add spans of one of the store's runs (its rows from ``first``
-        on) to the morsel being built, which holds none of another run:
-        one slice per span, extending the last piece when it follows
-        it.  Returns the morsel's new row count."""
-        for k0, k1 in spans:
-            lo, hi = offsets[k0] - first, offsets[k1] - first
+    def _gather(run, spans, pieces, buffered):
+        """Add ``(r, k0, k1)`` spans of one of the store's runs to the
+        morsel being built, which holds none of another run: one slice
+        of its records per span, extending the last piece when it
+        follows it.  Returns the morsel's new row count."""
+        data, offsets = run.data, run.offset_list
+        for _r, k0, k1 in spans:
+            lo, hi = offsets[k0], offsets[k1]
             if pieces and pieces[-1][2] == lo:
                 pieces[-1][2] = hi
             else:
-                pieces.append([run, lo, hi])
+                pieces.append([data, lo, hi])
             buffered += hi - lo
         return buffered
 
     def _follow_claim(self, snapshot):
         """Read the claim against the snapshot of a new delivery, before
         anything more is flushed: an interval spans ids the snapshot the
-        scan read before lacked, so ids a load added leave the claim."""
+        scan read before lacked, so ids a load added — those of the
+        runs written since that the earlier snapshot lacked — leave the
+        claim."""
         previous, extend = self._claim_end
         if snapshot is not previous and previous is not None:
-            added = np.setdiff1d(snapshot.ids, previous.ids).tolist()
+            added = snapshot.added_since(previous).tolist()
             kept = RangeSet(self._claim).difference(RangeSet.from_ids(added))
             self._claim, extend = [list(interval) for interval in kept], None
         self._claim_end = (snapshot, extend)
 
     def _grow_claim(self, spans):
-        """Claim delivered ``spans`` of the snapshot the claim follows:
-        one interval per span, extending the last interval when the span
-        continues it."""
+        """Claim delivered ``(r, k0, k1)`` spans of the snapshot the
+        claim follows: one interval per span, extending the last
+        interval when the span continues it in the snapshot's trixel
+        order, across runs too."""
         snapshot, extend = self._claim_end
-        ids = snapshot.lists()[0]
-        for k0, k1 in spans:
-            if k0 == extend:
-                self._claim[-1][1] = ids[k1 - 1]
+        for r, k0, k1 in spans:
+            run = snapshot.runs[r]
+            shift = snapshot.run_first[r] - run.lo  # run index -> snapshot index
+            if k0 + shift == extend:
+                self._claim[-1][1] = run.id_list[k1 - 1]
             else:
-                self._claim.append([ids[k0], ids[k1 - 1]])
-            extend = k1
+                self._claim.append([run.id_list[k0], run.id_list[k1 - 1]])
+            extend = k1 + shift
         self._claim_end = (snapshot, extend)
 
     def run(self):
@@ -551,24 +557,28 @@ class ScanNode(QETNode):
             if self.output.cancelled():
                 return
             snapshot = delivery.snapshot
-            offsets = snapshot.lists()[1]
             if self.track_delivery:
                 self._follow_claim(snapshot)
-            for run, first, spans in snapshot.parts(delivery.spans):
+            for r, spans in itertools.groupby(delivery.spans, key=_RUN_OF_SPAN):
+                run, spans = snapshot.runs[r], list(spans)
                 # A morsel never spans two runs, and a claim covers
                 # only flushed rows, so flush before claiming the next.
-                if pieces and pieces[-1][0] is not run and not flush():
+                if pieces and pieces[-1][0] is not run.data and not flush():
                     return
                 if self.track_delivery:
                     # Every delivered container is accounted for — even
                     # ones whose rows all fail the WHERE, which a
                     # resumed scan would simply find empty again.
                     self._grow_claim(spans)
-                buffered = self._gather(offsets, run, first, spans, pieces, buffered)
+                buffered = self._gather(run, spans, pieces, buffered)
                 if buffered >= ramp and not flush():
                     return
         if pieces and not self.output.cancelled():
             self._flush(pieces, buffered)
+
+
+#: the window a sweep delivery's ``(r, k0, k1)`` span lies in
+_RUN_OF_SPAN = operator.itemgetter(0)
 
 
 class ProjectNode(QETNode):

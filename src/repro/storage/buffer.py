@@ -10,12 +10,15 @@ hit/miss/eviction accounting, so every query riding a sweep shares one
 notion of "physically read" vs. "served from memory".
 
 The pool holds no rows (they stay in each store's runs): an entry is a
-container's key — a page of the store's rows in sweep order, about
-:data:`~repro.storage.containers.PAGE_BYTES` of it — and its byte count,
-so the budget models a disk cache: a miss is a simulated physical read
-of the whole page, a hit a page already resident, and a lap over a
-store costs one access per page however many trixels it holds.  An
-entry stays valid until the store's ``note_mutation`` invalidates it.
+container's key — a page of one of the store's runs, about
+:data:`~repro.storage.containers.PAGE_BYTES` of its rows, named by its
+run's token plus its number in the run — and its byte count, so the
+budget models a disk
+cache: a miss is a simulated physical read of the whole page, a hit a
+page already resident, and a lap over a store costs one access per page
+however many trixels it holds.  An entry stays valid until the store's
+``note_mutation`` invalidates it: a load names the pages of the rows it
+replaced, and the pages of the runs it kept stay resident.
 """
 
 from __future__ import annotations
@@ -69,9 +72,10 @@ class BufferPool:
         store becomes hot after one sweep — exactly the regime the
         SkyServer follow-up describes for its cached hot containers).
 
-    Keys are ``(store_uid, page)`` so one pool may be shared by
-    several stores (e.g. every source hosted on one partition server)
-    without id collisions.  All methods are thread-safe: the pool sits
+    Keys are ``(store_uid, page)`` — a store's page is its run's token
+    plus its number there — so one pool may be shared by several stores
+    (e.g. every source hosted on one partition server) without id
+    collisions.  All methods are thread-safe: the pool sits
     under the concurrent sweep threads of every store that shares it.
     """
 
@@ -167,12 +171,16 @@ class BufferPool:
             self._resident_bytes -= nbytes
             self.stats.evictions += 1
 
-    def invalidate(self, store, page=0):
-        """Forget a store's pages from ``page`` on (every page by
-        default): a merge moves every row after its first touched one."""
-        token = store.store_uid
+    def invalidate(self, store, pages=None):
+        """Forget a store's ``pages`` (every page of it by default): the
+        ones a mutation replaced."""
+        uid = store.store_uid
         with self._lock:
-            for key in [k for k in self._entries if k[0] == token and k[1] >= page]:
+            if pages is None:
+                keys = [key for key in self._entries if key[0] == uid]
+            else:
+                keys = [(uid, page) for page in pages if (uid, page) in self._entries]
+            for key in keys:
                 self._drop(key)
                 self.stats.invalidations += 1
 

@@ -10,21 +10,25 @@ A :class:`ContainerStore` clusters an object table by the occupied HTM
 trixels at a chosen depth, stored as clusters: all rows sorted by
 trixel id under a CSR **index** (the sorted ids and their row offsets),
 so a trixel is a row range and a sweep reads contiguous bytes.  The rows
-themselves are a few immutable **runs**, read-only record arrays that
-each hold whole trixels in sweep order: a build is one run, and a load
-copies only the stretch of rows it lands in (its *extent*) into one new
-run and shares every other run with the state before it, so a load
-costs its chunk, not the archive.  No run is shorter than a sweep step
-(:data:`STEP_PAGES` pages) unless it is the whole store, so a store of
-``bytes`` holds at most ``bytes / (STEP_PAGES * PAGE_BYTES) + 1`` runs.
+themselves are a few immutable **runs** (:class:`Run`), read-only record
+arrays that each hold whole trixels in sweep order with their own index
+and pages, made once when the run is written: a build is one run, and a
+load copies only the stretch of rows it lands in (its *extent*) into
+one new run and shares every other run — its index and its pages too —
+with the state before it, so a load costs its chunk, not the archive.
+No run is shorter than a sweep step (:data:`STEP_PAGES` pages) unless
+it is the whole store, so a store of ``bytes`` holds at most
+``bytes / (STEP_PAGES * PAGE_BYTES) + 1`` runs.
 The trixel is the unit of the *index* — covers, placement and delivery
 claims name trixels.  The unit of *reading* is a **page**, a fixed
-:data:`PAGE_BYTES` slice of the rows in sweep order (runs do not cut
-pages): a trixel belongs to the page its rows start in, so a store
-holds about ``bytes / PAGE_BYTES`` pages however finely its trixels cut
-the sky, and a narrow tag store has as many times fewer pages as its
-rows are narrower.  The sweep steps over pages and the buffer pool
-accounts them.
+:data:`PAGE_BYTES` slice of a run's rows, numbered within the run: a
+trixel belongs to the page its rows start in, so a page never spans
+two runs, a store holds about ``bytes / PAGE_BYTES`` pages (one more
+at most per run) however finely its trixels cut the sky, and a narrow
+tag store has as many times fewer pages as its rows are narrower.  The
+sweep steps over pages and the buffer pool accounts them, keyed by
+their run's token plus their number there, so a load that keeps a page
+keeps it resident.
 
 ``objid``, the object pointer, is a key of every store whose schema has
 one: a snapshot keeps its values sorted (:attr:`StoreSnapshot.keys`),
@@ -42,6 +46,7 @@ delivered row once, those of inside and bisected trixels alike.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from bisect import bisect_right
 
@@ -55,6 +60,7 @@ __all__ = [
     "PAGE_BYTES",
     "STEP_PAGES",
     "ContainerStore",
+    "Run",
     "StoreSnapshot",
     "DuplicateKeyError",
     "repeated_keys",
@@ -110,21 +116,95 @@ def _grouped(data, row_ids):
     return take_records(data, order), row_ids[starts], np.append(starts, len(order))
 
 
+#: process-wide monotone run tokens, each the pool key of its run's page
+#: 0: page ``p``'s key is ``token + p`` (a run holds fewer than 2**32
+#: pages), so, like ``store_uid``, a key is never reused
+_RUN_TOKENS = itertools.count(1 << 32, 1 << 32)
+
+
+class Run:
+    """Whole trixels of a store's rows in sweep order and their index,
+    made once when a build or a load writes them and shared by every
+    later snapshot that keeps them.
+
+    ``data`` holds the read-only records, ``ids`` the trixel ids and
+    ``offsets`` their run-relative first rows then the run's length
+    (numpy, and as ``id_list`` / ``offset_list`` for the sweep).  The
+    run's pages are numbered from 0 within it — a trixel lies in the
+    page its rows start in, so a page never spans two runs: ``page_of``
+    holds each trixel's page, ``page_first`` each page's first trixel
+    then ``len(ids)``, ``page_bytes`` each page's bytes, and ``before``
+    the bytes before each trixel then the total, so page ``p`` is
+    trixels ``page_first[p]:page_first[p + 1]`` and a span's bytes are
+    one subtraction.  ``token`` (monotone, never
+    reused) names the run's pages in the buffer pool: page ``p``'s key
+    is ``token + p``.
+
+    A snapshot holds the run's trixels ``lo:hi`` — all of them until a
+    load cuts the run: :meth:`cut` keeps whole pages of it and shares
+    every piece above, so a page no load rewrote keeps its key.
+    """
+
+    __slots__ = (
+        "token",
+        "data",
+        "ids",
+        "offsets",
+        "id_list",
+        "offset_list",
+        "page_of",
+        "page_first",
+        "page_bytes",
+        "before",
+        "lo",
+        "hi",
+    )
+
+    def __init__(self, data, ids, offsets):
+        data.flags.writeable = False  # views of it leave the store
+        self.token = next(_RUN_TOKENS)
+        self.data, self.ids, self.offsets = data, ids, offsets
+        self.id_list, self.offset_list = ids.tolist(), offsets.tolist()
+        before = offsets * data.itemsize
+        opens = np.diff(before[:-1] // PAGE_BYTES, prepend=-1) > 0
+        first = np.append(np.flatnonzero(opens), len(opens))
+        self.page_of = (np.cumsum(opens) - 1).tolist()
+        self.page_first, self.page_bytes = first.tolist(), np.diff(before[first]).tolist()
+        self.before = before.tolist()
+        self.lo, self.hi = 0, len(ids)
+
+    def cut(self, lo, hi):
+        """The run's trixels ``lo:hi`` (whole pages), sharing its pieces."""
+        run = copy.copy(self)
+        run.lo, run.hi = lo, hi
+        return run
+
+    @property
+    def rows(self):
+        """The records of the trixels the snapshot holds (a view)."""
+        return self.data[self.offset_list[self.lo] : self.offset_list[self.hi]]
+
+    def pages(self, a, b):
+        """The pages trixels ``a:b`` (``a < b``) lie in."""
+        return range(self.page_of[a], self.page_of[b - 1] + 1)
+
+
 class StoreSnapshot:
     """One immutable state of a store's rows.
 
     Trixel ``ids[k]`` owns rows ``offsets[k]:offsets[k + 1]`` (``sizes[k]``
-    of them), in load order, and lies in the page those rows start in
-    (:meth:`pages`).  The rows are the read-only arrays ``runs``, each
-    whole trixels in sweep order: run ``r`` holds trixels
-    ``run_first[r]:run_first[r + 1]``, rows ``run_rows[r]:run_rows[r + 1]``
-    (both lists end with the totals).  ``keys`` holds the ``objid``
-    values sorted (``None`` for a schema without one), and ``rewritten``
-    the bytes making this snapshot copied.  A mutation builds the next
-    snapshot — a load merges its rows into one new run over its extent
-    and its keys into the sorted ones, and shares the other runs — and
-    the store swaps it in, so a reader holding one never sees half a
-    load.
+    of them), in load order.  The rows are the :class:`Run` windows
+    ``runs``, each whole trixels and whole pages in sweep order: window
+    ``r`` holds trixels ``run_first[r]:run_first[r + 1]``, rows
+    ``run_rows[r]:run_rows[r + 1]`` (both lists end with the totals), and
+    :meth:`locate` turns a trixel index into a window and an index into
+    its run's lists.  ``keys`` holds the ``objid`` values sorted
+    (``None`` for a schema without one), and ``rewritten`` the bytes
+    making this snapshot copied.  A mutation builds the next snapshot —
+    a load merges its rows into one new run over its extent and its keys
+    into the sorted ones, and shares the other runs and their index —
+    and the store swaps it in, so a reader holding one never sees half
+    a load.
     """
 
     __slots__ = (
@@ -137,128 +217,150 @@ class StoreSnapshot:
         "sizes",
         "keys",
         "rewritten",
-        "_lists",
-        "_pages",
     )
 
-    def __init__(self, runs, run_first, ids, offsets, keys, rewritten):
-        for run in runs:
-            run.flags.writeable = False  # views of it leave the store
-        self.runs, self.run_first, self.dtype = runs, run_first, runs[0].dtype
-        self.ids, self.offsets, self.keys = ids, offsets, keys
-        self.run_rows = offsets[run_first].tolist()
-        self.sizes = np.diff(offsets)
+    def __init__(self, runs, dtype, ids, sizes, keys, rewritten):
+        self.runs, self.dtype = runs, dtype
+        self.ids, self.sizes, self.keys = ids, sizes, keys
+        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
+        self.run_first = list(itertools.accumulate((r.hi - r.lo for r in runs), initial=0))
+        self.run_rows = list(
+            itertools.accumulate((r.offset_list[r.hi] - r.offset_list[r.lo] for r in runs), initial=0)
+        )
         self.rewritten = rewritten
-        self._lists = self._pages = None
 
     @classmethod
     def build(cls, data, row_ids):
         """One run of ``data``: one argsort, one record gather, one sort
-        of the keys."""
+        of the keys (no run for no rows)."""
         keys = np.sort(data["objid"]) if "objid" in data.dtype.names else None
         data, ids, offsets = _grouped(data, row_ids)
-        return cls([data], [0, len(ids)], ids, offsets, keys, data.nbytes)
+        runs = [Run(data, ids, offsets)] if len(ids) else []
+        return cls(runs, data.dtype, ids, np.diff(offsets), keys, data.nbytes)
 
-    def lists(self):
-        """``(ids, offsets)`` as lists, made once, for the sweep."""
-        if self._lists is None:
-            self._lists = [self.ids.tolist(), self.offsets.tolist()]
-        return self._lists
+    def locate(self, k):
+        """``(r, j)``: trixel index ``k`` is trixel ``j`` of window ``r``'s
+        run; ``(len(runs), 0)`` for ``k == len(ids)``."""
+        if k == len(self.ids):
+            return len(self.runs), 0
+        r = bisect_right(self.run_first, k) - 1
+        return r, k - self.run_first[r] + self.runs[r].lo
 
     def pages(self):
-        """``(page_of, first, bytes_before)`` as lists, made once, for
-        the sweep: each trixel's page (numbered densely from 0 in sweep
-        order), each page's first trixel index then ``len(ids)``, and
-        the bytes of the trixels before each index then the total — so
-        page ``p`` holds trixels ``first[p]:first[p + 1]`` and a span's
-        bytes are one subtraction."""
-        if self._pages is None:
-            before = self.offsets * self.dtype.itemsize
-            opens = np.diff(before[:-1] // PAGE_BYTES, prepend=-1) > 0
-            self._pages = [
-                (np.cumsum(opens) - 1).tolist(),
-                np.append(np.flatnonzero(opens), len(opens)).tolist(),
-                before.tolist(),
-            ]
-        return self._pages
+        """``(pool key, bytes)`` for every page, in sweep order."""
+        return [
+            (run.token + p, run.page_bytes[p])
+            for run in self.runs
+            for p in run.pages(run.lo, run.hi)
+        ]
 
-    def parts(self, spans):
-        """Sorted, disjoint ``(k0, k1)`` trixel index ``spans`` cut at
-        run starts: ``(run, first_row, spans)`` for each run they meet,
-        in order, ``first_row`` the run's first row in the snapshot."""
-        runs = self.runs
-        if len(runs) == 1:
-            return ((runs[0], 0, spans),)
-        first, parts, end = self.run_first, [], 0
-        for k0, k1 in spans:
-            while k0 < k1:
-                if k0 >= end:
-                    r = bisect_right(first, k0) - 1
-                    end = first[r + 1]
-                    parts.append((runs[r], self.run_rows[r], []))
-                parts[-1][2].append((k0, min(k1, end)))
-                k0 = min(k1, end)
-        return parts
+    def added_since(self, previous):
+        """The ids this snapshot holds and the ``previous`` one lacked,
+        sorted: those of the runs it wrote since that the previous one
+        does not hold (a run both hold adds none)."""
+        held = {run.token for run in previous.runs}
+        new = [run.ids[run.lo : run.hi] for run in self.runs if run.token not in held]
+        ids = np.concatenate(new) if new else self.ids[:0]
+        if not len(previous.ids):
+            return ids
+        k = np.minimum(np.searchsorted(previous.ids, ids), len(previous.ids) - 1)
+        return ids[previous.ids[k] != ids]
+
+    def repeats(self, objids):
+        """The distinct ``objids`` this snapshot holds or that repeat
+        among them, sorted: each checked against its sorted neighbours
+        among the held keys only."""
+        new = np.sort(objids)
+        keys = self.keys
+        held = new[:0]
+        if len(keys):
+            k = np.minimum(np.searchsorted(keys, new), len(keys) - 1)
+            held = new[keys[k] == new]
+        return np.union1d(held, repeated_keys(new))
 
     def appended(self, data, row_ids):
-        """``(next snapshot, touched ids)``: ``data`` grouped by container
-        once and merged, each group after its container's rows, with the
-        old rows of the load's extent (:meth:`_extent`) into one new run
-        — one byte copy per stretch of old rows and one per group.  The
-        runs outside the extent are shared, those it cuts as views."""
+        """``(next snapshot, touched ids, replaced pages)``: ``data``
+        grouped by container once and merged, each group after its
+        container's rows, with the old rows of the load's extent
+        (:meth:`_extent`) into one new run — one scatter of the chunk
+        and one per run the old rows come from — whose index and pages
+        are made once.  The runs outside the extent are shared, those it
+        cuts as windows; ``replaced`` names the pool pages of the old
+        rows the new run took over."""
         data, touched, bounds = _grouped(data, row_ids)
-        if not len(data):
-            return self, touched
+        n = len(self.ids)
         k = np.searchsorted(self.ids, touched)
-        held = np.isin(touched, self.ids, assume_unique=True)
+        held = self.ids[np.minimum(k, n - 1)] == touched if n else np.zeros(len(k), dtype=bool)
         a, b = self._extent(int(k[0]), int(k[-1] + held[-1]), len(data))
-        rows, offsets = self.run_rows, self.offsets
+        offsets, rows = self.offsets, self.run_rows
         lo, hi = int(offsets[a]), int(offsets[b])
-        run = np.empty(hi - lo + len(data), dtype=data.dtype)
-        out, new, width = run.view(np.uint8), data.view(np.uint8), data.itemsize
-
-        def old(start, stop, to):
-            """Copy stored rows ``start:stop`` to row ``to`` of the run."""
-            while start < stop:
-                r = bisect_right(rows, start) - 1
-                end = min(stop, rows[r + 1])
-                source = self.runs[r].view(np.uint8)
-                out[to * width : (to + end - start) * width] = source[
-                    (start - rows[r]) * width : (end - rows[r]) * width
-                ]
-                to, start = to + end - start, end
 
         # Each group goes where its container's rows end (a new
-        # container's at its sorted place).
-        copied = lo
-        for at, g0, g1 in zip(offsets[k + held].tolist(), bounds.tolist(), bounds[1:].tolist()):
-            old(copied, at, copied - lo + g0)
-            out[(at - lo + g0) * width : (at - lo + g1) * width] = new[g0 * width : g1 * width]
-            copied = at
-        old(copied, hi, copied - lo + len(data))
+        # container's at its sorted place); the old rows fill the other
+        # slots in order.
+        counts = np.diff(bounds)
+        chunk = np.repeat(offsets[k + held] - lo, counts) + np.arange(len(data))
+        run = np.empty(hi - lo + len(data), dtype=data.dtype)
+        void = np.dtype((np.void, data.itemsize))
+        out = run.view(void)
+        out[chunk] = data.view(void)
+        old = np.ones(len(run), dtype=bool)
+        old[chunk] = False
+        old = np.flatnonzero(old)
+        start = lo
+        while start < hi:
+            r = bisect_right(rows, start) - 1
+            end = min(hi, rows[r + 1])
+            source = self.runs[r].rows[start - rows[r] : end - rows[r]]
+            out[old[start - lo : end - lo]] = source.view(void)
+            start = end
 
-        ids = np.insert(self.ids, k[~held], touched[~held])
-        sizes = np.zeros(len(ids), dtype=np.int64)
-        sizes[np.searchsorted(ids, self.ids)] = self.sizes
-        sizes[np.searchsorted(ids, touched)] += np.diff(bounds)
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        fresh = ~held
+        ids = np.insert(self.ids, k[fresh], touched[fresh])
+        sizes = np.insert(self.sizes, k[fresh], 0)
+        sizes[k + np.cumsum(fresh) - fresh] += counts
+        stop = b + int(fresh.sum())
+        made = Run(run, ids[a:stop].copy(), np.concatenate([[0], np.cumsum(sizes[a:stop])]))
         keys = self.keys
         if keys is not None:
             new = np.sort(data["objid"])
             keys = np.insert(keys, np.searchsorted(keys, new), new)
-        runs, first = self._around(a, b, run, len(ids) - len(self.ids))
-        return StoreSnapshot(runs, first, ids, offsets, keys, run.nbytes), touched
+        replaced = self.pages_of(a, b)
+        snapshot = StoreSnapshot(self._around(a, b, made), self.dtype, ids, sizes, keys, run.nbytes)
+        return snapshot, touched, replaced
+
+    def pages_of(self, a, b):
+        """The pool keys of the pages trixels ``[a, b)`` lie in, in sweep
+        order."""
+        pages = []
+        while a < b:
+            r, j = self.locate(a)
+            run, end = self.runs[r], min(b, self.run_first[r + 1])
+            pages.extend(run.token + p for p in run.pages(j, j + end - a))
+            a = end
+        return pages
 
     def _extent(self, a, b, added):
         """The old trixel indices ``[a, b)`` a load of ``added`` rows
-        into trixels ``a`` to ``b`` rewrites: ``[a, b)`` widened so that
-        no run it cuts leaves a piece shorter than a sweep step, and the
-        new run is no shorter either (growing by whole trixels, into the
-        rows after it first) unless it is the whole store."""
+        into trixels ``a`` to ``b`` rewrites: ``[a, b)`` widened to whole
+        pages, then so that no run it cuts leaves a piece shorter than a
+        sweep step, and the new run is no shorter either (growing by
+        whole trixels, into the rows after it first) unless it is the
+        whole store."""
         least = -(-STEP_PAGES * PAGE_BYTES // self.dtype.itemsize)  # rows
         first, rows, offsets, n = self.run_first, self.run_rows, self.offsets, len(self.ids)
 
-        def absorbed(a, b):
+        def widened(a, b):
+            if 0 < a < n:  # back to the start of trixel a's page
+                r, j = self.locate(a)
+                run = self.runs[r]
+                a -= j - run.page_first[run.page_of[j]]
+            if b < n:  # on to the end of trixel b's page if b - 1 shares it
+                r, j = self.locate(b)
+                run = self.runs[r]
+                page = run.page_of[j]
+                if run.page_first[page] < j:
+                    b += run.page_first[page + 1] - j
             if a > 0:  # the run holding trixel a - 1, to row offsets[a]
                 r = bisect_right(first, a - 1) - 1
                 if offsets[a] - rows[r] < least:
@@ -269,7 +371,7 @@ class StoreSnapshot:
                     b = first[r + 1]
             return a, b
 
-        a, b = absorbed(a, b)
+        a, b = widened(a, b)
         short = least - (offsets[b] - offsets[a] + added)
         if short > 0:
             b = int(np.searchsorted(offsets, offsets[b] + short))
@@ -277,31 +379,29 @@ class StoreSnapshot:
                 b = n
                 a = int(np.searchsorted(offsets, offsets[n] + added - least, "right"))
                 a = max(a - 1, 0)
-            a, b = absorbed(a, b)
+            a, b = widened(a, b)
         return a, b
 
-    def _around(self, a, b, run, added):
-        """``(runs, run_first)`` with ``run`` in place of old trixels
-        ``[a, b)`` and ``added`` trixels more: the runs before and after
-        shared, a piece of a run the extent cuts as a view of it."""
+    def _around(self, a, b, run):
+        """The windows with ``run`` in place of old trixels ``[a, b)``:
+        the ones before and after shared, a window the extent cuts cut
+        once more."""
         if a == 0 and b == len(self.ids):
-            return [run], [0, b + added]
-        first, rows, offsets = self.run_first, self.run_rows, self.offsets
+            return [run]
+        first, runs = self.run_first, self.runs
         r = bisect_right(first, a) - 1
-        runs, starts = self.runs[:r], first[:r]
-        if offsets[a] > rows[r]:
-            runs.append(self.runs[r][: offsets[a] - rows[r]])
-            starts.append(first[r])
-        runs.append(run)
-        starts.append(a)
+        kept = runs[:r]
+        if a > first[r]:
+            cut = runs[r]
+            kept.append(cut.cut(cut.lo, cut.lo + a - first[r]))
+        kept.append(run)
         r = bisect_right(first, b) - 1
-        if offsets[b] > rows[r]:
-            runs.append(self.runs[r][offsets[b] - rows[r] :])
-            starts.append(b + added)
+        if r < len(runs) and b > first[r]:
+            cut = runs[r]
+            kept.append(cut.cut(cut.lo + b - first[r], cut.hi))
             r += 1
-        runs.extend(self.runs[r:])
-        starts.extend(f + added for f in first[r:])
-        return runs, starts
+        kept.extend(runs[r:])
+        return kept
 
 
 #: process-wide monotone store ids — identity tokens that (unlike
@@ -325,7 +425,8 @@ class ContainerStore:
     Every mutation (:meth:`append` and :meth:`remove` call it
     themselves) goes through :meth:`note_mutation`: it bumps the monotone
     ``generation`` — the validity token of any result cached over this
-    store — and invalidates the moved pool entries, one seam for both.
+    store — and invalidates the pool entries of the pages it replaced,
+    one seam for both.
     """
 
     def __init__(self, schema, depth, buffer_pool=None):
@@ -345,35 +446,28 @@ class ContainerStore:
         #: store's generation moved past g
         self.generation = 0
 
-    def note_mutation(self, htm_ids=None):
+    def note_mutation(self, pages=None):
         """Record one mutating operation against this store.
 
-        Bumps :attr:`generation` and invalidates the buffer pool from
-        the page holding the first of the sorted, touched trixel ids in
-        the current snapshot to the end, because every row after a
-        merged group moved in the page numbering (every page when
-        ``htm_ids`` is None) — the single seam both result-cache
-        invalidation and pool invalidation hang off.  Returns the new
-        generation.
+        Bumps :attr:`generation` and invalidates the buffer pool's
+        entries for ``pages``, the keys (run token + page) of the
+        rows the mutation replaced (every page of the store when
+        ``pages`` is None) — the single seam both result-cache
+        invalidation and pool invalidation hang off.  A page the
+        mutation kept keeps its key, so it stays resident.  Returns the
+        new generation.
         """
         self.generation += 1
-        if htm_ids is None:
-            self.buffer_pool.invalidate(self)
-        elif len(htm_ids):
-            k = int(np.searchsorted(self.snapshot.ids, htm_ids[0]))
-            self.buffer_pool.invalidate(self, self.snapshot.pages()[0][k])
+        self.buffer_pool.invalidate(self, pages)
         return self.generation
 
-    def _keyed(self, snapshot):
-        """``snapshot``, unless its keys repeat an ``objid``: then
-        :class:`DuplicateKeyError`, before the store takes it."""
-        if snapshot.keys is not None:
-            repeats = repeated_keys(snapshot.keys)
-            if len(repeats):
-                raise DuplicateKeyError.refusing(
-                    f"store {self.store_uid} ({self.schema.name})", repeats
-                )
-        return snapshot
+    def _refuse(self, repeats):
+        """:class:`DuplicateKeyError` for the ``objid`` values
+        ``repeats``, if any, before the store takes a snapshot."""
+        if len(repeats):
+            raise DuplicateKeyError.refusing(
+                f"store {self.store_uid} ({self.schema.name})", repeats
+            )
 
     @classmethod
     def from_table(cls, table, depth, buffer_pool=None):
@@ -382,7 +476,10 @@ class ContainerStore:
         store = cls(table.schema, depth, buffer_pool=buffer_pool)
         if len(table):
             ids = store.container_ids_for(table)
-            store.snapshot = store._keyed(StoreSnapshot.build(table.data, ids))
+            snapshot = StoreSnapshot.build(table.data, ids)
+            if snapshot.keys is not None:
+                store._refuse(repeated_keys(snapshot.keys))
+            store.snapshot = snapshot
         return store
 
     def container_ids_for(self, table):
@@ -394,20 +491,23 @@ class ContainerStore:
         trixel once and merged, each group after its trixel's rows, into
         one new run over the stretch of rows they land in
         (:meth:`StoreSnapshot.appended`).  Records the mutation — the
-        pages from the first touched trixel's on are invalidated — and
-        returns the touched trixel ids, sorted.  Rows whose ``objid`` the store holds, or
-        that repeat one, raise :class:`DuplicateKeyError` and leave the
-        store as it was."""
+        pages of the rows the new run replaced are invalidated — and
+        returns the touched trixel ids, sorted; no rows are no mutation.
+        Rows whose ``objid`` the store holds, or that repeat one, raise
+        :class:`DuplicateKeyError` and leave the store as it was."""
         htm_ids = np.asarray(htm_ids, dtype=np.int64)
         if table.data.dtype != self.snapshot.dtype or len(htm_ids) != len(table):
             raise ValueError("need rows of the store's schema, one id each")
         if len(htm_ids) and not self._lo <= htm_ids.min() <= htm_ids.max() < self._hi:
             raise ValueError(f"ids are not at container depth {self.depth}")
-        snapshot, touched = self.snapshot.appended(table.data, htm_ids)
-        self.snapshot = self._keyed(snapshot)
-        touched = touched.tolist()
-        self.note_mutation(touched)
-        return touched
+        if not len(htm_ids):
+            return []
+        snapshot = self.snapshot
+        if snapshot.keys is not None:
+            self._refuse(snapshot.repeats(table.data["objid"]))
+        self.snapshot, touched, replaced = snapshot.appended(table.data, htm_ids)
+        self.note_mutation(replaced)
+        return touched.tolist()
 
     def rows(self, htm_ids=None):
         """``(table, row_ids)``: the rows of the given containers (every
@@ -415,7 +515,7 @@ class ContainerStore:
         order — for moving and shipping data, not for scanning it (a
         store of several runs copies them into one table)."""
         snapshot = self.snapshot
-        runs = snapshot.runs
+        runs = [run.rows for run in snapshot.runs] or [np.empty(0, dtype=snapshot.dtype)]
         data = runs[0] if len(runs) == 1 else concat_records(runs, snapshot.dtype)
         row_ids = np.repeat(snapshot.ids, snapshot.sizes)
         if htm_ids is not None:
@@ -448,8 +548,8 @@ class ContainerStore:
         return dict(zip(snapshot.ids.tolist(), snapshot.sizes.tolist()))
 
     def occupied_ids(self):
-        """Sorted ids of non-empty containers (the snapshot's own list)."""
-        return self.snapshot.lists()[0]
+        """Sorted ids of non-empty containers."""
+        return self.snapshot.ids.tolist()
 
     def sweeper(self):
         """The store's shared sweep scanner (created lazily).

@@ -78,7 +78,6 @@ def replicated_archive(photo, tags):
         archive = DistributedArchive.from_table(photo, depth=5, n_servers=3)
         archive.attach_source("tag", tags)
         replicate_archive(archive, replication_factor=2)
-        _make_pages(archive)
     return archive
 
 
@@ -90,16 +89,7 @@ def split_archive(photo, tags):
     with mock.patch.object(containers_module, "PAGE_BYTES", CHAOS_PAGE_BYTES):
         archive = DistributedArchive.from_table(photo, depth=5, n_servers=2)
         archive.attach_source("tag", tags)
-        _make_pages(archive)
     return archive
-
-
-def _make_pages(archive):
-    """Make every store's pages now: a snapshot makes them once, and
-    these stores are never mutated again."""
-    for node in archive.servers:
-        for store in node.stores().values():
-            store.snapshot.pages()
 
 
 @pytest.fixture()

@@ -226,7 +226,8 @@ class TestShardFailurePropagation:
     def degraded(self, make_archive):
         archive = make_archive(5)
         snapshot = archive.servers[2].store.snapshot
-        snapshot.runs = [self._PoisonArena(run) for run in snapshot.runs]
+        for run in snapshot.runs:
+            run.data = self._PoisonArena(run.data)
         with Archive.connect(archive=archive) as session:
             yield session
 

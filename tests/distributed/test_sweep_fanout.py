@@ -106,7 +106,7 @@ class TestSharedServerSweeps:
 
         total_rows = sum(store.total_objects() for store in stores)
         assert [len(table) for table in tables] == [total_rows] * self.K_JOBS
-        pages = [len(store.snapshot.pages()[1]) - 1 for store in stores]
+        pages = [len(store.snapshot.pages()) for store in stores]
         for store, n in zip(stores, pages):
             stats = store.sweeper().stats
             assert stats.deliveries == self.K_JOBS * n

@@ -10,10 +10,11 @@ from repro.storage.containers import ContainerStore
 
 
 def pages(store):
-    """``(first, before)`` of the store's pages: page ``p`` holds
-    trixels ``first[p]:first[p + 1]``, bytes ``before[first[p]]`` on."""
-    _page_of, first, before = store.snapshot.pages()
-    return first, before
+    """``(first, before)`` of the built store's pages (one run): page
+    ``p`` holds trixels ``first[p]:first[p + 1]``, bytes
+    ``before[first[p]]`` on."""
+    (run,) = store.snapshot.runs
+    return run.page_first, run.before
 
 
 class TestSweepCorrectness:

@@ -37,14 +37,18 @@ def _new_rows(photo, n):
 
 def _pages(store):
     """How many pages the store's arena has: the sweep's step unit."""
-    return len(store.snapshot.pages()[1]) - 1
+    return len(store.snapshot.pages())
+
+
+def _page(snapshot, htm_id):
+    """The pool key of the page trixel ``htm_id`` lies in."""
+    k = int(np.searchsorted(snapshot.ids, htm_id))
+    return snapshot.pages_of(k, k + 1)[0]
 
 
 def _pages_of(store, ids):
     """How many pages hold the trixels ``ids``."""
-    snapshot = store.snapshot
-    page_of = snapshot.pages()[0]
-    return len({page_of[k] for k in np.searchsorted(snapshot.ids, ids).tolist()})
+    return len({_page(store.snapshot, htm_id) for htm_id in ids})
 
 
 @pytest.fixture()
@@ -411,9 +415,7 @@ class TestJumpCost:
         """Pages of one row, so each of its ~4 600 trixels is a page."""
         row = photo.data.dtype.itemsize
         with mock.patch.object(containers_module, "PAGE_BYTES", row):
-            store = ContainerStore.from_table(photo, depth=6)
-            store.snapshot.pages()  # made once, at this page size
-        return store
+            return ContainerStore.from_table(photo, depth=6)  # paged as built
 
     @pytest.fixture()
     def bisections(self, monkeypatch):
@@ -532,12 +534,11 @@ class _ModelSweep:
         for sub in self.active:
             sub.page = None
 
-    def appended(self, htm_id):
-        """``store.append`` merged rows into ``htm_id``: its page and
-        every later one leave the pool, because the merge moved them."""
-        snapshot = self.store.snapshot
-        first = snapshot.pages()[0][int(np.searchsorted(snapshot.ids, htm_id))]
-        self.resident = {page for page in self.resident if page < first}
+    def appended(self):
+        """``store.append`` merged rows into a new run: the pages it
+        replaced leave the pool, the ones it kept keep their keys."""
+        kept = {page for page, _nbytes in self.store.snapshot.pages()}
+        self.resident &= kept
         self.cut()
 
     def removed(self):
@@ -554,7 +555,7 @@ class _ModelSweep:
     def visit(self, htm_id):
         snapshot = self.store.snapshot
         size = self.store.container_sizes()[htm_id]
-        page = snapshot.pages()[0][int(np.searchsorted(snapshot.ids, htm_id))]
+        page = _page(snapshot, htm_id)
         wanting = [s for s in self.active if s.wanted is None or htm_id in s.wanted]
         if page != self.entered:
             self.entered = page
@@ -693,7 +694,7 @@ def _check_against_model(
         # Announced as every mutating path does: the generation moves.
         if gaps[0] == gap:
             store.append(_new_rows(photo, 3), [added] * 3)
-            model.appended(added)
+            model.appended()
         if gaps[1] == gap:
             store.remove([removed])
             model.removed()
@@ -817,15 +818,17 @@ class TestSpans:
         assert list(subscription._spans([3, 5, 9, 12], 2, 2)) == []
 
     def test_the_pool_reads_the_union_of_every_subscribers_spans(self):
-        spans = [[(0, 2), (5, 6)], [(1, 3)], [(3, 4)], [], [(8, 9), (5, 6)]]
-        assert sweep_module._union(spans) == [[0, 4], [5, 6], [8, 9]]
+        # ``(r, a, b)``: spans of two windows never merge.
+        spans = [[(0, 0, 2), (0, 5, 6)], [(0, 1, 3)], [(0, 3, 4)], [], [(1, 5, 7), (0, 5, 6)]]
+        assert sweep_module._union(spans) == [[0, 0, 4], [0, 5, 6], [1, 5, 7]]
 
 
 class TestMidLapChanges:
     def test_the_position_is_the_next_container_id(self, photo, small_pages):
         store = _depth3_store(photo)
         ids = store.occupied_ids()
-        first = store.snapshot.pages()[1]
+        (run,) = store.snapshot.runs
+        first = run.page_first
         scanner = SweepScanner(store)
         assert scanner.position() == 0
         scanner.attach(sink=lambda _run: True)

@@ -261,14 +261,13 @@ def test_an_assignment_boundary_inside_a_page_delivers_every_row_once(
         "photo": ContainerStore.from_table(photo, depth=5),
         "tag": ContainerStore.from_table(tags, depth=5),
     }
-    snapshot = whole["photo"].snapshot
-    page_of, first, _before = snapshot.pages()
-    k = first[len(first) // 2] + 1  # the second trixel of a middle page
-    boundary = snapshot.lists()[0][k]
+    (run,) = whole["photo"].snapshot.runs
+    k = run.page_first[len(run.page_first) // 2] + 1  # the second trixel of a middle page
+    boundary = run.id_list[k]
     for store in whole.values():
-        ids = store.snapshot.lists()[0]
-        j = ids.index(boundary)
-        assert store.snapshot.pages()[0][j - 1] == store.snapshot.pages()[0][j]
+        snapshot = store.snapshot
+        j = snapshot.ids.tolist().index(boundary)
+        assert snapshot.pages_of(j - 1, j) == snapshot.pages_of(j, j + 1)
     lower = {}
     for name, table in (("photo", photo), ("tag", tags)):
         below = whole[name].container_ids_for(table) < boundary

@@ -229,7 +229,7 @@ class TestSharedSweepAcrossClients:
         """Concurrent remote clients ride one server-side sweep: physical
         container reads ~ one store pass, not one per client."""
         server, store = _throttled_server(photo, depth=3, throttle=0.006)
-        n_containers = len(store.snapshot.pages()[1]) - 1
+        n_containers = len(store.snapshot.pages())
         query = "SELECT objid, mag_r FROM photo"
         sessions = [Archive.connect(server.url) for _ in range(2)]
         try:

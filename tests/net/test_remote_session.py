@@ -143,7 +143,7 @@ def test_remote_stats_arrive_over_the_wire(engine, remote_session):
         node_stats.containers_read + node_stats.containers_from_pool
     )
     # At least one whole sweep of the store it reads (the tag route).
-    assert total_deliveries >= len(engine.stores["tag"].snapshot.pages()[1]) - 1
+    assert total_deliveries >= len(engine.stores["tag"].snapshot.pages())
 
     report = cursor.io_report()
     assert report["containers_read"] + report["containers_from_pool"] > 0

@@ -27,15 +27,15 @@ import json
 import pathlib
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from repro.machines.sweep import SweepScanner
 from repro.net import ArchiveServer, ScriptedFaults
 from repro.session import Archive
-from repro.storage import ContainerStore, DistributedArchive
-from repro.storage.containers import StoreSnapshot
+from repro.storage import ContainerStore, DistributedArchive, StoreSnapshot
+from repro.storage.containers import Run
 from repro.storage.replication import replicate_archive
+import repro.storage.containers as containers_module
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_wire_telemetry.json")
 
@@ -122,12 +122,17 @@ def job_record(session, text):
     }
 
 
-def _a_page_per_trixel(snapshot):
-    """``StoreSnapshot.pages`` with every trixel a page of its own: the
-    unit the golden counts in."""
-    n = len(snapshot.ids)
-    before = np.concatenate([[0], np.cumsum(snapshot.sizes)]) * snapshot.dtype.itemsize
-    return [list(range(n)), list(range(n + 1)), before.tolist()]
+def _a_page_per_trixel(stores):
+    """Re-page the stores' runs, as their builds and loads left them,
+    with every trixel a page of its own: the unit the golden counts in."""
+    with mock.patch.object(containers_module, "PAGE_BYTES", 1):
+        for store in stores:
+            snapshot = store.snapshot
+            runs = [Run(r.data, r.ids, r.offsets).cut(r.lo, r.hi) for r in snapshot.runs]
+            store.snapshot = StoreSnapshot(
+                runs, snapshot.dtype, snapshot.ids, snapshot.sizes, snapshot.keys, 0
+            )
+    return stores
 
 
 def capture(photo, tags):
@@ -138,6 +143,7 @@ def capture(photo, tags):
         "photo": ContainerStore.from_table(photo, depth=5),
         "tag": ContainerStore.from_table(tags, depth=5),
     }
+    _a_page_per_trixel(stores.values())
     with contextlib.ExitStack() as stack:
         server = stack.enter_context(
             ArchiveServer(stores=stores, cache=True, batch_rows=512)
@@ -147,6 +153,7 @@ def capture(photo, tags):
 
     halves = DistributedArchive.from_table(photo, depth=5, n_servers=2)
     halves.attach_source("tag", tags)
+    _a_page_per_trixel(s for node in halves.servers for s in node.stores().values())
     with contextlib.ExitStack() as stack:
         servers = [
             stack.enter_context(
@@ -165,6 +172,7 @@ def capture(photo, tags):
     mirrored = DistributedArchive.from_table(photo, depth=5, n_servers=2)
     mirrored.attach_source("tag", tags)
     replicate_archive(mirrored, replication_factor=2)
+    _a_page_per_trixel(s for node in mirrored.servers for s in node.stores().values())
     faults = ScriptedFaults(
         [{"point": "stream_batch", "action": "crash_server", "after": 1}]
     )
@@ -188,9 +196,7 @@ def capture(photo, tags):
 
 @pytest.fixture(scope="module")
 def captured(photo, tags):
-    with mock.patch.object(StoreSnapshot, "pages", _a_page_per_trixel), mock.patch.object(
-        SweepScanner, "stride", 32
-    ):
+    with mock.patch.object(SweepScanner, "stride", 32):
         got = capture(photo, tags)
     if not GOLDEN.exists():
         GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")

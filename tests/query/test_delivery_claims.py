@@ -17,11 +17,14 @@ grown store like every later step.
 After every batch, the claim intersected with the ids of the snapshot
 the scan last read holds only containers whose rows (at their delivery,
 those the ``WHERE`` keeps) are all in the stream; at the end the claim
-holds every delivered container.
+holds every delivered container.  When the scan follows a new snapshot,
+the ids it takes as added — those of the runs written since that the
+earlier snapshot lacked — are the whole-store difference of the two.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from unittest import mock
 
@@ -35,7 +38,7 @@ from repro.machines.sweep import SweepScanner
 from repro.query.optimizer import plan_query
 from repro.query.parser import parse_query
 from repro.query.qet import ScanNode, Stream
-from repro.storage import ContainerStore
+from repro.storage import ContainerStore, StoreSnapshot
 import repro.storage.containers as containers_module
 
 #: the depth-3 container id space
@@ -55,11 +58,26 @@ def _rows(photo, picks):
 def _between_delivered(snapshot, delivered):
     """An id no container holds, between two containers consecutive in
     the snapshot that were both delivered; ``None`` when there is none."""
-    ids = snapshot.lists()[0]
+    ids = snapshot.ids.tolist()
     for a, b in zip(ids, ids[1:]):
         if a in delivered and b in delivered and b - a > 1:
             return a + 1
     return None
+
+
+@contextlib.contextmanager
+def _followed():
+    """Record ``(added, previous, snapshot)`` each time a scan's claim
+    follows a new snapshot."""
+    follows = []
+    added_since = StoreSnapshot.added_since
+
+    def recording(snapshot, previous):
+        follows.append((added_since(snapshot, previous), previous, snapshot))
+        return follows[-1][0]
+
+    with mock.patch.object(StoreSnapshot, "added_since", recording):
+        yield follows
 
 
 def _kept(plan, schema, rows):
@@ -134,7 +152,7 @@ def _claims_exactly(photo, data):
                 snapshot = store.snapshot
                 added = _between_delivered(snapshot, delivered)
                 if added is None:
-                    added = next(i for i in range(LO, HI + 1) if i not in snapshot.lists()[0])
+                    added = next(i for i in range(LO, HI + 1) if i not in snapshot.ids)
                 touched = [added, added]
                 if delivered:
                     touched.append(min(delivered))
@@ -152,7 +170,10 @@ def _claims_exactly(photo, data):
         return emit(batch)
 
     node._emit = recording_emit
-    node._consume(feed())
+    with _followed() as follows:
+        node._consume(feed())
+    for added, previous, snapshot in follows:
+        np.testing.assert_array_equal(added, np.setdiff1d(snapshot.ids, previous.ids))
 
     stream = set()
     for batch, taken in emitted:
@@ -162,9 +183,46 @@ def _claims_exactly(photo, data):
             for htm_id, rows, _from_pool in run.containers():
                 if _kept(plan, store.schema, rows) <= stream:
                     complete.add(htm_id)
-        latest = consumed[taken - 1].snapshot.lists()[0]
+        latest = consumed[taken - 1].snapshot.ids.tolist()
         claim = RangeSet(batch.delivered)
         claimed = {htm_id for htm_id in latest if claim.contains(htm_id)}
         assert claimed <= complete, sorted(claimed - complete)
     final = RangeSet(node._claim)
     assert all(final.contains(htm_id) for htm_id in delivered)
+
+
+def test_a_load_landing_mid_stream_leaves_the_claim_by_its_new_run(photo):
+    # Pages of one row, so a step (the shortest run) is 32 rows and a
+    # load into a 600-row store leaves it in three runs; the scan has
+    # delivered trixels on both sides of the load when it lands.
+    row = photo.data.dtype.itemsize
+    with mock.patch.object(containers_module, "PAGE_BYTES", row):
+        store = ContainerStore.from_table(photo.take(np.arange(600)), depth=3)
+        plan = plan_query(parse_query("SELECT * FROM photo"), {"photo": store.schema})
+        scanner = SweepScanner(store)
+        runs = []
+        subscription = scanner.attach(sink=runs.append)
+        node = ScanNode(store, plan, batch_rows=16, track_delivery=True)
+        node.output = Stream(maxsize=0)
+        ids = store.occupied_ids()
+        middle = ids[len(ids) // 2]
+        lacked = [i for i in range(middle, HI) if i not in ids][:2]
+
+        def feed():
+            for steps in itertools.count():
+                if steps == 8:  # two new trixels and rows for a held one
+                    store.append(_rows(photo, range(3)), lacked + [middle])
+                if scanner.step(1) is None:
+                    break
+                yield from runs
+                runs.clear()
+
+        with _followed() as follows:
+            node._consume(feed())
+    assert subscription.completed() and len(store.snapshot.runs) == 3
+    assert len(follows) == 1
+    (added, previous, snapshot), = follows
+    np.testing.assert_array_equal(added, np.setdiff1d(snapshot.ids, previous.ids))
+    assert added.tolist() == lacked
+    final = RangeSet(node._claim)
+    assert all(final.contains(htm_id) for htm_id in store.occupied_ids())

@@ -206,14 +206,14 @@ class TestSessionCache:
         # store's runs; the cached entry holds copies, so a load that
         # rewrites a run lets the memory under it go.
         store = fresh_stores["photo"]
-        held = store.snapshot.runs
+        held = [run.data for run in store.snapshot.runs]
         job = cached_session.submit("SELECT * FROM photo")
         assert len(job.cursor.to_table()) == len(photo)
         assert len(tier.cache) == 1
         chunk = photo.take(np.arange(10))
         chunk.data["objid"] += photo["objid"].max()  # new objects
         ChunkLoader(store).load_chunk(chunk)
-        runs = store.snapshot.runs
+        runs = [run.data for run in store.snapshot.runs]
         superseded = [
             weakref.ref(_owner(run))
             for run in held

@@ -30,7 +30,7 @@ def fresh_store(photo):
 
 def _pages(store):
     """How many pages the store's arena has: the sweep's and pool's unit."""
-    return len(store.snapshot.pages()[1]) - 1
+    return len(store.snapshot.pages())
 
 
 def _scan_node(job):

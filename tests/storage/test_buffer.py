@@ -29,14 +29,15 @@ def read_page(store, htm_id):
     sweep reads them — the key a mutation of the trixel invalidates."""
     table, _row_ids = store.rows([htm_id])
     snapshot = store.snapshot
-    page = snapshot.pages()[0][int(np.searchsorted(snapshot.ids, htm_id))]
+    k = int(np.searchsorted(snapshot.ids, htm_id))
+    (page,) = snapshot.pages_of(k, k + 1)
     (from_pool,) = store.buffer_pool.fetch_many(store, [(page, table.nbytes())])
     return table, from_pool
 
 
 def n_pages(store):
     """How many pages the store's arena has: the pool's unit."""
-    return len(store.snapshot.pages()[1]) - 1
+    return len(store.snapshot.pages())
 
 
 def pairs(store, ids):
@@ -149,7 +150,7 @@ class TestInvalidation:
     def test_explicit_invalidate(self, store):
         htm_id = store.occupied_ids()[0]
         read(store, htm_id)
-        store.buffer_pool.invalidate(store, htm_id)
+        store.buffer_pool.invalidate(store, [htm_id])
         _table, from_pool = read(store, htm_id)
         assert from_pool is False
 

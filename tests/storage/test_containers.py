@@ -52,7 +52,8 @@ class TestClustering:
 
     def test_the_arena_is_sorted_and_indexed(self, photo, photo_store):
         snapshot = photo_store.snapshot
-        (arena,) = snapshot.runs  # a build is one run
+        (run,) = snapshot.runs  # a build is one run
+        arena = run.rows
         row_ids = lookup_ids_from_vectors(
             np.stack([arena[c] for c in ("cx", "cy", "cz")], axis=-1),
             photo_store.depth,
@@ -104,15 +105,15 @@ class TestMerge:
         store.append(photo.take(np.arange(80, 85)), row_ids)
         snapshot = store.snapshot
         # A store smaller than a sweep step is one run, rewritten whole.
-        (arena,), (held,) = snapshot.runs, before.runs
+        (arena,), (held,) = [r.rows for r in snapshot.runs], [r.rows for r in before.runs]
         # The held snapshot is untouched; the new one is the arena a
         # fresh build of the same rows in load order makes.
-        assert arena is not held and len(held) == 80
+        assert not np.shares_memory(arena, held) and len(held) == 80
         fresh = containers_module.StoreSnapshot.build(
             np.concatenate([held, photo.data[80:85]]),
             np.concatenate([before.ids.repeat(before.sizes), row_ids]),
         )
-        assert arena.tobytes() == fresh.runs[0].tobytes()
+        assert arena.tobytes() == fresh.runs[0].rows.tobytes()
         np.testing.assert_array_equal(snapshot.ids, fresh.ids)
         np.testing.assert_array_equal(snapshot.offsets, fresh.offsets)
         assert not arena.flags.writeable
@@ -128,14 +129,17 @@ class TestMerge:
 
 def n_pages(store):
     """How many pages the store's arena has: the sweep's and pool's unit."""
-    return len(store.snapshot.pages()[1]) - 1
+    return len(store.snapshot.pages())
 
 
 def pages_of(store, ids):
-    """The pages holding the trixels ``ids``."""
+    """The pool keys of the pages holding the trixels ``ids``."""
     snapshot = store.snapshot
-    page_of = snapshot.pages()[0]
-    return {page_of[k] for k in np.searchsorted(snapshot.ids, ids).tolist()}
+    return {
+        page
+        for k in np.searchsorted(snapshot.ids, ids).tolist()
+        for page in snapshot.pages_of(k, k + 1)
+    }
 
 
 def _in(photo, region):
@@ -147,9 +151,9 @@ def _mag_r(photo):
 
 
 class TestPages:
-    """A page is a fixed-byte slice of the arena: a trixel lies in the
-    page its arena rows start in, and the pool forgets every page from
-    the first one a merge touched on."""
+    """A page is a fixed-byte slice of a run: a trixel lies in the page
+    its rows start in, and the pool forgets the pages a merge replaced
+    and keeps the rest, whose keys the next snapshot shares."""
 
     @pytest.fixture(autouse=True)
     def ten_rows(self, monkeypatch, photo):
@@ -158,31 +162,51 @@ class TestPages:
     def test_a_trixel_lies_in_the_page_its_arena_rows_start_in(self, photo):
         store, added = _store_with_appends(photo)
         snapshot = store.snapshot
-        page_of, first, before = snapshot.pages()
+        (run,) = snapshot.runs  # a store smaller than a step is one run
+        page_of, first, before = run.page_of, run.page_first, run.before
         starts = (snapshot.offsets[:-1] // 10).tolist()
         assert page_of == [sorted(set(starts)).index(s) for s in starts]
         assert first == [page_of.index(p) for p in range(page_of[-1] + 1)] + [len(page_of)]
         assert before[-1] == store.total_bytes()
         # The added trixel holds its rows in the arena, at its sorted place.
-        k = snapshot.lists()[0].index(added)
+        k = snapshot.ids.tolist().index(added)
         assert snapshot.offsets[k + 1] - snapshot.offsets[k] == 3
 
-    def test_an_append_forgets_the_pages_from_its_first_on(self, photo):
-        store = ContainerStore.from_table(photo.take(np.arange(80)), depth=3)
+    def test_an_append_forgets_only_the_pages_it_replaced(self, photo):
+        # 4 000 rows over ~240 pages, so a step (32 pages) is a fraction
+        # of the store and the load's new run leaves both ends of it.
+        store = ContainerStore.from_table(photo.take(np.arange(4000)), depth=3)
         list(store.sweeper().subscribe())
         pool = store.buffer_pool
         resident = pool.resident_containers()
-        assert resident == n_pages(store) > 4
+        assert resident == n_pages(store) > 4 * containers_module.STEP_PAGES
+        before = [page for page, _nbytes in store.snapshot.pages()]
         ids = store.occupied_ids()
-        middle = ids[store.snapshot.pages()[1][2]]  # the first trixel of page 2
-        store.append(photo.take(np.arange(80, 82)), [middle, ids[-1]])
-        # Pages 0 and 1 hold the same rows as before; the rest moved.
-        assert pool.stats.invalidations == resident - 2
-        assert pool.resident_containers() == 2
-        # A remove rebuilds the arena, so every page goes.
+        middle = ids[len(ids) // 2]
+        store.append(photo.take(np.arange(4000, 4002)), [middle, middle])
+        after = {page for page, _nbytes in store.snapshot.pages()}
+        replaced = [page for page in before if page not in after]
+        # The pages of the rows the new run took over left the pool; the
+        # first and the last page, far from the load, stayed.
+        assert 0 < len(replaced) <= containers_module.STEP_PAGES + 2
+        assert before[0] in after and before[-1] in after
+        assert pool.stats.invalidations == len(replaced)
+        assert pool.resident_containers() == resident - len(replaced)
+        # A remove rebuilds the store as one run, so every page goes.
         store.remove([ids[1]])
         assert pool.resident_containers() == 0
         assert pool.stats.invalidations == resident
+
+    def test_an_empty_append_is_not_a_mutation(self, photo):
+        store = ContainerStore.from_table(photo.take(np.arange(80)), depth=3)
+        list(store.sweeper().subscribe())
+        snapshot, pool = store.snapshot, store.buffer_pool
+        resident = pool.resident_containers()
+        assert store.append(photo.take(np.arange(0)), []) == []
+        # No cached result over the store goes stale, no page leaves.
+        assert store.generation == 0 and store.snapshot is snapshot
+        assert pool.resident_containers() == resident > 0
+        assert pool.stats.invalidations == 0
 
 
 class TestQuerying:

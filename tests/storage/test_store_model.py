@@ -1,15 +1,19 @@
-"""A drawn model of the store: the arena and its pool.
+"""A drawn model of the store: its runs, their pages and its pool.
 
 Random sequences of a cluster build, chunk loads (``ChunkLoader``),
 rebalances (``add_servers``) and manual sweeps — random strides,
 candidate sets, a load in the middle of a lap, and a drawn page size —
 run against a reference that keeps each server's trixels as a dict of
-per-trixel tables in load order, rebuilt into its arena on each append,
-and each pool as a plain LRU of pages.  Every delivered
-trixel's rows must equal the reference's, byte for byte and in order,
-every step must read the pages the reference places the delivered
-trixels in, and every pool must count the hits, misses, evictions and
-invalidations the reference LRU counts.
+per-trixel tables in load order and each pool as a plain LRU of pages.
+The reference follows the store's runs after each mutation: every
+window of a run must hold whole pages of it, paged by the bytes its
+rows start at, and a page a mutation kept (its key, the run's token
+plus its page number, still in the store) must hold the trixels and rows it held, while
+the pool forgets exactly the resident pages whose keys left.  Every
+delivered trixel's rows must equal the reference's, byte for byte and
+in order, every step must read the pages the reference places the
+delivered trixels in, and every pool must count the hits, misses,
+evictions and invalidations the reference LRU counts.
 """
 
 from collections import OrderedDict
@@ -33,46 +37,69 @@ MAX_SERVERS = 4
 
 
 class _RefServer:
-    """One server's store as ``{htm_id: rows}``, whose arena is the
-    trixels' rows in id order, and its pool as an LRU of ``page ->
-    nbytes`` evicted at the end of each run."""
+    """One server's store as ``{htm_id: rows}`` in id order, the page
+    each trixel lay in when the store was last followed (:meth:`follow`),
+    and its pool as an LRU of ``page -> nbytes`` evicted at the end of
+    each run."""
 
     def __init__(self, budget, itemsize):
         self.rows = {}
+        self.page_of = {}
         self.lru = OrderedDict()
         self.budget, self.itemsize = budget, itemsize
         self.hits = self.misses = self.evictions = self.invalidations = 0
 
     def add(self, htm_ids, data):
-        """One append: each trixel's new rows after its own, and every
-        page from the first touched trixel's on is invalidated (its rows
-        moved)."""
-        touched = np.unique(htm_ids).tolist()
-        for htm_id in touched:
+        """One append: each trixel's new rows after its own."""
+        for htm_id in np.unique(htm_ids).tolist():
             group = data[htm_ids == htm_id]
             earlier = self.rows.get(htm_id)
             self.rows[htm_id] = group if earlier is None else np.concatenate([earlier, group])
-        first = self.pages()[touched[0]]
-        for page in [p for p in self.lru if p >= first]:
-            del self.lru[page]
-            self.invalidations += 1
 
     def take(self, htm_ids):
-        """One remove: the arena is rebuilt and every page invalidated."""
+        """One remove: the store is rebuilt and every page invalidated."""
         taken = {h: self.rows.pop(h) for h in htm_ids}
         self.invalidations += len(self.lru)
         self.lru.clear()
         return taken
 
+    def follow(self, store, held):
+        """Take the store's pages after a mutation, ``held`` the rows of
+        each trixel before it: each window holds whole pages of its run,
+        a trixel lies in the page its rows start in within the run, a
+        kept page holds what it held, and the pool forgets the resident
+        pages whose keys left."""
+        before = self.contents(held)
+        page_of = {}
+        for run in store.snapshot.runs:
+            starts = np.asarray(run.offset_list[:-1]) * self.itemsize
+            raw = (starts // containers_module.PAGE_BYTES).tolist()
+            dense = {r: k for k, r in enumerate(sorted(set(raw)))}
+            assert run.page_of == [dense[r] for r in raw]
+            assert run.page_first[run.page_of[run.lo]] == run.lo
+            assert run.page_first[run.page_of[run.hi - 1] + 1] == run.hi
+            for k in range(run.lo, run.hi):
+                page_of[run.id_list[k]] = run.token + run.page_of[k]
+        assert sorted(page_of) == sorted(self.rows)
+        self.page_of = page_of
+        after = self.contents(self.rows)
+        for page in before.keys() & after.keys():
+            assert before[page] == after[page], page
+        for page in [p for p in self.lru if p not in after]:
+            del self.lru[page]
+            self.invalidations += 1
+
+    def contents(self, rows):
+        """``{page: [(htm_id, bytes)]}`` of the pages last followed."""
+        pages = {}
+        for htm_id, page in self.page_of.items():
+            pages.setdefault(page, []).append((htm_id, rows[htm_id].tobytes()))
+        return {page: sorted(held) for page, held in pages.items()}
+
     def pages(self):
-        """``{htm_id: page}``: a trixel lies in the page its arena rows
-        start in, and the occupied pages are numbered from 0 in order."""
-        start, raw = 0, {}
-        for htm_id in sorted(self.rows):
-            raw[htm_id] = start * self.itemsize // containers_module.PAGE_BYTES
-            start += len(self.rows[htm_id])
-        dense = {r: k for k, r in enumerate(sorted(set(raw.values())))}
-        return {htm_id: dense[r] for htm_id, r in raw.items()}
+        """``{htm_id: page}``: the pool key of the page each trixel lies
+        in."""
+        return self.page_of
 
     def read_run(self, pages):
         """Whether each page of one sweep step came from the pool."""
@@ -110,8 +137,19 @@ class _Model:
         self._new_servers()
         ids = _ids(table)
         owners = self.archive.partition_map.server_for_array(ids)
+        held = self.held()
         for server, ref in zip(self.archive.servers, self.ref):
             ref.add(ids[owners == server.server_id], table.data[owners == server.server_id])
+        self.follow(held)
+
+    def held(self):
+        """Each server's rows, before a mutation."""
+        return [dict(ref.rows) for ref in self.ref]
+
+    def follow(self, held):
+        """Every reference follows its store's pages after a mutation."""
+        for server, ref, rows in zip(self.archive.servers, self.ref, held):
+            ref.follow(server.store, rows)
 
     def rows_from(self, seed, n):
         """``n`` drawn rows as new objects: objid is a key, so a row
@@ -135,12 +173,15 @@ class _Model:
         if store is None:
             store, ref = self.server()
         chunk = self.rows_from(self.data.draw(st.integers(0, 2**32 - 1)), 30)
+        held = dict(ref.rows)
         ChunkLoader(store).load_chunk(chunk)
         ref.add(_ids(chunk), chunk.data)
+        ref.follow(store, held)
 
     def rebalance(self):
         if len(self.ref) == MAX_SERVERS:
             return
+        held = self.held()
         self.archive.add_servers(1)
         self._new_servers()
         owner = self.archive.partition_map.server_for
@@ -158,6 +199,7 @@ class _Model:
                         np.concatenate([np.full(len(taken[h]), h) for h in mine]),
                         np.concatenate([taken[h] for h in mine]),
                     )
+        self.follow(held + [{}] * (len(self.ref) - len(held)))
 
     def candidates(self, ref):
         kind = self.data.draw(st.sampled_from(["none", "empty", "ranges"]))
@@ -201,7 +243,7 @@ class _Model:
             # trixel on a page shares its page's flag.
             page_of = ref.pages()
             flags = {page_of[h]: hit for h, hit in step_delivered.items()}
-            assert step.pages == sorted(flags)
+            assert step.pages == list({page_of[h]: h for h in sorted(step_delivered)})
             for h, hit in step_delivered.items():
                 assert flags[page_of[h]] == hit
             assert ref.read_run(step.pages) == [flags[p] for p in step.pages]
@@ -259,7 +301,7 @@ class TestStoreAgainstModel:
 
 def _a_runs_view(data, snapshot):
     """Whether ``data`` is a view of one of the snapshot's runs."""
-    return any(np.shares_memory(data, run) for run in snapshot.runs)
+    return any(np.shares_memory(data, run.data) for run in snapshot.runs)
 
 
 class TestArenaViews:

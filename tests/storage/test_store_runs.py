@@ -1,18 +1,24 @@
 """A load rewrites only where it lands, drawn.
 
-A store's rows are a few immutable runs: a build is one, and a load
-copies the stored rows of its *extent* — from the first trixel it
-touches to the last — with its chunk into one new run and shares every
-other run with the snapshot before it.  Drawn here: a page size so small
-that a sweep step (``STEP_PAGES`` pages, the shortest run a load leaves)
-is a few rows, a base store, and a sequence of chunks, some spatially
-coherent, some scattered, some landing on trixels the store lacks.
-After every load:
+A store's rows are a few immutable runs, each with its own index and
+pages: a build is one, and a load copies the stored rows of its
+*extent* — from the first trixel it touches to the last, out to whole
+pages — with its chunk into one new run and shares every other run with
+the snapshot before it.  Drawn here: a page size so small that a sweep
+step (``STEP_PAGES`` pages, the shortest run a load leaves) is a few
+rows, a base store, and a sequence of chunks, some spatially coherent,
+some scattered, some landing on trixels the store lacks.  After every
+load:
 
 * the rows in sweep order are byte-identical to a fresh build of every
-  row in load order, under the same index;
-* every run but the new one shares memory with the previous snapshot,
-  and the new one holds every touched trixel;
+  row in load order, under the same index, and the runs' own index
+  pieces, concatenated, are that index;
+* every run but the new one shares memory with the previous snapshot —
+  and its index pieces are the previous snapshot's objects — and the new
+  one holds every touched trixel;
+* the load invalidates exactly the pool pages of the rows its new run
+  took over, and a lap right after it misses exactly the new run's
+  pages;
 * the bytes copied (``LoadReport.bytes_rewritten``, the new run) are at
   most the extent plus two steps and one trixel — a run holds whole
   trixels, so a new run shorter than a step grows by whole trixels;
@@ -28,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.table import ObjectTable, concat_records
+from repro.machines.sweep import SweepScanner
 from repro.storage import ChunkLoader, ContainerStore, StoreSnapshot
 import repro.storage.containers as containers_module
 
@@ -39,29 +46,75 @@ def _new_rows(photo, picks, objids):
     return table
 
 
+def _lap(store):
+    """One whole-catalog lap of a private sweep through the store's
+    pool: the keys of the pages it missed."""
+    pool, missed = store.buffer_pool, []
+    fetch_many = pool.fetch_many
+
+    def recording(owner, pages):
+        flags = fetch_many(owner, pages)
+        missed.extend(key for (key, _nbytes), hit in zip(pages, flags) if not hit)
+        return flags
+
+    with mock.patch.object(pool, "fetch_many", recording):
+        scanner = SweepScanner(store)
+        scanner.attach(sink=lambda _run: True)
+        while scanner.step(containers_module.STEP_PAGES) is not None:
+            pass
+    return missed
+
+
+def _keys(snapshot):
+    return [page for page, _nbytes in snapshot.pages()]
+
+
 def _check_load(store, chunk, step):
+    _lap(store)  # every page resident
     before = store.snapshot
-    held = [run.tobytes() for run in before.runs]
+    held = [run.rows.tobytes() for run in before.runs]
     touched = np.unique(store.container_ids_for(chunk))
-    report = ChunkLoader(store).load_chunk(chunk)
+    pool = store.buffer_pool
+    invalidations = pool.stats.invalidations
+    with mock.patch.object(pool, "invalidate", wraps=pool.invalidate) as invalidate:
+        report = ChunkLoader(store).load_chunk(chunk)
     after = store.snapshot
 
     # The previous snapshot is as it was.
-    assert [run.tobytes() for run in before.runs] == held
-    assert not any(run.flags.writeable for run in before.runs + after.runs)
+    assert [run.rows.tobytes() for run in before.runs] == held
+    assert not any(run.data.flags.writeable for run in before.runs + after.runs)
 
-    # One new run, holding every touched trixel; the rest are shared.
-    fresh = [
-        r for r, run in enumerate(after.runs)
-        if not any(np.shares_memory(run, old) for old in before.runs)
-    ]
+    # One new run, holding every touched trixel; the rest are shared,
+    # and so are their index pieces.
+    tokens = {run.token: run for run in before.runs}
+    fresh = [r for r, run in enumerate(after.runs) if run.token not in tokens]
     assert len(fresh) == 1
     (r,) = fresh
+    made = after.runs[r]
+    assert not any(np.shares_memory(made.data, old.data) for old in before.runs)
     k = np.searchsorted(after.ids, touched)
     assert after.run_first[r] <= k.min() and k.max() < after.run_first[r + 1]
-    assert report.bytes_rewritten == after.runs[r].nbytes
+    assert report.bytes_rewritten == made.data.nbytes
+    for run in after.runs:
+        if run is not made:
+            old = tokens[run.token]
+            assert run.data is old.data and run.ids is old.ids and run.offsets is old.offsets
+            assert run.id_list is old.id_list and run.offset_list is old.offset_list
+            assert run.page_of is old.page_of and run.page_first is old.page_first
+            assert run.before is old.before
 
-    # At most the extent, two steps and one trixel copied.
+    # The pool forgot exactly the pages of the rows the new run took
+    # over, and a lap misses exactly the new run's pages.
+    replaced = set(_keys(before)) - set(_keys(after))
+    gone = [page for call in invalidate.call_args_list for page in call.args[1]]
+    assert len(gone) == len(set(gone)) and set(gone) == replaced
+    assert pool.stats.invalidations - invalidations == len(replaced)
+    missed = _lap(store)
+    assert len(missed) == len(set(missed))
+    assert set(missed) == {made.token + p for p in made.pages(made.lo, made.hi)}
+
+    # At most the extent, two steps and one trixel copied (the pages are
+    # smaller than a row here, so whole pages are whole trixels).
     row = after.dtype.itemsize
     at = np.searchsorted(before.ids, touched)
     end = at[-1] + np.isin(touched[-1], before.ids)
@@ -70,10 +123,10 @@ def _check_load(store, chunk, step):
     assert report.bytes_rewritten <= extent + 2 * least + after.sizes.max() * row
 
     # No run is shorter than a step unless it is the whole store.
-    assert len(after.runs) == 1 or min(run.nbytes for run in after.runs) >= step
+    assert len(after.runs) == 1 or min(run.rows.nbytes for run in after.runs) >= step
     assert len(after.runs) <= store.total_bytes() // step + 1
     assert after.run_rows == after.offsets[after.run_first].tolist()
-    assert sum(len(run) for run in after.runs) == store.total_objects()
+    assert sum(len(run.rows) for run in after.runs) == store.total_objects()
 
 
 @given(data=st.data())
@@ -114,16 +167,26 @@ def test_a_load_copies_its_extent_and_shares_the_rest(photo, data):
             ids = store.container_ids_for(ObjectTable(chunk.schema, rows))
             fresh = StoreSnapshot.build(rows, ids)
             snapshot = store.snapshot
-            got = concat_records(snapshot.runs, snapshot.dtype)
-            assert got.tobytes() == fresh.runs[0].tobytes()
+            got = concat_records([run.rows for run in snapshot.runs], snapshot.dtype)
+            assert got.tobytes() == fresh.runs[0].rows.tobytes()
             np.testing.assert_array_equal(snapshot.ids, fresh.ids)
             np.testing.assert_array_equal(snapshot.offsets, fresh.offsets)
             np.testing.assert_array_equal(snapshot.keys, fresh.keys)
+            # The runs' own index pieces, concatenated, are that index.
+            runs = snapshot.runs
+            ids = np.concatenate([run.ids[run.lo : run.hi] for run in runs])
+            sizes = np.concatenate([np.diff(run.offsets)[run.lo : run.hi] for run in runs])
+            np.testing.assert_array_equal(ids, fresh.ids)
+            np.testing.assert_array_equal(sizes, fresh.sizes)
+            for run in runs:
+                assert run.id_list == run.ids.tolist()
+                assert run.offset_list == run.offsets.tolist()
 
 
 def test_a_build_is_one_run_and_rewrites_every_byte(photo):
     store = ContainerStore.from_table(photo, depth=5)
     snapshot = store.snapshot
     assert len(snapshot.runs) == 1 and snapshot.run_first == [0, len(snapshot.ids)]
+    assert (snapshot.runs[0].lo, snapshot.runs[0].hi) == (0, len(snapshot.ids))
     assert snapshot.rewritten == store.total_bytes() == photo.nbytes()
     assert "runs=1" in repr(store)
