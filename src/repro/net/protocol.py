@@ -207,11 +207,34 @@ def jsonable(value):
     return str(value)
 
 
+def _header_default(value):
+    """What the header encoder does with a value JSON has no type for:
+    :func:`jsonable`'s conversions, one value at a time."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, set):
+        return list(value)
+    return str(value)
+
+
+_HEADER_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_header_default)
+
+
 def send_frame(sock, header, body=b""):
-    """Write one frame: JSON ``header`` plus optional binary ``body``."""
-    header_bytes = json.dumps(jsonable(header), separators=(",", ":")).encode(
-        "utf-8"
-    )
+    """Write one frame: JSON ``header`` plus optional binary ``body``.
+
+    The header is encoded in one pass, byte for byte as
+    ``json.dumps(jsonable(header), separators=(",", ":"))``; a header
+    the encoder refuses (a numpy integer key, say) goes through
+    :func:`jsonable` first.  Header keys are ``str`` or ``int``: a
+    ``bool``, ``None`` or NaN key would be spelled as JSON spells it
+    (``true``), not as :func:`jsonable` does (``True``).
+    """
+    try:
+        header_json = _HEADER_ENCODER.encode(header)
+    except TypeError:
+        header_json = json.dumps(jsonable(header), separators=(",", ":"))
+    header_bytes = header_json.encode("utf-8")
     total = _LEN.size + len(header_bytes) + len(body)
     if total > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {total} bytes exceeds the protocol bound")

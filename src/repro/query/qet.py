@@ -107,11 +107,42 @@ def _stable_order(keys, descending):
 def _sort_order(key_arrays, descending_flags):
     """The one ORDER BY permutation: stable sorts applied from the
     least-significant key backwards, so later keys break ties of
-    earlier ones and rows equal on every key keep their input order."""
+    earlier ones and rows equal on every key keep their input order.
+    A limited sort runs it over its candidates only (:func:`_top_order`)."""
     order = np.arange(len(key_arrays[0]))
     for keys, descending in reversed(list(zip(key_arrays, descending_flags))):
         order = order[_stable_order(keys[order], descending)]
     return order
+
+
+def _first_key_rank(keys, descending):
+    """Numbers that order rows as the key ``keys`` does in its direction
+    (ties may merge: NaN with the infinity beside it, never split or
+    swap), or ``None`` for a dtype they cannot express (strings, bools)."""
+    if np.issubdtype(keys.dtype, np.integer):
+        return ~keys if descending else keys
+    if np.issubdtype(keys.dtype, np.floating):
+        return np.fmax(-keys, -np.inf) if descending else np.fmin(keys, np.inf)
+    return None
+
+
+def _top_order(key_arrays, descending_flags, limit):
+    """``_sort_order(key_arrays, descending_flags)[:limit]``, by selection.
+
+    ``np.partition`` on a rank of the first key finds the ``limit``-th
+    row's rank; every row ranked no later (ties kept, in arrival order)
+    is a candidate, and only the candidates are sorted.  They are a
+    prefix of the full stable order, so the permutation is the same.
+    """
+    rank = None
+    if limit is not None and 0 < limit < len(key_arrays[0]):
+        rank = _first_key_rank(key_arrays[0], descending_flags[0])
+    if rank is None:
+        return _sort_order(key_arrays, descending_flags)[:limit]
+    bound = np.partition(rank, limit - 1)[limit - 1]
+    rows = np.flatnonzero(rank <= bound)
+    order = _sort_order([keys[rows] for keys in key_arrays], descending_flags)
+    return rows[order[:limit]]
 
 
 class Stream:
@@ -634,6 +665,11 @@ class SortNode(QETNode):
     ``prune_rows`` it prunes back to ``limit``, whose last key tuple
     drops every later row not sorting strictly before it.  Arrival order
     is kept between prunes, so the answer is the unlimited sort's prefix.
+    A prune and the end select before they sort (:func:`_top_order`):
+    only the rows whose first key sorts no later than the ``limit``-th
+    row's are stably sorted, so a large batch costs a partition and a
+    sort of about ``limit`` rows (more if its first key ties at the
+    bound).
     """
 
     def __init__(self, child, key_fns, descending_flags, limit=None, prune_rows=None):
@@ -678,7 +714,7 @@ class SortNode(QETNode):
         """The buffer as one table, its keys and its order to the limit."""
         table = ObjectTable.concat_all(batches)
         keys = [np.concatenate(arrays) for arrays in zip(*keys)]
-        return table, keys, _sort_order(keys, self.descending_flags)[: self.limit]
+        return table, keys, _top_order(keys, self.descending_flags, self.limit)
 
     def run(self):
         if self.limit == 0:

@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog.schema import Field, Schema
 from repro.catalog.table import ObjectTable
+from repro.query import qet
 from repro.query.qet import MergeSortNode, QETNode, SortNode
 
 SCHEMA = Schema(
@@ -291,3 +294,107 @@ class TestEngineFusion:
             if getattr(node, "name", "") == "scan"
         )
         assert 0 < topk_stats[0].peak_buffered_rows < total_rows
+
+
+DRAWN_SCHEMA = Schema(
+    "drawn",
+    [
+        Field("objid", "i8"),
+        Field("f", "f8"),
+        Field("g", "f4"),
+        Field("i", "i8"),
+        Field("u", "u1"),
+        Field("flag", "?"),
+    ],
+)
+INT64 = np.iinfo(np.int64)
+#: Few values per column, so ties are heavy; the float columns carry NaN
+#: and both infinities, the int64 column its extremes.
+DRAWN_VALUES = {
+    "f": np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5, 2.0]),
+    "g": np.array([np.nan, np.inf, -1.0, 3.25], dtype=np.float32),
+    "i": np.array([INT64.min, -1, 0, 1, INT64.max]),
+    "u": np.array([0, 1, 254, 255], dtype=np.uint8),
+    "flag": np.array([False, True]),
+}
+
+
+def drawn_batches(rng, sizes):
+    """Batches of ``sizes`` rows drawn from :data:`DRAWN_VALUES`."""
+    batches, first = [], 0
+    for size in sizes:
+        columns = {"objid": np.arange(first, first + size, dtype=np.int64)}
+        for name, values in DRAWN_VALUES.items():
+            columns[name] = values[rng.integers(0, len(values), size)]
+        batches.append(ObjectTable.from_columns(DRAWN_SCHEMA, columns))
+        first += size
+    return batches
+
+
+class TestTopKSelection:
+    """A limited sort selects its candidates before it sorts them; the
+    permutation must be the full sort's prefix for every key dtype."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        names=st.lists(
+            st.sampled_from(sorted(DRAWN_VALUES)), min_size=1, max_size=3
+        ),
+        flags=st.lists(st.booleans(), min_size=3, max_size=3),
+        first=st.integers(1, 400),
+        later=st.lists(st.integers(0, 40), max_size=3),
+        prune_over=st.integers(0, 8),
+        limit_kind=st.sampled_from(["1", "n-1", "n", "n+1", "drawn"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(
+        self, seed, names, flags, first, later, prune_over, limit_kind
+    ):
+        rng = np.random.default_rng(seed)
+        batches = drawn_batches(rng, [first, *later])
+        n = first + sum(later)
+        limit = {
+            "1": 1,
+            "n-1": max(n - 1, 1),
+            "n": n,
+            "n+1": n + 1,
+            "drawn": int(rng.integers(1, n + 1)),
+        }[limit_kind]
+        key_fns = [lambda t, name=name: t[name] for name in names]
+        descending = flags[: len(names)]
+        # The shard's shape: a first batch far above ``prune_rows``.
+        prune_rows = limit + prune_over
+        got_batches, _node = limited_sort(
+            batches, key_fns, descending, limit, prune_rows
+        )
+        expected = reference_objids(batches, key_fns, descending, limit)
+        assert objids(got_batches) == expected
+
+    def test_a_shard_sweep_step_sorts_only_its_candidates(self, rng, monkeypatch):
+        """One 36 000-row batch under LIMIT 500: the stable sort sees at
+        most the limit plus the rows tied with the 500th on the first key,
+        not all 36 000."""
+        n, limit = 36_000, 500
+        table = ObjectTable.from_columns(
+            SCHEMA,
+            {
+                "objid": rng.permutation(n).astype(np.int64),
+                "a": np.round(rng.normal(20.0, 2.0, n), 2),
+                "b": np.zeros(n, dtype=np.int64),
+            },
+        )
+        sorted_rows = []
+
+        def counting_sort_order(key_arrays, descending_flags):
+            sorted_rows.append(len(key_arrays[0]))
+            return sort_order(key_arrays, descending_flags)
+
+        sort_order = qet._sort_order
+        monkeypatch.setattr(qet, "_sort_order", counting_sort_order)
+        key_fns = [lambda t: t["a"], lambda t: t["objid"]]
+        got_batches, _node = limited_sort([table], key_fns, [False, False], limit)
+        expected = reference_objids([table], key_fns, [False, False], limit)
+        assert objids(got_batches) == expected
+        bound = np.sort(table["a"])[limit - 1]
+        ties = int(np.count_nonzero(table["a"] == bound))
+        assert sorted_rows and max(sorted_rows) <= limit + ties
