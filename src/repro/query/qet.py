@@ -14,6 +14,15 @@ backpressure instead of materializing intermediates — the ASAP push
 strategy.  Bags are keyed by ``objid`` (the object pointer) for the set
 operations.
 
+A node with one child blocks iterating that child's stream.  An n-ary
+streaming node (:class:`ExchangeNode`, and :class:`UnionNode`, which is
+one) cannot block on any one child, so it waits on an arrival queue of
+its own instead: each child stream, and the node's own output, hands
+itself to that queue after every put and cancel, and the node takes the
+announced child's next batch without blocking.  Only the announcement
+passes through the arrival queue, never a batch, and no thread but the
+node's reads its children.
+
 Because ``objid`` is a key of every store, a set operation of two bare
 SELECTs over one source is one SELECT (``A OR B``, ``A AND B`` or ``A
 AND NOT B``): :func:`~repro.query.physical.fuse_set_op` rewrites it
@@ -157,6 +166,14 @@ class Stream:
         self._cancelled = threading.Event()
         self._finished = False
         self.error = None
+        #: arrival queues of the n-ary nodes waiting on this stream (as
+        #: its consumer or as its producer): each is handed this stream
+        #: after every put and cancel
+        self._listeners = []
+
+    def _announce(self):
+        for arrivals in self._listeners:
+            arrivals.put(self)
 
     def cancel(self):
         """Signal that no more batches are wanted.
@@ -182,6 +199,7 @@ class Stream:
             self._queue.put_nowait(_SENTINEL)
         except queue.Full:
             pass
+        self._announce()
 
     def cancelled(self):
         return self._cancelled.is_set()
@@ -205,9 +223,10 @@ class Stream:
         while not self._cancelled.is_set():
             try:
                 self._queue.put(batch, timeout=0.05)
-                return not self._cancelled.is_set()
             except queue.Full:
                 continue
+            self._announce()
+            return not self._cancelled.is_set()
         return False
 
     def close(self):
@@ -228,24 +247,32 @@ class Stream:
         *failed* stream keeps raising on every iteration, so an error
         can never be mistaken for an empty result.
         """
-        while not self._finished:
+        while (batch := self._next(block=True)) is not _SENTINEL:
+            yield batch
+
+    def _next(self, block):
+        """One step of the iteration: the next batch, or ``_SENTINEL``
+        once the stream has ended (a failed one raises instead), or —
+        when ``block`` is false — ``None`` while nothing is queued."""
+        if not self._finished:
             if self._cancelled.is_set() and self._queue.empty():
                 self._finished = True
-                break
-            batch = self._queue.get()
-            if batch is _SENTINEL:
-                self._finished = True
-                break
-            if self._cancelled.is_set():
-                self._finished = True
-                break
-            yield batch
+            else:
+                try:
+                    batch = self._queue.get(block)
+                except queue.Empty:
+                    return None
+                if batch is _SENTINEL or self._cancelled.is_set():
+                    self._finished = True
+                else:
+                    return batch
         if self.error is not None:
             if isinstance(self.error, ExecutionError):
                 # Structured execution errors (e.g. an unrecoverable
                 # shard failover) keep their class — callers match on it.
                 raise self.error
             raise ExecutionError(str(self.error)) from self.error
+        return _SENTINEL
 
 
 #: how two records of a :attr:`NodeStats.COUNTERS` entry combine
@@ -1071,62 +1098,6 @@ def _objids(batch):
     return np.asarray(batch["objid"], dtype=np.int64)
 
 
-def _gather_streams(children, maxsize=16):
-    """Drain several children concurrently into one merged Stream.
-
-    The gather point of every n-ary streaming node (union, exchange):
-    batches are forwarded the moment any child produces one.  A child
-    failure propagates — the first error fails the merged stream
-    immediately (fail-fast), so a consumer can never mistake a
-    partially-drained fan-out for a complete result.
-
-    Returns ``(merged, threads)``; iterate ``merged``, then join the
-    threads (or cancel everything via :func:`_cancel_gather`).  The
-    helper threads are named ``qet-gather-*``, so they count as the
-    tree's threads wherever a leftover ``qet-*`` thread is looked for.
-    """
-    merged = Stream(maxsize=maxsize)
-    done = threading.Semaphore(0)
-
-    def drain(child):
-        try:
-            for batch in child.output:
-                if merged.cancelled():
-                    child.output.cancel()
-                    return
-                merged.push(batch)
-        except Exception as exc:
-            merged.fail(exc)
-        finally:
-            done.release()
-
-    threads = [
-        threading.Thread(
-            target=drain, args=(c,), daemon=True, name=f"qet-gather-{c.name}"
-        )
-        for c in children
-    ]
-    for t in threads:
-        t.start()
-
-    def close_when_drained():
-        for _ in children:
-            done.acquire()
-        merged.close()
-
-    closer = threading.Thread(
-        target=close_when_drained, daemon=True, name="qet-gather-closer"
-    )
-    closer.start()
-    return merged, threads
-
-
-def _cancel_gather(children, merged):
-    for child in children:
-        child.output.cancel()
-    merged.cancel()
-
-
 class _SeenIds:
     """The objids a union has emitted, as sorted runs, each at most half
     as long as the one before it: a membership test is a binary search
@@ -1153,36 +1124,6 @@ class _SeenIds:
                 last = runs.pop()
                 runs[-1] = np.sort(np.concatenate([runs[-1], last]), kind="stable")
         return fresh
-
-
-class UnionNode(QETNode):
-    """Bag union with pointer dedup: streams both children concurrently.
-
-    The first occurrence of each objid wins; later duplicates are
-    dropped.  No pipeline breaking — rows flow as soon as either child
-    produces them.
-    """
-
-    name = "union"
-
-    def __init__(self, left, right):
-        super().__init__((left, right))
-
-    def run(self):
-        seen = _SeenIds()
-        merged, threads = _gather_streams(self.children)
-        try:
-            for batch in merged:
-                fresh = seen.first_unseen(_objids(batch))
-                if fresh.any():
-                    if not self._emit(batch.select(fresh)):
-                        _cancel_gather(self.children, merged)
-                        return
-        except Exception:
-            _cancel_gather(self.children, merged)
-            raise
-        for t in threads:
-            t.join()
 
 
 class _HashedRightNode(QETNode):
@@ -1232,27 +1173,57 @@ class ExchangeNode(QETNode):
     forwarded upward the moment any shard produces one, so
     time-to-first-row is set by the *fastest* shard.  Zero children is a
     well-formed empty stream (every shard pruned by the HTM cover).
+
+    The node reads its children's streams on its own thread, sleeping on
+    its arrival queue (see the module docstring): a ready batch of any
+    child is forwarded while its siblings are idle, and a cancelled
+    output (a met LIMIT above, ``Job.cancel``) wakes it at once.
     """
 
     name = "exchange"
 
     def __init__(self, children):
         super().__init__(tuple(children))
+        self._arrivals = queue.SimpleQueue()
+        for stream in (self.output, *(child.output for child in self.children)):
+            stream._listeners.append(self._arrivals)
+
+    def _forward(self, batch):
+        """The rows of a child's batch this node emits."""
+        return batch
 
     def run(self):
-        if not self.children:
-            return
-        merged, threads = _gather_streams(self.children)
-        try:
-            for batch in merged:
-                if not self._emit(batch):
-                    _cancel_gather(self.children, merged)
-                    return
-        except Exception:
-            _cancel_gather(self.children, merged)
-            raise
-        for t in threads:
-            t.join()
+        pending = {child.output for child in self.children}
+        while pending:
+            stream = self._arrivals.get()
+            if self.output.cancelled():
+                break
+            if stream not in pending:
+                continue  # a stream that has ended, or this node's output
+            batch = stream._next(block=False)
+            if batch is _SENTINEL:
+                pending.discard(stream)
+            elif batch is not None and not self._emit(self._forward(batch)):
+                break
+        for stream in pending:
+            stream.cancel()
+
+
+class UnionNode(ExchangeNode):
+    """Bag union with pointer dedup: an :class:`ExchangeNode` over its
+    two operands that keeps only each objid's first occurrence; later
+    duplicates are dropped.  No pipeline breaking — rows flow as soon
+    as either child produces them.
+    """
+
+    name = "union"
+
+    def __init__(self, left, right):
+        super().__init__((left, right))
+        self._seen = _SeenIds()
+
+    def _forward(self, batch):
+        return batch.select(self._seen.first_unseen(_objids(batch)))
 
 
 class MergeSortNode(SortNode):

@@ -98,7 +98,7 @@ def _detail_for(node):
             detail["fanout"] = len(node.children)
         detail.update(keys=len(node.key_fns), descending=list(node.descending_flags))
         return detail
-    if isinstance(node, ExchangeNode):
+    if type(node) is ExchangeNode:  # not a UnionNode, which is one too
         return {"fanout": len(node.children)}
     if isinstance(node, LimitNode):
         return {"limit": node.limit}

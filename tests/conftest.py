@@ -54,16 +54,17 @@ def _suite_test_timeout():
         signal.signal(signal.SIGALRM, previous)
 
 
-#: test directory -> what its tests must leave as they found it: open
-#: sockets and ``archive-*`` threads where tests start servers, else the
+#: test directory -> what its tests must leave as they found it: the
 #: threads named by these prefixes — ``qet-*`` where they run query
-#: trees, ``river-*`` where they run river graphs, both in the rest of
-#: the suite — and, with either, the child processes (shard servers).  ``sweep-*`` threads are not
-#: watched: one ends up to a second after its store is dropped.
+#: trees, ``river-*`` where they run river graphs — plus, where tests
+#: start servers, ``"sockets"``: the open sockets and the ``archive-*``
+#: threads; and, with any of them, the child processes (shard servers).
+#: ``sweep-*`` threads are not watched: one ends up to a second after
+#: its store is dropped.
 LEAVE_NOTHING_BEHIND = {
-    "net": "sockets",
-    "chaos": "sockets",
-    "service": "sockets",
+    "net": ("sockets", "qet-"),
+    "chaos": ("sockets", "qet-"),
+    "service": ("sockets", "qet-"),
     "session": ("qet-",),
     "query": ("qet-",),
     "distributed": ("qet-",),
@@ -106,9 +107,9 @@ def _network_state():
 def _leave_nothing_behind(request):
     """A network test ends with the open sockets and the ``archive-*``
     threads (server accept loops, cluster probes) it began with; a test
-    that runs query trees or river graphs leaves no ``qet-*`` thread (a
-    node's, or a gather helper's) or ``river-*`` thread it started; and
-    no watched test leaves a child process (a shard server) it started.
+    that runs query trees or river graphs leaves no ``qet-*`` (node) or
+    ``river-*`` thread it started; and no watched test leaves a child
+    process (a shard server) it started.
 
     Server-side connection threads close their socket a moment after
     the client hangs up, and a cancelled node thread exits a moment
@@ -116,32 +117,36 @@ def _leave_nothing_behind(request):
     fails.
     """
     path = request.node.path
-    watch = None
+    watch = ()
     if path.parent.parent.name == "tests":
-        watch = LEAVE_NOTHING_BEHIND.get(path.parent.name)
-    if watch == "sockets" and os.path.isdir("/proc/self/fd"):
+        watch = LEAVE_NOTHING_BEHIND.get(path.parent.name, ())
+    if not watch:
+        yield
+        return
+    checks = []
+    if "sockets" in watch and os.path.isdir("/proc/self/fd"):
         network = _network_state()
 
-        def started():
+        def sockets_left():
             after = _network_state()
             if after != network:
                 return f"(open sockets, archive-* threads) {network} -> {after}"
 
-    elif isinstance(watch, tuple):
-        threads = _threads(watch)
+        checks.append(sockets_left)
+    prefixes = tuple(prefix for prefix in watch if prefix != "sockets")
+    if prefixes:
+        threads = _threads(prefixes)
 
-        def started():
-            names = sorted(thread.name for thread in _threads(watch) - threads)
+        def threads_left():
+            names = sorted(thread.name for thread in _threads(prefixes) - threads)
             if names:
                 return f"threads {names}"
 
-    else:
-        yield
-        return
+        checks.append(threads_left)
     children = set(multiprocessing.active_children())
 
     def left():
-        parts = [started()]
+        parts = [check() for check in checks]
         new = set(multiprocessing.active_children()) - children
         if new:
             parts.append(f"child processes {sorted(child.name for child in new)}")

@@ -12,7 +12,8 @@ contracts checked here:
   arrival, ascending and DESC, including a LIMIT cut inside a tie class;
 * a grouped aggregate matches a numpy evaluation of the catalog;
 * each node of a running tree has exactly one thread and no other
-  ``qet-*`` thread appears while it runs;
+  ``qet-*`` thread appears while it runs — on one store and on a
+  two-server archive, whose exchange reads its shards' streams itself;
 * a mid-run cancel and a failing node both end every node thread and
   leave the store's sweep;
 * a job reports no worker pool.
@@ -33,7 +34,7 @@ from repro.query import QueryEngine
 from repro.query.errors import ExecutionError
 from repro.query.qet import ScanNode
 from repro.session import Archive, JobState
-from repro.storage import ContainerStore
+from repro.storage import ContainerStore, DistributedArchive
 
 GALAXY = 2
 
@@ -68,6 +69,17 @@ def throttled(photo):
     store.sweeper().throttle = 0.08  # a page a step: ~7 s a lap
     with Archive.connect(QueryEngine({"photo": store})) as session:
         yield session, store
+
+
+@pytest.fixture()
+def throttled_cluster(photo):
+    """A session over an in-process two-server archive whose shards'
+    sweeps are slowed as :func:`throttled`'s is."""
+    archive = DistributedArchive.from_table(photo, depth=5, n_servers=2)
+    for server in archive.servers:
+        server.store.sweeper().throttle = 0.08
+    with Archive.connect(archive=archive) as session:
+        yield session
 
 
 def _descending(values):
@@ -166,9 +178,15 @@ SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("query", SHAPES)
-def test_each_node_runs_on_one_named_thread(throttled, query):
-    session, _store = throttled
+#: the coordinator's shapes over shards: an exchange, and a merge
+#: aggregate over an exchange
+CLUSTER_SHAPES = [
+    "SELECT objid FROM photo",
+    "SELECT objtype, COUNT(objid) AS n FROM photo GROUP BY objtype",
+]
+
+
+def _assert_one_thread_per_node(session, query):
     before = _qet_threads()
     job = session.submit(query)
     try:
@@ -177,15 +195,26 @@ def test_each_node_runs_on_one_named_thread(throttled, query):
         assert [t.name for t in threads] == [f"qet-{node.name}" for node in nodes]
         assert len(set(threads)) == len(nodes)
         # The scan is paced, so the tree is still running: every qet-*
-        # thread that appeared belongs to one of this job's nodes, or is
-        # a set operation's gather helper.
+        # thread that appeared belongs to one of this job's nodes.
         assert any(node.is_alive() for node in nodes)
-        extra = _qet_threads() - before - set(threads)
-        assert all(t.name.startswith("qet-gather-") for t in extra), extra
+        assert _qet_threads() - before - set(threads) == set()
     finally:
         job.cancel()
         job.join(10.0)
     assert job.alive_nodes() == []
+
+
+@pytest.mark.parametrize("query", SHAPES)
+def test_each_node_runs_on_one_named_thread(throttled, query):
+    session, _store = throttled
+    _assert_one_thread_per_node(session, query)
+
+
+@pytest.mark.parametrize("query", CLUSTER_SHAPES)
+def test_each_node_of_a_cluster_tree_runs_on_one_named_thread(
+    throttled_cluster, query
+):
+    _assert_one_thread_per_node(throttled_cluster, query)
 
 
 def test_mid_run_cancel_stops_every_node_thread(throttled):

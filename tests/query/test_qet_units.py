@@ -1,6 +1,9 @@
-"""Unit tests for QET plumbing: streams, filter, aggregate internals."""
+"""Unit tests for QET plumbing: streams, filter, aggregate internals,
+and how an n-ary node waits on its children."""
 
+import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,8 +13,10 @@ from hypothesis import strategies as st
 from repro.catalog.schema import Field, Schema
 from repro.catalog.table import ObjectTable
 from repro.query.errors import ExecutionError
+from repro.query.engine import start_tree
 from repro.query.qet import (
     AggregateNode,
+    ExchangeNode,
     FilterNode,
     QETNode,
     Stream,
@@ -213,3 +218,105 @@ class TestUnionNode:
         assert sum(len(run) for run in runs) == len(reference)
         for shorter, longer in zip(runs[1:], runs):
             assert 2 * len(shorter) <= len(longer)
+
+
+class _GatedSource(QETNode):
+    """Test helper: emits its batches once ``gate`` is set."""
+
+    def __init__(self, batches, gate):
+        super().__init__(())
+        self.batches = batches
+        self.gate = gate
+
+    def run(self):
+        self.gate.wait(10.0)
+        for batch in self.batches:
+            if not self._emit(batch):
+                return
+
+
+class _PacedSource(QETNode):
+    """Test helper: a shard that streams ``batch`` every ``pace`` seconds
+    for ``count`` batches, or until its consumer cancels."""
+
+    def __init__(self, batch, pace=0.05, count=100):
+        super().__init__(())
+        self.batch = batch
+        self.pace = pace
+        self.count = count
+
+    def run(self):
+        for _ in range(self.count):
+            if not self._emit(self.batch):
+                return
+            time.sleep(self.pace)
+
+
+class _FailingSource(QETNode):
+    def run(self):
+        raise RuntimeError("shard died")
+
+
+def _cpu_seconds(thread):
+    """User plus system CPU time of a running thread, from procfs."""
+    with open(f"/proc/self/task/{thread.native_id}/stat") as stat:
+        fields = stat.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def _all_end(root, timeout=5.0):
+    for node in root.walk():
+        node.join(timeout)
+    return [node for node in root.walk() if node.is_alive()]
+
+
+#: the n-ary streaming nodes, built over two children
+NARY = {
+    "exchange": lambda left, right: ExchangeNode([left, right]),
+    "union": UnionNode,
+}
+
+
+@pytest.mark.parametrize("kind", NARY)
+class TestNaryWait:
+    """An n-ary node reads its children's streams on its own thread:
+    whichever child is ready is forwarded, an idle one costs nothing."""
+
+    def test_a_ready_batch_passes_a_blocked_sibling(self, kind):
+        gate = threading.Event()
+        root = NARY[kind](_GatedSource([id_table([1, 2])], gate), _ListSource([id_table([3])]))
+        start_tree(root)
+        try:
+            first = next(iter(root.output))
+            assert not gate.is_set()
+        finally:
+            gate.set()
+        assert np.asarray(first["objid"]).tolist() == [3]
+        rest = ObjectTable.concat_all(list(root.output))
+        assert np.asarray(rest["objid"]).tolist() == [1, 2]
+        assert _all_end(root) == []
+
+    def test_a_failing_child_fails_the_node_while_its_sibling_streams(self, kind):
+        paced = _PacedSource(id_table([1]))
+        root = NARY[kind](_FailingSource(), paced)
+        started = time.monotonic()
+        start_tree(root)
+        with pytest.raises(ExecutionError, match="shard died"):
+            list(root.output)
+        # The paced sibling would stream for 5 s: the error did not wait.
+        assert time.monotonic() - started < 2.5
+        assert _all_end(root) == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs procfs")
+    def test_a_node_waiting_on_idle_children_sleeps(self, kind):
+        gate = threading.Event()
+        root = NARY[kind](_GatedSource([], gate), _GatedSource([], gate))
+        start_tree(root)
+        try:
+            time.sleep(0.5)
+            cpu = _cpu_seconds(root._thread)
+        finally:
+            gate.set()
+        assert list(root.output) == []
+        assert cpu < 0.1
+        assert _all_end(root) == []
